@@ -90,7 +90,7 @@ def associate(tracks, detections, iou_threshold: float = DEFAULT_IOU_THRESHOLD) 
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LifecycleConfig:
     min_hits: int = DEFAULT_MIN_HITS
     max_age: int = DEFAULT_MAX_AGE
@@ -110,7 +110,7 @@ class TrackIdAllocator:
 
 
 def finish_timestep(tracks, matched_flags, cfg: LifecycleConfig):
-    """End-of-timestep bookkeeping shared by the pipeline and lifecycle_step.
+    """End-of-timestep bookkeeping, run once per timestep after every round.
 
     Tracks matched by any sensor this timestep get hits += 1 and misses
     reset; the rest accumulate a miss, decay their score, and die once
@@ -134,19 +134,3 @@ def finish_timestep(tracks, matched_flags, cfg: LifecycleConfig):
 def reportable(track, cfg: LifecycleConfig) -> bool:
     """Early-report convention: confirmed tracks, or any track still young."""
     return track.hits >= cfg.min_hits or track.age < cfg.min_hits
-
-
-def lifecycle_step(tracks, assignment: Assignment, detections, cfg: LifecycleConfig,
-                   ids: TrackIdAllocator, birth_fn):
-    """One-sensor lifecycle update, applied after the timestep's association.
-
-    Matched tracks are refreshed, unmatched ones age toward deletion, and
-    unmatched detections birth tentative tracks through `birth_fn(det, id)`.
-    Returns (surviving, birthed, killed_ids).
-    """
-    matched = [False] * len(tracks)
-    for t_idx, _, _ in assignment.matches:
-        matched[t_idx] = True
-    surviving, killed = finish_timestep(tracks, matched, cfg)
-    birthed = [birth_fn(detections[j], ids.next_id()) for j in assignment.unmatched_detections]
-    return surviving, birthed, killed

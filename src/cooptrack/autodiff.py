@@ -383,26 +383,6 @@ def diag(v):
     return Node(v.tape, out, (v,), lambda g: (np.diagonal(g).copy(),))
 
 
-def diag_part(a):
-    av = val(a)
-    out = np.diagonal(av).copy()
-    if not isinstance(a, Node):
-        return out
-    n = av.shape[0]
-    dtype = av.dtype
-
-    def vjp(g):
-        full = np.zeros((n, n), dtype=dtype)
-        np.fill_diagonal(full, g)
-        return (full,)
-
-    return Node(a.tape, out, (a,), vjp)
-
-
-def trace(a):
-    return asum(diag_part(a))
-
-
 # --- symmetric positive definite inverse -----------------------------------
 #
 # Hand-rolled Cholesky so the op works in any float dtype (LAPACK-backed

@@ -6,15 +6,14 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
 from . import io as cio
 from . import metrics, sim, training
-from .association import LifecycleConfig
-from .covnet import CovNetParams
-from .pipeline import (ConstantCovariance, CoopTracker, FramePacket, LearnedCovariance,
-                       run_sequence)
+from .pipeline import (ConstantCovariance, CoopTracker, LearnedCovariance,
+                       packets_from_sim_frame, run_sequence)
 from .sim import Detection, SimFrame
 
 DETECTIONS_FILE = "detections.jsonl"
@@ -59,8 +58,8 @@ def write_sim_output(frames, out_dir: str, app_shape) -> None:
 def load_sim_frames(data_dir: str):
     """Rebuild per-frame ground truth + detections from a simulate output dir."""
     _, gt_records = cio.read_log(os.path.join(data_dir, GT_FILE), cio.FORMAT_GROUNDTRUTH)
-    _, det_records = cio.read_log(os.path.join(data_dir, DETECTIONS_FILE),
-                                  cio.FORMAT_DETECTIONS)
+    det_path = os.path.join(data_dir, DETECTIONS_FILE)
+    _, det_records = cio.read_log(det_path, cio.FORMAT_DETECTIONS)
     tensor_path = os.path.join(data_dir, TENSORS_FILE)
     store = cio.TensorStore.open(tensor_path) if os.path.exists(tensor_path) else None
     try:
@@ -70,13 +69,16 @@ def load_sim_frames(data_dir: str):
         dets_by_t = {}
         poses_by_t = {}
         for rec in det_records:
+            pose = cio.record_pose(rec)
+            if poses_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], pose) != pose:
+                raise ValueError(f"{det_path}: conflicting poses for t={rec['t']} "
+                                 f"cav={rec['cav']}")
             app = None
             if rec.get("app") is not None and store is not None:
                 app = store.read(rec["app"])
             det = Detection(box=cio.record_box(rec), confidence=rec["conf"],
                             appearance=app)
             dets_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], []).append(det)
-            poses_by_t.setdefault(rec["t"], {})[rec["cav"]] = cio.record_pose(rec)
         timesteps = sorted(set(gt_by_t) | set(dets_by_t))
         frames = []
         for t in timesteps:
@@ -90,17 +92,10 @@ def load_sim_frames(data_dir: str):
 
 
 def frames_to_packets(frames, cav_filter=None):
-    out = []
-    for frame in frames:
-        packets = []
-        for cav_id in sorted(frame.detections):
-            if cav_filter is not None and cav_id not in cav_filter:
-                continue
-            packets.append(FramePacket(timestep=frame.timestep, cav_id=cav_id,
-                                       pose=frame.poses[cav_id],
-                                       detections=tuple(frame.detections[cav_id])))
-        out.append(packets)
-    return out
+    """Per-frame packet lists, keeping only the vehicles in `cav_filter`."""
+    return [[p for p in packets_from_sim_frame(frame)
+             if cav_filter is None or p.cav_id in cav_filter]
+            for frame in frames]
 
 
 def tracker_from_config(cfg: cio.RunConfig, provider) -> CoopTracker:
@@ -108,30 +103,19 @@ def tracker_from_config(cfg: cio.RunConfig, provider) -> CoopTracker:
     return CoopTracker(cov_provider=provider,
                        q_velocity=tr.process_noise_velocity,
                        assoc_iou_threshold=tr.assoc_iou_threshold,
-                       lifecycle=LifecycleConfig(min_hits=tr.min_hits,
-                                                 max_age=tr.max_age,
-                                                 score_decay=tr.score_decay))
+                       lifecycle=tr)
 
 
 def run_tracking(cfg: cio.RunConfig, frames, checkpoint_path=None, cav_filter=None):
-    """Track a loaded sequence; returns (per-frame reports, comm bytes list)."""
+    """Track a loaded sequence; returns (per-frame reports, metrics.CommCost)."""
     if checkpoint_path:
         ckpt = cio.load_checkpoint(checkpoint_path, expect_config=cfg)
         provider = LearnedCovariance(ckpt.params_by_cav,
                                      bounds=cfg.normalization_bounds)
     else:
         provider = ConstantCovariance()
-    tracker = tracker_from_config(cfg, provider)
-    packets = frames_to_packets(frames, cav_filter)
-    if cav_filter is not None:
-        # a solo or subset run hosts the fusion on its lowest-id vehicle, so
-        # only the other selected vehicles pay communication cost
-        local_ego = min(cav_filter) if cav_filter else 0
-        reports, _ = run_sequence(packets, tracker)
-        comm = [sum(len(p.detections) for p in pk if p.cav_id != local_ego)
-                * metrics.SHARED_REALS * metrics.BYTES_PER_REAL for pk in packets]
-        return reports, comm
-    return run_sequence(packets, tracker)
+    return run_sequence(frames_to_packets(frames, cav_filter),
+                        tracker_from_config(cfg, provider))
 
 
 def reports_to_records(reports):
@@ -156,26 +140,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = cio.load_config(args.config)
-    frames, det_records = load_sim_frames(args.detections)
+    frames, _ = load_sim_frames(args.detections)
     cav_filter = None
     if args.cavs:
         cav_filter = sorted({int(c) for c in args.cavs.split(",")})
-    reports, comm = run_tracking(cfg, frames, args.checkpoint, cav_filter)
+    reports, cost = run_tracking(cfg, frames, args.checkpoint, cav_filter)
     os.makedirs(args.out, exist_ok=True)
     cio.write_log(os.path.join(args.out, TRACKS_FILE), cio.FORMAT_TRACKS,
                   reports_to_records(reports))
-    reals = metrics.SHARED_REALS if args.checkpoint else metrics.BOX_REALS
-    shared = sum(comm) // (metrics.SHARED_REALS * metrics.BYTES_PER_REAL)
-    bytes_total = shared * reals * metrics.BYTES_PER_REAL
-    comm_summary = {"num_shared_detections": int(shared),
-                    "reals_per_detection": reals,
-                    "bytes_total": int(bytes_total),
-                    "mb_total": bytes_total / metrics.MEGABYTE,
-                    "mb_per_frame": (bytes_total / metrics.MEGABYTE / len(frames)
-                                     if frames else 0.0),
-                    "ratio_vs_box_only": reals / metrics.BOX_REALS}
     with open(os.path.join(args.out, COMM_FILE), "w", encoding="utf-8") as fh:
-        fh.write(cio.canonical_json(comm_summary) + "\n")
+        fh.write(cio.canonical_json(cost.as_dict()) + "\n")
     cio.write_run_metadata(args.out, cfg, {"command": "track"})
     print(f"wrote {sum(len(r) for r in reports)} track records to {args.out}")
     return 0
@@ -236,7 +210,10 @@ def cmd_eval(args) -> int:
 def cmd_comm_cost(args) -> int:
     _, det_records = cio.read_log(os.path.join(args.detections, DETECTIONS_FILE),
                                   cio.FORMAT_DETECTIONS)
-    cost = metrics.comm_cost_from_records(det_records)
+    by_t = {}
+    for rec in det_records:
+        by_t.setdefault(rec["t"], Counter())[rec["cav"]] += 1
+    cost = metrics.comm_cost(by_t.values(), metrics.SHARED_REALS)
     print(f"shared detections: {cost.num_shared_detections}")
     print(f"bytes total: {cost.bytes_total}")
     print(f"MB total: {cost.mb_total:.6f}")
@@ -247,9 +224,6 @@ def cmd_comm_cost(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = cio.load_config(args.config)
-    work = args.workdir or (os.path.splitext(args.out)[0] + "_work")
-    os.makedirs(work, exist_ok=True)
-
     train_cfg = cfg
     eval_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
     train_frames = sim.generate(build_scenario(train_cfg))
@@ -265,7 +239,6 @@ def cmd_ablate(args) -> int:
         if net_flags is None:
             run_cfg = cfg
             provider = ConstantCovariance()
-            reals = metrics.BOX_REALS
         else:
             run_cfg = dataclasses.replace(
                 cfg, covnet=dataclasses.replace(cfg.covnet, **net_flags))
@@ -275,18 +248,14 @@ def cmd_ablate(args) -> int:
                                     run_cfg.tracker, bounds=run_cfg.normalization_bounds)
             provider = LearnedCovariance(result.params_by_cav,
                                          bounds=run_cfg.normalization_bounds)
-            reals = metrics.SHARED_REALS
         tracker = tracker_from_config(run_cfg, provider)
-        packets = frames_to_packets(eval_frames)
-        reports, _ = run_sequence(packets, tracker)
+        reports, cost = run_sequence(frames_to_packets(eval_frames), tracker)
         track_frames = {}
         for t, frame_reports in enumerate(reports):
             track_frames[t] = [(rt.track_id, rt.box, rt.score) for rt in frame_reports]
         report = metrics.evaluate(track_frames, gt_frames,
                                   iou_threshold=run_cfg.eval_iou_threshold)
-        shared = sum(len(p.detections) for pk in packets for p in pk if p.cav_id != 0)
-        cost_mb = shared * reals * metrics.BYTES_PER_REAL / metrics.MEGABYTE
-        rows.append((label, report, cost_mb))
+        rows.append((label, report, cost.mb_total))
     metrics.write_summary_csv(args.out, rows)
     print(f"wrote {len(rows)} ablation rows to {args.out}")
     return 0
@@ -362,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run the four-variant ablation grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="CSV path for the grid")
-    p.add_argument("--workdir", default=None)
     p.set_defaults(func=cmd_ablate)
     return parser
 

@@ -192,13 +192,3 @@ def residual_to_init_noise_diag(sigma_residual, sigma0_def_diag=None):
         sigma0_def_diag = np.ones(STATE_DIM)
     s = ad.add(np.sqrt(np.asarray(sigma0_def_diag, dtype=float)), sigma_residual)
     return ad.floor_clamp(ad.square(s), R_FLOOR)
-
-
-def residual_to_obs_cov(sigma_residual, r_def_diag=None):
-    """7x7 diagonal observation noise covariance."""
-    return ad.diag(residual_to_obs_noise_diag(sigma_residual, r_def_diag))
-
-
-def residual_to_init_cov(sigma_residual, sigma0_def_diag=None):
-    """10x10 diagonal initial state covariance for newly born tracks."""
-    return ad.diag(residual_to_init_noise_diag(sigma_residual, sigma0_def_diag))

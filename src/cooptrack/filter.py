@@ -56,12 +56,9 @@ class ProcessModel:
     Q: np.ndarray
 
     @staticmethod
-    def constant_velocity(q_diag=None, q_velocity: float = 0.01, dtype=np.float64) -> "ProcessModel":
-        if q_diag is not None:
-            Q = np.diag(np.asarray(q_diag, dtype=dtype))
-        else:
-            Q = default_process_noise(q_velocity, dtype=dtype)
-        return ProcessModel(constant_velocity_transition(dtype), Q)
+    def constant_velocity(q_velocity: float = 0.01, dtype=np.float64) -> "ProcessModel":
+        return ProcessModel(constant_velocity_transition(dtype),
+                            default_process_noise(q_velocity, dtype=dtype))
 
 
 @dataclass
@@ -75,10 +72,6 @@ class ObservationModel:
 
     H: np.ndarray
     r_diag: object  # length-7 vector, ndarray or tape Node
-
-    @staticmethod
-    def identity_noise(dtype=np.float64) -> "ObservationModel":
-        return ObservationModel(observation_matrix(dtype), np.ones(OBS_DIM, dtype=dtype))
 
 
 @dataclass

@@ -104,24 +104,13 @@ def transform_box(box: Box7, pose: PoseYawT) -> Box7:
 
 
 def inverse_pose(pose: PoseYawT) -> PoseYawT:
-    """Pose such that compose(pose, inverse_pose(pose)) is the identity."""
+    """Pose that undoes `pose`: transforming by one, then the other, is the identity."""
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     return PoseYawT(
         -(c * pose.t_x + s * pose.t_y),
         -(-s * pose.t_x + c * pose.t_y),
         -pose.t_z,
         -pose.yaw,
-    )
-
-
-def compose_pose(second: PoseYawT, first: PoseYawT) -> PoseYawT:
-    """Pose equivalent to applying `first`, then `second`."""
-    c, s = math.cos(second.yaw), math.sin(second.yaw)
-    return PoseYawT(
-        c * first.t_x - s * first.t_y + second.t_x,
-        s * first.t_x + c * first.t_y + second.t_y,
-        first.t_z + second.t_z,
-        wrap_angle(first.yaw + second.yaw),
     )
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
+from .association import LifecycleConfig
 from .covnet import CovNetConfig, CovNetParams, layer_shapes
 from .features import DEFAULT_BOUNDS
 from .geometry import Box7, PoseYawT
@@ -66,12 +68,9 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class TrackerSettings:
+class TrackerSettings(LifecycleConfig):
     process_noise_velocity: float = 0.01
     assoc_iou_threshold: float = 0.1
-    min_hits: int = 3
-    max_age: int = 2
-    score_decay: float = 0.9
 
     def validate(self):
         if self.process_noise_velocity < 0:
@@ -85,32 +84,14 @@ class TrackerSettings:
 
 
 @dataclass(frozen=True)
-class NetSettings:
-    app_shape: tuple = (8, 8, 8)
-    conv_channels: tuple = (16, 32)
-    kernel: int = 3
-    stride: int = 2
-    pad: int = 1
-    pos_hidden: int = 64
-    pos_out: int = 128
-    head_hidden: int = 64
-    use_appearance: bool = True
-    use_positional: bool = True
+class NetSettings(CovNetConfig):
     shared_weights: bool = False
 
     def covnet_config(self) -> CovNetConfig:
-        return CovNetConfig(
-            app_shape=tuple(self.app_shape), conv_channels=tuple(self.conv_channels),
-            kernel=self.kernel, stride=self.stride, pad=self.pad,
-            pos_hidden=self.pos_hidden, pos_out=self.pos_out,
-            head_hidden=self.head_hidden, use_appearance=self.use_appearance,
-            use_positional=self.use_positional)
-
-    def validate(self):
-        try:
-            self.covnet_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """The network fields alone, as a plain CovNetConfig."""
+        kwargs = {f.name: getattr(self, f.name) for f in dataclasses.fields(CovNetConfig)}
+        kwargs["app_shape"] = tuple(self.app_shape)
+        return CovNetConfig(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -164,7 +145,6 @@ class RunConfig:
                 raise ConfigError(f"normalization_bounds[{k}] must be (min, max) with min < max")
         self.scenario.validate()
         self.tracker.validate()
-        self.covnet.validate()
         self.train.validate()
 
 
@@ -186,7 +166,7 @@ def _from_dict(cls, data, path):
             kwargs[name] = value
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
@@ -259,11 +239,17 @@ def write_run_metadata(out_dir: str, cfg: RunConfig, extra: dict = None):
 # --- line-delimited logs ------------------------------------------------------
 
 
+def _validate_finite(values, name, where):
+    if not all(isinstance(v, (int, float)) for v in values):
+        raise LogFormatError(f"{where}: {name} entries must be numeric")
+    if not all(map(math.isfinite, values)):
+        raise LogFormatError(f"{where}: {name} entries must be finite")
+
+
 def _validate_box(values, where):
     if not isinstance(values, list) or len(values) != 7:
         raise LogFormatError(f"{where}: box must be a 7-element list")
-    if not all(isinstance(v, (int, float)) for v in values):
-        raise LogFormatError(f"{where}: box entries must be numeric")
+    _validate_finite(values, "box", where)
     if min(values[4:7]) <= 0:
         raise LogFormatError(f"{where}: box extents must be positive")
 
@@ -277,8 +263,10 @@ def _validate_detection(rec, where):
         raise LogFormatError(f"{where}: confidence must be in (0,1], got {rec['conf']}")
     if len(rec["sigma"]) != 10:
         raise LogFormatError(f"{where}: sigma must have 10 entries")
+    _validate_finite(rec["sigma"], "sigma", where)
     if len(rec["pose"]) != 4:
         raise LogFormatError(f"{where}: pose must have 4 entries")
+    _validate_finite(rec["pose"], "pose", where)
 
 
 def _validate_track(rec, where):

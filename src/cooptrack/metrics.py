@@ -197,10 +197,11 @@ def evaluate(track_frames: dict, gt_frames: dict,
 class CommCost:
     num_shared_detections: int
     num_frames: int
+    reals_per_detection: int
 
     @property
     def bytes_total(self) -> int:
-        return self.num_shared_detections * SHARED_REALS * BYTES_PER_REAL
+        return self.num_shared_detections * self.reals_per_detection * BYTES_PER_REAL
 
     @property
     def mb_total(self) -> float:
@@ -212,18 +213,29 @@ class CommCost:
 
     @property
     def ratio_vs_box_only(self) -> float:
-        return PAYLOAD_RATIO
+        return self.reals_per_detection / BOX_REALS
+
+    def as_dict(self) -> dict:
+        """The `comm.json` summary."""
+        return {"num_shared_detections": self.num_shared_detections,
+                "reals_per_detection": self.reals_per_detection,
+                "bytes_total": self.bytes_total,
+                "mb_total": self.mb_total,
+                "mb_per_frame": self.mb_per_frame,
+                "ratio_vs_box_only": self.ratio_vs_box_only}
 
 
-def comm_cost_from_records(det_records, ego_cav_id: int = 0) -> CommCost:
-    """Cost of sharing every non-ego detection (17 reals each)."""
-    frames = set()
-    shared = 0
-    for rec in det_records:
-        frames.add(rec["t"])
-        if rec["cav"] != ego_cav_id:
-            shared += 1
-    return CommCost(num_shared_detections=shared, num_frames=len(frames))
+def comm_cost(frames, reals_per_detection: int) -> CommCost:
+    """Cost of sending every detection to the host vehicle.
+
+    `frames` holds one {cav_id: detections sent} mapping per frame. The host
+    is the lowest vehicle id anywhere in the sequence; its own detections
+    travel no link and cost nothing.
+    """
+    host = min((cav for frame in frames for cav in frame), default=None)
+    shared = sum(n for frame in frames for cav, n in frame.items() if cav != host)
+    return CommCost(num_shared_detections=shared, num_frames=len(frames),
+                    reals_per_detection=reals_per_detection)
 
 
 # --- CSV emission -------------------------------------------------------------

@@ -15,16 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import covnet
+from . import covnet, metrics
 from .association import LifecycleConfig, TrackIdAllocator, associate, finish_timestep, reportable
 from .features import DEFAULT_BOUNDS, encode_detection
 from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackState,
                      observation_matrix, predict, update)
 from .geometry import Box7, PoseYawT, transform_box
-
-BYTES_PER_REAL = 4
-REALS_PER_SHARED_DETECTION = 17  # 7 box variables + 10 covariance residuals
-EGO_CAV_ID = 0
 
 
 @dataclass(frozen=True)
@@ -48,6 +44,8 @@ class ReportedTrack:
 class ConstantCovariance:
     """Identity observation noise and identity initial covariance."""
 
+    reals_per_detection = metrics.BOX_REALS
+
     def residuals(self, cav_id, detection, det_global, pose):
         return None
 
@@ -58,6 +56,8 @@ class LearnedCovariance:
     `params_by_cav` maps cav_id to either CovNetParams (plain inference) or
     a (lifted mapping, CovNetConfig) pair produced for a training tape.
     """
+
+    reals_per_detection = metrics.SHARED_REALS
 
     def __init__(self, params_by_cav: dict, bounds=DEFAULT_BOUNDS):
         self.params_by_cav = params_by_cav
@@ -151,12 +151,6 @@ class CoopTracker:
         return reported
 
 
-def shared_bytes(packets) -> int:
-    """V2V payload for one timestep: every non-ego detection costs 17 reals."""
-    n = sum(len(p.detections) for p in packets if p.cav_id != EGO_CAV_ID)
-    return n * REALS_PER_SHARED_DETECTION * BYTES_PER_REAL
-
-
 def packets_from_sim_frame(frame) -> list:
     """Adapt one simulator frame into per-vehicle packets."""
     return [FramePacket(timestep=frame.timestep, cav_id=cav_id,
@@ -165,12 +159,16 @@ def packets_from_sim_frame(frame) -> list:
 
 
 def run_sequence(frame_packets, tracker: CoopTracker):
-    """Track a whole sequence; returns (per-frame reports, per-frame bytes)."""
-    reports, comm = [], []
+    """Track a whole sequence; returns (per-frame reports, metrics.CommCost).
+
+    The cost charges the tracker's covariance provider's payload size for
+    every detection the host vehicle receives.
+    """
+    reports, sent = [], []
     for index, packets in enumerate(frame_packets):
         try:
             reports.append(tracker.step(packets))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"frame {index}: {exc}") from exc
-        comm.append(shared_bytes(packets))
-    return reports, comm
+        sent.append({p.cav_id: len(p.detections) for p in packets})
+    return reports, metrics.comm_cost(sent, tracker.cov.reals_per_detection)

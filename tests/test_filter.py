@@ -41,6 +41,9 @@ def joint_update(mean, cov, observations):
     return new_mean, new_cov
 
 
+IDENTITY_NOISE = ObservationModel(observation_matrix(), np.ones(OBS_DIM))
+
+
 def random_track(rng) -> TrackState:
     mean = rng.uniform(-5, 5, size=STATE_DIM)
     mean[3] = rng.uniform(-1.0, 1.0)  # yaw within range, far from the wrap seam
@@ -143,7 +146,7 @@ def test_yaw_innovation_wraps_across_seam():
     state = TrackState(mean, np.eye(STATE_DIM))
     obs = mean[:OBS_DIM].copy()
     obs[3] = -math.pi + 0.05  # 0.1 rad away across the seam
-    out = update(state, obs, ObservationModel.identity_noise())
+    out = update(state, obs, IDENTITY_NOISE)
     got = float(ad.val(out.mean)[3])
     # Halfway between the two headings (equal variances), wrapped.
     assert abs(wrap_angle(got - math.pi)) < 0.06
@@ -159,7 +162,7 @@ def test_yaw_flip_for_opposite_heading():
     state = TrackState(mean, np.eye(STATE_DIM))
     obs = mean[:OBS_DIM].copy()
     obs[3] = wrap_angle(0.2 + math.pi)
-    out = update(state, obs, ObservationModel.identity_noise())
+    out = update(state, obs, IDENTITY_NOISE)
     got = float(ad.val(out.mean)[3])
     assert abs(got - 0.15) < 1e-9
 
@@ -173,7 +176,7 @@ def test_updated_yaw_always_in_range():
         state = TrackState(m, ad.val(state.cov))
         obs = m[:OBS_DIM] + rng.standard_normal(OBS_DIM)
         obs[3] = rng.uniform(-math.pi, math.pi)
-        out = update(state, obs, ObservationModel.identity_noise())
+        out = update(state, obs, IDENTITY_NOISE)
         assert -math.pi <= float(ad.val(out.mean)[3]) < math.pi
 
 
@@ -181,14 +184,14 @@ def test_zero_innovation_is_fixed_point():
     mean = np.arange(STATE_DIM, dtype=float)
     mean[3] = 0.5
     state = TrackState(mean, 2.0 * np.eye(STATE_DIM))
-    out = update(state, mean[:OBS_DIM], ObservationModel.identity_noise())
+    out = update(state, mean[:OBS_DIM], IDENTITY_NOISE)
     np.testing.assert_array_equal(ad.val(out.mean), mean)
 
 
 def test_update_rejects_bad_shapes_and_degenerate_S():
     state = TrackState(np.zeros(STATE_DIM), np.eye(STATE_DIM))
     with pytest.raises(ValueError):
-        update(state, np.zeros(5), ObservationModel.identity_noise())
+        update(state, np.zeros(5), IDENTITY_NOISE)
     # Negative R diagonal makes S indefinite.
     bad = ObservationModel(observation_matrix(), np.full(OBS_DIM, -2.0))
     with pytest.raises(DegenerateCovariance):

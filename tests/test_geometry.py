@@ -14,7 +14,6 @@ from cooptrack.geometry import (
     Box7,
     PoseYawT,
     bev_intersection_area,
-    compose_pose,
     inverse_pose,
     iou3d,
     transform_box,
@@ -98,24 +97,14 @@ def test_transform_box_preserves_extents_and_iou():
         assert after == pytest.approx(before, abs=1e-9)
 
 
-def test_compose_pose_matches_sequential_application():
+def test_identity_pose_and_inverse_compose():
+    box = Box7(2.0, -1.0, 0.5, 0.3, 4.2, 1.9, 1.5)
+    assert transform_box(box, PoseYawT.identity()) == box
     rng = np.random.default_rng(13)
     for _ in range(100):
-        first = PoseYawT(*rng.uniform(-10, 10, size=3), rng.uniform(-math.pi, math.pi))
-        second = PoseYawT(*rng.uniform(-10, 10, size=3), rng.uniform(-math.pi, math.pi))
-        p = tuple(rng.uniform(-20, 20, size=3))
-        via_compose = transform_point(p, compose_pose(second, first))
-        sequential = transform_point(transform_point(p, first), second)
-        assert np.allclose(via_compose, sequential, atol=1e-10)
-
-
-def test_identity_pose_and_inverse_compose():
-    pose = PoseYawT(3.0, -4.0, 1.0, 0.7)
-    ident = compose_pose(pose, inverse_pose(pose))
-    assert ident.t_x == pytest.approx(0.0, abs=1e-12)
-    assert ident.t_y == pytest.approx(0.0, abs=1e-12)
-    assert ident.t_z == pytest.approx(0.0, abs=1e-12)
-    assert ident.yaw == pytest.approx(0.0, abs=1e-12)
+        pose = PoseYawT(*rng.uniform(-10, 10, size=3), rng.uniform(-math.pi, math.pi))
+        back = transform_box(transform_box(box, pose), inverse_pose(pose))
+        np.testing.assert_allclose(back.to_vector(), box.to_vector(), atol=1e-10)
 
 
 def test_bev_intersection_identical_boxes():

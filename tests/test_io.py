@@ -83,6 +83,8 @@ def test_config_validation_errors():
         io.config_from_dict({"train": {"center_distance": "4d"}})
     with pytest.raises(ConfigError):
         io.config_from_dict({"normalization_bounds": [[0, 1]]})
+    with pytest.raises(ConfigError, match="covnet: at least one input branch"):
+        io.config_from_dict({"covnet": {"use_appearance": False, "use_positional": False}})
 
 
 def test_config_hash_stable_and_sensitive():
@@ -175,6 +177,26 @@ def test_log_validates_record_fields(tmp_path):
     bad_conf["conf"] = 1.5
     with pytest.raises(LogFormatError, match="confidence"):
         io.write_log(str(path), io.FORMAT_DETECTIONS, [bad_conf])
+
+
+def test_log_rejects_non_finite_numbers(tmp_path):
+    # json accepts NaN and Infinity, so a hand-edited log can carry them
+    header = io.canonical_json({"format": io.FORMAT_GROUNDTRUTH, "version": 1})
+    path = tmp_path / "gt.jsonl"
+    path.write_text(header + '\n{"box":[NaN,0,0,0,Infinity,1,1],"obj":0,"t":0}\n')
+    with pytest.raises(LogFormatError, match=r"gt\.jsonl line 2: box entries must be finite"):
+        io.read_log(str(path), io.FORMAT_GROUNDTRUTH)
+    header = io.canonical_json({"format": io.FORMAT_DETECTIONS, "version": 1})
+    good = io.canonical_json(io.detection_record(0, 0, BOX, 0.9, POSE))
+    for field, bad in (("conf", "NaN"), ("sigma", "[0,0,0,0,0,0,0,0,0,Infinity]"),
+                       ("pose", "[0.0,NaN,1.2,0.05]")):
+        rec = json.loads(good)
+        rec[field] = "@"
+        line = io.canonical_json(rec).replace('"@"', bad)
+        path = tmp_path / "dets.jsonl"
+        path.write_text(header + "\n" + good + "\n" + line + "\n")
+        with pytest.raises(LogFormatError, match="dets\\.jsonl line 3"):
+            io.read_log(str(path), io.FORMAT_DETECTIONS)
 
 
 def test_gt_log_round_trip(tmp_path):

@@ -20,7 +20,7 @@ from cooptrack.metrics import (
     PAYLOAD_RATIO,
     SHARED_REALS,
     CommCost,
-    comm_cost_from_records,
+    comm_cost,
     evaluate,
     gt_frames_from_records,
     match_frame,
@@ -197,7 +197,8 @@ def test_motp_reflects_localization_quality():
 
 
 def test_comm_cost_arithmetic():
-    cost = CommCost(num_shared_detections=1000, num_frames=100)
+    cost = CommCost(num_shared_detections=1000, num_frames=100,
+                    reals_per_detection=SHARED_REALS)
     assert cost.bytes_total == 1000 * SHARED_REALS * 4
     assert cost.mb_total == pytest.approx(1000 * 17 * 4 / MEGABYTE)
     assert cost.mb_per_frame == pytest.approx(cost.mb_total / 100)
@@ -208,15 +209,22 @@ def test_comm_cost_arithmetic():
     assert 0.003 * PAYLOAD_RATIO == pytest.approx(0.0073, abs=1e-4)
 
 
-def test_comm_cost_from_records_skips_ego():
-    records = [
-        {"t": 0, "cav": 0}, {"t": 0, "cav": 1}, {"t": 0, "cav": 1},
-        {"t": 1, "cav": 0}, {"t": 1, "cav": 2},
-    ]
-    cost = comm_cost_from_records(records)
+def test_comm_cost_skips_host():
+    cost = comm_cost([{0: 1, 1: 2}, {0: 1, 2: 1}], SHARED_REALS)
     assert cost.num_shared_detections == 3
     assert cost.num_frames == 2
-    assert CommCost(0, 0).mb_per_frame == 0.0
+    # the host is the lowest vehicle id in the whole sequence, not per frame
+    assert comm_cost([{1: 2}, {2: 1}, {}], BOX_REALS).num_shared_detections == 1
+    assert comm_cost([], BOX_REALS).mb_per_frame == 0.0
+
+
+def test_comm_cost_summary_keeps_float_order():
+    cost = comm_cost([{0: 3, 1: 5}] * 3, BOX_REALS)
+    summary = cost.as_dict()
+    assert summary == {"num_shared_detections": 15, "reals_per_detection": 7,
+                       "bytes_total": 15 * 7 * 4, "mb_total": 420 / MEGABYTE,
+                       "mb_per_frame": 420 / MEGABYTE / 3, "ratio_vs_box_only": 1.0}
+    assert comm_cost([{0: 1, 1: 1}], SHARED_REALS).ratio_vs_box_only == PAYLOAD_RATIO
 
 
 def test_summary_csv_round_trip(tmp_path):

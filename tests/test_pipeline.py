@@ -5,20 +5,17 @@ provider's zero-parameter equivalence to the constant tracker."""
 import numpy as np
 import pytest
 
-from cooptrack import sim
+from cooptrack import metrics, sim
 from cooptrack.association import LifecycleConfig
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, PoseYawT
 from cooptrack.pipeline import (
-    BYTES_PER_REAL,
-    REALS_PER_SHARED_DETECTION,
     ConstantCovariance,
     CoopTracker,
     FramePacket,
     LearnedCovariance,
     packets_from_sim_frame,
     run_sequence,
-    shared_bytes,
 )
 
 IDENT = PoseYawT.identity()
@@ -48,6 +45,16 @@ def test_birth_and_early_report():
     assert len(reported) == 1
     assert reported[0].score == pytest.approx(0.9)
     assert reported[0].box.x == pytest.approx(10.0)
+
+
+def test_step_births_from_unmatched_detections():
+    tracker = CoopTracker()
+    tracker.step([_packet(0, 0, [_det(0.0, 0.0)])])
+    reported = tracker.step([_packet(1, 0, [_det(0.1, 0.0), _det(50.0, 50.0)])])
+    # the near detection refreshes track 0; the far one births track 1
+    assert [t.id for t in tracker.tracks] == [0, 1]
+    assert [t.hits for t in tracker.tracks] == [2, 1]
+    assert sorted(r.track_id for r in reported) == [0, 1]
 
 
 def test_unconfirmed_track_suppressed_when_old():
@@ -152,24 +159,29 @@ def test_track_ids_unique_and_stable():
     assert third[0].track_id not in ids0
 
 
-def test_shared_bytes_counts_non_ego_only():
+def test_run_sequence_cost_counts_non_host_only():
     packets = [
-        _packet(0, 0, [_det(1, 0), _det(2, 0)]),  # ego: free
+        _packet(0, 0, [_det(1, 0), _det(2, 0)]),  # host: free
         _packet(0, 1, [_det(3, 0)]),
         _packet(0, 2, [_det(4, 0), _det(5, 0), _det(6, 0)]),
     ]
-    assert shared_bytes(packets) == 4 * REALS_PER_SHARED_DETECTION * BYTES_PER_REAL
-    assert shared_bytes([_packet(0, 0, [_det(1, 0)])]) == 0
+    _, cost = run_sequence([packets], CoopTracker())
+    assert cost.num_shared_detections == 4
+    assert cost.bytes_total == 4 * metrics.BOX_REALS * metrics.BYTES_PER_REAL
+    _, solo = run_sequence([[_packet(0, 0, [_det(1, 0)])]], CoopTracker())
+    assert solo.num_shared_detections == 0
 
 
 def test_run_sequence_reports_and_comm():
     frames = sim.generate(sim.preset_v2v_mini(seed=4, duration=30))
     packets = [packets_from_sim_frame(f) for f in frames]
-    reports, comm = run_sequence(packets, CoopTracker())
-    assert len(reports) == len(comm) == 30
-    assert all(isinstance(c, int) for c in comm)
+    reports, cost = run_sequence(packets, CoopTracker())
+    assert len(reports) == cost.num_frames == 30
     shared = sum(len(f.detections[1]) for f in frames)
-    assert sum(comm) == shared * REALS_PER_SHARED_DETECTION * BYTES_PER_REAL
+    assert cost.num_shared_detections == shared
+    # constant covariance ships boxes only
+    assert cost.reals_per_detection == metrics.BOX_REALS
+    assert cost.bytes_total == shared * metrics.BOX_REALS * metrics.BYTES_PER_REAL
 
 
 def test_run_sequence_error_carries_frame_index():
@@ -197,9 +209,11 @@ def test_zero_params_equal_constant_covariance_exactly():
     packets = [packets_from_sim_frame(f) for f in frames]
     zero_params = {0: CovNetParams.zeros(CovNetConfig()),
                    1: CovNetParams.zeros(CovNetConfig())}
-    rep_learned, comm_l = run_sequence(packets, CoopTracker(LearnedCovariance(zero_params)))
-    rep_const, comm_c = run_sequence(packets, CoopTracker(ConstantCovariance()))
-    assert comm_l == comm_c
+    rep_learned, cost_l = run_sequence(packets, CoopTracker(LearnedCovariance(zero_params)))
+    rep_const, cost_c = run_sequence(packets, CoopTracker(ConstantCovariance()))
+    assert cost_l.num_shared_detections == cost_c.num_shared_detections
+    assert (cost_c.reals_per_detection, cost_l.reals_per_detection) == (
+        metrics.BOX_REALS, metrics.SHARED_REALS)
     assert len(rep_learned) == len(rep_const)
     for fl, fc in zip(rep_learned, rep_const):
         assert len(fl) == len(fc)
