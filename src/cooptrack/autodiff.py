@@ -1,10 +1,11 @@
 """Reverse-mode differentiation tape for the tracking loss.
 
 The primitive set is exactly what the differentiable filter, the covariance
-network, and the training loss need: broadcasting arithmetic, matmul,
-transpose, slicing and concatenation, elementwise square and square root,
-ReLU, a floor clamp, patch extraction for convolutions, and a symmetric
-positive definite inverse.
+network, and the training loss need: broadcasting addition, subtraction and
+division, matmul, slicing (`node[idx]`), concatenation and reshaping, sums,
+elementwise square and square root, ReLU, a floor clamp, diagonal
+embedding, patch extraction for convolutions, and a symmetric positive
+definite inverse.
 
 Every operation dispatches on whether an operand is a `Node`. With raw
 ndarrays it computes and returns plain values; with at least one `Node` it
@@ -85,40 +86,6 @@ class Node:
     def shape(self):
         return np.shape(self.value)
 
-    @property
-    def T(self):
-        return transpose(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -190,24 +157,6 @@ def sub(a, b):
                 _pack_vjp(vjp, (a, b)))
 
 
-def mul(a, b):
-    av, bv = val(a), val(b)
-    out = av * bv
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
-    sa, sb = np.shape(av), np.shape(bv)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * bv, sa) if isinstance(a, Node) else None,
-            _unbroadcast(g * av, sb) if isinstance(b, Node) else None,
-        )
-
-    return Node(tape, out, tuple(x for x in (a, b) if isinstance(x, Node)),
-                _pack_vjp(vjp, (a, b)))
-
-
 def div(a, b):
     av, bv = val(a), val(b)
     out = av / bv
@@ -268,13 +217,6 @@ def matmul(a, b):
 
     return Node(tape, out, tuple(x for x in (a, b) if isinstance(x, Node)),
                 _pack_vjp(vjp, (a, b)))
-
-
-def transpose(a):
-    if not isinstance(a, Node):
-        return np.transpose(a)
-    out = a.value.T
-    return Node(a.tape, out, (a,), lambda g: (np.transpose(g),))
 
 
 def getitem(a, idx):

@@ -6,124 +6,17 @@ import argparse
 import dataclasses
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
 from . import io as cio
 from . import metrics, sim, training
-from .pipeline import (ConstantCovariance, CoopTracker, LearnedCovariance,
-                       packets_from_sim_frame, run_sequence)
-from .sim import Detection, SimFrame
+from .pipeline import (ConstantCovariance, LearnedCovariance, frames_to_packets,
+                       packets_comm_cost, run_sequence, run_tracking, tracker_from_config)
 
-DETECTIONS_FILE = "detections.jsonl"
-TENSORS_FILE = "tensors.bin"
-GT_FILE = "gt.jsonl"
-TRACKS_FILE = "tracks.jsonl"
-COMM_FILE = "comm.json"
-
-
-# --- shared glue ---------------------------------------------------------------
-
-
-def build_scenario(cfg: cio.RunConfig) -> sim.Scenario:
-    sc = cfg.scenario
-    return sim.preset_v2v_mini(seed=cfg.seed, duration=sc.duration,
-                               noise_multiplier=sc.noise_multiplier,
-                               miss_multiplier=sc.miss_multiplier,
-                               fp_multiplier=sc.fp_multiplier)
-
-
-def write_sim_output(frames, out_dir: str, app_shape) -> None:
-    """Persist generated frames as gt / detection logs plus a tensor store."""
-    os.makedirs(out_dir, exist_ok=True)
-    gt_records = []
-    det_records = []
-    with cio.TensorStore.create(os.path.join(out_dir, TENSORS_FILE), app_shape) as store:
-        for frame in frames:
-            for obj_id, box in frame.gt:
-                gt_records.append(cio.gt_record(frame.timestep, obj_id, box))
-            for cav_id in sorted(frame.detections):
-                pose = frame.poses[cav_id]
-                for det in frame.detections[cav_id]:
-                    idx = store.append(det.appearance)
-                    det_records.append(cio.detection_record(
-                        frame.timestep, cav_id, det.box, det.confidence, pose,
-                        app_index=idx))
-    cio.write_log(os.path.join(out_dir, GT_FILE), cio.FORMAT_GROUNDTRUTH, gt_records)
-    cio.write_log(os.path.join(out_dir, DETECTIONS_FILE), cio.FORMAT_DETECTIONS,
-                  det_records)
-
-
-def load_sim_frames(data_dir: str):
-    """Rebuild per-frame ground truth + detections from a simulate output dir."""
-    _, gt_records = cio.read_log(os.path.join(data_dir, GT_FILE), cio.FORMAT_GROUNDTRUTH)
-    det_path = os.path.join(data_dir, DETECTIONS_FILE)
-    _, det_records = cio.read_log(det_path, cio.FORMAT_DETECTIONS)
-    tensor_path = os.path.join(data_dir, TENSORS_FILE)
-    store = cio.TensorStore.open(tensor_path) if os.path.exists(tensor_path) else None
-    try:
-        gt_by_t = {}
-        for rec in gt_records:
-            gt_by_t.setdefault(rec["t"], []).append((rec["obj"], cio.record_box(rec)))
-        dets_by_t = {}
-        poses_by_t = {}
-        for rec in det_records:
-            pose = cio.record_pose(rec)
-            if poses_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], pose) != pose:
-                raise ValueError(f"{det_path}: conflicting poses for t={rec['t']} "
-                                 f"cav={rec['cav']}")
-            app = None
-            if rec.get("app") is not None and store is not None:
-                app = store.read(rec["app"])
-            det = Detection(box=cio.record_box(rec), confidence=rec["conf"],
-                            appearance=app)
-            dets_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], []).append(det)
-        timesteps = sorted(set(gt_by_t) | set(dets_by_t))
-        frames = []
-        for t in timesteps:
-            frames.append(SimFrame(timestep=t, gt=tuple(gt_by_t.get(t, [])),
-                                   detections=dets_by_t.get(t, {}),
-                                   poses=poses_by_t.get(t, {})))
-        return frames, det_records
-    finally:
-        if store is not None:
-            store.close()
-
-
-def frames_to_packets(frames, cav_filter=None):
-    """Per-frame packet lists, keeping only the vehicles in `cav_filter`."""
-    return [[p for p in packets_from_sim_frame(frame)
-             if cav_filter is None or p.cav_id in cav_filter]
-            for frame in frames]
-
-
-def tracker_from_config(cfg: cio.RunConfig, provider) -> CoopTracker:
-    tr = cfg.tracker
-    return CoopTracker(cov_provider=provider,
-                       q_velocity=tr.process_noise_velocity,
-                       assoc_iou_threshold=tr.assoc_iou_threshold,
-                       lifecycle=tr)
-
-
-def run_tracking(cfg: cio.RunConfig, frames, checkpoint_path=None, cav_filter=None):
-    """Track a loaded sequence; returns (per-frame reports, metrics.CommCost)."""
-    if checkpoint_path:
-        ckpt = cio.load_checkpoint(checkpoint_path, expect_config=cfg)
-        provider = LearnedCovariance(ckpt.params_by_cav,
-                                     bounds=cfg.normalization_bounds)
-    else:
-        provider = ConstantCovariance()
-    return run_sequence(frames_to_packets(frames, cav_filter),
-                        tracker_from_config(cfg, provider))
-
-
-def reports_to_records(reports):
-    records = []
-    for t, frame_reports in enumerate(reports):
-        for rt in frame_reports:
-            records.append(cio.track_record(t, rt.track_id, rt.box, rt.score))
-    return records
+# kept importable as `cli.<name>` for callers written against earlier versions
+from .io import (DETECTIONS_FILE, GT_FILE, TENSORS_FILE, TRACKS_FILE,  # noqa: F401
+                 load_sim_frames, reports_to_records, write_sim_output)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -131,8 +24,8 @@ def reports_to_records(reports):
 
 def cmd_simulate(args) -> int:
     cfg = cio.load_config(args.config)
-    frames = sim.generate(build_scenario(cfg))
-    write_sim_output(frames, args.out, tuple(cfg.covnet.app_shape))
+    frames = sim.generate(cio.build_scenario(cfg))
+    cio.write_sim_output(frames, args.out, tuple(cfg.covnet.app_shape))
     cio.write_run_metadata(args.out, cfg, {"command": "simulate"})
     print(f"wrote {len(frames)} frames to {args.out}")
     return 0
@@ -140,16 +33,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = cio.load_config(args.config)
-    frames, _ = load_sim_frames(args.detections)
+    frames, _ = cio.load_sim_frames(args.detections)
     cav_filter = None
     if args.cavs:
         cav_filter = sorted({int(c) for c in args.cavs.split(",")})
     reports, cost = run_tracking(cfg, frames, args.checkpoint, cav_filter)
-    os.makedirs(args.out, exist_ok=True)
-    cio.write_log(os.path.join(args.out, TRACKS_FILE), cio.FORMAT_TRACKS,
-                  reports_to_records(reports))
-    with open(os.path.join(args.out, COMM_FILE), "w", encoding="utf-8") as fh:
-        fh.write(cio.canonical_json(cost.as_dict()) + "\n")
+    cio.write_track_output(args.out, frames, reports, cost)
     cio.write_run_metadata(args.out, cfg, {"command": "track"})
     print(f"wrote {sum(len(r) for r in reports)} track records to {args.out}")
     return 0
@@ -157,7 +46,7 @@ def cmd_track(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = cio.load_config(args.config)
-    frames, _ = load_sim_frames(args.scenarios)
+    frames, _ = cio.load_sim_frames(args.scenarios)
     if args.resume:
         ckpt = cio.load_checkpoint(args.resume, expect_config=cfg)
         params_by_cav = ckpt.params_by_cav
@@ -186,18 +75,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, track_records = cio.read_log(os.path.join(args.tracks, TRACKS_FILE),
-                                    cio.FORMAT_TRACKS)
-    _, gt_records = cio.read_log(os.path.join(args.gt, GT_FILE),
-                                 cio.FORMAT_GROUNDTRUTH)
-    report = metrics.evaluate(metrics.track_frames_from_records(track_records),
-                              metrics.gt_frames_from_records(gt_records))
-    comm_mb = 0.0
-    comm_path = os.path.join(args.tracks, COMM_FILE)
-    if os.path.exists(comm_path):
-        import json
-        with open(comm_path, "r", encoding="utf-8") as fh:
-            comm_mb = json.load(fh)["mb_total"]
+    track_frames, comm_mb, run_cfg = cio.load_track_output(args.tracks)
+    iou_threshold = (metrics.EVAL_IOU_THRESHOLD if run_cfg is None
+                     else run_cfg.eval_iou_threshold)
+    report = metrics.evaluate(track_frames, cio.load_gt_frames(args.gt),
+                              iou_threshold=iou_threshold)
     metrics.write_summary_csv(args.out, [("run", report, comm_mb)])
     base, ext = os.path.splitext(args.out)
     metrics.write_recall_table_csv(f"{base}_levels{ext or '.csv'}", report)
@@ -208,12 +90,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_comm_cost(args) -> int:
-    _, det_records = cio.read_log(os.path.join(args.detections, DETECTIONS_FILE),
-                                  cio.FORMAT_DETECTIONS)
-    by_t = {}
-    for rec in det_records:
-        by_t.setdefault(rec["t"], Counter())[rec["cav"]] += 1
-    cost = metrics.comm_cost(by_t.values(), metrics.SHARED_REALS)
+    frames, _ = cio.load_sim_frames(args.detections)
+    cost = packets_comm_cost(frames_to_packets(frames), metrics.SHARED_REALS)
     print(f"shared detections: {cost.num_shared_detections}")
     print(f"bytes total: {cost.bytes_total}")
     print(f"MB total: {cost.mb_total:.6f}")
@@ -226,8 +104,8 @@ def cmd_ablate(args) -> int:
     cfg = cio.load_config(args.config)
     train_cfg = cfg
     eval_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
-    train_frames = sim.generate(build_scenario(train_cfg))
-    eval_frames = sim.generate(build_scenario(eval_cfg))
+    train_frames = sim.generate(cio.build_scenario(train_cfg))
+    eval_frames = sim.generate(cio.build_scenario(eval_cfg))
     gt_frames = {f.timestep: list(f.gt) for f in eval_frames}
 
     variants = [("constant", None),
@@ -250,9 +128,8 @@ def cmd_ablate(args) -> int:
                                          bounds=run_cfg.normalization_bounds)
         tracker = tracker_from_config(run_cfg, provider)
         reports, cost = run_sequence(frames_to_packets(eval_frames), tracker)
-        track_frames = {}
-        for t, frame_reports in enumerate(reports):
-            track_frames[t] = [(rt.track_id, rt.box, rt.score) for rt in frame_reports]
+        track_frames = cio.track_frames_from_reports(
+            reports, [f.timestep for f in eval_frames])
         report = metrics.evaluate(track_frames, gt_frames,
                                   iou_threshold=run_cfg.eval_iou_threshold)
         rows.append((label, report, cost.mb_total))
@@ -319,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a track log against ground truth")
-    p.add_argument("--tracks", required=True, help="directory with tracks.jsonl")
-    p.add_argument("--gt", required=True, help="directory with gt.jsonl")
+    p.add_argument("--tracks", required=True, help=f"directory with {cio.TRACKS_FILE}")
+    p.add_argument("--gt", required=True, help=f"directory with {cio.GT_FILE}")
     p.add_argument("--out", required=True, help="summary CSV path")
     p.set_defaults(func=cmd_eval)
 

@@ -174,21 +174,17 @@ def forward(params, f_app, f_pos, config: CovNetConfig = None):
     return ad.linear(h, params["head.lin2.w"], params["head.lin2.b"])
 
 
-def residual_to_obs_noise_diag(sigma_residual, r_def_diag=None):
+def residual_to_obs_noise_diag(sigma_residual):
     """Observation noise diagonal from the first 7 residual entries.
 
-    diag = (sqrt(default_diag) + residual)^2, floored at R_FLOOR. The default
-    is the identity's diagonal unless overridden.
+    diag = (1 + residual)^2, floored at R_FLOOR: a zero residual gives the
+    identity's diagonal exactly.
     """
-    if r_def_diag is None:
-        r_def_diag = np.ones(OBS_DIM)
-    s = ad.add(np.sqrt(np.asarray(r_def_diag, dtype=float)), sigma_residual[0:OBS_DIM])
+    s = ad.add(np.ones(OBS_DIM), sigma_residual[0:OBS_DIM])
     return ad.floor_clamp(ad.square(s), R_FLOOR)
 
 
-def residual_to_init_noise_diag(sigma_residual, sigma0_def_diag=None):
+def residual_to_init_noise_diag(sigma_residual):
     """Initial track covariance diagonal from all 10 residual entries."""
-    if sigma0_def_diag is None:
-        sigma0_def_diag = np.ones(STATE_DIM)
-    s = ad.add(np.sqrt(np.asarray(sigma0_def_diag, dtype=float)), sigma_residual)
+    s = ad.add(np.ones(STATE_DIM), sigma_residual)
     return ad.floor_clamp(ad.square(s), R_FLOOR)

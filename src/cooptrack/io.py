@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sim
 from .association import LifecycleConfig
 from .covnet import CovNetConfig, CovNetParams, layer_shapes
 from .features import DEFAULT_BOUNDS
@@ -31,6 +31,15 @@ FORMAT_LOSSCURVE = "cooptrack-losscurve"
 FORMAT_TENSORS = "cooptrack-tensors"
 FORMAT_CHECKPOINT = "cooptrack-checkpoint"
 SCHEMA_VERSION = 1
+
+# the files of a run directory: `simulate` writes the first three, `track`
+# the next two, and both write RUN_META_FILE
+GT_FILE = "gt.jsonl"
+DETECTIONS_FILE = "detections.jsonl"
+TENSORS_FILE = "tensors.bin"
+TRACKS_FILE = "tracks.jsonl"
+COMM_FILE = "comm.json"
+RUN_META_FILE = "run_meta.json"
 
 
 class LogFormatError(ValueError):
@@ -229,7 +238,7 @@ def write_run_metadata(out_dir: str, cfg: RunConfig, extra: dict = None):
             "seed": cfg.seed, "package_version": __version__}
     if extra:
         meta.update(extra)
-    path = os.path.join(out_dir, "run_meta.json")
+    path = os.path.join(out_dir, RUN_META_FILE)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(meta))
         fh.write("\n")
@@ -239,15 +248,35 @@ def write_run_metadata(out_dir: str, cfg: RunConfig, extra: dict = None):
 # --- line-delimited logs ------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """A finite int or float; a bool, or an int beyond float range, is not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+_INT, _NUM, _LIST = "an integer", "a finite number", "a list"
+_KIND_CHECKS = {_INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+                _NUM: _is_number, _LIST: lambda v: isinstance(v, list)}
+
+
+def _validate_fields(rec, where, **kinds):
+    """Each named field must be present and of its kind (_INT, _NUM or _LIST)."""
+    for key, kind in kinds.items():
+        if key not in rec:
+            raise LogFormatError(f"{where}: missing field {key!r}")
+        if not _KIND_CHECKS[kind](rec[key]):
+            raise LogFormatError(f"{where}: {key} must be {kind}, got {rec[key]!r}")
+
+
 def _validate_finite(values, name, where):
-    if not all(isinstance(v, (int, float)) for v in values):
-        raise LogFormatError(f"{where}: {name} entries must be numeric")
-    if not all(map(math.isfinite, values)):
-        raise LogFormatError(f"{where}: {name} entries must be finite")
+    if not all(map(_is_number, values)):
+        raise LogFormatError(f"{where}: {name} entries must be finite numbers")
 
 
 def _validate_box(values, where):
-    if not isinstance(values, list) or len(values) != 7:
+    if len(values) != 7:
         raise LogFormatError(f"{where}: box must be a 7-element list")
     _validate_finite(values, "box", where)
     if min(values[4:7]) <= 0:
@@ -255,9 +284,8 @@ def _validate_box(values, where):
 
 
 def _validate_detection(rec, where):
-    for key in ("t", "cav", "box", "conf", "sigma", "pose"):
-        if key not in rec:
-            raise LogFormatError(f"{where}: missing field {key!r}")
+    _validate_fields(rec, where, t=_INT, cav=_INT, box=_LIST, conf=_NUM, sigma=_LIST,
+                     pose=_LIST)
     _validate_box(rec["box"], where)
     if not 0.0 < rec["conf"] <= 1.0:
         raise LogFormatError(f"{where}: confidence must be in (0,1], got {rec['conf']}")
@@ -270,23 +298,17 @@ def _validate_detection(rec, where):
 
 
 def _validate_track(rec, where):
-    for key in ("t", "id", "box", "score"):
-        if key not in rec:
-            raise LogFormatError(f"{where}: missing field {key!r}")
+    _validate_fields(rec, where, t=_INT, id=_INT, box=_LIST, score=_NUM)
     _validate_box(rec["box"], where)
 
 
 def _validate_gt(rec, where):
-    for key in ("t", "obj", "box"):
-        if key not in rec:
-            raise LogFormatError(f"{where}: missing field {key!r}")
+    _validate_fields(rec, where, t=_INT, obj=_INT, box=_LIST)
     _validate_box(rec["box"], where)
 
 
 def _validate_loss(rec, where):
-    for key in ("epoch", "window", "loss", "supervised"):
-        if key not in rec:
-            raise LogFormatError(f"{where}: missing field {key!r}")
+    _validate_fields(rec, where, epoch=_INT, window=_INT, loss=_NUM, supervised=_INT)
 
 
 _VALIDATORS = {FORMAT_DETECTIONS: _validate_detection, FORMAT_TRACKS: _validate_track,
@@ -369,6 +391,42 @@ def record_pose(rec) -> PoseYawT:
     return PoseYawT(p[0], p[1], p[2], p[3])
 
 
+def track_frames_from_records(records) -> dict:
+    """{timestep: [(track_id, Box7, score)]} from track log records."""
+    out = {}
+    for rec in records:
+        out.setdefault(rec["t"], []).append(
+            (rec["id"], Box7.from_vector(rec["box"]), rec["score"]))
+    return out
+
+
+def gt_frames_from_records(records) -> dict:
+    """{timestep: [(obj_id, Box7)]} from ground-truth log records."""
+    out = {}
+    for rec in records:
+        out.setdefault(rec["t"], []).append((rec["obj"], Box7.from_vector(rec["box"])))
+    return out
+
+
+def track_frames_from_reports(reports, timesteps) -> dict:
+    """{timestep: [(track_id, Box7, score)]} from per-frame tracker reports.
+
+    `timesteps[i]` is the timestep of the frame that produced `reports[i]`.
+    """
+    return {t: [(rt.track_id, rt.box, rt.score) for rt in frame]
+            for t, frame in zip(timesteps, reports, strict=True)}
+
+
+def reports_to_records(reports, timesteps=None) -> list:
+    """Track log records for per-frame tracker reports; `timesteps` as above,
+    defaulting to the list positions."""
+    if timesteps is None:
+        timesteps = range(len(reports))
+    return [track_record(t, track_id, box, score)
+            for t, items in track_frames_from_reports(reports, timesteps).items()
+            for track_id, box, score in items]
+
+
 # --- tensor container ---------------------------------------------------------
 
 
@@ -445,6 +503,119 @@ class TensorStore:
 
     def __exit__(self, *exc):
         self.close()
+
+
+# --- run directories ----------------------------------------------------------
+
+
+def build_scenario(cfg: RunConfig) -> sim.Scenario:
+    sc = cfg.scenario
+    return sim.preset_v2v_mini(seed=cfg.seed, duration=sc.duration,
+                               noise_multiplier=sc.noise_multiplier,
+                               miss_multiplier=sc.miss_multiplier,
+                               fp_multiplier=sc.fp_multiplier)
+
+
+def write_sim_output(frames, out_dir: str, app_shape) -> None:
+    """Persist generated frames as gt / detection logs plus a tensor store."""
+    os.makedirs(out_dir, exist_ok=True)
+    gt_records = []
+    det_records = []
+    with TensorStore.create(os.path.join(out_dir, TENSORS_FILE), app_shape) as store:
+        for frame in frames:
+            for obj_id, box in frame.gt:
+                gt_records.append(gt_record(frame.timestep, obj_id, box))
+            for cav_id in sorted(frame.detections):
+                pose = frame.poses[cav_id]
+                for det in frame.detections[cav_id]:
+                    idx = store.append(det.appearance)
+                    det_records.append(detection_record(
+                        frame.timestep, cav_id, det.box, det.confidence, pose,
+                        app_index=idx))
+    write_log(os.path.join(out_dir, GT_FILE), FORMAT_GROUNDTRUTH, gt_records)
+    write_log(os.path.join(out_dir, DETECTIONS_FILE), FORMAT_DETECTIONS, det_records)
+
+
+def load_gt_frames(data_dir: str) -> dict:
+    """{timestep: [(obj_id, Box7)]} from a directory's ground-truth log."""
+    _, records = read_log(os.path.join(data_dir, GT_FILE), FORMAT_GROUNDTRUTH)
+    return gt_frames_from_records(records)
+
+
+def load_sim_frames(data_dir: str):
+    """Rebuild per-frame ground truth + detections from a simulate output dir.
+
+    Returns (frames, detection records); there is one frame for every
+    timestep that has ground truth or a detection.
+    """
+    gt_by_t = load_gt_frames(data_dir)
+    det_path = os.path.join(data_dir, DETECTIONS_FILE)
+    _, det_records = read_log(det_path, FORMAT_DETECTIONS)
+    tensor_path = os.path.join(data_dir, TENSORS_FILE)
+    store = TensorStore.open(tensor_path) if os.path.exists(tensor_path) else None
+    try:
+        dets_by_t = {}
+        poses_by_t = {}
+        for rec in det_records:
+            pose = record_pose(rec)
+            if poses_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], pose) != pose:
+                raise ValueError(f"{det_path}: conflicting poses for t={rec['t']} "
+                                 f"cav={rec['cav']}")
+            app = None
+            if rec.get("app") is not None and store is not None:
+                app = store.read(rec["app"])
+            det = sim.Detection(box=record_box(rec), confidence=rec["conf"],
+                                appearance=app)
+            dets_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], []).append(det)
+    finally:
+        if store is not None:
+            store.close()
+    frames = [sim.SimFrame(timestep=t, gt=tuple(gt_by_t.get(t, [])),
+                           detections=dets_by_t.get(t, {}), poses=poses_by_t.get(t, {}))
+              for t in sorted(set(gt_by_t) | set(dets_by_t))]
+    return frames, det_records
+
+
+def write_track_output(out_dir: str, frames, reports, cost) -> None:
+    """Write the tracks of `frames` (keyed by their timesteps) and the comm cost."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_log(os.path.join(out_dir, TRACKS_FILE), FORMAT_TRACKS,
+              reports_to_records(reports, [f.timestep for f in frames]))
+    with open(os.path.join(out_dir, COMM_FILE), "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(cost.as_dict()) + "\n")
+
+
+def load_track_output(run_dir: str):
+    """Read what `track` wrote: (track frames, MB sent, run config).
+
+    The MB figure is 0.0 without a comm file and the config is None without
+    a run metadata file.
+    """
+    _, records = read_log(os.path.join(run_dir, TRACKS_FILE), FORMAT_TRACKS)
+    comm_mb = 0.0
+    comm_path = os.path.join(run_dir, COMM_FILE)
+    if os.path.exists(comm_path):
+        comm_mb = _read_json(comm_path)["mb_total"]
+    config = None
+    meta_path = os.path.join(run_dir, RUN_META_FILE)
+    if os.path.exists(meta_path):
+        meta = _read_json(meta_path)
+        try:
+            config = config_from_dict(meta["config"])
+        except (KeyError, ConfigError) as exc:
+            raise LogFormatError(f"{meta_path}: bad run configuration ({exc})") from exc
+    return track_frames_from_records(records), comm_mb, config
+
+
+def _read_json(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise LogFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise LogFormatError(f"{path}: expected a JSON object")
+    return data
 
 
 # --- checkpoints --------------------------------------------------------------

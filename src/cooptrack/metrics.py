@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .association import associate
-from .geometry import Box7
 
 NUM_RECALL_LEVELS = 40
 EVAL_IOU_THRESHOLD = 0.25
@@ -97,11 +96,16 @@ def _track_average_scores(track_frames) -> dict:
 
 
 def _sweep(frames, track_frames, gt_frames, avg_score, threshold, iou_threshold):
-    """One full pass over the sequence keeping tracks with score >= threshold."""
+    """One full pass over the sequence keeping tracks with score >= threshold.
+
+    Returns the TP/FP/FN/ID-switch counts, the summed TP IoU, the number of
+    matched frames per ground-truth id, and the track id of every TP match.
+    """
     tp = fp = fn = ids = 0
     iou_sum = 0.0
     last_ids = {}
     matched_frames = {}
+    matched_tracks = []
     for t in frames:
         gts = gt_frames.get(t, [])
         tracks = [(tid, box) for tid, box, _s in track_frames.get(t, [])
@@ -111,10 +115,11 @@ def _sweep(frames, track_frames, gt_frames, avg_score, threshold, iou_threshold)
         fp += fm.fp
         fn += fm.fn
         ids += fm.ids
-        for gt_id, _tid, iou in fm.tp_pairs:
+        for gt_id, tid, iou in fm.tp_pairs:
             iou_sum += iou
             matched_frames[gt_id] = matched_frames.get(gt_id, 0) + 1
-    return tp, fp, fn, ids, iou_sum, matched_frames
+            matched_tracks.append(tid)
+    return tp, fp, fn, ids, iou_sum, matched_frames, matched_tracks
 
 
 def evaluate(track_frames: dict, gt_frames: dict,
@@ -132,14 +137,9 @@ def evaluate(track_frames: dict, gt_frames: dict,
     avg_score = _track_average_scores(track_frames)
 
     # full-recall pass: collect the score of every achievable TP match
-    tp_scores = []
-    last_ids = {}
-    for t in frames:
-        gts = gt_frames.get(t, [])
-        tracks = [(tid, box) for tid, box, _s in track_frames.get(t, [])]
-        fm = match_frame(tracks, gts, last_ids, iou_threshold)
-        tp_scores.extend(avg_score[tid] for _g, tid, _i in fm.tp_pairs)
-    tp_scores.sort(reverse=True)
+    *_, full_recall_tracks = _sweep(frames, track_frames, gt_frames, avg_score,
+                                    -math.inf, iou_threshold)
+    tp_scores = sorted((avg_score[tid] for tid in full_recall_tracks), reverse=True)
 
     gt_lifetime = {}
     for items in gt_frames.values():
@@ -156,7 +156,7 @@ def evaluate(track_frames: dict, gt_frames: dict,
             levels.append(RecallLevel(recall_target=target, achievable=False))
             continue
         threshold = tp_scores[needed - 1]
-        tp, fp, fn, ids, iou_sum, matched = _sweep(
+        tp, fp, fn, ids, iou_sum, matched, _ = _sweep(
             frames, track_frames, gt_frames, avg_score, threshold, iou_threshold)
         recall = tp / num_gt
         mota = max(0.0, 1.0 - (fp + fn + ids) / num_gt)
@@ -216,7 +216,7 @@ class CommCost:
         return self.reals_per_detection / BOX_REALS
 
     def as_dict(self) -> dict:
-        """The `comm.json` summary."""
+        """The cost summary a tracking run records (see `io.write_track_output`)."""
         return {"num_shared_detections": self.num_shared_detections,
                 "reals_per_detection": self.reals_per_detection,
                 "bytes_total": self.bytes_total,
@@ -267,18 +267,3 @@ def write_recall_table_csv(path: str, report: EvalReport):
                              "" if math.isnan(lv.threshold) else f"{lv.threshold:.6f}",
                              f"{lv.recall:.4f}", lv.tp, lv.fp, lv.fn, lv.ids,
                              f"{lv.mota:.6f}", f"{lv.smota:.6f}", f"{lv.motp:.6f}"])
-
-
-def track_frames_from_records(records) -> dict:
-    out = {}
-    for rec in records:
-        out.setdefault(rec["t"], []).append(
-            (rec["id"], Box7.from_vector(rec["box"]), rec["score"]))
-    return out
-
-
-def gt_frames_from_records(records) -> dict:
-    out = {}
-    for rec in records:
-        out.setdefault(rec["t"], []).append((rec["obj"], Box7.from_vector(rec["box"])))
-    return out

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import covnet, metrics
+from . import io as cio
 from .association import LifecycleConfig, TrackIdAllocator, associate, finish_timestep, reportable
 from .features import DEFAULT_BOUNDS, encode_detection
 from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackState,
@@ -158,17 +159,50 @@ def packets_from_sim_frame(frame) -> list:
             for cav_id, dets in sorted(frame.detections.items())]
 
 
+def frames_to_packets(frames, cav_filter=None):
+    """Per-frame packet lists, keeping only the vehicles in `cav_filter`."""
+    return [[p for p in packets_from_sim_frame(frame)
+             if cav_filter is None or p.cav_id in cav_filter]
+            for frame in frames]
+
+
+def packets_comm_cost(frame_packets, reals_per_detection: int) -> metrics.CommCost:
+    """Cost of sending every packet's detections to the host; one frame per packet list."""
+    return metrics.comm_cost([{p.cav_id: len(p.detections) for p in packets}
+                              for packets in frame_packets], reals_per_detection)
+
+
+def tracker_from_config(cfg: cio.RunConfig, provider) -> CoopTracker:
+    tr = cfg.tracker
+    return CoopTracker(cov_provider=provider,
+                       q_velocity=tr.process_noise_velocity,
+                       assoc_iou_threshold=tr.assoc_iou_threshold,
+                       lifecycle=tr)
+
+
 def run_sequence(frame_packets, tracker: CoopTracker):
     """Track a whole sequence; returns (per-frame reports, metrics.CommCost).
 
     The cost charges the tracker's covariance provider's payload size for
     every detection the host vehicle receives.
     """
-    reports, sent = [], []
+    frame_packets = list(frame_packets)
+    reports = []
     for index, packets in enumerate(frame_packets):
         try:
             reports.append(tracker.step(packets))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"frame {index}: {exc}") from exc
-        sent.append({p.cav_id: len(p.detections) for p in packets})
-    return reports, metrics.comm_cost(sent, tracker.cov.reals_per_detection)
+    return reports, packets_comm_cost(frame_packets, tracker.cov.reals_per_detection)
+
+
+def run_tracking(cfg: cio.RunConfig, frames, checkpoint_path=None, cav_filter=None):
+    """Track a loaded sequence; returns (per-frame reports, metrics.CommCost)."""
+    if checkpoint_path:
+        ckpt = cio.load_checkpoint(checkpoint_path, expect_config=cfg)
+        provider = LearnedCovariance(ckpt.params_by_cav,
+                                     bounds=cfg.normalization_bounds)
+    else:
+        provider = ConstantCovariance()
+    return run_sequence(frames_to_packets(frames, cav_filter),
+                        tracker_from_config(cfg, provider))

@@ -158,6 +158,8 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     """
     windows = split_subsequences(frames, settings.window_length)
     param_sets = _distinct_param_sets(params_by_cav)
+    # each vehicle's parameter object -> the key it is optimized under
+    owner = {id(params): cav for cav, params in param_sets.items()}
     if adam is None:
         adam = AdamState.init(param_sets)
     loss_curve = []
@@ -165,9 +167,8 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
         for w, window in enumerate(windows):
             tape = ad.Tape()
             lifted = {cav: params.lift(tape) for cav, params in param_sets.items()}
-            provider_params = {cav: (lifted[_owner(cav, param_sets, params_by_cav)],
-                                     params_by_cav[cav].config)
-                               for cav in params_by_cav}
+            provider_params = {cav: (lifted[owner[id(params)]], params.config)
+                               for cav, params in params_by_cav.items()}
             provider = LearnedCovariance(provider_params, bounds)
             tracker = CoopTracker(
                 cov_provider=provider,
@@ -202,15 +203,6 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
                                "supervised": supervised})
     return TrainResult(param_sets=param_sets, params_by_cav=params_by_cav,
                        adam=adam, loss_curve=loss_curve, epochs_done=settings.epochs)
-
-
-def _owner(cav, param_sets, params_by_cav):
-    """The key in param_sets whose object backs this cav (handles sharing)."""
-    target = params_by_cav[cav]
-    for owner_cav, params in param_sets.items():
-        if params is target:
-            return owner_cav
-    raise KeyError(f"vehicle {cav} has no registered parameter set")
 
 
 def init_params_for_run(config, rng: np.random.Generator) -> dict:

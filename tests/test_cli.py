@@ -45,16 +45,16 @@ def read_csv(path):
 
 
 def test_simulate_writes_all_artifacts(sim_dir, capsys):
-    for name in (cli.GT_FILE, cli.DETECTIONS_FILE, cli.TENSORS_FILE, "run_meta.json"):
+    for name in (io.GT_FILE, io.DETECTIONS_FILE, io.TENSORS_FILE, io.RUN_META_FILE):
         assert os.path.exists(os.path.join(sim_dir, name))
-    _, gt = io.read_log(os.path.join(sim_dir, cli.GT_FILE), io.FORMAT_GROUNDTRUTH)
+    _, gt = io.read_log(os.path.join(sim_dir, io.GT_FILE), io.FORMAT_GROUNDTRUTH)
     assert {r["t"] for r in gt} == set(range(20))
     assert len({r["obj"] for r in gt}) == 12
-    _, dets = io.read_log(os.path.join(sim_dir, cli.DETECTIONS_FILE),
+    _, dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE),
                           io.FORMAT_DETECTIONS)
     assert {r["cav"] for r in dets} == {0, 1}
     # every detection points at a stored appearance tensor
-    with io.TensorStore.open(os.path.join(sim_dir, cli.TENSORS_FILE)) as store:
+    with io.TensorStore.open(os.path.join(sim_dir, io.TENSORS_FILE)) as store:
         assert store.count == len(dets)
         assert store.shape == (8, 8, 8)
         for r in dets[:5]:
@@ -66,7 +66,7 @@ def test_simulate_is_deterministic(tmp_path, config_path, capsys):
     assert cli.main(["simulate", "--config", config_path, "--out", out_a]) == 0
     assert cli.main(["simulate", "--config", config_path, "--out", out_b]) == 0
     capsys.readouterr()
-    for name in (cli.GT_FILE, cli.DETECTIONS_FILE, cli.TENSORS_FILE):
+    for name in (io.GT_FILE, io.DETECTIONS_FILE, io.TENSORS_FILE):
         a = open(os.path.join(out_a, name), "rb").read()
         b = open(os.path.join(out_b, name), "rb").read()
         assert a == b, name
@@ -81,12 +81,12 @@ def test_track_without_checkpoint_counts_box_only_payload(tmp_path, config_path,
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--out", out]) == 0
     capsys.readouterr()
-    _, tracks = io.read_log(os.path.join(out, cli.TRACKS_FILE), io.FORMAT_TRACKS)
+    _, tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
     assert tracks
     assert all(0.0 < r["score"] <= 1.0 for r in tracks)
-    with open(os.path.join(out, cli.COMM_FILE)) as fh:
+    with open(os.path.join(out, io.COMM_FILE)) as fh:
         comm = json.load(fh)
-    _, dets = io.read_log(os.path.join(sim_dir, cli.DETECTIONS_FILE),
+    _, dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE),
                           io.FORMAT_DETECTIONS)
     non_ego = sum(1 for r in dets if r["cav"] != 0)
     assert comm["num_shared_detections"] == non_ego
@@ -100,11 +100,11 @@ def test_track_solo_run_pays_no_communication(tmp_path, config_path, sim_dir, ca
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--cavs", "0", "--out", out]) == 0
     capsys.readouterr()
-    with open(os.path.join(out, cli.COMM_FILE)) as fh:
+    with open(os.path.join(out, io.COMM_FILE)) as fh:
         comm = json.load(fh)
     assert comm["num_shared_detections"] == 0
     assert comm["bytes_total"] == 0
-    _, tracks = io.read_log(os.path.join(out, cli.TRACKS_FILE), io.FORMAT_TRACKS)
+    _, tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
     assert tracks  # a single vehicle still produces tracks
 
 
@@ -125,11 +125,11 @@ def test_track_zero_checkpoint_matches_constant_mode(tmp_path, config_path, sim_
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--checkpoint", ckpt_path, "--out", out_zero]) == 0
     capsys.readouterr()
-    const_tracks = open(os.path.join(out_const, cli.TRACKS_FILE), "rb").read()
-    zero_tracks = open(os.path.join(out_zero, cli.TRACKS_FILE), "rb").read()
+    const_tracks = open(os.path.join(out_const, io.TRACKS_FILE), "rb").read()
+    zero_tracks = open(os.path.join(out_zero, io.TRACKS_FILE), "rb").read()
     assert const_tracks == zero_tracks
     # payload accounting still charges the full shared vector
-    with open(os.path.join(out_zero, cli.COMM_FILE)) as fh:
+    with open(os.path.join(out_zero, io.COMM_FILE)) as fh:
         comm = json.load(fh)
     assert comm["reals_per_detection"] == metrics.SHARED_REALS
     assert comm["ratio_vs_box_only"] == pytest.approx(17 / 7)
@@ -140,7 +140,7 @@ def test_every_cost_path_agrees_with_comm_cost(tmp_path, config_path, sim_dir, c
     ckpt_path = str(tmp_path / "init.ckpt")
     params = training.init_params_for_run(cfg, np.random.default_rng(0))
     io.save_checkpoint(ckpt_path, Checkpoint(params_by_cav=params, config=cfg, seed=0))
-    _, dets = io.read_log(os.path.join(sim_dir, cli.DETECTIONS_FILE), io.FORMAT_DETECTIONS)
+    _, dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE), io.FORMAT_DETECTIONS)
     sent = {}
     for r in dets:
         sent.setdefault(r["t"], Counter())[r["cav"]] += 1
@@ -151,7 +151,7 @@ def test_every_cost_path_agrees_with_comm_cost(tmp_path, config_path, sim_dir, c
         out = str(tmp_path / name)
         assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                          "--out", out, *extra]) == 0
-        with open(os.path.join(out, cli.COMM_FILE)) as fh:
+        with open(os.path.join(out, io.COMM_FILE)) as fh:
             return json.load(fh)
 
     box_only = metrics.comm_cost(frames, metrics.BOX_REALS)
@@ -170,9 +170,17 @@ def test_every_cost_path_agrees_with_comm_cost(tmp_path, config_path, sim_dir, c
         f"MB per frame: {shared.mb_per_frame:.8f}\n"
         f"payload ratio vs box-only: {shared.ratio_vs_box_only:.4f}\n")
 
+    # a frame left without detections is still a frame of the log on both paths
+    io.write_log(os.path.join(sim_dir, io.DETECTIONS_FILE), io.FORMAT_DETECTIONS,
+                 [r for r in dets if r["t"] != 3])
+    gap = track("learned_gap", "--checkpoint", ckpt_path)
+    capsys.readouterr()
+    assert cli.main(["comm-cost", "--detections", sim_dir]) == 0
+    assert f"MB per frame: {gap['mb_per_frame']:.8f}\n" in capsys.readouterr().out
+
 
 def test_conflicting_poses_are_rejected(tmp_path, config_path, sim_dir, capsys):
-    path = os.path.join(sim_dir, cli.DETECTIONS_FILE)
+    path = os.path.join(sim_dir, io.DETECTIONS_FILE)
     _, dets = io.read_log(path, io.FORMAT_DETECTIONS)
     i = next(i for i in range(1, len(dets))
              if (dets[i]["t"], dets[i]["cav"]) == (dets[i - 1]["t"], dets[i - 1]["cav"]))
@@ -181,10 +189,46 @@ def test_conflicting_poses_are_rejected(tmp_path, config_path, sim_dir, capsys):
     t, cav = dets[i]["t"], dets[i]["cav"]
     with pytest.raises(ValueError, match=rf"detections\.jsonl: conflicting poses for "
                                          rf"t={t} cav={cav}$"):
-        cli.load_sim_frames(sim_dir)
+        io.load_sim_frames(sim_dir)
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--out", str(tmp_path / "trk")]) == 1
     assert "conflicting poses" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("sigma", 5), ("conf", "x"), ("t", "a")])
+def test_mistyped_field_is_rejected_with_path_and_line(tmp_path, config_path, sim_dir,
+                                                       capsys, field, value):
+    path = os.path.join(sim_dir, io.DETECTIONS_FILE)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    rec = json.loads(lines[2])
+    rec[field] = value
+    lines[2] = json.dumps(rec)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(io.LogFormatError, match=rf"detections\.jsonl line 3: {field} must be"):
+        io.read_log(path, io.FORMAT_DETECTIONS)
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--out", str(tmp_path / "trk")]) == 2
+    assert "detections.jsonl line 3" in capsys.readouterr().err
+
+
+def test_tracks_keep_the_timesteps_of_the_log(tmp_path, config_path, sim_dir, capsys):
+    # a log whose first frames are gone: tracks must line up with its truth
+    for name, fmt in ((io.GT_FILE, io.FORMAT_GROUNDTRUTH),
+                      (io.DETECTIONS_FILE, io.FORMAT_DETECTIONS)):
+        path = os.path.join(sim_dir, name)
+        _, records = io.read_log(path, fmt)
+        io.write_log(path, fmt, [r for r in records if r["t"] >= 5])
+    trk = str(tmp_path / "trk")
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--out", trk]) == 0
+    _, tracks = io.read_log(os.path.join(trk, io.TRACKS_FILE), io.FORMAT_TRACKS)
+    assert tracks and {r["t"] for r in tracks} <= set(range(5, 20))
+    out_csv = str(tmp_path / "summary.csv")
+    assert cli.main(["eval", "--tracks", trk, "--gt", sim_dir, "--out", out_csv]) == 0
+    capsys.readouterr()
+    assert float(read_csv(out_csv)[1][1]) > 0.0
 
 
 # --- train -----------------------------------------------------------------------
@@ -205,7 +249,7 @@ def test_train_then_track_with_checkpoint(tmp_path, config_path, sim_dir, capsys
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--checkpoint", ckpt, "--out", out]) == 0
     capsys.readouterr()
-    _, tracks = io.read_log(os.path.join(out, cli.TRACKS_FILE), io.FORMAT_TRACKS)
+    _, tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
     assert tracks
 
 
@@ -259,6 +303,36 @@ def test_eval_writes_summary_and_levels(tmp_path, config_path, sim_dir, capsys):
     assert levels[0][0] == "recall_target"
 
 
+def test_eval_scores_at_the_runs_iou_threshold(tmp_path, config_path, sim_dir, capsys):
+    strict_path = str(tmp_path / "strict.json")
+    io.save_config(strict_path, dataclasses.replace(small_config(), eval_iou_threshold=0.5))
+
+    def track_and_eval(name, cfg_path):
+        trk = str(tmp_path / name)
+        assert cli.main(["track", "--config", cfg_path, "--detections", sim_dir,
+                         "--out", trk]) == 0
+        out_csv = os.path.join(trk, "summary.csv")
+        assert cli.main(["eval", "--tracks", trk, "--gt", sim_dir, "--out", out_csv]) == 0
+        return trk, float(read_csv(out_csv)[1][1])
+
+    _, default_amota = track_and_eval("default", config_path)
+    strict, strict_amota = track_and_eval("strict", strict_path)
+    capsys.readouterr()
+    track_frames, _, _ = io.load_track_output(strict)
+    want = metrics.evaluate(track_frames, io.load_gt_frames(sim_dir), iou_threshold=0.5)
+    assert strict_amota == float(f"{want.amota:.4f}") != default_amota
+    # without the run's metadata, eval falls back to the default threshold
+    os.remove(os.path.join(strict, io.RUN_META_FILE))
+    out_csv = str(tmp_path / "fallback.csv")
+    assert cli.main(["eval", "--tracks", strict, "--gt", sim_dir, "--out", out_csv]) == 0
+    assert float(read_csv(out_csv)[1][1]) == default_amota
+    with open(os.path.join(strict, io.RUN_META_FILE), "w") as fh:
+        json.dump({"config": {"eval_iou_threshold": 2.0}}, fh)
+    capsys.readouterr()
+    assert cli.main(["eval", "--tracks", strict, "--gt", sim_dir, "--out", out_csv]) == 2
+    assert "run_meta.json: bad run configuration" in capsys.readouterr().err
+
+
 # --- comm-cost -------------------------------------------------------------------
 
 
@@ -266,7 +340,7 @@ def test_comm_cost_reports_payload_ratio(sim_dir, capsys):
     assert cli.main(["comm-cost", "--detections", sim_dir]) == 0
     out = capsys.readouterr().out
     assert "payload ratio vs box-only: 2.4286" in out
-    _, dets = io.read_log(os.path.join(sim_dir, cli.DETECTIONS_FILE),
+    _, dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE),
                           io.FORMAT_DETECTIONS)
     non_ego = sum(1 for r in dets if r["cav"] != 0)
     assert f"shared detections: {non_ego}" in out
@@ -311,8 +385,8 @@ def test_wrong_log_format_exits_2(tmp_path, config_path, sim_dir, capsys):
                      "--out", trk]) == 0
     swapped = tmp_path / "swapped"
     swapped.mkdir()
-    src = os.path.join(sim_dir, cli.DETECTIONS_FILE)
-    (swapped / cli.GT_FILE).write_bytes(open(src, "rb").read())
+    src = os.path.join(sim_dir, io.DETECTIONS_FILE)
+    (swapped / io.GT_FILE).write_bytes(open(src, "rb").read())
     code = cli.main(["eval", "--tracks", trk, "--gt", str(swapped),
                      "--out", str(tmp_path / "s.csv")])
     assert code == 2

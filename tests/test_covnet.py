@@ -186,11 +186,10 @@ def test_residual_to_obs_noise_formula():
     np.testing.assert_array_equal(got, residual_to_obs_noise_diag(other))
 
 
-def test_residual_to_obs_noise_custom_default_and_floor():
-    sigma = np.zeros(STATE_DIM)
-    sigma[0] = -2.0  # sqrt(4)+(-2) = 0 -> squared 0 -> floored
-    r_def = np.full(OBS_DIM, 4.0)
-    got = residual_to_obs_noise_diag(sigma, r_def)
+def test_residual_to_obs_noise_floor():
+    sigma = np.full(STATE_DIM, 1.0)
+    sigma[0] = -1.0  # 1 + (-1) = 0 -> squared 0 -> floored
+    got = residual_to_obs_noise_diag(sigma)
     assert got[0] == R_FLOOR
     np.testing.assert_allclose(got[1:], np.full(OBS_DIM - 1, 4.0))
 

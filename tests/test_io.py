@@ -177,6 +177,9 @@ def test_log_validates_record_fields(tmp_path):
     bad_conf["conf"] = 1.5
     with pytest.raises(LogFormatError, match="confidence"):
         io.write_log(str(path), io.FORMAT_DETECTIONS, [bad_conf])
+    with pytest.raises(LogFormatError, match="epoch must be an integer"):
+        io.write_log(str(path), io.FORMAT_LOSSCURVE,
+                     [{"epoch": "x", "window": 0, "loss": 0.5, "supervised": 3}])
 
 
 def test_log_rejects_non_finite_numbers(tmp_path):
@@ -189,7 +192,8 @@ def test_log_rejects_non_finite_numbers(tmp_path):
     header = io.canonical_json({"format": io.FORMAT_DETECTIONS, "version": 1})
     good = io.canonical_json(io.detection_record(0, 0, BOX, 0.9, POSE))
     for field, bad in (("conf", "NaN"), ("sigma", "[0,0,0,0,0,0,0,0,0,Infinity]"),
-                       ("pose", "[0.0,NaN,1.2,0.05]")):
+                       ("pose", "[0.0,NaN,1.2,0.05]"),
+                       ("box", "[1" + "0" * 400 + ",0,0,0,4,2,1.5]")):  # beyond float range
         rec = json.loads(good)
         rec[field] = "@"
         line = io.canonical_json(rec).replace('"@"', bad)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cooptrack.geometry import Box7
+from cooptrack.io import gt_frames_from_records, track_frames_from_records
 from cooptrack.metrics import (
     BOX_REALS,
     MEGABYTE,
@@ -22,9 +23,7 @@ from cooptrack.metrics import (
     CommCost,
     comm_cost,
     evaluate,
-    gt_frames_from_records,
     match_frame,
-    track_frames_from_records,
     write_recall_table_csv,
     write_summary_csv,
 )
