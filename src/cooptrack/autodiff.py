@@ -4,8 +4,8 @@ The primitive set is exactly what the differentiable filter, the covariance
 network, and the training loss need: broadcasting addition, subtraction and
 division, matmul, slicing (`node[idx]`), concatenation and reshaping, sums,
 elementwise square and square root, ReLU, a floor clamp, diagonal
-embedding, patch extraction for convolutions, and a symmetric positive
-definite inverse.
+embedding, a flat gather (patch extraction for batched convolutions), and
+a symmetric positive definite inverse.
 
 Every operation dispatches on whether an operand is a `Node`. With raw
 ndarrays it computes and returns plain values; with at least one `Node` it
@@ -16,6 +16,8 @@ operand dtype, so the whole pipeline can run in float64 or in longdouble
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -390,53 +392,53 @@ def spd_inverse(a):
 # --- convolution and linear stages ------------------------------------------
 
 
-def im2col_indices(c, h, w, k, stride, pad):
-    """Flat gather indices mapping a zero-padded (c,h,w) image to patch columns.
+@functools.lru_cache(maxsize=256)
+def im2col_indices(n, c, h, w, k, stride, pad):
+    """Gather indices of the conv patches of an (n, c, h, w) batch.
 
-    Returns (idx, out_h, out_w) where idx has shape (c*k*k, out_h*out_w) and
-    indexes into the padded image flattened to 1D.
+    Built once per shape. Returns read-only (idx, out_h, out_w): idx has
+    shape (c*k*k, n*out_h*out_w), rows ordered by (channel, kernel row,
+    kernel column) and columns by (image, output row, output column), and
+    holds flat indices into the batch; positions in the zero border hold
+    n*c*h*w, the index `gather` reads as zero.
     """
-    hp, wp = h + 2 * pad, w + 2 * pad
-    out_h = (hp - k) // stride + 1
-    out_w = (wp - k) // stride + 1
-    ci = np.repeat(np.arange(c), k * k)
-    ki = np.tile(np.repeat(np.arange(k), k), c)
-    kj = np.tile(np.arange(k), k * c)
-    oi = stride * np.repeat(np.arange(out_h), out_w)
-    oj = stride * np.tile(np.arange(out_w), out_h)
-    rows = ki[:, None] + oi[None, :]
-    cols = kj[:, None] + oj[None, :]
-    idx = ci[:, None] * (hp * wp) + rows * wp + cols
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (w + 2 * pad - k) // stride + 1
+    ci, ki, kj, ni, oi, oj = np.ix_(np.arange(c), np.arange(k), np.arange(k),
+                                    np.arange(n), np.arange(out_h), np.arange(out_w))
+    rows = stride * oi + ki - pad
+    cols = stride * oj + kj - pad
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, ((ni * c + ci) * h + rows) * w + cols, n * c * h * w)
+    idx = idx.reshape(c * k * k, n * out_h * out_w)
+    idx.flags.writeable = False
     return idx, out_h, out_w
 
 
-def _pad_chw(x, pad):
-    if pad == 0:
-        return x
-    c, h, w = x.shape
-    out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, pad:h + pad, pad:w + pad] = x
-    return out
+@functools.lru_cache(maxsize=256)
+def _batch_major_indices(c, n, p):
+    """Read-only flat indices reordering a (c, n, p) array to (n, c, p)."""
+    idx = np.arange(c * n * p).reshape(c, n, p).transpose(1, 0, 2).copy()
+    idx.flags.writeable = False
+    return idx
 
 
-def im2col(x, k, stride, pad):
-    """Extract conv patches from a (c,h,w) tensor into a (c*k*k, P) matrix."""
+def gather(x, idx):
+    """Entries of `x` at the flat indices `idx`; the index x.size reads zero.
+
+    Patch extraction for convolutions (the zero border maps to x.size) and
+    the reorder of their output. The adjoint scatter-adds onto `x`.
+    """
     xv = val(x)
-    c, h, w = xv.shape
-    idx, _, _ = im2col_indices(c, h, w, k, stride, pad)
-    padded = _pad_chw(xv, pad)
-    out = padded.reshape(-1)[idx]
+    flat = np.concatenate([xv.reshape(-1), np.zeros(1, dtype=xv.dtype)])
+    out = flat[idx]
     if not isinstance(x, Node):
         return out
-    hp, wp = h + 2 * pad, w + 2 * pad
 
     def vjp(g):
-        flat = np.zeros(c * hp * wp, dtype=xv.dtype)
-        np.add.at(flat, idx, g)
-        full = flat.reshape(c, hp, wp)
-        if pad:
-            full = full[:, pad:h + pad, pad:w + pad]
-        return (full.copy(),)
+        full = np.zeros(flat.size, dtype=xv.dtype)
+        np.add.at(full, idx, g)
+        return (full[:-1].reshape(xv.shape),)
 
     return Node(x.tape, out, (x,), vjp)
 
@@ -447,18 +449,17 @@ def linear(x, weight, bias):
 
 
 def conv2d(x, weight, bias, stride=2, pad=1):
-    """2D convolution of a (c,h,w) tensor with (c_out,c,k,k) weights.
+    """2D convolution of an (n, c, h, w) batch with (c_out, c, k, k) weights.
 
-    Built from im2col and matmul so the adjoint follows by composition.
-    Returns a (c_out, out_h, out_w) tensor.
+    One matmul covers the patches of all n images; the adjoint follows by
+    composition. Returns an (n, c_out, out_h, out_w) tensor.
     """
-    xv = val(x)
-    wv = val(weight)
-    c_out, c_in, k, _ = wv.shape
-    if xv.shape[0] != c_in:
-        raise ValueError(f"conv input has {xv.shape[0]} channels, weights expect {c_in}")
-    _, out_h, out_w = im2col_indices(c_in, xv.shape[1], xv.shape[2], k, stride, pad)
-    cols = im2col(x, k, stride, pad)
+    n, c_x, h, w = val(x).shape
+    c_out, c_in, k, _ = val(weight).shape
+    if c_x != c_in:
+        raise ValueError(f"conv input has {c_x} channels, weights expect {c_in}")
+    idx, out_h, out_w = im2col_indices(n, c_in, h, w, k, stride, pad)
     wmat = reshape(weight, (c_out, c_in * k * k))
-    out = add(matmul(wmat, cols), reshape(bias, (c_out, 1)))
-    return reshape(out, (c_out, out_h, out_w))
+    out = add(matmul(wmat, gather(x, idx)), reshape(bias, (c_out, 1)))
+    out = gather(out, _batch_major_indices(c_out, n, out_h * out_w))
+    return reshape(out, (n, c_out, out_h, out_w))

@@ -1,4 +1,4 @@
-"""Covariance network: per-detection noise-residual prediction.
+"""Covariance network: noise-residual prediction for a batch of detections.
 
 Two branches process the appearance tensor (two strided convolutions) and the
 encoded positional matrix (two linear stages); their flattened outputs are
@@ -139,52 +139,56 @@ class CovNetParams:
 
 
 def forward(params, f_app, f_pos, config: CovNetConfig = None):
-    """Residual std prediction; works on plain arrays or tape nodes.
+    """Residual std rows for a batch of N detections.
 
-    `params` is either CovNetParams or a name -> array/node mapping from
-    CovNetParams.lift. Returns a 10-vector (node when any input is a node).
+    `f_app` is (N, c, h, w) (ignored without the appearance branch), `f_pos`
+    is (N, 18, 256); each conv and each linear stage runs once over the whole
+    batch. `params` is either CovNetParams or a name -> array/node mapping
+    from CovNetParams.lift. Works on plain arrays or tape nodes and returns
+    an (N, 10) array (a node when any input is a node).
     """
     if isinstance(params, CovNetParams):
         config = params.config
         params = params.arrays
     if config is None:
         raise ValueError("config required when params is a raw mapping")
+    n = len(ad.val(f_pos if config.use_positional else f_app))
     pieces = []
     if config.use_appearance:
+        if ad.val(f_app).shape != (n,) + tuple(config.app_shape):
+            raise ValueError(f"appearance shape {ad.val(f_app).shape} != "
+                             f"{n} x configured {config.app_shape}")
         a = f_app
-        if ad.val(a).shape != config.app_shape:
-            raise ValueError(
-                f"appearance shape {ad.val(a).shape} != configured {config.app_shape}")
         for i in range(1, len(config.conv_channels) + 1):
             a = ad.conv2d(a, params[f"app.conv{i}.w"], params[f"app.conv{i}.b"],
                           stride=config.stride, pad=config.pad)
             a = ad.relu(a)
-        pieces.append(ad.reshape(a, (config.appearance_flat_width(),)))
+        pieces.append(ad.reshape(a, (n, config.appearance_flat_width())))
     if config.use_positional:
-        expect = (POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)
+        expect = (n, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)
         if ad.val(f_pos).shape != expect:
             raise ValueError(
                 f"positional shape {ad.val(f_pos).shape} != expected {expect}")
-        x = ad.reshape(f_pos, (expect[0] * expect[1],))
+        x = ad.reshape(f_pos, (n, expect[1] * expect[2]))
         x = ad.relu(ad.linear(x, params["pos.lin1.w"], params["pos.lin1.b"]))
         x = ad.relu(ad.linear(x, params["pos.lin2.w"], params["pos.lin2.b"]))
         pieces.append(x)
-    h = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
+    h = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1)
     h = ad.relu(ad.linear(h, params["head.lin1.w"], params["head.lin1.b"]))
     return ad.linear(h, params["head.lin2.w"], params["head.lin2.b"])
 
 
 def residual_to_obs_noise_diag(sigma_residual):
-    """Observation noise diagonal from the first 7 residual entries.
+    """Observation noise diagonal from the first 7 entries of each residual row.
 
     diag = (1 + residual)^2, floored at R_FLOOR: a zero residual gives the
-    identity's diagonal exactly.
+    identity's diagonal exactly. Takes a 10-vector or an (N, 10) batch.
     """
-    s = ad.add(np.ones(OBS_DIM), sigma_residual[0:OBS_DIM])
+    s = ad.add(np.ones(OBS_DIM), sigma_residual[..., 0:OBS_DIM])
     return ad.floor_clamp(ad.square(s), R_FLOOR)
 
 
 def residual_to_init_noise_diag(sigma_residual):
-    """Initial track covariance diagonal from all 10 residual entries."""
+    """Initial track covariance diagonal from all 10 entries of each residual row."""
     s = ad.add(np.ones(STATE_DIM), sigma_residual)
     return ad.floor_clamp(ad.square(s), R_FLOOR)

@@ -1,10 +1,12 @@
-"""Per-detection input features for the covariance network.
+"""Input features for the covariance network, computed per vehicle packet.
 
 A detection contributes two features: an 18-element positional vector built
 from its global box, its sensor-local box, and the sensor's local-to-global
 transform, and a small synthetic appearance tensor standing in for detector
 feature-map crops. The positional vector is expanded to an 18x256 sinusoidal
-encoding before entering the network.
+encoding before entering the network. Positional features are computed for
+all N detections of a packet at once, as (N, 18) rows and (N, 18, 256)
+encodings.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box7, PoseYawT, transform_box
+from .geometry import PoseYawT, transform_box
 
 POSITIONAL_DIM = 18
 ENCODING_HALF_WIDTH = 128  # d; each scalar maps to 2*d sinusoid entries
@@ -33,75 +35,82 @@ DEFAULT_BOUNDS = (
 )
 
 
+_SCALES = 2.0 ** (np.arange(ENCODING_HALF_WIDTH) / ENCODING_HALF_WIDTH)
+
+
 @dataclass(frozen=True)
 class PositionalFeature:
-    """Raw (unnormalized) 18-vector: global(8) + local(5) + transform(5)."""
+    """Raw (unnormalized) 18-vectors, one row per detection:
+    global(8) + local(5) + transform(5)."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (POSITIONAL_DIM,):
-            raise ValueError(f"positional feature must have shape (18,), got {v.shape}")
+        if v.ndim != 2 or v.shape[1] != POSITIONAL_DIM:
+            raise ValueError(f"positional features must have shape (N, 18), got {v.shape}")
         object.__setattr__(self, "values", v)
 
 
-def extract_positional(det_global: Box7, det_local: Box7, pose: PoseYawT) -> PositionalFeature:
-    """Concatenate global box, local box, and transform descriptors.
+def _box_rows(boxes) -> np.ndarray:
+    return np.array([(b.x, b.y, b.z, b.a, b.l, b.w, b.h) for b in boxes],
+                    dtype=float).reshape(-1, 7)
 
-    Layout: (x,y,z,a,l,w,h,r)_global + (x,y,z,a,r)_local + (t_x,t_y,t_z,yaw,r_t)
-    where each r is the horizontal radial distance of its own entries.
-    Raises ValueError if det_global is not det_local carried through pose.
+
+def extract_positional(det_global, det_local, pose: PoseYawT) -> PositionalFeature:
+    """Concatenate global box, local box, and transform descriptors per detection.
+
+    `det_global` and `det_local` are equally long Box7 sequences (one
+    vehicle's packet); `pose` is the vehicle's local-to-global transform.
+    Row layout: (x,y,z,a,l,w,h,r)_global + (x,y,z,a,r)_local +
+    (t_x,t_y,t_z,yaw,r_t) where each r is the horizontal radial distance of
+    its own entries. Raises ValueError if a global box is not its local box
+    carried through pose.
     """
-    expect = transform_box(det_local, pose)
-    err = np.max(np.abs(expect.to_vector() - det_global.to_vector()))
+    g, lo = _box_rows(det_global), _box_rows(det_local)
+    if len(g) != len(lo):
+        raise ValueError(f"{len(g)} global boxes for {len(lo)} local boxes")
+    expect = _box_rows(transform_box(b, pose) for b in det_local)
+    err = np.max(np.abs(expect - g), initial=0.0)
     if err > FRAME_CONSISTENCY_TOL:
         raise ValueError(
             f"global box disagrees with transformed local box by {err:.3e}")
-    g = det_global
-    lo = det_local
-    vals = np.array([
-        g.x, g.y, g.z, g.a, g.l, g.w, g.h, math.hypot(g.x, g.y),
-        lo.x, lo.y, lo.z, lo.a, math.hypot(lo.x, lo.y),
-        pose.t_x, pose.t_y, pose.t_z, pose.yaw, math.hypot(pose.t_x, pose.t_y),
-    ])
+    pose_row = [pose.t_x, pose.t_y, pose.t_z, pose.yaw, math.hypot(pose.t_x, pose.t_y)]
+    vals = np.concatenate([
+        g, np.hypot(g[:, 0], g[:, 1])[:, None],
+        lo[:, :4], np.hypot(lo[:, 0], lo[:, 1])[:, None],
+        np.broadcast_to(pose_row, (len(g), 5)),
+    ], axis=1)
     return PositionalFeature(vals)
 
 
-def normalize_var(x: float, var_index: int, bounds=DEFAULT_BOUNDS) -> float:
-    """Map x from its configured [min, max] range onto [-pi, pi], clamping."""
-    lo, hi = bounds[var_index]
-    if lo >= hi:
-        raise ValueError(f"bounds for variable {var_index} must satisfy min < max")
-    u = (float(x) - lo) / (hi - lo)
-    u = min(1.0, max(0.0, u))
+def normalize(values, bounds=DEFAULT_BOUNDS) -> np.ndarray:
+    """Map each column of (N, 18) values from its [min, max] onto [-pi, pi], clamping."""
+    lo, hi = np.asarray(bounds, dtype=float).T
+    if np.any(lo >= hi):
+        raise ValueError("bounds must satisfy min < max for every variable")
+    u = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
     return -math.pi + 2.0 * math.pi * u
 
 
 def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
-    """Sinusoidal expansion of the normalized positional vector.
+    """Sinusoidal expansion of normalized positional rows: (N, 18) -> (N, 18, 256).
 
     Each normalized scalar xb becomes 256 entries with even index 2i holding
     sin(xb / 2^(i/d)) and odd index 2i+1 holding cos(xb / 2^(i/d)), d = 128.
     """
-    if isinstance(f_pos, PositionalFeature):
-        f_pos = f_pos.values
-    f_pos = np.asarray(f_pos, dtype=float)
-    if f_pos.shape != (POSITIONAL_DIM,):
-        raise ValueError(f"expected 18-vector, got shape {f_pos.shape}")
-    xb = np.array([normalize_var(f_pos[k], k, bounds) for k in range(POSITIONAL_DIM)])
-    d = ENCODING_HALF_WIDTH
-    scales = 2.0 ** (np.arange(d) / d)
-    phases = xb[:, None] / scales[None, :]
-    out = np.empty((POSITIONAL_DIM, 2 * d))
-    out[:, 0::2] = np.sin(phases)
-    out[:, 1::2] = np.cos(phases)
+    if not isinstance(f_pos, PositionalFeature):
+        f_pos = PositionalFeature(f_pos)
+    phases = normalize(f_pos.values, bounds)[:, :, None] / _SCALES
+    out = np.empty(phases.shape[:2] + (2 * ENCODING_HALF_WIDTH,))
+    out[:, :, 0::2] = np.sin(phases)
+    out[:, :, 1::2] = np.cos(phases)
     return out
 
 
-def encode_detection(det_global: Box7, det_local: Box7, pose: PoseYawT,
+def encode_detection(det_global, det_local, pose: PoseYawT,
                      bounds=DEFAULT_BOUNDS) -> np.ndarray:
-    """extract_positional followed by positional_encoding."""
+    """Encode one packet's detections: extract_positional, then positional_encoding."""
     return positional_encoding(extract_positional(det_global, det_local, pose), bounds)
 
 

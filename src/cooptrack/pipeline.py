@@ -47,7 +47,7 @@ class ConstantCovariance:
 
     reals_per_detection = metrics.BOX_REALS
 
-    def residuals(self, cav_id, detection, det_global, pose):
+    def packet_residuals(self, packet, det_global):
         return None
 
 
@@ -64,27 +64,36 @@ class LearnedCovariance:
         self.params_by_cav = params_by_cav
         self.bounds = bounds
 
-    def residuals(self, cav_id, detection, det_global, pose):
-        if cav_id not in self.params_by_cav:
-            raise KeyError(f"no covariance network parameters for vehicle {cav_id}")
-        entry = self.params_by_cav[cav_id]
+    def packet_residuals(self, packet, det_global):
+        """Residual rows (N, 10) for a packet's N detections, from one network pass.
+
+        Row j belongs to detection j; `det_global` holds the detections'
+        boxes in the global frame.
+        """
+        if packet.cav_id not in self.params_by_cav:
+            raise KeyError(f"no covariance network parameters for vehicle {packet.cav_id}")
+        entry = self.params_by_cav[packet.cav_id]
         if isinstance(entry, covnet.CovNetParams):
             params, config = entry, entry.config
         else:
             params, config = entry
-        f_pos = encode_detection(det_global, detection.box, pose, self.bounds)
-        f_app = detection.appearance
-        if config.use_appearance and f_app is None:
-            raise ValueError("detection has no appearance tensor but the "
-                             "appearance branch is enabled")
+        f_pos = encode_detection(det_global, [d.box for d in packet.detections],
+                                 packet.pose, self.bounds)
+        f_app = None
+        if config.use_appearance:
+            if any(d.appearance is None for d in packet.detections):
+                raise ValueError("detection has no appearance tensor but the "
+                                 "appearance branch is enabled")
+            f_app = np.stack([d.appearance for d in packet.detections])
         return covnet.forward(params, f_app, f_pos, config)
 
 
 class CoopTracker:
     """Stateful multi-vehicle tracker for one sequence."""
 
-    def __init__(self, cov_provider=None, q_velocity: float = 0.01,
-                 assoc_iou_threshold: float = 0.1,
+    def __init__(self, cov_provider=None,
+                 q_velocity: float = cio.TrackerSettings.process_noise_velocity,
+                 assoc_iou_threshold: float = cio.TrackerSettings.assoc_iou_threshold,
                  lifecycle: LifecycleConfig = None):
         self.cov = cov_provider if cov_provider is not None else ConstantCovariance()
         self.process = ProcessModel.constant_velocity(q_velocity=q_velocity)
@@ -94,15 +103,17 @@ class CoopTracker:
         self.ids = TrackIdAllocator()
         self._H = observation_matrix()
 
-    def _observation_noise(self, sigma):
-        if sigma is None:
-            return np.ones(OBS_DIM)
-        return covnet.residual_to_obs_noise_diag(sigma)
+    def _noise_rows(self, packet, det_global):
+        """Observation-noise and initial-variance diagonals, one row per detection.
 
-    def _initial_cov(self, sigma):
-        if sigma is None:
-            return np.eye(STATE_DIM)
-        return ad.diag(covnet.residual_to_init_noise_diag(sigma))
+        One provider call per non-empty packet; (None, None) means identity
+        noise and identity initial covariance.
+        """
+        sigmas = self.cov.packet_residuals(packet, det_global) if packet.detections else None
+        if sigmas is None:
+            return None, None
+        return (covnet.residual_to_obs_noise_diag(sigmas),
+                covnet.residual_to_init_noise_diag(sigmas))
 
     def step(self, packets) -> list:
         """Run one timestep; returns the reported tracks (post-update).
@@ -119,12 +130,13 @@ class CoopTracker:
         matched_ids = set()
         for packet in packets:
             det_global = [transform_box(d.box, packet.pose) for d in packet.detections]
+            obs_rows, init_rows = self._noise_rows(packet, det_global)
             track_boxes = [Box7.from_vector(t.box_vector()) for t in self.tracks]
             assignment = associate(track_boxes, det_global, self.assoc_iou_threshold)
             for ti, dj, _iou in assignment.matches:
                 det = packet.detections[dj]
-                sigma = self.cov.residuals(packet.cav_id, det, det_global[dj], packet.pose)
-                model = ObservationModel(self._H, self._observation_noise(sigma))
+                r_diag = np.ones(OBS_DIM) if obs_rows is None else obs_rows[dj]
+                model = ObservationModel(self._H, r_diag)
                 trk = update(self.tracks[ti], det_global[dj].to_vector(), model)
                 if trk.id in matched_ids:
                     trk.score = max(trk.score, det.confidence)
@@ -134,9 +146,9 @@ class CoopTracker:
                 self.tracks[ti] = trk
             for dj in assignment.unmatched_detections:
                 det = packet.detections[dj]
-                sigma = self.cov.residuals(packet.cav_id, det, det_global[dj], packet.pose)
+                cov = np.eye(STATE_DIM) if init_rows is None else ad.diag(init_rows[dj])
                 mean = np.concatenate([det_global[dj].to_vector(), np.zeros(3)])
-                trk = TrackState(mean=mean, cov=self._initial_cov(sigma),
+                trk = TrackState(mean=mean, cov=cov,
                                  id=self.ids.next_id(), hits=0, misses=0, age=0,
                                  score=det.confidence)
                 matched_ids.add(trk.id)
@@ -172,12 +184,16 @@ def packets_comm_cost(frame_packets, reals_per_detection: int) -> metrics.CommCo
                               for packets in frame_packets], reals_per_detection)
 
 
-def tracker_from_config(cfg: cio.RunConfig, provider) -> CoopTracker:
-    tr = cfg.tracker
+def tracker_from_settings(settings: cio.TrackerSettings, provider) -> CoopTracker:
+    """The one place a tracker is built from configured settings."""
     return CoopTracker(cov_provider=provider,
-                       q_velocity=tr.process_noise_velocity,
-                       assoc_iou_threshold=tr.assoc_iou_threshold,
-                       lifecycle=tr)
+                       q_velocity=settings.process_noise_velocity,
+                       assoc_iou_threshold=settings.assoc_iou_threshold,
+                       lifecycle=settings)
+
+
+def tracker_from_config(cfg: cio.RunConfig, provider) -> CoopTracker:
+    return tracker_from_settings(cfg.tracker, provider)
 
 
 def run_sequence(frame_packets, tracker: CoopTracker):

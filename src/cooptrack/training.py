@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .covnet import CovNetParams
 from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
-from .pipeline import CoopTracker, LearnedCovariance, packets_from_sim_frame
+from .pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -169,12 +169,8 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
             lifted = {cav: params.lift(tape) for cav, params in param_sets.items()}
             provider_params = {cav: (lifted[owner[id(params)]], params.config)
                                for cav, params in params_by_cav.items()}
-            provider = LearnedCovariance(provider_params, bounds)
-            tracker = CoopTracker(
-                cov_provider=provider,
-                q_velocity=tracker_settings.process_noise_velocity,
-                assoc_iou_threshold=tracker_settings.assoc_iou_threshold,
-                lifecycle=tracker_settings)
+            tracker = tracker_from_settings(tracker_settings,
+                                            LearnedCovariance(provider_params, bounds))
             reports, gts = [], []
             for frame in window:
                 reports.append(tracker.step(packets_from_sim_frame(frame)))

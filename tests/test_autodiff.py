@@ -167,7 +167,7 @@ def test_linear_grad():
 
 
 def reference_conv2d(x, w, b, stride, pad):
-    """Direct nested-loop convolution used as the conv2d oracle."""
+    """Direct nested-loop convolution of one (c, h, w) image: the conv2d oracle."""
     c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
     xp = np.zeros((c_in, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
@@ -185,17 +185,24 @@ def reference_conv2d(x, w, b, stride, pad):
 
 def test_conv2d_matches_reference():
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((3, 8, 8))
+    x = rng.standard_normal((3, 3, 8, 7))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    got = ad.conv2d(x, w, b, stride=2, pad=1)
-    want = reference_conv2d(x, w, b, stride=2, pad=1)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for stride, pad in ((2, 1), (1, 0), (1, 2)):
+        got = ad.conv2d(x, w, b, stride=stride, pad=pad)
+        for n in range(3):
+            want = reference_conv2d(x[n], w, b, stride, pad)
+            assert got.shape[1:] == want.shape
+            np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-12)
+            # one image is a batch of one
+            np.testing.assert_allclose(ad.conv2d(x[n:n + 1], w, b, stride, pad)[0], want,
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_grad():
+    # a batch of 3 images: gradients of weights, bias and input
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((2, 4, 4))
+    x = rng.standard_normal((3, 2, 4, 4))
     w0 = rng.standard_normal((3, 2, 3, 3))
     b0 = rng.standard_normal(3)
     check_grad(lambda w: ad.asum(ad.square(ad.conv2d(x, w, b0))), w0, rtol=1e-5)
@@ -203,10 +210,35 @@ def test_conv2d_grad():
     tape = ad.Tape()
     xleaf = tape.var(x)
     tape.backward(ad.asum(ad.square(ad.conv2d(xleaf, w0, b0))))
+
     def f(xv):
-        return float(np.sum(np.asarray(reference_conv2d(xv, w0.astype(xv.dtype), b0.astype(xv.dtype), 2, 1)) ** 2))
+        return float(sum(np.sum(np.asarray(reference_conv2d(
+            img, w0.astype(xv.dtype), b0.astype(xv.dtype), 2, 1)) ** 2) for img in xv))
+
     want = central_diff(f, x)
     np.testing.assert_allclose(ad.grad_of(xleaf), want, rtol=1e-5, atol=1e-8)
+
+
+def test_gather_reads_zero_past_the_end_and_scatters_back():
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal((2, 3))
+    idx = np.array([[0, 5, 5, 6], [6, 2, 0, 1]])  # repeats, and 6 = x.size reads zero
+    got = ad.gather(x0, idx)
+    np.testing.assert_array_equal(got, [[x0[0, 0], x0[1, 2], x0[1, 2], 0.0],
+                                        [0.0, x0[0, 2], x0[0, 0], x0[0, 1]]])
+    w = rng.standard_normal(idx.shape)
+    check_grad(lambda x: ad.asum(ad.square(ad.sub(ad.gather(x, idx), w))), x0)
+    assert ad.gather(x0.astype(np.longdouble), idx).dtype == np.longdouble
+
+
+def test_im2col_indices_are_built_once_and_read_only():
+    first = ad.im2col_indices(3, 8, 8, 8, 3, 2, 1)
+    assert ad.im2col_indices(3, 8, 8, 8, 3, 2, 1) is first
+    idx, out_h, out_w = first
+    assert idx.shape == (8 * 3 * 3, 3 * out_h * out_w) and (out_h, out_w) == (4, 4)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
 
 
 def test_tape_plain_bit_identity():

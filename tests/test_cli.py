@@ -213,6 +213,35 @@ def test_mistyped_field_is_rejected_with_path_and_line(tmp_path, config_path, si
     assert "detections.jsonl line 3" in capsys.readouterr().err
 
 
+def _rewrite_tensor_store(sim_dir, header=None, first_entry=None):
+    """Replace the store's header line and/or the first entry of tensor 0."""
+    path = os.path.join(sim_dir, io.TENSORS_FILE)
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        data = bytearray(fh.read())
+    if header is not None:
+        header_line = (json.dumps(header) + "\n").encode()
+    if first_entry is not None:
+        data[:8] = np.array([first_entry], dtype="<f8").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(header_line + bytes(data))
+
+
+@pytest.mark.parametrize("header, first_entry, message", [
+    ([1, 2], None, "tensor header must be a JSON object"),
+    ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f8"}, None,
+     "tensor header needs a shape"),
+    (None, float("nan"), "tensor 0 has non-finite entries"),
+], ids=["not-an-object", "no-shape", "nan-entry"])
+def test_bad_tensor_store_is_rejected_with_its_path(tmp_path, config_path, sim_dir, capsys,
+                                                    header, first_entry, message):
+    _rewrite_tensor_store(sim_dir, header, first_entry)
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--out", str(tmp_path / "trk")]) == 2
+    err = capsys.readouterr().err
+    assert os.path.join(sim_dir, io.TENSORS_FILE) in err and message in err
+
+
 def test_tracks_keep_the_timesteps_of_the_log(tmp_path, config_path, sim_dir, capsys):
     # a log whose first frames are gone: tracks must line up with its truth
     for name, fmt in ((io.GT_FILE, io.FORMAT_GROUNDTRUTH),

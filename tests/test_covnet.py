@@ -23,15 +23,20 @@ from cooptrack.features import ENCODING_HALF_WIDTH, POSITIONAL_DIM
 from cooptrack.filter import OBS_DIM, R_FLOOR, STATE_DIM
 
 
-def _inputs(rng, cfg=None):
+SMALL = CovNetConfig(conv_channels=(4, 8), pos_hidden=8, pos_out=32, head_hidden=8)
+
+
+def _inputs(rng, cfg=None, n=1):
+    """A batch of n detections' appearance tensors and positional encodings."""
     cfg = cfg or CovNetConfig()
-    f_app = rng.standard_normal(cfg.app_shape)
-    f_pos = rng.uniform(-1, 1, size=(POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
+    f_app = rng.standard_normal((n,) + cfg.app_shape)
+    f_pos = rng.uniform(-1, 1, size=(n, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
     return f_app, f_pos
 
 
 def reference_forward(params: CovNetParams, f_app, f_pos):
-    """Nested-loop conv + explicit matmul re-derivation of forward()."""
+    """Nested-loop conv + explicit matmul re-derivation of forward() for one
+    detection: f_app is (c, h, w), f_pos (18, 256), the result a 10-vector."""
     cfg = params.config
     arr = params.arrays
 
@@ -140,37 +145,60 @@ def test_forward_matches_reference():
         params = CovNetParams.init(cfg, rng)
         f_app, f_pos = _inputs(rng, cfg)
         got = forward(params, f_app, f_pos)
-        want = reference_forward(params, f_app, f_pos)
-        assert got.shape == (RESIDUAL_DIM,)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        want = reference_forward(params, f_app[0], f_pos[0])
+        assert got.shape == (1, RESIDUAL_DIM)
+        np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_forward_matches_single_rows_and_reference():
+    rng = np.random.default_rng(75)
+    for cfg in (CovNetConfig(),
+                CovNetConfig(use_positional=False),
+                CovNetConfig(use_appearance=False)):
+        params = CovNetParams.init(cfg, rng)
+        f_app, f_pos = _inputs(rng, cfg, n=5)
+        batch = forward(params, f_app, f_pos)
+        assert batch.shape == (5, RESIDUAL_DIM)
+        for j in range(5):
+            single = forward(params, f_app[j:j + 1], f_pos[j:j + 1])
+            np.testing.assert_allclose(batch[j], single[0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(batch[j], reference_forward(params, f_app[j], f_pos[j]),
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_forward_tape_matches_plain_bitwise():
     rng = np.random.default_rng(71)
     params = CovNetParams.init(CovNetConfig(), rng)
-    f_app, f_pos = _inputs(rng)
-    plain = forward(params, f_app, f_pos)
-    tape = ad.Tape()
-    lifted = params.lift(tape)
-    taped = forward(lifted, f_app, f_pos, config=params.config)
-    np.testing.assert_array_equal(plain, ad.val(taped))
+    for n in (1, 5):
+        f_app, f_pos = _inputs(rng, n=n)
+        plain = forward(params, f_app, f_pos)
+        tape = ad.Tape()
+        lifted = params.lift(tape)
+        taped = forward(lifted, f_app, f_pos, config=params.config)
+        assert plain.tobytes() == ad.val(taped).tobytes()
 
 
 def test_forward_zero_params_zero_output():
     params = CovNetParams.zeros(CovNetConfig())
     rng = np.random.default_rng(72)
-    f_app, f_pos = _inputs(rng)
-    np.testing.assert_array_equal(forward(params, f_app, f_pos), np.zeros(RESIDUAL_DIM))
+    for n in (1, 4, 13):
+        f_app, f_pos = _inputs(rng, n=n)
+        np.testing.assert_array_equal(forward(params, f_app, f_pos),
+                                      np.zeros((n, RESIDUAL_DIM)))
 
 
 def test_forward_validates_input_shapes():
     params = CovNetParams.zeros(CovNetConfig())
     rng = np.random.default_rng(73)
-    f_app, f_pos = _inputs(rng)
+    f_app, f_pos = _inputs(rng, n=2)
     with pytest.raises(ValueError):
-        forward(params, f_app[:, :4, :], f_pos)
+        forward(params, f_app[:, :, :4, :], f_pos)
     with pytest.raises(ValueError):
-        forward(params, f_app, f_pos[:, :10])
+        forward(params, f_app, f_pos[:, :, :10])
+    with pytest.raises(ValueError):
+        forward(params, f_app[0], f_pos[0])  # one detection still needs the batch axis
+    with pytest.raises(ValueError):
+        forward(params, f_app[:1], f_pos)  # the branches disagree on N
     with pytest.raises(ValueError):
         forward(params.arrays, f_app, f_pos)  # raw mapping needs config
 
@@ -213,8 +241,8 @@ def test_zero_residual_reproduces_defaults_exactly():
 def test_forward_gradient_reaches_all_parameters():
     rng = np.random.default_rng(74)
     params = CovNetParams.init(CovNetConfig(), rng)
-    f_app = np.abs(rng.standard_normal(params.config.app_shape)) + 0.1
-    f_pos = rng.uniform(0.1, 1.0, size=(POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
+    f_app = np.abs(rng.standard_normal((2,) + params.config.app_shape)) + 0.1
+    f_pos = rng.uniform(0.1, 1.0, size=(2, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
     tape = ad.Tape()
     lifted = params.lift(tape)
     out = forward(lifted, f_app, f_pos, config=params.config)
@@ -223,3 +251,48 @@ def test_forward_gradient_reaches_all_parameters():
         g = ad.grad_of(leaf)
         assert g.shape == leaf.value.shape
         assert np.any(g != 0.0), f"no gradient reached {name}"
+
+
+def test_forward_gradient_on_a_batch_matches_finite_differences():
+    """Directional derivatives of a loss over a batch of 3 detections, against
+    central differences evaluated in longdouble."""
+    rng = np.random.default_rng(76)
+    params = CovNetParams.init(SMALL, rng)
+    f_app, f_pos = _inputs(rng, SMALL, n=3)
+    weights = rng.standard_normal((3, RESIDUAL_DIM))
+
+    def loss(arrays):
+        out = forward(arrays, f_app, f_pos, config=SMALL)
+        return ad.asum(ad.square(ad.sub(out, weights)))
+
+    tape = ad.Tape()
+    lifted = params.lift(tape)
+    tape.backward(loss(lifted))
+    names = sorted(params.arrays)
+    grad = np.concatenate([ad.grad_of(lifted[k]).ravel() for k in names])
+    flat = np.concatenate([params.arrays[k].ravel() for k in names]).astype(np.longdouble)
+
+    def loss_at(vec):
+        arrays, offset = {}, 0
+        for k in names:
+            size = params.arrays[k].size
+            arrays[k] = vec[offset:offset + size].reshape(params.arrays[k].shape)
+            offset += size
+        return loss(arrays)
+
+    h = np.longdouble(1e-6)
+    for _ in range(5):
+        d = rng.standard_normal(flat.size)
+        d /= np.linalg.norm(d)
+        d_ld = d.astype(np.longdouble)
+        fd = float((loss_at(flat + h * d_ld) - loss_at(flat - h * d_ld)) / (2 * h))
+        assert grad @ d == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def test_residual_maps_work_row_wise_on_a_batch():
+    sigmas = np.random.default_rng(77).uniform(-1.5, 2.0, size=(4, STATE_DIM))
+    obs, init = residual_to_obs_noise_diag(sigmas), residual_to_init_noise_diag(sigmas)
+    assert obs.shape == (4, OBS_DIM) and init.shape == (4, STATE_DIM)
+    for j in range(4):
+        assert obs[j].tobytes() == residual_to_obs_noise_diag(sigmas[j]).tobytes()
+        assert init[j].tobytes() == residual_to_init_noise_diag(sigmas[j]).tobytes()

@@ -13,7 +13,7 @@ from cooptrack.features import (
     PositionalFeature,
     encode_detection,
     extract_positional,
-    normalize_var,
+    normalize,
     positional_encoding,
     synth_appearance,
 )
@@ -27,80 +27,125 @@ def _consistent_pair(rng):
     return transform_box(local, pose), local, pose
 
 
+def _packet(rng, n):
+    """n consistent (global, local) box pairs seen through one pose."""
+    _, _, pose = _consistent_pair(rng)
+    local = [Box7(*rng.uniform(-30, 30, size=2), rng.uniform(-2, 2),
+                  rng.uniform(-math.pi, math.pi), *rng.uniform(1, 5, size=3))
+             for _ in range(n)]
+    return [transform_box(b, pose) for b in local], local, pose
+
+
+def _per_row_encoding(row, bounds=DEFAULT_BOUNDS):
+    """The encoding of one 18-vector, one scalar normalization at a time."""
+    xb = []
+    for k, x in enumerate(row):
+        lo, hi = bounds[k]
+        u = min(1.0, max(0.0, (float(x) - lo) / (hi - lo)))
+        xb.append(-math.pi + 2.0 * math.pi * u)
+    d = ENCODING_HALF_WIDTH
+    phases = np.array(xb)[:, None] / (2.0 ** (np.arange(d) / d))[None, :]
+    out = np.empty((POSITIONAL_DIM, 2 * d))
+    out[:, 0::2] = np.sin(phases)
+    out[:, 1::2] = np.cos(phases)
+    return out
+
+
 def test_extract_positional_layout():
     pose = PoseYawT(10.0, -20.0, 1.0, 0.5)
     local = Box7(3.0, 4.0, 0.5, 0.2, 4.5, 1.9, 1.6)
     g = transform_box(local, pose)
-    f = extract_positional(g, local, pose)
-    v = f.values
-    assert v.shape == (POSITIONAL_DIM,)
+    f = extract_positional([g, g], [local, local], pose)
+    assert f.values.shape == (2, POSITIONAL_DIM)
+    v = f.values[1]
     np.testing.assert_allclose(v[0:7], g.to_vector())
     assert v[7] == pytest.approx(math.hypot(g.x, g.y))
     np.testing.assert_allclose(v[8:12], [local.x, local.y, local.z, local.a])
     assert v[12] == pytest.approx(5.0)  # hypot(3, 4)
     np.testing.assert_allclose(v[13:17], [10.0, -20.0, 1.0, 0.5])
     assert v[17] == pytest.approx(math.hypot(10.0, -20.0))
+    np.testing.assert_array_equal(f.values[0], v)
 
 
 def test_extract_positional_rejects_inconsistent_frames():
-    pose = PoseYawT(10.0, -20.0, 1.0, 0.5)
-    local = Box7(3.0, 4.0, 0.5, 0.2, 4.5, 1.9, 1.6)
-    g = transform_box(local, pose)
-    bad = Box7(g.x + 0.01, g.y, g.z, g.a, g.l, g.w, g.h)
+    rng = np.random.default_rng(64)
+    det_global, local, pose = _packet(rng, 4)
+    extract_positional(det_global, local, pose)
+    g = det_global[2]
+    det_global[2] = Box7(g.x + 0.01, g.y, g.z, g.a, g.l, g.w, g.h)
+    with pytest.raises(ValueError, match="disagrees"):
+        extract_positional(det_global, local, pose)
     with pytest.raises(ValueError):
-        extract_positional(bad, local, pose)
+        extract_positional(det_global[:3], local, pose)
 
 
 def test_positional_feature_shape_validation():
     with pytest.raises(ValueError):
-        PositionalFeature(np.zeros(17))
+        PositionalFeature(np.zeros((2, 17)))
+    with pytest.raises(ValueError):
+        PositionalFeature(np.zeros(POSITIONAL_DIM))  # one row still needs the batch axis
+    assert PositionalFeature(np.zeros((0, POSITIONAL_DIM))).values.shape == (0, 18)
 
 
 def test_normalize_var_endpoints_and_clamp():
-    # Variable 0 has bounds (-100, 100).
-    assert normalize_var(-100.0, 0) == pytest.approx(-math.pi)
-    assert normalize_var(100.0, 0) == pytest.approx(math.pi)
-    assert normalize_var(0.0, 0) == pytest.approx(0.0)
+    # Variable 0 has bounds (-100, 100); the other columns ride along.
+    values = np.zeros((5, POSITIONAL_DIM))
+    values[:, 0] = [-100.0, 100.0, 0.0, -500.0, 500.0]
+    got = normalize(values)[:, 0]
+    np.testing.assert_allclose(got[:3], [-math.pi, math.pi, 0.0], atol=1e-15)
     # Out-of-range values clamp to the endpoints rather than extrapolate.
-    assert normalize_var(-500.0, 0) == pytest.approx(-math.pi)
-    assert normalize_var(500.0, 0) == pytest.approx(math.pi)
+    np.testing.assert_allclose(got[3:], [-math.pi, math.pi])
 
 
 def test_normalize_var_rejects_degenerate_bounds():
     with pytest.raises(ValueError):
-        normalize_var(0.0, 0, bounds=(((1.0, 1.0),) * POSITIONAL_DIM))
+        normalize(np.zeros((1, POSITIONAL_DIM)), bounds=(((1.0, 1.0),) * POSITIONAL_DIM))
 
 
 def test_positional_encoding_matches_direct_formula():
     rng = np.random.default_rng(60)
-    f = rng.uniform(-50, 50, size=POSITIONAL_DIM)
+    f = rng.uniform(-50, 50, size=(3, POSITIONAL_DIM))
     enc = positional_encoding(f)
     d = ENCODING_HALF_WIDTH
-    assert enc.shape == (POSITIONAL_DIM, 2 * d)
-    for k in (0, 5, 17):
-        lo, hi = DEFAULT_BOUNDS[k]
-        u = min(1.0, max(0.0, (f[k] - lo) / (hi - lo)))
-        xb = -math.pi + 2.0 * math.pi * u
-        for i in (0, 1, 63, 127):
-            phase = xb / (2.0 ** (i / d))
-            assert enc[k, 2 * i] == pytest.approx(math.sin(phase), abs=1e-12)
-            assert enc[k, 2 * i + 1] == pytest.approx(math.cos(phase), abs=1e-12)
+    assert enc.shape == (3, POSITIONAL_DIM, 2 * d)
+    for r in range(3):
+        for k in (0, 5, 17):
+            lo, hi = DEFAULT_BOUNDS[k]
+            u = min(1.0, max(0.0, (f[r, k] - lo) / (hi - lo)))
+            xb = -math.pi + 2.0 * math.pi * u
+            for i in (0, 1, 63, 127):
+                phase = xb / (2.0 ** (i / d))
+                assert enc[r, k, 2 * i] == pytest.approx(math.sin(phase), abs=1e-12)
+                assert enc[r, k, 2 * i + 1] == pytest.approx(math.cos(phase), abs=1e-12)
 
 
 def test_positional_encoding_bounded_and_shape_checked():
     rng = np.random.default_rng(61)
-    enc = positional_encoding(rng.uniform(-200, 200, size=POSITIONAL_DIM))
+    enc = positional_encoding(rng.uniform(-200, 200, size=(4, POSITIONAL_DIM)))
     assert np.all(enc <= 1.0) and np.all(enc >= -1.0)
     with pytest.raises(ValueError):
-        positional_encoding(np.zeros(5))
+        positional_encoding(np.zeros((1, 5)))
 
 
 def test_encode_detection_composes():
     rng = np.random.default_rng(62)
-    g, local, pose = _consistent_pair(rng)
-    via_compose = encode_detection(g, local, pose)
-    via_steps = positional_encoding(extract_positional(g, local, pose))
+    det_global, local, pose = _packet(rng, 3)
+    via_compose = encode_detection(det_global, local, pose)
+    via_steps = positional_encoding(extract_positional(det_global, local, pose))
     np.testing.assert_array_equal(via_compose, via_steps)
+
+
+def test_batched_encoding_is_bit_identical_to_per_row_formula():
+    rng = np.random.default_rng(65)
+    det_global, local, pose = _packet(rng, 7)
+    batch = encode_detection(det_global, local, pose)
+    assert batch.shape == (7, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)
+    for j in range(7):
+        row = extract_positional([det_global[j]], [local[j]], pose).values[0]
+        assert batch[j].tobytes() == _per_row_encoding(row).tobytes()
+        # one detection is a batch of one
+        assert batch[j].tobytes() == encode_detection(
+            [det_global[j]], [local[j]], pose)[0].tobytes()
 
 
 def test_synth_appearance_channels():

@@ -2,12 +2,16 @@
 multi-vehicle duplicate suppression, payload accounting, and the learned
 provider's zero-parameter equivalence to the constant tracker."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cooptrack import metrics, sim
+from cooptrack import covnet, metrics, sim
 from cooptrack.association import LifecycleConfig
 from cooptrack.covnet import CovNetConfig, CovNetParams
+from cooptrack.features import encode_detection
+from cooptrack.filter import ObservationModel, ProcessModel, observation_matrix, update
 from cooptrack.geometry import Box7, PoseYawT
 from cooptrack.pipeline import (
     ConstantCovariance,
@@ -16,7 +20,9 @@ from cooptrack.pipeline import (
     LearnedCovariance,
     packets_from_sim_frame,
     run_sequence,
+    tracker_from_settings,
 )
+from cooptrack.io import TrackerSettings
 
 IDENT = PoseYawT.identity()
 
@@ -237,3 +243,76 @@ def test_learned_provider_accepts_lifted_params():
     assert len(reported) == 1
     # Track covariance is on the tape, ready for a backward pass.
     assert isinstance(tracker.tracks[0].cov, ad.Node)
+
+
+def _learned_packet(rng, t, cav, xs, cfg):
+    dets = [sim.Detection(box=Box7(x, 0.0, 0.0, 0.0, 4.5, 1.9, 1.6), confidence=0.9,
+                          appearance=rng.standard_normal(cfg.app_shape)) for x in xs]
+    return _packet(t, cav, dets)
+
+
+def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(5)
+    params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
+    batches = []
+    real_forward = covnet.forward
+
+    def counting_forward(params, f_app, f_pos, config=None):
+        batches.append(len(f_pos))
+        return real_forward(params, f_app, f_pos, config)
+
+    monkeypatch.setattr(covnet, "forward", counting_forward)
+    tracker = CoopTracker(cov_provider=LearnedCovariance(params))
+    tracker.step([_learned_packet(rng, 0, 0, [0.0, 20.0, 40.0], cfg),
+                  _learned_packet(rng, 0, 1, [], cfg),
+                  _learned_packet(rng, 0, 2, [0.2, 60.0], cfg)])
+    # matched and born detections alike come from one pass per packet
+    assert batches == [3, 2]
+    tracker.step([_learned_packet(rng, 1, 1, [0.0, 20.0], cfg)])
+    assert batches == [3, 2, 2]
+    CoopTracker().step([_learned_packet(rng, 0, 0, [0.0, 20.0], cfg)])
+    assert batches == [3, 2, 2]  # constant covariance runs no network
+
+
+def test_each_detection_takes_its_own_row():
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(6)
+    params = CovNetParams.init(cfg, rng)
+    first = _learned_packet(rng, 0, 0, [0.0, 20.0, 40.0], cfg)
+    tracker = CoopTracker(cov_provider=LearnedCovariance({0: params}))
+    tracker.step([first])
+    process = ProcessModel.constant_velocity()
+    # births: each track's initial covariance comes from its detection's row
+    for trk, det in zip(tracker.tracks, first.detections):
+        f_pos = encode_detection([det.box], [det.box], IDENT)
+        row = covnet.forward(params, det.appearance[None], f_pos)[0]
+        born = np.diag(covnet.residual_to_init_noise_diag(row))
+        np.testing.assert_allclose(trk.cov, process.A @ born @ process.A.T + process.Q,
+                                   rtol=1e-12)
+    # matches: a match updates with its own detection's noise, in any order
+    second = _learned_packet(rng, 1, 0, [40.1, 0.1, 20.1], cfg)
+    rows = covnet.forward(params, np.stack([d.appearance for d in second.detections]),
+                          encode_detection([d.box for d in second.detections],
+                                           [d.box for d in second.detections], IDENT))
+    expected = []
+    for trk in tracker.tracks:
+        dj = int(np.argmin([abs(d.box.x - trk.mean[0]) for d in second.detections]))
+        model = ObservationModel(observation_matrix(),
+                                 covnet.residual_to_obs_noise_diag(rows[dj]))
+        expected.append(update(trk, second.detections[dj].box.to_vector(), model).mean)
+    tracker.step([second])
+    for got, want in zip(tracker.tracks, expected):
+        np.testing.assert_allclose(got.mean, process.A @ want, rtol=1e-12, atol=1e-12)
+
+
+def test_empty_packet_needs_no_parameters():
+    provider = LearnedCovariance({0: CovNetParams.zeros(CovNetConfig())})
+    assert CoopTracker(cov_provider=provider).step([_packet(0, 7, [])]) == []
+
+
+def test_default_tracker_takes_the_default_settings():
+    default, configured = CoopTracker(), tracker_from_settings(TrackerSettings(), None)
+    assert default.assoc_iou_threshold == configured.assoc_iou_threshold
+    np.testing.assert_array_equal(default.process.Q, configured.process.Q)
+    assert dataclasses.astuple(default.lifecycle) == dataclasses.astuple(LifecycleConfig())

@@ -1,10 +1,14 @@
-"""Property tests: geometric and metric invariants over generated inputs."""
+"""Property tests: geometric, filter and metric invariants over generated inputs."""
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cooptrack.covnet import residual_to_init_noise_diag, residual_to_obs_noise_diag
+from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackState,
+                              observation_matrix, predict, update)
 from cooptrack.geometry import Box7, PoseYawT, inverse_pose, iou3d, transform_box, wrap_angle
 from cooptrack.metrics import evaluate
 
@@ -82,3 +86,34 @@ def test_evaluate_ignores_track_labels(scene, relabel):
                for t, items in track_frames.items()}
     # repr compares NaN thresholds of unreachable levels as equal
     assert repr(evaluate(renamed, gt_frames)) == repr(evaluate(track_frames, gt_frames))
+
+
+# network residuals from well below -1 (the R floor engages) to large
+residuals = st.floats(-1.5, 3.0)
+observations = st.tuples(st.lists(st.floats(-3.0, 3.0), min_size=OBS_DIM, max_size=OBS_DIM),
+                         st.lists(residuals, min_size=OBS_DIM, max_size=OBS_DIM))
+# each frame: a predict, then the updates of up to three vehicles
+frames = st.lists(st.lists(observations, max_size=3), min_size=10, max_size=40)
+
+
+def _assert_symmetric_psd(cov):
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    assert np.max(np.abs(cov - cov.T)) <= 1e-9 * scale
+    assert np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) >= -1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(residuals, min_size=STATE_DIM, max_size=STATE_DIM),
+       st.floats(0.0, 1.0), frames)
+def test_covariance_stays_symmetric_psd_through_long_chains(init_residual, q_velocity, chain):
+    process = ProcessModel.constant_velocity(q_velocity=q_velocity)
+    state = TrackState(mean=np.zeros(STATE_DIM),
+                       cov=np.diag(residual_to_init_noise_diag(np.array(init_residual))))
+    for updates in chain:
+        state = predict(state, process)
+        _assert_symmetric_psd(state.cov)
+        for offset, residual in updates:
+            r_diag = residual_to_obs_noise_diag(np.array(residual + [0.0] * 3))
+            obs = state.mean[:OBS_DIM] + np.array(offset)
+            state = update(state, obs, ObservationModel(observation_matrix(), r_diag))
+            _assert_symmetric_psd(state.cov)

@@ -341,3 +341,25 @@ def test_init_params_for_run_honors_sharing_flag():
     rng = np.random.default_rng(0)
     shared = training.init_params_for_run(shared_cfg, rng)
     assert shared[0] is shared[1]
+
+
+def test_train_builds_its_trackers_from_the_tracker_settings(monkeypatch):
+    frames = sim.generate(tiny_scenario())
+    cfg = small_run_config()
+    built = []
+    real = training.tracker_from_settings
+
+    def spy(settings, provider):
+        tracker = real(settings, provider)
+        built.append((settings, tracker))
+        return tracker
+
+    monkeypatch.setattr(training, "tracker_from_settings", spy)
+    settings = TrackerSettings(process_noise_velocity=0.05, assoc_iou_threshold=0.3,
+                               min_hits=2)
+    training.train(frames, fresh_params(small_net(), 1), cfg.train, settings)
+    assert len(built) == cfg.train.epochs * (len(frames) // cfg.train.window_length)
+    for passed, tracker in built:
+        assert passed is settings and tracker.lifecycle is settings
+        assert tracker.assoc_iou_threshold == 0.3
+        assert tracker.process.Q[7, 7] == 0.05
