@@ -456,30 +456,33 @@ class TensorStore:
 
     @classmethod
     def open(cls, path: str) -> "TensorStore":
-        with open(path, "rb") as fh:
-            header_line = fh.readline()
+        fh = open(path, "rb")
         try:
-            header = json.loads(header_line.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise LogFormatError(f"{path}: invalid tensor header ({exc})") from exc
-        if not isinstance(header, dict):
-            raise LogFormatError(f"{path}: tensor header must be a JSON object")
-        if header.get("format") != FORMAT_TENSORS:
-            raise LogFormatError(f"{path}: not a tensor container")
-        if header.get("version") != SCHEMA_VERSION:
-            raise LogFormatError(f"{path}: unsupported tensor version")
-        shape = header.get("shape")
-        if not (isinstance(shape, list) and shape
-                and all(type(s) is int and s > 0 for s in shape)):
-            raise LogFormatError(
-                f"{path}: tensor header needs a shape of positive ints, got {shape!r}")
-        store = cls(path, shape, "r", None)
-        data_len = os.path.getsize(path) - len(header_line)
-        if data_len % store._itemsize:
-            raise LogFormatError(f"{path}: truncated tensor data")
+            header_line = fh.readline()
+            try:
+                header = json.loads(header_line.decode())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise LogFormatError(f"{path}: invalid tensor header ({exc})") from exc
+            if not isinstance(header, dict):
+                raise LogFormatError(f"{path}: tensor header must be a JSON object")
+            if header.get("format") != FORMAT_TENSORS:
+                raise LogFormatError(f"{path}: not a tensor container")
+            if header.get("version") != SCHEMA_VERSION:
+                raise LogFormatError(f"{path}: unsupported tensor version")
+            shape = header.get("shape")
+            if not (isinstance(shape, list) and shape
+                    and all(type(s) is int and s > 0 for s in shape)):
+                raise LogFormatError(
+                    f"{path}: tensor header needs a shape of positive ints, got {shape!r}")
+            store = cls(path, shape, "r", fh)
+            data_len = os.path.getsize(path) - len(header_line)
+            if data_len % store._itemsize:
+                raise LogFormatError(f"{path}: truncated tensor data")
+        except BaseException:
+            fh.close()
+            raise
         store.count = data_len // store._itemsize
         store._header_len = len(header_line)
-        store._fh = open(path, "rb")  # closed by close()
         return store
 
     def append(self, arr: np.ndarray) -> int:
