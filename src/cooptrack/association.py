@@ -40,10 +40,8 @@ def build_cost_matrix(tracks, detections) -> np.ndarray:
     dr = np.array([0.5 * np.hypot(b.l, b.w) for b in detections])
     dist = np.hypot(tc[:, 0:1] - dc[None, :, 0], tc[:, 1:2] - dc[None, :, 1])
     near = dist <= tr[:, None] + dr[None, :]
-    for i in range(n):
-        for j in range(m):
-            if near[i, j]:
-                cost[i, j] = -iou3d(tracks[i], detections[j])
+    for i, j in zip(*np.nonzero(near)):
+        cost[i, j] = -iou3d(tracks[i], detections[j])
     return cost
 
 
@@ -65,29 +63,21 @@ def hungarian_solve(cost: np.ndarray):
     return [(int(r), int(c)) for r, c in zip(rows, cols) if r < n and c < m]
 
 
-def associate(tracks, detections, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Assignment:
-    """Hungarian matching on negated IoU with sub-threshold pairs demoted.
+def associate(cost, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Assignment:
+    """Hungarian matching on a negated-IoU matrix with sub-threshold pairs demoted.
 
-    `tracks` and `detections` are Box7 lists. A matched pair whose IoU falls
-    below the threshold is returned as unmatched on both sides.
+    `cost` is a (tracks, detections) matrix as built by `build_cost_matrix`.
+    A matched pair whose IoU falls below the threshold is returned as
+    unmatched on both sides.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    cost = build_cost_matrix(tracks, detections)
-    pairs = hungarian_solve(cost)
-    matches = []
-    matched_t, matched_d = set(), set()
-    for r, c in pairs:
-        iou = -cost[r, c]
-        if iou >= iou_threshold:
-            matches.append((r, c, iou))
-            matched_t.add(r)
-            matched_d.add(c)
-    return Assignment(
-        matches=matches,
-        unmatched_tracks=[i for i in range(len(tracks)) if i not in matched_t],
-        unmatched_detections=[j for j in range(len(detections)) if j not in matched_d],
-    )
+    matches = [(r, c, -cost[r, c]) for r, c in hungarian_solve(cost)
+               if -cost[r, c] >= iou_threshold]
+    n, m = np.shape(cost)
+    return Assignment(matches=matches,
+                      unmatched_tracks=sorted(set(range(n)) - {r for r, _, _ in matches}),
+                      unmatched_detections=sorted(set(range(m)) - {c for _, c, _ in matches}))
 
 
 @dataclass(frozen=True)

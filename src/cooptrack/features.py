@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseYawT, transform_box
+from .geometry import TWO_PI, PoseYawT
 
 POSITIONAL_DIM = 18
 ENCODING_HALF_WIDTH = 128  # d; each scalar maps to 2*d sinusoid entries
@@ -65,13 +65,17 @@ def extract_positional(det_global, det_local, pose: PoseYawT) -> PositionalFeatu
     Row layout: (x,y,z,a,l,w,h,r)_global + (x,y,z,a,r)_local +
     (t_x,t_y,t_z,yaw,r_t) where each r is the horizontal radial distance of
     its own entries. Raises ValueError if a global box is not its local box
-    carried through pose.
+    carried through pose (`geometry.transform_box`), yaw compared modulo 2 pi.
     """
     g, lo = _box_rows(det_global), _box_rows(det_local)
     if len(g) != len(lo):
         raise ValueError(f"{len(g)} global boxes for {len(lo)} local boxes")
-    expect = _box_rows(transform_box(b, pose) for b in det_local)
-    err = np.max(np.abs(expect - g), initial=0.0)
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    x, y = lo[:, 0], lo[:, 1]
+    diff = np.column_stack([c * x - s * y + pose.t_x, s * x + c * y + pose.t_y,
+                            lo[:, 2] + pose.t_z, lo[:, 3] + pose.yaw, lo[:, 4:]]) - g
+    diff[:, 3] = (diff[:, 3] + math.pi) % TWO_PI - math.pi
+    err = np.max(np.abs(diff), initial=0.0)
     if err > FRAME_CONSISTENCY_TOL:
         raise ValueError(
             f"global box disagrees with transformed local box by {err:.3e}")
@@ -93,6 +97,14 @@ def normalize(values, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * u
 
 
+def _sinusoids(xb, out) -> np.ndarray:
+    """Fill `out` (..., K, 256) with the interleaved sin/cos of (..., K) normalized scalars."""
+    phases = xb[..., None] / _SCALES
+    out[..., 0::2] = np.sin(phases)
+    out[..., 1::2] = np.cos(phases)
+    return out
+
+
 def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     """Sinusoidal expansion of normalized positional rows: (N, 18) -> (N, 18, 256).
 
@@ -101,17 +113,19 @@ def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     """
     if not isinstance(f_pos, PositionalFeature):
         f_pos = PositionalFeature(f_pos)
-    phases = normalize(f_pos.values, bounds)[:, :, None] / _SCALES
-    out = np.empty(phases.shape[:2] + (2 * ENCODING_HALF_WIDTH,))
-    out[:, :, 0::2] = np.sin(phases)
-    out[:, :, 1::2] = np.cos(phases)
-    return out
+    xb = normalize(f_pos.values, bounds)
+    return _sinusoids(xb, np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,)))
 
 
 def encode_detection(det_global, det_local, pose: PoseYawT,
                      bounds=DEFAULT_BOUNDS) -> np.ndarray:
     """Encode one packet's detections: extract_positional, then positional_encoding."""
-    return positional_encoding(extract_positional(det_global, det_local, pose), bounds)
+    xb = normalize(extract_positional(det_global, det_local, pose).values, bounds)
+    out = np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,))
+    # columns 13: (the pose) are the same in every row of a packet: encode them once
+    _sinusoids(xb[:, :13], out[:, :13])
+    _sinusoids(xb[:1, 13:], out[:, 13:])
+    return out
 
 
 def synth_appearance(distance: float, noise_scale: float, rng: np.random.Generator,

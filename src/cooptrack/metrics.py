@@ -5,6 +5,9 @@ levels. For each level, the score threshold is picked so that the retained
 true-positive matches reach that recall; tracks are kept or dropped whole,
 using their per-track average score. MOTA, MT, and ML are reported at the
 best-MOTA level of the sweep. All metric fields are percentages.
+
+IoU does not depend on the score threshold, so each frame's gt x track IoU
+matrix is built once; each pass slices out the columns of the tracks it keeps.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .association import associate
+import numpy as np
+
+from .association import associate, build_cost_matrix
 
 NUM_RECALL_LEVELS = 40
 EVAL_IOU_THRESHOLD = 0.25
@@ -63,27 +68,27 @@ class EvalReport:
     levels: list = field(default_factory=list)
 
 
-def match_frame(tracks, gts, last_ids=None, iou_threshold: float = EVAL_IOU_THRESHOLD) -> FrameMatch:
+def match_frame(track_ids, gt_ids, cost, last_ids=None,
+                iou_threshold: float = EVAL_IOU_THRESHOLD) -> FrameMatch:
     """Match one frame's tracks to ground truth by IoU.
 
-    `tracks` is a list of (track_id, Box7), `gts` of (gt_id, Box7).
+    `cost` is the frame's negated-IoU matrix (`association.build_cost_matrix`)
+    with one row per id in `gt_ids` and one column per id in `track_ids`.
     `last_ids`, when given, maps gt_id to the track id it last matched and is
     updated in place; a change of identity counts as one id switch.
     """
-    gt_boxes = [b for _, b in gts]
-    trk_boxes = [b for _, b in tracks]
-    assignment = associate(gt_boxes, trk_boxes, iou_threshold)
+    assignment = associate(cost, iou_threshold)
     tp_pairs = []
     ids = 0
     for gi, tj, iou in assignment.matches:
-        gt_id, track_id = gts[gi][0], tracks[tj][0]
+        gt_id, track_id = gt_ids[gi], track_ids[tj]
         if last_ids is not None:
             if gt_id in last_ids and last_ids[gt_id] != track_id:
                 ids += 1
             last_ids[gt_id] = track_id
         tp_pairs.append((gt_id, track_id, iou))
-    return FrameMatch(tp_pairs=tp_pairs, fp=len(tracks) - len(tp_pairs),
-                      fn=len(gts) - len(tp_pairs), ids=ids)
+    return FrameMatch(tp_pairs=tp_pairs, fp=len(track_ids) - len(tp_pairs),
+                      fn=len(gt_ids) - len(tp_pairs), ids=ids)
 
 
 def _track_average_scores(track_frames) -> dict:
@@ -95,7 +100,7 @@ def _track_average_scores(track_frames) -> dict:
     return {tid: totals[tid] / counts[tid] for tid in totals}
 
 
-def _sweep(frames, track_frames, gt_frames, avg_score, threshold, iou_threshold):
+def _sweep(scored, threshold, iou_threshold):
     """One full pass over the sequence keeping tracks with score >= threshold.
 
     Returns the TP/FP/FN/ID-switch counts, the summed TP IoU, the number of
@@ -106,11 +111,10 @@ def _sweep(frames, track_frames, gt_frames, avg_score, threshold, iou_threshold)
     last_ids = {}
     matched_frames = {}
     matched_tracks = []
-    for t in frames:
-        gts = gt_frames.get(t, [])
-        tracks = [(tid, box) for tid, box, _s in track_frames.get(t, [])
-                  if avg_score[tid] >= threshold]
-        fm = match_frame(tracks, gts, last_ids, iou_threshold)
+    for gt_ids, track_ids, scores, cost in scored:
+        keep = np.flatnonzero(scores >= threshold)
+        fm = match_frame([track_ids[j] for j in keep], gt_ids, cost[:, keep],
+                         last_ids, iou_threshold)
         tp += len(fm.tp_pairs)
         fp += fm.fp
         fn += fm.fn
@@ -135,10 +139,16 @@ def evaluate(track_frames: dict, gt_frames: dict,
         raise ValueError("ground truth is empty; metrics are undefined")
     frames = sorted(set(gt_frames) | set(track_frames))
     avg_score = _track_average_scores(track_frames)
+    # per frame: gt ids, track ids, track average scores, gt x track cost matrix
+    scored = []
+    for t in frames:
+        gts, items = gt_frames.get(t, []), track_frames.get(t, [])
+        scored.append(([g for g, _ in gts], [tid for tid, _b, _s in items],
+                       np.array([avg_score[tid] for tid, _b, _s in items]),
+                       build_cost_matrix([b for _, b in gts], [b for _, b, _s in items])))
 
     # full-recall pass: collect the score of every achievable TP match
-    *_, full_recall_tracks = _sweep(frames, track_frames, gt_frames, avg_score,
-                                    -math.inf, iou_threshold)
+    *_, full_recall_tracks = _sweep(scored, -math.inf, iou_threshold)
     tp_scores = sorted((avg_score[tid] for tid in full_recall_tracks), reverse=True)
 
     gt_lifetime = {}
@@ -156,8 +166,7 @@ def evaluate(track_frames: dict, gt_frames: dict,
             levels.append(RecallLevel(recall_target=target, achievable=False))
             continue
         threshold = tp_scores[needed - 1]
-        tp, fp, fn, ids, iou_sum, matched, _ = _sweep(
-            frames, track_frames, gt_frames, avg_score, threshold, iou_threshold)
+        tp, fp, fn, ids, iou_sum, matched, _ = _sweep(scored, threshold, iou_threshold)
         recall = tp / num_gt
         mota = max(0.0, 1.0 - (fp + fn + ids) / num_gt)
         if tp == 0:

@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import covnet, metrics
 from . import io as cio
-from .association import LifecycleConfig, TrackIdAllocator, associate, finish_timestep, reportable
+from .association import (LifecycleConfig, TrackIdAllocator, associate, build_cost_matrix,
+                          finish_timestep, reportable)
 from .features import DEFAULT_BOUNDS, encode_detection
 from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackState,
                      observation_matrix, predict, update)
@@ -132,7 +133,8 @@ class CoopTracker:
             det_global = [transform_box(d.box, packet.pose) for d in packet.detections]
             obs_rows, init_rows = self._noise_rows(packet, det_global)
             track_boxes = [Box7.from_vector(t.box_vector()) for t in self.tracks]
-            assignment = associate(track_boxes, det_global, self.assoc_iou_threshold)
+            assignment = associate(build_cost_matrix(track_boxes, det_global),
+                                   self.assoc_iou_threshold)
             for ti, dj, _iou in assignment.matches:
                 det = packet.detections[dj]
                 r_diag = np.ones(OBS_DIM) if obs_rows is None else obs_rows[dj]

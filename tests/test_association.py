@@ -93,7 +93,7 @@ def test_build_cost_matrix_is_negated_iou():
 def test_associate_obvious_pairs():
     tracks = [_box(0, 0), _box(20, 0)]
     dets = [_box(20.3, 0), _box(0.2, 0)]
-    out = associate(tracks, dets, 0.1)
+    out = associate(build_cost_matrix(tracks, dets), 0.1)
     assert sorted((t, d) for t, d, _ in out.matches) == [(0, 1), (1, 0)]
     assert out.unmatched_tracks == []
     assert out.unmatched_detections == []
@@ -102,26 +102,26 @@ def test_associate_obvious_pairs():
 def test_associate_threshold_demotes_weak_pairs():
     tracks = [_box(0, 0)]
     dets = [_box(3.5, 0)]  # slight overlap, IoU well below 0.5
-    weak = associate(tracks, dets, 0.5)
+    weak = associate(build_cost_matrix(tracks, dets), 0.5)
     assert weak.matches == []
     assert weak.unmatched_tracks == [0]
     assert weak.unmatched_detections == [0]
-    strong = associate(tracks, dets, 0.01)
+    strong = associate(build_cost_matrix(tracks, dets), 0.01)
     assert len(strong.matches) == 1
 
 
 def test_associate_empty_sides():
-    out = associate([], [_box(0, 0)], 0.1)
+    out = associate(build_cost_matrix([], [_box(0, 0)]), 0.1)
     assert out.matches == [] and out.unmatched_detections == [0]
-    out = associate([_box(0, 0)], [], 0.1)
+    out = associate(build_cost_matrix([_box(0, 0)], []), 0.1)
     assert out.matches == [] and out.unmatched_tracks == [0]
 
 
 def test_associate_validates_threshold():
     with pytest.raises(ValueError):
-        associate([], [], 0.0)
+        associate(np.zeros((0, 0)), 0.0)
     with pytest.raises(ValueError):
-        associate([], [], 1.0)
+        associate(np.zeros((0, 0)), 1.0)
 
 
 def _track(tid, hits=0, misses=0, age=0, score=1.0) -> TrackState:

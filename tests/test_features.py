@@ -79,6 +79,19 @@ def test_extract_positional_rejects_inconsistent_frames():
         extract_positional(det_global[:3], local, pose)
 
 
+def test_extract_positional_compares_yaw_across_the_pi_seam():
+    # the global box is stored at yaw -pi; its local box carried through the
+    # pose comes out 1e-9 rad short of +pi, the same heading
+    pose = PoseYawT(10.0, -20.0, 1.0, 0.5)
+    local = Box7(3.0, 4.0, 0.5, math.pi - 0.5 - 1e-9, 4.5, 1.9, 1.6)
+    carried = transform_box(local, pose)
+    assert carried.a > 3.14
+    g = Box7(carried.x, carried.y, carried.z, -math.pi, carried.l, carried.w, carried.h)
+    assert g.a == -math.pi
+    f = extract_positional([g], [local], pose)
+    assert f.values[0, 3] == -math.pi
+
+
 def test_positional_feature_shape_validation():
     with pytest.raises(ValueError):
         PositionalFeature(np.zeros((2, 17)))

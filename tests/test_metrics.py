@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from cooptrack import metrics
+from cooptrack.association import build_cost_matrix
 from cooptrack.geometry import Box7
 from cooptrack.io import gt_frames_from_records, track_frames_from_records
 from cooptrack.metrics import (
@@ -42,10 +44,16 @@ def _perfect_case(num_objects=3, num_frames=10):
     return track_frames, gt_frames
 
 
+def _match(tracks, gts, last_ids=None):
+    """match_frame on the frame's full gt x track cost matrix."""
+    cost = build_cost_matrix([b for _, b in gts], [b for _, b in tracks])
+    return match_frame([tid for tid, _ in tracks], [gid for gid, _ in gts], cost, last_ids)
+
+
 def test_match_frame_counts():
     gts = [(0, _box(0.0)), (1, _box(20.0))]
     tracks = [(7, _box(0.1)), (8, _box(50.0))]
-    fm = match_frame(tracks, gts)
+    fm = _match(tracks, gts)
     assert len(fm.tp_pairs) == 1
     assert fm.tp_pairs[0][:2] == (0, 7)
     assert fm.fp == 1 and fm.fn == 1 and fm.ids == 0
@@ -54,13 +62,13 @@ def test_match_frame_counts():
 def test_match_frame_id_switch_detection():
     gts = [(0, _box(0.0))]
     last = {}
-    assert match_frame([(5, _box(0.0))], gts, last).ids == 0
-    assert match_frame([(5, _box(0.0))], gts, last).ids == 0
-    assert match_frame([(6, _box(0.0))], gts, last).ids == 1
+    assert _match([(5, _box(0.0))], gts, last).ids == 0
+    assert _match([(5, _box(0.0))], gts, last).ids == 0
+    assert _match([(6, _box(0.0))], gts, last).ids == 1
     # A gap (no match) does not reset the remembered id.
-    assert match_frame([], gts, last).ids == 0
-    assert match_frame([(6, _box(0.0))], gts, last).ids == 0
-    assert match_frame([(5, _box(0.0))], gts, last).ids == 1
+    assert _match([], gts, last).ids == 0
+    assert _match([(6, _box(0.0))], gts, last).ids == 0
+    assert _match([(5, _box(0.0))], gts, last).ids == 1
 
 
 def test_perfect_tracking_scores_100():
@@ -89,6 +97,23 @@ def test_no_tracks_scores_zero():
 def test_empty_ground_truth_rejected():
     with pytest.raises(ValueError):
         evaluate({}, {})
+
+
+def test_evaluate_builds_one_cost_matrix_per_frame(monkeypatch):
+    # every level is reachable here, so all 41 passes match every frame
+    track_frames, gt_frames = _perfect_case(num_objects=3, num_frames=10)
+    track_frames[10] = [(200, _box(500.0), 0.5)]  # a frame without ground truth
+    shapes, real = [], metrics.build_cost_matrix
+    monkeypatch.setattr(metrics, "build_cost_matrix",
+                        lambda gts, tracks: shapes.append((len(gts), len(tracks)))
+                        or real(gts, tracks))
+    matched = []
+    real_match = metrics.match_frame
+    monkeypatch.setattr(metrics, "match_frame",
+                        lambda *args, **kwargs: matched.append(1) or real_match(*args, **kwargs))
+    assert evaluate(track_frames, gt_frames).levels[-1].achievable
+    assert shapes == [(3, 3)] * 10 + [(0, 1)]
+    assert len(matched) == (1 + NUM_RECALL_LEVELS) * 11
 
 
 def test_two_track_threshold_sweep_by_hand():

@@ -10,7 +10,9 @@ from cooptrack.covnet import residual_to_init_noise_diag, residual_to_obs_noise_
 from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackState,
                               observation_matrix, predict, update)
 from cooptrack.geometry import Box7, PoseYawT, inverse_pose, iou3d, transform_box, wrap_angle
-from cooptrack.metrics import evaluate
+from cooptrack.association import build_cost_matrix
+from cooptrack.metrics import (EVAL_IOU_THRESHOLD, ML_FRACTION, MT_FRACTION, NUM_RECALL_LEVELS,
+                               EvalReport, RecallLevel, evaluate, match_frame)
 
 # deterministic example sequences, no example database on disk
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -86,6 +88,103 @@ def test_evaluate_ignores_track_labels(scene, relabel):
                for t, items in track_frames.items()}
     # repr compares NaN thresholds of unreachable levels as equal
     assert repr(evaluate(renamed, gt_frames)) == repr(evaluate(track_frames, gt_frames))
+
+
+def _reference_sweep(frames, track_frames, gt_frames, avg_score, threshold):
+    """One pass that rebuilds each frame's matrix from the boxes of the kept tracks."""
+    tp = fp = fn = ids = 0
+    iou_sum, last_ids, matched, matched_tracks = 0.0, {}, {}, []
+    for t in frames:
+        gts = gt_frames.get(t, [])
+        kept = [(tid, box) for tid, box, _s in track_frames.get(t, [])
+                if avg_score[tid] >= threshold]
+        cost = build_cost_matrix([b for _, b in gts], [b for _, b in kept])
+        fm = match_frame([tid for tid, _ in kept], [g for g, _ in gts], cost, last_ids,
+                         EVAL_IOU_THRESHOLD)
+        tp, fp, fn, ids = tp + len(fm.tp_pairs), fp + fm.fp, fn + fm.fn, ids + fm.ids
+        for gt_id, tid, iou in fm.tp_pairs:
+            iou_sum += iou
+            matched[gt_id] = matched.get(gt_id, 0) + 1
+            matched_tracks.append(tid)
+    return tp, fp, fn, ids, iou_sum, matched, matched_tracks
+
+
+def _reference_evaluate(track_frames, gt_frames):
+    """The recall sweep as it was before each frame's IoU matrix was reused."""
+    num_gt = sum(len(v) for v in gt_frames.values())
+    frames = sorted(set(gt_frames) | set(track_frames))
+    totals, counts = {}, {}
+    for items in track_frames.values():
+        for tid, _box, score in items:
+            totals[tid] = totals.get(tid, 0.0) + score
+            counts[tid] = counts.get(tid, 0) + 1
+    avg_score = {tid: totals[tid] / counts[tid] for tid in totals}
+    *_, full = _reference_sweep(frames, track_frames, gt_frames, avg_score, -math.inf)
+    tp_scores = sorted((avg_score[tid] for tid in full), reverse=True)
+    lifetime = {}
+    for items in gt_frames.values():
+        for gt_id, _box in items:
+            lifetime[gt_id] = lifetime.get(gt_id, 0) + 1
+    levels, best, best_matched = [], None, {}
+    for k in range(1, NUM_RECALL_LEVELS + 1):
+        target = k / NUM_RECALL_LEVELS
+        needed = math.ceil(target * num_gt)
+        if needed > len(tp_scores):
+            levels.append(RecallLevel(recall_target=target, achievable=False))
+            continue
+        threshold = tp_scores[needed - 1]
+        tp, fp, fn, ids, iou_sum, matched, _ = _reference_sweep(
+            frames, track_frames, gt_frames, avg_score, threshold)
+        recall = tp / num_gt
+        mota = max(0.0, 1.0 - (fp + fn + ids) / num_gt)
+        smota = 0.0 if tp == 0 else min(1.0, max(0.0, 1.0 - (
+            fp + fn + ids - (1.0 - recall) * num_gt) / (recall * num_gt)))
+        level = RecallLevel(recall_target=target, achievable=True, threshold=threshold,
+                            recall=recall, tp=tp, fp=fp, fn=fn, ids=ids, mota=mota,
+                            smota=smota, motp=iou_sum / tp if tp else 0.0)
+        levels.append(level)
+        if best is None or level.mota > best.mota:
+            best, best_matched = level, matched
+    if best is None:
+        return EvalReport(amota=0.0, amotp=0.0, samota=0.0, mota=0.0, mt=0.0, ml=100.0,
+                          ids=0, num_gt=num_gt, levels=levels)
+    num_traj = len(lifetime)
+    mt = sum(best_matched.get(g, 0) >= MT_FRACTION * n for g, n in lifetime.items()) / num_traj
+    ml = sum(best_matched.get(g, 0) <= ML_FRACTION * n for g, n in lifetime.items()) / num_traj
+    return EvalReport(amota=100.0 * sum(lv.mota for lv in levels) / NUM_RECALL_LEVELS,
+                      amotp=100.0 * sum(lv.motp for lv in levels) / NUM_RECALL_LEVELS,
+                      samota=100.0 * sum(lv.smota for lv in levels) / NUM_RECALL_LEVELS,
+                      mota=100.0 * best.mota, mt=100.0 * mt, ml=100.0 * ml, ids=best.ids,
+                      num_gt=num_gt, levels=levels)
+
+
+@st.composite
+def swept_scenes(draw):
+    """Scenes for the recall sweep: a few shared score values (so average scores
+    tie), ids drawn per frame from a small pool (so identities switch), clutter,
+    and frames with no tracks or no ground truth, present as [] or absent."""
+    num_frames, num_objects = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    scores = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=7, max_size=7))
+    gt_frames, track_frames = {}, {}
+    for t in range(num_frames):
+        gts = [(g, _car(10.0 * g + 0.5 * t)) for g in range(num_objects)
+               if t == 0 or draw(st.booleans())]
+        tracks = [(tid, _car(10.0 * g + 0.5 * t + draw(st.floats(-3.5, 3.5))), scores[tid])
+                  for g in range(num_objects) if draw(st.booleans())
+                  for tid in [draw(st.integers(0, 5))]]
+        if draw(st.booleans()):
+            tracks.append((6, _car(draw(st.floats(-20.0, 60.0))), scores[6]))
+        for frames_, items in ((gt_frames, gts), (track_frames, tracks)):
+            if items or draw(st.booleans()):
+                frames_[t] = items
+    return track_frames, gt_frames
+
+
+@PROPERTY
+@given(swept_scenes())
+def test_evaluate_equals_rebuilding_each_levels_matrices(scene):
+    track_frames, gt_frames = scene
+    assert repr(evaluate(track_frames, gt_frames)) == repr(_reference_evaluate(*scene))
 
 
 # network residuals from well below -1 (the R floor engages) to large
