@@ -2,10 +2,11 @@
 
 The primitive set is exactly what the differentiable filter, the covariance
 network, and the training loss need: broadcasting addition, subtraction and
-division, matmul, slicing (`node[idx]`), concatenation and reshaping, sums,
-elementwise square and square root, ReLU, a floor clamp, diagonal
-embedding, a flat gather (patch extraction for batched convolutions), and
-a symmetric positive definite inverse.
+division, batched matmul, slicing (`node[idx]`), a row scatter,
+concatenation and reshaping, sums, elementwise square and square root,
+ReLU, a floor clamp, batched diagonal embedding, a flat gather (patch
+extraction for batched convolutions), and a batched symmetric positive
+definite inverse.
 
 Every operation dispatches on whether an operand is a `Node`. With raw
 ndarrays it computes and returns plain values; with at least one `Node` it
@@ -44,6 +45,16 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
+    def release(self):
+        """Forget the recorded nodes.
+
+        Every node refers to its tape, so while the tape lists its nodes a
+        graph is a reference cycle that only the cyclic collector frees.
+        Once released, a graph is freed by reference counting as soon as
+        nothing else holds its nodes. Call it after the last `backward`.
+        """
+        self._nodes = []
+
     def backward(self, loss: "Node"):
         """Populate `.grad` on every node reachable from `loss`.
 
@@ -74,7 +85,7 @@ class Tape:
 class Node:
     """One tape entry: a primal value plus the adjoint rule that produced it."""
 
-    __slots__ = ("tape", "value", "_parents", "_vjp", "grad")
+    __slots__ = ("tape", "value", "_parents", "_vjp", "grad", "__weakref__")
 
     def __init__(self, tape, value, parents, vjp):
         self.tape = tape
@@ -187,6 +198,24 @@ def _pack_vjp(raw_vjp, operands):
     return vjp
 
 
+def _batched_matmul_grads(g, av, bv):
+    """Adjoints of a @ b when either operand has 3 or more dimensions.
+
+    A 1-D operand is promoted as matmul does (a row for `a`, a column for
+    `b`); broadcast batch axes are summed back to each operand's shape.
+    """
+    a2 = av[np.newaxis, :] if av.ndim == 1 else av
+    b2 = bv[:, np.newaxis] if bv.ndim == 1 else bv
+    g2 = g
+    if av.ndim == 1:
+        g2 = np.expand_dims(g2, -2)
+    if bv.ndim == 1:
+        g2 = np.expand_dims(g2, -1)
+    ga = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(av.shape)
+    gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(bv.shape)
+    return ga, gb
+
+
 def matmul(a, b):
     av, bv = val(a), val(b)
     out = av @ bv
@@ -196,6 +225,8 @@ def matmul(a, b):
     a_nd, b_nd = np.ndim(av), np.ndim(bv)
 
     def vjp(g):
+        if max(a_nd, b_nd) >= 3:
+            return _batched_matmul_grads(g, av, bv)
         ga = gb = None
         if isinstance(a, Node):
             if a_nd == 2 and b_nd == 2:
@@ -234,6 +265,28 @@ def getitem(a, idx):
         return (full,)
 
     return Node(a.tape, out, (a,), vjp)
+
+
+def scatter_rows(base, rows, values):
+    """`base` with the rows `rows` (distinct) replaced by `values`.
+
+    The result takes the wider dtype of the two, so longdouble rows promote
+    a float64 base instead of being rounded into it.
+    """
+    bv, vv = val(base), val(values)
+    out = bv.astype(np.result_type(bv, vv))
+    out[rows] = vv
+    tape = _tape_of(base, values)
+    if tape is None:
+        return out
+
+    def vjp(g):
+        g_base = g.copy()
+        g_base[rows] = 0.0
+        return (g_base, g[rows])
+
+    return Node(tape, out, tuple(x for x in (base, values) if isinstance(x, Node)),
+                _pack_vjp(vjp, (base, values)))
 
 
 def concat(parts, axis=0):
@@ -319,74 +372,120 @@ def floor_clamp(a, lo):
 
 
 def diag(v):
-    """Embed a vector as a diagonal matrix."""
+    """Embed a vector (n,) as a diagonal matrix, or rows (..., n) as a stack of them."""
     vv = val(v)
-    out = np.diag(vv)
+    n = vv.shape[-1]
+    out = np.zeros(vv.shape + (n,), dtype=vv.dtype)
+    i = np.arange(n)
+    out[..., i, i] = vv
     if not isinstance(v, Node):
         return out
-    return Node(v.tape, out, (v,), lambda g: (np.diagonal(g).copy(),))
+    return Node(v.tape, out, (v,), lambda g: (g[..., i, i],))
 
 
 # --- symmetric positive definite inverse -----------------------------------
 #
-# Hand-rolled Cholesky so the op works in any float dtype (LAPACK-backed
-# np.linalg does not accept longdouble, which the gradient oracles need).
-# The 7x7 and 10x10 systems here make the O(n^3) loops irrelevant.
+# Float64 stacks go to LAPACK. Other dtypes, and float64 stacks in which
+# some matrix fails LAPACK's Cholesky, take a hand-rolled Cholesky whose
+# loops run over the matrix entries and are vectorised over the stack, so
+# the op works in any float dtype (np.linalg does not accept longdouble,
+# which the gradient oracles need) and reports each failing matrix.
 
 SPD_CONDITION_LIMIT = 1e12
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
+def _cholesky_rows(a: np.ndarray):
+    """Lower Cholesky factors of a stack (k, n, n) and the mask of failed pivots.
+
+    A matrix whose pivot is not positive gets a unit pivot from there on so
+    the others finish; its factor is meaningless and is marked failed.
+    """
+    k, n, _ = a.shape
     L = np.zeros_like(a)
+    failed = np.zeros(k, dtype=bool)
     for i in range(n):
         for j in range(i + 1):
-            s = a[i, j] - L[i, :j] @ L[j, :j]
+            s = a[:, i, j] - np.sum(L[:, i, :j] * L[:, j, :j], axis=-1)
             if i == j:
-                if s <= 0.0:
-                    raise SpdError(f"matrix is not positive definite (pivot {i})")
-                L[i, j] = np.sqrt(s)
+                bad = ~(s > 0.0)
+                failed |= bad
+                L[:, i, i] = np.sqrt(np.where(bad, 1.0, s))
             else:
-                L[i, j] = s / L[j, j]
-    return L
+                L[:, i, j] = s / L[:, j, j]
+    return L, failed
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = L.shape[0]
-    X = np.zeros_like(B)
+def _inverse_lower_rows(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a stack of lower-triangular matrices, by forward substitution."""
+    n = L.shape[-1]
+    X = np.zeros_like(L)
+    eye = np.eye(n, dtype=L.dtype)
     for i in range(n):
-        X[i] = (B[i] - L[i, :i] @ X[:i]) / L[i, i]
+        X[:, i] = (eye[i] - np.sum(L[:, i, :i, None] * X[:, :i], axis=1)) / L[:, i, i, None]
     return X
 
 
-def _solve_upper(U: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = U.shape[0]
-    X = np.zeros_like(B)
-    for i in range(n - 1, -1, -1):
-        X[i] = (B[i] - U[i, i + 1:] @ X[i + 1:]) / U[i, i]
-    return X
+def _spd_inverse_rows(a: np.ndarray):
+    """Inverses of a stack (k, n, n) and each matrix's condition estimate.
+
+    The estimate is (max / min Cholesky pivot)^2, inf where a pivot fails.
+    Matrices whose estimate exceeds SPD_CONDITION_LIMIT (or is NaN) get a
+    zero inverse.
+    """
+    L = None
+    if a.dtype == np.float64:
+        try:
+            L = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            pass  # some matrix failed; the hand-rolled loop finds which
+    if L is not None:
+        failed = np.zeros(a.shape[0], dtype=bool)
+        L_inv = np.linalg.inv(L)
+    else:
+        L, failed = _cholesky_rows(a)
+        L_inv = _inverse_lower_rows(L)
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    cond = np.where(failed, np.inf, (np.max(d, axis=-1) / np.min(d, axis=-1)) ** 2)
+    out = np.swapaxes(L_inv, -1, -2) @ L_inv
+    out[~(cond <= SPD_CONDITION_LIMIT)] = 0.0
+    return out, cond
 
 
 def _spd_inverse_value(a: np.ndarray) -> np.ndarray:
-    L = _cholesky(a)
-    d = np.diagonal(L)
-    cond_est = (np.max(d) / np.min(d)) ** 2
-    if cond_est > SPD_CONDITION_LIMIT:
-        raise SpdError(f"degenerate covariance: condition estimate {cond_est:.3e}")
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    return _solve_upper(L.T, _solve_lower(L, eye))
+    """Inverse of one SPD matrix or of a stack; raises SpdError if any fails."""
+    out, cond = _spd_inverse_rows(a.reshape((-1,) + a.shape[-2:]))
+    worst = np.max(cond, initial=0.0)
+    if np.isinf(worst):
+        raise SpdError("matrix is not positive definite")
+    if not worst <= SPD_CONDITION_LIMIT:
+        raise SpdError(f"degenerate covariance: condition estimate {worst:.3e}")
+    return out.reshape(a.shape)
+
+
+def _inverse_node(a, out):
+    """Tape entry of Y = X^-1 (stacked): dL/dX = -Y^T (dL/dY) Y^T."""
+    if not isinstance(a, Node):
+        return out
+    out_t = np.swapaxes(out, -1, -2)
+    return Node(a.tape, out, (a,), lambda g: (-(out_t @ g @ out_t),))
 
 
 def spd_inverse(a):
-    """Inverse of a symmetric positive definite matrix via Cholesky.
+    """Inverse of a symmetric positive definite matrix (n, n), or of a stack
+    (k, n, n), via Cholesky. Raises SpdError if any matrix fails."""
+    return _inverse_node(a, _spd_inverse_value(val(a)))
 
-    Adjoint: for Y = X^-1, dL/dX = -Y^T (dL/dY) Y^T.
+
+def spd_inverse_rows(a):
+    """Inverses of a stack (k, n, n) that report failures instead of raising.
+
+    Returns (inverse, cond): cond[i] is matrix i's condition estimate, inf
+    where its Cholesky pivot fails. A matrix with cond above
+    SPD_CONDITION_LIMIT (or NaN) has a zero inverse, which carries no
+    gradient back to it.
     """
-    av = val(a)
-    out = _spd_inverse_value(av)
-    if not isinstance(a, Node):
-        return out
-    return Node(a.tape, out, (a,), lambda g: (-(out.T @ g @ out.T),))
+    out, cond = _spd_inverse_rows(val(a))
+    return _inverse_node(a, out), cond
 
 
 # --- convolution and linear stages ------------------------------------------

@@ -10,7 +10,8 @@ after the final round, followed by the predict step for the next frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from . import io as cio
 from .association import (LifecycleConfig, TrackIdAllocator, associate, build_cost_matrix,
                           finish_timestep, reportable)
 from .features import DEFAULT_BOUNDS, encode_detection
-from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackState,
-                     observation_matrix, predict, update)
+from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
+                     TrackState, observation_matrix, predict, update)
 from .geometry import Box7, PoseYawT, transform_box
 
 
@@ -89,8 +90,45 @@ class LearnedCovariance:
         return covnet.forward(params, f_app, f_pos, config)
 
 
+@dataclass
+class _Lifecycle:
+    """Lifecycle counters of one live track; its belief is a row of the bank."""
+
+    id: int
+    hits: int = 0
+    misses: int = 0
+    age: int = 0
+    score: float = 1.0
+
+
+class TrackList(Sequence):
+    """The live tracks as TrackState items, each a snapshot built from the
+    bank row and the lifecycle counters when it is accessed."""
+
+    def __init__(self, bank: TrackBank, lifecycles: list):
+        self._bank = bank
+        self._lifecycles = lifecycles
+
+    def __len__(self):
+        return len(self._lifecycles)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        life = self._lifecycles[i]
+        return TrackState(ad.getitem(self._bank.mean, i), ad.getitem(self._bank.cov, i),
+                          life.id, life.hits, life.misses, life.age, life.score)
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+
 class CoopTracker:
-    """Stateful multi-vehicle tracker for one sequence."""
+    """Stateful multi-vehicle tracker for one sequence.
+
+    The live tracks' beliefs form one TrackBank, row i belonging to the
+    i-th entry of the lifecycle list.
+    """
 
     def __init__(self, cov_provider=None,
                  q_velocity: float = cio.TrackerSettings.process_noise_velocity,
@@ -100,9 +138,18 @@ class CoopTracker:
         self.process = ProcessModel.constant_velocity(q_velocity=q_velocity)
         self.assoc_iou_threshold = assoc_iou_threshold
         self.lifecycle = lifecycle if lifecycle is not None else LifecycleConfig()
-        self.tracks = []
+        self.bank = TrackBank.empty()
+        self._lifecycles = []
         self.ids = TrackIdAllocator()
-        self._H = observation_matrix()
+
+    @property
+    def tracks(self) -> TrackList:
+        return TrackList(self.bank, self._lifecycles)
+
+    @property
+    def skipped_updates(self) -> int:
+        """Matched detections not fused because their innovation covariance was degenerate."""
+        return self.bank.skipped
 
     def _noise_rows(self, packet, det_global):
         """Observation-noise and initial-variance diagonals, one row per detection.
@@ -120,7 +167,10 @@ class CoopTracker:
         """Run one timestep; returns the reported tracks (post-update).
 
         Packets must share one timestep and have distinct vehicle ids; they
-        are processed in ascending cav_id regardless of input order.
+        are processed in ascending cav_id regardless of input order. Each
+        round with matches is one bank update; a matched track whose update
+        is degenerate keeps its predicted state, still counts as matched,
+        and is counted in `skipped_updates`.
         """
         packets = sorted(packets, key=lambda p: p.cav_id)
         if len({p.timestep for p in packets}) > 1:
@@ -132,38 +182,57 @@ class CoopTracker:
         for packet in packets:
             det_global = [transform_box(d.box, packet.pose) for d in packet.detections]
             obs_rows, init_rows = self._noise_rows(packet, det_global)
-            track_boxes = [Box7.from_vector(t.box_vector()) for t in self.tracks]
+            track_boxes = [Box7.from_vector(v) for v in self._box_vectors()]
             assignment = associate(build_cost_matrix(track_boxes, det_global),
                                    self.assoc_iou_threshold)
-            for ti, dj, _iou in assignment.matches:
-                det = packet.detections[dj]
-                r_diag = np.ones(OBS_DIM) if obs_rows is None else obs_rows[dj]
-                model = ObservationModel(self._H, r_diag)
-                trk = update(self.tracks[ti], det_global[dj].to_vector(), model)
-                if trk.id in matched_ids:
-                    trk.score = max(trk.score, det.confidence)
-                else:
-                    trk.score = det.confidence
-                matched_ids.add(trk.id)
-                self.tracks[ti] = trk
-            for dj in assignment.unmatched_detections:
-                det = packet.detections[dj]
-                cov = np.eye(STATE_DIM) if init_rows is None else ad.diag(init_rows[dj])
-                mean = np.concatenate([det_global[dj].to_vector(), np.zeros(3)])
-                trk = TrackState(mean=mean, cov=cov,
-                                 id=self.ids.next_id(), hits=0, misses=0, age=0,
-                                 score=det.confidence)
-                matched_ids.add(trk.id)
-                self.tracks.append(trk)
+            if assignment.matches:
+                rows = np.array([ti for ti, _dj, _iou in assignment.matches], dtype=np.intp)
+                dets = np.array([dj for _ti, dj, _iou in assignment.matches], dtype=np.intp)
+                obs = np.array([det_global[dj].to_vector() for dj in dets])
+                r_diag = (np.ones((len(dets), OBS_DIM)) if obs_rows is None
+                          else ad.getitem(obs_rows, dets))
+                self.bank = update(self.bank, obs, ObservationModel(observation_matrix(), r_diag),
+                                   rows)
+                for ti, dj in zip(rows, dets):
+                    life = self._lifecycles[ti]
+                    confidence = packet.detections[dj].confidence
+                    if life.id in matched_ids:
+                        life.score = max(life.score, confidence)
+                    else:
+                        life.score = confidence
+                    matched_ids.add(life.id)
+            if assignment.unmatched_detections:
+                born = np.array(assignment.unmatched_detections, dtype=np.intp)
+                mean = np.concatenate([np.array([det_global[dj].to_vector() for dj in born]),
+                                       np.zeros((len(born), STATE_DIM - OBS_DIM))], axis=1)
+                cov = (np.broadcast_to(np.eye(STATE_DIM), (len(born), STATE_DIM, STATE_DIM))
+                       if init_rows is None else ad.diag(ad.getitem(init_rows, born)))
+                self.bank = self.bank.append(mean, cov)
+                for dj in born:
+                    life = _Lifecycle(id=self.ids.next_id(),
+                                      score=packet.detections[dj].confidence)
+                    matched_ids.add(life.id)
+                    self._lifecycles.append(life)
 
-        flags = [t.id in matched_ids for t in self.tracks]
-        self.tracks, _killed = finish_timestep(self.tracks, flags, self.lifecycle)
-        reported = [ReportedTrack(t.id, Box7.from_vector(t.box_vector()), t.score, t.mean)
-                    for t in self.tracks if reportable(t, self.lifecycle)]
-        self.tracks = [predict(t, self.process) for t in self.tracks]
-        for t in self.tracks:
-            t.age += 1
+        flags = [life.id in matched_ids for life in self._lifecycles]
+        survivors, killed = finish_timestep(self._lifecycles, flags, self.lifecycle)
+        if killed:
+            self.bank = self.bank.take([i for i, life in enumerate(self._lifecycles)
+                                        if life.id not in killed])
+            self._lifecycles = survivors
+        boxes = self._box_vectors()
+        reported = [ReportedTrack(life.id, Box7.from_vector(boxes[i]), life.score,
+                                  ad.getitem(self.bank.mean, i))
+                    for i, life in enumerate(self._lifecycles)
+                    if reportable(life, self.lifecycle)]
+        self.bank = predict(self.bank, self.process)
+        for life in self._lifecycles:
+            life.age += 1
         return reported
+
+    def _box_vectors(self) -> np.ndarray:
+        """The observed 7 state variables of every live track, as float64 rows."""
+        return np.asarray(ad.val(self.bank.mean)[:, :OBS_DIM], dtype=float)
 
 
 def packets_from_sim_frame(frame) -> list:

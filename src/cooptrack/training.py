@@ -166,37 +166,40 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     for epoch in range(epochs_done, settings.epochs):
         for w, window in enumerate(windows):
             tape = ad.Tape()
-            lifted = {cav: params.lift(tape) for cav, params in param_sets.items()}
-            provider_params = {cav: (lifted[owner[id(params)]], params.config)
-                               for cav, params in params_by_cav.items()}
-            tracker = tracker_from_settings(tracker_settings,
-                                            LearnedCovariance(provider_params, bounds))
-            reports, gts = [], []
-            for frame in window:
-                reports.append(tracker.step(packets_from_sim_frame(frame)))
-                gts.append(frame.gt)
-            loss, supervised = window_loss(reports, gts, settings.gt_match_radius,
-                                           settings.center_distance)
-            if loss is None or not isinstance(loss, ad.Node):
-                # no qualifying track touched the parameters; gradients are
-                # all zero, so no optimizer step is taken
-                value = 0.0 if loss is None else float(ad.val(loss))
-                loss_curve.append({"epoch": epoch, "window": w, "loss": value,
+            try:
+                lifted = {cav: params.lift(tape) for cav, params in param_sets.items()}
+                provider_params = {cav: (lifted[owner[id(params)]], params.config)
+                                   for cav, params in params_by_cav.items()}
+                tracker = tracker_from_settings(tracker_settings,
+                                                LearnedCovariance(provider_params, bounds))
+                reports, gts = [], []
+                for frame in window:
+                    reports.append(tracker.step(packets_from_sim_frame(frame)))
+                    gts.append(frame.gt)
+                loss, supervised = window_loss(reports, gts, settings.gt_match_radius,
+                                               settings.center_distance)
+                if loss is None or not isinstance(loss, ad.Node):
+                    # no qualifying track touched the parameters; gradients are
+                    # all zero, so no optimizer step is taken
+                    value = 0.0 if loss is None else float(ad.val(loss))
+                    loss_curve.append({"epoch": epoch, "window": w, "loss": value,
+                                       "supervised": supervised})
+                    continue
+                loss_value = float(ad.val(loss))
+                if not math.isfinite(loss_value):
+                    raise FloatingPointError(
+                        f"non-finite loss {loss_value} in epoch {epoch}, window {w}")
+                tape.backward(loss)
+                grads = {}
+                for cav, nodes in lifted.items():
+                    for name, node in nodes.items():
+                        grads[(cav, name)] = ad.grad_of(node)
+                grads, _norm = clip_gradients(grads, settings.grad_clip_norm)
+                adam_step(param_sets, grads, adam, settings.lr, settings.weight_decay)
+                loss_curve.append({"epoch": epoch, "window": w, "loss": loss_value,
                                    "supervised": supervised})
-                continue
-            loss_value = float(ad.val(loss))
-            if not math.isfinite(loss_value):
-                raise FloatingPointError(
-                    f"non-finite loss {loss_value} in epoch {epoch}, window {w}")
-            tape.backward(loss)
-            grads = {}
-            for cav, nodes in lifted.items():
-                for name, node in nodes.items():
-                    grads[(cav, name)] = ad.grad_of(node)
-            grads, _norm = clip_gradients(grads, settings.grad_clip_norm)
-            adam_step(param_sets, grads, adam, settings.lr, settings.weight_decay)
-            loss_curve.append({"epoch": epoch, "window": w, "loss": loss_value,
-                               "supervised": supervised})
+            finally:
+                tape.release()  # free the window's graph by reference counting
     return TrainResult(param_sets=param_sets, params_by_cav=params_by_cav,
                        adam=adam, loss_curve=loss_curve, epochs_done=settings.epochs)
 

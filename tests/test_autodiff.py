@@ -149,6 +149,101 @@ def test_spd_inverse_longdouble():
     np.testing.assert_allclose(np.asarray(m @ inv, dtype=float), np.eye(2), atol=1e-14)
 
 
+def test_batched_matmul_grad():
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal((3, 4, 2))
+    batch = rng.standard_normal((3, 2, 5))
+    left = rng.standard_normal((3, 5, 4))
+    mat = rng.standard_normal((5, 4))
+    check_grad(lambda x: ad.asum(ad.square(ad.matmul(x, batch))), x0)  # 3-D @ 3-D
+    check_grad(lambda x: ad.asum(ad.square(ad.matmul(left, x))), x0)  # 3-D @ 3-D
+    check_grad(lambda x: ad.asum(ad.square(ad.matmul(mat, x))), x0)  # 2-D @ 3-D
+    check_grad(lambda x: ad.asum(ad.square(ad.matmul(x, mat[:2]))), x0)  # 3-D @ 2-D
+    check_grad(lambda x: ad.asum(ad.square(ad.matmul(x, mat[0, :2]))), x0)  # 3-D @ 1-D
+    # the broadcast 2-D operand sums its adjoint over the batch
+    check_grad(lambda w: ad.asum(ad.square(ad.matmul(x0, w))), mat[:2])
+    check_grad(lambda w: ad.asum(ad.square(ad.matmul(w, x0))), mat)
+
+
+def _spd_stack(rng, k, n):
+    m = rng.standard_normal((k, n, n))
+    return m @ np.swapaxes(m, -1, -2) + n * np.eye(n)
+
+
+def test_batched_spd_inverse_value_and_adjoint():
+    rng = np.random.default_rng(14)
+    a0 = _spd_stack(rng, 3, 4)
+    np.testing.assert_allclose(ad.spd_inverse(a0), np.linalg.inv(a0), rtol=1e-10, atol=1e-12)
+    # the Cholesky reads one triangle, so differentiate through (X + X^T) / 2
+    transpose = np.arange(a0.size).reshape(a0.shape).transpose(0, 2, 1)
+
+    def sym(x):
+        return ad.div(ad.add(x, ad.gather(x, transpose)), 2.0)
+
+    w = rng.standard_normal((3, 4, 4))
+    check_grad(lambda x: ad.asum(ad.square(ad.sub(ad.spd_inverse(sym(x)), w))), a0,
+               rtol=1e-6, atol=1e-9)
+    check_grad(lambda x: ad.asum(ad.square(ad.sub(ad.spd_inverse_rows(sym(x))[0], w))), a0,
+               rtol=1e-6, atol=1e-9)
+
+
+def test_lapack_and_hand_rolled_inverses_agree():
+    rng = np.random.default_rng(15)
+    a = _spd_stack(rng, 6, 7)
+    lapack, cond = ad._spd_inverse_rows(a)
+    hand, cond_ld = ad._spd_inverse_rows(a.astype(np.longdouble))
+    assert hand.dtype == np.longdouble
+    np.testing.assert_allclose(np.asarray(hand, dtype=float), lapack, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.asarray(cond_ld, dtype=float), cond, rtol=1e-12)
+    # an indefinite matrix sends a float64 stack down the hand-rolled loop
+    mixed = a.copy()
+    mixed[2] = -np.eye(7)
+    fallback, _ = ad._spd_inverse_rows(mixed)
+    keep = [0, 1, 3, 4, 5]
+    np.testing.assert_allclose(fallback[keep], lapack[keep], rtol=0, atol=1e-13)
+
+
+def test_bad_row_in_a_batch_is_reported_not_raised():
+    rng = np.random.default_rng(16)
+    a = _spd_stack(rng, 4, 3)
+    a[1] = np.diag([1.0, -1.0, 1.0])  # indefinite: a pivot fails
+    a[3] = np.diag([1.0, 1e-14, 1.0])  # positive definite but beyond the condition guard
+    tape = ad.Tape()
+    leaf = tape.var(a)
+    inv, cond = ad.spd_inverse_rows(leaf)
+    assert np.isinf(cond[1]) and cond[3] > ad.SPD_CONDITION_LIMIT
+    assert np.all(cond[[0, 2]] <= ad.SPD_CONDITION_LIMIT)
+    np.testing.assert_array_equal(inv.value[[1, 3]], 0.0)
+    np.testing.assert_allclose(inv.value[[0, 2]], np.linalg.inv(a[[0, 2]]), rtol=1e-10)
+    tape.backward(ad.asum(inv))
+    np.testing.assert_array_equal(ad.grad_of(leaf)[[1, 3]], 0.0)
+    # the raising entry point rejects the same stack
+    with pytest.raises(ad.SpdError):
+        ad.spd_inverse(a)
+
+
+def test_batched_diag_and_scatter_rows_grad():
+    rng = np.random.default_rng(17)
+    x0 = rng.uniform(0.5, 2.0, size=(3, 4))
+    got = ad.diag(x0)
+    np.testing.assert_array_equal(got, np.stack([np.diag(row) for row in x0]))
+    check_grad(lambda x: ad.asum(ad.square(ad.diag(ad.square(x)))), x0)
+
+    base = rng.standard_normal((5, 2, 2))
+    rows = np.array([3, 0])
+    vals = rng.standard_normal((2, 2, 2))
+    out = ad.scatter_rows(base, rows, vals)
+    np.testing.assert_array_equal(out[rows], vals)
+    np.testing.assert_array_equal(out[[1, 2, 4]], base[[1, 2, 4]])
+    w = rng.standard_normal((5, 2, 2))
+    check_grad(lambda x: ad.asum(ad.square(ad.sub(ad.scatter_rows(x, rows, vals), w))), base)
+    check_grad(lambda v: ad.asum(ad.square(ad.sub(ad.scatter_rows(base, rows, v), w))), vals)
+    # longdouble rows promote a float64 base; they are never rounded into it
+    wide = ad.scatter_rows(base, rows, vals.astype(np.longdouble) / 3)
+    assert wide.dtype == np.longdouble
+    assert wide[3, 0, 0] == np.longdouble(vals[0, 0, 0]) / 3
+
+
 def test_linear_matches_manual():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(5)

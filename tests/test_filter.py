@@ -18,6 +18,7 @@ from cooptrack.filter import (
     DegenerateCovariance,
     ObservationModel,
     ProcessModel,
+    TrackBank,
     TrackState,
     constant_velocity_transition,
     default_process_noise,
@@ -228,3 +229,43 @@ def test_update_gradient_flows_through_r_diag():
         lo[i] -= step
         want[i] = (float(loss_value(hi)) - float(loss_value(lo))) / (2 * step)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-9)
+
+
+def test_update_requires_h_to_select_the_box_variables():
+    state = TrackState(np.zeros(STATE_DIM), np.eye(STATE_DIM))
+    swapped = observation_matrix()[::-1].copy()
+    with pytest.raises(ValueError, match=r"H = \[I 0\]"):
+        update(state, np.zeros(OBS_DIM), ObservationModel(swapped, np.ones(OBS_DIM)))
+    wide = np.eye(OBS_DIM + 1, STATE_DIM)
+    with pytest.raises(ValueError, match=r"H = \[I 0\]"):
+        update(state, np.zeros(OBS_DIM + 1), ObservationModel(wide, np.ones(OBS_DIM + 1)))
+
+
+def test_degenerate_row_keeps_its_prediction_and_the_rest_update():
+    rng = np.random.default_rng(47)
+    tracks = [random_track(rng) for _ in range(5)]
+    bank = TrackBank(np.stack([t.mean for t in tracks]), np.stack([t.cov for t in tracks]))
+    rows = np.array([4, 1, 2, 0])
+    obs = np.stack([tracks[i].mean[:OBS_DIM] + 0.2 * rng.standard_normal(OBS_DIM)
+                    for i in rows])
+    r_diag = rng.uniform(0.2, 3.0, size=(len(rows), OBS_DIM))
+    r_diag[2, 0] = 1e14  # row 2 of the batch (bank row 2): S far beyond the condition guard
+    with pytest.raises(DegenerateCovariance):
+        update(tracks[2], obs[2], ObservationModel(observation_matrix(), r_diag[2]))
+
+    out = update(bank, obs, ObservationModel(observation_matrix(), r_diag), rows)
+    assert out.skipped == 1
+    np.testing.assert_array_equal(out.mean[2], bank.mean[2])
+    np.testing.assert_array_equal(out.cov[2], bank.cov[2])
+    np.testing.assert_array_equal(out.mean[3], bank.mean[3])  # not in the round
+    for j, i in enumerate(rows):
+        if i == 2:
+            continue
+        want = update(tracks[i], obs[j], ObservationModel(observation_matrix(), r_diag[j]))
+        np.testing.assert_allclose(out.mean[i], want.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.cov[i], want.cov, rtol=1e-12, atol=1e-12)
+        ref_mean, ref_cov = joint_update(tracks[i].mean, tracks[i].cov,
+                                         [(obs[j], ObservationModel(observation_matrix(),
+                                                                    r_diag[j]))])
+        np.testing.assert_allclose(out.mean[i], ref_mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.cov[i], ref_cov, rtol=1e-10, atol=1e-12)

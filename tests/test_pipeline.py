@@ -11,7 +11,8 @@ from cooptrack import covnet, metrics, sim
 from cooptrack.association import LifecycleConfig
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.features import encode_detection
-from cooptrack.filter import ObservationModel, ProcessModel, observation_matrix, update
+from cooptrack.filter import (ObservationModel, ProcessModel, observation_matrix, predict,
+                              update)
 from cooptrack.geometry import Box7, PoseYawT
 from cooptrack.pipeline import (
     ConstantCovariance,
@@ -316,3 +317,43 @@ def test_default_tracker_takes_the_default_settings():
     assert default.assoc_iou_threshold == configured.assoc_iou_threshold
     np.testing.assert_array_equal(default.process.Q, configured.process.Q)
     assert dataclasses.astuple(default.lifecycle) == dataclasses.astuple(LifecycleConfig())
+
+
+class _DegenerateNoiseAt:
+    """Identity noise, except one huge observation variance for one detection."""
+
+    reals_per_detection = metrics.SHARED_REALS
+
+    def __init__(self, timestep, detection):
+        self.timestep, self.detection = timestep, detection
+
+    def packet_residuals(self, packet, det_global):
+        rows = np.zeros((len(det_global), covnet.RESIDUAL_DIM))
+        if packet.timestep == self.timestep:
+            rows[self.detection, 0] = 1e7  # R_xx = (1 + 1e7)^2: S is beyond the guard
+        return rows
+
+
+def test_one_degenerate_update_does_not_abort_the_sequence():
+    process = ProcessModel.constant_velocity()
+    tracker = CoopTracker(cov_provider=_DegenerateNoiseAt(timestep=1, detection=1),
+                          lifecycle=LifecycleConfig(min_hits=1, max_age=2))
+    xs = (0.0, 20.0, 40.0)
+    tracker.step([_packet(0, 0, [_det(x, 0.0) for x in xs])])
+    before = list(tracker.tracks)
+    second = [_det(x + 0.3, 0.1) for x in xs]
+    tracker.step([_packet(1, 0, second)])
+    assert tracker.skipped_updates == 1
+    after = list(tracker.tracks)
+    assert [t.id for t in after] == [t.id for t in before] and [t.hits for t in after] == [2] * 3
+    # the degenerate row keeps its prediction; the others equal the per-track update
+    np.testing.assert_array_equal(after[1].mean, predict(before[1], process).mean)
+    np.testing.assert_array_equal(after[1].cov, predict(before[1], process).cov)
+    for i in (0, 2):
+        model = ObservationModel(observation_matrix(), np.ones(7))
+        want = predict(update(before[i], second[i].box.to_vector(), model), process)
+        np.testing.assert_allclose(after[i].mean, want.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(after[i].cov, want.cov, rtol=1e-12, atol=1e-12)
+    for t in range(2, 6):
+        reported = tracker.step([_packet(t, 0, [_det(x + 0.3 * t, 0.0) for x in xs])])
+    assert len(reported) == 3 and tracker.skipped_updates == 1

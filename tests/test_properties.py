@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cooptrack.covnet import residual_to_init_noise_diag, residual_to_obs_noise_diag
-from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackState,
-                              observation_matrix, predict, update)
+from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
+                              TrackState, observation_matrix, predict, update)
 from cooptrack.geometry import Box7, PoseYawT, inverse_pose, iou3d, transform_box, wrap_angle
 from cooptrack.association import build_cost_matrix
 from cooptrack.metrics import (EVAL_IOU_THRESHOLD, ML_FRACTION, MT_FRACTION, NUM_RECALL_LEVELS,
@@ -201,18 +201,119 @@ def _assert_symmetric_psd(cov):
     assert np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) >= -1e-9 * scale
 
 
+def _reference_update(mean, cov, obs, r_diag):
+    """One track's Kalman update in the textbook H form, as it was before the bank."""
+    H = observation_matrix()
+    obs = np.array(obs, dtype=float)
+    diff = wrap_angle(float(obs[3]) - float(mean[3]))
+    if abs(diff) > 0.5 * math.pi:
+        diff = wrap_angle(diff + math.pi)
+    obs[3] = float(mean[3]) + diff
+    S = H @ cov @ H.T + np.diag(np.asarray(r_diag, dtype=float))
+    K = cov @ H.T @ np.linalg.inv(S)
+    mean = mean + K @ (obs - H @ mean)
+    cov = (np.eye(STATE_DIM) - K @ H) @ cov
+    mean[3] = wrap_angle(float(mean[3]))
+    return mean, cov
+
+
+def _reference_predict(mean, cov, process):
+    return process.A @ mean, process.A @ cov @ process.A.T + process.Q
+
+
+def _assert_close_wrapping_yaw(got, want, tol):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert abs(wrap_angle(got[3] - want[3])) <= tol * scale
+    keep = [i for i in range(STATE_DIM) if i != 3]
+    assert np.max(np.abs(got[keep] - want[keep])) <= tol * scale
+
+
+@st.composite
+def bank_rounds(draw):
+    """A bank of tracks and one round of observations for some of its rows.
+
+    Yaws and observed headings range over the whole circle, so rounds cross
+    the +-pi seam and flip headings; covariances are dense; noise rows may
+    arrive in longdouble.
+    """
+    num_tracks = draw(st.integers(1, 6))
+    means, covs = [], []
+    for _ in range(num_tracks):
+        mean = np.array([draw(coords), draw(coords), draw(st.floats(-3.0, 3.0)), draw(angles)]
+                        + [draw(st.floats(0.5, 5.0)) for _ in range(3)]
+                        + [draw(st.floats(-2.0, 2.0)) for _ in range(3)])
+        root = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=STATE_DIM * STATE_DIM,
+                                      max_size=STATE_DIM * STATE_DIM))).reshape(STATE_DIM,
+                                                                               STATE_DIM)
+        init = residual_to_init_noise_diag(np.array(
+            draw(st.lists(st.floats(-0.5, 2.0), min_size=STATE_DIM, max_size=STATE_DIM))))
+        means.append(mean)
+        covs.append(0.3 * root @ root.T + np.diag(init))
+    rows = draw(st.lists(st.integers(0, num_tracks - 1), min_size=1, unique=True))
+    obs, r_diag = [], []
+    for i in rows:
+        o = means[i][:OBS_DIM] + np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=OBS_DIM,
+                                                        max_size=OBS_DIM)))
+        o[3] = draw(angles)
+        obs.append(o)
+        r_diag.append(residual_to_obs_noise_diag(np.array(
+            draw(st.lists(st.floats(-0.5, 2.0), min_size=STATE_DIM, max_size=STATE_DIM)))))
+    r_diag = np.array(r_diag)
+    if draw(st.booleans()):
+        r_diag = r_diag.astype(np.longdouble)
+    return np.array(means), np.array(covs), np.array(rows), np.array(obs), r_diag
+
+
+@PROPERTY
+@given(bank_rounds(), st.floats(0.0, 1.0))
+def test_bank_update_and_predict_equal_folding_the_per_track_filter(round_, q_velocity):
+    means, covs, rows, obs, r_diag = round_
+    bank = TrackBank(means, covs)
+    out = update(bank, obs, ObservationModel(observation_matrix(), r_diag), rows)
+    assert out.skipped == 0
+    # longdouble noise promotes the bank; it never rounds the rows down
+    assert out.mean.dtype == out.cov.dtype == np.result_type(means, r_diag)
+    for j, i in enumerate(rows):
+        want_mean, want_cov = _reference_update(means[i], covs[i], obs[j], r_diag[j])
+        _assert_close_wrapping_yaw(out.mean[i], want_mean, 1e-12)
+        scale = max(1.0, float(np.max(np.abs(want_cov))))
+        assert np.max(np.abs(np.asarray(out.cov[i], dtype=float) - want_cov)) <= 1e-12 * scale
+    others = [i for i in range(len(means)) if i not in set(rows.tolist())]
+    assert np.array_equal(out.mean[others], means[others])
+    assert np.array_equal(out.cov[others], covs[others])
+
+    process = ProcessModel.constant_velocity(q_velocity=q_velocity)
+    moved = predict(bank, process)
+    for i in range(len(means)):
+        want_mean, want_cov = _reference_predict(means[i], covs[i], process)
+        np.testing.assert_array_equal(moved.mean[i], want_mean)
+        np.testing.assert_array_equal(moved.cov[i], want_cov)
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.lists(residuals, min_size=STATE_DIM, max_size=STATE_DIM),
        st.floats(0.0, 1.0), frames)
 def test_covariance_stays_symmetric_psd_through_long_chains(init_residual, q_velocity, chain):
+    """One track filtered alone and as row 1 of a bank whose rows 0 and 2
+    are born with it and updated on alternate observations."""
     process = ProcessModel.constant_velocity(q_velocity=q_velocity)
-    state = TrackState(mean=np.zeros(STATE_DIM),
-                       cov=np.diag(residual_to_init_noise_diag(np.array(init_residual))))
+    init_cov = np.diag(residual_to_init_noise_diag(np.array(init_residual)))
+    state = TrackState(mean=np.zeros(STATE_DIM), cov=init_cov)
+    bank = TrackBank(np.zeros((3, STATE_DIM)), np.stack([init_cov] * 3))
     for updates in chain:
         state = predict(state, process)
+        bank = predict(bank, process)
         _assert_symmetric_psd(state.cov)
-        for offset, residual in updates:
+        for k, (offset, residual) in enumerate(updates):
             r_diag = residual_to_obs_noise_diag(np.array(residual + [0.0] * 3))
             obs = state.mean[:OBS_DIM] + np.array(offset)
             state = update(state, obs, ObservationModel(observation_matrix(), r_diag))
             _assert_symmetric_psd(state.cov)
+            rows = np.array([1, k % 2 * 2])
+            bank = update(bank, np.stack([obs, bank.mean[rows[1], :OBS_DIM] + offset]),
+                          ObservationModel(observation_matrix(), np.stack([r_diag] * 2)), rows)
+        for cov in bank.cov:
+            _assert_symmetric_psd(cov)
+        assert bank.skipped == 0
+        np.testing.assert_allclose(bank.mean[1], state.mean, rtol=1e-9, atol=1e-9)

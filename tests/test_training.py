@@ -1,12 +1,15 @@
 """Tests for the training loop: loss, clipping, Adam, resume."""
 
 import copy
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cooptrack import autodiff as ad
 from cooptrack import sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, wrap_angle
@@ -315,6 +318,37 @@ def test_train_skips_step_when_window_unsupervised():
     for cav, arrays in before.items():
         for name, arr in arrays.items():
             assert np.array_equal(result.params_by_cav[cav].arrays[name], arr)
+
+
+@pytest.mark.parametrize("blind", [False, True], ids=["stepped", "skipped"])
+def test_each_window_graph_is_freed_without_the_cycle_collector(monkeypatch, blind):
+    refs = []
+
+    class RecordingTape(ad.Tape):
+        def var(self, value, dtype=None):
+            node = super().var(value, dtype)
+            refs.append(weakref.ref(node))
+            return node
+
+    monkeypatch.setattr(ad, "Tape", RecordingTape)
+    scenario = tiny_scenario()
+    if blind:
+        blind_sensor = sim.SensorModel(max_range=0.5)
+        scenario = sim.Scenario(duration=scenario.duration, objects=scenario.objects,
+                                cavs=tuple(sim.CavSpec(poses=c.poses, sensor=blind_sensor)
+                                           for c in scenario.cavs),
+                                seed=scenario.seed)
+    frames = sim.generate(scenario)
+    cfg = small_run_config()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
+    assert result.adam.step == (0 if blind else len(result.loss_curve))
 
 
 def test_train_shared_weights_updates_single_set():
