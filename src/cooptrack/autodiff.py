@@ -198,54 +198,32 @@ def _pack_vjp(raw_vjp, operands):
     return vjp
 
 
-def _batched_matmul_grads(g, av, bv):
-    """Adjoints of a @ b when either operand has 3 or more dimensions.
-
-    A 1-D operand is promoted as matmul does (a row for `a`, a column for
-    `b`); broadcast batch axes are summed back to each operand's shape.
-    """
-    a2 = av[np.newaxis, :] if av.ndim == 1 else av
-    b2 = bv[:, np.newaxis] if bv.ndim == 1 else bv
-    g2 = g
-    if av.ndim == 1:
-        g2 = np.expand_dims(g2, -2)
-    if bv.ndim == 1:
-        g2 = np.expand_dims(g2, -1)
-    ga = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(av.shape)
-    gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(bv.shape)
-    return ga, gb
-
-
 def matmul(a, b):
+    """a @ b for operands of any rank.
+
+    The adjoint promotes a 1-D operand as matmul does (a row for `a`, a
+    column for `b`) and sums broadcast batch axes back to each operand's
+    shape.
+    """
     av, bv = val(a), val(b)
     out = av @ bv
     tape = _tape_of(a, b)
     if tape is None:
         return out
-    a_nd, b_nd = np.ndim(av), np.ndim(bv)
+    av, bv = np.asarray(av), np.asarray(bv)
+    a2 = av[np.newaxis, :] if av.ndim == 1 else av
+    b2 = bv[:, np.newaxis] if bv.ndim == 1 else bv
 
     def vjp(g):
-        if max(a_nd, b_nd) >= 3:
-            return _batched_matmul_grads(g, av, bv)
+        if bv.ndim == 1:
+            g = np.expand_dims(g, -1)
+        if av.ndim == 1:
+            g = np.expand_dims(g, -2)
         ga = gb = None
         if isinstance(a, Node):
-            if a_nd == 2 and b_nd == 2:
-                ga = g @ bv.T
-            elif a_nd == 2 and b_nd == 1:
-                ga = np.outer(g, bv)
-            elif a_nd == 1 and b_nd == 2:
-                ga = bv @ g
-            else:
-                ga = g * bv
+            ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(av.shape)
         if isinstance(b, Node):
-            if a_nd == 2 and b_nd == 2:
-                gb = av.T @ g
-            elif a_nd == 2 and b_nd == 1:
-                gb = av.T @ g
-            elif a_nd == 1 and b_nd == 2:
-                gb = np.outer(av, g)
-            else:
-                gb = g * av
+            gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(bv.shape)
         return (ga, gb)
 
     return Node(tape, out, tuple(x for x in (a, b) if isinstance(x, Node)),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import TWO_PI
+from .geometry import wrap_angle
 
 STATE_DIM = 10
 OBS_DIM = 7
@@ -138,11 +138,6 @@ def predict(state, model: ProcessModel):
     return replace(state, mean=mean, cov=cov)
 
 
-def _wrap(a: np.ndarray) -> np.ndarray:
-    """Elementwise `geometry.wrap_angle`: angles wrapped to [-pi, pi)."""
-    return np.remainder(a + math.pi, TWO_PI) - math.pi
-
-
 def _adjust_observation_yaw(obs: np.ndarray, predicted_yaw: np.ndarray) -> np.ndarray:
     """Rewrite the observation yaws so each innovation is the wrapped residual.
 
@@ -152,8 +147,8 @@ def _adjust_observation_yaw(obs: np.ndarray, predicted_yaw: np.ndarray) -> np.nd
     predicted_yaw + residual, which makes (obs - H mu) produce exactly the
     wrapped residual without touching the gradient path.
     """
-    diff = _wrap(obs[:, 3] - predicted_yaw)
-    diff = np.where(np.abs(diff) > 0.5 * math.pi, _wrap(diff + math.pi), diff)
+    diff = wrap_angle(obs[:, 3] - predicted_yaw)
+    diff = np.where(np.abs(diff) > 0.5 * math.pi, wrap_angle(diff + math.pi), diff)
     out = obs.copy()
     out[:, 3] = predicted_yaw + diff
     return out
@@ -184,7 +179,7 @@ def _update_rows(mean, cov, obs: np.ndarray, r_diag):
     outside = (yaw < -math.pi) | (yaw >= math.pi)
     if np.any(outside):
         shift = np.zeros((k, STATE_DIM), dtype=yaw.dtype)
-        shift[:, 3] = np.where(outside, _wrap(yaw) - yaw, 0.0)
+        shift[:, 3] = np.where(outside, wrap_angle(yaw) - yaw, 0.0)
         mean = ad.add(mean, shift)
     return mean, cov, cond
 

@@ -15,12 +15,13 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap an angle to [-pi, pi)."""
-    a = math.fmod(a + math.pi, TWO_PI)
-    if a < 0.0:
-        a += TWO_PI
-    return a - math.pi
+def wrap_angle(a):
+    """Wrap an angle, or each angle of an array, to [-pi, pi).
+
+    `%` is the floored modulo for Python floats and numpy arrays alike, so
+    a float stays a float and an array keeps its dtype.
+    """
+    return (a + math.pi) % TWO_PI - math.pi
 
 
 @dataclass(frozen=True)

@@ -113,8 +113,6 @@ class TrackList(Sequence):
         return len(self._lifecycles)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
         life = self._lifecycles[i]
         return TrackState(ad.getitem(self._bank.mean, i), ad.getitem(self._bank.cov, i),
                           life.id, life.hits, life.misses, life.age, life.score)

@@ -63,6 +63,12 @@ def test_matmul_grad():
     check_grad(lambda x: ad.asum(ad.square(ad.matmul(b.T, x))), x0)
     check_grad(lambda x: ad.asum(ad.square(ad.matmul(x, v))), x0)
     check_grad(lambda x: ad.asum(ad.square(ad.matmul(v, x))), x0)
+    # the vector operand's own adjoint, and both operands on the tape
+    check_grad(lambda u: ad.square(ad.matmul(u, v)), v)  # 1-D @ 1-D
+    check_grad(lambda u: ad.square(ad.matmul(u, u)), v)
+    check_grad(lambda u: ad.asum(ad.square(ad.matmul(u, b))), v)  # 1-D @ 2-D
+    check_grad(lambda u: ad.asum(ad.square(ad.matmul(b.T, u))), v)  # 2-D @ 1-D
+    check_grad(lambda x: ad.asum(ad.square(ad.matmul(x, x))), x0)
 
 
 def test_getitem_concat_reshape_grad():
@@ -160,6 +166,7 @@ def test_batched_matmul_grad():
     check_grad(lambda x: ad.asum(ad.square(ad.matmul(mat, x))), x0)  # 2-D @ 3-D
     check_grad(lambda x: ad.asum(ad.square(ad.matmul(x, mat[:2]))), x0)  # 3-D @ 2-D
     check_grad(lambda x: ad.asum(ad.square(ad.matmul(x, mat[0, :2]))), x0)  # 3-D @ 1-D
+    check_grad(lambda u: ad.asum(ad.square(ad.matmul(u, x0))), mat[0])  # 1-D @ 3-D
     # the broadcast 2-D operand sums its adjoint over the batch
     check_grad(lambda w: ad.asum(ad.square(ad.matmul(x0, w))), mat[:2])
     check_grad(lambda w: ad.asum(ad.square(ad.matmul(w, x0))), mat)
