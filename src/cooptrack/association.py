@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -87,16 +87,15 @@ class LifecycleConfig:
     score_decay: float = SCORE_DECAY
 
 
-class TrackIdAllocator:
-    """Monotone id counter; ids are never reused within a tracking session."""
+@dataclass
+class Lifecycle:
+    """Lifecycle counters of one live track; its belief is a row of the filter bank."""
 
-    def __init__(self):
-        self._next = 0
-
-    def next_id(self) -> int:
-        out = self._next
-        self._next += 1
-        return out
+    id: int
+    hits: int = 0
+    misses: int = 0
+    age: int = 0
+    score: float = 1.0
 
 
 def finish_timestep(tracks, matched_flags, cfg: LifecycleConfig):

@@ -6,7 +6,8 @@ division, batched matmul, slicing (`node[idx]`), a row scatter,
 concatenation and reshaping, sums, elementwise square and square root,
 ReLU, a floor clamp, batched diagonal embedding, a flat gather (patch
 extraction for batched convolutions), and a batched symmetric positive
-definite inverse.
+definite inverse that reports the matrices it cannot invert instead of
+raising.
 
 Every operation dispatches on whether an operand is a `Node`. With raw
 ndarrays it computes and returns plain values; with at least one `Node` it
@@ -21,10 +22,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-
-class SpdError(ValueError):
-    """A matrix handed to the SPD inverse is not usably positive definite."""
 
 
 class Tape:
@@ -367,7 +364,9 @@ def diag(v):
 # some matrix fails LAPACK's Cholesky, take a hand-rolled Cholesky whose
 # loops run over the matrix entries and are vectorised over the stack, so
 # the op works in any float dtype (np.linalg does not accept longdouble,
-# which the gradient oracles need) and reports each failing matrix.
+# which the gradient oracles need) and reports each failing matrix. The one
+# entry point, `spd_inverse_rows`, never raises: `filter` skips a bank row
+# whose matrix fails and raises DegenerateCovariance for a single track.
 
 SPD_CONDITION_LIMIT = 1e12
 
@@ -429,41 +428,20 @@ def _spd_inverse_rows(a: np.ndarray):
     return out, cond
 
 
-def _spd_inverse_value(a: np.ndarray) -> np.ndarray:
-    """Inverse of one SPD matrix or of a stack; raises SpdError if any fails."""
-    out, cond = _spd_inverse_rows(a.reshape((-1,) + a.shape[-2:]))
-    worst = np.max(cond, initial=0.0)
-    if np.isinf(worst):
-        raise SpdError("matrix is not positive definite")
-    if not worst <= SPD_CONDITION_LIMIT:
-        raise SpdError(f"degenerate covariance: condition estimate {worst:.3e}")
-    return out.reshape(a.shape)
-
-
-def _inverse_node(a, out):
-    """Tape entry of Y = X^-1 (stacked): dL/dX = -Y^T (dL/dY) Y^T."""
-    if not isinstance(a, Node):
-        return out
-    out_t = np.swapaxes(out, -1, -2)
-    return Node(a.tape, out, (a,), lambda g: (-(out_t @ g @ out_t),))
-
-
-def spd_inverse(a):
-    """Inverse of a symmetric positive definite matrix (n, n), or of a stack
-    (k, n, n), via Cholesky. Raises SpdError if any matrix fails."""
-    return _inverse_node(a, _spd_inverse_value(val(a)))
-
-
 def spd_inverse_rows(a):
-    """Inverses of a stack (k, n, n) that report failures instead of raising.
+    """Inverses of a stack (k, n, n) of symmetric positive definite matrices.
 
     Returns (inverse, cond): cond[i] is matrix i's condition estimate, inf
     where its Cholesky pivot fails. A matrix with cond above
     SPD_CONDITION_LIMIT (or NaN) has a zero inverse, which carries no
-    gradient back to it.
+    gradient back to it; failures are reported, never raised. On the tape,
+    Y = X^-1 has the adjoint dL/dX = -Y^T (dL/dY) Y^T.
     """
     out, cond = _spd_inverse_rows(val(a))
-    return _inverse_node(a, out), cond
+    if not isinstance(a, Node):
+        return out, cond
+    out_t = np.swapaxes(out, -1, -2)
+    return Node(a.tape, out, (a,), lambda g: (-(out_t @ g @ out_t),)), cond
 
 
 # --- convolution and linear stages ------------------------------------------

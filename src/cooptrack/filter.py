@@ -5,7 +5,9 @@ State is 10-dimensional: box center, yaw, extents, and per-frame velocity
 A `TrackBank` holds the beliefs of all live tracks as one (T, 10) mean and
 one (T, 10, 10) covariance: `predict` advances the whole bank in one call,
 and `update` fuses one observation into each of a set of distinct rows in
-one call. A single `TrackState` is the batch-free case of both.
+one call. A single `TrackState` (one belief, a mean and a covariance) is
+the batch-free case of both. Lifecycle counters live apart from the
+beliefs, in `association.Lifecycle`.
 
 Every operation is written against the autodiff primitives, so the same code
 runs on plain arrays (tracking, and the longdouble gradient oracles) and on
@@ -83,7 +85,7 @@ class ObservationModel:
 
 @dataclass
 class TrackState:
-    """Filter belief for one object plus lifecycle counters.
+    """Filter belief for one object.
 
     `mean` and `cov` may be ndarrays or tape nodes. The covariance starts
     diagonal at birth and becomes dense after the first update.
@@ -91,11 +93,6 @@ class TrackState:
 
     mean: object  # 10-vector
     cov: object  # 10x10
-    id: int = -1
-    hits: int = 0
-    misses: int = 0
-    age: int = 0
-    score: float = 1.0
 
 
 @dataclass
@@ -217,8 +214,8 @@ def update(state, obs, obs_model: ObservationModel, rows=None):
         if not cond[0] <= ad.SPD_CONDITION_LIMIT:
             raise DegenerateCovariance(
                 f"innovation covariance is degenerate (condition estimate {cond[0]:.3e})")
-        return replace(state, mean=ad.reshape(mean, (STATE_DIM,)),
-                                   cov=ad.reshape(cov, (STATE_DIM, STATE_DIM)))
+        return TrackState(ad.reshape(mean, (STATE_DIM,)),
+                          ad.reshape(cov, (STATE_DIM, STATE_DIM)))
     rows = np.asarray(rows, dtype=np.intp)
     obs = np.asarray(obs, dtype=dtype)
     if obs.shape != (len(rows), OBS_DIM):

@@ -245,6 +245,31 @@ def write_run_metadata(out_dir: str, cfg: RunConfig, extra: dict = None):
     return path
 
 
+# --- file headers --------------------------------------------------------------
+
+
+def _read_header(line, path: str, format_name: str, noun: str) -> dict:
+    """Parse the first line (str or bytes) of a persisted file as its header.
+
+    The header must be a JSON object naming `format_name` and SCHEMA_VERSION;
+    `noun` names the kind of file in the error message.
+    """
+    try:
+        header = json.loads(line.decode() if isinstance(line, bytes) else line)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise LogFormatError(f"{path} line 1: invalid {noun} header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise LogFormatError(f"{path} line 1: {noun} header must be a JSON object")
+    if header.get("format") != format_name:
+        raise LogFormatError(f"{path} line 1: not a {noun} file: format "
+                             f"{header.get('format')!r}, expected {format_name!r}")
+    if header.get("version") != SCHEMA_VERSION:
+        raise LogFormatError(f"{path} line 1: {noun} schema version "
+                             f"{header.get('version')!r} not supported "
+                             f"(expected {SCHEMA_VERSION})")
+    return header
+
+
 # --- line-delimited logs ------------------------------------------------------
 
 
@@ -256,13 +281,15 @@ def _is_number(value) -> bool:
         return False
 
 
-_INT, _NUM, _LIST = "an integer", "a finite number", "a list"
+_INT, _NUM, _LIST, _STR, _OBJ = (
+    "an integer", "a finite number", "a list", "a string", "an object")
 _KIND_CHECKS = {_INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
-                _NUM: _is_number, _LIST: lambda v: isinstance(v, list)}
+                _NUM: _is_number, _LIST: lambda v: isinstance(v, list),
+                _STR: lambda v: isinstance(v, str), _OBJ: lambda v: isinstance(v, dict)}
 
 
 def _validate_fields(rec, where, **kinds):
-    """Each named field must be present and of its kind (_INT, _NUM or _LIST)."""
+    """Each named field must be present and of its kind (_INT, _NUM, _LIST, _STR or _OBJ)."""
     for key, kind in kinds.items():
         if key not in rec:
             raise LogFormatError(f"{where}: missing field {key!r}")
@@ -338,17 +365,7 @@ def read_log(path: str, format_name: str):
         lines = fh.read().splitlines()
     if not lines:
         raise LogFormatError(f"{path}: empty file (missing header)")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise LogFormatError(f"{path} line 1: invalid JSON ({exc})") from exc
-    if header.get("format") != format_name:
-        raise LogFormatError(
-            f"{path}: format {header.get('format')!r}, expected {format_name!r}")
-    if header.get("version") != SCHEMA_VERSION:
-        raise LogFormatError(
-            f"{path}: schema version {header.get('version')!r} not supported "
-            f"(expected {SCHEMA_VERSION})")
+    header = _read_header(lines[0], path, format_name, "log")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -356,6 +373,8 @@ def read_log(path: str, format_name: str):
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(rec, dict):
+            raise LogFormatError(f"{path} line {lineno}: record must be a JSON object")
         validator(rec, f"{path} line {lineno}")
         records.append(rec)
     return header.get("meta", {}), records
@@ -459,16 +478,10 @@ class TensorStore:
         fh = open(path, "rb")
         try:
             header_line = fh.readline()
-            try:
-                header = json.loads(header_line.decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise LogFormatError(f"{path}: invalid tensor header ({exc})") from exc
-            if not isinstance(header, dict):
-                raise LogFormatError(f"{path}: tensor header must be a JSON object")
-            if header.get("format") != FORMAT_TENSORS:
-                raise LogFormatError(f"{path}: not a tensor container")
-            if header.get("version") != SCHEMA_VERSION:
-                raise LogFormatError(f"{path}: unsupported tensor version")
+            header = _read_header(header_line, path, FORMAT_TENSORS, "tensor")
+            if header.get("dtype") != "<f8":
+                raise LogFormatError(f"{path} line 1: tensor dtype {header.get('dtype')!r} "
+                                     "not supported (expected '<f8')")
             shape = header.get("shape")
             if not (isinstance(shape, list) and shape
                     and all(type(s) is int and s > 0 for s in shape)):
@@ -682,28 +695,47 @@ def save_checkpoint(path: str, ckpt: Checkpoint):
             fh.write(blob)
 
 
+_CHECKPOINT_KINDS = ("param", "adam_m", "adam_v")
+
+
+def _validate_checkpoint_header(header, path):
+    """Type-check the entries of a checkpoint header; returns its run config."""
+    where = f"{path} line 1"
+    _validate_fields(header, where, config=_OBJ, seed=_INT, epochs_done=_INT, manifest=_LIST)
+    if header.get("adam_step") is not None:
+        _validate_fields(header, where, adam_step=_INT)
+    for i, entry in enumerate(header["manifest"]):
+        at = f"{where}: manifest entry {i}"
+        if not isinstance(entry, dict):
+            raise LogFormatError(f"{at}: must be an object")
+        _validate_fields(entry, at, cav=_INT, name=_STR, kind=_STR, shape=_LIST)
+        if entry["kind"] not in _CHECKPOINT_KINDS:
+            raise LogFormatError(f"{at}: kind must be one of {list(_CHECKPOINT_KINDS)}, "
+                                 f"got {entry['kind']!r}")
+        if not all(_KIND_CHECKS[_INT](n) and n >= 0 for n in entry["shape"]):
+            raise LogFormatError(f"{at}: shape must hold non-negative integers, "
+                                 f"got {entry['shape']!r}")
+    try:
+        return config_from_dict(header["config"])
+    except ConfigError as exc:
+        raise LogFormatError(f"{path}: bad run configuration ({exc})") from exc
+
+
 def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise LogFormatError(f"{path}: invalid checkpoint header ({exc})") from exc
-        if header.get("format") != FORMAT_CHECKPOINT:
-            raise LogFormatError(f"{path}: not a checkpoint file")
-        if header.get("version") != SCHEMA_VERSION:
-            raise LogFormatError(f"{path}: unsupported checkpoint version")
-        cfg = config_from_dict(header["config"])
+        header = _read_header(fh.readline(), path, FORMAT_CHECKPOINT, "checkpoint")
+        cfg = _validate_checkpoint_header(header, path)
         net_cfg = cfg.covnet.covnet_config()
         shapes = layer_shapes(net_cfg)
-        arrays = {"param": {}, "adam_m": {}, "adam_v": {}}
+        arrays = {kind: {} for kind in _CHECKPOINT_KINDS}
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         for entry in header["manifest"]:
             shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * 8)
-            if len(buf) != n * 8:
+            nbytes = 8 * math.prod(shape)
+            if nbytes > left:
                 raise LogFormatError(f"{path}: truncated checkpoint data")
-            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            left -= nbytes
+            arr = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
             key = (entry["cav"], entry["name"])
             if entry["kind"] == "param" and entry["name"] not in shapes:
                 raise LogFormatError(f"{path}: unexpected parameter {entry['name']!r}")
@@ -712,6 +744,8 @@ def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
                     f"{path}: {entry['name']} has shape {shape}, config expects "
                     f"{shapes[entry['name']]}")
             arrays[entry["kind"]][key] = arr
+        if left:
+            raise LogFormatError(f"{path}: trailing data after the manifest's tensors")
     cavs = _param_cavs(cfg)
     params_by_cav = {}
     for cav in cavs:
@@ -719,7 +753,10 @@ def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
         if set(cav_arrays) != set(shapes):
             raise LogFormatError(f"{path}: incomplete parameter set for vehicle {cav}")
         params = CovNetParams(net_cfg, {name: cav_arrays[name] for name in shapes})
-        params.validate()
+        try:
+            params.validate()
+        except ValueError as exc:
+            raise LogFormatError(f"{path}: vehicle {cav}: {exc}") from exc
         params_by_cav[cav] = params
     if cfg.covnet.shared_weights:
         for cav in range(cfg.num_cavs):

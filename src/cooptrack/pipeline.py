@@ -10,7 +10,7 @@ after the final round, followed by the predict step for the next frame.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +18,11 @@ import numpy as np
 from . import autodiff as ad
 from . import covnet, metrics
 from . import io as cio
-from .association import (LifecycleConfig, TrackIdAllocator, associate, build_cost_matrix,
+from .association import (Lifecycle, LifecycleConfig, associate, build_cost_matrix,
                           finish_timestep, reportable)
 from .features import DEFAULT_BOUNDS, encode_detection
 from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
-                     TrackState, observation_matrix, predict, update)
+                     observation_matrix, predict, update)
 from .geometry import Box7, PoseYawT, transform_box
 
 
@@ -45,12 +45,12 @@ class ReportedTrack:
 
 
 class ConstantCovariance:
-    """Identity observation noise and identity initial covariance."""
+    """Zero residuals: identity observation noise and identity initial covariance."""
 
     reals_per_detection = metrics.BOX_REALS
 
     def packet_residuals(self, packet, det_global):
-        return None
+        return np.zeros((len(packet.detections), covnet.RESIDUAL_DIM))
 
 
 class LearnedCovariance:
@@ -90,42 +90,11 @@ class LearnedCovariance:
         return covnet.forward(params, f_app, f_pos, config)
 
 
-@dataclass
-class _Lifecycle:
-    """Lifecycle counters of one live track; its belief is a row of the bank."""
-
-    id: int
-    hits: int = 0
-    misses: int = 0
-    age: int = 0
-    score: float = 1.0
-
-
-class TrackList(Sequence):
-    """The live tracks as TrackState items, each a snapshot built from the
-    bank row and the lifecycle counters when it is accessed."""
-
-    def __init__(self, bank: TrackBank, lifecycles: list):
-        self._bank = bank
-        self._lifecycles = lifecycles
-
-    def __len__(self):
-        return len(self._lifecycles)
-
-    def __getitem__(self, i):
-        life = self._lifecycles[i]
-        return TrackState(ad.getitem(self._bank.mean, i), ad.getitem(self._bank.cov, i),
-                          life.id, life.hits, life.misses, life.age, life.score)
-
-    def __eq__(self, other):
-        return list(self) == list(other)
-
-
 class CoopTracker:
     """Stateful multi-vehicle tracker for one sequence.
 
-    The live tracks' beliefs form one TrackBank, row i belonging to the
-    i-th entry of the lifecycle list.
+    The live tracks' beliefs form one TrackBank, `bank`; `tracks` lists
+    their Lifecycle records, item i belonging to row i of the bank.
     """
 
     def __init__(self, cov_provider=None,
@@ -137,12 +106,8 @@ class CoopTracker:
         self.assoc_iou_threshold = assoc_iou_threshold
         self.lifecycle = lifecycle if lifecycle is not None else LifecycleConfig()
         self.bank = TrackBank.empty()
-        self._lifecycles = []
-        self.ids = TrackIdAllocator()
-
-    @property
-    def tracks(self) -> TrackList:
-        return TrackList(self.bank, self._lifecycles)
+        self.tracks = []
+        self.ids = itertools.count()
 
     @property
     def skipped_updates(self) -> int:
@@ -152,12 +117,11 @@ class CoopTracker:
     def _noise_rows(self, packet, det_global):
         """Observation-noise and initial-variance diagonals, one row per detection.
 
-        One provider call per non-empty packet; (None, None) means identity
-        noise and identity initial covariance.
+        Both come from the provider's residual rows, one provider call per
+        non-empty packet; a zero residual gives the identity's diagonal.
         """
-        sigmas = self.cov.packet_residuals(packet, det_global) if packet.detections else None
-        if sigmas is None:
-            return None, None
+        sigmas = (self.cov.packet_residuals(packet, det_global) if packet.detections
+                  else np.zeros((0, covnet.RESIDUAL_DIM)))
         return (covnet.residual_to_obs_noise_diag(sigmas),
                 covnet.residual_to_init_noise_diag(sigmas))
 
@@ -187,12 +151,12 @@ class CoopTracker:
                 rows = np.array([ti for ti, _dj, _iou in assignment.matches], dtype=np.intp)
                 dets = np.array([dj for _ti, dj, _iou in assignment.matches], dtype=np.intp)
                 obs = np.array([det_global[dj].to_vector() for dj in dets])
-                r_diag = (np.ones((len(dets), OBS_DIM)) if obs_rows is None
-                          else ad.getitem(obs_rows, dets))
-                self.bank = update(self.bank, obs, ObservationModel(observation_matrix(), r_diag),
+                self.bank = update(self.bank, obs,
+                                   ObservationModel(observation_matrix(),
+                                                    ad.getitem(obs_rows, dets)),
                                    rows)
                 for ti, dj in zip(rows, dets):
-                    life = self._lifecycles[ti]
+                    life = self.tracks[ti]
                     confidence = packet.detections[dj].confidence
                     if life.id in matched_ids:
                         life.score = max(life.score, confidence)
@@ -203,28 +167,25 @@ class CoopTracker:
                 born = np.array(assignment.unmatched_detections, dtype=np.intp)
                 mean = np.concatenate([np.array([det_global[dj].to_vector() for dj in born]),
                                        np.zeros((len(born), STATE_DIM - OBS_DIM))], axis=1)
-                cov = (np.broadcast_to(np.eye(STATE_DIM), (len(born), STATE_DIM, STATE_DIM))
-                       if init_rows is None else ad.diag(ad.getitem(init_rows, born)))
-                self.bank = self.bank.append(mean, cov)
+                self.bank = self.bank.append(mean, ad.diag(ad.getitem(init_rows, born)))
                 for dj in born:
-                    life = _Lifecycle(id=self.ids.next_id(),
-                                      score=packet.detections[dj].confidence)
+                    life = Lifecycle(id=next(self.ids), score=packet.detections[dj].confidence)
                     matched_ids.add(life.id)
-                    self._lifecycles.append(life)
+                    self.tracks.append(life)
 
-        flags = [life.id in matched_ids for life in self._lifecycles]
-        survivors, killed = finish_timestep(self._lifecycles, flags, self.lifecycle)
+        flags = [life.id in matched_ids for life in self.tracks]
+        survivors, killed = finish_timestep(self.tracks, flags, self.lifecycle)
         if killed:
-            self.bank = self.bank.take([i for i, life in enumerate(self._lifecycles)
+            self.bank = self.bank.take([i for i, life in enumerate(self.tracks)
                                         if life.id not in killed])
-            self._lifecycles = survivors
+            self.tracks = survivors
         boxes = self._box_vectors()
         reported = [ReportedTrack(life.id, Box7.from_vector(boxes[i]), life.score,
                                   ad.getitem(self.bank.mean, i))
-                    for i, life in enumerate(self._lifecycles)
+                    for i, life in enumerate(self.tracks)
                     if reportable(life, self.lifecycle)]
         self.bank = predict(self.bank, self.process)
-        for life in self._lifecycles:
+        for life in self.tracks:
             life.age += 1
         return reported
 

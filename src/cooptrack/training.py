@@ -35,12 +35,16 @@ def split_subsequences(frames, window_length: int):
     return [frames[i * window_length:(i + 1) * window_length] for i in range(n)]
 
 
-def _center_distance(mean_value, gt_box, mode: str) -> float:
-    dx = mean_value[0] - gt_box.x
-    dy = mean_value[1] - gt_box.y
+def _center_distances(means, centers, mode: str) -> np.ndarray:
+    """(tracks, gts) distances between track means and ground-truth centers.
+
+    `means` holds the tracks' first three state entries, `centers` the
+    ground truths' (x, y, z); "2d" ignores z.
+    """
+    d = means[:, None, :] - centers[None, :, :]
     if mode == "2d":
-        return math.hypot(dx, dy)
-    return math.sqrt(dx * dx + dy * dy + (mean_value[2] - gt_box.z) ** 2)
+        return np.hypot(d[..., 0], d[..., 1])
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
 
 
 def window_loss(reports_per_frame, gt_per_frame, radius: float = 2.0,
@@ -56,13 +60,16 @@ def window_loss(reports_per_frame, gt_per_frame, radius: float = 2.0,
     """
     terms = []
     for reported, gts in zip(reports_per_frame, gt_per_frame):
-        if not gts:
+        if not gts or not reported:
             continue
-        for rt in reported:
-            mean_val = ad.val(rt.mean)
-            dists = [_center_distance(mean_val, box, center_mode) for _gid, box in gts]
-            best = min(range(len(gts)), key=lambda i: dists[i])
-            if dists[best] > radius:
+        means = [ad.val(rt.mean) for rt in reported]
+        dist = _center_distances(np.stack([m[:3] for m in means]),
+                                 np.array([[box.x, box.y, box.z] for _gid, box in gts]),
+                                 center_mode)
+        nearest = np.argmin(dist, axis=1)
+        for rt, mean_val, best, d in zip(reported, means, nearest,
+                                         dist[np.arange(len(reported)), nearest]):
+            if d > radius:
                 continue
             target = np.asarray(gts[best][1].to_vector(), dtype=mean_val.dtype)
             track_yaw = float(mean_val[3])

@@ -13,15 +13,14 @@ import pytest
 
 from cooptrack.association import (
     Assignment,
+    Lifecycle,
     LifecycleConfig,
-    TrackIdAllocator,
     associate,
     build_cost_matrix,
     finish_timestep,
     hungarian_solve,
     reportable,
 )
-from cooptrack.filter import TrackState
 from cooptrack.geometry import Box7
 
 
@@ -124,8 +123,8 @@ def test_associate_validates_threshold():
         associate(np.zeros((0, 0)), 1.0)
 
 
-def _track(tid, hits=0, misses=0, age=0, score=1.0) -> TrackState:
-    return TrackState(np.zeros(10), np.eye(10), id=tid, hits=hits, misses=misses, age=age, score=score)
+def _track(tid, hits=0, misses=0, age=0, score=1.0) -> Lifecycle:
+    return Lifecycle(id=tid, hits=hits, misses=misses, age=age, score=score)
 
 
 def test_finish_timestep_hit_miss_bookkeeping():
@@ -167,8 +166,3 @@ def test_reportable_early_and_confirmed():
     # Confirmed: reported regardless of age.
     assert reportable(_track(0, hits=3, age=50), cfg)
 
-
-def test_id_allocator_monotone_unique():
-    ids = TrackIdAllocator()
-    got = [ids.next_id() for _ in range(100)]
-    assert got == list(range(100))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cooptrack import cli, io, metrics, training
+from cooptrack.covnet import CovNetParams
 from cooptrack.io import Checkpoint, NetSettings, RunConfig, ScenarioConfig, TrainSettings
 
 
@@ -231,8 +232,10 @@ def _rewrite_tensor_store(sim_dir, header=None, first_entry=None):
     ([1, 2], None, "tensor header must be a JSON object"),
     ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f8"}, None,
      "tensor header needs a shape"),
+    ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f4",
+      "shape": [8, 8, 8]}, None, "tensor dtype '<f4' not supported"),
     (None, float("nan"), "tensor 0 has non-finite entries"),
-], ids=["not-an-object", "no-shape", "nan-entry"])
+], ids=["not-an-object", "no-shape", "foreign-dtype", "nan-entry"])
 def test_bad_tensor_store_is_rejected_with_its_path(tmp_path, config_path, sim_dir, capsys,
                                                     header, first_entry, message):
     _rewrite_tensor_store(sim_dir, header, first_entry)
@@ -240,6 +243,77 @@ def test_bad_tensor_store_is_rejected_with_its_path(tmp_path, config_path, sim_d
                      "--out", str(tmp_path / "trk")]) == 2
     err = capsys.readouterr().err
     assert os.path.join(sim_dir, io.TENSORS_FILE) in err and message in err
+
+
+@pytest.mark.parametrize("lineno, text, message", [
+    (1, "[1]", "line 1: log header must be a JSON object"),
+    (3, "5", "line 3: record must be a JSON object"),
+], ids=["header-not-an-object", "record-not-an-object"])
+def test_non_object_log_line_is_rejected_with_path_and_line(tmp_path, config_path, sim_dir,
+                                                            capsys, lineno, text, message):
+    path = os.path.join(sim_dir, io.DETECTIONS_FILE)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[lineno - 1] = text
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--out", str(tmp_path / "trk")]) == 2
+    assert f"{path} {message}" in capsys.readouterr().err
+
+
+def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail=b""):
+    """Save a zero checkpoint for `cfg`, then edit its header, first weight or end."""
+    params = {cav: CovNetParams.zeros(cfg.covnet.covnet_config())
+              for cav in range(cfg.num_cavs)}
+    io.save_checkpoint(path, Checkpoint(params_by_cav=params, config=cfg, seed=0))
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        data = bytearray(fh.read())
+    if edit_header is not None:
+        header = edit_header(header)
+    if first_entry is not None:
+        data[:8] = np.array([first_entry], dtype="<f8").tobytes()
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header) + "\n").encode() + bytes(data) + tail)
+
+
+def _set(key, value):
+    def edit(header):
+        header[key] = value
+        return header
+    return edit
+
+
+def _set_first_entry(key, value):
+    def edit(header):
+        header["manifest"][0][key] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(edit_header=lambda h: [1]), "checkpoint header must be a JSON object"),
+    (dict(edit_header=lambda h: {k: v for k, v in h.items() if k != "config"}),
+     "missing field 'config'"),
+    (dict(edit_header=_set("config", {"num_cavs": 0})), "bad run configuration"),
+    (dict(edit_header=_set("seed", "0")), "seed must be an integer"),
+    (dict(edit_header=_set("manifest", {})), "manifest must be a list"),
+    (dict(edit_header=_set_first_entry("shape", [-4, 2])),
+     "shape must hold non-negative integers"),
+    (dict(edit_header=_set_first_entry("kind", "adam_w")), "kind must be one of"),
+    (dict(tail=b"\0" * 8), "trailing data"),
+    (dict(first_entry=float("nan")), "non-finite entries"),
+], ids=["not-an-object", "no-config", "bad-config", "mistyped-seed", "manifest-not-a-list",
+        "negative-shape", "unknown-kind", "trailing-bytes", "nan-weight"])
+def test_bad_checkpoint_is_rejected_with_its_path(tmp_path, config_path, sim_dir, capsys,
+                                                  edit, message):
+    ckpt = str(tmp_path / "bad.ckpt")
+    _write_edited_checkpoint(ckpt, io.load_config(config_path), **edit)
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--checkpoint", ckpt, "--out", str(tmp_path / "trk")]) == 2
+    err = capsys.readouterr().err
+    assert ckpt in err and message in err
 
 
 def test_tracks_keep_the_timesteps_of_the_log(tmp_path, config_path, sim_dir, capsys):

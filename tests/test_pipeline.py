@@ -11,8 +11,8 @@ from cooptrack import covnet, metrics, sim
 from cooptrack.association import LifecycleConfig
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.features import encode_detection
-from cooptrack.filter import (ObservationModel, ProcessModel, observation_matrix, predict,
-                              update)
+from cooptrack.filter import (ObservationModel, ProcessModel, TrackState, observation_matrix,
+                              predict, update)
 from cooptrack.geometry import Box7, PoseYawT
 from cooptrack.pipeline import (
     ConstantCovariance,
@@ -35,6 +35,12 @@ def _det(x, y, conf=0.9, yaw=0.0):
 
 def _packet(t, cav, dets, pose=IDENT):
     return FramePacket(timestep=t, cav_id=cav, pose=pose, detections=tuple(dets))
+
+
+def _beliefs(tracker) -> list:
+    """The live tracks' filter beliefs, one TrackState per row of the bank."""
+    return [TrackState(tracker.bank.mean[i], tracker.bank.cov[i])
+            for i in range(len(tracker.tracks))]
 
 
 def test_step_validates_packets():
@@ -83,6 +89,8 @@ def test_kill_after_max_age_misses():
         assert len(tracker.tracks) == 1
     tracker.step([_packet(3, 0, [])])  # third consecutive miss
     assert tracker.tracks == []
+    tracker.step([_packet(4, 0, [_det(5.0, 0.0)])])  # ids are never reused
+    assert [t.id for t in tracker.tracks] == [1]
 
 
 def test_score_decay_on_miss():
@@ -243,7 +251,7 @@ def test_learned_provider_accepts_lifted_params():
     reported = tracker.step([_packet(0, 0, [det])])
     assert len(reported) == 1
     # Track covariance is on the tape, ready for a backward pass.
-    assert isinstance(tracker.tracks[0].cov, ad.Node)
+    assert isinstance(_beliefs(tracker)[0].cov, ad.Node)
 
 
 def _learned_packet(rng, t, cav, xs, cfg):
@@ -285,7 +293,7 @@ def test_each_detection_takes_its_own_row():
     tracker.step([first])
     process = ProcessModel.constant_velocity()
     # births: each track's initial covariance comes from its detection's row
-    for trk, det in zip(tracker.tracks, first.detections):
+    for trk, det in zip(_beliefs(tracker), first.detections):
         f_pos = encode_detection([det.box], [det.box], IDENT)
         row = covnet.forward(params, det.appearance[None], f_pos)[0]
         born = np.diag(covnet.residual_to_init_noise_diag(row))
@@ -297,13 +305,13 @@ def test_each_detection_takes_its_own_row():
                           encode_detection([d.box for d in second.detections],
                                            [d.box for d in second.detections], IDENT))
     expected = []
-    for trk in tracker.tracks:
+    for trk in _beliefs(tracker):
         dj = int(np.argmin([abs(d.box.x - trk.mean[0]) for d in second.detections]))
         model = ObservationModel(observation_matrix(),
                                  covnet.residual_to_obs_noise_diag(rows[dj]))
         expected.append(update(trk, second.detections[dj].box.to_vector(), model).mean)
     tracker.step([second])
-    for got, want in zip(tracker.tracks, expected):
+    for got, want in zip(_beliefs(tracker), expected):
         np.testing.assert_allclose(got.mean, process.A @ want, rtol=1e-12, atol=1e-12)
 
 
@@ -340,12 +348,12 @@ def test_one_degenerate_update_does_not_abort_the_sequence():
                           lifecycle=LifecycleConfig(min_hits=1, max_age=2))
     xs = (0.0, 20.0, 40.0)
     tracker.step([_packet(0, 0, [_det(x, 0.0) for x in xs])])
-    before = list(tracker.tracks)
+    ids, before = [t.id for t in tracker.tracks], _beliefs(tracker)
     second = [_det(x + 0.3, 0.1) for x in xs]
     tracker.step([_packet(1, 0, second)])
     assert tracker.skipped_updates == 1
-    after = list(tracker.tracks)
-    assert [t.id for t in after] == [t.id for t in before] and [t.hits for t in after] == [2] * 3
+    after = _beliefs(tracker)
+    assert [t.id for t in tracker.tracks] == ids and [t.hits for t in tracker.tracks] == [2] * 3
     # the degenerate row keeps its prediction; the others equal the per-track update
     np.testing.assert_array_equal(after[1].mean, predict(before[1], process).mean)
     np.testing.assert_array_equal(after[1].cov, predict(before[1], process).cov)

@@ -149,6 +149,64 @@ def test_loss_averages_over_tracks_and_frames():
     assert math.isclose(float(loss), (1.0 + 0.5) / 2.0, rel_tol=1e-12)
 
 
+def per_pair_window_loss(reports_per_frame, gt_per_frame, radius, center_mode):
+    """Reference: the nearest ground truth found with one distance per (track, gt) pair."""
+    terms = []
+    for reported, gts in zip(reports_per_frame, gt_per_frame):
+        for rt in reported:
+            m = rt.mean
+            dists = [math.hypot(m[0] - b.x, m[1] - b.y) if center_mode == "2d"
+                     else math.sqrt((m[0] - b.x) ** 2 + (m[1] - b.y) ** 2 + (m[2] - b.z) ** 2)
+                     for _gid, b in gts]
+            if not dists or min(dists) > radius:
+                continue
+            target = np.array(gts[dists.index(min(dists))][1].to_vector())
+            target[3] = m[3] - wrap_angle(m[3] - target[3])
+            terms.append(np.sqrt(np.sum((m[:7] - target) ** 2)))
+    return (sum(terms) / len(terms) if terms else None), len(terms)
+
+
+def _clear_of_ties_and_radius(reports_per_frame, gt_per_frame, radius, center_mode,
+                              margin=1e-6):
+    for reported, gts in zip(reports_per_frame, gt_per_frame):
+        for rt in reported:
+            m = rt.mean
+            d = sorted(math.hypot(m[0] - b.x, m[1] - b.y) if center_mode == "2d"
+                       else math.dist(m[:3], (b.x, b.y, b.z)) for _gid, b in gts)
+            if (d and abs(d[0] - radius) < margin) or (len(d) > 1 and d[1] - d[0] < margin):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("center_mode", ["3d", "2d"])
+def test_loss_equals_the_per_pair_reference_on_random_scenes(center_mode):
+    rng = np.random.default_rng(21)
+    checked = supervised = 0
+    while checked < 40:
+        frames, truths = [], []
+        for _ in range(rng.integers(1, 4)):
+            gts = [(gid, boxed(*rng.uniform(-4.0, 4.0, 2), rng.uniform(-1.0, 1.0),
+                               rng.uniform(-math.pi, math.pi)))
+                   for gid in range(rng.integers(0, 7))]
+            means = rng.uniform(-4.0, 4.0, (rng.integers(0, 9), 10))
+            means[:, 2] = rng.uniform(-1.5, 1.5, len(means))
+            means[:, 3] = rng.uniform(-math.pi, math.pi, len(means))
+            frames.append([fake_report(m) for m in means])
+            truths.append(gts)
+        if not _clear_of_ties_and_radius(frames, truths, 2.0, center_mode):
+            continue
+        checked += 1
+        loss, n = training.window_loss(frames, truths, radius=2.0, center_mode=center_mode)
+        want, want_n = per_pair_window_loss(frames, truths, 2.0, center_mode)
+        assert n == want_n
+        if want is None:
+            assert loss is None
+        else:
+            assert math.isclose(float(loss), want, rel_tol=1e-12)
+        supervised += n
+    assert supervised > 40  # the scenes do exercise the gate and the nearest pick
+
+
 # --- gradient clipping ----------------------------------------------------------
 
 
