@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box7, iou3d
+from .geometry import iou3d
 
 DEFAULT_IOU_THRESHOLD = 0.1
 DEFAULT_MIN_HITS = 3
@@ -25,23 +25,27 @@ class Assignment:
 
 
 def build_cost_matrix(tracks, detections) -> np.ndarray:
-    """Negated pairwise 3D IoU between track boxes and detection boxes.
+    """Negated pairwise 3D IoU between (n, 7) track rows and (m, 7) detection rows.
 
-    A center-distance prescreen skips pairs whose BEV circumcircles cannot
-    overlap; those entries are exactly zero IoU anyway.
+    Each row is a box's (x, y, z, a, l, w, h) with its yaw wrapped as Box7
+    wraps it (`geometry.box_rows` turns Box7s into such rows). A
+    center-distance prescreen skips pairs whose BEV circumcircles cannot
+    overlap; those entries are exactly zero IoU anyway. Every other pair
+    is one `iou3d` call on the two rows.
     """
     n, m = len(tracks), len(detections)
     cost = np.zeros((n, m), dtype=float)
     if n == 0 or m == 0:
         return cost
-    tc = np.array([[b.x, b.y] for b in tracks])
-    dc = np.array([[b.x, b.y] for b in detections])
-    tr = np.array([0.5 * np.hypot(b.l, b.w) for b in tracks])
-    dr = np.array([0.5 * np.hypot(b.l, b.w) for b in detections])
-    dist = np.hypot(tc[:, 0:1] - dc[None, :, 0], tc[:, 1:2] - dc[None, :, 1])
-    near = dist <= tr[:, None] + dr[None, :]
-    for i, j in zip(*np.nonzero(near)):
-        cost[i, j] = -iou3d(tracks[i], detections[j])
+    tracks, detections = np.asarray(tracks, dtype=float), np.asarray(detections, dtype=float)
+    tr = 0.5 * np.hypot(tracks[:, 4], tracks[:, 5])
+    dr = 0.5 * np.hypot(detections[:, 4], detections[:, 5])
+    dist = np.hypot(tracks[:, 0:1] - detections[None, :, 0],
+                    tracks[:, 1:2] - detections[None, :, 1])
+    ii, jj = np.nonzero(dist <= tr[:, None] + dr[None, :])
+    track_rows, det_rows = tracks.tolist(), detections.tolist()
+    cost[ii, jj] = [-iou3d(track_rows[i], det_rows[j])
+                    for i, j in zip(ii.tolist(), jj.tolist())]
     return cost
 
 

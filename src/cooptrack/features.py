@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, PoseYawT
+from .geometry import PoseYawT, wrap_angle
 
 POSITIONAL_DIM = 18
 ENCODING_HALF_WIDTH = 128  # d; each scalar maps to 2*d sinusoid entries
@@ -52,29 +52,33 @@ class PositionalFeature:
         object.__setattr__(self, "values", v)
 
 
-def _box_rows(boxes) -> np.ndarray:
-    return np.array([(b.x, b.y, b.z, b.a, b.l, b.w, b.h) for b in boxes],
-                    dtype=float).reshape(-1, 7)
+def _rows(boxes) -> np.ndarray:
+    rows = np.asarray(boxes, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 7:
+        raise ValueError(f"box rows must have shape (N, 7), got {rows.shape}")
+    return rows
 
 
 def extract_positional(det_global, det_local, pose: PoseYawT) -> PositionalFeature:
     """Concatenate global box, local box, and transform descriptors per detection.
 
-    `det_global` and `det_local` are equally long Box7 sequences (one
-    vehicle's packet); `pose` is the vehicle's local-to-global transform.
+    `det_global` and `det_local` are equally long (N, 7) arrays of box rows
+    (x, y, z, a, l, w, h), one per detection of a vehicle's packet
+    (`geometry.box_rows` turns Box7s into rows); `pose` is the vehicle's
+    local-to-global transform.
     Row layout: (x,y,z,a,l,w,h,r)_global + (x,y,z,a,r)_local +
     (t_x,t_y,t_z,yaw,r_t) where each r is the horizontal radial distance of
     its own entries. Raises ValueError if a global box is not its local box
     carried through pose (`geometry.transform_box`), yaw compared modulo 2 pi.
     """
-    g, lo = _box_rows(det_global), _box_rows(det_local)
+    g, lo = _rows(det_global), _rows(det_local)
     if len(g) != len(lo):
         raise ValueError(f"{len(g)} global boxes for {len(lo)} local boxes")
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     x, y = lo[:, 0], lo[:, 1]
     diff = np.column_stack([c * x - s * y + pose.t_x, s * x + c * y + pose.t_y,
                             lo[:, 2] + pose.t_z, lo[:, 3] + pose.yaw, lo[:, 4:]]) - g
-    diff[:, 3] = (diff[:, 3] + math.pi) % TWO_PI - math.pi
+    diff[:, 3] = wrap_angle(diff[:, 3])
     err = np.max(np.abs(diff), initial=0.0)
     if err > FRAME_CONSISTENCY_TOL:
         raise ValueError(
@@ -119,7 +123,10 @@ def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
 
 def encode_detection(det_global, det_local, pose: PoseYawT,
                      bounds=DEFAULT_BOUNDS) -> np.ndarray:
-    """Encode one packet's detections: extract_positional, then positional_encoding."""
+    """Encode one packet's detections: extract_positional, then positional_encoding.
+
+    `det_global` and `det_local` are the packet's (N, 7) box rows.
+    """
     xb = normalize(extract_positional(det_global, det_local, pose).values, bounds)
     out = np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,))
     # columns 13: (the pose) are the same in every row of a packet: encode them once

@@ -60,12 +60,29 @@ class Box7:
 
     def bev_corners(self):
         """Four BEV corner (x, y) tuples in counter-clockwise order."""
-        c, s = math.cos(self.a), math.sin(self.a)
-        hl, hw = 0.5 * self.l, 0.5 * self.w
-        out = []
-        for dx, dy in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-            out.append((self.x + c * dx - s * dy, self.y + s * dx + c * dy))
-        return out
+        return _bev_corners(self.x, self.y, self.a, self.l, self.w)
+
+
+def _bev_corners(x, y, a, l, w):
+    # the corners (+-l/2, +-w/2) rotated by a and moved to (x, y); c * (-d)
+    # is -(c * d) exactly, so each product is formed once
+    c, s = math.cos(a), math.sin(a)
+    chl, shl, chw, shw = c * (0.5 * l), s * (0.5 * l), c * (0.5 * w), s * (0.5 * w)
+    return [(x + chl - shw, y + shl + chw), (x - chl - shw, y - shl + chw),
+            (x - chl + shw, y - shl - chw), (x + chl + shw, y + shl - chw)]
+
+
+def box_rows(boxes) -> np.ndarray:
+    """A sequence of Box7 as an (n, 7) float64 array of (x, y, z, a, l, w, h) rows."""
+    return np.array([(b.x, b.y, b.z, b.a, b.l, b.w, b.h) for b in boxes],
+                    dtype=float).reshape(-1, 7)
+
+
+def _box_values(box) -> tuple:
+    """A Box7's 7 fields, or a 7-value row read as is, as one tuple."""
+    if isinstance(box, Box7):
+        return (box.x, box.y, box.z, box.a, box.l, box.w, box.h)
+    return tuple(box)
 
 
 @dataclass(frozen=True)
@@ -102,6 +119,22 @@ def transform_box(box: Box7, pose: PoseYawT) -> Box7:
     """
     x, y, z = transform_point((box.x, box.y, box.z), pose)
     return Box7(x, y, z, wrap_angle(box.a + pose.yaw), box.l, box.w, box.h)
+
+
+def transform_rows(rows, pose: PoseYawT) -> np.ndarray:
+    """`transform_box` over (n, 7) box rows at once, with the same bits.
+
+    The yaw is wrapped twice, as `transform_box` wraps it and its Box7
+    wraps it again on construction.
+    """
+    rows = np.asarray(rows, dtype=float)
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    out = rows.copy()
+    out[:, 0] = c * rows[:, 0] - s * rows[:, 1] + pose.t_x
+    out[:, 1] = s * rows[:, 0] + c * rows[:, 1] + pose.t_y
+    out[:, 2] = rows[:, 2] + pose.t_z
+    out[:, 3] = wrap_angle(wrap_angle(rows[:, 3] + pose.yaw))
+    return out
 
 
 def inverse_pose(pose: PoseYawT) -> PoseYawT:
@@ -173,39 +206,48 @@ def _polygon_area(poly) -> float:
     return 0.5 * abs(acc)
 
 
-def bev_intersection_area(b1: Box7, b2: Box7) -> float:
-    """Intersection area of the two yaw-rotated BEV rectangles."""
-    area = _polygon_area(_clip_polygon(b1.bev_corners(), b2.bev_corners()))
+def _bev_area(k1, k2) -> float:
+    area = _polygon_area(_clip_polygon(_bev_corners(k1[0], k1[1], k1[3], k1[4], k1[5]),
+                                       _bev_corners(k2[0], k2[1], k2[3], k2[4], k2[5])))
     return 0.0 if area < _AREA_EPS else area
 
 
-def iou3d(b1: Box7, b2: Box7) -> float:
+def bev_intersection_area(b1, b2) -> float:
+    """Intersection area of the two yaw-rotated BEV rectangles (Box7s or 7-value rows)."""
+    return _bev_area(_box_values(b1), _box_values(b2))
+
+
+def iou3d(b1, b2) -> float:
     """3D IoU of two oriented boxes: rotated BEV overlap times vertical overlap.
 
-    Symmetric in its arguments by construction (the pair is canonically
-    ordered before clipping, so both argument orders run identical
-    arithmetic).
+    Each box is a Box7 or a row of its 7 values (x, y, z, a, l, w, h); a row
+    is read as is, so its yaw should already be wrapped the way Box7 wraps
+    it. Both forms run the same arithmetic on the same 7 values, so a row
+    gives the same bits as the Box7 built from it. Symmetric in its
+    arguments by construction (the pair is canonically ordered before
+    clipping, so both argument orders run identical arithmetic).
     """
-    k1 = (b1.x, b1.y, b1.z, b1.a, b1.l, b1.w, b1.h)
-    k2 = (b2.x, b2.y, b2.z, b2.a, b2.l, b2.w, b2.h)
+    k1, k2 = _box_values(b1), _box_values(b2)
     if k2 < k1:
-        b1, b2 = b2, b1
+        k1, k2 = k2, k1
+    x1, y1, z1, _a1, l1, w1, h1 = k1
+    x2, y2, z2, _a2, l2, w2, h2 = k2
 
     # Cheap exact rejections before polygon clipping.
-    zlo = max(b1.z - 0.5 * b1.h, b2.z - 0.5 * b2.h)
-    zhi = min(b1.z + 0.5 * b1.h, b2.z + 0.5 * b2.h)
+    zlo = max(z1 - 0.5 * h1, z2 - 0.5 * h2)
+    zhi = min(z1 + 0.5 * h1, z2 + 0.5 * h2)
     if zhi <= zlo:
         return 0.0
-    r1 = 0.5 * math.hypot(b1.l, b1.w)
-    r2 = 0.5 * math.hypot(b2.l, b2.w)
-    if math.hypot(b2.x - b1.x, b2.y - b1.y) > r1 + r2:
+    r1 = 0.5 * math.hypot(l1, w1)
+    r2 = 0.5 * math.hypot(l2, w2)
+    if math.hypot(x2 - x1, y2 - y1) > r1 + r2:
         return 0.0
 
-    inter_area = bev_intersection_area(b1, b2)
+    inter_area = _bev_area(k1, k2)
     if inter_area == 0.0:
         return 0.0
     inter_vol = inter_area * (zhi - zlo)
-    union = b1.volume() + b2.volume() - inter_vol
+    union = l1 * w1 * h1 + l2 * w2 * h2 - inter_vol
     if union <= 0.0:
         return 0.0
     return min(1.0, inter_vol / union)

@@ -721,6 +721,21 @@ def _validate_checkpoint_header(header, path):
         raise LogFormatError(f"{path}: bad run configuration ({exc})") from exc
 
 
+def _check_adam_tables(arrays, cavs, shapes, path):
+    """Each Adam table holds exactly the optimized (cav, name) keys, in their shapes."""
+    want = {(cav, name) for cav in cavs for name in shapes}
+    for kind in ("adam_m", "adam_v"):
+        table = arrays[kind]
+        if set(table) != want:
+            missing, extra = sorted(want - set(table)), sorted(set(table) - want)
+            raise LogFormatError(f"{path}: {kind} does not match the optimized parameters "
+                                 f"(missing {missing[:3]}, unexpected {extra[:3]})")
+        for (cav, name), arr in sorted(table.items()):
+            if arr.shape != shapes[name]:
+                raise LogFormatError(f"{path}: {kind} of vehicle {cav} {name} has shape "
+                                     f"{arr.shape}, parameter has {shapes[name]}")
+
+
 def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
     with open(path, "rb") as fh:
         header = _read_header(fh.readline(), path, FORMAT_CHECKPOINT, "checkpoint")
@@ -763,8 +778,11 @@ def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
             params_by_cav[cav] = params_by_cav[0]
     adam_state = None
     if header.get("adam_step") is not None:
+        _check_adam_tables(arrays, cavs, shapes, path)
         adam_state = {"step": int(header["adam_step"]),
                       "m": arrays["adam_m"], "v": arrays["adam_v"]}
+    elif arrays["adam_m"] or arrays["adam_v"]:
+        raise LogFormatError(f"{path}: Adam moments without an adam_step")
     if expect_config is not None:
         if expect_config.num_cavs != cfg.num_cavs:
             raise LogFormatError(

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .association import associate, build_cost_matrix
+from .geometry import box_rows
 
 NUM_RECALL_LEVELS = 40
 EVAL_IOU_THRESHOLD = 0.25
@@ -140,12 +141,14 @@ def evaluate(track_frames: dict, gt_frames: dict,
     frames = sorted(set(gt_frames) | set(track_frames))
     avg_score = _track_average_scores(track_frames)
     # per frame: gt ids, track ids, track average scores, gt x track cost matrix
+    # (built from each frame's boxes as rows, converted once)
     scored = []
     for t in frames:
         gts, items = gt_frames.get(t, []), track_frames.get(t, [])
         scored.append(([g for g, _ in gts], [tid for tid, _b, _s in items],
                        np.array([avg_score[tid] for tid, _b, _s in items]),
-                       build_cost_matrix([b for _, b in gts], [b for _, b, _s in items])))
+                       build_cost_matrix(box_rows(b for _, b in gts),
+                                         box_rows(b for _, b, _s in items))))
 
     # full-recall pass: collect the score of every achievable TP match
     *_, full_recall_tracks = _sweep(scored, -math.inf, iou_threshold)

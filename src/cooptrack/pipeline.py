@@ -23,7 +23,7 @@ from .association import (Lifecycle, LifecycleConfig, associate, build_cost_matr
 from .features import DEFAULT_BOUNDS, encode_detection
 from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
                      observation_matrix, predict, update)
-from .geometry import Box7, PoseYawT, transform_box
+from .geometry import Box7, PoseYawT, box_rows, transform_rows, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class LearnedCovariance:
         """Residual rows (N, 10) for a packet's N detections, from one network pass.
 
         Row j belongs to detection j; `det_global` holds the detections'
-        boxes in the global frame.
+        boxes in the global frame as (N, 7) rows.
         """
         if packet.cav_id not in self.params_by_cav:
             raise KeyError(f"no covariance network parameters for vehicle {packet.cav_id}")
@@ -79,7 +79,7 @@ class LearnedCovariance:
             params, config = entry, entry.config
         else:
             params, config = entry
-        f_pos = encode_detection(det_global, [d.box for d in packet.detections],
+        f_pos = encode_detection(det_global, box_rows(d.box for d in packet.detections),
                                  packet.pose, self.bounds)
         f_app = None
         if config.use_appearance:
@@ -133,6 +133,11 @@ class CoopTracker:
         round with matches is one bank update; a matched track whose update
         is degenerate keeps its predicted state, still counts as matched,
         and is counted in `skipped_updates`.
+
+        Association works on float rows: each packet's detections reach the
+        global frame as one (N, 7) array, and the live tracks enter each
+        round as the bank's rows (`_track_rows`). Box7s are built only for
+        the reported tracks.
         """
         packets = sorted(packets, key=lambda p: p.cav_id)
         if len({p.timestep for p in packets}) > 1:
@@ -142,15 +147,15 @@ class CoopTracker:
 
         matched_ids = set()
         for packet in packets:
-            det_global = [transform_box(d.box, packet.pose) for d in packet.detections]
+            det_global = transform_rows(box_rows(d.box for d in packet.detections),
+                                        packet.pose)
             obs_rows, init_rows = self._noise_rows(packet, det_global)
-            track_boxes = [Box7.from_vector(v) for v in self._box_vectors()]
-            assignment = associate(build_cost_matrix(track_boxes, det_global),
+            assignment = associate(build_cost_matrix(self._track_rows(), det_global),
                                    self.assoc_iou_threshold)
             if assignment.matches:
                 rows = np.array([ti for ti, _dj, _iou in assignment.matches], dtype=np.intp)
                 dets = np.array([dj for _ti, dj, _iou in assignment.matches], dtype=np.intp)
-                obs = np.array([det_global[dj].to_vector() for dj in dets])
+                obs = det_global[dets]
                 self.bank = update(self.bank, obs,
                                    ObservationModel(observation_matrix(),
                                                     ad.getitem(obs_rows, dets)),
@@ -165,7 +170,7 @@ class CoopTracker:
                     matched_ids.add(life.id)
             if assignment.unmatched_detections:
                 born = np.array(assignment.unmatched_detections, dtype=np.intp)
-                mean = np.concatenate([np.array([det_global[dj].to_vector() for dj in born]),
+                mean = np.concatenate([det_global[born],
                                        np.zeros((len(born), STATE_DIM - OBS_DIM))], axis=1)
                 self.bank = self.bank.append(mean, ad.diag(ad.getitem(init_rows, born)))
                 for dj in born:
@@ -179,8 +184,8 @@ class CoopTracker:
             self.bank = self.bank.take([i for i, life in enumerate(self.tracks)
                                         if life.id not in killed])
             self.tracks = survivors
-        boxes = self._box_vectors()
-        reported = [ReportedTrack(life.id, Box7.from_vector(boxes[i]), life.score,
+        boxes = self._box_vectors().tolist()
+        reported = [ReportedTrack(life.id, Box7(*boxes[i]), life.score,
                                   ad.getitem(self.bank.mean, i))
                     for i, life in enumerate(self.tracks)
                     if reportable(life, self.lifecycle)]
@@ -192,6 +197,20 @@ class CoopTracker:
     def _box_vectors(self) -> np.ndarray:
         """The observed 7 state variables of every live track, as float64 rows."""
         return np.asarray(ad.val(self.bank.mean)[:, :OBS_DIM], dtype=float)
+
+    def _track_rows(self) -> np.ndarray:
+        """The live tracks' boxes as association rows: `_box_vectors` with the
+        yaw wrapped as `Box7.from_vector` wraps it.
+
+        Raises ValueError, as Box7 does, if an extent is not positive.
+        """
+        rows = np.array(self._box_vectors())
+        valid = np.all(rows[:, 4:] > 0.0, axis=1)
+        if not valid.all():
+            l, w, h = rows[np.argmin(valid), 4:]
+            raise ValueError(f"box extents must be positive, got l={l} w={w} h={h}")
+        rows[:, 3] = wrap_angle(rows[:, 3])
+        return rows
 
 
 def packets_from_sim_frame(frame) -> list:

@@ -10,6 +10,7 @@ parameters, and applies Adam with decoupled-from-clipping weight decay
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -162,7 +163,23 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     checkpoint to resume; resumed training is bit-identical to an
     uninterrupted run because window order is fixed and the loop consumes no
     randomness.
+
+    The cyclic garbage collector is paused while training runs, and the
+    caller's setting is restored on return or raise: each window's graph
+    is freed by reference counting (`Tape.release`), so collections would
+    only walk the growing tape.
     """
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _train(frames, params_by_cav, settings, tracker_settings, bounds, adam,
+                      epochs_done)
+    finally:
+        if gc_enabled:
+            gc.enable()
+
+
+def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epochs_done):
     windows = split_subsequences(frames, settings.window_length)
     param_sets = _distinct_param_sets(params_by_cav)
     # each vehicle's parameter object -> the key it is optimized under

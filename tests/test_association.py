@@ -21,7 +21,7 @@ from cooptrack.association import (
     hungarian_solve,
     reportable,
 )
-from cooptrack.geometry import Box7
+from cooptrack.geometry import Box7, box_rows
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -82,7 +82,7 @@ def _box(x, y, yaw=0.0, l=4.0, w=2.0, h=1.6, z=0.0) -> Box7:
 def test_build_cost_matrix_is_negated_iou():
     tracks = [_box(0, 0), _box(10, 0)]
     dets = [_box(0.5, 0), _box(100, 100)]
-    cost = build_cost_matrix(tracks, dets)
+    cost = build_cost_matrix(box_rows(tracks), box_rows(dets))
     assert cost.shape == (2, 2)
     assert cost[0, 0] < -0.3  # heavy overlap
     assert cost[0, 1] == 0.0  # prescreened far pair
@@ -92,7 +92,7 @@ def test_build_cost_matrix_is_negated_iou():
 def test_associate_obvious_pairs():
     tracks = [_box(0, 0), _box(20, 0)]
     dets = [_box(20.3, 0), _box(0.2, 0)]
-    out = associate(build_cost_matrix(tracks, dets), 0.1)
+    out = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.1)
     assert sorted((t, d) for t, d, _ in out.matches) == [(0, 1), (1, 0)]
     assert out.unmatched_tracks == []
     assert out.unmatched_detections == []
@@ -101,18 +101,18 @@ def test_associate_obvious_pairs():
 def test_associate_threshold_demotes_weak_pairs():
     tracks = [_box(0, 0)]
     dets = [_box(3.5, 0)]  # slight overlap, IoU well below 0.5
-    weak = associate(build_cost_matrix(tracks, dets), 0.5)
+    weak = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.5)
     assert weak.matches == []
     assert weak.unmatched_tracks == [0]
     assert weak.unmatched_detections == [0]
-    strong = associate(build_cost_matrix(tracks, dets), 0.01)
+    strong = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.01)
     assert len(strong.matches) == 1
 
 
 def test_associate_empty_sides():
-    out = associate(build_cost_matrix([], [_box(0, 0)]), 0.1)
+    out = associate(build_cost_matrix(box_rows([]), box_rows([_box(0, 0)])), 0.1)
     assert out.matches == [] and out.unmatched_detections == [0]
-    out = associate(build_cost_matrix([_box(0, 0)], []), 0.1)
+    out = associate(build_cost_matrix(box_rows([_box(0, 0)]), box_rows([])), 0.1)
     assert out.matches == [] and out.unmatched_tracks == [0]
 
 

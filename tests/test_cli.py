@@ -262,11 +262,19 @@ def test_non_object_log_line_is_rejected_with_path_and_line(tmp_path, config_pat
     assert f"{path} {message}" in capsys.readouterr().err
 
 
-def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail=b""):
-    """Save a zero checkpoint for `cfg`, then edit its header, first weight or end."""
+def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail=b"",
+                             adam=False):
+    """Save a zero checkpoint for `cfg` (with zero Adam tables if `adam`), then edit
+    its header, first weight or end."""
     params = {cav: CovNetParams.zeros(cfg.covnet.covnet_config())
               for cav in range(cfg.num_cavs)}
-    io.save_checkpoint(path, Checkpoint(params_by_cav=params, config=cfg, seed=0))
+    adam_state = None
+    if adam:
+        zeros = {(cav, name): np.zeros_like(arr)
+                 for cav, p in params.items() for name, arr in p.arrays.items()}
+        adam_state = {"step": 1, "m": zeros, "v": dict(zeros)}
+    io.save_checkpoint(path, Checkpoint(params_by_cav=params, config=cfg, seed=0,
+                                        adam_state=adam_state))
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
         data = bytearray(fh.read())
@@ -312,6 +320,27 @@ def test_bad_checkpoint_is_rejected_with_its_path(tmp_path, config_path, sim_dir
     _write_edited_checkpoint(ckpt, io.load_config(config_path), **edit)
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--checkpoint", ckpt, "--out", str(tmp_path / "trk")]) == 2
+    err = capsys.readouterr().err
+    assert ckpt in err and message in err
+
+
+def _flatten_first_adam_m(header):
+    entry = next(e for e in header["manifest"] if e["kind"] == "adam_m")
+    entry["shape"] = [int(np.prod(entry["shape"]))]
+    return header
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(edit_header=_set("adam_step", 3)), "adam_m does not match the optimized parameters"),
+    (dict(adam=True, edit_header=_flatten_first_adam_m), "adam_m of vehicle 0"),
+    (dict(adam=True, edit_header=_set("adam_step", None)), "Adam moments without an adam_step"),
+], ids=["param-only", "misshapen-adam_m", "adam-without-step"])
+def test_resume_rejects_bad_adam_tables_with_the_path(tmp_path, config_path, sim_dir, capsys,
+                                                      edit, message):
+    ckpt = str(tmp_path / "bad.ckpt")
+    _write_edited_checkpoint(ckpt, io.load_config(config_path), **edit)
+    assert cli.main(["train", "--config", config_path, "--scenarios", sim_dir,
+                     "--resume", ckpt, "--out", str(tmp_path / "model.ckpt")]) == 2
     err = capsys.readouterr().err
     assert ckpt in err and message in err
 

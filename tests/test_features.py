@@ -17,7 +17,7 @@ from cooptrack.features import (
     positional_encoding,
     synth_appearance,
 )
-from cooptrack.geometry import Box7, PoseYawT, transform_box
+from cooptrack.geometry import Box7, PoseYawT, box_rows, transform_box
 
 
 def _consistent_pair(rng):
@@ -55,7 +55,7 @@ def test_extract_positional_layout():
     pose = PoseYawT(10.0, -20.0, 1.0, 0.5)
     local = Box7(3.0, 4.0, 0.5, 0.2, 4.5, 1.9, 1.6)
     g = transform_box(local, pose)
-    f = extract_positional([g, g], [local, local], pose)
+    f = extract_positional(box_rows([g, g]), box_rows([local, local]), pose)
     assert f.values.shape == (2, POSITIONAL_DIM)
     v = f.values[1]
     np.testing.assert_allclose(v[0:7], g.to_vector())
@@ -70,13 +70,15 @@ def test_extract_positional_layout():
 def test_extract_positional_rejects_inconsistent_frames():
     rng = np.random.default_rng(64)
     det_global, local, pose = _packet(rng, 4)
+    det_global, local = box_rows(det_global), box_rows(local)
     extract_positional(det_global, local, pose)
-    g = det_global[2]
-    det_global[2] = Box7(g.x + 0.01, g.y, g.z, g.a, g.l, g.w, g.h)
+    det_global[2, 0] += 0.01
     with pytest.raises(ValueError, match="disagrees"):
         extract_positional(det_global, local, pose)
     with pytest.raises(ValueError):
         extract_positional(det_global[:3], local, pose)
+    with pytest.raises(ValueError, match="shape"):
+        extract_positional(det_global[:, :6], local[:, :6], pose)
 
 
 def test_extract_positional_compares_yaw_across_the_pi_seam():
@@ -88,7 +90,7 @@ def test_extract_positional_compares_yaw_across_the_pi_seam():
     assert carried.a > 3.14
     g = Box7(carried.x, carried.y, carried.z, -math.pi, carried.l, carried.w, carried.h)
     assert g.a == -math.pi
-    f = extract_positional([g], [local], pose)
+    f = extract_positional(box_rows([g]), box_rows([local]), pose)
     assert f.values[0, 3] == -math.pi
 
 
@@ -143,6 +145,7 @@ def test_positional_encoding_bounded_and_shape_checked():
 def test_encode_detection_composes():
     rng = np.random.default_rng(62)
     det_global, local, pose = _packet(rng, 3)
+    det_global, local = box_rows(det_global), box_rows(local)
     via_compose = encode_detection(det_global, local, pose)
     via_steps = positional_encoding(extract_positional(det_global, local, pose))
     np.testing.assert_array_equal(via_compose, via_steps)
@@ -151,14 +154,15 @@ def test_encode_detection_composes():
 def test_batched_encoding_is_bit_identical_to_per_row_formula():
     rng = np.random.default_rng(65)
     det_global, local, pose = _packet(rng, 7)
+    det_global, local = box_rows(det_global), box_rows(local)
     batch = encode_detection(det_global, local, pose)
     assert batch.shape == (7, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)
     for j in range(7):
-        row = extract_positional([det_global[j]], [local[j]], pose).values[0]
+        row = extract_positional(det_global[j:j + 1], local[j:j + 1], pose).values[0]
         assert batch[j].tobytes() == _per_row_encoding(row).tobytes()
         # one detection is a batch of one
         assert batch[j].tobytes() == encode_detection(
-            [det_global[j]], [local[j]], pose)[0].tobytes()
+            det_global[j:j + 1], local[j:j + 1], pose)[0].tobytes()
 
 
 def test_synth_appearance_channels():

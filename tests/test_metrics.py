@@ -14,7 +14,7 @@ import pytest
 
 from cooptrack import metrics
 from cooptrack.association import build_cost_matrix
-from cooptrack.geometry import Box7
+from cooptrack.geometry import Box7, box_rows
 from cooptrack.io import gt_frames_from_records, track_frames_from_records
 from cooptrack.metrics import (
     BOX_REALS,
@@ -46,7 +46,7 @@ def _perfect_case(num_objects=3, num_frames=10):
 
 def _match(tracks, gts, last_ids=None):
     """match_frame on the frame's full gt x track cost matrix."""
-    cost = build_cost_matrix([b for _, b in gts], [b for _, b in tracks])
+    cost = build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b in tracks))
     return match_frame([tid for tid, _ in tracks], [gid for gid, _ in gts], cost, last_ids)
 
 

@@ -13,7 +13,7 @@ from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.features import encode_detection
 from cooptrack.filter import (ObservationModel, ProcessModel, TrackState, observation_matrix,
                               predict, update)
-from cooptrack.geometry import Box7, PoseYawT
+from cooptrack.geometry import Box7, PoseYawT, box_rows
 from cooptrack.pipeline import (
     ConstantCovariance,
     CoopTracker,
@@ -205,6 +205,45 @@ def test_run_sequence_error_carries_frame_index():
         run_sequence(packets, CoopTracker())
 
 
+def test_a_step_builds_a_box_only_for_each_reported_track(monkeypatch):
+    tracker = CoopTracker(lifecycle=LifecycleConfig(min_hits=2, max_age=5))
+    tracker.step([_packet(0, 0, [_det(x, 0.0) for x in (0.0, 20.0, 40.0)])])
+    tracker.step([_packet(1, 0, [_det(x, 0.0) for x in (0.0, 20.0)])])
+    # the track at x=40 is now old and unconfirmed; x=60 births a fourth track
+    packets = [_packet(2, 0, [_det(0.0, 0.1), _det(60.0, 0.0)]),
+               _packet(2, 1, [_det(20.0, 0.1)])]
+    built, real = [], Box7.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Box7, "__post_init__", counting)
+    reported = tracker.step(packets)
+    assert len(tracker.tracks) == 4 and len(reported) == 3
+    assert built == [r.box for r in reported]
+
+
+def test_association_rows_are_the_bits_of_the_boxes_of_the_bank():
+    tracker = CoopTracker()
+    tracker.step([_packet(0, 0, [_det(10.0 * k, 0.0, yaw=3.0) for k in range(5)])])
+    # yaws past the seam, on it and within one ulp of it
+    tracker.bank.mean[:, 3] = [3.5, -7.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0)]
+    want = box_rows(Box7.from_vector(v) for v in tracker._box_vectors())
+    assert tracker._track_rows().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("extent", [-1.0, 0.0, float("nan")], ids=["negative", "zero", "nan"])
+def test_a_live_track_without_a_positive_extent_fails_its_frame(extent):
+    tracker = CoopTracker(lifecycle=LifecycleConfig(min_hits=2, max_age=5))
+    run_sequence([[_packet(t, 0, [_det(0.0, 0.0)] + [_det(20.0, 0.0)] * (t == 0))]
+                  for t in range(3)], tracker)
+    # the second track is old and unconfirmed: association alone reads its box
+    tracker.bank.mean[1, 5] = extent
+    with pytest.raises(ValueError, match="frame 0: box extents must be positive"):
+        run_sequence([[_packet(3, 0, [_det(0.1, 0.0)])]], tracker)
+
+
 def test_learned_provider_requires_params_and_appearance():
     params = {0: CovNetParams.zeros(CovNetConfig())}
     provider = LearnedCovariance(params)
@@ -294,7 +333,7 @@ def test_each_detection_takes_its_own_row():
     process = ProcessModel.constant_velocity()
     # births: each track's initial covariance comes from its detection's row
     for trk, det in zip(_beliefs(tracker), first.detections):
-        f_pos = encode_detection([det.box], [det.box], IDENT)
+        f_pos = encode_detection(box_rows([det.box]), box_rows([det.box]), IDENT)
         row = covnet.forward(params, det.appearance[None], f_pos)[0]
         born = np.diag(covnet.residual_to_init_noise_diag(row))
         np.testing.assert_allclose(trk.cov, process.A @ born @ process.A.T + process.Q,
@@ -302,8 +341,8 @@ def test_each_detection_takes_its_own_row():
     # matches: a match updates with its own detection's noise, in any order
     second = _learned_packet(rng, 1, 0, [40.1, 0.1, 20.1], cfg)
     rows = covnet.forward(params, np.stack([d.appearance for d in second.detections]),
-                          encode_detection([d.box for d in second.detections],
-                                           [d.box for d in second.detections], IDENT))
+                          encode_detection(box_rows(d.box for d in second.detections),
+                                           box_rows(d.box for d in second.detections), IDENT))
     expected = []
     for trk in _beliefs(tracker):
         dj = int(np.argmin([abs(d.box.x - trk.mean[0]) for d in second.detections]))

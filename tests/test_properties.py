@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cooptrack.covnet import residual_to_init_noise_diag, residual_to_obs_noise_diag
 from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
                               TrackState, observation_matrix, predict, update)
-from cooptrack.geometry import Box7, PoseYawT, inverse_pose, iou3d, transform_box, wrap_angle
+from cooptrack.geometry import (Box7, PoseYawT, box_rows, inverse_pose, iou3d, transform_box,
+                                transform_rows, wrap_angle)
 from cooptrack.association import build_cost_matrix
 from cooptrack.metrics import (EVAL_IOU_THRESHOLD, ML_FRACTION, MT_FRACTION, NUM_RECALL_LEVELS,
                                EvalReport, RecallLevel, evaluate, match_frame)
@@ -62,6 +63,56 @@ def test_transform_then_inverse_pose_is_identity(box, pose):
     assert (back.l, back.w, back.h) == (box.l, box.w, box.h)
 
 
+seam_angles = st.floats(math.pi - 1e-6, math.pi) | st.floats(-math.pi, -math.pi + 1e-6)
+
+
+@st.composite
+def row_sets(draw):
+    """Tracks and detections: random, near the yaw seam, identical and touching pairs."""
+    tracks = draw(st.lists(boxes | st.builds(Box7, coords, coords, st.floats(-3.0, 3.0),
+                                             seam_angles, extents, extents, extents),
+                           min_size=1, max_size=5))
+    dets = []
+    for t in tracks:
+        kind = draw(st.sampled_from(("identical", "end-to-end", "stacked", "mirrored",
+                                     "nudged", "other")))
+        c, s = math.cos(t.a), math.sin(t.a)
+        if kind == "identical":
+            dets.append(t)
+        elif kind == "end-to-end":  # touching along the heading
+            dets.append(Box7(t.x + c * t.l, t.y + s * t.l, t.z, t.a, t.l, t.w, t.h))
+        elif kind == "stacked":  # touching faces in z
+            dets.append(Box7(t.x, t.y, t.z + t.h, t.a, t.l, t.w, t.h))
+        elif kind == "mirrored":  # the same heading across the seam when near +-pi
+            dets.append(Box7(t.x, t.y, t.z, -t.a, t.l, t.w, t.h))
+        elif kind == "nudged":
+            nudge = st.floats(-1.0, 1.0)
+            dets.append(Box7(t.x + draw(nudge), t.y + draw(nudge), t.z, t.a + draw(nudge),
+                             t.l, t.w, t.h))
+        else:
+            dets.append(draw(boxes))
+    return tracks, dets + draw(st.lists(boxes, max_size=2))
+
+
+@PROPERTY
+@given(row_sets())
+def test_cost_matrix_on_rows_equals_negated_iou_of_boxes_bit_for_bit(sets):
+    tracks, dets = sets
+    cost = build_cost_matrix(box_rows(tracks), box_rows(dets))
+    want = np.array([[-iou3d(t, d) for d in dets] for t in tracks])
+    # + 0.0 maps the -0.0 of a zero IoU onto the prescreen's +0.0
+    assert (cost + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@PROPERTY
+@given(st.lists(boxes | st.builds(Box7, coords, coords, st.floats(-3.0, 3.0), seam_angles,
+                                  extents, extents, extents), max_size=5),
+       poses | st.builds(PoseYawT, coords, coords, st.floats(-3.0, 3.0), seam_angles))
+def test_transform_rows_gives_the_bits_of_transform_box(local, pose):
+    got = transform_rows(box_rows(local), pose)
+    assert got.tobytes() == box_rows(transform_box(b, pose) for b in local).tobytes()
+
+
 def _car(x):
     return Box7(x, 0.0, 0.0, 0.0, 4.5, 1.9, 1.6)
 
@@ -98,7 +149,7 @@ def _reference_sweep(frames, track_frames, gt_frames, avg_score, threshold):
         gts = gt_frames.get(t, [])
         kept = [(tid, box) for tid, box, _s in track_frames.get(t, [])
                 if avg_score[tid] >= threshold]
-        cost = build_cost_matrix([b for _, b in gts], [b for _, b in kept])
+        cost = build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b in kept))
         fm = match_frame([tid for tid, _ in kept], [g for g, _ in gts], cost, last_ids,
                          EVAL_IOU_THRESHOLD)
         tp, fp, fn, ids = tp + len(fm.tp_pairs), fp + fm.fp, fn + fm.fn, ids + fm.ids

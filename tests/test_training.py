@@ -409,6 +409,34 @@ def test_each_window_graph_is_freed_without_the_cycle_collector(monkeypatch, bli
     assert result.adam.step == (0 if blind else len(result.loss_curve))
 
 
+@pytest.mark.parametrize("caller_gc, loss_shift", [(True, 0.0), (False, 0.0), (True, math.inf)],
+                         ids=["gc-on", "gc-off", "raises"])
+def test_train_pauses_the_cycle_collector_and_restores_the_callers_state(
+        monkeypatch, caller_gc, loss_shift):
+    seen, real = [], training.window_loss
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        loss, supervised = real(*args, **kwargs)
+        return (loss if loss is None else ad.add(loss, loss_shift)), supervised
+
+    monkeypatch.setattr(training, "window_loss", spy)
+    frames = sim.generate(tiny_scenario())
+    cfg = small_run_config()
+    enabled = gc.isenabled()
+    (gc.enable if caller_gc else gc.disable)()
+    try:
+        if math.isinf(loss_shift):
+            with pytest.raises(FloatingPointError, match="non-finite loss"):
+                training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
+        else:
+            training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
+        assert gc.isenabled() is caller_gc
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert seen and not any(seen)
+
+
 def test_train_shared_weights_updates_single_set():
     frames = sim.generate(tiny_scenario())
     cfg = small_run_config()
