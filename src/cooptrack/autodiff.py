@@ -4,10 +4,10 @@ The primitive set is exactly what the differentiable filter, the covariance
 network, and the training loss need: broadcasting addition, subtraction and
 division, batched matmul, slicing (`node[idx]`), a row scatter,
 concatenation and reshaping, sums, elementwise square and square root,
-ReLU, a floor clamp, batched diagonal embedding, a flat gather (patch
-extraction for batched convolutions), and a batched symmetric positive
-definite inverse that reports the matrices it cannot invert instead of
-raising.
+a floor clamp (ReLU is the clamp at zero), batched diagonal embedding, a
+flat gather (patch extraction for batched convolutions), and a batched
+symmetric positive definite inverse that reports the matrices it cannot
+invert instead of raising.
 
 Every operation dispatches on whether an operand is a `Node`. With raw
 ndarrays it computes and returns plain values; with at least one `Node` it
@@ -328,12 +328,7 @@ def sqrt(a):
 
 
 def relu(a):
-    av = val(a)
-    out = np.maximum(av, 0.0)
-    if not isinstance(a, Node):
-        return out
-    mask = av > 0.0
-    return Node(a.tape, out, (a,), lambda g: (g * mask,))
+    return floor_clamp(a, 0.0)
 
 
 def floor_clamp(a, lo):

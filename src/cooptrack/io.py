@@ -281,15 +281,14 @@ def _is_number(value) -> bool:
         return False
 
 
-_INT, _NUM, _LIST, _STR, _OBJ = (
-    "an integer", "a finite number", "a list", "a string", "an object")
+_INT, _NUM, _LIST, _OBJ = "an integer", "a finite number", "a list", "an object"
 _KIND_CHECKS = {_INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
                 _NUM: _is_number, _LIST: lambda v: isinstance(v, list),
-                _STR: lambda v: isinstance(v, str), _OBJ: lambda v: isinstance(v, dict)}
+                _OBJ: lambda v: isinstance(v, dict)}
 
 
 def _validate_fields(rec, where, **kinds):
-    """Each named field must be present and of its kind (_INT, _NUM, _LIST, _STR or _OBJ)."""
+    """Each named field must be present and of its kind (_INT, _NUM, _LIST or _OBJ)."""
     for key, kind in kinds.items():
         if key not in rec:
             raise LogFormatError(f"{where}: missing field {key!r}")
@@ -322,6 +321,10 @@ def _validate_detection(rec, where):
     if len(rec["pose"]) != 4:
         raise LogFormatError(f"{where}: pose must have 4 entries")
     _validate_finite(rec["pose"], "pose", where)
+    app = rec.get("app")
+    if app is not None and not (_KIND_CHECKS[_INT](app) and app >= 0):
+        raise LogFormatError(f"{where}: app must be null or a non-negative integer, "
+                             f"got {app!r}")
 
 
 def _validate_track(rec, where):
@@ -513,7 +516,8 @@ class TensorStore:
         if self._mode != "r":
             raise LogFormatError("store opened write-only")
         if not 0 <= index < self.count:
-            raise LogFormatError(f"tensor index {index} out of range [0,{self.count})")
+            raise LogFormatError(
+                f"{self.path}: tensor index {index} out of range [0,{self.count})")
         self._fh.seek(self._header_len + index * self._itemsize)
         buf = self._fh.read(self._itemsize)
         arr = np.frombuffer(buf, dtype="<f8").reshape(self.shape).copy()
@@ -660,29 +664,27 @@ def _param_cavs(cfg: RunConfig):
     return [0] if cfg.covnet.shared_weights else list(range(cfg.num_cavs))
 
 
+def _checkpoint_manifest(cfg: RunConfig, adam: bool) -> list:
+    """The manifest a checkpoint of `cfg` holds, in file order: the `param` entries,
+    then (when `adam`) the `adam_m` and `adam_v` ones; each kind by vehicle id, and
+    each vehicle's layers in `layer_shapes` order."""
+    shapes = layer_shapes(cfg.covnet.covnet_config())
+    kinds = ("param", "adam_m", "adam_v") if adam else ("param",)
+    return [{"cav": cav, "kind": kind, "name": name, "shape": list(shape)}
+            for kind in kinds for cav in _param_cavs(cfg) for name, shape in shapes.items()]
+
+
 def save_checkpoint(path: str, ckpt: Checkpoint):
     cfg = ckpt.config
-    cavs = _param_cavs(cfg)
     manifest = []
     blobs = []
-
-    def add(cav, name, arr, kind):
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        manifest.append({"cav": cav, "name": name, "kind": kind,
-                         "shape": list(arr.shape)})
+    for entry in _checkpoint_manifest(cfg, ckpt.adam_state is not None):
+        cav, name, kind = entry["cav"], entry["name"], entry["kind"]
+        arr = np.ascontiguousarray(
+            ckpt.params_by_cav[cav].arrays[name] if kind == "param"
+            else ckpt.adam_state[kind.removeprefix("adam_")][cav, name], dtype="<f8")
+        manifest.append(dict(entry, shape=list(arr.shape)))
         blobs.append(arr.tobytes())
-
-    for cav in cavs:
-        params = ckpt.params_by_cav[cav]
-        for name, arr in params.arrays.items():
-            add(cav, name, arr, "param")
-    if ckpt.adam_state is not None:
-        for kind in ("m", "v"):
-            table = ckpt.adam_state[kind]
-            for cav in cavs:
-                params = ckpt.params_by_cav[cav]
-                for name in params.arrays:
-                    add(cav, name, table[(cav, name)], f"adam_{kind}")
     header = {"format": FORMAT_CHECKPOINT, "version": SCHEMA_VERSION,
               "config": config_to_dict(cfg), "seed": int(ckpt.seed),
               "epochs_done": int(ckpt.epochs_done),
@@ -695,79 +697,52 @@ def save_checkpoint(path: str, ckpt: Checkpoint):
             fh.write(blob)
 
 
-_CHECKPOINT_KINDS = ("param", "adam_m", "adam_v")
+def _manifest_entry(manifest, i) -> str:
+    """Entry i as compact sorted JSON, which tells true from 1 and 2.0 from 2 and,
+    unlike canonical_json, writes a NaN; "no entry" past the manifest's end."""
+    if i >= len(manifest):
+        return "no entry"
+    return json.dumps(manifest[i], sort_keys=True, separators=(",", ":"))
 
 
 def _validate_checkpoint_header(header, path):
-    """Type-check the entries of a checkpoint header; returns its run config."""
+    """Type-check the header fields of a checkpoint and require the manifest its run
+    config determines, entry for entry; returns (run config, manifest)."""
     where = f"{path} line 1"
     _validate_fields(header, where, config=_OBJ, seed=_INT, epochs_done=_INT, manifest=_LIST)
     if header.get("adam_step") is not None:
         _validate_fields(header, where, adam_step=_INT)
-    for i, entry in enumerate(header["manifest"]):
-        at = f"{where}: manifest entry {i}"
-        if not isinstance(entry, dict):
-            raise LogFormatError(f"{at}: must be an object")
-        _validate_fields(entry, at, cav=_INT, name=_STR, kind=_STR, shape=_LIST)
-        if entry["kind"] not in _CHECKPOINT_KINDS:
-            raise LogFormatError(f"{at}: kind must be one of {list(_CHECKPOINT_KINDS)}, "
-                                 f"got {entry['kind']!r}")
-        if not all(_KIND_CHECKS[_INT](n) and n >= 0 for n in entry["shape"]):
-            raise LogFormatError(f"{at}: shape must hold non-negative integers, "
-                                 f"got {entry['shape']!r}")
     try:
-        return config_from_dict(header["config"])
+        cfg = config_from_dict(header["config"])
     except ConfigError as exc:
         raise LogFormatError(f"{path}: bad run configuration ({exc})") from exc
-
-
-def _check_adam_tables(arrays, cavs, shapes, path):
-    """Each Adam table holds exactly the optimized (cav, name) keys, in their shapes."""
-    want = {(cav, name) for cav in cavs for name in shapes}
-    for kind in ("adam_m", "adam_v"):
-        table = arrays[kind]
-        if set(table) != want:
-            missing, extra = sorted(want - set(table)), sorted(set(table) - want)
-            raise LogFormatError(f"{path}: {kind} does not match the optimized parameters "
-                                 f"(missing {missing[:3]}, unexpected {extra[:3]})")
-        for (cav, name), arr in sorted(table.items()):
-            if arr.shape != shapes[name]:
-                raise LogFormatError(f"{path}: {kind} of vehicle {cav} {name} has shape "
-                                     f"{arr.shape}, parameter has {shapes[name]}")
+    manifest = _checkpoint_manifest(cfg, header.get("adam_step") is not None)
+    for i in range(max(len(header["manifest"]), len(manifest))):
+        found, want = _manifest_entry(header["manifest"], i), _manifest_entry(manifest, i)
+        if found != want:
+            raise LogFormatError(f"{where}: manifest entry {i} is {found}, expected {want}")
+    return cfg, manifest
 
 
 def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
     with open(path, "rb") as fh:
         header = _read_header(fh.readline(), path, FORMAT_CHECKPOINT, "checkpoint")
-        cfg = _validate_checkpoint_header(header, path)
-        net_cfg = cfg.covnet.covnet_config()
-        shapes = layer_shapes(net_cfg)
-        arrays = {kind: {} for kind in _CHECKPOINT_KINDS}
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        for entry in header["manifest"]:
-            shape = tuple(entry["shape"])
-            nbytes = 8 * math.prod(shape)
-            if nbytes > left:
-                raise LogFormatError(f"{path}: truncated checkpoint data")
-            left -= nbytes
-            arr = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
-            key = (entry["cav"], entry["name"])
-            if entry["kind"] == "param" and entry["name"] not in shapes:
-                raise LogFormatError(f"{path}: unexpected parameter {entry['name']!r}")
-            if entry["kind"] == "param" and shape != shapes[entry["name"]]:
-                raise LogFormatError(
-                    f"{path}: {entry['name']} has shape {shape}, config expects "
-                    f"{shapes[entry['name']]}")
-            arrays[entry["kind"]][key] = arr
-        if left:
-            raise LogFormatError(f"{path}: trailing data after the manifest's tensors")
-    cavs = _param_cavs(cfg)
+        cfg, manifest = _validate_checkpoint_header(header, path)
+        data = fh.read()
+    sizes = [math.prod(entry["shape"]) for entry in manifest]
+    if len(data) < 8 * sum(sizes):
+        raise LogFormatError(f"{path}: truncated checkpoint data")
+    if len(data) > 8 * sum(sizes):
+        raise LogFormatError(f"{path}: trailing data after the manifest's tensors")
+    blocks = np.split(np.frombuffer(data, dtype="<f8").copy(), np.cumsum(sizes)[:-1])
+    arrays = {"param": {}, "adam_m": {}, "adam_v": {}}
+    for entry, block in zip(manifest, blocks):
+        arrays[entry["kind"]][entry["cav"], entry["name"]] = block.reshape(entry["shape"])
+    net_cfg = cfg.covnet.covnet_config()
     params_by_cav = {}
-    for cav in cavs:
-        cav_arrays = {name: arr for (c, name), arr in arrays["param"].items() if c == cav}
-        if set(cav_arrays) != set(shapes):
-            raise LogFormatError(f"{path}: incomplete parameter set for vehicle {cav}")
-        params = CovNetParams(net_cfg, {name: cav_arrays[name] for name in shapes})
+    for cav in _param_cavs(cfg):
+        params = CovNetParams(net_cfg, {name: arrays["param"][cav, name]
+                                        for name in layer_shapes(net_cfg)})
         try:
             params.validate()
         except ValueError as exc:
@@ -778,11 +753,8 @@ def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
             params_by_cav[cav] = params_by_cav[0]
     adam_state = None
     if header.get("adam_step") is not None:
-        _check_adam_tables(arrays, cavs, shapes, path)
-        adam_state = {"step": int(header["adam_step"]),
-                      "m": arrays["adam_m"], "v": arrays["adam_v"]}
-    elif arrays["adam_m"] or arrays["adam_v"]:
-        raise LogFormatError(f"{path}: Adam moments without an adam_step")
+        adam_state = {"step": header["adam_step"], "m": arrays["adam_m"],
+                      "v": arrays["adam_v"]}
     if expect_config is not None:
         if expect_config.num_cavs != cfg.num_cavs:
             raise LogFormatError(

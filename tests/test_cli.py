@@ -196,7 +196,9 @@ def test_conflicting_poses_are_rejected(tmp_path, config_path, sim_dir, capsys):
     assert "conflicting poses" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("sigma", 5), ("conf", "x"), ("t", "a")])
+@pytest.mark.parametrize("field, value", [("sigma", 5), ("conf", "x"), ("t", "a"),
+                                          ("app", 1.5), ("app", "x"), ("app", True),
+                                          ("app", -1)])
 def test_mistyped_field_is_rejected_with_path_and_line(tmp_path, config_path, sim_dir,
                                                        capsys, field, value):
     path = os.path.join(sim_dir, io.DETECTIONS_FILE)
@@ -212,6 +214,20 @@ def test_mistyped_field_is_rejected_with_path_and_line(tmp_path, config_path, si
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--out", str(tmp_path / "trk")]) == 2
     assert "detections.jsonl line 3" in capsys.readouterr().err
+
+
+def test_app_index_past_the_store_is_rejected_with_its_path(tmp_path, config_path, sim_dir,
+                                                            capsys):
+    path = os.path.join(sim_dir, io.DETECTIONS_FILE)
+    meta, dets = io.read_log(path, io.FORMAT_DETECTIONS)
+    with io.TensorStore.open(os.path.join(sim_dir, io.TENSORS_FILE)) as store:
+        count = store.count
+    dets[1]["app"] = count
+    io.write_log(path, io.FORMAT_DETECTIONS, dets, meta)
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--out", str(tmp_path / "trk")]) == 2
+    err = capsys.readouterr().err
+    assert f"{os.path.join(sim_dir, io.TENSORS_FILE)}: tensor index {count} out of range" in err
 
 
 def _rewrite_tensor_store(sim_dir, header=None, first_entry=None):
@@ -300,6 +316,18 @@ def _set_first_entry(key, value):
     return edit
 
 
+def _append_first_entry(**changes):
+    def edit(header):
+        header["manifest"].append(dict(header["manifest"][0], **changes))
+        return header
+    return edit
+
+
+# small_config has 12 layers for each of its 2 vehicles, the first being app.conv1.w
+_FIRST_LAYER = (4, 8, 3, 3)
+_FIRST_ENTRY = '{"cav":0,"kind":"param","name":"app.conv1.w","shape":'
+
+
 @pytest.mark.parametrize("edit, message", [
     (dict(edit_header=lambda h: [1]), "checkpoint header must be a JSON object"),
     (dict(edit_header=lambda h: {k: v for k, v in h.items() if k != "config"}),
@@ -308,12 +336,27 @@ def _set_first_entry(key, value):
     (dict(edit_header=_set("seed", "0")), "seed must be an integer"),
     (dict(edit_header=_set("manifest", {})), "manifest must be a list"),
     (dict(edit_header=_set_first_entry("shape", [-4, 2])),
-     "shape must hold non-negative integers"),
-    (dict(edit_header=_set_first_entry("kind", "adam_w")), "kind must be one of"),
+     f"manifest entry 0 is {_FIRST_ENTRY}[-4,2]}}, expected {_FIRST_ENTRY}[4,8,3,3]}}"),
+    (dict(edit_header=_set_first_entry("kind", "adam_w")),
+     'manifest entry 0 is {"cav":0,"kind":"adam_w","name":"app.conv1.w","shape":[4,8,3,3]}'),
+    (dict(edit_header=_append_first_entry(cav=7), tail=np.zeros(_FIRST_LAYER).tobytes()),
+     'manifest entry 24 is {"cav":7,"kind":"param","name":"app.conv1.w","shape":[4,8,3,3]}, '
+     "expected no entry"),
+    (dict(edit_header=_append_first_entry(), tail=np.full(_FIRST_LAYER, 5.0).tobytes()),
+     f"manifest entry 24 is {_FIRST_ENTRY}[4,8,3,3]}}, expected no entry"),
+    (dict(edit_header=_set_first_entry("cav", True)),
+     'manifest entry 0 is {"cav":true,'),
+    (dict(edit_header=_set_first_entry("shape", [4.0, 8, 3, 3])),
+     f"manifest entry 0 is {_FIRST_ENTRY}[4.0,8,3,3]}}"),
+    (dict(edit_header=_set_first_entry("shape", [float("nan")])),
+     f"manifest entry 0 is {_FIRST_ENTRY}[NaN]}}"),
+    (dict(edit_header=lambda h: dict(h, manifest=h["manifest"][1::-1] + h["manifest"][2:])),
+     'manifest entry 0 is {"cav":0,"kind":"param","name":"app.conv1.b","shape":[4]}'),
     (dict(tail=b"\0" * 8), "trailing data"),
     (dict(first_entry=float("nan")), "non-finite entries"),
 ], ids=["not-an-object", "no-config", "bad-config", "mistyped-seed", "manifest-not-a-list",
-        "negative-shape", "unknown-kind", "trailing-bytes", "nan-weight"])
+        "negative-shape", "unknown-kind", "extra-vehicle", "repeated-entry", "bool-cav",
+        "float-shape", "nan-shape", "reordered", "trailing-bytes", "nan-weight"])
 def test_bad_checkpoint_is_rejected_with_its_path(tmp_path, config_path, sim_dir, capsys,
                                                   edit, message):
     ckpt = str(tmp_path / "bad.ckpt")
@@ -330,10 +373,16 @@ def _flatten_first_adam_m(header):
     return header
 
 
+_FIRST_ADAM_M = '{"cav":0,"kind":"adam_m","name":"app.conv1.w","shape":'
+
+
 @pytest.mark.parametrize("edit, message", [
-    (dict(edit_header=_set("adam_step", 3)), "adam_m does not match the optimized parameters"),
-    (dict(adam=True, edit_header=_flatten_first_adam_m), "adam_m of vehicle 0"),
-    (dict(adam=True, edit_header=_set("adam_step", None)), "Adam moments without an adam_step"),
+    (dict(edit_header=_set("adam_step", 3)),
+     f"manifest entry 24 is no entry, expected {_FIRST_ADAM_M}[4,8,3,3]}}"),
+    (dict(adam=True, edit_header=_flatten_first_adam_m),
+     f"manifest entry 24 is {_FIRST_ADAM_M}[288]}}, expected {_FIRST_ADAM_M}[4,8,3,3]}}"),
+    (dict(adam=True, edit_header=_set("adam_step", None)),
+     f"manifest entry 24 is {_FIRST_ADAM_M}[4,8,3,3]}}, expected no entry"),
 ], ids=["param-only", "misshapen-adam_m", "adam-without-step"])
 def test_resume_rejects_bad_adam_tables_with_the_path(tmp_path, config_path, sim_dir, capsys,
                                                       edit, message):

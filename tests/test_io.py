@@ -1,6 +1,7 @@
 """Tests for persistence: configs, JSONL logs, tensor stores, checkpoints."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -322,11 +323,41 @@ def test_checkpoint_shared_weights_stores_one_set(tmp_path):
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
     cfg = small_config()
     params = make_params(cfg)
-    params[0].arrays["head_w0"] = np.zeros((3, 3))
+    params[0].arrays["head.lin1.w"] = np.zeros((3, 3))
     path = str(tmp_path / "ckpt.bin")
     io.save_checkpoint(path, Checkpoint(params_by_cav=params, config=cfg, seed=0))
-    with pytest.raises(LogFormatError, match="shape"):
+    with pytest.raises(LogFormatError, match=r'manifest entry \d+ is \{"cav":0,"kind":"param",'
+                                             r'"name":"head\.lin1\.w","shape":\[3,3\]\}'):
         io.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shared, adam, digest", [
+    (False, False, "ed079e327c2467ddc662c2b3c677847062e816a42d85acf6dc554217c69df3ca"),
+    (False, True, "98ac6125f00d03912b49d36e4785f4d212bd629af5b2ba73b8392ea7a1a2e7a6"),
+    (True, False, "7b146bb1684cf2c34ec1318ed92210dc29324f95a1da95f460dedc8db7a8a141"),
+    (True, True, "f51aabd3d7e3d3d0af208c1b211a425cb7b59754bbfb775815157355891b5168"),
+], ids=["per-vehicle", "per-vehicle-adam", "shared", "shared-adam"])
+def test_checkpoint_bytes_are_pinned(tmp_path, shared, adam, digest):
+    # the checkpoint format is fixed: these are the bytes earlier releases wrote, so
+    # `train --resume` keeps reading their checkpoints
+    cfg = small_config(covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
+                                          head_hidden=8, shared_weights=shared))
+    params = make_params(cfg)
+    adam_state = None
+    if adam:
+        rng = np.random.default_rng(1)
+        keys = [(cav, name) for cav in ([0] if shared else range(cfg.num_cavs))
+                for name in params[cav].arrays]
+        shapes = {(cav, name): params[cav].arrays[name].shape for cav, name in keys}
+        adam_state = {"step": 4, "m": {k: rng.standard_normal(shapes[k]) for k in keys},
+                      "v": {k: rng.random(shapes[k]) for k in keys}}
+    path = tmp_path / "ckpt.bin"
+    io.save_checkpoint(str(path), Checkpoint(params_by_cav=params, config=cfg, seed=7,
+                                             epochs_done=2, adam_state=adam_state))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    loaded = io.load_checkpoint(str(path))
+    io.save_checkpoint(str(tmp_path / "again.bin"), loaded)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_expect_config_guards(tmp_path):
