@@ -2,9 +2,9 @@
 
 The primitive set is exactly what the differentiable filter, the covariance
 network, and the training loss need: broadcasting addition, subtraction and
-division, batched matmul, slicing (`node[idx]`), a row scatter,
-concatenation and reshaping, sums, elementwise square and square root,
-a floor clamp (ReLU is the clamp at zero), batched diagonal embedding, a
+division, batched matmul, slicing (`node[idx]`), a row scatter, stacking,
+concatenation and reshaping, sums, elementwise square and square root, a
+floor clamp (ReLU is the clamp at zero), batched diagonal embedding, a
 flat gather (patch extraction for batched convolutions), and a batched
 symmetric positive definite inverse that reports the matrices it cannot
 invert instead of raising.
@@ -227,19 +227,45 @@ def matmul(a, b):
                 _pack_vjp(vjp, (a, b)))
 
 
+def _is_basic_index(idx):
+    """True for an int, a slice, or a tuple of them: an index that repeats no entry."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
 def getitem(a, idx):
+    """`a[idx]`. The adjoint of a basic index adds into a view of the zeros,
+    which gives the bits of `np.add.at` (including +0.0 for a -0.0 gradient)
+    without its scatter; a fancy index, which may repeat entries, keeps it."""
     if not isinstance(a, Node):
         return a[idx]
     out = a.value[idx]
     shape = a.value.shape
     dtype = a.value.dtype
+    basic = _is_basic_index(idx)
 
     def vjp(g):
         full = np.zeros(shape, dtype=dtype)
-        np.add.at(full, idx, g)
+        if basic:
+            full[idx] += g
+        else:
+            np.add.at(full, idx, g)
         return (full,)
 
     return Node(a.tape, out, (a,), vjp)
+
+
+def stack(parts):
+    """Equal-shape operands stacked along a new leading axis: one node with
+    a parent per operand, whose adjoint for part i is `g[i]`."""
+    out = np.stack([val(p) for p in parts])
+    tape = _tape_of(*parts)
+    if tape is None:
+        return out
+    return Node(tape, out, tuple(p for p in parts if isinstance(p, Node)),
+                lambda g: tuple(g[i] for i, p in enumerate(parts) if isinstance(p, Node)))
 
 
 def scatter_rows(base, rows, values):
@@ -320,11 +346,19 @@ def square(a):
 
 
 def sqrt(a):
+    """Elementwise square root. Where the root is zero the adjoint is zero,
+    not infinite: on the tape sqrt takes norms, whose minimum at zero has
+    zero as a subgradient, so an exact fit adds nothing instead of NaN."""
     av = val(a)
     out = np.sqrt(av)
     if not isinstance(a, Node):
         return out
-    return Node(a.tape, out, (a,), lambda g: (g / (2.0 * out),))
+
+    def vjp(g):
+        return (np.divide(g, 2.0 * out, out=np.zeros(np.shape(out), dtype=out.dtype),
+                          where=out != 0.0),)
+
+    return Node(a.tape, out, (a,), vjp)
 
 
 def relu(a):
@@ -477,7 +511,10 @@ def gather(x, idx):
     """Entries of `x` at the flat indices `idx`; the index x.size reads zero.
 
     Patch extraction for convolutions (the zero border maps to x.size) and
-    the reorder of their output. The adjoint scatter-adds onto `x`.
+    the reorder of their output. The adjoint sums `g` onto `x` by index. In
+    float64 that is `np.bincount`, which adds in the same order as
+    `np.add.at` and so gives the same bits without its scatter; bincount
+    only weighs in float64, so other dtypes keep `np.add.at`.
     """
     xv = val(x)
     flat = np.concatenate([xv.reshape(-1), np.zeros(1, dtype=xv.dtype)])
@@ -486,8 +523,11 @@ def gather(x, idx):
         return out
 
     def vjp(g):
-        full = np.zeros(flat.size, dtype=xv.dtype)
-        np.add.at(full, idx, g)
+        if xv.dtype == g.dtype == np.float64:
+            full = np.bincount(idx.ravel(), weights=g.ravel(), minlength=flat.size)
+        else:
+            full = np.zeros(flat.size, dtype=xv.dtype)
+            np.add.at(full, idx, g)
         return (full[:-1].reshape(xv.shape),)
 
     return Node(x.tape, out, (x,), vjp)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -58,29 +57,32 @@ def window_loss(reports_per_frame, gt_per_frame, radius: float = 2.0,
     (and the magnitude wrapped) so the residual never jumps across the angle
     cut. Returns (loss, supervised_count); loss is None when no track
     qualifies anywhere in the window.
+
+    The supervised means of the whole window are stacked into one node and
+    their norms taken in one batch, so the loss adds the same few tape nodes
+    however many tracks it supervises. An exact fit has a zero gradient.
     """
-    terms = []
+    rows, targets = [], []
     for reported, gts in zip(reports_per_frame, gt_per_frame):
         if not gts or not reported:
             continue
-        means = [ad.val(rt.mean) for rt in reported]
-        dist = _center_distances(np.stack([m[:3] for m in means]),
-                                 np.array([[box.x, box.y, box.z] for _gid, box in gts]),
-                                 center_mode)
+        means = np.stack([ad.val(rt.mean) for rt in reported])
+        gt_vectors = np.stack([box.to_vector() for _gid, box in gts])
+        dist = _center_distances(means[:, :3], gt_vectors[:, :3], center_mode)
         nearest = np.argmin(dist, axis=1)
-        for rt, mean_val, best, d in zip(reported, means, nearest,
-                                         dist[np.arange(len(reported)), nearest]):
-            if d > radius:
-                continue
-            target = np.asarray(gts[best][1].to_vector(), dtype=mean_val.dtype)
-            track_yaw = float(mean_val[3])
-            target[3] = track_yaw - wrap_angle(track_yaw - target[3])
-            diff = ad.sub(rt.mean[0:7], target)
-            terms.append(ad.sqrt(ad.asum(ad.square(diff))))
-    if not terms:
+        keep = ~(dist[np.arange(len(reported)), nearest] > radius)
+        if not keep.any():
+            continue
+        target = gt_vectors[nearest[keep]].astype(means.dtype)
+        track_yaw = means[keep, 3].astype(np.float64)
+        target[:, 3] = track_yaw - wrap_angle(track_yaw - target[:, 3])
+        rows.extend(rt.mean for rt, kept in zip(reported, keep) if kept)
+        targets.append(target)
+    if not rows:
         return None, 0
-    total = reduce(ad.add, terms)
-    return ad.div(total, float(len(terms))), len(terms)
+    diff = ad.sub(ad.stack(rows)[:, :7], np.concatenate(targets))
+    norms = ad.sqrt(ad.asum(ad.square(diff), axis=1))
+    return ad.div(ad.asum(norms), float(len(rows))), len(rows)
 
 
 # --- optimizer -----------------------------------------------------------------
@@ -162,7 +164,10 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     tracker's LifecycleConfig). Pass the Adam state and `epochs_done` from a
     checkpoint to resume; resumed training is bit-identical to an
     uninterrupted run because window order is fixed and the loop consumes no
-    randomness.
+    randomness. A checkpoint that has done `settings.epochs` already trains
+    no further and keeps its count. A window whose global gradient norm is
+    not finite raises FloatingPointError before the optimizer changes
+    anything.
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: each window's graph
@@ -218,14 +223,18 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 for cav, nodes in lifted.items():
                     for name, node in nodes.items():
                         grads[(cav, name)] = ad.grad_of(node)
-                grads, _norm = clip_gradients(grads, settings.grad_clip_norm)
+                grads, norm = clip_gradients(grads, settings.grad_clip_norm)
+                if not math.isfinite(norm):
+                    raise FloatingPointError(
+                        f"non-finite gradient norm {norm} in epoch {epoch}, window {w}")
                 adam_step(param_sets, grads, adam, settings.lr, settings.weight_decay)
                 loss_curve.append({"epoch": epoch, "window": w, "loss": loss_value,
                                    "supervised": supervised})
             finally:
                 tape.release()  # free the window's graph by reference counting
     return TrainResult(param_sets=param_sets, params_by_cav=params_by_cav,
-                       adam=adam, loss_curve=loss_curve, epochs_done=settings.epochs)
+                       adam=adam, loss_curve=loss_curve,
+                       epochs_done=max(epochs_done, settings.epochs))
 
 
 def init_params_for_run(config, rng: np.random.Generator) -> dict:

@@ -84,6 +84,37 @@ def test_getitem_concat_reshape_grad():
     check_grad(build, x0)
 
 
+def test_getitem_adjoint_equals_add_at_for_basic_and_fancy_indices():
+    rng = np.random.default_rng(14)
+    x0 = rng.standard_normal((4, 5))
+    for idx in (2, np.int64(-1), slice(1, 4), (slice(None), slice(0, 3)), (1, 3),
+                (slice(None, None, 2), -2), [0, 2, 0], (np.array([3, 3]), slice(1, 3))):
+        tape = ad.Tape()
+        x = tape.var(x0)
+        part = ad.getitem(x, idx)
+        g = rng.standard_normal(np.shape(part.value))
+        g.flat[0] = -0.0
+        want = np.zeros_like(x0)
+        np.add.at(want, idx, g)
+        (got,) = part._vjp(g)
+        assert got.tobytes() == want.tobytes(), idx
+
+
+def test_stack_grad():
+    rng = np.random.default_rng(15)
+    x0 = rng.standard_normal((2, 3))
+    w = rng.standard_normal(3)
+    check_grad(lambda x: ad.asum(ad.square(ad.stack([x[0], ad.square(x[1]), x[0], w]))), x0)
+    assert ad.stack([x0[0], w]).tolist() == [x0[0].tolist(), w.tolist()]
+
+
+def test_sqrt_adjoint_is_zero_where_the_root_is_zero():
+    tape = ad.Tape()
+    x = tape.var([0.0, 4.0, 0.0])
+    tape.backward(ad.asum(ad.sqrt(ad.asum(ad.square(ad.reshape(x, (3, 1))), axis=1))))
+    np.testing.assert_array_equal(ad.grad_of(x), [0.0, 1.0, 0.0])
+
+
 def test_square_sqrt_relu_grad():
     rng = np.random.default_rng(4)
     # Keep entries away from 0 where relu/sqrt are non-differentiable.
@@ -320,6 +351,22 @@ def test_gather_reads_zero_past_the_end_and_scatters_back():
     w = rng.standard_normal(idx.shape)
     check_grad(lambda x: ad.asum(ad.square(ad.sub(ad.gather(x, idx), w))), x0)
     assert ad.gather(x0.astype(np.longdouble), idx).dtype == np.longdouble
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_gather_adjoint_equals_add_at_bit_for_bit(dtype):
+    idx, _, _ = ad.im2col_indices(2, 3, 6, 6, 3, 2, 1)
+    assert np.unique(idx).size < idx.size  # patches overlap, so entries repeat
+    rng = np.random.default_rng(16)
+    tape = ad.Tape()
+    x = tape.var(rng.standard_normal((2, 3, 6, 6)).astype(dtype))
+    out = ad.gather(x, idx)
+    g = rng.standard_normal(idx.shape).astype(dtype)
+    want = np.zeros(x.value.size + 1, dtype=dtype)
+    np.add.at(want, idx, g)
+    (got,) = out._vjp(g)
+    assert got.dtype == dtype
+    assert got.tobytes() == want[:-1].reshape(x.shape).tobytes()
 
 
 def test_im2col_indices_are_built_once_and_read_only():

@@ -462,6 +462,32 @@ def test_train_resume_matches_uninterrupted_run(tmp_path, sim_dir, capsys):
             assert arr.tobytes() == b.params_by_cav[cav].arrays[name].tobytes()
 
 
+def test_resume_past_the_configured_epochs_trains_none_and_keeps_the_count(
+        tmp_path, sim_dir, capsys):
+    cfg2 = dataclasses.replace(small_config(),
+                               train=TrainSettings(window_length=5, epochs=2))
+    cfg2_path = str(tmp_path / "cfg2.json")
+    io.save_config(cfg2_path, cfg2)
+    full = str(tmp_path / "full.ckpt")
+    assert cli.main(["train", "--config", cfg2_path, "--scenarios", sim_dir,
+                     "--out", full]) == 0
+    cfg1_path = str(tmp_path / "cfg1.json")
+    io.save_config(cfg1_path, dataclasses.replace(
+        cfg2, train=TrainSettings(window_length=5, epochs=1)))
+    capsys.readouterr()
+    resumed = str(tmp_path / "resumed.ckpt")
+    assert cli.main(["train", "--config", cfg1_path, "--scenarios", sim_dir,
+                     "--resume", full, "--out", resumed]) == 0
+    assert "trained 0 epoch(s)" in capsys.readouterr().out
+    a = io.load_checkpoint(full)
+    b = io.load_checkpoint(resumed)
+    assert b.epochs_done == a.epochs_done == 2
+    assert b.adam_state["step"] == a.adam_state["step"]
+    for cav in a.params_by_cav:
+        for name, arr in a.params_by_cav[cav].arrays.items():
+            assert arr.tobytes() == b.params_by_cav[cav].arrays[name].tobytes()
+
+
 # --- eval ------------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from cooptrack import sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, wrap_angle
 from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings
+from cooptrack.pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
 
 EXTENTS = (4.2, 1.9, 1.6)
 
@@ -207,6 +208,61 @@ def test_loss_equals_the_per_pair_reference_on_random_scenes(center_mode):
     assert supervised > 40  # the scenes do exercise the gate and the nearest pick
 
 
+@pytest.mark.parametrize("frames", [1, 3])
+def test_loss_tape_nodes_do_not_grow_with_supervised_tracks(frames):
+    gt = boxed(0.0, 0.0)
+    counts = set()
+    for tracks in (1, 4, 16):
+        tape = ad.Tape()
+        reports = [[SimpleNamespace(mean=tape.var([0.1 * i, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0]))
+                    for i in range(tracks)] for _ in range(frames)]
+        leaves = len(tape)
+        _, n = training.window_loss(reports, [[(0, gt)]] * frames)
+        assert n == tracks * frames
+        counts.add(len(tape) - leaves)
+    assert len(counts) == 1
+
+
+def per_track_loss(reports_per_frame, gt_per_frame, radius=2.0):
+    """Reference on the tape: one norm per supervised track, summed in order."""
+    terms = []
+    for reported, gts in zip(reports_per_frame, gt_per_frame):
+        for rt in reported:
+            m = ad.val(rt.mean)
+            dists = [math.dist(m[:3], (b.x, b.y, b.z)) for _gid, b in gts]
+            if not dists or min(dists) > radius:
+                continue
+            target = gts[dists.index(min(dists))][1].to_vector()
+            target[3] = m[3] - wrap_angle(m[3] - target[3])
+            terms.append(ad.sqrt(ad.asum(ad.square(ad.sub(rt.mean[0:7], target)))))
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return ad.div(total, float(len(terms))), len(terms)
+
+
+def test_batched_loss_gradient_bits_equal_the_per_track_reference():
+    frames = sim.generate(tiny_scenario())
+    tape = ad.Tape()
+    params = fresh_params(small_net(), 1)
+    lifted = {cav: p.lift(tape) for cav, p in params.items()}
+    tracker = tracker_from_settings(
+        TrackerSettings(), LearnedCovariance({cav: (lifted[cav], small_net()) for cav in lifted}))
+    reports = [tracker.step(packets_from_sim_frame(f)) for f in frames]
+    truths = [f.gt for f in frames]
+    grads = []
+    for loss_fn in (training.window_loss, per_track_loss):
+        loss, n = loss_fn(reports, truths)
+        tape.backward(loss)
+        grads.append((float(ad.val(loss)), n,
+                      [ad.grad_of(node).tobytes() for cav in sorted(lifted)
+                       for _name, node in sorted(lifted[cav].items())]))
+    (batched, n, got), (reference, want_n, want) = grads
+    assert n == want_n > 10
+    assert math.isclose(batched, reference, rel_tol=1e-14)
+    assert got == want
+
+
 # --- gradient clipping ----------------------------------------------------------
 
 
@@ -376,6 +432,51 @@ def test_train_skips_step_when_window_unsupervised():
     for cav, arrays in before.items():
         for name, arr in arrays.items():
             assert np.array_equal(result.params_by_cav[cav].arrays[name], arr)
+
+
+def test_exact_hits_give_a_zero_loss_gradient_not_nan(monkeypatch):
+    # noiseless sensors on a static scene: every supervised box equals its truth
+    norms, real = [], training.clip_gradients
+
+    def spy(grads, max_norm):
+        clipped, norm = real(grads, max_norm)
+        norms.append(norm)
+        return clipped, norm
+
+    monkeypatch.setattr(training, "clip_gradients", spy)
+    objects = tuple(sim.constant_turn_trajectory((x0, y0), 0.0, 0.0, 0.0, 0.0, EXTENTS, 10)
+                    for x0, y0 in ((8.0, 0.0), (14.0, 3.5), (20.0, -3.5)))
+    sensor = sim.SensorModel(base_std=(0.0,) * 7)
+    cavs = tuple(sim.CavSpec(poses=sim.straight_pose_track(start, 0.0, 0.0, 10), sensor=sensor)
+                 for start in ((0.0, 0.0), (2.0, -4.0)))
+    frames = sim.generate(sim.Scenario(duration=10, objects=objects, cavs=cavs, seed=5))
+    cfg = small_run_config(train=TrainSettings(window_length=10, epochs=1))
+    result = training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
+    assert result.loss_curve == [{"epoch": 0, "window": 0, "loss": 0.0, "supervised": 30}]
+    assert norms == [0.0] and result.adam.step == 1
+    for params in result.param_sets.values():
+        assert all(np.all(np.isfinite(arr)) for arr in params.arrays.values())
+
+
+def test_non_finite_gradient_norm_raises_before_adam_moves(monkeypatch):
+    real = training.clip_gradients
+
+    def poisoned(grads, max_norm):
+        key = next(iter(grads))
+        return real({**grads, key: grads[key] * np.nan}, max_norm)
+
+    monkeypatch.setattr(training, "clip_gradients", poisoned)
+    frames = sim.generate(tiny_scenario())
+    cfg = small_run_config()
+    params = fresh_params(small_net(), 1)
+    before = param_bytes(params)
+    adam = training.AdamState.init(params)
+    with pytest.raises(FloatingPointError, match="gradient norm nan in epoch 0, window 0"):
+        training.train(frames, params, cfg.train, cfg.tracker, adam=adam)
+    assert param_bytes(params) == before
+    assert adam.step == 0
+    assert all(np.all(m == 0.0) for m in adam.m.values())
+    assert all(np.all(v == 0.0) for v in adam.v.values())
 
 
 @pytest.mark.parametrize("blind", [False, True], ids=["stepped", "skipped"])
