@@ -55,22 +55,6 @@ class Box7:
     def to_vector(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.a, self.l, self.w, self.h], dtype=float)
 
-    def volume(self) -> float:
-        return self.l * self.w * self.h
-
-    def bev_corners(self):
-        """Four BEV corner (x, y) tuples in counter-clockwise order."""
-        return _bev_corners(self.x, self.y, self.a, self.l, self.w)
-
-
-def _bev_corners(x, y, a, l, w):
-    # the corners (+-l/2, +-w/2) rotated by a and moved to (x, y); c * (-d)
-    # is -(c * d) exactly, so each product is formed once
-    c, s = math.cos(a), math.sin(a)
-    chl, shl, chw, shw = c * (0.5 * l), s * (0.5 * l), c * (0.5 * w), s * (0.5 * w)
-    return [(x + chl - shw, y + shl + chw), (x - chl - shw, y - shl + chw),
-            (x - chl + shw, y - shl - chw), (x + chl + shw, y + shl - chw)]
-
 
 def box_rows(boxes) -> np.ndarray:
     """A sequence of Box7 as an (n, 7) float64 array of (x, y, z, a, l, w, h) rows."""
@@ -148,73 +132,9 @@ def inverse_pose(pose: PoseYawT) -> PoseYawT:
     )
 
 
-# Polygon areas below this are treated as no overlap; guards against
+# Intersection areas below this are treated as no overlap; guards against
 # sliver polygons produced by clipping boxes that merely touch.
 _AREA_EPS = 1e-12
-
-
-def _clip_polygon(subject, clip):
-    """Sutherland-Hodgman clip of a convex `subject` polygon by convex `clip`.
-
-    Both polygons are CCW lists of (x, y). Points on a clip edge count as
-    inside, so identical rectangles clip to themselves.
-    """
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            return []
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        input_pts = output
-        output = []
-        m = len(input_pts)
-        for j in range(m):
-            px, py = input_pts[j]
-            qx, qy = input_pts[(j + 1) % m]
-            p_in = ex * (py - ay) - ey * (px - ax) >= 0.0
-            q_in = ex * (qy - ay) - ey * (qx - ax) >= 0.0
-            if p_in:
-                output.append((px, py))
-                if not q_in:
-                    output.append(_edge_intersect(px, py, qx, qy, ax, ay, ex, ey))
-            elif q_in:
-                output.append(_edge_intersect(px, py, qx, qy, ax, ay, ex, ey))
-    return output
-
-
-def _edge_intersect(px, py, qx, qy, ax, ay, ex, ey):
-    # p + t*(q - p) where cross(e, point - a) = 0
-    dx, dy = qx - px, qy - py
-    denom = ex * dy - ey * dx
-    if denom == 0.0:
-        return (qx, qy)
-    t = (ex * (ay - py) - ey * (ax - px)) / denom
-    return (px + t * dx, py + t * dy)
-
-
-def _polygon_area(poly) -> float:
-    n = len(poly)
-    if n < 3:
-        return 0.0
-    acc = 0.0
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        acc += x1 * y2 - x2 * y1
-    return 0.5 * abs(acc)
-
-
-def _bev_area(k1, k2) -> float:
-    area = _polygon_area(_clip_polygon(_bev_corners(k1[0], k1[1], k1[3], k1[4], k1[5]),
-                                       _bev_corners(k2[0], k2[1], k2[3], k2[4], k2[5])))
-    return 0.0 if area < _AREA_EPS else area
-
-
-def bev_intersection_area(b1, b2) -> float:
-    """Intersection area of the two yaw-rotated BEV rectangles (Box7s or 7-value rows)."""
-    return _bev_area(_box_values(b1), _box_values(b2))
 
 
 def iou3d(b1, b2) -> float:
@@ -226,25 +146,60 @@ def iou3d(b1, b2) -> float:
     gives the same bits as the Box7 built from it. Symmetric in its
     arguments by construction (the pair is canonically ordered before
     clipping, so both argument orders run identical arithmetic).
+
+    The BEV overlap is found in the first box's frame, where that box is
+    the axis-aligned slab |x| <= l1/2, |y| <= w1/2: the second box's
+    corners are clipped (Sutherland-Hodgman) against the four slab sides.
     """
     k1, k2 = _box_values(b1), _box_values(b2)
     if k2 < k1:
         k1, k2 = k2, k1
-    x1, y1, z1, _a1, l1, w1, h1 = k1
-    x2, y2, z2, _a2, l2, w2, h2 = k2
+    x1, y1, z1, a1, l1, w1, h1 = k1
+    x2, y2, z2, a2, l2, w2, h2 = k2
 
-    # Cheap exact rejections before polygon clipping.
+    # Cheap exact rejections before clipping.
     zlo = max(z1 - 0.5 * h1, z2 - 0.5 * h2)
     zhi = min(z1 + 0.5 * h1, z2 + 0.5 * h2)
     if zhi <= zlo:
         return 0.0
     r1 = 0.5 * math.hypot(l1, w1)
     r2 = 0.5 * math.hypot(l2, w2)
-    if math.hypot(x2 - x1, y2 - y1) > r1 + r2:
+    dx, dy = x2 - x1, y2 - y1
+    if math.hypot(dx, dy) > r1 + r2:
         return 0.0
 
-    inter_area = _bev_area(k1, k2)
-    if inter_area == 0.0:
+    # The second box's CCW corners in the first box's frame; c * (-d) is
+    # -(c * d) exactly, so each product is formed once.
+    c1, s1 = math.cos(a1), math.sin(a1)
+    cx, cy = c1 * dx + s1 * dy, c1 * dy - s1 * dx
+    c, s = math.cos(a2 - a1), math.sin(a2 - a1)
+    chl, shl, chw, shw = c * (0.5 * l2), s * (0.5 * l2), c * (0.5 * w2), s * (0.5 * w2)
+    us = [cx + chl - shw, cx - chl - shw, cx - chl + shw, cx + chl + shw]
+    vs = [cy + shl + chw, cy - shl + chw, cy - shl - chw, cy + shl - chw]
+
+    # Each pass keeps u <= bound (a point on the side counts as inside), then
+    # turns the plane a quarter, (u, v) -> (v, -u), so the next pass clips
+    # the next side; four passes go round the slab and back to (x, y).
+    for bound in (0.5 * l1, 0.5 * w1, 0.5 * l1, 0.5 * w1):
+        nu, nv = [], []
+        pu, pv = us[-1], vs[-1]
+        for qu, qv in zip(us, vs):
+            if (qu <= bound) != (pu <= bound):
+                nu.append(pv + (bound - pu) * (qv - pv) / (qu - pu))
+                nv.append(-bound)
+            if qu <= bound:
+                nu.append(qv)
+                nv.append(-qu)
+            pu, pv = qu, qv
+        if not nu:
+            return 0.0
+        us, vs = nu, nv
+
+    acc = us[-1] * vs[0] - us[0] * vs[-1]
+    for i in range(len(us) - 1):
+        acc += us[i] * vs[i + 1] - us[i + 1] * vs[i]
+    inter_area = 0.5 * abs(acc)
+    if inter_area < _AREA_EPS:
         return 0.0
     inter_vol = inter_area * (zhi - zlo)
     union = l1 * w1 * h1 + l2 * w2 * h2 - inter_vol

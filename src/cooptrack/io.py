@@ -117,9 +117,11 @@ class TrainSettings:
     def validate(self):
         if self.window_length < 2:
             raise ConfigError("window_length must be >= 2")
-        for name in ("lr", "weight_decay", "grad_clip_norm", "gt_match_radius"):
+        for name in ("lr", "grad_clip_norm", "gt_match_radius"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.center_distance not in ("3d", "2d"):

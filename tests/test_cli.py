@@ -488,6 +488,24 @@ def test_resume_past_the_configured_epochs_trains_none_and_keeps_the_count(
             assert arr.tobytes() == b.params_by_cav[cav].arrays[name].tobytes()
 
 
+def test_train_accepts_zero_weight_decay(tmp_path, sim_dir, capsys):
+    cfg = tmp_path / "no_decay.json"
+    cfg.write_text(json.dumps({"train": {"weight_decay": 0, "epochs": 1}}))
+    ckpt = str(tmp_path / "model.ckpt")
+    assert cli.main(["train", "--config", str(cfg), "--scenarios", sim_dir,
+                     "--out", ckpt]) == 0
+    capsys.readouterr()
+    assert io.load_checkpoint(ckpt).config.train.weight_decay == 0
+
+
+def test_train_rejects_negative_weight_decay(tmp_path, sim_dir, capsys):
+    cfg = tmp_path / "negative_decay.json"
+    cfg.write_text(json.dumps({"train": {"weight_decay": -1e-5, "epochs": 1}}))
+    assert cli.main(["train", "--config", str(cfg), "--scenarios", sim_dir,
+                     "--out", str(tmp_path / "model.ckpt")]) == 2
+    assert "weight_decay" in capsys.readouterr().err
+
+
 # --- eval ------------------------------------------------------------------------
 
 

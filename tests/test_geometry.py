@@ -1,19 +1,24 @@
 """Geometry unit tests: angle wrapping, rigid transforms, and rotated IoU.
 
-The IoU oracle here is a seeded Monte-Carlo volume estimate; the full
-100-pair sweep lives in the acceptance suite, this file keeps a handful
-of cheap spot checks plus exact hand-computable cases.
+Two IoU oracles live here: a seeded Monte-Carlo volume estimate (the full
+100-pair sweep lives in the acceptance suite, this file keeps a handful of
+cheap spot checks) and a generic Sutherland-Hodgman clip of the two BEV
+rectangles in the global axes, against which `iou3d`'s clip in the first
+box's frame is checked on generated pairs. Exact hand-computable cases
+complete the set.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cooptrack.geometry import (
     Box7,
     PoseYawT,
-    bev_intersection_area,
+    box_rows,
     inverse_pose,
     iou3d,
     transform_box,
@@ -56,23 +61,6 @@ def test_box7_vector_round_trip():
     v = np.array([1.0, -2.0, 0.5, 0.3, 4.0, 2.0, 1.5])
     b = Box7.from_vector(v)
     assert np.allclose(b.to_vector(), v)
-    assert b.volume() == pytest.approx(4.0 * 2.0 * 1.5)
-
-
-def test_bev_corners_ccw_and_axis_aligned():
-    b = Box7(10.0, -5.0, 0.0, 0.0, 4.0, 2.0, 1.0)
-    corners = b.bev_corners()
-    assert corners[0] == pytest.approx((12.0, -4.0))
-    assert corners[1] == pytest.approx((8.0, -4.0))
-    assert corners[2] == pytest.approx((8.0, -6.0))
-    assert corners[3] == pytest.approx((12.0, -6.0))
-    # Shoelace signed area positive for CCW ordering.
-    acc = 0.0
-    for i in range(4):
-        x1, y1 = corners[i]
-        x2, y2 = corners[(i + 1) % 4]
-        acc += x1 * y2 - x2 * y1
-    assert acc > 0.0
 
 
 def test_transform_point_round_trip():
@@ -107,18 +95,6 @@ def test_identity_pose_and_inverse_compose():
         np.testing.assert_allclose(back.to_vector(), box.to_vector(), atol=1e-10)
 
 
-def test_bev_intersection_identical_boxes():
-    b = Box7(2.0, 3.0, 0.0, 0.4, 4.2, 1.9, 1.5)
-    assert bev_intersection_area(b, b) == pytest.approx(4.2 * 1.9)
-
-
-def test_bev_intersection_axis_aligned_shift():
-    # Unit squares offset by 0.5 in x: overlap is exactly 0.5.
-    b1 = Box7(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
-    b2 = Box7(0.5, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
-    assert bev_intersection_area(b1, b2) == pytest.approx(0.5)
-
-
 def test_iou3d_exact_cases():
     b = Box7(0.0, 0.0, 0.0, 0.3, 4.0, 2.0, 1.5)
     assert iou3d(b, b) == 1.0
@@ -132,6 +108,40 @@ def test_iou3d_exact_cases():
     b1 = Box7(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     b2 = Box7(0.5, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
     assert iou3d(b1, b2) == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 0.3, -2.0, -math.pi])
+def test_iou3d_of_boxes_touching_along_a_side_is_zero(yaw):
+    b = Box7(3.0, -7.0, 0.2, yaw, 4.5, 1.9, 1.6)
+    c, s = math.cos(b.a), math.sin(b.a)
+    # end to end (sharing a width side), then side by side (sharing a length
+    # side); a sliver overlap of 1e-13 m is below the area floor as well
+    for gap in (0.0, 1e-13):
+        for dx, dy in (((b.l - gap) * c, (b.l - gap) * s), (-(b.w - gap) * s, (b.w - gap) * c)):
+            other = Box7(b.x + dx, b.y + dy, b.z, b.a, b.l, b.w, b.h)
+            assert iou3d(b, other) == 0.0
+            assert iou3d(other, b) == 0.0
+
+
+@pytest.mark.parametrize("inner_yaw", [0.3, 0.5, 0.3 + math.pi / 2.0])
+def test_iou3d_of_nested_boxes_is_their_volume_ratio(inner_yaw):
+    outer = Box7(1.0, 2.0, 0.5, 0.3, 4.0, 2.0, 1.5)
+    inner = Box7(1.2, 2.1, 0.6, inner_yaw, 1.0, 0.5, 0.4)
+    want = (1.0 * 0.5 * 0.4) / (4.0 * 2.0 * 1.5)
+    assert iou3d(outer, inner) == pytest.approx(want, rel=1e-12)
+    assert iou3d(inner, outer) == iou3d(outer, inner)
+
+
+def test_iou3d_returns_a_python_float_for_boxes_and_rows():
+    b1 = Box7(0.0, 0.0, 0.0, 0.3, 4.0, 2.0, 1.5)
+    b2 = Box7(1.0, 0.5, 0.1, 0.2, 4.2, 1.9, 1.4)
+    far = Box7(50.0, 0.0, 0.0, 0.3, 4.0, 2.0, 1.5)
+    rows = box_rows([b1, b2, far]).tolist()
+    for a, b in ((b1, b2), (b1, far), (b1, b1)):
+        assert type(iou3d(a, b)) is float
+    for a, b in ((0, 1), (0, 2), (0, 0)):
+        assert type(iou3d(rows[a], rows[b])) is float
+    assert iou3d(rows[0], rows[1]) == iou3d(b1, b2)
 
 
 def test_iou3d_rotated_cross():
@@ -226,3 +236,124 @@ def test_iou3d_matches_monte_carlo_spot_checks():
         )
         est = monte_carlo_iou(b1, b2, n=200_000, seed=100 + i)
         assert iou3d(b1, b2) == pytest.approx(est, abs=0.02)
+
+
+# --- generic polygon-clip oracle -------------------------------------------------
+
+
+def _bev_corners(b: Box7, ox: float, oy: float):
+    """The four BEV corners of a box, counter-clockwise, relative to (ox, oy)."""
+    x, y = b.x - ox, b.y - oy
+    c, s = math.cos(b.a), math.sin(b.a)
+    chl, shl, chw, shw = c * (0.5 * b.l), s * (0.5 * b.l), c * (0.5 * b.w), s * (0.5 * b.w)
+    return [(x + chl - shw, y + shl + chw), (x - chl - shw, y - shl + chw),
+            (x - chl + shw, y - shl - chw), (x + chl + shw, y + shl - chw)]
+
+
+def _clip_polygon(subject, clip):
+    """Sutherland-Hodgman clip of a convex CCW `subject` polygon by convex CCW `clip`.
+
+    Points on a clip edge count as inside, so identical rectangles clip to
+    themselves.
+    """
+    output = list(subject)
+    for i in range(len(clip)):
+        if not output:
+            return []
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % len(clip)]
+        ex, ey = bx - ax, by - ay
+        points, output = output, []
+        for j in range(len(points)):
+            px, py = points[j]
+            qx, qy = points[(j + 1) % len(points)]
+            p_in = ex * (py - ay) - ey * (px - ax) >= 0.0
+            q_in = ex * (qy - ay) - ey * (qx - ax) >= 0.0
+            if p_in:
+                output.append((px, py))
+            if p_in != q_in:
+                output.append(_edge_intersect(px, py, qx, qy, ax, ay, ex, ey))
+    return output
+
+
+def _edge_intersect(px, py, qx, qy, ax, ay, ex, ey):
+    # p + t*(q - p) where cross(e, point - a) = 0
+    dx, dy = qx - px, qy - py
+    denom = ex * dy - ey * dx
+    if denom == 0.0:
+        return (qx, qy)
+    t = (ex * (ay - py) - ey * (ax - px)) / denom
+    return (px + t * dx, py + t * dy)
+
+
+def _polygon_area(poly) -> float:
+    acc = 0.0
+    for i in range(len(poly)):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % len(poly)]
+        acc += x1 * y2 - x2 * y1
+    return 0.5 * abs(acc)
+
+
+def clip_oracle_iou(b1: Box7, b2: Box7) -> float:
+    """3D IoU with the BEV overlap clipped in the global axes, floored like `iou3d`.
+
+    The corners are taken relative to the first box's center: the shoelace
+    sum of a small box 50 m from the origin would otherwise cancel to a
+    relative error near 1e-12.
+    """
+    dz = min(b1.z + 0.5 * b1.h, b2.z + 0.5 * b2.h) - max(b1.z - 0.5 * b1.h, b2.z - 0.5 * b2.h)
+    area = _polygon_area(_clip_polygon(_bev_corners(b1, b1.x, b1.y),
+                                       _bev_corners(b2, b1.x, b1.y)))
+    if dz <= 0.0 or area < 1e-12:
+        return 0.0
+    inter = area * dz
+    return inter / (b1.l * b1.w * b1.h + b2.l * b2.w * b2.h - inter)
+
+
+lane_coords = st.floats(-50.0, 50.0)
+lane_extents = st.floats(0.5, 6.0)
+seam_yaws = st.floats(math.pi - 1e-6, math.pi) | st.floats(-math.pi, -math.pi + 1e-6)
+yaws = st.floats(-math.pi, math.pi) | seam_yaws | st.sampled_from((0.0, math.pi / 2.0))
+
+
+@st.composite
+def oracle_pairs(draw):
+    """Pairs the tracker meets: seam yaws, lanes with parallel edges, and exact contacts."""
+    a = Box7(draw(lane_coords), draw(lane_coords), draw(st.floats(-1.0, 1.0)), draw(yaws),
+             draw(lane_extents), draw(lane_extents), draw(lane_extents))
+    c, s = math.cos(a.a), math.sin(a.a)
+    kind = draw(st.sampled_from(("identical", "lane", "seam", "nested", "offset_l",
+                                 "offset_w", "nudged")))
+    if kind == "identical":
+        return a, a
+    if kind in ("offset_l", "offset_w"):
+        # the same box moved by exactly its length (or width) along that axis
+        d = a.l if kind == "offset_l" else a.w
+        ux, uy = (c, s) if kind == "offset_l" else (-s, c)
+        return a, Box7(a.x + d * ux, a.y + d * uy, a.z, a.a, a.l, a.w, a.h)
+    if kind == "nested":
+        f = draw(st.floats(0.1, 1.0))
+        along, across = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+        l, w = f * a.l, f * a.w
+        sx, sy = along * (a.l - l), across * (a.w - w)
+        return a, Box7(a.x + c * sx - s * sy, a.y + s * sx + c * sy, a.z, a.a, l, w,
+                       f * a.h)
+    nudge = st.floats(-3.0, 3.0)
+    x, y = a.x + draw(nudge), a.y + draw(nudge)
+    if kind == "lane":
+        yaw = a.a  # equal yaws: every edge parallel to one of the other box's
+    elif kind == "seam":
+        yaw = draw(seam_yaws)
+    else:
+        yaw = a.a + draw(st.floats(-0.5, 0.5))
+    return a, Box7(x, y, a.z + draw(st.floats(-1.0, 1.0)), yaw, draw(lane_extents),
+                   draw(lane_extents), draw(lane_extents))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(oracle_pairs())
+def test_iou3d_agrees_with_the_generic_clip_oracle(pair):
+    a, b = pair
+    assert abs(iou3d(a, b) - clip_oracle_iou(a, b)) <= 1e-12
+    assert abs(iou3d(b, a) - clip_oracle_iou(b, a)) <= 1e-12
