@@ -142,26 +142,10 @@ def cmd_ablate(args) -> int:
 
 
 def _config_keys_help() -> str:
-    lines = ["configuration file keys (JSON; every key optional, defaults shown):"]
-
-    def walk(cls, prefix):
-        for f in dataclasses.fields(cls):
-            name = f"{prefix}{f.name}"
-            if f.name in cio._SECTION_TYPES:
-                walk(cio._SECTION_TYPES[f.name], name + ".")
-                continue
-            if f.default is not dataclasses.MISSING:
-                default = f.default
-            elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-                default = f.default_factory()  # type: ignore[misc]
-            else:
-                default = "?"
-            if f.name == "normalization_bounds":
-                default = "18 (min,max) pairs; see README"
-            lines.append(f"  {name} (default: {default})")
-
-    walk(cio.RunConfig, "")
-    return "\n".join(lines)
+    return "\n".join(["configuration file keys (JSON; every key optional):"] + [
+        f"  {key}: {cio.type_name(hint)}, default {cio.canonical_json(default)}"
+        + (f", allowed {cio.CONFIG_RANGES[key].text}" if key in cio.CONFIG_RANGES else "")
+        for key, hint, default in cio.config_keys()])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,8 +24,8 @@ BRANCH_WIDTH_TOLERANCE = 0.15
 
 @dataclass(frozen=True)
 class CovNetConfig:
-    app_shape: tuple = DEFAULT_APPEARANCE_SHAPE
-    conv_channels: tuple = (16, 32)
+    app_shape: tuple[int, int, int] = DEFAULT_APPEARANCE_SHAPE
+    conv_channels: tuple[int, ...] = (16, 32)
     kernel: int = 3
     stride: int = 2
     pad: int = 1
@@ -38,6 +38,9 @@ class CovNetConfig:
     def __post_init__(self):
         if not (self.use_appearance or self.use_positional):
             raise ValueError("at least one input branch must be enabled")
+        if self.use_appearance and min(self.conv_output_hw()) < 1:
+            raise ValueError("the convolutions shrink the appearance tensor to "
+                             "{}x{}".format(*self.conv_output_hw()))
         if self.use_appearance and self.use_positional:
             a, p = self.appearance_flat_width(), self.pos_out
             if abs(a - p) > BRANCH_WIDTH_TOLERANCE * max(a, p):

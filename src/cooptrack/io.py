@@ -14,6 +14,8 @@ import hashlib
 import json
 import math
 import os
+import typing
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,30 +68,11 @@ class ScenarioConfig:
     miss_multiplier: float = 1.0
     fp_multiplier: float = 1.0
 
-    def validate(self):
-        if self.preset != "v2v_mini":
-            raise ConfigError(f"unknown scenario preset {self.preset!r}")
-        if self.duration < 1:
-            raise ConfigError("scenario duration must be >= 1")
-        for name in ("noise_multiplier", "miss_multiplier", "fp_multiplier"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-
 
 @dataclass(frozen=True)
 class TrackerSettings(LifecycleConfig):
     process_noise_velocity: float = 0.01
     assoc_iou_threshold: float = 0.1
-
-    def validate(self):
-        if self.process_noise_velocity < 0:
-            raise ConfigError("process_noise_velocity must be >= 0")
-        if not 0.0 < self.assoc_iou_threshold < 1.0:
-            raise ConfigError("assoc_iou_threshold must be in (0,1)")
-        if self.min_hits < 1 or self.max_age < 0:
-            raise ConfigError("min_hits >= 1 and max_age >= 0 required")
-        if not 0.0 < self.score_decay <= 1.0:
-            raise ConfigError("score_decay must be in (0,1]")
 
 
 @dataclass(frozen=True)
@@ -98,9 +81,8 @@ class NetSettings(CovNetConfig):
 
     def covnet_config(self) -> CovNetConfig:
         """The network fields alone, as a plain CovNetConfig."""
-        kwargs = {f.name: getattr(self, f.name) for f in dataclasses.fields(CovNetConfig)}
-        kwargs["app_shape"] = tuple(self.app_shape)
-        return CovNetConfig(**kwargs)
+        return CovNetConfig(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(CovNetConfig)})
 
 
 @dataclass(frozen=True)
@@ -114,21 +96,6 @@ class TrainSettings:
     center_distance: str = "3d"
     batch_windows: int = 1
 
-    def validate(self):
-        if self.window_length < 2:
-            raise ConfigError("window_length must be >= 2")
-        for name in ("lr", "grad_clip_norm", "gt_match_radius"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.center_distance not in ("3d", "2d"):
-            raise ConfigError("center_distance must be '3d' or '2d'")
-        if self.batch_windows != 1:
-            raise ConfigError("only batch_windows = 1 is supported")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -137,91 +104,136 @@ class RunConfig:
     seed: int = 0
     num_cavs: int = 2
     eval_iou_threshold: float = 0.25
-    normalization_bounds: tuple = DEFAULT_BOUNDS
+    normalization_bounds: tuple[tuple[float, float], ...] = DEFAULT_BOUNDS
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     tracker: TrackerSettings = field(default_factory=TrackerSettings)
     covnet: NetSettings = field(default_factory=NetSettings)
     train: TrainSettings = field(default_factory=TrainSettings)
 
-    def validate(self):
-        if self.num_cavs < 1:
-            raise ConfigError("num_cavs must be >= 1")
-        if not 0.0 < self.eval_iou_threshold < 1.0:
-            raise ConfigError("eval_iou_threshold must be in (0,1)")
-        bounds = self.normalization_bounds
-        if len(bounds) != len(DEFAULT_BOUNDS):
-            raise ConfigError(f"normalization_bounds needs {len(DEFAULT_BOUNDS)} pairs")
-        for k, pair in enumerate(bounds):
-            if len(pair) != 2 or not pair[0] < pair[1]:
-                raise ConfigError(f"normalization_bounds[{k}] must be (min, max) with min < max")
-        self.scenario.validate()
-        self.tracker.validate()
-        self.train.validate()
+
+# The schema of a config file: a key's type is its field's annotation (a section
+# is a field whose type is a dataclass), and its allowed values are in CONFIG_RANGES.
+
+
+class Allowed(typing.NamedTuple):
+    text: str  # for people, as in `--help` and the README
+    test: Callable[[object], bool]
+
+
+def _at_least(lo) -> Allowed:
+    return Allowed(f">= {lo}", lambda v: v >= lo)
+
+
+def _one_of(*options) -> Allowed:
+    return Allowed(" or ".join(map(json.dumps, options)), lambda v: v in options)
+
+
+_POSITIVE = Allowed("> 0", lambda v: v > 0)
+_UNIT_OPEN = Allowed("in (0, 1)", lambda v: 0 < v < 1)
+
+CONFIG_RANGES = {  # keyed by dotted path
+    "seed": _at_least(0), "num_cavs": _at_least(1), "eval_iou_threshold": _UNIT_OPEN,
+    "normalization_bounds": Allowed(f"{len(DEFAULT_BOUNDS)} pairs, each min < max",
+                                    lambda v: len(v) == len(DEFAULT_BOUNDS)
+                                    and all(lo < hi for lo, hi in v)),
+    "scenario.preset": _one_of("v2v_mini"), "scenario.duration": _at_least(1),
+    "scenario.noise_multiplier": _at_least(0), "scenario.miss_multiplier": _at_least(0),
+    "scenario.fp_multiplier": _at_least(0),
+    "tracker.min_hits": _at_least(1), "tracker.max_age": _at_least(0),
+    "tracker.score_decay": Allowed("in (0, 1]", lambda v: 0 < v <= 1),
+    "tracker.process_noise_velocity": _at_least(0), "tracker.assoc_iou_threshold": _UNIT_OPEN,
+    "covnet.app_shape": Allowed("all >= 1", lambda v: min(v) >= 1),
+    "covnet.conv_channels": Allowed("non-empty, all >= 1", lambda v: len(v) > 0 and min(v) >= 1),
+    "covnet.kernel": _at_least(1), "covnet.stride": _at_least(1), "covnet.pad": _at_least(0),
+    "covnet.pos_hidden": _at_least(1), "covnet.pos_out": _at_least(1),
+    "covnet.head_hidden": _at_least(1),
+    "train.window_length": _at_least(2), "train.lr": _POSITIVE,
+    "train.weight_decay": _at_least(0), "train.grad_clip_norm": _POSITIVE,
+    "train.epochs": _at_least(0), "train.gt_match_radius": _POSITIVE,
+    "train.center_distance": _one_of("3d", "2d"), "train.batch_windows": _one_of(1),
+}
+
+
+def _is_number(value) -> bool:
+    """A finite int or float; a bool, or an int beyond float range, is not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def config_keys(cls=RunConfig, prefix=""):
+    """(dotted key, type, default) of every setting under `cls`, in field order."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from config_keys(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", hints[f.name], f.default
+
+
+def type_name(hint) -> str:
+    """A config type as JSON spells it: `int`, `[int, int, int]`, `[[float, float], ...]`."""
+    args = typing.get_args(hint)
+    if not args:
+        return hint.__name__
+    return "[" + ", ".join("..." if a is Ellipsis else type_name(a) for a in args) + "]"
+
+
+def _as_type(value, hint):
+    """`value` as a `hint`, JSON lists becoming tuples; None when it is not one."""
+    args = typing.get_args(hint)
+    if not args:
+        is_type = {int: _is_int, float: _is_number}.get(hint, lambda v: isinstance(v, hint))
+        return value if is_type(value) else None
+    if args[-1] is Ellipsis and isinstance(value, (list, tuple)):
+        args = args[:1] * len(value)
+    if not isinstance(value, (list, tuple)) or len(value) != len(args):
+        return None
+    items = tuple(_as_type(v, a) for v, a in zip(value, args))
+    return None if None in items else items
 
 
 def _from_dict(cls, data, path):
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+        raise ConfigError(f"{path or 'config'}: expected an object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown key(s) {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        sub = f"{path}.{name}" if path else name
-        if name in _SECTION_TYPES:
-            kwargs[name] = _from_dict(_SECTION_TYPES[name], value, sub)
-        elif isinstance(value, list):
-            kwargs[name] = _tuplify(value)
-        else:
-            kwargs[name] = value
+        key = f"{path}.{name}" if path else name
+        if dataclasses.is_dataclass(hints[name]):
+            kwargs[name] = _from_dict(hints[name], value, key)
+            continue
+        kwargs[name] = _as_type(value, hints[name])
+        if kwargs[name] is None:
+            raise ConfigError(f"{key}: expected {type_name(hints[name])}, got {value!r}")
+        allowed = CONFIG_RANGES.get(key)
+        if allowed is not None and not allowed.test(kwargs[name]):
+            raise ConfigError(f"{key}: must be {allowed.text}, got {value!r}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # a rule across keys, such as the covnet branch widths
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
-_SECTION_TYPES = {"scenario": ScenarioConfig, "tracker": TrackerSettings,
-                  "covnet": NetSettings, "train": TrainSettings}
-
-
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
-def _listify(value):
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    return value
-
-
 def config_from_dict(data: dict) -> RunConfig:
-    cfg = _from_dict(RunConfig, data, "")
-    cfg.validate()
-    return cfg
+    return _from_dict(RunConfig, data, "")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name in _SECTION_TYPES:
-            out[f.name] = {sf.name: _listify(getattr(value, sf.name))
-                           for sf in dataclasses.fields(value)}
-        else:
-            out[f.name] = _listify(value)
-    return out
+    """The config as JSON values: sections as objects, tuples as lists."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(data)
+    return config_from_dict(_read_json(path, ConfigError))
 
 
 def save_config(path: str, cfg: RunConfig):
@@ -275,16 +287,8 @@ def _read_header(line, path: str, format_name: str, noun: str) -> dict:
 # --- line-delimited logs ------------------------------------------------------
 
 
-def _is_number(value) -> bool:
-    """A finite int or float; a bool, or an int beyond float range, is not."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
 _INT, _NUM, _LIST, _OBJ = "an integer", "a finite number", "a list", "an object"
-_KIND_CHECKS = {_INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+_KIND_CHECKS = {_INT: _is_int,
                 _NUM: _is_number, _LIST: lambda v: isinstance(v, list),
                 _OBJ: lambda v: isinstance(v, dict)}
 
@@ -627,7 +631,10 @@ def load_track_output(run_dir: str):
     comm_mb = 0.0
     comm_path = os.path.join(run_dir, COMM_FILE)
     if os.path.exists(comm_path):
-        comm_mb = _read_json(comm_path)["mb_total"]
+        comm_mb = _read_json(comm_path).get("mb_total")
+        if not (_is_number(comm_mb) and comm_mb >= 0):
+            raise LogFormatError(f"{comm_path}: mb_total must be a finite non-negative "
+                                 f"number, got {comm_mb!r}")
     config = None
     meta_path = os.path.join(run_dir, RUN_META_FILE)
     if os.path.exists(meta_path):
@@ -639,14 +646,15 @@ def load_track_output(run_dir: str):
     return track_frames_from_records(records), comm_mb, config
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str, error=LogFormatError) -> dict:
+    """The JSON object in a file; `error` when it holds anything else."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LogFormatError(f"{path}: invalid JSON ({exc})") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        raise LogFormatError(f"{path}: expected a JSON object")
+        raise error(f"{path}: expected a JSON object")
     return data
 
 
@@ -757,12 +765,9 @@ def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
     if header.get("adam_step") is not None:
         adam_state = {"step": header["adam_step"], "m": arrays["adam_m"],
                       "v": arrays["adam_v"]}
-    if expect_config is not None:
-        if expect_config.num_cavs != cfg.num_cavs:
-            raise LogFormatError(
-                f"{path}: checkpoint is for {cfg.num_cavs} vehicles, run expects "
-                f"{expect_config.num_cavs}")
-        if expect_config.covnet != cfg.covnet:
-            raise LogFormatError(f"{path}: checkpoint network settings differ from run config")
+    for key, what in (("num_cavs", "number of vehicles"), ("covnet", "network settings"),
+                      ("normalization_bounds", "normalization bounds")):
+        if expect_config is not None and getattr(expect_config, key) != getattr(cfg, key):
+            raise LogFormatError(f"{path}: checkpoint and run config differ in {what} ({key})")
     return Checkpoint(params_by_cav=params_by_cav, config=cfg, seed=header["seed"],
                       epochs_done=header["epochs_done"], adam_state=adam_state)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import typing
 from collections import Counter
 
 import numpy as np
@@ -134,6 +135,24 @@ def test_track_zero_checkpoint_matches_constant_mode(tmp_path, config_path, sim_
         comm = json.load(fh)
     assert comm["reals_per_detection"] == metrics.SHARED_REALS
     assert comm["ratio_vs_box_only"] == pytest.approx(17 / 7)
+
+
+def test_track_rejects_a_checkpoint_trained_under_other_bounds(tmp_path, config_path,
+                                                              sim_dir, capsys):
+    cfg = small_config()
+    ckpt_path = str(tmp_path / "model.ckpt")
+    io.save_checkpoint(ckpt_path, Checkpoint(
+        params_by_cav=training.init_params_for_run(cfg, np.random.default_rng(0)),
+        config=cfg, seed=0))
+    scaled_path = str(tmp_path / "scaled.json")
+    io.save_config(scaled_path, dataclasses.replace(cfg, normalization_bounds=tuple(
+        (10 * lo, 10 * hi) for lo, hi in cfg.normalization_bounds)))
+    out = tmp_path / "trk"
+    assert cli.main(["track", "--config", scaled_path, "--detections", sim_dir,
+                     "--checkpoint", ckpt_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "model.ckpt" in err and "normalization bounds" in err
+    assert not out.exists()
 
 
 def test_every_cost_path_agrees_with_comm_cost(tmp_path, config_path, sim_dir, capsys):
@@ -558,6 +577,43 @@ def test_eval_scores_at_the_runs_iou_threshold(tmp_path, config_path, sim_dir, c
     assert "run_meta.json: bad run configuration" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def track_dir(tmp_path, config_path, sim_dir, capsys):
+    out = str(tmp_path / "trk")
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--out", out]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_eval_rejects_a_mistyped_run_config(tmp_path, track_dir, sim_dir, capsys):
+    meta_path = os.path.join(track_dir, io.RUN_META_FILE)
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    meta["config"]["train"]["epochs"] = "3"
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    out_csv = tmp_path / "summary.csv"
+    assert cli.main(["eval", "--tracks", track_dir, "--gt", sim_dir,
+                     "--out", str(out_csv)]) == 2
+    assert "run_meta.json: bad run configuration (train.epochs: " in capsys.readouterr().err
+    assert not out_csv.exists() and not (tmp_path / "summary_levels.csv").exists()
+
+
+@pytest.mark.parametrize("comm", ['{}', '{"mb_total": "x"}', '{"mb_total": 1e400}',
+                                  '{"mb_total": -3}', '{"mb_total": true}', '[1]'],
+                         ids=["empty", "string", "1e400", "negative", "bool", "not-an-object"])
+def test_eval_rejects_a_bad_comm_file_before_writing(tmp_path, track_dir, sim_dir, capsys,
+                                                     comm):
+    with open(os.path.join(track_dir, io.COMM_FILE), "w") as fh:
+        fh.write(comm)
+    out_csv = tmp_path / "summary.csv"
+    assert cli.main(["eval", "--tracks", track_dir, "--gt", sim_dir,
+                     "--out", str(out_csv)]) == 2
+    assert f"error: {os.path.join(track_dir, io.COMM_FILE)}: " in capsys.readouterr().err
+    assert not out_csv.exists() and not (tmp_path / "summary_levels.csv").exists()
+
+
 # --- comm-cost -------------------------------------------------------------------
 
 
@@ -603,6 +659,33 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"train": {"epochs": "3"}}, "train.epochs"),
+    ({"seed": 1.5}, "seed"),
+    ({"normalization_bounds": 3}, "normalization_bounds"),
+    ({"eval_iou_threshold": "0.3"}, "eval_iou_threshold"),
+    ({"seed": -1}, "seed"),
+    ({"scenario": {"duration": True}}, "scenario.duration"),
+    ({"tracker": {"min_hits": 2.5}}, "tracker.min_hits"),
+    ({"covnet": {"use_appearance": 0}}, "covnet.use_appearance"),
+    ({"covnet": {"kernel": 0}}, "covnet.kernel"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_bad_config_value_exits_2_naming_its_key(tmp_path, capsys, config, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_2_naming_its_path(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff{"seed": 1}')
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {bad}: invalid JSON" in capsys.readouterr().err
+
+
 def test_wrong_log_format_exits_2(tmp_path, config_path, sim_dir, capsys):
     # point eval at a directory whose gt file is actually a detections log
     trk = str(tmp_path / "trk")
@@ -633,13 +716,17 @@ def test_help_documents_every_config_key(capsys):
     text = capsys.readouterr().out
 
     def walk(cls, prefix):
-        import dataclasses as dc
-        for f in dc.fields(cls):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
             name = f"{prefix}{f.name}"
-            if f.name in io._SECTION_TYPES:
-                walk(io._SECTION_TYPES[f.name], name + ".")
+            if dataclasses.is_dataclass(hints[f.name]):
+                walk(hints[f.name], name + ".")
             else:
-                assert name in text, f"--help missing config key {name}"
+                allowed = io.CONFIG_RANGES.get(name)
+                assert (f"  {name}: {io.type_name(hints[f.name])}, "
+                        f"default {io.canonical_json(f.default)}"
+                        + (f", allowed {allowed.text}" if allowed else "")) in text, \
+                    f"--help missing config key {name}"
 
     walk(RunConfig, "")
     for command in ("simulate", "track", "train", "eval", "comm-cost", "ablate"):

@@ -3,10 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cooptrack import io, training
 from cooptrack.covnet import CovNetParams
@@ -86,6 +90,102 @@ def test_config_validation_errors():
         io.config_from_dict({"normalization_bounds": [[0, 1]]})
     with pytest.raises(ConfigError, match="covnet: at least one input branch"):
         io.config_from_dict({"covnet": {"use_appearance": False, "use_positional": False}})
+
+
+def _config_paths(data, prefix=()):
+    """The path of every section and setting in a config dict."""
+    for name, value in data.items():
+        yield prefix + (name,)
+        if isinstance(value, dict):
+            yield from _config_paths(value, prefix + (name,))
+
+
+def _filled(data, defaults):
+    """`data` with the settings it leaves out taken from `defaults`."""
+    return {k: _filled(data.get(k, {}), v) if isinstance(v, dict) else data.get(k, v)
+            for k, v in defaults.items()}
+
+
+def _same_types(value, default) -> bool:
+    """Whether `value` has the JSON types of `default`, list items those of its first
+    item; an int may stand for a float."""
+    if isinstance(default, dict):
+        return all(_same_types(value[k], v) for k, v in default.items())
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_types(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+_DEFAULT_CONFIG = io.config_to_dict(RunConfig())
+_CONFIG_PATHS = sorted(_config_paths(_DEFAULT_CONFIG))
+# JSON values that a hand-edited config might hold where another belongs: strings,
+# bools, floats where ints belong, lists of the wrong length, 1e400 (which JSON
+# reads as infinity), null and nested objects
+_ANY_JSON = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(), st.just(math.inf),
+    st.integers(-3, 200), st.floats(-10, 300, allow_nan=False),
+    st.lists(st.integers(1, 40), max_size=5),
+    st.lists(st.lists(st.floats(-5, 5), min_size=1, max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "seed", "epochs"]), st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(path=st.sampled_from(_CONFIG_PATHS), draw=st.data())
+def test_a_mutated_config_round_trips_or_is_rejected_naming_its_key(path, draw):
+    data = json.loads(json.dumps(_DEFAULT_CONFIG))
+    section = data
+    for name in path[:-1]:
+        section = section[name]
+    default, mutations = section[path[-1]], _ANY_JSON
+    if isinstance(default, list) and draw.draw(st.booleans()):
+        # half the time a list loses its last item or repeats it
+        mutations = st.sampled_from([default[:-1], default + default[-1:]])
+    section[path[-1]] = draw.draw(mutations)
+    key = ".".join(path)
+    # a rule across covnet keys, such as the branch widths, names the section
+    prefixes = (f"{key}: ", "covnet: ") if path[0] == "covnet" else (f"{key}: ",)
+    try:
+        cfg = io.config_from_dict(data)
+    except ConfigError as exc:
+        assert str(exc).startswith(prefixes), str(exc)
+    else:
+        parsed = io.config_to_dict(cfg)
+        assert io.canonical_json(parsed) == io.canonical_json(_filled(data, _DEFAULT_CONFIG))
+        assert _same_types(parsed, _DEFAULT_CONFIG), parsed
+
+
+def test_config_ranges_name_real_keys_and_cover_every_number():
+    types = {key: io.type_name(hint) for key, hint, _ in io.config_keys()}
+    assert set(io.CONFIG_RANGES) <= set(types), "a range names no config key"
+    numeric = {key for key, name in types.items() if "int" in name or "float" in name}
+    assert numeric <= set(io.CONFIG_RANGES), "a number has no range"
+    for key, _, default in io.config_keys():
+        assert key not in io.CONFIG_RANGES or io.CONFIG_RANGES[key].test(default), key
+    seed = io.CONFIG_RANGES["seed"]
+    assert seed.text == ">= 0" and seed.test(0) and not seed.test(-1)
+
+
+def _readme_config_table() -> dict:
+    """{key: [type, default, allowed, meaning]} from the README's configuration table."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    return {row[0].strip("`"): row[1:] for row in rows}
+
+
+def test_readme_config_table_matches_the_schema():
+    table = _readme_config_table()
+    assert list(table) == [key for key, _, _ in io.config_keys()]
+    for key, hint, default in io.config_keys():
+        type_cell, default_cell, allowed_cell, _ = table[key]
+        assert type_cell == io.type_name(hint), key
+        assert io.canonical_json(json.loads(default_cell.strip("`"))) == \
+            io.canonical_json(default), key
+        allowed = io.CONFIG_RANGES.get(key)
+        assert allowed_cell == (allowed.text if allowed else "any"), key
 
 
 def test_config_hash_stable_and_sensitive():
@@ -372,6 +472,16 @@ def test_checkpoint_expect_config_guards(tmp_path):
     other_net = dataclasses.replace(cfg, covnet=NetSettings())
     with pytest.raises(LogFormatError, match="network settings"):
         io.load_checkpoint(path, expect_config=other_net)
+
+
+def test_checkpoint_loads_only_under_its_normalization_bounds(tmp_path):
+    cfg = small_config()
+    path = str(tmp_path / "ckpt.bin")
+    io.save_checkpoint(path, Checkpoint(params_by_cav=make_params(cfg), config=cfg, seed=0))
+    scaled = tuple((10 * lo, 10 * hi) for lo, hi in cfg.normalization_bounds)
+    with pytest.raises(LogFormatError, match=r"ckpt\.bin: .*normalization bounds"):
+        io.load_checkpoint(path, expect_config=dataclasses.replace(
+            cfg, normalization_bounds=scaled))
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
