@@ -31,12 +31,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_cavs(text: str, det_records) -> list:
+    """The vehicle ids a `--cavs` list names, sorted; each must be a vehicle of the log."""
+    known = sorted({rec["cav"] for rec in det_records})
+    cavs = set()
+    for item in text.split(","):
+        try:
+            cav = int(item)
+        except ValueError:
+            cav = None
+        if cav not in known:
+            raise cio.ConfigError(f"--cavs: {item!r} is not a vehicle id of the log "
+                                  f"(its vehicles are {known})")
+        cavs.add(cav)
+    return sorted(cavs)
+
+
 def cmd_track(args) -> int:
     cfg = cio.load_config(args.config)
-    frames, _ = cio.load_sim_frames(args.detections)
-    cav_filter = None
-    if args.cavs:
-        cav_filter = sorted({int(c) for c in args.cavs.split(",")})
+    frames, det_records = cio.load_sim_frames(args.detections)
+    cav_filter = None if args.cavs is None else _parse_cavs(args.cavs, det_records)
     reports, cost = run_tracking(cfg, frames, args.checkpoint, cav_filter)
     cio.write_track_output(args.out, frames, reports, cost)
     cio.write_run_metadata(args.out, cfg, {"command": "track"})

@@ -4,11 +4,13 @@ All text artifacts are line-delimited JSON with a schema header line and
 canonical serialization (sorted keys, compact separators, shortest
 round-trip float repr), so re-serializing a parsed file is byte-identical
 and replay is exact. Appearance tensors and checkpoints use a one-line JSON
-header followed by raw little-endian float64 data.
+header followed by raw little-endian float64 data. Every output file is
+written through `replace_file`, so a failed write leaves the previous file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -55,6 +57,41 @@ class ConfigError(ValueError):
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, round-trip floats."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+@contextlib.contextmanager
+def replace_file(path: str, mode: str = "w"):
+    """Open a new file (`mode` as for `open`) that takes `path`'s place only when
+    the `with` block completes. Every output file is written here. Text is UTF-8,
+    and its newlines are written as given, on every platform.
+
+    The data goes to a fresh `<path>.partial`, a stale one being unlinked first.
+    On success `path` is unlinked and the partial file renamed onto the free name:
+    ext4 (`auto_da_alloc`) flushes a recently written file that is truncated or
+    renamed over, but not one that is unlinked. On error the partial file is
+    deleted and `path` left as it was. Nothing is fsynced.
+    """
+    partial = path + ".partial"
+    _unlink(partial)
+    binary = "b" in mode
+    try:
+        fh = open(partial, mode.replace("w", "x"), encoding=None if binary else "utf-8",
+                  newline=None if binary else "")
+    except OSError as exc:  # a missing or read-only directory: name the output
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        _unlink(path)
+        os.rename(partial, path)
+    except BaseException:
+        _unlink(partial)
+        raise
+
+
+def _unlink(path: str):
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
 
 
 # --- configuration -----------------------------------------------------------
@@ -237,7 +274,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def save_config(path: str, cfg: RunConfig):
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         fh.write(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2))
         fh.write("\n")
 
@@ -253,7 +290,7 @@ def write_run_metadata(out_dir: str, cfg: RunConfig, extra: dict = None):
     if extra:
         meta.update(extra)
     path = os.path.join(out_dir, RUN_META_FILE)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         fh.write(canonical_json(meta))
         fh.write("\n")
     return path
@@ -357,7 +394,7 @@ def write_log(path: str, format_name: str, records, meta: dict = None):
     header = {"format": format_name, "version": SCHEMA_VERSION}
     if meta:
         header["meta"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         fh.write(canonical_json(header))
         fh.write("\n")
         for i, rec in enumerate(records):
@@ -370,8 +407,13 @@ def read_log(path: str, format_name: str):
     """Read and validate a JSONL log; returns (header meta or {}, records)."""
     validator = _VALIDATORS[format_name]
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LogFormatError(f"{path} line {lineno}: not valid UTF-8") from exc
     if not lines:
         raise LogFormatError(f"{path}: empty file (missing header)")
     header = _read_header(lines[0], path, format_name, "log")
@@ -458,29 +500,36 @@ def reports_to_records(reports, timesteps=None) -> list:
 # --- tensor container ---------------------------------------------------------
 
 
-class TensorStore:
-    """Fixed-shape float64 tensors: one JSON header line + raw data.
+def write_tensors(path: str, arrays, shape) -> None:
+    """Write a tensor store: the header, then `arrays` (each of `shape`) as one
+    contiguous little-endian float64 block, in order."""
+    shape = tuple(shape)
+    for i, arr in enumerate(arrays):
+        if np.shape(arr) != shape:
+            raise LogFormatError(f"{path}: tensor {i} has shape {np.shape(arr)}, "
+                                 f"expected the store shape {shape}")
+    block = np.stack(arrays, dtype="<f8") if len(arrays) else np.empty((0, *shape))
+    header = canonical_json({"format": FORMAT_TENSORS, "version": SCHEMA_VERSION,
+                             "dtype": "<f8", "shape": list(shape)}) + "\n"
+    with replace_file(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(block)
 
-    The element count is implied by file size, which keeps the format
-    append-safe and byte-deterministic (no timestamps, no compression).
+
+class TensorStore:
+    """Reads a tensor store: fixed-shape float64 tensors after one JSON header line.
+
+    The tensor count is implied by file size, which keeps the format
+    byte-deterministic (no timestamps, no compression).
     """
 
-    def __init__(self, path, shape, mode, fh, count=0):
+    def __init__(self, path, shape, fh, header_len):
         self.path = path
         self.shape = tuple(int(s) for s in shape)
         self._itemsize = int(np.prod(self.shape)) * 8
-        self._mode = mode
         self._fh = fh
-        self.count = count
-        self._header_len = None
-
-    @classmethod
-    def create(cls, path: str, shape) -> "TensorStore":
-        fh = open(path, "wb")
-        header = canonical_json({"format": FORMAT_TENSORS, "version": SCHEMA_VERSION,
-                                 "dtype": "<f8", "shape": list(shape)}) + "\n"
-        fh.write(header.encode())
-        return cls(path, shape, "w", fh)
+        self._header_len = header_len
+        self.count = 0
 
     @classmethod
     def open(cls, path: str) -> "TensorStore":
@@ -496,7 +545,7 @@ class TensorStore:
                     and all(type(s) is int and s > 0 for s in shape)):
                 raise LogFormatError(
                     f"{path}: tensor header needs a shape of positive ints, got {shape!r}")
-            store = cls(path, shape, "r", fh)
+            store = cls(path, shape, fh, len(header_line))
             data_len = os.path.getsize(path) - len(header_line)
             if data_len % store._itemsize:
                 raise LogFormatError(f"{path}: truncated tensor data")
@@ -504,23 +553,9 @@ class TensorStore:
             fh.close()
             raise
         store.count = data_len // store._itemsize
-        store._header_len = len(header_line)
         return store
 
-    def append(self, arr: np.ndarray) -> int:
-        if self._mode != "w":
-            raise LogFormatError("store opened read-only")
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        if arr.shape != self.shape:
-            raise LogFormatError(f"tensor shape {arr.shape} != store shape {self.shape}")
-        self._fh.write(arr.tobytes())
-        idx = self.count
-        self.count += 1
-        return idx
-
     def read(self, index: int) -> np.ndarray:
-        if self._mode != "r":
-            raise LogFormatError("store opened write-only")
         if not 0 <= index < self.count:
             raise LogFormatError(
                 f"{self.path}: tensor index {index} out of range [0,{self.count})")
@@ -557,17 +592,18 @@ def write_sim_output(frames, out_dir: str, app_shape) -> None:
     os.makedirs(out_dir, exist_ok=True)
     gt_records = []
     det_records = []
-    with TensorStore.create(os.path.join(out_dir, TENSORS_FILE), app_shape) as store:
-        for frame in frames:
-            for obj_id, box in frame.gt:
-                gt_records.append(gt_record(frame.timestep, obj_id, box))
-            for cav_id in sorted(frame.detections):
-                pose = frame.poses[cav_id]
-                for det in frame.detections[cav_id]:
-                    idx = store.append(det.appearance)
-                    det_records.append(detection_record(
-                        frame.timestep, cav_id, det.box, det.confidence, pose,
-                        app_index=idx))
+    appearances = []
+    for frame in frames:
+        for obj_id, box in frame.gt:
+            gt_records.append(gt_record(frame.timestep, obj_id, box))
+        for cav_id in sorted(frame.detections):
+            pose = frame.poses[cav_id]
+            for det in frame.detections[cav_id]:
+                det_records.append(detection_record(
+                    frame.timestep, cav_id, det.box, det.confidence, pose,
+                    app_index=len(appearances)))
+                appearances.append(det.appearance)
+    write_tensors(os.path.join(out_dir, TENSORS_FILE), appearances, app_shape)
     write_log(os.path.join(out_dir, GT_FILE), FORMAT_GROUNDTRUTH, gt_records)
     write_log(os.path.join(out_dir, DETECTIONS_FILE), FORMAT_DETECTIONS, det_records)
 
@@ -617,7 +653,7 @@ def write_track_output(out_dir: str, frames, reports, cost) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_log(os.path.join(out_dir, TRACKS_FILE), FORMAT_TRACKS,
               reports_to_records(reports, [f.timestep for f in frames]))
-    with open(os.path.join(out_dir, COMM_FILE), "w", encoding="utf-8") as fh:
+    with replace_file(os.path.join(out_dir, COMM_FILE)) as fh:
         fh.write(canonical_json(cost.as_dict()) + "\n")
 
 
@@ -701,7 +737,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint):
               "adam_step": (None if ckpt.adam_state is None
                             else int(ckpt.adam_state["step"])),
               "manifest": manifest}
-    with open(path, "wb") as fh:
+    with replace_file(path, "wb") as fh:
         fh.write((canonical_json(header) + "\n").encode())
         for blob in blobs:
             fh.write(blob)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .association import associate, build_cost_matrix
 from .geometry import box_rows
+from .io import replace_file
 
 NUM_RECALL_LEVELS = 40
 EVAL_IOU_THRESHOLD = 0.25
@@ -258,7 +259,7 @@ SUMMARY_COLUMNS = ["label", "AMOTA", "AMOTP", "sAMOTA", "MOTA", "MT", "ML",
 
 def write_summary_csv(path: str, rows):
     """rows: iterable of (label, EvalReport, cost_mb)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for label, report, cost_mb in rows:
@@ -270,7 +271,7 @@ def write_summary_csv(path: str, rows):
 
 
 def write_recall_table_csv(path: str, report: EvalReport):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replace_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["recall_target", "achievable", "threshold", "recall",
                          "TP", "FP", "FN", "IDS", "MOTA", "sMOTA", "MOTP"])

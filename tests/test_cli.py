@@ -297,6 +297,50 @@ def test_non_object_log_line_is_rejected_with_path_and_line(tmp_path, config_pat
     assert f"{path} {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", [io.GT_FILE, io.DETECTIONS_FILE, io.TRACKS_FILE,
+                                  "m.ckpt.losscurve.jsonl"])
+def test_a_log_that_is_not_utf8_is_rejected_with_path_and_line(tmp_path, config_path,
+                                                               sim_dir, track_dir, capsys,
+                                                               name):
+    curve = str(tmp_path / "m.ckpt.losscurve.jsonl")
+    io.write_log(curve, io.FORMAT_LOSSCURVE, [{"epoch": 0, "window": w, "loss": 1.5,
+                                               "supervised": 3} for w in range(3)])
+    path = {io.GT_FILE: os.path.join(sim_dir, io.GT_FILE),
+            io.DETECTIONS_FILE: os.path.join(sim_dir, io.DETECTIONS_FILE),
+            io.TRACKS_FILE: os.path.join(track_dir, io.TRACKS_FILE)}.get(name, curve)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    third = data.index(b"\n", data.index(b"\n") + 1) + 1
+    with open(path, "wb") as fh:
+        fh.write(data[:third + 5] + b"\xff" + data[third + 5:])
+    message = f"{path} line 3: not valid UTF-8"
+    if path == curve:  # no command reads a loss curve
+        with pytest.raises(io.LogFormatError) as exc:
+            io.read_log(path, io.FORMAT_LOSSCURVE)
+        assert str(exc.value) == message
+        return
+    if name == io.DETECTIONS_FILE:
+        argv = ["track", "--config", config_path, "--detections", sim_dir,
+                "--out", str(tmp_path / "trk2")]
+    else:
+        argv = ["eval", "--tracks", track_dir, "--gt", sim_dir,
+                "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cavs", ["5", "x", "0,,1", "-1"])
+def test_track_rejects_a_cavs_list_naming_no_vehicle_of_the_log(tmp_path, config_path,
+                                                                 sim_dir, capsys, cavs):
+    out = tmp_path / "trk"
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--cavs", cavs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cavs: ")
+    assert "its vehicles are [0, 1]" in err
+    assert not out.exists()
+
+
 def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail=b"",
                              adam=False):
     """Save a zero checkpoint for `cfg` (with zero Adam tables if `adam`), then edit

@@ -1,5 +1,6 @@
 """Tests for persistence: configs, JSONL logs, tensor stores, checkpoints."""
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooptrack import io, training
+from cooptrack import cli, io, metrics, training
 from cooptrack.covnet import CovNetParams
 from cooptrack.geometry import Box7, PoseYawT
 from cooptrack.io import (Checkpoint, ConfigError, LogFormatError, NetSettings,
@@ -319,9 +320,7 @@ def test_tensor_store_round_trip(tmp_path):
     path = str(tmp_path / "app.bin")
     rng = np.random.default_rng(0)
     tensors = [rng.standard_normal((3, 4, 4)) for _ in range(5)]
-    with TensorStore.create(path, (3, 4, 4)) as store:
-        for i, t in enumerate(tensors):
-            assert store.append(t) == i
+    io.write_tensors(path, tensors, (3, 4, 4))
     with TensorStore.open(path) as store:
         assert store.count == 5
         assert store.shape == (3, 4, 4)
@@ -333,10 +332,9 @@ def test_tensor_store_round_trip(tmp_path):
 
 def test_tensor_store_rejects_bad_shapes_and_indices(tmp_path):
     path = str(tmp_path / "app.bin")
-    with TensorStore.create(path, (2, 2)) as store:
-        store.append(np.zeros((2, 2)))
-        with pytest.raises(LogFormatError, match="shape"):
-            store.append(np.zeros((2, 3)))
+    with pytest.raises(LogFormatError, match="shape"):
+        io.write_tensors(path, [np.zeros((2, 2)), np.zeros((2, 3))], (2, 2))
+    io.write_tensors(path, [np.zeros((2, 2))], (2, 2))
     with TensorStore.open(path) as store:
         with pytest.raises(LogFormatError, match="out of range"):
             store.read(1)
@@ -344,14 +342,20 @@ def test_tensor_store_rejects_bad_shapes_and_indices(tmp_path):
 
 def test_tensor_store_detects_truncation(tmp_path):
     path = str(tmp_path / "app.bin")
-    with TensorStore.create(path, (2, 2)) as store:
-        store.append(np.ones((2, 2)))
+    io.write_tensors(path, [np.ones((2, 2))], (2, 2))
     with open(path, "rb") as fh:
         data = fh.read()
     with open(path, "wb") as fh:
         fh.write(data[:-5])
     with pytest.raises(LogFormatError, match="truncated"):
         TensorStore.open(path)
+
+
+def test_tensor_store_without_tensors_keeps_its_shape(tmp_path):
+    path = str(tmp_path / "app.bin")
+    io.write_tensors(path, [], (2, 3))
+    with TensorStore.open(path) as store:
+        assert (store.count, store.shape) == (0, (2, 3))
 
 
 # --- checkpoints -----------------------------------------------------------------
@@ -498,3 +502,201 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     trunc.write_bytes(data[:-16])
     with pytest.raises(LogFormatError, match="truncated"):
         io.load_checkpoint(str(trunc))
+
+
+# --- output files ----------------------------------------------------------------
+
+
+def _report():
+    return metrics.evaluate({0: [(1, BOX, 0.9)]}, {0: [(1, BOX)]})
+
+
+def _write_to(name, write):
+    """A writer of the file `name` in a given directory; it returns the file's path."""
+    def writer(out_dir):
+        path = os.path.join(out_dir, name)
+        write(path)
+        return path
+    return writer
+
+
+# one call per writer in the package
+WRITERS = {
+    "save_config": _write_to("cfg.json", lambda p: io.save_config(p, RunConfig(seed=3))),
+    "write_run_metadata": lambda d: io.write_run_metadata(d, RunConfig(seed=3)),
+    "write_log": _write_to("gt.jsonl", lambda p: io.write_log(
+        p, io.FORMAT_GROUNDTRUTH, [io.gt_record(0, 1, BOX)])),
+    "write_tensors": _write_to("t.bin", lambda p: io.write_tensors(
+        p, [np.ones((2, 2))], (2, 2))),
+    "write_track_output": lambda d: io.write_track_output(
+        d, [], [], metrics.comm_cost([], 7)) or os.path.join(d, io.COMM_FILE),
+    "save_checkpoint": _write_to("m.ckpt", lambda p: io.save_checkpoint(p, Checkpoint(
+        params_by_cav=make_params(small_config()), config=small_config(), seed=0))),
+    "write_summary_csv": _write_to("s.csv", lambda p: metrics.write_summary_csv(
+        p, [("run", _report(), 0.5)])),
+    "write_recall_table_csv": _write_to("l.csv", lambda p: metrics.write_recall_table_csv(
+        p, _report())),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_rewrite_is_a_new_file_with_the_same_bytes(tmp_path, writer):
+    path = WRITERS[writer](str(tmp_path))
+    before = sorted(os.listdir(tmp_path))
+    first = os.stat(path)
+    data = pathlib.Path(path).read_bytes()
+    assert WRITERS[writer](str(tmp_path)) == path
+    # the old file is still linked while the new one is created, so a new inode
+    # means the rewrite never truncated the old file in place
+    assert os.stat(path).st_ino != first.st_ino
+    assert pathlib.Path(path).read_bytes() == data
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_rewrite_renames_onto_a_free_name(tmp_path, monkeypatch):
+    # ext4 flushes a recently written file that is renamed over, not one unlinked
+    path = str(tmp_path / "out")
+    renames = []
+    rename = os.rename
+
+    def spy(src, dst):
+        renames.append((src, os.path.lexists(dst)))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", spy)
+    for _ in range(2):
+        with io.replace_file(path) as fh:
+            fh.write("x")
+    assert renames == [(path + ".partial", False)] * 2
+
+
+def _records_failing_at_3():
+    for i in range(5):
+        if i == 3:
+            raise RuntimeError("no more records")
+        yield io.gt_record(i, 1, BOX)
+
+
+def _bad_record_at_3():
+    records = [io.gt_record(i, 1, BOX) for i in range(5)]
+    records[3] = dict(records[3], box=[1.0])
+    return records
+
+
+@pytest.mark.parametrize("records, error", [
+    (_records_failing_at_3, RuntimeError),
+    (_bad_record_at_3, LogFormatError),
+], ids=["raising-iterator", "invalid-record"])
+def test_a_failed_log_write_leaves_the_previous_file(tmp_path, records, error):
+    path = str(tmp_path / "gt.jsonl")
+    io.write_log(path, io.FORMAT_GROUNDTRUTH, [io.gt_record(0, 7, BOX)])
+    before = pathlib.Path(path).read_bytes()
+    with pytest.raises(error):
+        io.write_log(path, io.FORMAT_GROUNDTRUTH, records())
+    assert pathlib.Path(path).read_bytes() == before
+    assert os.listdir(tmp_path) == ["gt.jsonl"]
+
+
+def test_a_failed_tensor_write_leaves_the_previous_file(tmp_path):
+    path = str(tmp_path / "tensors.bin")
+    io.write_tensors(path, [np.ones((2, 2))], (2, 2))
+    before = pathlib.Path(path).read_bytes()
+    with pytest.raises(LogFormatError, match="tensor 1 has shape"):
+        io.write_tensors(path, [np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((2, 2))],
+                         (2, 2))
+    assert pathlib.Path(path).read_bytes() == before
+    assert os.listdir(tmp_path) == ["tensors.bin"]
+
+
+def test_a_new_file_gets_the_mode_of_a_plain_open(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w") as fh:
+            fh.write("x")
+        with io.replace_file(str(tmp_path / "replaced")) as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    plain, replaced = (os.stat(tmp_path / name).st_mode for name in ("plain", "replaced"))
+    assert replaced == plain
+
+
+def test_a_missing_directory_is_reported_with_the_output_path(tmp_path):
+    path = str(tmp_path / "nowhere" / "out")
+    with pytest.raises(FileNotFoundError) as exc:
+        with io.replace_file(path):
+            pass
+    assert exc.value.filename == path
+
+
+def test_a_symlink_at_the_path_is_replaced_not_followed(tmp_path):
+    target = tmp_path / "target"
+    target.write_text("keep")
+    (tmp_path / "out").symlink_to(target)
+    with io.replace_file(str(tmp_path / "out")) as fh:
+        fh.write("new")
+    assert not (tmp_path / "out").is_symlink()
+    assert (tmp_path / "out").read_text() == "new"
+    assert target.read_text() == "keep"
+
+
+def test_a_stale_partial_file_is_unlinked_not_written_through(tmp_path):
+    target = tmp_path / "target"
+    target.write_text("keep")
+    (tmp_path / "out.partial").symlink_to(target)
+    with io.replace_file(str(tmp_path / "out")) as fh:
+        fh.write("new")
+    assert (tmp_path / "out").read_text() == "new"
+    assert target.read_text() == "keep"
+    assert sorted(os.listdir(tmp_path)) == ["out", "target"]
+
+
+def test_rerunning_the_workflow_leaves_only_its_outputs(tmp_path, capsys):
+    cfg_path = str(tmp_path / "cfg.json")
+    io.save_config(cfg_path, small_config(scenario=ScenarioConfig(duration=12),
+                                          train=TrainSettings(window_length=5, epochs=1)))
+    data, run, model, summary = (str(tmp_path / name) for name in
+                                 ("data", "run", "model", "summary"))
+    os.mkdir(model)
+    os.mkdir(summary)
+    for _ in range(2):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", data]) == 0
+        assert cli.main(["train", "--config", cfg_path, "--scenarios", data,
+                         "--out", os.path.join(model, "m.ckpt")]) == 0
+        assert cli.main(["track", "--config", cfg_path, "--detections", data,
+                         "--checkpoint", os.path.join(model, "m.ckpt"), "--out", run]) == 0
+        assert cli.main(["eval", "--tracks", run, "--gt", data,
+                         "--out", os.path.join(summary, "s.csv")]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(data)) == [io.DETECTIONS_FILE, io.GT_FILE, io.RUN_META_FILE,
+                                        io.TENSORS_FILE]
+    assert sorted(os.listdir(model)) == ["m.ckpt", "m.ckpt.losscurve.jsonl"]
+    assert sorted(os.listdir(run)) == [io.COMM_FILE, io.RUN_META_FILE, io.TRACKS_FILE]
+    assert sorted(os.listdir(summary)) == ["s.csv", "s_levels.csv"]
+
+
+def _opens_for_writing(tree):
+    """(line, mode) of each `open(...)` call whose mode may write: a literal mode
+    containing w, a or x, or a mode that is not a literal."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax")):
+            yield node.lineno, ast.unparse(mode)
+
+
+def test_every_output_file_is_opened_by_replace_file():
+    src = pathlib.Path(io.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "replace_file"
+                and path.name == "io.py"]
+        allowed = {n.lineno for f in home for n in ast.walk(f) if hasattr(n, "lineno")}
+        found += [f"{path.name}:{line} open(..., {mode})"
+                  for line, mode in _opens_for_writing(tree) if line not in allowed]
+    assert not found, "write output files through io.replace_file: " + ", ".join(found)
