@@ -22,6 +22,11 @@ from .io import (DETECTIONS_FILE, GT_FILE, TENSORS_FILE, TRACKS_FILE,  # noqa: F
 # --- subcommands ----------------------------------------------------------------
 
 
+def _make_parent_dir(path: str):
+    """Create the directory an output file goes to, before the work that fills it."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+
+
 def cmd_simulate(args) -> int:
     cfg = cio.load_config(args.config)
     frames = sim.generate(cio.build_scenario(cfg))
@@ -31,9 +36,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_cavs(text: str, det_records) -> list:
-    """The vehicle ids a `--cavs` list names, sorted; each must be a vehicle of the log."""
+def _log_vehicles(cfg, det_records) -> list:
+    """The vehicle ids of a detection log, which must be those of `num_cavs`."""
     known = sorted({rec["cav"] for rec in det_records})
+    if known != list(range(cfg.num_cavs)):
+        raise cio.ConfigError(f"num_cavs: the config sets {cfg.num_cavs}, but the "
+                              f"detection log's vehicles are {known}")
+    return known
+
+
+def _parse_cavs(text: str, known) -> list:
+    """The vehicle ids a `--cavs` list names, sorted; each must be one of `known`."""
     cavs = set()
     for item in text.split(","):
         try:
@@ -50,7 +63,8 @@ def _parse_cavs(text: str, det_records) -> list:
 def cmd_track(args) -> int:
     cfg = cio.load_config(args.config)
     frames, det_records = cio.load_sim_frames(args.detections)
-    cav_filter = None if args.cavs is None else _parse_cavs(args.cavs, det_records)
+    known = _log_vehicles(cfg, det_records)
+    cav_filter = None if args.cavs is None else _parse_cavs(args.cavs, known)
     reports, cost = run_tracking(cfg, frames, args.checkpoint, cav_filter)
     cio.write_track_output(args.out, frames, reports, cost)
     cio.write_run_metadata(args.out, cfg, {"command": "track"})
@@ -60,7 +74,8 @@ def cmd_track(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = cio.load_config(args.config)
-    frames, _ = cio.load_sim_frames(args.scenarios)
+    frames, det_records = cio.load_sim_frames(args.scenarios)
+    _log_vehicles(cfg, det_records)
     if args.resume:
         ckpt = cio.load_checkpoint(args.resume, expect_config=cfg)
         params_by_cav = ckpt.params_by_cav
@@ -73,6 +88,7 @@ def cmd_train(args) -> int:
         params_by_cav = training.init_params_for_run(cfg, np.random.default_rng(cfg.seed))
         adam = None
         epochs_done = 0
+    _make_parent_dir(args.out)
     result = training.train(frames, params_by_cav, cfg.train, cfg.tracker,
                             bounds=cfg.normalization_bounds, adam=adam,
                             epochs_done=epochs_done)
@@ -92,8 +108,9 @@ def cmd_eval(args) -> int:
     track_frames, comm_mb, run_cfg = cio.load_track_output(args.tracks)
     iou_threshold = (metrics.EVAL_IOU_THRESHOLD if run_cfg is None
                      else run_cfg.eval_iou_threshold)
-    report = metrics.evaluate(track_frames, cio.load_gt_frames(args.gt),
-                              iou_threshold=iou_threshold)
+    gt_frames = cio.load_gt_frames(args.gt)
+    _make_parent_dir(args.out)
+    report = metrics.evaluate(track_frames, gt_frames, iou_threshold=iou_threshold)
     metrics.write_summary_csv(args.out, [("run", report, comm_mb)])
     base, ext = os.path.splitext(args.out)
     metrics.write_recall_table_csv(f"{base}_levels{ext or '.csv'}", report)
@@ -116,6 +133,7 @@ def cmd_comm_cost(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = cio.load_config(args.config)
+    _make_parent_dir(args.out)
     train_cfg = cfg
     eval_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
     train_frames = sim.generate(cio.build_scenario(train_cfg))

@@ -4,8 +4,9 @@ All text artifacts are line-delimited JSON with a schema header line and
 canonical serialization (sorted keys, compact separators, shortest
 round-trip float repr), so re-serializing a parsed file is byte-identical
 and replay is exact. Appearance tensors and checkpoints use a one-line JSON
-header followed by raw little-endian float64 data. Every output file is
-written through `replace_file`, so a failed write leaves the previous file.
+header followed by raw little-endian float64 data; each file is read whole, in
+one call that returns plain data. Every output file is written through
+`replace_file`, so a failed write leaves the previous file.
 """
 
 from __future__ import annotations
@@ -388,14 +389,11 @@ _VALIDATORS = {FORMAT_DETECTIONS: _validate_detection, FORMAT_TRACKS: _validate_
                FORMAT_GROUNDTRUTH: _validate_gt, FORMAT_LOSSCURVE: _validate_loss}
 
 
-def write_log(path: str, format_name: str, records, meta: dict = None):
+def write_log(path: str, format_name: str, records):
     """Write a schema-headed JSONL file; every record is validated first."""
     validator = _VALIDATORS[format_name]
-    header = {"format": format_name, "version": SCHEMA_VERSION}
-    if meta:
-        header["meta"] = meta
     with replace_file(path) as fh:
-        fh.write(canonical_json(header))
+        fh.write(canonical_json({"format": format_name, "version": SCHEMA_VERSION}))
         fh.write("\n")
         for i, rec in enumerate(records):
             validator(rec, f"record {i}")
@@ -404,21 +402,23 @@ def write_log(path: str, format_name: str, records, meta: dict = None):
 
 
 def read_log(path: str, format_name: str):
-    """Read and validate a JSONL log; returns (header meta or {}, records)."""
+    """Read and validate a JSONL log; returns its records. Only a line feed ends a
+    line, so a record's strings may hold other line separators. Header keys beyond
+    the format and version are ignored."""
     validator = _VALIDATORS[format_name]
     records = []
     with open(path, "rb") as fh:
         data = fh.read()
+    if not data:
+        raise LogFormatError(f"{path}: empty file (missing header)")
     try:
-        lines = data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise LogFormatError(f"{path} line {lineno}: not valid UTF-8") from exc
-    if not lines:
-        raise LogFormatError(f"{path}: empty file (missing header)")
-    header = _read_header(lines[0], path, format_name, "log")
+    _read_header(lines[0], path, format_name, "log")
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
+        if not line.rstrip("\r"):
             continue
         try:
             rec = json.loads(line)
@@ -428,7 +428,7 @@ def read_log(path: str, format_name: str):
             raise LogFormatError(f"{path} line {lineno}: record must be a JSON object")
         validator(rec, f"{path} line {lineno}")
         records.append(rec)
-    return header.get("meta", {}), records
+    return records
 
 
 # conversions between log records and runtime objects
@@ -516,64 +516,33 @@ def write_tensors(path: str, arrays, shape) -> None:
         fh.write(block)
 
 
-class TensorStore:
-    """Reads a tensor store: fixed-shape float64 tensors after one JSON header line.
-
-    The tensor count is implied by file size, which keeps the format
-    byte-deterministic (no timestamps, no compression).
-    """
-
-    def __init__(self, path, shape, fh, header_len):
-        self.path = path
-        self.shape = tuple(int(s) for s in shape)
-        self._itemsize = int(np.prod(self.shape)) * 8
-        self._fh = fh
-        self._header_len = header_len
-        self.count = 0
-
-    @classmethod
-    def open(cls, path: str) -> "TensorStore":
-        fh = open(path, "rb")
-        try:
-            header_line = fh.readline()
-            header = _read_header(header_line, path, FORMAT_TENSORS, "tensor")
-            if header.get("dtype") != "<f8":
-                raise LogFormatError(f"{path} line 1: tensor dtype {header.get('dtype')!r} "
-                                     "not supported (expected '<f8')")
-            shape = header.get("shape")
-            if not (isinstance(shape, list) and shape
-                    and all(type(s) is int and s > 0 for s in shape)):
-                raise LogFormatError(
-                    f"{path}: tensor header needs a shape of positive ints, got {shape!r}")
-            store = cls(path, shape, fh, len(header_line))
-            data_len = os.path.getsize(path) - len(header_line)
-            if data_len % store._itemsize:
-                raise LogFormatError(f"{path}: truncated tensor data")
-        except BaseException:
-            fh.close()
-            raise
-        store.count = data_len // store._itemsize
-        return store
-
-    def read(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.count:
+def read_tensors(path: str) -> np.ndarray:
+    """Read a tensor store whole, as one `(count, *shape)` float64 array. The count
+    is implied by the file size, which keeps the format byte-deterministic."""
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        header = _read_header(header_line, path, FORMAT_TENSORS, "tensor")
+        if header.get("dtype") != "<f8":
+            raise LogFormatError(f"{path} line 1: tensor dtype {header.get('dtype')!r} "
+                                 "not supported (expected '<f8')")
+        shape = header.get("shape")
+        if not (isinstance(shape, list) and shape
+                and all(type(s) is int and s > 0 for s in shape)):
             raise LogFormatError(
-                f"{self.path}: tensor index {index} out of range [0,{self.count})")
-        self._fh.seek(self._header_len + index * self._itemsize)
-        buf = self._fh.read(self._itemsize)
-        arr = np.frombuffer(buf, dtype="<f8").reshape(self.shape).copy()
-        if not np.all(np.isfinite(arr)):
-            raise LogFormatError(f"{self.path}: tensor {index} has non-finite entries")
-        return arr
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+                f"{path}: tensor header needs a shape of positive ints, got {shape!r}")
+        size = math.prod(shape)
+        count, rest = divmod(os.fstat(fh.fileno()).st_size - len(header_line), 8 * size)
+        try:
+            tensors = np.empty((count, *shape), dtype="<f8")
+        except ValueError as exc:  # more dimensions or elements than numpy allows
+            raise LogFormatError(f"{path}: tensor shape {shape} not supported") from exc
+        # a partial last tensor, or a short read from a file that shrank since fstat
+        if rest or fh.readinto(tensors) != tensors.nbytes:
+            raise LogFormatError(f"{path}: truncated tensor data")
+    finite = np.isfinite(tensors).reshape(count, size).all(axis=1)
+    if not finite.all():
+        raise LogFormatError(f"{path}: tensor {int(finite.argmin())} has non-finite entries")
+    return tensors
 
 
 # --- run directories ----------------------------------------------------------
@@ -610,7 +579,7 @@ def write_sim_output(frames, out_dir: str, app_shape) -> None:
 
 def load_gt_frames(data_dir: str) -> dict:
     """{timestep: [(obj_id, Box7)]} from a directory's ground-truth log."""
-    _, records = read_log(os.path.join(data_dir, GT_FILE), FORMAT_GROUNDTRUTH)
+    records = read_log(os.path.join(data_dir, GT_FILE), FORMAT_GROUNDTRUTH)
     return gt_frames_from_records(records)
 
 
@@ -622,26 +591,26 @@ def load_sim_frames(data_dir: str):
     """
     gt_by_t = load_gt_frames(data_dir)
     det_path = os.path.join(data_dir, DETECTIONS_FILE)
-    _, det_records = read_log(det_path, FORMAT_DETECTIONS)
+    det_records = read_log(det_path, FORMAT_DETECTIONS)
     tensor_path = os.path.join(data_dir, TENSORS_FILE)
-    store = TensorStore.open(tensor_path) if os.path.exists(tensor_path) else None
-    try:
-        dets_by_t = {}
-        poses_by_t = {}
-        for rec in det_records:
-            pose = record_pose(rec)
-            if poses_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], pose) != pose:
-                raise ValueError(f"{det_path}: conflicting poses for t={rec['t']} "
-                                 f"cav={rec['cav']}")
+    tensors = read_tensors(tensor_path) if os.path.exists(tensor_path) else None
+    dets_by_t = {}
+    poses_by_t = {}
+    for rec in det_records:
+        pose = record_pose(rec)
+        if poses_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], pose) != pose:
+            raise ValueError(f"{det_path}: conflicting poses for t={rec['t']} "
+                             f"cav={rec['cav']}")
+        app = rec.get("app")
+        if tensors is None or app is None:
             app = None
-            if rec.get("app") is not None and store is not None:
-                app = store.read(rec["app"])
-            det = sim.Detection(box=record_box(rec), confidence=rec["conf"],
-                                appearance=app)
-            dets_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], []).append(det)
-    finally:
-        if store is not None:
-            store.close()
+        elif app < len(tensors):
+            app = tensors[app]
+        else:
+            raise LogFormatError(f"{tensor_path}: tensor index {app} out of range "
+                                 f"[0,{len(tensors)})")
+        det = sim.Detection(box=record_box(rec), confidence=rec["conf"], appearance=app)
+        dets_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], []).append(det)
     frames = [sim.SimFrame(timestep=t, gt=tuple(gt_by_t.get(t, [])),
                            detections=dets_by_t.get(t, {}), poses=poses_by_t.get(t, {}))
               for t in sorted(set(gt_by_t) | set(dets_by_t))]
@@ -663,7 +632,7 @@ def load_track_output(run_dir: str):
     The MB figure is 0.0 without a comm file and the config is None without
     a run metadata file.
     """
-    _, records = read_log(os.path.join(run_dir, TRACKS_FILE), FORMAT_TRACKS)
+    records = read_log(os.path.join(run_dir, TRACKS_FILE), FORMAT_TRACKS)
     comm_mb = 0.0
     comm_path = os.path.join(run_dir, COMM_FILE)
     if os.path.exists(comm_path):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import pathlib
 import typing
 from collections import Counter
 
@@ -49,18 +50,15 @@ def read_csv(path):
 def test_simulate_writes_all_artifacts(sim_dir, capsys):
     for name in (io.GT_FILE, io.DETECTIONS_FILE, io.TENSORS_FILE, io.RUN_META_FILE):
         assert os.path.exists(os.path.join(sim_dir, name))
-    _, gt = io.read_log(os.path.join(sim_dir, io.GT_FILE), io.FORMAT_GROUNDTRUTH)
+    gt = io.read_log(os.path.join(sim_dir, io.GT_FILE), io.FORMAT_GROUNDTRUTH)
     assert {r["t"] for r in gt} == set(range(20))
     assert len({r["obj"] for r in gt}) == 12
-    _, dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE),
-                          io.FORMAT_DETECTIONS)
+    dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE), io.FORMAT_DETECTIONS)
     assert {r["cav"] for r in dets} == {0, 1}
     # every detection points at a stored appearance tensor
-    with io.TensorStore.open(os.path.join(sim_dir, io.TENSORS_FILE)) as store:
-        assert store.count == len(dets)
-        assert store.shape == (8, 8, 8)
-        for r in dets[:5]:
-            assert store.read(r["app"]).shape == (8, 8, 8)
+    tensors = io.read_tensors(os.path.join(sim_dir, io.TENSORS_FILE))
+    assert tensors.shape == (len(dets), 8, 8, 8)
+    assert sorted(r["app"] for r in dets) == list(range(len(dets)))
 
 
 def test_simulate_is_deterministic(tmp_path, config_path, capsys):
@@ -83,13 +81,12 @@ def test_track_without_checkpoint_counts_box_only_payload(tmp_path, config_path,
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--out", out]) == 0
     capsys.readouterr()
-    _, tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
+    tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
     assert tracks
     assert all(0.0 < r["score"] <= 1.0 for r in tracks)
     with open(os.path.join(out, io.COMM_FILE)) as fh:
         comm = json.load(fh)
-    _, dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE),
-                          io.FORMAT_DETECTIONS)
+    dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE), io.FORMAT_DETECTIONS)
     non_ego = sum(1 for r in dets if r["cav"] != 0)
     assert comm["num_shared_detections"] == non_ego
     assert comm["reals_per_detection"] == metrics.BOX_REALS
@@ -106,7 +103,7 @@ def test_track_solo_run_pays_no_communication(tmp_path, config_path, sim_dir, ca
         comm = json.load(fh)
     assert comm["num_shared_detections"] == 0
     assert comm["bytes_total"] == 0
-    _, tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
+    tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
     assert tracks  # a single vehicle still produces tracks
 
 
@@ -160,7 +157,7 @@ def test_every_cost_path_agrees_with_comm_cost(tmp_path, config_path, sim_dir, c
     ckpt_path = str(tmp_path / "init.ckpt")
     params = training.init_params_for_run(cfg, np.random.default_rng(0))
     io.save_checkpoint(ckpt_path, Checkpoint(params_by_cav=params, config=cfg, seed=0))
-    _, dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE), io.FORMAT_DETECTIONS)
+    dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE), io.FORMAT_DETECTIONS)
     sent = {}
     for r in dets:
         sent.setdefault(r["t"], Counter())[r["cav"]] += 1
@@ -201,7 +198,7 @@ def test_every_cost_path_agrees_with_comm_cost(tmp_path, config_path, sim_dir, c
 
 def test_conflicting_poses_are_rejected(tmp_path, config_path, sim_dir, capsys):
     path = os.path.join(sim_dir, io.DETECTIONS_FILE)
-    _, dets = io.read_log(path, io.FORMAT_DETECTIONS)
+    dets = io.read_log(path, io.FORMAT_DETECTIONS)
     i = next(i for i in range(1, len(dets))
              if (dets[i]["t"], dets[i]["cav"]) == (dets[i - 1]["t"], dets[i - 1]["cav"]))
     dets[i]["pose"][0] += 5.0
@@ -238,11 +235,10 @@ def test_mistyped_field_is_rejected_with_path_and_line(tmp_path, config_path, si
 def test_app_index_past_the_store_is_rejected_with_its_path(tmp_path, config_path, sim_dir,
                                                             capsys):
     path = os.path.join(sim_dir, io.DETECTIONS_FILE)
-    meta, dets = io.read_log(path, io.FORMAT_DETECTIONS)
-    with io.TensorStore.open(os.path.join(sim_dir, io.TENSORS_FILE)) as store:
-        count = store.count
+    dets = io.read_log(path, io.FORMAT_DETECTIONS)
+    count = len(io.read_tensors(os.path.join(sim_dir, io.TENSORS_FILE)))
     dets[1]["app"] = count
-    io.write_log(path, io.FORMAT_DETECTIONS, dets, meta)
+    io.write_log(path, io.FORMAT_DETECTIONS, dets)
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--out", str(tmp_path / "trk")]) == 2
     err = capsys.readouterr().err
@@ -270,7 +266,12 @@ def _rewrite_tensor_store(sim_dir, header=None, first_entry=None):
     ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f4",
       "shape": [8, 8, 8]}, None, "tensor dtype '<f4' not supported"),
     (None, float("nan"), "tensor 0 has non-finite entries"),
-], ids=["not-an-object", "no-shape", "foreign-dtype", "nan-entry"])
+    ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f8",
+      "shape": [1] * 65}, None, f"tensor shape {[1] * 65} not supported"),
+    ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f8",
+      "shape": [2**62, 2**62]}, None, f"tensor shape {[2**62, 2**62]} not supported"),
+], ids=["not-an-object", "no-shape", "foreign-dtype", "nan-entry", "too-many-dims",
+        "too-large"])
 def test_bad_tensor_store_is_rejected_with_its_path(tmp_path, config_path, sim_dir, capsys,
                                                     header, first_entry, message):
     _rewrite_tensor_store(sim_dir, header, first_entry)
@@ -339,6 +340,21 @@ def test_track_rejects_a_cavs_list_naming_no_vehicle_of_the_log(tmp_path, config
     assert err.startswith("error: --cavs: ")
     assert "its vehicles are [0, 1]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("num_cavs", [3, 1])
+@pytest.mark.parametrize("command", ["track", "train"])
+def test_a_log_of_other_vehicles_than_num_cavs_is_rejected(tmp_path, sim_dir, capsys,
+                                                           command, num_cavs):
+    config = tmp_path / "other.json"
+    io.save_config(str(config), dataclasses.replace(small_config(), num_cavs=num_cavs))
+    out = tmp_path / "new" / ("trk" if command == "track" else "m.ckpt")
+    source = "--detections" if command == "track" else "--scenarios"
+    assert cli.main([command, "--config", str(config), source, sim_dir,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: num_cavs: the config sets {num_cavs}, but "
+                                       "the detection log's vehicles are [0, 1]\n")
+    assert not out.parent.exists()
 
 
 def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail=b"",
@@ -462,12 +478,12 @@ def test_tracks_keep_the_timesteps_of_the_log(tmp_path, config_path, sim_dir, ca
     for name, fmt in ((io.GT_FILE, io.FORMAT_GROUNDTRUTH),
                       (io.DETECTIONS_FILE, io.FORMAT_DETECTIONS)):
         path = os.path.join(sim_dir, name)
-        _, records = io.read_log(path, fmt)
+        records = io.read_log(path, fmt)
         io.write_log(path, fmt, [r for r in records if r["t"] >= 5])
     trk = str(tmp_path / "trk")
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--out", trk]) == 0
-    _, tracks = io.read_log(os.path.join(trk, io.TRACKS_FILE), io.FORMAT_TRACKS)
+    tracks = io.read_log(os.path.join(trk, io.TRACKS_FILE), io.FORMAT_TRACKS)
     assert tracks and {r["t"] for r in tracks} <= set(range(5, 20))
     out_csv = str(tmp_path / "summary.csv")
     assert cli.main(["eval", "--tracks", trk, "--gt", sim_dir, "--out", out_csv]) == 0
@@ -483,7 +499,7 @@ def test_train_then_track_with_checkpoint(tmp_path, config_path, sim_dir, capsys
     assert cli.main(["train", "--config", config_path, "--scenarios", sim_dir,
                      "--out", ckpt]) == 0
     assert os.path.exists(ckpt)
-    _, curve = io.read_log(ckpt + ".losscurve.jsonl", io.FORMAT_LOSSCURVE)
+    curve = io.read_log(ckpt + ".losscurve.jsonl", io.FORMAT_LOSSCURVE)
     assert len(curve) == 4  # 20 frames / window 5, 1 epoch
     loaded = io.load_checkpoint(ckpt)
     assert loaded.epochs_done == 1
@@ -493,7 +509,7 @@ def test_train_then_track_with_checkpoint(tmp_path, config_path, sim_dir, capsys
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--checkpoint", ckpt, "--out", out]) == 0
     capsys.readouterr()
-    _, tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
+    tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
     assert tracks
 
 
@@ -591,6 +607,26 @@ def test_eval_writes_summary_and_levels(tmp_path, config_path, sim_dir, capsys):
     assert levels[0][0] == "recall_target"
 
 
+def test_train_and_eval_create_their_output_directories(tmp_path, capsys):
+    # the README worked example, with each --out of train and eval in a new directory
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text(readme.split("cat > cfg.json <<'EOF'\n")[1].split("EOF\n")[0])
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "models" / "model.ckpt")
+    for argv in (["simulate", "--out", data],
+                 ["train", "--scenarios", data, "--out", ckpt],
+                 ["track", "--detections", data, "--checkpoint", ckpt,
+                  "--out", str(tmp_path / "run")]):
+        assert cli.main(argv[:1] + ["--config", str(config)] + argv[1:]) == 0
+    assert cli.main(["eval", "--tracks", str(tmp_path / "run"), "--gt", data,
+                     "--out", str(tmp_path / "scores" / "summary.csv")]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(tmp_path / "models")) == ["model.ckpt",
+                                                       "model.ckpt.losscurve.jsonl"]
+    assert sorted(os.listdir(tmp_path / "scores")) == ["summary.csv", "summary_levels.csv"]
+    assert io.load_checkpoint(ckpt).epochs_done == 2
+
+
 def test_eval_scores_at_the_runs_iou_threshold(tmp_path, config_path, sim_dir, capsys):
     strict_path = str(tmp_path / "strict.json")
     io.save_config(strict_path, dataclasses.replace(small_config(), eval_iou_threshold=0.5))
@@ -665,8 +701,7 @@ def test_comm_cost_reports_payload_ratio(sim_dir, capsys):
     assert cli.main(["comm-cost", "--detections", sim_dir]) == 0
     out = capsys.readouterr().out
     assert "payload ratio vs box-only: 2.4286" in out
-    _, dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE),
-                          io.FORMAT_DETECTIONS)
+    dets = io.read_log(os.path.join(sim_dir, io.DETECTIONS_FILE), io.FORMAT_DETECTIONS)
     non_ego = sum(1 for r in dets if r["cav"] != 0)
     assert f"shared detections: {non_ego}" in out
     assert f"bytes total: {non_ego * 17 * 4}" in out
@@ -676,7 +711,7 @@ def test_comm_cost_reports_payload_ratio(sim_dir, capsys):
 
 
 def test_ablate_produces_four_variant_grid(tmp_path, config_path, capsys):
-    out_csv = str(tmp_path / "grid.csv")
+    out_csv = str(tmp_path / "new" / "grid.csv")  # ablate creates the directory
     assert cli.main(["ablate", "--config", config_path, "--out", out_csv]) == 0
     capsys.readouterr()
     rows = read_csv(out_csv)

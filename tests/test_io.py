@@ -1,6 +1,7 @@
 """Tests for persistence: configs, JSONL logs, tensor stores, checkpoints."""
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooptrack import cli, io, metrics, training
+from cooptrack import cli, io, metrics, sim, training
 from cooptrack.covnet import CovNetParams
 from cooptrack.geometry import Box7, PoseYawT
 from cooptrack.io import (Checkpoint, ConfigError, LogFormatError, NetSettings,
-                          RunConfig, ScenarioConfig, TensorStore, TrainSettings,
+                          RunConfig, ScenarioConfig, TrainSettings,
                           TrackerSettings)
 
 
@@ -218,21 +219,26 @@ def test_track_log_round_trip_byte_identical(tmp_path):
     records = [io.track_record(t, tid, BOX, 0.5 + 0.01 * t)
                for t in range(3) for tid in (1, 2)]
     path = tmp_path / "tracks.jsonl"
-    io.write_log(str(path), io.FORMAT_TRACKS, records, meta={"run": "a"})
-    meta, loaded = io.read_log(str(path), io.FORMAT_TRACKS)
-    assert meta == {"run": "a"}
+    io.write_log(str(path), io.FORMAT_TRACKS, records)
+    loaded = io.read_log(str(path), io.FORMAT_TRACKS)
     assert loaded == records
     # re-serializing what we read reproduces the file exactly
     path2 = tmp_path / "again.jsonl"
-    io.write_log(str(path2), io.FORMAT_TRACKS, loaded, meta=meta)
+    io.write_log(str(path2), io.FORMAT_TRACKS, loaded)
     assert path.read_bytes() == path2.read_bytes()
+    # header keys beyond the format and version are ignored
+    lines = path.read_text().split("\n")
+    lines[0] = io.canonical_json({"format": io.FORMAT_TRACKS, "version": 1,
+                                  "meta": {"run": "a"}})
+    path2.write_text("\n".join(lines))
+    assert io.read_log(str(path2), io.FORMAT_TRACKS) == records
 
 
 def test_detection_log_round_trip(tmp_path):
     rec = io.detection_record(0, 1, BOX, 0.9, POSE, sigma=list(range(10)), app_index=3)
     path = tmp_path / "dets.jsonl"
     io.write_log(str(path), io.FORMAT_DETECTIONS, [rec])
-    _, loaded = io.read_log(str(path), io.FORMAT_DETECTIONS)
+    loaded = io.read_log(str(path), io.FORMAT_DETECTIONS)
     assert loaded == [rec]
     assert io.record_box(rec).to_vector() == pytest.approx(BOX.to_vector())
     assert io.record_pose(rec) == POSE
@@ -260,6 +266,34 @@ def test_log_error_reports_line_number(tmp_path):
              "{not json"]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(LogFormatError, match="line 3"):
+        io.read_log(str(path), io.FORMAT_TRACKS)
+
+
+def test_log_lines_end_at_line_feeds_alone(tmp_path):
+    # U+2028, U+2029 and U+0085 are line boundaries to str.splitlines, yet JSON
+    # strings may hold them unescaped
+    header = io.canonical_json({"format": io.FORMAT_TRACKS, "version": 1})
+    rec = io.track_record(0, 1, BOX, 0.5)
+    noted = io.canonical_json(rec).replace("{", '{"note":"a\u2028b\u2029c\x85d",', 1)
+    path = tmp_path / "log.jsonl"
+    path.write_text(f"{header}\n{noted}\n{{not json\n", encoding="utf-8")
+    with pytest.raises(LogFormatError, match="line 3: invalid JSON"):
+        io.read_log(str(path), io.FORMAT_TRACKS)
+    path.write_text(f"{header}\n{noted}\n", encoding="utf-8")
+    assert io.read_log(str(path), io.FORMAT_TRACKS) == [dict(rec, note="a\u2028b\u2029c\x85d")]
+
+
+def test_log_with_crlf_line_ends_and_blank_lines_loads(tmp_path):
+    records = [io.track_record(t, 1, BOX, 0.5) for t in range(3)]
+    path = tmp_path / "log.jsonl"
+    io.write_log(str(path), io.FORMAT_TRACKS, records)
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\r\n".join(lines))
+    assert io.read_log(str(path), io.FORMAT_TRACKS) == records
+    path.write_bytes(b"\n\r\n\n".join(lines) + b"\r\n\n")
+    assert io.read_log(str(path), io.FORMAT_TRACKS) == records
+    path.write_bytes(b"\n".join(lines[:2] + [b"", b"\r", b"{not json"]))
+    with pytest.raises(LogFormatError, match="line 5: invalid JSON"):
         io.read_log(str(path), io.FORMAT_TRACKS)
 
 
@@ -309,7 +343,7 @@ def test_gt_log_round_trip(tmp_path):
     records = [io.gt_record(t, obj, BOX) for t in range(2) for obj in range(3)]
     path = tmp_path / "gt.jsonl"
     io.write_log(str(path), io.FORMAT_GROUNDTRUTH, records)
-    _, loaded = io.read_log(str(path), io.FORMAT_GROUNDTRUTH)
+    loaded = io.read_log(str(path), io.FORMAT_GROUNDTRUTH)
     assert loaded == records
 
 
@@ -321,23 +355,32 @@ def test_tensor_store_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     tensors = [rng.standard_normal((3, 4, 4)) for _ in range(5)]
     io.write_tensors(path, tensors, (3, 4, 4))
-    with TensorStore.open(path) as store:
-        assert store.count == 5
-        assert store.shape == (3, 4, 4)
-        for i, t in enumerate(tensors):
-            np.testing.assert_array_equal(store.read(i), t)
-        # out of order read
-        np.testing.assert_array_equal(store.read(2), tensors[2])
+    loaded = io.read_tensors(path)
+    assert loaded.shape == (5, 3, 4, 4) and loaded.dtype == np.float64
+    np.testing.assert_array_equal(loaded, np.stack(tensors))
 
 
 def test_tensor_store_rejects_bad_shapes_and_indices(tmp_path):
-    path = str(tmp_path / "app.bin")
+    path = str(tmp_path / io.TENSORS_FILE)
     with pytest.raises(LogFormatError, match="shape"):
         io.write_tensors(path, [np.zeros((2, 2)), np.zeros((2, 3))], (2, 2))
     io.write_tensors(path, [np.zeros((2, 2))], (2, 2))
-    with TensorStore.open(path) as store:
-        with pytest.raises(LogFormatError, match="out of range"):
-            store.read(1)
+    io.write_log(str(tmp_path / io.GT_FILE), io.FORMAT_GROUNDTRUTH, [])
+    dets = [io.detection_record(0, 0, BOX, 0.9, POSE, app_index=i) for i in (0, 1)]
+    io.write_log(str(tmp_path / io.DETECTIONS_FILE), io.FORMAT_DETECTIONS, dets)
+    with pytest.raises(LogFormatError, match=rf"{io.TENSORS_FILE}: tensor index 1 out of "
+                                             r"range \[0,1\)"):
+        io.load_sim_frames(str(tmp_path))
+
+
+def test_tensor_store_names_the_first_non_finite_tensor(tmp_path):
+    # no detection need refer to the tensor: the whole store is checked
+    path = str(tmp_path / "app.bin")
+    tensors = [np.zeros((2, 2)) for _ in range(5)]
+    tensors[4][0, 0], tensors[2][1, 1] = np.nan, -np.inf
+    io.write_tensors(path, tensors, (2, 2))
+    with pytest.raises(LogFormatError, match=r"app\.bin: tensor 2 has non-finite entries"):
+        io.read_tensors(path)
 
 
 def test_tensor_store_detects_truncation(tmp_path):
@@ -348,14 +391,69 @@ def test_tensor_store_detects_truncation(tmp_path):
     with open(path, "wb") as fh:
         fh.write(data[:-5])
     with pytest.raises(LogFormatError, match="truncated"):
-        TensorStore.open(path)
+        io.read_tensors(path)
 
 
 def test_tensor_store_without_tensors_keeps_its_shape(tmp_path):
     path = str(tmp_path / "app.bin")
     io.write_tensors(path, [], (2, 3))
-    with TensorStore.open(path) as store:
-        assert (store.count, store.shape) == (0, (2, 3))
+    assert io.read_tensors(path).shape == (0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory):
+    """A library-written 3-frame scene, its config, and its tensor store's bytes."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = small_config(scenario=ScenarioConfig(duration=3))
+    io.save_config(str(root / "cfg.json"), cfg)
+    io.write_sim_output(sim.generate(io.build_scenario(cfg)), str(root / "data"),
+                        cfg.covnet.app_shape)
+    return root, (root / "data" / io.TENSORS_FILE).read_bytes()
+
+
+# header values of the wrong type or range; for the shape also lists that fit no
+# data, have more dimensions than numpy allows or a product beyond its size limit
+_TENSOR_HEADER_VALUES = {
+    "dtype": st.one_of(_ANY_JSON, st.sampled_from(["<f4", ">f8", "<i8", "f8"])),
+    "shape": st.one_of(_ANY_JSON, st.lists(st.sampled_from([-1, 0, 1, 2, 8, 16, 2**62]),
+                                           max_size=4),
+                       st.lists(st.just(1), min_size=60, max_size=70)),
+}
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(draw=st.data())
+def test_a_mutated_tensor_store_loads_or_is_rejected(tiny_scene, draw):
+    root, original = tiny_scene
+    header_line, data = original.split(b"\n", 1)
+    kind = draw.draw(st.sampled_from(["header", "flip", "truncate"]))
+    if kind == "header":
+        header = json.loads(header_line)
+        key = draw.draw(st.sampled_from(sorted(header) + ["extra"]))
+        if draw.draw(st.booleans()) and key in header:
+            del header[key]
+        else:
+            header[key] = draw.draw(_TENSOR_HEADER_VALUES.get(key, _ANY_JSON))
+        mutated = json.dumps(header).encode() + b"\n" + data
+    elif kind == "flip":
+        at = draw.draw(st.integers(0, len(original) - 1))
+        mutated = bytearray(original)
+        mutated[at] ^= draw.draw(st.integers(1, 255))
+    else:
+        mutated = original[:draw.draw(st.integers(0, len(original) - 1))]
+    path = str(root / "data" / io.TENSORS_FILE)
+    with io.replace_file(path, "wb") as fh:  # no in-place truncation: see replace_file
+        fh.write(mutated)
+    try:
+        tensors = io.read_tensors(path)
+    except LogFormatError:
+        pass
+    else:
+        assert tensors.dtype == np.float64 and np.isfinite(tensors).all()
+    with contextlib.redirect_stdout(None), contextlib.redirect_stderr(None):
+        code = cli.main(["track", "--config", str(root / "cfg.json"), "--detections",
+                         str(root / "data"), "--out", str(root / "trk")])
+    assert code in (0, 2)
 
 
 # --- checkpoints -----------------------------------------------------------------
