@@ -4,8 +4,8 @@ The primitive set is exactly what the differentiable filter, the covariance
 network, and the training loss need: broadcasting addition, subtraction and
 division, batched matmul, slicing (`node[idx]`), a row scatter, stacking,
 concatenation and reshaping, sums, elementwise square and square root, a
-floor clamp (ReLU is the clamp at zero), batched diagonal embedding, a
-flat gather (patch extraction for batched convolutions), and a batched
+floor clamp (ReLU is the clamp at zero), batched diagonal embedding, axis
+permutation, convolution patch extraction (im2col), and a batched
 symmetric positive definite inverse that reports the matrices it cannot
 invert instead of raising.
 
@@ -476,61 +476,69 @@ def spd_inverse_rows(a):
 # --- convolution and linear stages ------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def im2col_indices(n, c, h, w, k, stride, pad):
-    """Gather indices of the conv patches of an (n, c, h, w) batch.
+@functools.lru_cache(maxsize=64)
+def im2col_indices(c, h, w, k, stride, pad):
+    """Gather indices of the conv patches of one (c, h, w) image.
 
-    Built once per shape. Returns read-only (idx, out_h, out_w): idx has
-    shape (c*k*k, n*out_h*out_w), rows ordered by (channel, kernel row,
-    kernel column) and columns by (image, output row, output column), and
-    holds flat indices into the batch; positions in the zero border hold
-    n*c*h*w, the index `gather` reads as zero.
+    Built once per image shape, whatever the batch size. Returns read-only
+    (idx, out_h, out_w): idx has shape (c*k*k, out_h*out_w), rows ordered by
+    (channel, kernel row, kernel column) and columns by (output row, output
+    column), and holds flat indices into the image; positions in the zero
+    border hold c*h*w, the index `im2col` reads as zero.
     """
     out_h = (h + 2 * pad - k) // stride + 1
     out_w = (w + 2 * pad - k) // stride + 1
-    ci, ki, kj, ni, oi, oj = np.ix_(np.arange(c), np.arange(k), np.arange(k),
-                                    np.arange(n), np.arange(out_h), np.arange(out_w))
+    ci, ki, kj, oi, oj = np.ix_(np.arange(c), np.arange(k), np.arange(k),
+                                np.arange(out_h), np.arange(out_w))
     rows = stride * oi + ki - pad
     cols = stride * oj + kj - pad
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    idx = np.where(inside, ((ni * c + ci) * h + rows) * w + cols, n * c * h * w)
-    idx = idx.reshape(c * k * k, n * out_h * out_w)
+    idx = np.where(inside, (ci * h + rows) * w + cols, c * h * w)
+    idx = idx.reshape(c * k * k, out_h * out_w)
     idx.flags.writeable = False
     return idx, out_h, out_w
 
 
-@functools.lru_cache(maxsize=256)
-def _batch_major_indices(c, n, p):
-    """Read-only flat indices reordering a (c, n, p) array to (n, c, p)."""
-    idx = np.arange(c * n * p).reshape(c, n, p).transpose(1, 0, 2).copy()
-    idx.flags.writeable = False
-    return idx
+def im2col(x, k, stride, pad):
+    """Conv patches of an (n, c, h, w) batch as one (c*k*k, n*out_h*out_w) matrix.
 
-
-def gather(x, idx):
-    """Entries of `x` at the flat indices `idx`; the index x.size reads zero.
-
-    Patch extraction for convolutions (the zero border maps to x.size) and
-    the reorder of their output. The adjoint sums `g` onto `x` by index. In
-    float64 that is `np.bincount`, which adds in the same order as
-    `np.add.at` and so gives the same bits without its scatter; bincount
-    only weighs in float64, so other dtypes keep `np.add.at`.
+    Rows follow `im2col_indices`, columns are ordered by (image, output row,
+    output column); every image is gathered with the one image's indices.
+    The adjoint sums the patch entries back onto their pixels by index, in
+    the order of the patch matrix. In float64 that is `np.bincount`, which
+    adds in the same order as `np.add.at` and so gives the same bits without
+    its scatter; bincount only weighs in float64, so other dtypes keep
+    `np.add.at`. Its flat batch indices are built only in the backward pass.
     """
     xv = val(x)
-    flat = np.concatenate([xv.reshape(-1), np.zeros(1, dtype=xv.dtype)])
-    out = flat[idx]
+    n, c, h, w = xv.shape
+    idx, out_h, out_w = im2col_indices(c, h, w, k, stride, pad)
+    flat = np.concatenate([xv.reshape(n, c * h * w), np.zeros((n, 1), dtype=xv.dtype)],
+                          axis=1)
+    out = np.take(flat, idx, axis=1).transpose(1, 0, 2).reshape(c * k * k, -1)
     if not isinstance(x, Node):
         return out
 
     def vjp(g):
+        # image i's pixels and its zero slot start at flat index i*(c*h*w + 1)
+        batch = idx[:, None, :] + np.arange(0, flat.size, flat.shape[1])[:, None]
         if xv.dtype == g.dtype == np.float64:
-            full = np.bincount(idx.ravel(), weights=g.ravel(), minlength=flat.size)
+            full = np.bincount(batch.ravel(), weights=g.ravel(), minlength=flat.size)
         else:
             full = np.zeros(flat.size, dtype=xv.dtype)
-            np.add.at(full, idx, g)
-        return (full[:-1].reshape(xv.shape),)
+            np.add.at(full, batch.ravel(), g.ravel())
+        return (full.reshape(flat.shape)[:, :-1].reshape(xv.shape),)
 
     return Node(x.tape, out, (x,), vjp)
+
+
+def transpose(a, axes):
+    """`a` with its axes permuted; the adjoint permutes them back."""
+    if not isinstance(a, Node):
+        return np.transpose(a, axes)
+    inverse = np.argsort(axes)
+    return Node(a.tape, np.transpose(a.value, axes), (a,),
+                lambda g: (np.transpose(g, inverse),))
 
 
 def linear(x, weight, bias):
@@ -548,8 +556,8 @@ def conv2d(x, weight, bias, stride=2, pad=1):
     c_out, c_in, k, _ = val(weight).shape
     if c_x != c_in:
         raise ValueError(f"conv input has {c_x} channels, weights expect {c_in}")
-    idx, out_h, out_w = im2col_indices(n, c_in, h, w, k, stride, pad)
+    _, out_h, out_w = im2col_indices(c_in, h, w, k, stride, pad)
     wmat = reshape(weight, (c_out, c_in * k * k))
-    out = add(matmul(wmat, gather(x, idx)), reshape(bias, (c_out, 1)))
-    out = gather(out, _batch_major_indices(c_out, n, out_h * out_w))
+    out = add(matmul(wmat, im2col(x, k, stride, pad)), reshape(bias, (c_out, 1)))
+    out = transpose(reshape(out, (c_out, n, out_h * out_w)), (1, 0, 2))
     return reshape(out, (n, c_out, out_h, out_w))

@@ -22,13 +22,28 @@ from .io import (DETECTIONS_FILE, GT_FILE, TENSORS_FILE, TRACKS_FILE,  # noqa: F
 # --- subcommands ----------------------------------------------------------------
 
 
+def _check_out_dir(path: str):
+    """Reject, before any work, an output directory that a regular file
+    stands in the place of (the directory or one of its parents): a usage
+    error (ConfigError) naming both. Creates nothing."""
+    head = path
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise cio.ConfigError(f"--out: cannot create directory {path!r}: "
+                              f"{head!r} is not a directory")
+
+
 def _make_parent_dir(path: str):
     """Create the directory an output file goes to, before the work that fills it."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    directory = os.path.dirname(path) or "."
+    _check_out_dir(directory)
+    os.makedirs(directory, exist_ok=True)
 
 
 def cmd_simulate(args) -> int:
     cfg = cio.load_config(args.config)
+    _check_out_dir(args.out)
     frames = sim.generate(cio.build_scenario(cfg))
     cio.write_sim_output(frames, args.out, tuple(cfg.covnet.app_shape))
     cio.write_run_metadata(args.out, cfg, {"command": "simulate"})
@@ -62,6 +77,7 @@ def _parse_cavs(text: str, known) -> list:
 
 def cmd_track(args) -> int:
     cfg = cio.load_config(args.config)
+    _check_out_dir(args.out)
     frames, det_records = cio.load_sim_frames(args.detections)
     known = _log_vehicles(cfg, det_records)
     cav_filter = None if args.cavs is None else _parse_cavs(args.cavs, known)

@@ -122,13 +122,16 @@ def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
 
 
 def encode_detection(det_global, det_local, pose: PoseYawT,
-                     bounds=DEFAULT_BOUNDS) -> np.ndarray:
+                     bounds=DEFAULT_BOUNDS, out=None) -> np.ndarray:
     """Encode one packet's detections: extract_positional, then positional_encoding.
 
-    `det_global` and `det_local` are the packet's (N, 7) box rows.
+    `det_global` and `det_local` are the packet's (N, 7) box rows. The
+    (N, 18, 256) encoding is written to `out` when given (a window's
+    packets fill slices of one array), else to a new array.
     """
     xb = normalize(extract_positional(det_global, det_local, pose).values, bounds)
-    out = np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,))
+    if out is None:
+        out = np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,))
     # columns 13: (the pose) are the same in every row of a packet: encode them once
     _sinusoids(xb[:, :13], out[:, :13])
     _sinusoids(xb[:1, 13:], out[:, 13:])

@@ -20,7 +20,8 @@ from . import covnet, metrics
 from . import io as cio
 from .association import (Lifecycle, LifecycleConfig, associate, build_cost_matrix,
                           finish_timestep, reportable)
-from .features import DEFAULT_BOUNDS, encode_detection
+from .features import (DEFAULT_BOUNDS, ENCODING_HALF_WIDTH, POSITIONAL_DIM,
+                       encode_detection)
 from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
                      observation_matrix, predict, update)
 from .geometry import Box7, PoseYawT, box_rows, transform_rows, wrap_angle
@@ -58,6 +59,8 @@ class LearnedCovariance:
 
     `params_by_cav` maps cav_id to either CovNetParams (plain inference) or
     a (lifted mapping, CovNetConfig) pair produced for a training tape.
+    Packets are served one network pass each, or, after `precompute`, as
+    slices of one pass per parameter set over a whole window.
     """
 
     reals_per_detection = metrics.SHARED_REALS
@@ -65,29 +68,85 @@ class LearnedCovariance:
     def __init__(self, params_by_cav: dict, bounds=DEFAULT_BOUNDS):
         self.params_by_cav = params_by_cav
         self.bounds = bounds
+        self._window = None  # (timestep, cav_id) -> (rows, start, stop)
 
-    def packet_residuals(self, packet, det_global):
-        """Residual rows (N, 10) for a packet's N detections, from one network pass.
-
-        Row j belongs to detection j; `det_global` holds the detections'
-        boxes in the global frame as (N, 7) rows.
-        """
-        if packet.cav_id not in self.params_by_cav:
-            raise KeyError(f"no covariance network parameters for vehicle {packet.cav_id}")
-        entry = self.params_by_cav[packet.cav_id]
+    def _params(self, cav_id):
+        """(parameters, config) of a vehicle's network."""
+        if cav_id not in self.params_by_cav:
+            raise KeyError(f"no covariance network parameters for vehicle {cav_id}")
+        entry = self.params_by_cav[cav_id]
         if isinstance(entry, covnet.CovNetParams):
-            params, config = entry, entry.config
-        else:
-            params, config = entry
-        f_pos = encode_detection(det_global, box_rows(d.box for d in packet.detections),
-                                 packet.pose, self.bounds)
+            return entry, entry.config
+        return entry
+
+    def residuals(self, packets, det_globals):
+        """Residual rows of every detection of `packets`, from one network pass.
+
+        The packets' vehicles must share one parameter set. `det_globals`
+        holds each packet's boxes in the global frame as (N, 7) rows. Rows
+        come packet after packet, each packet's in detection order.
+        """
+        params, config = self._params(packets[0].cav_id)
+        sizes = [len(p.detections) for p in packets]
+        f_pos = np.empty((sum(sizes), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
+        start = 0
+        for packet, det_global, size in zip(packets, det_globals, sizes):
+            encode_detection(det_global, box_rows(d.box for d in packet.detections),
+                             packet.pose, self.bounds, out=f_pos[start:start + size])
+            start += size
         f_app = None
         if config.use_appearance:
-            if any(d.appearance is None for d in packet.detections):
+            apps = [d.appearance for p in packets for d in p.detections]
+            if any(a is None for a in apps):
                 raise ValueError("detection has no appearance tensor but the "
                                  "appearance branch is enabled")
-            f_app = np.stack([d.appearance for d in packet.detections])
+            f_app = np.stack(apps)
         return covnet.forward(params, f_app, f_pos, config)
+
+    def precompute(self, frame_packets):
+        """Compute a window's residual rows before its frames are tracked.
+
+        `frame_packets` lists the packets of each frame of the window. The
+        network's input depends only on the detections and the poses, so
+        each parameter set (each vehicle's, or the one shared set) takes
+        every row of the window in one pass; a vehicle without detections
+        takes none. From then on `packet_residuals` hands out slices of
+        those rows, and raises ValueError for a packet not in the window.
+        """
+        groups = {}
+        for packets in frame_packets:
+            for packet in packets:
+                if packet.detections:
+                    params, _ = self._params(packet.cav_id)
+                    groups.setdefault(id(params), []).append(packet)
+        window = {}
+        for group in groups.values():
+            det_globals = [transform_rows(box_rows(d.box for d in p.detections), p.pose)
+                           for p in group]
+            rows = self.residuals(group, det_globals)
+            start = 0
+            for packet in group:
+                stop = start + len(packet.detections)
+                window[(packet.timestep, packet.cav_id)] = (rows, start, stop)
+                start = stop
+        self._window = window
+
+    def packet_residuals(self, packet, det_global):
+        """Residual rows (N, 10) for a packet's N detections.
+
+        Row j belongs to detection j; `det_global` holds the detections'
+        boxes in the global frame as (N, 7) rows. Without a precomputed
+        window this is one network pass over the packet.
+        """
+        if self._window is None:
+            return self.residuals([packet], [det_global])
+        entry = self._window.get((packet.timestep, packet.cav_id))
+        if entry is None or entry[2] - entry[1] != len(packet.detections):
+            raise ValueError(f"the precomputed window holds no packet of vehicle "
+                             f"{packet.cav_id} at t={packet.timestep} with "
+                             f"{len(packet.detections)} detections")
+        rows, start, stop = entry
+        return rows[start:stop]
 
 
 class CoopTracker:

@@ -167,7 +167,9 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     randomness. A checkpoint that has done `settings.epochs` already trains
     no further and keeps its count. A window whose global gradient norm is
     not finite raises FloatingPointError before the optimizer changes
-    anything.
+    anything. Each window's covariance rows come from one network pass per
+    parameter set, made before its frames are tracked
+    (`LearnedCovariance.precompute`).
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: each window's graph
@@ -199,13 +201,13 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 lifted = {cav: params.lift(tape) for cav, params in param_sets.items()}
                 provider_params = {cav: (lifted[owner[id(params)]], params.config)
                                    for cav, params in params_by_cav.items()}
-                tracker = tracker_from_settings(tracker_settings,
-                                                LearnedCovariance(provider_params, bounds))
-                reports, gts = [], []
-                for frame in window:
-                    reports.append(tracker.step(packets_from_sim_frame(frame)))
-                    gts.append(frame.gt)
-                loss, supervised = window_loss(reports, gts, settings.gt_match_radius,
+                provider = LearnedCovariance(provider_params, bounds)
+                frame_packets = [packets_from_sim_frame(frame) for frame in window]
+                provider.precompute(frame_packets)
+                tracker = tracker_from_settings(tracker_settings, provider)
+                reports = [tracker.step(packets) for packets in frame_packets]
+                loss, supervised = window_loss(reports, [frame.gt for frame in window],
+                                               settings.gt_match_radius,
                                                settings.center_distance)
                 if loss is None or not isinstance(loss, ad.Node):
                     # no qualifying track touched the parameters; gradients are

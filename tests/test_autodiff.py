@@ -207,10 +207,8 @@ def test_batched_spd_inverse_value_and_adjoint():
     np.testing.assert_allclose(ad.spd_inverse_rows(a0)[0], np.linalg.inv(a0), rtol=1e-10,
                                atol=1e-12)
     # the Cholesky reads one triangle, so differentiate through (X + X^T) / 2
-    transpose = np.arange(a0.size).reshape(a0.shape).transpose(0, 2, 1)
-
     def sym(x):
-        return ad.div(ad.add(x, ad.gather(x, transpose)), 2.0)
+        return ad.div(ad.add(x, ad.transpose(x, (0, 2, 1))), 2.0)
 
     w = rng.standard_normal((3, 4, 4))
     check_grad(lambda x: ad.asum(ad.square(ad.sub(ad.spd_inverse_rows(sym(x))[0], w))), a0,
@@ -341,42 +339,72 @@ def test_conv2d_grad():
     np.testing.assert_allclose(ad.grad_of(xleaf), want, rtol=1e-5, atol=1e-8)
 
 
-def test_gather_reads_zero_past_the_end_and_scatters_back():
+def test_im2col_reads_zero_in_the_border_and_scatters_back():
     rng = np.random.default_rng(13)
-    x0 = rng.standard_normal((2, 3))
-    idx = np.array([[0, 5, 5, 6], [6, 2, 0, 1]])  # repeats, and 6 = x.size reads zero
-    got = ad.gather(x0, idx)
-    np.testing.assert_array_equal(got, [[x0[0, 0], x0[1, 2], x0[1, 2], 0.0],
-                                        [0.0, x0[0, 2], x0[0, 0], x0[0, 1]]])
-    w = rng.standard_normal(idx.shape)
-    check_grad(lambda x: ad.asum(ad.square(ad.sub(ad.gather(x, idx), w))), x0)
-    assert ad.gather(x0.astype(np.longdouble), idx).dtype == np.longdouble
+    x0 = rng.standard_normal((2, 2, 3, 4))
+    got = ad.im2col(x0, 3, 1, 1)
+    padded = np.pad(x0, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    want = np.array([[padded[i, c, oi + ki, oj + kj] for i in range(2)
+                      for oi in range(3) for oj in range(4)]
+                     for c in range(2) for ki in range(3) for kj in range(3)])
+    np.testing.assert_array_equal(got, want)
+    assert got[0, 0] == 0.0  # the top-left kernel entry of the first patch is border
+    w = rng.standard_normal(want.shape)
+    check_grad(lambda x: ad.asum(ad.square(ad.sub(ad.im2col(x, 3, 1, 1), w))), x0)
+    assert ad.im2col(x0.astype(np.longdouble), 3, 1, 1).dtype == np.longdouble
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_gather_adjoint_equals_add_at_bit_for_bit(dtype):
-    idx, _, _ = ad.im2col_indices(2, 3, 6, 6, 3, 2, 1)
+def test_im2col_adjoint_equals_add_at_bit_for_bit(dtype):
+    n, c, h, w = 3, 3, 6, 6
+    idx, out_h, out_w = ad.im2col_indices(c, h, w, 3, 2, 1)
     assert np.unique(idx).size < idx.size  # patches overlap, so entries repeat
+    # the flat indices of the whole batch, columns by (image, output position)
+    size = n * c * h * w
+    batch = np.concatenate([np.where(idx == c * h * w, size, idx + i * c * h * w)
+                            for i in range(n)], axis=1)
     rng = np.random.default_rng(16)
     tape = ad.Tape()
-    x = tape.var(rng.standard_normal((2, 3, 6, 6)).astype(dtype))
-    out = ad.gather(x, idx)
-    g = rng.standard_normal(idx.shape).astype(dtype)
-    want = np.zeros(x.value.size + 1, dtype=dtype)
-    np.add.at(want, idx, g)
+    x = tape.var(rng.standard_normal((n, c, h, w)).astype(dtype))
+    out = ad.im2col(x, 3, 2, 1)
+    assert out.shape == batch.shape == (c * 9, n * out_h * out_w)
+    np.testing.assert_array_equal(out.value, np.append(x.value.ravel(), 0.0)[batch])
+    g = rng.standard_normal(batch.shape).astype(dtype)
+    g[0, :4] = -0.0  # a -0.0 gradient adds as +0.0
+    want = np.zeros(size + 1, dtype=dtype)
+    np.add.at(want, batch, g)
+    want = want[:-1].reshape(x.shape)
     (got,) = out._vjp(g)
-    assert got.dtype == dtype
-    assert got.tobytes() == want[:-1].reshape(x.shape).tobytes()
+    assert got.dtype == dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_im2col_indices_are_built_once_and_read_only():
-    first = ad.im2col_indices(3, 8, 8, 8, 3, 2, 1)
-    assert ad.im2col_indices(3, 8, 8, 8, 3, 2, 1) is first
+    first = ad.im2col_indices(8, 8, 8, 3, 2, 1)
+    assert ad.im2col_indices(8, 8, 8, 3, 2, 1) is first
     idx, out_h, out_w = first
-    assert idx.shape == (8 * 3 * 3, 3 * out_h * out_w) and (out_h, out_w) == (4, 4)
+    assert idx.shape == (8 * 3 * 3, out_h * out_w) and (out_h, out_w) == (4, 4)
     assert not idx.flags.writeable
     with pytest.raises(ValueError):
         idx[0, 0] = 1
+
+
+def test_conv_index_cache_does_not_grow_with_batch_size():
+    rng = np.random.default_rng(17)
+    w1, b1 = rng.standard_normal((4, 3, 3, 3)), np.zeros(4)
+    w2, b2 = rng.standard_normal((5, 4, 3, 3)), np.zeros(5)
+    ad.im2col_indices.cache_clear()
+    sizes = set()
+    for n in range(1, 301):
+        x = rng.standard_normal((n, 3, 8, 8))
+        if n % 50:
+            ad.conv2d(ad.conv2d(x, w1, b1), w2, b2)
+        else:  # now and then on the tape, backward pass included
+            tape = ad.Tape()
+            tape.backward(ad.asum(ad.conv2d(ad.conv2d(tape.var(x), w1, b1), w2, b2)))
+        sizes.add(ad.im2col_indices.cache_info().currsize)
+    assert sizes == {2}  # one entry per conv layer's image shape
 
 
 def test_tape_plain_bit_identity():

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cooptrack import cli, io, metrics, training
+from cooptrack import cli, io, metrics, sim, training
 from cooptrack.covnet import CovNetParams
 from cooptrack.io import Checkpoint, NetSettings, RunConfig, ScenarioConfig, TrainSettings
 
@@ -625,6 +625,32 @@ def test_train_and_eval_create_their_output_directories(tmp_path, capsys):
                                                        "model.ckpt.losscurve.jsonl"]
     assert sorted(os.listdir(tmp_path / "scores")) == ["summary.csv", "summary_levels.csv"]
     assert io.load_checkpoint(ckpt).epochs_done == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "track", "train", "eval", "ablate"])
+def test_an_out_path_below_a_regular_file_exits_2_before_any_work(
+        tmp_path, config_path, sim_dir, track_dir, capsys, monkeypatch, command):
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for owner, name in ((sim, "generate"), (cli, "run_tracking"), (training, "train"),
+                        (metrics, "evaluate")):
+        monkeypatch.setattr(owner, name, refuse)
+    argv = {"simulate": ["--config", config_path, "--out", str(afile)],
+            "track": ["--config", config_path, "--detections", sim_dir,
+                      "--out", str(afile / "x")],
+            "train": ["--config", config_path, "--scenarios", sim_dir,
+                      "--out", str(afile / "m.ckpt")],
+            "eval": ["--tracks", track_dir, "--gt", sim_dir, "--out", str(afile / "s.csv")],
+            "ablate": ["--config", config_path, "--out", str(afile / "deeper" / "g.csv")]}
+    assert cli.main([command] + argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: cannot create directory ")
+    assert f"{str(afile)!r} is not a directory" in err
+    assert err.count("\n") == 1 and afile.read_text() == "x"
 
 
 def test_eval_scores_at_the_runs_iou_threshold(tmp_path, config_path, sim_dir, capsys):

@@ -1,6 +1,7 @@
 """Tests for the training loop: loss, clipping, Adam, resume."""
 
 import copy
+import dataclasses
 import gc
 import math
 import weakref
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from cooptrack import autodiff as ad
-from cooptrack import sim, training
+from cooptrack import covnet, sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
-from cooptrack.geometry import Box7, wrap_angle
+from cooptrack.geometry import Box7, box_rows, transform_rows, wrap_angle
 from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings
 from cooptrack.pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
 
@@ -261,6 +262,127 @@ def test_batched_loss_gradient_bits_equal_the_per_track_reference():
     assert n == want_n > 10
     assert math.isclose(batched, reference, rel_tol=1e-14)
     assert got == want
+
+
+# --- the window's network passes -------------------------------------------------
+
+
+def silence(frames, cav, timesteps):
+    """`frames` with vehicle `cav`'s packets emptied at the given timesteps."""
+    return [dataclasses.replace(f, detections={**f.detections, cav: []})
+            if f.timestep in timesteps else f for f in frames]
+
+
+def window_rollout(frames, params_by_cav, precompute, monkeypatch):
+    """Rows, loss gradients and network passes of one window on a fresh tape.
+
+    Returns ({(t, cav): rows}, {(cav, name): gradient}, [rows per pass]);
+    a shared parameter set is lifted once and its gradients keyed by its
+    first vehicle.
+    """
+    passes, real = [], covnet.forward
+
+    def counting(params, f_app, f_pos, config=None):
+        passes.append(len(f_pos))
+        return real(params, f_app, f_pos, config)
+
+    monkeypatch.setattr(covnet, "forward", counting)
+    tape = ad.Tape()
+    lifted = {}
+    for cav, params in sorted(params_by_cav.items()):
+        if id(params) not in lifted:
+            lifted[id(params)] = (cav, params.lift(tape))
+    provider = LearnedCovariance({cav: (lifted[id(p)][1], p.config)
+                                  for cav, p in params_by_cav.items()})
+    frame_packets = [packets_from_sim_frame(f) for f in frames]
+    if precompute:
+        provider.precompute(frame_packets)
+    rows = {(p.timestep, p.cav_id): ad.val(provider.packet_residuals(
+                p, transform_rows(box_rows(d.box for d in p.detections), p.pose)))
+            for packets in frame_packets for p in packets if p.detections}
+    tracker = tracker_from_settings(TrackerSettings(), provider)
+    reports = [tracker.step(packets) for packets in frame_packets]
+    loss, supervised = training.window_loss(reports, [f.gt for f in frames])
+    assert supervised > 0
+    tape.backward(loss)
+    monkeypatch.undo()
+    grads = {(cav, name): ad.grad_of(node)
+             for cav, nodes in lifted.values() for name, node in nodes.items()}
+    return rows, grads, passes
+
+
+@pytest.mark.parametrize("case", ["gaps", "silent", "shared"])
+def test_window_rows_and_gradients_equal_the_streamed_ones(case, monkeypatch):
+    frames = sim.generate(tiny_scenario())
+    quiet = range(8) if case == "silent" else (1, 2, 5)
+    frames = silence(frames, 1, quiet)
+    rng = np.random.default_rng(4)
+    if case == "shared":
+        shared = CovNetParams.init(small_net(), rng)
+        params = {0: shared, 1: shared}
+    else:
+        params = {cav: CovNetParams.init(small_net(), rng) for cav in (0, 1)}
+    rows, grads, passes = window_rollout(frames, params, True, monkeypatch)
+    want_rows, want_grads, streamed = window_rollout(frames, params, False, monkeypatch)
+    count = {cav: sum(len(f.detections[cav]) for f in frames) for cav in (0, 1)}
+    assert passes == {"gaps": [count[0], count[1]], "silent": [count[0]],
+                      "shared": [count[0] + count[1]]}[case]
+    assert len(streamed) > len(passes)
+    assert rows.keys() == want_rows.keys()
+    for key, want in want_rows.items():
+        np.testing.assert_allclose(rows[key], want, rtol=1e-12, atol=0)
+    assert grads.keys() == want_grads.keys()
+    for key, want in want_grads.items():
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(grads[key] - want)) <= 1e-10 * scale
+        if case == "silent" and key[0] == 1:
+            assert scale == 0.0 and not np.any(grads[key])
+        else:
+            assert scale > 0.0
+
+
+def test_a_packet_the_window_did_not_precompute_raises():
+    frames = silence(sim.generate(tiny_scenario()), 1, (2,))
+    rng = np.random.default_rng(4)
+    provider = LearnedCovariance({cav: CovNetParams.init(small_net(), rng) for cav in (0, 1)})
+    window = [packets_from_sim_frame(f) for f in frames[:4]]
+    provider.precompute(window)
+    first = window[0][0]
+
+    def residuals(packet):
+        return provider.packet_residuals(
+            packet, transform_rows(box_rows(d.box for d in packet.detections), packet.pose))
+
+    assert residuals(first).shape == (len(first.detections), 10)
+    later = packets_from_sim_frame(frames[4])[0]
+    other_vehicle = dataclasses.replace(first, timestep=2, cav_id=1)
+    fewer = dataclasses.replace(first, detections=first.detections[1:])
+    for packet in (later, other_vehicle, fewer):
+        with pytest.raises(ValueError, match="precomputed window holds no packet"):
+            residuals(packet)
+
+
+def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
+    frames = silence(sim.generate(tiny_scenario()), 1, range(4, 8))
+    cfg = small_run_config(train=TrainSettings(window_length=4, epochs=1))
+    passes, real = [], covnet.forward
+
+    def counting(params, f_app, f_pos, config=None):
+        passes.append(len(f_pos))
+        return real(params, f_app, f_pos, config)
+
+    monkeypatch.setattr(covnet, "forward", counting)
+    runs = []
+    for _ in range(2):
+        passes.clear()
+        result = training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
+        runs.append(param_bytes(result.params_by_cav))
+    # window 0: both vehicles; window 1: vehicle 1 sees nothing and takes no pass
+    rows = [sum(len(f.detections[cav]) for f in frames[w:w + 4])
+            for w, cav in ((0, 0), (0, 1), (4, 0))]
+    assert passes == rows and min(rows) > 4
+    assert result.adam.step == 2
+    assert runs[0] == runs[1]
 
 
 # --- gradient clipping ----------------------------------------------------------
