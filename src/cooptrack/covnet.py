@@ -122,23 +122,9 @@ class CovNetParams:
         arrays = {name: np.zeros(shape) for name, shape in layer_shapes(config).items()}
         return cls(config, arrays)
 
-    def copy(self) -> "CovNetParams":
-        return CovNetParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
-
     def lift(self, tape: ad.Tape) -> dict:
         """Wrap every array as a tape variable for a training pass."""
         return {name: tape.var(arr) for name, arr in self.arrays.items()}
-
-    def validate(self):
-        shapes = layer_shapes(self.config)
-        if set(self.arrays) != set(shapes):
-            raise ValueError("parameter names do not match the configured layer set")
-        for name, arr in self.arrays.items():
-            if arr.shape != shapes[name]:
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {shapes[name]}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
 
 
 def forward(params, f_app, f_pos, config: CovNetConfig = None):

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import types
 import typing
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -132,7 +134,6 @@ class TrainSettings:
     epochs: int = 20
     gt_match_radius: float = 2.0
     center_distance: str = "3d"
-    batch_windows: int = 1
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,11 @@ class RunConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
 
 
-# The schema of a config file: a key's type is its field's annotation (a section
-# is a field whose type is a dataclass), and its allowed values are in CONFIG_RANGES.
+# The schema of a JSON object is a dataclass: a key's type is its field's annotation
+# (a section is a field whose type is a dataclass), and its allowed values are in
+# CONFIG_RANGES or FILE_RANGES. The objects of the other files are checked as the
+# config is but stay dicts, with any keys that name no field, so that a log with a
+# field since dropped still loads.
 
 
 class Allowed(typing.NamedTuple):
@@ -168,6 +172,9 @@ def _one_of(*options) -> Allowed:
 
 _POSITIVE = Allowed("> 0", lambda v: v > 0)
 _UNIT_OPEN = Allowed("in (0, 1)", lambda v: 0 < v < 1)
+_UNIT_HALF_OPEN = Allowed("in (0, 1]", lambda v: 0 < v <= 1)
+_ALL_POSITIVE = Allowed("non-empty, all >= 1", lambda v: len(v) > 0 and min(v) >= 1)
+_COUNT = _at_least(0)
 
 CONFIG_RANGES = {  # keyed by dotted path
     "seed": _at_least(0), "num_cavs": _at_least(1), "eval_iou_threshold": _UNIT_OPEN,
@@ -178,17 +185,53 @@ CONFIG_RANGES = {  # keyed by dotted path
     "scenario.noise_multiplier": _at_least(0), "scenario.miss_multiplier": _at_least(0),
     "scenario.fp_multiplier": _at_least(0),
     "tracker.min_hits": _at_least(1), "tracker.max_age": _at_least(0),
-    "tracker.score_decay": Allowed("in (0, 1]", lambda v: 0 < v <= 1),
+    "tracker.score_decay": _UNIT_HALF_OPEN,
     "tracker.process_noise_velocity": _at_least(0), "tracker.assoc_iou_threshold": _UNIT_OPEN,
     "covnet.app_shape": Allowed("all >= 1", lambda v: min(v) >= 1),
-    "covnet.conv_channels": Allowed("non-empty, all >= 1", lambda v: len(v) > 0 and min(v) >= 1),
+    "covnet.conv_channels": _ALL_POSITIVE,
     "covnet.kernel": _at_least(1), "covnet.stride": _at_least(1), "covnet.pad": _at_least(0),
     "covnet.pos_hidden": _at_least(1), "covnet.pos_out": _at_least(1),
     "covnet.head_hidden": _at_least(1),
     "train.window_length": _at_least(2), "train.lr": _POSITIVE,
     "train.weight_decay": _at_least(0), "train.grad_clip_norm": _POSITIVE,
     "train.epochs": _at_least(0), "train.gt_match_radius": _POSITIVE,
-    "train.center_distance": _one_of("3d", "2d"), "train.batch_windows": _one_of(1),
+    "train.center_distance": _one_of("3d", "2d"),
+}
+
+_BoxList = tuple[float, float, float, float, float, float, float]  # [x, y, z, yaw, l, w, h]
+_file_object = functools.partial(dataclasses.make_dataclass, frozen=True,
+                                 namespace={"__module__": __name__})
+
+DetectionRecord = _file_object("DetectionRecord", [
+    ("t", int), ("cav", int), ("box", _BoxList), ("conf", float),
+    ("pose", tuple[float, float, float, float]),  # [t_x, t_y, t_z, yaw]
+    ("app", int | None, field(default=None))])  # index into the tensor store
+TrackRecord = _file_object("TrackRecord", [
+    ("t", int), ("id", int), ("box", _BoxList), ("score", float)])
+GroundTruthRecord = _file_object("GroundTruthRecord", [
+    ("t", int), ("obj", int), ("box", _BoxList)])
+LossRecord = _file_object("LossRecord", [
+    ("epoch", int), ("window", int), ("loss", float), ("supervised", int)])
+CheckpointHeader = _file_object("CheckpointHeader", [
+    ("config", dict), ("seed", int), ("epochs_done", int),
+    ("manifest", list),  # compared entry for entry with the one `config` determines
+    ("adam_step", int | None, field(default=None))])
+TensorHeader = _file_object("TensorHeader", [("dtype", str), ("shape", tuple[int, ...])])
+CommFile = _file_object("CommFile", [("mb_total", float)])
+
+_BOX = Allowed("[x, y, z, yaw, l, w, h] with l, w, h > 0", lambda v: min(v[4:]) > 0)
+
+FILE_RANGES = {  # each file object's ranges, keyed by field name
+    DetectionRecord: {"t": _COUNT, "cav": _COUNT, "box": _BOX, "conf": _UNIT_HALF_OPEN,
+                      "app": _COUNT},
+    TrackRecord: {"t": _COUNT, "id": _COUNT, "box": _BOX,
+                  "score": Allowed("in [0, 1]", lambda v: 0 <= v <= 1)},
+    GroundTruthRecord: {"t": _COUNT, "obj": _COUNT, "box": _BOX},
+    LossRecord: {"epoch": _COUNT, "window": _COUNT, "loss": _at_least(0),
+                 "supervised": _COUNT},
+    CheckpointHeader: {"seed": _COUNT, "epochs_done": _COUNT, "adam_step": _COUNT},
+    TensorHeader: {"dtype": _one_of("<f8"), "shape": _ALL_POSITIVE},
+    CommFile: {"mb_total": _at_least(0)},
 }
 
 
@@ -198,10 +241,6 @@ def _is_number(value) -> bool:
         return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
         return False
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_keys(cls=RunConfig, prefix=""):
@@ -215,50 +254,92 @@ def config_keys(cls=RunConfig, prefix=""):
 
 
 def type_name(hint) -> str:
-    """A config type as JSON spells it: `int`, `[int, int, int]`, `[[float, float], ...]`."""
+    """A type as JSON spells it: `int`, `[int, int, int]`, `[[float, float], ...]`,
+    `int or null`, `object`."""
     args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return " or ".join(map(type_name, args))
     if not args:
-        return hint.__name__
+        return {dict: "object", type(None): "null"}.get(hint, hint.__name__)
     return "[" + ", ".join("..." if a is Ellipsis else type_name(a) for a in args) + "]"
 
 
-def _as_type(value, hint):
-    """`value` as a `hint`, JSON lists becoming tuples; None when it is not one."""
+@functools.cache
+def _is_a(hint) -> Callable[[object], bool]:
+    """The test of a JSON value against a type hint, built once per hint. A float is
+    any finite number and an int is not a bool; a tuple is a list of its length (any
+    with `...`) whose items are of its one type; `T | None` is a T or null."""
     args = typing.get_args(hint)
+    if hint is float:
+        return _is_number
     if not args:
-        is_type = {int: _is_int, float: _is_number}.get(hint, lambda v: isinstance(v, hint))
-        return value if is_type(value) else None
-    if args[-1] is Ellipsis and isinstance(value, (list, tuple)):
-        args = args[:1] * len(value)
-    if not isinstance(value, (list, tuple)) or len(value) != len(args):
-        return None
-    items = tuple(_as_type(v, a) for v, a in zip(value, args))
-    return None if None in items else items
+        return lambda v: type(v) is hint
+    (item,) = {_is_a(a) for a in args if a is not Ellipsis and a is not type(None)}
+    if isinstance(hint, types.UnionType):
+        return lambda v: v is None or item(v)
+    if args[-1] is Ellipsis:
+        return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == len(args) and all(map(item, v))
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """(name, type hint, its test, required) of each field of the dataclass `cls`, the
+    test being None for a section and a field required when it has no default."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  None if dataclasses.is_dataclass(hints[f.name]) else _is_a(hints[f.name]),
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in dataclasses.fields(cls))
+
+
+def _walk(cls, data, ranges, path=""):
+    """The fields of dataclass `cls` that the JSON object `data` holds, by name, with
+    sections built by `_from_dict`; other keys are not looked at. A ConfigError names
+    the key path of a missing field without a default, or of a value not of its type
+    or (unless null) outside its entry in `ranges`, which is keyed by dotted path."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object, got {data!r}")
+    values = {}
+    for name, hint, is_a, required in _schema(cls):
+        key = f"{path}.{name}" if path else name
+        if name not in data:
+            if required:
+                raise ConfigError(f"{key}: missing")
+            continue
+        value = data[name]
+        if is_a is None:
+            value = _from_dict(hint, value, key)
+        elif not is_a(value):
+            raise ConfigError(f"{key}: expected {type_name(hint)}, got {value!r}")
+        elif value is not None and key in ranges and not ranges[key].test(value):
+            raise ConfigError(f"{key}: must be {ranges[key].text}, got {value!r}")
+        values[name] = value
+    return values
+
+
+def _tupled(value):
+    return tuple(map(_tupled, value)) if isinstance(value, (list, tuple)) else value
 
 
 def _from_dict(cls, data, path):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object, got {data!r}")
-    hints = typing.get_type_hints(cls)
-    unknown = set(data) - set(hints)
+    """The config section `cls` of a JSON object, which may hold no unknown key."""
+    values = _walk(cls, data, CONFIG_RANGES, path)
+    unknown = set(data) - set(values)
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        key = f"{path}.{name}" if path else name
-        if dataclasses.is_dataclass(hints[name]):
-            kwargs[name] = _from_dict(hints[name], value, key)
-            continue
-        kwargs[name] = _as_type(value, hints[name])
-        if kwargs[name] is None:
-            raise ConfigError(f"{key}: expected {type_name(hints[name])}, got {value!r}")
-        allowed = CONFIG_RANGES.get(key)
-        if allowed is not None and not allowed.test(kwargs[name]):
-            raise ConfigError(f"{key}: must be {allowed.text}, got {value!r}")
     try:
-        return cls(**kwargs)
+        return cls(**{name: _tupled(value) for name, value in values.items()})
     except ValueError as exc:  # a rule across keys, such as the covnet branch widths
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
+
+
+def _check_file_object(cls, data, where: str) -> dict:
+    """`_walk` for a JSON object of a file; a LogFormatError names `where`."""
+    try:
+        return _walk(cls, data, FILE_RANGES[cls])
+    except ConfigError as exc:
+        raise LogFormatError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -325,78 +406,17 @@ def _read_header(line, path: str, format_name: str, noun: str) -> dict:
 # --- line-delimited logs ------------------------------------------------------
 
 
-_INT, _NUM, _LIST, _OBJ = "an integer", "a finite number", "a list", "an object"
-_KIND_CHECKS = {_INT: _is_int,
-                _NUM: _is_number, _LIST: lambda v: isinstance(v, list),
-                _OBJ: lambda v: isinstance(v, dict)}
-
-
-def _validate_fields(rec, where, **kinds):
-    """Each named field must be present and of its kind (_INT, _NUM, _LIST or _OBJ)."""
-    for key, kind in kinds.items():
-        if key not in rec:
-            raise LogFormatError(f"{where}: missing field {key!r}")
-        if not _KIND_CHECKS[kind](rec[key]):
-            raise LogFormatError(f"{where}: {key} must be {kind}, got {rec[key]!r}")
-
-
-def _validate_finite(values, name, where):
-    if not all(map(_is_number, values)):
-        raise LogFormatError(f"{where}: {name} entries must be finite numbers")
-
-
-def _validate_box(values, where):
-    if len(values) != 7:
-        raise LogFormatError(f"{where}: box must be a 7-element list")
-    _validate_finite(values, "box", where)
-    if min(values[4:7]) <= 0:
-        raise LogFormatError(f"{where}: box extents must be positive")
-
-
-def _validate_detection(rec, where):
-    _validate_fields(rec, where, t=_INT, cav=_INT, box=_LIST, conf=_NUM, sigma=_LIST,
-                     pose=_LIST)
-    _validate_box(rec["box"], where)
-    if not 0.0 < rec["conf"] <= 1.0:
-        raise LogFormatError(f"{where}: confidence must be in (0,1], got {rec['conf']}")
-    if len(rec["sigma"]) != 10:
-        raise LogFormatError(f"{where}: sigma must have 10 entries")
-    _validate_finite(rec["sigma"], "sigma", where)
-    if len(rec["pose"]) != 4:
-        raise LogFormatError(f"{where}: pose must have 4 entries")
-    _validate_finite(rec["pose"], "pose", where)
-    app = rec.get("app")
-    if app is not None and not (_KIND_CHECKS[_INT](app) and app >= 0):
-        raise LogFormatError(f"{where}: app must be null or a non-negative integer, "
-                             f"got {app!r}")
-
-
-def _validate_track(rec, where):
-    _validate_fields(rec, where, t=_INT, id=_INT, box=_LIST, score=_NUM)
-    _validate_box(rec["box"], where)
-
-
-def _validate_gt(rec, where):
-    _validate_fields(rec, where, t=_INT, obj=_INT, box=_LIST)
-    _validate_box(rec["box"], where)
-
-
-def _validate_loss(rec, where):
-    _validate_fields(rec, where, epoch=_INT, window=_INT, loss=_NUM, supervised=_INT)
-
-
-_VALIDATORS = {FORMAT_DETECTIONS: _validate_detection, FORMAT_TRACKS: _validate_track,
-               FORMAT_GROUNDTRUTH: _validate_gt, FORMAT_LOSSCURVE: _validate_loss}
+_LOG_RECORDS = {FORMAT_DETECTIONS: DetectionRecord, FORMAT_TRACKS: TrackRecord,
+                FORMAT_GROUNDTRUTH: GroundTruthRecord, FORMAT_LOSSCURVE: LossRecord}
 
 
 def write_log(path: str, format_name: str, records):
     """Write a schema-headed JSONL file; every record is validated first."""
-    validator = _VALIDATORS[format_name]
     with replace_file(path) as fh:
         fh.write(canonical_json({"format": format_name, "version": SCHEMA_VERSION}))
         fh.write("\n")
         for i, rec in enumerate(records):
-            validator(rec, f"record {i}")
+            _check_file_object(_LOG_RECORDS[format_name], rec, f"record {i}")
             fh.write(canonical_json(rec))
             fh.write("\n")
 
@@ -405,7 +425,6 @@ def read_log(path: str, format_name: str):
     """Read and validate a JSONL log; returns its records. Only a line feed ends a
     line, so a record's strings may hold other line separators. Header keys beyond
     the format and version are ignored."""
-    validator = _VALIDATORS[format_name]
     records = []
     with open(path, "rb") as fh:
         data = fh.read()
@@ -426,7 +445,7 @@ def read_log(path: str, format_name: str):
             raise LogFormatError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(rec, dict):
             raise LogFormatError(f"{path} line {lineno}: record must be a JSON object")
-        validator(rec, f"{path} line {lineno}")
+        _check_file_object(_LOG_RECORDS[format_name], rec, f"{path} line {lineno}")
         records.append(rec)
     return records
 
@@ -435,10 +454,9 @@ def read_log(path: str, format_name: str):
 
 
 def detection_record(t: int, cav_id: int, box: Box7, conf: float, pose: PoseYawT,
-                     sigma=None, app_index=None) -> dict:
-    sigma = [0.0] * 10 if sigma is None else [float(s) for s in sigma]
+                     app_index=None) -> dict:
     return {"t": int(t), "cav": int(cav_id), "box": [float(v) for v in box.to_vector()],
-            "conf": float(conf), "sigma": sigma,
+            "conf": float(conf),
             "pose": [float(pose.t_x), float(pose.t_y), float(pose.t_z), float(pose.yaw)],
             "app": None if app_index is None else int(app_index)}
 
@@ -522,14 +540,7 @@ def read_tensors(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = _read_header(header_line, path, FORMAT_TENSORS, "tensor")
-        if header.get("dtype") != "<f8":
-            raise LogFormatError(f"{path} line 1: tensor dtype {header.get('dtype')!r} "
-                                 "not supported (expected '<f8')")
-        shape = header.get("shape")
-        if not (isinstance(shape, list) and shape
-                and all(type(s) is int and s > 0 for s in shape)):
-            raise LogFormatError(
-                f"{path}: tensor header needs a shape of positive ints, got {shape!r}")
+        shape = _check_file_object(TensorHeader, header, f"{path} line 1")["shape"]
         size = math.prod(shape)
         count, rest = divmod(os.fstat(fh.fileno()).st_size - len(header_line), 8 * size)
         try:
@@ -599,8 +610,8 @@ def load_sim_frames(data_dir: str):
     for rec in det_records:
         pose = record_pose(rec)
         if poses_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], pose) != pose:
-            raise ValueError(f"{det_path}: conflicting poses for t={rec['t']} "
-                             f"cav={rec['cav']}")
+            raise LogFormatError(f"{det_path}: conflicting poses for t={rec['t']} "
+                                 f"cav={rec['cav']}")
         app = rec.get("app")
         if tensors is None or app is None:
             app = None
@@ -636,10 +647,7 @@ def load_track_output(run_dir: str):
     comm_mb = 0.0
     comm_path = os.path.join(run_dir, COMM_FILE)
     if os.path.exists(comm_path):
-        comm_mb = _read_json(comm_path).get("mb_total")
-        if not (_is_number(comm_mb) and comm_mb >= 0):
-            raise LogFormatError(f"{comm_path}: mb_total must be a finite non-negative "
-                                 f"number, got {comm_mb!r}")
+        comm_mb = _check_file_object(CommFile, _read_json(comm_path), comm_path)["mb_total"]
     config = None
     meta_path = os.path.join(run_dir, RUN_META_FILE)
     if os.path.exists(meta_path):
@@ -720,13 +728,11 @@ def _manifest_entry(manifest, i) -> str:
     return json.dumps(manifest[i], sort_keys=True, separators=(",", ":"))
 
 
-def _validate_checkpoint_header(header, path):
-    """Type-check the header fields of a checkpoint and require the manifest its run
-    config determines, entry for entry; returns (run config, manifest)."""
-    where = f"{path} line 1"
-    _validate_fields(header, where, config=_OBJ, seed=_INT, epochs_done=_INT, manifest=_LIST)
-    if header.get("adam_step") is not None:
-        _validate_fields(header, where, adam_step=_INT)
+def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
+    with open(path, "rb") as fh:
+        header = _read_header(fh.readline(), path, FORMAT_CHECKPOINT, "checkpoint")
+        data = fh.read()
+    _check_file_object(CheckpointHeader, header, f"{path} line 1")
     try:
         cfg = config_from_dict(header["config"])
     except ConfigError as exc:
@@ -735,15 +741,8 @@ def _validate_checkpoint_header(header, path):
     for i in range(max(len(header["manifest"]), len(manifest))):
         found, want = _manifest_entry(header["manifest"], i), _manifest_entry(manifest, i)
         if found != want:
-            raise LogFormatError(f"{where}: manifest entry {i} is {found}, expected {want}")
-    return cfg, manifest
-
-
-def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
-    with open(path, "rb") as fh:
-        header = _read_header(fh.readline(), path, FORMAT_CHECKPOINT, "checkpoint")
-        cfg, manifest = _validate_checkpoint_header(header, path)
-        data = fh.read()
+            raise LogFormatError(f"{path} line 1: manifest entry {i} is {found}, "
+                                 f"expected {want}")
     sizes = [math.prod(entry["shape"]) for entry in manifest]
     if len(data) < 8 * sum(sizes):
         raise LogFormatError(f"{path}: truncated checkpoint data")
@@ -752,17 +751,17 @@ def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
     blocks = np.split(np.frombuffer(data, dtype="<f8").copy(), np.cumsum(sizes)[:-1])
     arrays = {"param": {}, "adam_m": {}, "adam_v": {}}
     for entry, block in zip(manifest, blocks):
+        # Adam's second moments are means of squared gradients
+        bad = ("non-finite" if not np.isfinite(block).all() else
+               "negative" if entry["kind"] == "adam_v" and (block < 0).any() else None)
+        if bad:
+            raise LogFormatError(f"{path}: vehicle {entry['cav']}: {entry['kind']} "
+                                 f"{entry['name']} has {bad} entries")
         arrays[entry["kind"]][entry["cav"], entry["name"]] = block.reshape(entry["shape"])
     net_cfg = cfg.covnet.covnet_config()
-    params_by_cav = {}
-    for cav in _param_cavs(cfg):
-        params = CovNetParams(net_cfg, {name: arrays["param"][cav, name]
-                                        for name in layer_shapes(net_cfg)})
-        try:
-            params.validate()
-        except ValueError as exc:
-            raise LogFormatError(f"{path}: vehicle {cav}: {exc}") from exc
-        params_by_cav[cav] = params
+    params_by_cav = {cav: CovNetParams(net_cfg, {name: arrays["param"][cav, name]
+                                                 for name in layer_shapes(net_cfg)})
+                     for cav in _param_cavs(cfg)}
     if cfg.covnet.shared_weights:
         for cav in range(cfg.num_cavs):
             params_by_cav[cav] = params_by_cav[0]

@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import itertools
 import json
+import math
 import os
 import pathlib
 import typing
@@ -204,15 +206,15 @@ def test_conflicting_poses_are_rejected(tmp_path, config_path, sim_dir, capsys):
     dets[i]["pose"][0] += 5.0
     io.write_log(path, io.FORMAT_DETECTIONS, dets)
     t, cav = dets[i]["t"], dets[i]["cav"]
-    with pytest.raises(ValueError, match=rf"detections\.jsonl: conflicting poses for "
-                                         rf"t={t} cav={cav}$"):
+    with pytest.raises(io.LogFormatError, match=rf"detections\.jsonl: conflicting poses for "
+                                                rf"t={t} cav={cav}$"):
         io.load_sim_frames(sim_dir)
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
-                     "--out", str(tmp_path / "trk")]) == 1
+                     "--out", str(tmp_path / "trk")]) == 2
     assert "conflicting poses" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("sigma", 5), ("conf", "x"), ("t", "a"),
+@pytest.mark.parametrize("field, value", [("pose", 5), ("conf", "x"), ("t", "a"),
                                           ("app", 1.5), ("app", "x"), ("app", True),
                                           ("app", -1)])
 def test_mistyped_field_is_rejected_with_path_and_line(tmp_path, config_path, sim_dir,
@@ -225,7 +227,8 @@ def test_mistyped_field_is_rejected_with_path_and_line(tmp_path, config_path, si
     lines[2] = json.dumps(rec)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with pytest.raises(io.LogFormatError, match=rf"detections\.jsonl line 3: {field} must be"):
+    with pytest.raises(io.LogFormatError, match=rf"detections\.jsonl line 3: {field}: "
+                                                rf"(expected|must be) "):
         io.read_log(path, io.FORMAT_DETECTIONS)
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--out", str(tmp_path / "trk")]) == 2
@@ -262,9 +265,9 @@ def _rewrite_tensor_store(sim_dir, header=None, first_entry=None):
 @pytest.mark.parametrize("header, first_entry, message", [
     ([1, 2], None, "tensor header must be a JSON object"),
     ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f8"}, None,
-     "tensor header needs a shape"),
+     "line 1: shape: missing"),
     ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f4",
-      "shape": [8, 8, 8]}, None, "tensor dtype '<f4' not supported"),
+      "shape": [8, 8, 8]}, None, """line 1: dtype: must be "<f8", got '<f4'"""),
     (None, float("nan"), "tensor 0 has non-finite entries"),
     ({"format": io.FORMAT_TENSORS, "version": io.SCHEMA_VERSION, "dtype": "<f8",
       "shape": [1] * 65}, None, f"tensor shape {[1] * 65} not supported"),
@@ -358,9 +361,9 @@ def test_a_log_of_other_vehicles_than_num_cavs_is_rejected(tmp_path, sim_dir, ca
 
 
 def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail=b"",
-                             adam=False):
+                             adam=False, kind="param"):
     """Save a zero checkpoint for `cfg` (with zero Adam tables if `adam`), then edit
-    its header, first weight or end."""
+    its header, the first entry of its first table of `kind`, or its end."""
     params = {cav: CovNetParams.zeros(cfg.covnet.covnet_config())
               for cav in range(cfg.num_cavs)}
     adam_state = None
@@ -376,7 +379,9 @@ def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail
     if edit_header is not None:
         header = edit_header(header)
     if first_entry is not None:
-        data[:8] = np.array([first_entry], dtype="<f8").tobytes()
+        at = 8 * sum(math.prod(e["shape"]) for e in itertools.takewhile(
+            lambda e: e["kind"] != kind, header["manifest"]))
+        data[at:at + 8] = np.array([first_entry], dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode() + bytes(data) + tail)
 
@@ -410,10 +415,15 @@ _FIRST_ENTRY = '{"cav":0,"kind":"param","name":"app.conv1.w","shape":'
 @pytest.mark.parametrize("edit, message", [
     (dict(edit_header=lambda h: [1]), "checkpoint header must be a JSON object"),
     (dict(edit_header=lambda h: {k: v for k, v in h.items() if k != "config"}),
-     "missing field 'config'"),
+     "line 1: config: missing"),
     (dict(edit_header=_set("config", {"num_cavs": 0})), "bad run configuration"),
-    (dict(edit_header=_set("seed", "0")), "seed must be an integer"),
-    (dict(edit_header=_set("manifest", {})), "manifest must be a list"),
+    (dict(edit_header=lambda h: dict(h, config=dict(h["config"], train=dict(
+        h["config"]["train"], batch_windows=1)))),
+     "bad run configuration (train: unknown key(s) ['batch_windows'])"),
+    (dict(edit_header=_set("seed", "0")), "line 1: seed: expected int, got '0'"),
+    (dict(edit_header=_set("epochs_done", -5)), "line 1: epochs_done: must be >= 0, got -5"),
+    (dict(edit_header=_set("adam_step", -1)), "line 1: adam_step: must be >= 0, got -1"),
+    (dict(edit_header=_set("manifest", {})), "line 1: manifest: expected list, got {}"),
     (dict(edit_header=_set_first_entry("shape", [-4, 2])),
      f"manifest entry 0 is {_FIRST_ENTRY}[-4,2]}}, expected {_FIRST_ENTRY}[4,8,3,3]}}"),
     (dict(edit_header=_set_first_entry("kind", "adam_w")),
@@ -433,7 +443,8 @@ _FIRST_ENTRY = '{"cav":0,"kind":"param","name":"app.conv1.w","shape":'
      'manifest entry 0 is {"cav":0,"kind":"param","name":"app.conv1.b","shape":[4]}'),
     (dict(tail=b"\0" * 8), "trailing data"),
     (dict(first_entry=float("nan")), "non-finite entries"),
-], ids=["not-an-object", "no-config", "bad-config", "mistyped-seed", "manifest-not-a-list",
+], ids=["not-an-object", "no-config", "bad-config", "batch-windows", "mistyped-seed",
+        "negative-epochs", "negative-adam-step", "manifest-not-a-list",
         "negative-shape", "unknown-kind", "extra-vehicle", "repeated-entry", "bool-cav",
         "float-shape", "nan-shape", "reordered", "trailing-bytes", "nan-weight"])
 def test_bad_checkpoint_is_rejected_with_its_path(tmp_path, config_path, sim_dir, capsys,
@@ -462,7 +473,12 @@ _FIRST_ADAM_M = '{"cav":0,"kind":"adam_m","name":"app.conv1.w","shape":'
      f"manifest entry 24 is {_FIRST_ADAM_M}[288]}}, expected {_FIRST_ADAM_M}[4,8,3,3]}}"),
     (dict(adam=True, edit_header=_set("adam_step", None)),
      f"manifest entry 24 is {_FIRST_ADAM_M}[4,8,3,3]}}, expected no entry"),
-], ids=["param-only", "misshapen-adam_m", "adam-without-step"])
+    (dict(adam=True, kind="adam_m", first_entry=float("inf")),
+     "vehicle 0: adam_m app.conv1.w has non-finite entries"),
+    (dict(adam=True, kind="adam_v", first_entry=-1e-9),
+     "vehicle 0: adam_v app.conv1.w has negative entries"),
+], ids=["param-only", "misshapen-adam_m", "adam-without-step", "infinite-adam_m",
+        "negative-adam_v"])
 def test_resume_rejects_bad_adam_tables_with_the_path(tmp_path, config_path, sim_dir, capsys,
                                                       edit, message):
     ckpt = str(tmp_path / "bad.ckpt")

@@ -120,23 +120,6 @@ def test_params_init_distribution_and_determinism():
             assert np.max(np.abs(p1.arrays[name])) > 0.5 * k
 
 
-def test_params_validate_catches_corruption():
-    p = CovNetParams.init(CovNetConfig(), np.random.default_rng(0))
-    p.validate()
-    bad = p.copy()
-    bad.arrays["head.lin2.b"] = np.zeros(3)
-    with pytest.raises(ValueError):
-        bad.validate()
-    bad2 = p.copy()
-    bad2.arrays["head.lin1.w"][0, 0] = np.nan
-    with pytest.raises(ValueError):
-        bad2.validate()
-    bad3 = p.copy()
-    del bad3.arrays["pos.lin1.b"]
-    with pytest.raises(ValueError):
-        bad3.validate()
-
-
 def test_forward_matches_reference():
     rng = np.random.default_rng(70)
     for cfg in (CovNetConfig(),

@@ -167,6 +167,8 @@ def test_config_ranges_name_real_keys_and_cover_every_number():
         assert key not in io.CONFIG_RANGES or io.CONFIG_RANGES[key].test(default), key
     seed = io.CONFIG_RANGES["seed"]
     assert seed.text == ">= 0" and seed.test(0) and not seed.test(-1)
+    for cls, ranges in io.FILE_RANGES.items():
+        assert set(ranges) <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
 def _readme_config_table() -> dict:
@@ -235,13 +237,17 @@ def test_track_log_round_trip_byte_identical(tmp_path):
 
 
 def test_detection_log_round_trip(tmp_path):
-    rec = io.detection_record(0, 1, BOX, 0.9, POSE, sigma=list(range(10)), app_index=3)
+    rec = io.detection_record(0, 1, BOX, 0.9, POSE, app_index=3)
     path = tmp_path / "dets.jsonl"
     io.write_log(str(path), io.FORMAT_DETECTIONS, [rec])
     loaded = io.read_log(str(path), io.FORMAT_DETECTIONS)
     assert loaded == [rec]
     assert io.record_box(rec).to_vector() == pytest.approx(BOX.to_vector())
     assert io.record_pose(rec) == POSE
+    # earlier releases wrote ten `sigma` residuals into every record; such a log loads
+    old = dict(rec, sigma=list(range(10)))
+    io.write_log(str(path), io.FORMAT_DETECTIONS, [old])
+    assert io.read_log(str(path), io.FORMAT_DETECTIONS) == [old]
 
 
 def test_log_rejects_wrong_format_and_version(tmp_path):
@@ -299,21 +305,23 @@ def test_log_with_crlf_line_ends_and_blank_lines_loads(tmp_path):
 
 def test_log_validates_record_fields(tmp_path):
     path = tmp_path / "log.jsonl"
-    with pytest.raises(LogFormatError, match="missing field"):
+    with pytest.raises(LogFormatError, match="^record 0: box: missing$"):
         io.write_log(str(path), io.FORMAT_TRACKS, [{"t": 0, "id": 1}])
     bad_box = io.track_record(0, 1, BOX, 0.5)
     bad_box["box"] = bad_box["box"][:5]
-    with pytest.raises(LogFormatError, match="7-element"):
+    with pytest.raises(LogFormatError, match=r"^record 0: box: expected \[float, float, float, "
+                                             r"float, float, float, float\], got \[1\.0, "):
         io.write_log(str(path), io.FORMAT_TRACKS, [bad_box])
     neg_extent = io.track_record(0, 1, BOX, 0.5)
     neg_extent["box"][4] = -1.0
-    with pytest.raises(LogFormatError, match="extents"):
+    with pytest.raises(LogFormatError, match=r"^record 0: box: must be \[x, y, z, yaw, l, w, h\] "
+                                             r"with l, w, h > 0, got "):
         io.write_log(str(path), io.FORMAT_TRACKS, [neg_extent])
     bad_conf = io.detection_record(0, 0, BOX, 0.9, POSE)
     bad_conf["conf"] = 1.5
-    with pytest.raises(LogFormatError, match="confidence"):
+    with pytest.raises(LogFormatError, match=r"^record 0: conf: must be in \(0, 1\], got 1\.5$"):
         io.write_log(str(path), io.FORMAT_DETECTIONS, [bad_conf])
-    with pytest.raises(LogFormatError, match="epoch must be an integer"):
+    with pytest.raises(LogFormatError, match="^record 0: epoch: expected int, got 'x'$"):
         io.write_log(str(path), io.FORMAT_LOSSCURVE,
                      [{"epoch": "x", "window": 0, "loss": 0.5, "supervised": 3}])
 
@@ -323,11 +331,11 @@ def test_log_rejects_non_finite_numbers(tmp_path):
     header = io.canonical_json({"format": io.FORMAT_GROUNDTRUTH, "version": 1})
     path = tmp_path / "gt.jsonl"
     path.write_text(header + '\n{"box":[NaN,0,0,0,Infinity,1,1],"obj":0,"t":0}\n')
-    with pytest.raises(LogFormatError, match=r"gt\.jsonl line 2: box entries must be finite"):
+    with pytest.raises(LogFormatError, match=r"gt\.jsonl line 2: box: expected \[float, "):
         io.read_log(str(path), io.FORMAT_GROUNDTRUTH)
     header = io.canonical_json({"format": io.FORMAT_DETECTIONS, "version": 1})
     good = io.canonical_json(io.detection_record(0, 0, BOX, 0.9, POSE))
-    for field, bad in (("conf", "NaN"), ("sigma", "[0,0,0,0,0,0,0,0,0,Infinity]"),
+    for field, bad in (("conf", "NaN"), ("box", "[1.0,2.0,0.5,0.1,Infinity,1.9,1.6]"),
                        ("pose", "[0.0,NaN,1.2,0.05]"),
                        ("box", "[1" + "0" * 400 + ",0,0,0,4,2,1.5]")):  # beyond float range
         rec = json.loads(good)
@@ -335,7 +343,7 @@ def test_log_rejects_non_finite_numbers(tmp_path):
         line = io.canonical_json(rec).replace('"@"', bad)
         path = tmp_path / "dets.jsonl"
         path.write_text(header + "\n" + good + "\n" + line + "\n")
-        with pytest.raises(LogFormatError, match="dets\\.jsonl line 3"):
+        with pytest.raises(LogFormatError, match=rf"dets\.jsonl line 3: {field}: expected "):
             io.read_log(str(path), io.FORMAT_DETECTIONS)
 
 
@@ -456,6 +464,106 @@ def test_a_mutated_tensor_store_loads_or_is_rejected(tiny_scene, draw):
     assert code in (0, 2)
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A library-written 4-frame run: a scene, its tracks, and a one-epoch checkpoint
+    with its loss curve; with a config that resumes it for one more epoch."""
+    root = tmp_path_factory.mktemp("run")
+    cfg = small_config(scenario=ScenarioConfig(duration=4),
+                       train=TrainSettings(window_length=2, epochs=1))
+    io.save_config(str(root / "cfg.json"), cfg)
+    io.save_config(str(root / "resume.json"), dataclasses.replace(
+        cfg, train=dataclasses.replace(cfg.train, epochs=2)))
+    cfg_path, data, run = str(root / "cfg.json"), str(root / "data"), str(root / "run")
+    with contextlib.redirect_stdout(None):
+        for argv in (["simulate", "--config", cfg_path, "--out", data],
+                     ["track", "--config", cfg_path, "--detections", data, "--out", run],
+                     ["train", "--config", cfg_path, "--scenarios", data,
+                      "--out", str(root / "m.ckpt")]):
+            assert cli.main(argv) == 0
+    return root
+
+
+def _track(root):
+    return ["track", "--config", str(root / "cfg.json"), "--detections", str(root / "data"),
+            "--out", str(root / "out" / "trk")]
+
+
+def _eval(root):
+    return ["eval", "--tracks", str(root / "run"), "--gt", str(root / "data"),
+            "--out", str(root / "out" / "s.csv")]
+
+
+def _resume(root):
+    return ["train", "--config", str(root / "resume.json"), "--scenarios", str(root / "data"),
+            "--resume", str(root / "m.ckpt"), "--out", str(root / "out" / "m.ckpt")]
+
+
+# each file a reader takes (below the run root): its reader, and the commands reading it
+_READERS = {
+    "data/gt.jsonl": (lambda root: io.load_gt_frames(str(root / "data")), _eval),
+    "data/detections.jsonl": (lambda root: io.load_sim_frames(str(root / "data")), _track),
+    "run/tracks.jsonl": (lambda root: io.load_track_output(str(root / "run")), _eval),
+    "run/comm.json": (lambda root: io.load_track_output(str(root / "run")), _eval),
+    "m.ckpt": (lambda root: io.load_checkpoint(str(root / "m.ckpt")), _resume),
+    "m.ckpt.losscurve.jsonl": (lambda root: io.read_log(str(root / "m.ckpt.losscurve.jsonl"),
+                                                        io.FORMAT_LOSSCURVE), None),
+}
+
+
+def _mutate_value(obj, draw):
+    """`obj` with one value at some depth replaced by a JSON value of any type or
+    range, or dropped."""
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node and (parent is None or draw.draw(st.booleans())):
+        parent = node
+        key = draw.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        node = parent[key]
+    if parent is None:
+        return draw.draw(_ANY_JSON)
+    if draw.draw(st.booleans()):
+        parent[key] = draw.draw(_ANY_JSON)
+    else:
+        del parent[key]
+    return obj
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_READERS)), kind=st.sampled_from(["value", "flip", "truncate"]),
+       draw=st.data())
+def test_a_mutated_file_loads_or_is_rejected(tiny_run, name, kind, draw):
+    path = tiny_run / name
+    original = path.read_bytes()
+    if kind == "value":  # in a JSON line: the header of a checkpoint, any line of a log
+        lines = original.split(b"\n", 1 if name == "m.ckpt" else -1)
+        i = 0 if name == "m.ckpt" else draw.draw(
+            st.sampled_from([i for i, line in enumerate(lines) if line]))
+        lines[i] = json.dumps(_mutate_value(json.loads(lines[i]), draw)).encode()
+        mutated = b"\n".join(lines)
+    elif kind == "flip":
+        at = draw.draw(st.integers(0, len(original) - 1))
+        mutated = bytearray(original)
+        mutated[at] ^= draw.draw(st.integers(1, 255))
+    else:
+        mutated = original[:draw.draw(st.integers(0, len(original) - 1))]
+    with io.replace_file(str(path), "wb") as fh:
+        fh.write(mutated)
+    reader, command = _READERS[name]
+    try:
+        try:
+            reader(tiny_run)
+        except (LogFormatError, ConfigError):
+            pass
+        if command is not None:
+            with contextlib.redirect_stdout(None), contextlib.redirect_stderr(None):
+                assert cli.main(command(tiny_run)) in (0, 2)
+    finally:
+        with io.replace_file(str(path), "wb") as fh:
+            fh.write(original)
+
+
 # --- checkpoints -----------------------------------------------------------------
 
 
@@ -534,14 +642,14 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("shared, adam, digest", [
-    (False, False, "ed079e327c2467ddc662c2b3c677847062e816a42d85acf6dc554217c69df3ca"),
-    (False, True, "98ac6125f00d03912b49d36e4785f4d212bd629af5b2ba73b8392ea7a1a2e7a6"),
-    (True, False, "7b146bb1684cf2c34ec1318ed92210dc29324f95a1da95f460dedc8db7a8a141"),
-    (True, True, "f51aabd3d7e3d3d0af208c1b211a425cb7b59754bbfb775815157355891b5168"),
+    (False, False, "c525edf51f53178634ca5f20dff0c42d88eed05c40b4a810305f2cc6d322597e"),
+    (False, True, "3da0100dfd43fc09e2aa2ef5555eec9f85ff10c7ddde9105b1337df3b84f9ce2"),
+    (True, False, "8259a1ab10695a53645636eacaa6437265a846fe6a4d4517e45121cc487af4e5"),
+    (True, True, "8d7cbfc1355038ce69c08b517180fabb41e698bd6ff8c543df8e9eece6376307"),
 ], ids=["per-vehicle", "per-vehicle-adam", "shared", "shared-adam"])
 def test_checkpoint_bytes_are_pinned(tmp_path, shared, adam, digest):
-    # the checkpoint format is fixed: these are the bytes earlier releases wrote, so
-    # `train --resume` keeps reading their checkpoints
+    # the checkpoint format is fixed: these are the bytes earlier releases wrote, less
+    # the retired `train.batch_windows` key of the config header
     cfg = small_config(covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
                                           head_hidden=8, shared_weights=shared))
     params = make_params(cfg)
