@@ -17,10 +17,10 @@ SCORE_DECAY = 0.9
 
 @dataclass
 class Assignment:
-    """Partition of track and detection indices after thresholded matching."""
+    """Thresholded matches and the detections left unmatched; a track not in
+    `matches` is unmatched."""
 
     matches: list  # (track_index, detection_index, iou)
-    unmatched_tracks: list
     unmatched_detections: list
 
 
@@ -78,10 +78,9 @@ def associate(cost, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Assignment:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     matches = [(r, c, -cost[r, c]) for r, c in hungarian_solve(cost)
                if -cost[r, c] >= iou_threshold]
-    n, m = np.shape(cost)
     return Assignment(matches=matches,
-                      unmatched_tracks=sorted(set(range(n)) - {r for r, _, _ in matches}),
-                      unmatched_detections=sorted(set(range(m)) - {c for _, c, _ in matches}))
+                      unmatched_detections=sorted(set(range(np.shape(cost)[1]))
+                                                  - {c for _, c, _ in matches}))
 
 
 @dataclass(frozen=True)

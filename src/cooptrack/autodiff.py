@@ -10,9 +10,14 @@ symmetric positive definite inverse that reports the matrices it cannot
 invert instead of raising.
 
 Every operation dispatches on whether an operand is a `Node`. With raw
-ndarrays it computes and returns plain values; with at least one `Node` it
-runs the identical arithmetic and records the adjoint rule. Tape mode is
-therefore bit-identical to plain mode by construction. All ops preserve the
+ndarrays it computes and returns plain values, before it builds any adjoint;
+with at least one `Node` it runs the identical arithmetic and hands the
+result to `_record`, the one place a non-leaf node is made. `_record` takes
+one adjoint per operand, each mapping the output gradient to that operand's
+gradient, and keeps those of the operands that are Nodes: they become the
+node's parents, in operand order, so parents and gradients line up and an
+adjoint never runs for a plain operand. Tape mode is therefore
+bit-identical to plain mode by construction. All ops preserve the
 operand dtype, so the whole pipeline can run in float64 or in longdouble
 (used by the finite-difference gradient oracles).
 """
@@ -20,6 +25,7 @@ operand dtype, so the whole pipeline can run in float64 or in longdouble
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -34,10 +40,9 @@ class Tape:
     def __init__(self):
         self._nodes = []
 
-    def var(self, value, dtype=None):
+    def var(self, value):
         """Create a leaf node whose gradient will be accumulated."""
-        v = np.asarray(value, dtype=dtype) if dtype is not None else np.asarray(value)
-        return Node(self, v.copy(), (), None)
+        return Node(self, np.asarray(value).copy(), (), ())
 
     def __len__(self):
         return len(self._nodes)
@@ -67,12 +72,10 @@ class Tape:
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self._nodes):
             g = node.grad
-            if g is None or node._vjp is None:
+            if g is None:
                 continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None:
-                    continue
+            for parent, adjoint in zip(node._parents, node._adjoints):
+                pg = adjoint(g)
                 if parent.grad is None:
                     parent.grad = pg.copy() if isinstance(pg, np.ndarray) else np.asarray(pg)
                 else:
@@ -80,15 +83,16 @@ class Tape:
 
 
 class Node:
-    """One tape entry: a primal value plus the adjoint rule that produced it."""
+    """One tape entry: a primal value, its parents, and one adjoint per parent
+    that maps this node's gradient to that parent's. A leaf has neither."""
 
-    __slots__ = ("tape", "value", "_parents", "_vjp", "grad", "__weakref__")
+    __slots__ = ("tape", "value", "_parents", "_adjoints", "grad", "__weakref__")
 
-    def __init__(self, tape, value, parents, vjp):
+    def __init__(self, tape, value, parents, adjoints):
         self.tape = tape
         self.value = value
         self._parents = parents
-        self._vjp = vjp
+        self._adjoints = adjoints
         self.grad = None
         tape._nodes.append(self)
 
@@ -112,11 +116,21 @@ def grad_of(leaf: Node):
     return leaf.grad
 
 
-def _tape_of(*args):
-    for a in args:
-        if isinstance(a, Node):
-            return a.tape
-    return None
+def _record(out, operands, adjoints):
+    """The node of `out`, computed from `operands`: the one place a non-leaf
+    Node is made.
+
+    `adjoints[i]` maps the output gradient to operand i's gradient. Only the
+    operands that are Nodes become parents, in operand order, and only their
+    adjoints are kept. Ops call this after their plain-value return, so at
+    least one operand is a Node; a single operand always is.
+    """
+    if len(operands) > 1:
+        on_tape = [isinstance(x, Node) for x in operands]
+        if not all(on_tape):
+            operands = tuple(x for x, keep in zip(operands, on_tape) if keep)
+            adjoints = tuple(r for r, keep in zip(adjoints, on_tape) if keep)
+    return Node(operands[0].tape, out, operands, adjoints)
 
 
 def _unbroadcast(grad, shape):
@@ -135,64 +149,28 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     out = val(a) + val(b)
-    tape = _tape_of(a, b)
-    if tape is None:
+    if not (isinstance(a, Node) or isinstance(b, Node)):
         return out
     sa, sb = np.shape(val(a)), np.shape(val(b))
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, sa) if isinstance(a, Node) else None,
-            _unbroadcast(g, sb) if isinstance(b, Node) else None,
-        )
-
-    return Node(tape, out, tuple(x for x in (a, b) if isinstance(x, Node)),
-                _pack_vjp(vjp, (a, b)))
+    return _record(out, (a, b), (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b):
     out = val(a) - val(b)
-    tape = _tape_of(a, b)
-    if tape is None:
+    if not (isinstance(a, Node) or isinstance(b, Node)):
         return out
     sa, sb = np.shape(val(a)), np.shape(val(b))
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, sa) if isinstance(a, Node) else None,
-            _unbroadcast(-g, sb) if isinstance(b, Node) else None,
-        )
-
-    return Node(tape, out, tuple(x for x in (a, b) if isinstance(x, Node)),
-                _pack_vjp(vjp, (a, b)))
+    return _record(out, (a, b), (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)))
 
 
 def div(a, b):
     av, bv = val(a), val(b)
     out = av / bv
-    tape = _tape_of(a, b)
-    if tape is None:
+    if not (isinstance(a, Node) or isinstance(b, Node)):
         return out
     sa, sb = np.shape(av), np.shape(bv)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / bv, sa) if isinstance(a, Node) else None,
-            _unbroadcast(-g * av / (bv * bv), sb) if isinstance(b, Node) else None,
-        )
-
-    return Node(tape, out, tuple(x for x in (a, b) if isinstance(x, Node)),
-                _pack_vjp(vjp, (a, b)))
-
-
-def _pack_vjp(raw_vjp, operands):
-    """Strip grads for non-Node operands so they line up with `_parents`."""
-
-    def vjp(g):
-        grads = raw_vjp(g)
-        return tuple(pg for op, pg in zip(operands, grads) if isinstance(op, Node))
-
-    return vjp
+    return _record(out, (a, b), (lambda g: _unbroadcast(g / bv, sa),
+                                 lambda g: _unbroadcast(-g * av / (bv * bv), sb)))
 
 
 def matmul(a, b):
@@ -204,27 +182,22 @@ def matmul(a, b):
     """
     av, bv = val(a), val(b)
     out = av @ bv
-    tape = _tape_of(a, b)
-    if tape is None:
+    if not (isinstance(a, Node) or isinstance(b, Node)):
         return out
     av, bv = np.asarray(av), np.asarray(bv)
     a2 = av[np.newaxis, :] if av.ndim == 1 else av
     b2 = bv[:, np.newaxis] if bv.ndim == 1 else bv
 
-    def vjp(g):
+    def promote(g):
         if bv.ndim == 1:
             g = np.expand_dims(g, -1)
         if av.ndim == 1:
             g = np.expand_dims(g, -2)
-        ga = gb = None
-        if isinstance(a, Node):
-            ga = _unbroadcast(g @ np.swapaxes(b2, -1, -2), a2.shape).reshape(av.shape)
-        if isinstance(b, Node):
-            gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g, b2.shape).reshape(bv.shape)
-        return (ga, gb)
+        return g
 
-    return Node(tape, out, tuple(x for x in (a, b) if isinstance(x, Node)),
-                _pack_vjp(vjp, (a, b)))
+    return _record(out, (a, b), (
+        lambda g: _unbroadcast(promote(g) @ np.swapaxes(b2, -1, -2), a2.shape).reshape(av.shape),
+        lambda g: _unbroadcast(np.swapaxes(a2, -1, -2) @ promote(g), b2.shape).reshape(bv.shape)))
 
 
 def _is_basic_index(idx):
@@ -246,26 +219,24 @@ def getitem(a, idx):
     dtype = a.value.dtype
     basic = _is_basic_index(idx)
 
-    def vjp(g):
+    def adjoint(g):
         full = np.zeros(shape, dtype=dtype)
         if basic:
             full[idx] += g
         else:
             np.add.at(full, idx, g)
-        return (full,)
+        return full
 
-    return Node(a.tape, out, (a,), vjp)
+    return _record(out, (a,), (adjoint,))
 
 
 def stack(parts):
     """Equal-shape operands stacked along a new leading axis: one node with
-    a parent per operand, whose adjoint for part i is `g[i]`."""
+    a parent per Node operand, whose adjoint for part i is `g[i]`."""
     out = np.stack([val(p) for p in parts])
-    tape = _tape_of(*parts)
-    if tape is None:
+    if not any(isinstance(p, Node) for p in parts):
         return out
-    return Node(tape, out, tuple(p for p in parts if isinstance(p, Node)),
-                lambda g: tuple(g[i] for i, p in enumerate(parts) if isinstance(p, Node)))
+    return _record(out, tuple(parts), [operator.itemgetter(i) for i in range(len(parts))])
 
 
 def scatter_rows(base, rows, values):
@@ -277,49 +248,33 @@ def scatter_rows(base, rows, values):
     bv, vv = val(base), val(values)
     out = bv.astype(np.result_type(bv, vv))
     out[rows] = vv
-    tape = _tape_of(base, values)
-    if tape is None:
+    if not (isinstance(base, Node) or isinstance(values, Node)):
         return out
 
-    def vjp(g):
+    def base_adjoint(g):
         g_base = g.copy()
         g_base[rows] = 0.0
-        return (g_base, g[rows])
+        return g_base
 
-    return Node(tape, out, tuple(x for x in (base, values) if isinstance(x, Node)),
-                _pack_vjp(vjp, (base, values)))
+    return _record(out, (base, values), (base_adjoint, operator.itemgetter(rows)))
 
 
 def concat(parts, axis=0):
     values = [val(p) for p in parts]
     out = np.concatenate(values, axis=axis)
-    tape = _tape_of(*parts)
-    if tape is None:
+    if not any(isinstance(p, Node) for p in parts):
         return out
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        grads = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(p, Node):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                grads.append(g[tuple(sl)])
-            else:
-                grads.append(None)
-        return tuple(grads)
-
-    return Node(tape, out, tuple(p for p in parts if isinstance(p, Node)),
-                _pack_vjp(vjp, tuple(parts)))
+    lead = (slice(None),) * (axis % out.ndim)
+    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
+    return _record(out, tuple(parts), [operator.itemgetter(lead + (slice(lo, hi),))
+                                       for lo, hi in zip(offsets[:-1], offsets[1:])])
 
 
 def reshape(a, shape):
     if not isinstance(a, Node):
         return np.reshape(a, shape)
     orig = a.value.shape
-    out = np.reshape(a.value, shape)
-    return Node(a.tape, out, (a,), lambda g: (np.reshape(g, orig),))
+    return _record(np.reshape(a.value, shape), (a,), (lambda g: np.reshape(g, orig),))
 
 
 def asum(a, axis=None):
@@ -328,13 +283,9 @@ def asum(a, axis=None):
     out = np.sum(a.value, axis=axis)
     shape = a.value.shape
     dtype = a.value.dtype
-
-    def vjp(g):
-        if axis is None:
-            return (np.ones(shape, dtype=dtype) * g,)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return Node(a.tape, out, (a,), vjp)
+    if axis is None:
+        return _record(out, (a,), (lambda g: np.ones(shape, dtype=dtype) * g,))
+    return _record(out, (a,), (lambda g: np.broadcast_to(np.expand_dims(g, axis), shape).copy(),))
 
 
 def square(a):
@@ -342,7 +293,7 @@ def square(a):
     out = av * av
     if not isinstance(a, Node):
         return out
-    return Node(a.tape, out, (a,), lambda g: (g * (2.0 * av),))
+    return _record(out, (a,), (lambda g: g * (2.0 * av),))
 
 
 def sqrt(a):
@@ -353,12 +304,8 @@ def sqrt(a):
     out = np.sqrt(av)
     if not isinstance(a, Node):
         return out
-
-    def vjp(g):
-        return (np.divide(g, 2.0 * out, out=np.zeros(np.shape(out), dtype=out.dtype),
-                          where=out != 0.0),)
-
-    return Node(a.tape, out, (a,), vjp)
+    return _record(out, (a,), (lambda g: np.divide(
+        g, 2.0 * out, out=np.zeros(np.shape(out), dtype=out.dtype), where=out != 0.0),))
 
 
 def relu(a):
@@ -372,7 +319,7 @@ def floor_clamp(a, lo):
     if not isinstance(a, Node):
         return out
     mask = av > lo
-    return Node(a.tape, out, (a,), lambda g: (g * mask,))
+    return _record(out, (a,), (lambda g: g * mask,))
 
 
 def diag(v):
@@ -384,7 +331,7 @@ def diag(v):
     out[..., i, i] = vv
     if not isinstance(v, Node):
         return out
-    return Node(v.tape, out, (v,), lambda g: (g[..., i, i],))
+    return _record(out, (v,), (lambda g: g[..., i, i],))
 
 
 # --- symmetric positive definite inverse -----------------------------------
@@ -470,7 +417,7 @@ def spd_inverse_rows(a):
     if not isinstance(a, Node):
         return out, cond
     out_t = np.swapaxes(out, -1, -2)
-    return Node(a.tape, out, (a,), lambda g: (-(out_t @ g @ out_t),)), cond
+    return _record(out, (a,), (lambda g: -(out_t @ g @ out_t),)), cond
 
 
 # --- convolution and linear stages ------------------------------------------
@@ -519,7 +466,7 @@ def im2col(x, k, stride, pad):
     if not isinstance(x, Node):
         return out
 
-    def vjp(g):
+    def adjoint(g):
         # image i's pixels and its zero slot start at flat index i*(c*h*w + 1)
         batch = idx[:, None, :] + np.arange(0, flat.size, flat.shape[1])[:, None]
         if xv.dtype == g.dtype == np.float64:
@@ -527,9 +474,9 @@ def im2col(x, k, stride, pad):
         else:
             full = np.zeros(flat.size, dtype=xv.dtype)
             np.add.at(full, batch.ravel(), g.ravel())
-        return (full.reshape(flat.shape)[:, :-1].reshape(xv.shape),)
+        return full.reshape(flat.shape)[:, :-1].reshape(xv.shape)
 
-    return Node(x.tape, out, (x,), vjp)
+    return _record(out, (x,), (adjoint,))
 
 
 def transpose(a, axes):
@@ -537,8 +484,7 @@ def transpose(a, axes):
     if not isinstance(a, Node):
         return np.transpose(a, axes)
     inverse = np.argsort(axes)
-    return Node(a.tape, np.transpose(a.value, axes), (a,),
-                lambda g: (np.transpose(g, inverse),))
+    return _record(np.transpose(a.value, axes), (a,), (lambda g: np.transpose(g, inverse),))
 
 
 def linear(x, weight, bias):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -81,6 +82,8 @@ def cmd_track(args) -> int:
     frames, det_records = cio.load_sim_frames(args.detections)
     known = _log_vehicles(cfg, det_records)
     cav_filter = None if args.cavs is None else _parse_cavs(args.cavs, known)
+    if args.checkpoint:
+        cio.check_appearance(args.detections, frames, cfg.covnet)
     reports, cost = run_tracking(cfg, frames, args.checkpoint, cav_filter)
     cio.write_track_output(args.out, frames, reports, cost)
     cio.write_run_metadata(args.out, cfg, {"command": "track"})
@@ -92,6 +95,7 @@ def cmd_train(args) -> int:
     cfg = cio.load_config(args.config)
     frames, det_records = cio.load_sim_frames(args.scenarios)
     _log_vehicles(cfg, det_records)
+    cio.check_appearance(args.scenarios, frames, cfg.covnet)
     if args.resume:
         ckpt = cio.load_checkpoint(args.resume, expect_config=cfg)
         params_by_cav = ckpt.params_by_cav
@@ -105,9 +109,11 @@ def cmd_train(args) -> int:
         adam = None
         epochs_done = 0
     _make_parent_dir(args.out)
-    result = training.train(frames, params_by_cav, cfg.train, cfg.tracker,
-                            bounds=cfg.normalization_bounds, adam=adam,
-                            epochs_done=epochs_done)
+    with (cio.checkpoint_overflow_rejected(args.resume) if args.resume
+          else contextlib.nullcontext()):
+        result = training.train(frames, params_by_cav, cfg.train, cfg.tracker,
+                                bounds=cfg.normalization_bounds, adam=adam,
+                                epochs_done=epochs_done)
     ckpt = cio.Checkpoint(params_by_cav=result.params_by_cav, config=cfg,
                           seed=cfg.seed, epochs_done=result.epochs_done,
                           adam_state={"step": result.adam.step, "m": result.adam.m,

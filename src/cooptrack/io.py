@@ -560,11 +560,15 @@ def read_tensors(path: str) -> np.ndarray:
 
 
 def build_scenario(cfg: RunConfig) -> sim.Scenario:
+    if cfg.covnet.app_shape[0] < 3:
+        raise ConfigError(f"covnet.app_shape: the simulator draws at least 3 channels, "
+                          f"got {list(cfg.covnet.app_shape)}")
     sc = cfg.scenario
     return sim.preset_v2v_mini(seed=cfg.seed, duration=sc.duration,
                                noise_multiplier=sc.noise_multiplier,
                                miss_multiplier=sc.miss_multiplier,
-                               fp_multiplier=sc.fp_multiplier)
+                               fp_multiplier=sc.fp_multiplier,
+                               app_shape=tuple(cfg.covnet.app_shape))
 
 
 def write_sim_output(frames, out_dir: str, app_shape) -> None:
@@ -626,6 +630,30 @@ def load_sim_frames(data_dir: str):
                            detections=dets_by_t.get(t, {}), poses=poses_by_t.get(t, {}))
               for t in sorted(set(gt_by_t) | set(dets_by_t))]
     return frames, det_records
+
+
+def check_appearance(data_dir: str, frames, covnet_cfg) -> None:
+    """Reject, before any network runs, a log whose detections cannot feed
+    the appearance branch when `covnet_cfg` enables it: every detection
+    needs a tensor of `covnet_cfg.app_shape` from the directory's tensor
+    store. Raises LogFormatError naming that store."""
+    if not covnet_cfg.use_appearance:
+        return
+    path = os.path.join(data_dir, TENSORS_FILE)
+    if not os.path.exists(path):
+        raise LogFormatError(f"{path}: missing, but covnet.use_appearance needs "
+                             f"a tensor for every detection")
+    shape = tuple(covnet_cfg.app_shape)
+    for frame in frames:
+        for cav, dets in sorted(frame.detections.items()):
+            for det in dets:
+                if det.appearance is None:
+                    raise LogFormatError(f"{path}: a detection of vehicle {cav} at "
+                                         f"t={frame.timestep} has no tensor (\"app\": null), "
+                                         f"but covnet.use_appearance needs one")
+                if det.appearance.shape != shape:
+                    raise LogFormatError(f"{path}: tensor shape {list(det.appearance.shape)} "
+                                         f"is not covnet.app_shape {list(shape)}")
 
 
 def write_track_output(out_dir: str, frames, reports, cost) -> None:
@@ -726,6 +754,20 @@ def _manifest_entry(manifest, i) -> str:
     if i >= len(manifest):
         return "no entry"
     return json.dumps(manifest[i], sort_keys=True, separators=(",", ":"))
+
+
+@contextlib.contextmanager
+def checkpoint_overflow_rejected(path: str):
+    """Run the block with numpy's overflow and invalid operations raised, not
+    warned, and report them as a LogFormatError naming checkpoint `path`:
+    finite weights or Adam moments (say 1e300) can still overflow the
+    network or the optimizer."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise LogFormatError(f"{path}: the checkpoint's weights or Adam moments "
+                                 f"are too large ({exc})") from exc
 
 
 def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:

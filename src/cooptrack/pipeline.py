@@ -321,12 +321,14 @@ def run_sequence(frame_packets, tracker: CoopTracker):
 
 
 def run_tracking(cfg: cio.RunConfig, frames, checkpoint_path=None, cav_filter=None):
-    """Track a loaded sequence; returns (per-frame reports, metrics.CommCost)."""
-    if checkpoint_path:
-        ckpt = cio.load_checkpoint(checkpoint_path, expect_config=cfg)
-        provider = LearnedCovariance(ckpt.params_by_cav,
-                                     bounds=cfg.normalization_bounds)
-    else:
-        provider = ConstantCovariance()
-    return run_sequence(frames_to_packets(frames, cav_filter),
-                        tracker_from_config(cfg, provider))
+    """Track a loaded sequence; returns (per-frame reports, metrics.CommCost).
+
+    A checkpoint whose network overflows on the sequence raises LogFormatError.
+    """
+    packets = frames_to_packets(frames, cav_filter)
+    if not checkpoint_path:
+        return run_sequence(packets, tracker_from_config(cfg, ConstantCovariance()))
+    ckpt = cio.load_checkpoint(checkpoint_path, expect_config=cfg)
+    provider = LearnedCovariance(ckpt.params_by_cav, bounds=cfg.normalization_bounds)
+    with cio.checkpoint_overflow_rejected(checkpoint_path):
+        return run_sequence(packets, tracker_from_config(cfg, provider))

