@@ -7,18 +7,25 @@ using their per-track average score. MOTA, MT, and ML are reported at the
 best-MOTA level of the sweep. All metric fields are percentages.
 
 IoU does not depend on the score threshold, so each frame's gt x track IoU
-matrix is built once; each pass slices out the columns of the tracks it keeps.
+matrix is built once. A pass keeps each frame's n best-scored tracks (ties
+kept together), so a frame's matches depend on n alone: they are solved once
+per (frame, n) and replayed in every later pass of the same call. Id switches
+are counted pass by pass from the replayed matches, and levels that share a
+threshold share one pass.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import associate, build_cost_matrix
+# `associate` is not called here; perfbench's tracer test still looks it up on
+# this module
+from .association import associate, build_cost_matrix, hungarian_solve  # noqa: F401
 from .geometry import box_rows
 from .io import replace_file
 
@@ -32,14 +39,6 @@ BOX_REALS = 7
 SHARED_REALS = 17  # 7 box variables + 10 covariance residuals
 PAYLOAD_RATIO = SHARED_REALS / BOX_REALS
 MEGABYTE = 1e6
-
-
-@dataclass
-class FrameMatch:
-    tp_pairs: list  # (gt_id, track_id, iou)
-    fp: int
-    fn: int
-    ids: int
 
 
 @dataclass
@@ -70,27 +69,34 @@ class EvalReport:
     levels: list = field(default_factory=list)
 
 
-def match_frame(track_ids, gt_ids, cost, last_ids=None,
-                iou_threshold: float = EVAL_IOU_THRESHOLD) -> FrameMatch:
-    """Match one frame's tracks to ground truth by IoU.
+def match_frame(track_ids, gt_ids, cost, keep,
+                iou_threshold: float = EVAL_IOU_THRESHOLD) -> list:
+    """Match one frame's kept tracks to ground truth by IoU.
 
     `cost` is the frame's negated-IoU matrix (`association.build_cost_matrix`)
-    with one row per id in `gt_ids` and one column per id in `track_ids`.
-    `last_ids`, when given, maps gt_id to the track id it last matched and is
-    updated in place; a change of identity counts as one id switch.
+    with one row per id in `gt_ids` and one column per id in `track_ids`;
+    only the columns listed in `keep` (ascending) take part. Returns
+    (gt_id, track_id, iou) for every solved pair whose IoU reaches
+    `iou_threshold`.
     """
-    assignment = associate(cost, iou_threshold)
-    tp_pairs = []
+    kept = cost[:, keep]
+    return [(gt_ids[r], track_ids[keep[c]], -kept[r, c]) for r, c in hungarian_solve(kept)
+            if -kept[r, c] >= iou_threshold]
+
+
+def count_id_switches(tp_pairs, last_ids: dict) -> int:
+    """Id switches among one frame's (gt_id, track_id, iou) matches.
+
+    `last_ids` maps gt_id to the track id it last matched and is updated in
+    place; a gt matched to another track than last time is one switch. A
+    frame in which a gt goes unmatched leaves its entry as it was.
+    """
     ids = 0
-    for gi, tj, iou in assignment.matches:
-        gt_id, track_id = gt_ids[gi], track_ids[tj]
-        if last_ids is not None:
-            if gt_id in last_ids and last_ids[gt_id] != track_id:
-                ids += 1
-            last_ids[gt_id] = track_id
-        tp_pairs.append((gt_id, track_id, iou))
-    return FrameMatch(tp_pairs=tp_pairs, fp=len(track_ids) - len(tp_pairs),
-                      fn=len(gt_ids) - len(tp_pairs), ids=ids)
+    for gt_id, track_id, _iou in tp_pairs:
+        if last_ids.get(gt_id, track_id) != track_id:
+            ids += 1
+        last_ids[gt_id] = track_id
+    return ids
 
 
 def _track_average_scores(track_frames) -> dict:
@@ -102,35 +108,40 @@ def _track_average_scores(track_frames) -> dict:
     return {tid: totals[tid] / counts[tid] for tid in totals}
 
 
-def _sweep(scored, threshold, iou_threshold):
+def _sweep(scored, threshold, solved, iou_threshold):
     """One full pass over the sequence keeping tracks with score >= threshold.
 
-    Returns the TP/FP/FN/ID-switch counts, the summed TP IoU, the number of
-    matched frames per ground-truth id, and the track id of every TP match.
+    A frame keeping its n best tracks reuses the matches `solved[frame, n]`
+    from an earlier pass of the same `evaluate` call, or solves and stores
+    them. Id switches follow this pass's own matches in frame order.
+    Returns the TP, kept-track and ID-switch counts, the summed TP IoU, the
+    number of matched frames per ground-truth id, and the track id of every
+    TP match.
     """
-    tp = fp = fn = ids = 0
+    tp = kept = ids = 0
     iou_sum = 0.0
     last_ids = {}
     matched_frames = {}
     matched_tracks = []
-    for gt_ids, track_ids, scores, cost in scored:
-        keep = np.flatnonzero(scores >= threshold)
-        fm = match_frame([track_ids[j] for j in keep], gt_ids, cost[:, keep],
-                         last_ids, iou_threshold)
-        tp += len(fm.tp_pairs)
-        fp += fm.fp
-        fn += fm.fn
-        ids += fm.ids
-        for gt_id, tid, iou in fm.tp_pairs:
+    for i, (gt_ids, track_ids, scores, neg_sorted, cost) in enumerate(scored):
+        n = bisect_right(neg_sorted, -threshold)
+        kept += n
+        pairs = solved.get((i, n))
+        if pairs is None:
+            pairs = solved[i, n] = match_frame(track_ids, gt_ids, cost,
+                                               np.flatnonzero(scores >= threshold),
+                                               iou_threshold)
+        tp += len(pairs)
+        ids += count_id_switches(pairs, last_ids)
+        for gt_id, tid, iou in pairs:
             iou_sum += iou
             matched_frames[gt_id] = matched_frames.get(gt_id, 0) + 1
             matched_tracks.append(tid)
-    return tp, fp, fn, ids, iou_sum, matched_frames, matched_tracks
+    return tp, kept, ids, iou_sum, matched_frames, matched_tracks
 
 
 def evaluate(track_frames: dict, gt_frames: dict,
-             iou_threshold: float = EVAL_IOU_THRESHOLD,
-             num_levels: int = NUM_RECALL_LEVELS) -> EvalReport:
+             iou_threshold: float = EVAL_IOU_THRESHOLD) -> EvalReport:
     """Full recall-sweep evaluation.
 
     `track_frames`: timestep -> list of (track_id, Box7, score).
@@ -139,20 +150,27 @@ def evaluate(track_frames: dict, gt_frames: dict,
     num_gt = sum(len(v) for v in gt_frames.values())
     if num_gt == 0:
         raise ValueError("ground truth is empty; metrics are undefined")
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     frames = sorted(set(gt_frames) | set(track_frames))
     avg_score = _track_average_scores(track_frames)
-    # per frame: gt ids, track ids, track average scores, gt x track cost matrix
-    # (built from each frame's boxes as rows, converted once)
+    # per frame: gt ids, track ids, track average scores, those scores negated
+    # and sorted (a pass's kept count is one bisection), and the gt x track
+    # cost matrix (built from each frame's boxes as rows, converted once)
     scored = []
     for t in frames:
         gts, items = gt_frames.get(t, []), track_frames.get(t, [])
+        scores = [avg_score[tid] for tid, _b, _s in items]
         scored.append(([g for g, _ in gts], [tid for tid, _b, _s in items],
-                       np.array([avg_score[tid] for tid, _b, _s in items]),
+                       np.array(scores), sorted(-s for s in scores),
                        build_cost_matrix(box_rows(b for _, b in gts),
                                          box_rows(b for _, b, _s in items))))
+    # (frame index, kept count) -> that frame's matches; tied scores are kept
+    # together, so the count fixes the kept columns
+    solved = {}
 
     # full-recall pass: collect the score of every achievable TP match
-    *_, full_recall_tracks = _sweep(scored, -math.inf, iou_threshold)
+    *_, full_recall_tracks = _sweep(scored, -math.inf, solved, iou_threshold)
     tp_scores = sorted((avg_score[tid] for tid in full_recall_tracks), reverse=True)
 
     gt_lifetime = {}
@@ -161,16 +179,20 @@ def evaluate(track_frames: dict, gt_frames: dict,
             gt_lifetime[gt_id] = gt_lifetime.get(gt_id, 0) + 1
 
     levels = []
+    passes = {}  # threshold -> that pass's totals; equal thresholds repeat a pass
     best = None
     best_matched = {}
-    for k in range(1, num_levels + 1):
-        target = k / num_levels
-        needed = math.ceil(target * num_gt)
+    for k in range(1, NUM_RECALL_LEVELS + 1):
+        target = k / NUM_RECALL_LEVELS
+        needed = -(-k * num_gt // NUM_RECALL_LEVELS)  # ceil(target * num_gt), exactly
         if needed > len(tp_scores):
             levels.append(RecallLevel(recall_target=target, achievable=False))
             continue
         threshold = tp_scores[needed - 1]
-        tp, fp, fn, ids, iou_sum, matched, _ = _sweep(scored, threshold, iou_threshold)
+        if threshold not in passes:
+            passes[threshold] = _sweep(scored, threshold, solved, iou_threshold)
+        tp, kept, ids, iou_sum, matched, _ = passes[threshold]
+        fp, fn = kept - tp, num_gt - tp
         recall = tp / num_gt
         mota = max(0.0, 1.0 - (fp + fn + ids) / num_gt)
         if tp == 0:
@@ -187,9 +209,9 @@ def evaluate(track_frames: dict, gt_frames: dict,
             best = level
             best_matched = matched
 
-    amota = 100.0 * sum(lv.mota for lv in levels) / num_levels
-    samota = 100.0 * sum(lv.smota for lv in levels) / num_levels
-    amotp = 100.0 * sum(lv.motp for lv in levels) / num_levels
+    amota = 100.0 * sum(lv.mota for lv in levels) / NUM_RECALL_LEVELS
+    samota = 100.0 * sum(lv.smota for lv in levels) / NUM_RECALL_LEVELS
+    amotp = 100.0 * sum(lv.motp for lv in levels) / NUM_RECALL_LEVELS
     if best is None:
         return EvalReport(amota=0.0, amotp=0.0, samota=0.0, mota=0.0, mt=0.0,
                           ml=100.0, ids=0, num_gt=num_gt, levels=levels)

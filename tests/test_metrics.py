@@ -24,6 +24,7 @@ from cooptrack.metrics import (
     SHARED_REALS,
     CommCost,
     comm_cost,
+    count_id_switches,
     evaluate,
     match_frame,
     write_recall_table_csv,
@@ -44,31 +45,40 @@ def _perfect_case(num_objects=3, num_frames=10):
     return track_frames, gt_frames
 
 
-def _match(tracks, gts, last_ids=None):
-    """match_frame on the frame's full gt x track cost matrix."""
+def _match(tracks, gts, keep=None):
+    """match_frame on the frame's full gt x track cost matrix, keeping every
+    track unless `keep` lists the kept columns."""
     cost = build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b in tracks))
-    return match_frame([tid for tid, _ in tracks], [gid for gid, _ in gts], cost, last_ids)
+    keep = list(range(len(tracks))) if keep is None else keep
+    return match_frame([tid for tid, _ in tracks], [gid for gid, _ in gts], cost, keep)
 
 
 def test_match_frame_counts():
     gts = [(0, _box(0.0)), (1, _box(20.0))]
-    tracks = [(7, _box(0.1)), (8, _box(50.0))]
-    fm = _match(tracks, gts)
-    assert len(fm.tp_pairs) == 1
-    assert fm.tp_pairs[0][:2] == (0, 7)
-    assert fm.fp == 1 and fm.fn == 1 and fm.ids == 0
+    tracks = [(7, _box(0.1)), (8, _box(50.0)), (9, _box(20.0))]
+    pairs = _match(tracks, gts)
+    assert [p[:2] for p in pairs] == [(0, 7), (1, 9)]
+    assert pairs[1][2] == pytest.approx(1.0)
+    # only the kept columns take part, and they keep their own track ids
+    assert [p[:2] for p in _match(tracks, gts, keep=[1, 2])] == [(1, 9)]
+    assert _match(tracks, gts, keep=[1]) == []
 
 
-def test_match_frame_id_switch_detection():
+def test_count_id_switches():
     gts = [(0, _box(0.0))]
     last = {}
-    assert _match([(5, _box(0.0))], gts, last).ids == 0
-    assert _match([(5, _box(0.0))], gts, last).ids == 0
-    assert _match([(6, _box(0.0))], gts, last).ids == 1
+
+    def switches(tracks):
+        return count_id_switches(_match(tracks, gts), last)
+
+    assert switches([(5, _box(0.0))]) == 0
+    assert switches([(5, _box(0.0))]) == 0
+    assert switches([(6, _box(0.0))]) == 1
     # A gap (no match) does not reset the remembered id.
-    assert _match([], gts, last).ids == 0
-    assert _match([(6, _box(0.0))], gts, last).ids == 0
-    assert _match([(5, _box(0.0))], gts, last).ids == 1
+    assert switches([]) == 0
+    assert switches([(6, _box(0.0))]) == 0
+    assert switches([(5, _box(0.0))]) == 1
+    assert last == {0: 5}
 
 
 def test_perfect_tracking_scores_100():
@@ -100,20 +110,45 @@ def test_empty_ground_truth_rejected():
 
 
 def test_evaluate_builds_one_cost_matrix_per_frame(monkeypatch):
-    # every level is reachable here, so all 41 passes match every frame
+    # every level is reachable here and thresholds at 0.9
     track_frames, gt_frames = _perfect_case(num_objects=3, num_frames=10)
     track_frames[10] = [(200, _box(500.0), 0.5)]  # a frame without ground truth
     shapes, real = [], metrics.build_cost_matrix
     monkeypatch.setattr(metrics, "build_cost_matrix",
                         lambda gts, tracks: shapes.append((len(gts), len(tracks)))
                         or real(gts, tracks))
-    matched = []
+    solved = []
     real_match = metrics.match_frame
     monkeypatch.setattr(metrics, "match_frame",
-                        lambda *args, **kwargs: matched.append(1) or real_match(*args, **kwargs))
+                        lambda *args, **kwargs: solved.append(len(args[3]))
+                        or real_match(*args, **kwargs))
     assert evaluate(track_frames, gt_frames).levels[-1].achievable
     assert shapes == [(3, 3)] * 10 + [(0, 1)]
-    assert len(matched) == (1 + NUM_RECALL_LEVELS) * 11
+    # one solve per distinct (frame, kept count): frames 0-9 keep their three
+    # tracks in every pass; frame 10 keeps its 0.5 track only at full recall
+    assert solved == [3] * 10 + [1, 0]
+
+
+def test_evaluate_keeps_no_solve_between_calls():
+    track_frames, gt_frames = _perfect_case(num_objects=2, num_frames=6)
+    moved = {t: [(tid, _box(box.x + 2.5, box.y), score) for tid, box, score in items]
+             for t, items in track_frames.items()}
+    first = repr(evaluate(track_frames, gt_frames))
+    assert repr(evaluate(moved, gt_frames)) != first
+    assert repr(evaluate(track_frames, gt_frames)) == first
+
+
+def test_recall_target_counts_true_positives_exactly():
+    # num_gt = 100: recall 22/40 = 0.55 needs exactly 55 true positives,
+    # though 0.55 * 100 evaluates to 55.00000000000001 in floating point.
+    gt_frames, track_frames = {}, {}
+    for t in range(100):
+        gt_frames[t] = [(t, _box(0.0, t))]
+        track_frames[t] = [(t, _box(0.0, t), 1.0 - t / 1000.0)]
+    level = evaluate(track_frames, gt_frames).levels[21]
+    assert level.recall_target == pytest.approx(0.55)
+    assert level.threshold == 1.0 - 54 / 1000.0
+    assert (level.tp, level.fn, level.fp) == (55, 45, 0)
 
 
 def test_two_track_threshold_sweep_by_hand():

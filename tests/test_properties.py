@@ -12,8 +12,9 @@ from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel
 from cooptrack.geometry import (Box7, PoseYawT, box_rows, inverse_pose, iou3d, transform_box,
                                 transform_rows, wrap_angle)
 from cooptrack.association import build_cost_matrix
+from cooptrack import metrics
 from cooptrack.metrics import (EVAL_IOU_THRESHOLD, ML_FRACTION, MT_FRACTION, NUM_RECALL_LEVELS,
-                               EvalReport, RecallLevel, evaluate, match_frame)
+                               EvalReport, RecallLevel, count_id_switches, evaluate, match_frame)
 
 # deterministic example sequences, no example database on disk
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -150,26 +151,32 @@ def _reference_sweep(frames, track_frames, gt_frames, avg_score, threshold):
         kept = [(tid, box) for tid, box, _s in track_frames.get(t, [])
                 if avg_score[tid] >= threshold]
         cost = build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b in kept))
-        fm = match_frame([tid for tid, _ in kept], [g for g, _ in gts], cost, last_ids,
-                         EVAL_IOU_THRESHOLD)
-        tp, fp, fn, ids = tp + len(fm.tp_pairs), fp + fm.fp, fn + fm.fn, ids + fm.ids
-        for gt_id, tid, iou in fm.tp_pairs:
+        pairs = match_frame([tid for tid, _ in kept], [g for g, _ in gts], cost,
+                            np.arange(len(kept)), EVAL_IOU_THRESHOLD)
+        tp, fp, fn = tp + len(pairs), fp + len(kept) - len(pairs), fn + len(gts) - len(pairs)
+        ids += count_id_switches(pairs, last_ids)
+        for gt_id, tid, iou in pairs:
             iou_sum += iou
             matched[gt_id] = matched.get(gt_id, 0) + 1
             matched_tracks.append(tid)
     return tp, fp, fn, ids, iou_sum, matched, matched_tracks
 
 
-def _reference_evaluate(track_frames, gt_frames):
-    """The recall sweep as it was before each frame's IoU matrix was reused."""
-    num_gt = sum(len(v) for v in gt_frames.values())
-    frames = sorted(set(gt_frames) | set(track_frames))
+def _reference_average_scores(track_frames):
     totals, counts = {}, {}
     for items in track_frames.values():
         for tid, _box, score in items:
             totals[tid] = totals.get(tid, 0.0) + score
             counts[tid] = counts.get(tid, 0) + 1
-    avg_score = {tid: totals[tid] / counts[tid] for tid in totals}
+    return {tid: totals[tid] / counts[tid] for tid in totals}
+
+
+def _reference_evaluate(track_frames, gt_frames):
+    """The recall sweep as it was before each frame's IoU matrix and matches
+    were reused: every level's pass rebuilds and solves every frame."""
+    num_gt = sum(len(v) for v in gt_frames.values())
+    frames = sorted(set(gt_frames) | set(track_frames))
+    avg_score = _reference_average_scores(track_frames)
     *_, full = _reference_sweep(frames, track_frames, gt_frames, avg_score, -math.inf)
     tp_scores = sorted((avg_score[tid] for tid in full), reverse=True)
     lifetime = {}
@@ -179,7 +186,7 @@ def _reference_evaluate(track_frames, gt_frames):
     levels, best, best_matched = [], None, {}
     for k in range(1, NUM_RECALL_LEVELS + 1):
         target = k / NUM_RECALL_LEVELS
-        needed = math.ceil(target * num_gt)
+        needed = -(-k * num_gt // NUM_RECALL_LEVELS)
         if needed > len(tp_scores):
             levels.append(RecallLevel(recall_target=target, achievable=False))
             continue
@@ -236,6 +243,49 @@ def swept_scenes(draw):
 def test_evaluate_equals_rebuilding_each_levels_matrices(scene):
     track_frames, gt_frames = scene
     assert repr(evaluate(track_frames, gt_frames)) == repr(_reference_evaluate(*scene))
+
+
+@st.composite
+def tied_scenes(draw):
+    """Swept scenes plus an object of its own (gt id 10) that one track (id 7)
+    follows exactly for 4-10 frames, so its many true positives share one
+    average score and several recall levels share its threshold."""
+    track_frames, gt_frames = draw(swept_scenes())
+    score = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    num_frames = draw(st.integers(4, 10))
+    for t in range(num_frames):
+        gt_frames.setdefault(t, []).insert(0, (10, _car(-10.0 + 0.5 * t)))
+        track_frames.setdefault(t, []).insert(draw(st.integers(0, 1)),
+                                              (7, _car(-10.0 + 0.5 * t), score))
+    return track_frames, gt_frames
+
+
+@PROPERTY
+@given(tied_scenes())
+def test_levels_sharing_a_threshold_equal_rebuilding_each_level(scene):
+    track_frames, gt_frames = scene
+    report = evaluate(track_frames, gt_frames)
+    thresholds = [lv.threshold for lv in report.levels if lv.achievable]
+    assert len(set(thresholds)) < len(thresholds)
+    assert repr(report) == repr(_reference_evaluate(*scene))
+
+
+@PROPERTY
+@given(tied_scenes())
+def test_evaluate_solves_each_frame_once_per_kept_count(scene):
+    track_frames, gt_frames = scene
+    real_match, solved = metrics.match_frame, []
+    metrics.match_frame = lambda *args: solved.append(1) or real_match(*args)
+    try:
+        report = evaluate(track_frames, gt_frames)
+    finally:
+        metrics.match_frame = real_match
+    avg_score = _reference_average_scores(track_frames)
+    thresholds = {-math.inf} | {lv.threshold for lv in report.levels if lv.achievable}
+    kept_counts = {(t, sum(avg_score[tid] >= threshold
+                           for tid, _box, _s in track_frames.get(t, [])))
+                   for t in set(gt_frames) | set(track_frames) for threshold in thresholds}
+    assert len(solved) == len(kept_counts)
 
 
 # network residuals from well below -1 (the R floor engages) to large
