@@ -15,15 +15,6 @@ DEFAULT_MAX_AGE = 2
 SCORE_DECAY = 0.9
 
 
-@dataclass
-class Assignment:
-    """Thresholded matches and the detections left unmatched; a track not in
-    `matches` is unmatched."""
-
-    matches: list  # (track_index, detection_index, iou)
-    unmatched_detections: list
-
-
 def build_cost_matrix(tracks, detections) -> np.ndarray:
     """Negated pairwise 3D IoU between (n, 7) track rows and (m, 7) detection rows.
 
@@ -67,20 +58,18 @@ def hungarian_solve(cost: np.ndarray):
     return [(int(r), int(c)) for r, c in zip(rows, cols) if r < n and c < m]
 
 
-def associate(cost, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> Assignment:
-    """Hungarian matching on a negated-IoU matrix with sub-threshold pairs demoted.
+def associate(cost, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list:
+    """Hungarian matching on a negated-IoU matrix, keeping the pairs that reach the threshold.
 
     `cost` is a (tracks, detections) matrix as built by `build_cost_matrix`.
-    A matched pair whose IoU falls below the threshold is returned as
-    unmatched on both sides.
+    Returns (row, col, iou) for every solved pair whose IoU is at least
+    `iou_threshold`, in ascending row order; a row or column in no returned
+    pair is unmatched.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    matches = [(r, c, -cost[r, c]) for r, c in hungarian_solve(cost)
-               if -cost[r, c] >= iou_threshold]
-    return Assignment(matches=matches,
-                      unmatched_detections=sorted(set(range(np.shape(cost)[1]))
-                                                  - {c for _, c, _ in matches}))
+    return [(r, c, -cost[r, c]) for r, c in hungarian_solve(cost)
+            if -cost[r, c] >= iou_threshold]
 
 
 @dataclass(frozen=True)

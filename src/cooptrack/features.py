@@ -1,26 +1,26 @@
 """Input features for the covariance network, computed per vehicle packet.
 
 A detection contributes two features: an 18-element positional vector built
-from its global box, its sensor-local box, and the sensor's local-to-global
-transform, and a small synthetic appearance tensor standing in for detector
-feature-map crops. The positional vector is expanded to an 18x256 sinusoidal
-encoding before entering the network. Positional features are computed for
-all N detections of a packet at once, as (N, 18) rows and (N, 18, 256)
-encodings.
+from its sensor-local box and the sensor's local-to-global transform, and a
+small synthetic appearance tensor standing in for detector feature-map
+crops. The positional vector holds the detection's global box, its local box
+and the transform; the global box is the local box carried through the
+transform, computed here, so the two always agree. The vector is expanded to
+an 18x256 sinusoidal encoding before entering the network. Positional
+features are computed for all N detections of a packet at once, as (N, 18)
+rows and (N, 18, 256) encodings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseYawT, wrap_angle
+from .geometry import PoseYawT, transform_rows
 
 POSITIONAL_DIM = 18
 ENCODING_HALF_WIDTH = 128  # d; each scalar maps to 2*d sinusoid entries
-FRAME_CONSISTENCY_TOL = 1e-6
 DEFAULT_APPEARANCE_SHAPE = (8, 8, 8)  # channels, height, width
 
 # Per-variable (min, max) normalization bounds, in f_pos order:
@@ -38,58 +38,27 @@ DEFAULT_BOUNDS = (
 _SCALES = 2.0 ** (np.arange(ENCODING_HALF_WIDTH) / ENCODING_HALF_WIDTH)
 
 
-@dataclass(frozen=True)
-class PositionalFeature:
-    """Raw (unnormalized) 18-vectors, one row per detection:
-    global(8) + local(5) + transform(5)."""
+def extract_positional(det_local, pose: PoseYawT) -> np.ndarray:
+    """Raw (unnormalized) positional rows, (N, 18), one per detection.
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[1] != POSITIONAL_DIM:
-            raise ValueError(f"positional features must have shape (N, 18), got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-
-def _rows(boxes) -> np.ndarray:
-    rows = np.asarray(boxes, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 7:
-        raise ValueError(f"box rows must have shape (N, 7), got {rows.shape}")
-    return rows
-
-
-def extract_positional(det_global, det_local, pose: PoseYawT) -> PositionalFeature:
-    """Concatenate global box, local box, and transform descriptors per detection.
-
-    `det_global` and `det_local` are equally long (N, 7) arrays of box rows
-    (x, y, z, a, l, w, h), one per detection of a vehicle's packet
+    `det_local` is an (N, 7) array of box rows (x, y, z, a, l, w, h) in the
+    sensor's frame, one per detection of a vehicle's packet
     (`geometry.box_rows` turns Box7s into rows); `pose` is the vehicle's
-    local-to-global transform.
-    Row layout: (x,y,z,a,l,w,h,r)_global + (x,y,z,a,r)_local +
-    (t_x,t_y,t_z,yaw,r_t) where each r is the horizontal radial distance of
-    its own entries. Raises ValueError if a global box is not its local box
-    carried through pose (`geometry.transform_box`), yaw compared modulo 2 pi.
+    local-to-global transform. Row layout: (x,y,z,a,l,w,h,r)_global +
+    (x,y,z,a,r)_local + (t_x,t_y,t_z,yaw,r_t), where the global box is
+    `geometry.transform_rows(det_local, pose)` and each r is the horizontal
+    radial distance of its own entries.
     """
-    g, lo = _rows(det_global), _rows(det_local)
-    if len(g) != len(lo):
-        raise ValueError(f"{len(g)} global boxes for {len(lo)} local boxes")
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    x, y = lo[:, 0], lo[:, 1]
-    diff = np.column_stack([c * x - s * y + pose.t_x, s * x + c * y + pose.t_y,
-                            lo[:, 2] + pose.t_z, lo[:, 3] + pose.yaw, lo[:, 4:]]) - g
-    diff[:, 3] = wrap_angle(diff[:, 3])
-    err = np.max(np.abs(diff), initial=0.0)
-    if err > FRAME_CONSISTENCY_TOL:
-        raise ValueError(
-            f"global box disagrees with transformed local box by {err:.3e}")
+    lo = np.asarray(det_local, dtype=float)
+    if lo.ndim != 2 or lo.shape[1] != 7:
+        raise ValueError(f"box rows must have shape (N, 7), got {lo.shape}")
+    g = transform_rows(lo, pose)
     pose_row = [pose.t_x, pose.t_y, pose.t_z, pose.yaw, math.hypot(pose.t_x, pose.t_y)]
-    vals = np.concatenate([
+    return np.concatenate([
         g, np.hypot(g[:, 0], g[:, 1])[:, None],
         lo[:, :4], np.hypot(lo[:, 0], lo[:, 1])[:, None],
-        np.broadcast_to(pose_row, (len(g), 5)),
+        np.broadcast_to(pose_row, (len(lo), 5)),
     ], axis=1)
-    return PositionalFeature(vals)
 
 
 def normalize(values, bounds=DEFAULT_BOUNDS) -> np.ndarray:
@@ -115,21 +84,23 @@ def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     Each normalized scalar xb becomes 256 entries with even index 2i holding
     sin(xb / 2^(i/d)) and odd index 2i+1 holding cos(xb / 2^(i/d)), d = 128.
     """
-    if not isinstance(f_pos, PositionalFeature):
-        f_pos = PositionalFeature(f_pos)
-    xb = normalize(f_pos.values, bounds)
+    f_pos = np.asarray(f_pos, dtype=float)
+    if f_pos.ndim != 2 or f_pos.shape[1] != POSITIONAL_DIM:
+        raise ValueError(f"positional features must have shape (N, 18), got {f_pos.shape}")
+    xb = normalize(f_pos, bounds)
     return _sinusoids(xb, np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,)))
 
 
-def encode_detection(det_global, det_local, pose: PoseYawT,
-                     bounds=DEFAULT_BOUNDS, out=None) -> np.ndarray:
+def encode_detection(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS,
+                     out=None) -> np.ndarray:
     """Encode one packet's detections: extract_positional, then positional_encoding.
 
-    `det_global` and `det_local` are the packet's (N, 7) box rows. The
-    (N, 18, 256) encoding is written to `out` when given (a window's
-    packets fill slices of one array), else to a new array.
+    `det_local` holds the packet's (N, 7) box rows in the sensor's frame and
+    `pose` is the sensor's local-to-global transform. The (N, 18, 256)
+    encoding is written to `out` when given (a window's packets fill slices
+    of one array), else to a new array.
     """
-    xb = normalize(extract_positional(det_global, det_local, pose).values, bounds)
+    xb = normalize(extract_positional(det_local, pose), bounds)
     if out is None:
         out = np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,))
     # columns 13: (the pose) are the same in every row of a packet: encode them once

@@ -102,7 +102,6 @@ def _unlink(path: str):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    preset: str = "v2v_mini"
     duration: int = 200
     noise_multiplier: float = 1.0
     miss_multiplier: float = 1.0
@@ -181,7 +180,7 @@ CONFIG_RANGES = {  # keyed by dotted path
     "normalization_bounds": Allowed(f"{len(DEFAULT_BOUNDS)} pairs, each min < max",
                                     lambda v: len(v) == len(DEFAULT_BOUNDS)
                                     and all(lo < hi for lo, hi in v)),
-    "scenario.preset": _one_of("v2v_mini"), "scenario.duration": _at_least(1),
+    "scenario.duration": _at_least(1),
     "scenario.noise_multiplier": _at_least(0), "scenario.miss_multiplier": _at_least(0),
     "scenario.fp_multiplier": _at_least(0),
     "tracker.min_hits": _at_least(1), "tracker.max_age": _at_least(0),

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# `associate` is not called here; perfbench's tracer test still looks it up on
-# this module
-from .association import associate, build_cost_matrix, hungarian_solve  # noqa: F401
+from .association import associate, build_cost_matrix
 from .geometry import box_rows
 from .io import replace_file
 
@@ -79,9 +77,8 @@ def match_frame(track_ids, gt_ids, cost, keep,
     (gt_id, track_id, iou) for every solved pair whose IoU reaches
     `iou_threshold`.
     """
-    kept = cost[:, keep]
-    return [(gt_ids[r], track_ids[keep[c]], -kept[r, c]) for r, c in hungarian_solve(kept)
-            if -kept[r, c] >= iou_threshold]
+    return [(gt_ids[r], track_ids[keep[c]], iou)
+            for r, c, iou in associate(cost[:, keep], iou_threshold)]
 
 
 def count_id_switches(tp_pairs, last_ids: dict) -> int:

@@ -50,7 +50,7 @@ class ConstantCovariance:
 
     reals_per_detection = metrics.BOX_REALS
 
-    def packet_residuals(self, packet, det_global):
+    def packet_residuals(self, packet):
         return np.zeros((len(packet.detections), covnet.RESIDUAL_DIM))
 
 
@@ -60,7 +60,9 @@ class LearnedCovariance:
     `params_by_cav` maps cav_id to either CovNetParams (plain inference) or
     a (lifted mapping, CovNetConfig) pair produced for a training tape.
     Packets are served one network pass each, or, after `precompute`, as
-    slices of one pass per parameter set over a whole window.
+    slices of one pass per parameter set over a whole window. The network
+    reads each detection's local box and its vehicle's pose
+    (`features.encode_detection`).
     """
 
     reals_per_detection = metrics.SHARED_REALS
@@ -79,20 +81,19 @@ class LearnedCovariance:
             return entry, entry.config
         return entry
 
-    def residuals(self, packets, det_globals):
+    def residuals(self, packets):
         """Residual rows of every detection of `packets`, from one network pass.
 
-        The packets' vehicles must share one parameter set. `det_globals`
-        holds each packet's boxes in the global frame as (N, 7) rows. Rows
-        come packet after packet, each packet's in detection order.
+        The packets' vehicles must share one parameter set. Rows come packet
+        after packet, each packet's in detection order.
         """
         params, config = self._params(packets[0].cav_id)
         sizes = [len(p.detections) for p in packets]
         f_pos = np.empty((sum(sizes), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
         start = 0
-        for packet, det_global, size in zip(packets, det_globals, sizes):
-            encode_detection(det_global, box_rows(d.box for d in packet.detections),
-                             packet.pose, self.bounds, out=f_pos[start:start + size])
+        for packet, size in zip(packets, sizes):
+            encode_detection(box_rows(d.box for d in packet.detections), packet.pose,
+                             self.bounds, out=f_pos[start:start + size])
             start += size
         f_app = None
         if config.use_appearance:
@@ -121,9 +122,7 @@ class LearnedCovariance:
                     groups.setdefault(id(params), []).append(packet)
         window = {}
         for group in groups.values():
-            det_globals = [transform_rows(box_rows(d.box for d in p.detections), p.pose)
-                           for p in group]
-            rows = self.residuals(group, det_globals)
+            rows = self.residuals(group)
             start = 0
             for packet in group:
                 stop = start + len(packet.detections)
@@ -131,15 +130,14 @@ class LearnedCovariance:
                 start = stop
         self._window = window
 
-    def packet_residuals(self, packet, det_global):
+    def packet_residuals(self, packet):
         """Residual rows (N, 10) for a packet's N detections.
 
-        Row j belongs to detection j; `det_global` holds the detections'
-        boxes in the global frame as (N, 7) rows. Without a precomputed
-        window this is one network pass over the packet.
+        Row j belongs to detection j. Without a precomputed window this is
+        one network pass over the packet.
         """
         if self._window is None:
-            return self.residuals([packet], [det_global])
+            return self.residuals([packet])
         entry = self._window.get((packet.timestep, packet.cav_id))
         if entry is None or entry[2] - entry[1] != len(packet.detections):
             raise ValueError(f"the precomputed window holds no packet of vehicle "
@@ -173,13 +171,13 @@ class CoopTracker:
         """Matched detections not fused because their innovation covariance was degenerate."""
         return self.bank.skipped
 
-    def _noise_rows(self, packet, det_global):
+    def _noise_rows(self, packet):
         """Observation-noise and initial-variance diagonals, one row per detection.
 
         Both come from the provider's residual rows, one provider call per
         non-empty packet; a zero residual gives the identity's diagonal.
         """
-        sigmas = (self.cov.packet_residuals(packet, det_global) if packet.detections
+        sigmas = (self.cov.packet_residuals(packet) if packet.detections
                   else np.zeros((0, covnet.RESIDUAL_DIM)))
         return (covnet.residual_to_obs_noise_diag(sigmas),
                 covnet.residual_to_init_noise_diag(sigmas))
@@ -208,12 +206,12 @@ class CoopTracker:
         for packet in packets:
             det_global = transform_rows(box_rows(d.box for d in packet.detections),
                                         packet.pose)
-            obs_rows, init_rows = self._noise_rows(packet, det_global)
-            assignment = associate(build_cost_matrix(self._track_rows(), det_global),
-                                   self.assoc_iou_threshold)
-            if assignment.matches:
-                rows = np.array([ti for ti, _dj, _iou in assignment.matches], dtype=np.intp)
-                dets = np.array([dj for _ti, dj, _iou in assignment.matches], dtype=np.intp)
+            obs_rows, init_rows = self._noise_rows(packet)
+            matches = associate(build_cost_matrix(self._track_rows(), det_global),
+                                self.assoc_iou_threshold)
+            dets = np.array([dj for _ti, dj, _iou in matches], dtype=np.intp)
+            if matches:
+                rows = np.array([ti for ti, _dj, _iou in matches], dtype=np.intp)
                 obs = det_global[dets]
                 self.bank = update(self.bank, obs,
                                    ObservationModel(observation_matrix(),
@@ -227,8 +225,10 @@ class CoopTracker:
                     else:
                         life.score = confidence
                     matched_ids.add(life.id)
-            if assignment.unmatched_detections:
-                born = np.array(assignment.unmatched_detections, dtype=np.intp)
+            unmatched = np.ones(len(det_global), dtype=bool)
+            unmatched[dets] = False
+            born = np.flatnonzero(unmatched)
+            if len(born):
                 mean = np.concatenate([det_global[born],
                                        np.zeros((len(born), STATE_DIM - OBS_DIM))], axis=1)
                 self.bank = self.bank.append(mean, ad.diag(ad.getitem(init_rows, born)))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from cooptrack.association import (
-    Assignment,
     Lifecycle,
     LifecycleConfig,
     associate,
@@ -93,25 +92,24 @@ def test_associate_obvious_pairs():
     tracks = [_box(0, 0), _box(20, 0)]
     dets = [_box(20.3, 0), _box(0.2, 0)]
     out = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.1)
-    assert sorted((t, d) for t, d, _ in out.matches) == [(0, 1), (1, 0)]
-    assert out.unmatched_detections == []
+    assert [(t, d) for t, d, _ in out] == [(0, 1), (1, 0)]
+    assert all(iou > 0.5 for _, _, iou in out)
 
 
 def test_associate_threshold_demotes_weak_pairs():
     tracks = [_box(0, 0)]
     dets = [_box(3.5, 0)]  # slight overlap, IoU well below 0.5
     weak = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.5)
-    assert weak.matches == []
-    assert weak.unmatched_detections == [0]
+    assert weak == []
     strong = associate(build_cost_matrix(box_rows(tracks), box_rows(dets)), 0.01)
-    assert len(strong.matches) == 1
+    assert len(strong) == 1 and 0.01 <= strong[0][2] < 0.5
 
 
 def test_associate_empty_sides():
     out = associate(build_cost_matrix(box_rows([]), box_rows([_box(0, 0)])), 0.1)
-    assert out.matches == [] and out.unmatched_detections == [0]
+    assert out == []
     out = associate(build_cost_matrix(box_rows([_box(0, 0)]), box_rows([])), 0.1)
-    assert out.matches == [] and out.unmatched_detections == []
+    assert out == []
 
 
 def test_associate_validates_threshold():

@@ -540,3 +540,27 @@ def test_nodes_are_made_only_by_the_leaf_and_the_recording_helper():
                     path.name == "autodiff.py" and node.lineno in allowed):
                 made.append(f"{path.name}:{node.lineno}")
     assert not made, "make nodes through autodiff._record: " + ", ".join(made)
+
+
+# names `cli` imports only so that callers can reach them as `cli.<name>`
+CLI_REEXPORTS = {"GT_FILE", "DETECTIONS_FILE", "TENSORS_FILE", "TRACKS_FILE",
+                 "load_sim_frames", "reports_to_records", "write_sim_output"}
+
+
+def test_every_imported_name_is_used_in_its_module():
+    dead = []
+    for path in sorted(pathlib.Path(ad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exempt = CLI_REEXPORTS if path.name == "cli.py" else set()
+        dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                 if name not in used and name not in exempt]
+    assert not dead, "imported but never used: " + ", ".join(sorted(dead))

@@ -10,7 +10,6 @@ from cooptrack.features import (
     DEFAULT_BOUNDS,
     ENCODING_HALF_WIDTH,
     POSITIONAL_DIM,
-    PositionalFeature,
     encode_detection,
     extract_positional,
     normalize,
@@ -20,20 +19,13 @@ from cooptrack.features import (
 from cooptrack.geometry import Box7, PoseYawT, box_rows, transform_box
 
 
-def _consistent_pair(rng):
-    pose = PoseYawT(*rng.uniform(-40, 40, size=3), rng.uniform(-math.pi, math.pi))
-    local = Box7(*rng.uniform(-30, 30, size=2), rng.uniform(-2, 2),
-                 rng.uniform(-math.pi, math.pi), 4.5, 1.9, 1.6)
-    return transform_box(local, pose), local, pose
-
-
 def _packet(rng, n):
-    """n consistent (global, local) box pairs seen through one pose."""
-    _, _, pose = _consistent_pair(rng)
+    """n local box rows seen through one pose."""
+    pose = PoseYawT(*rng.uniform(-40, 40, size=3), rng.uniform(-math.pi, math.pi))
     local = [Box7(*rng.uniform(-30, 30, size=2), rng.uniform(-2, 2),
                   rng.uniform(-math.pi, math.pi), *rng.uniform(1, 5, size=3))
              for _ in range(n)]
-    return [transform_box(b, pose) for b in local], local, pose
+    return box_rows(local), pose
 
 
 def _per_row_encoding(row, bounds=DEFAULT_BOUNDS):
@@ -55,51 +47,34 @@ def test_extract_positional_layout():
     pose = PoseYawT(10.0, -20.0, 1.0, 0.5)
     local = Box7(3.0, 4.0, 0.5, 0.2, 4.5, 1.9, 1.6)
     g = transform_box(local, pose)
-    f = extract_positional(box_rows([g, g]), box_rows([local, local]), pose)
-    assert f.values.shape == (2, POSITIONAL_DIM)
-    v = f.values[1]
+    f = extract_positional(box_rows([local, local]), pose)
+    assert f.shape == (2, POSITIONAL_DIM)
+    v = f[1]
     np.testing.assert_allclose(v[0:7], g.to_vector())
     assert v[7] == pytest.approx(math.hypot(g.x, g.y))
     np.testing.assert_allclose(v[8:12], [local.x, local.y, local.z, local.a])
     assert v[12] == pytest.approx(5.0)  # hypot(3, 4)
     np.testing.assert_allclose(v[13:17], [10.0, -20.0, 1.0, 0.5])
     assert v[17] == pytest.approx(math.hypot(10.0, -20.0))
-    np.testing.assert_array_equal(f.values[0], v)
+    np.testing.assert_array_equal(f[0], v)
 
 
-def test_extract_positional_rejects_inconsistent_frames():
-    rng = np.random.default_rng(64)
-    det_global, local, pose = _packet(rng, 4)
-    det_global, local = box_rows(det_global), box_rows(local)
-    extract_positional(det_global, local, pose)
-    det_global[2, 0] += 0.01
-    with pytest.raises(ValueError, match="disagrees"):
-        extract_positional(det_global, local, pose)
-    with pytest.raises(ValueError):
-        extract_positional(det_global[:3], local, pose)
+def test_extract_positional_shape_validation():
+    local, pose = _packet(np.random.default_rng(64), 4)
+    assert extract_positional(local[:0], pose).shape == (0, POSITIONAL_DIM)
     with pytest.raises(ValueError, match="shape"):
-        extract_positional(det_global[:, :6], local[:, :6], pose)
-
-
-def test_extract_positional_compares_yaw_across_the_pi_seam():
-    # the global box is stored at yaw -pi; its local box carried through the
-    # pose comes out 1e-9 rad short of +pi, the same heading
-    pose = PoseYawT(10.0, -20.0, 1.0, 0.5)
-    local = Box7(3.0, 4.0, 0.5, math.pi - 0.5 - 1e-9, 4.5, 1.9, 1.6)
-    carried = transform_box(local, pose)
-    assert carried.a > 3.14
-    g = Box7(carried.x, carried.y, carried.z, -math.pi, carried.l, carried.w, carried.h)
-    assert g.a == -math.pi
-    f = extract_positional(box_rows([g]), box_rows([local]), pose)
-    assert f.values[0, 3] == -math.pi
+        extract_positional(local[:, :6], pose)
+    with pytest.raises(ValueError, match="shape"):
+        extract_positional(local[0], pose)  # one box still needs the batch axis
 
 
 def test_positional_feature_shape_validation():
-    with pytest.raises(ValueError):
-        PositionalFeature(np.zeros((2, 17)))
-    with pytest.raises(ValueError):
-        PositionalFeature(np.zeros(POSITIONAL_DIM))  # one row still needs the batch axis
-    assert PositionalFeature(np.zeros((0, POSITIONAL_DIM))).values.shape == (0, 18)
+    with pytest.raises(ValueError, match="shape"):
+        positional_encoding(np.zeros((2, 17)))
+    with pytest.raises(ValueError, match="shape"):
+        positional_encoding(np.zeros(POSITIONAL_DIM))  # one row still needs the batch axis
+    assert positional_encoding(np.zeros((0, POSITIONAL_DIM))).shape == (
+        0, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)
 
 
 def test_normalize_var_endpoints_and_clamp():
@@ -144,25 +119,22 @@ def test_positional_encoding_bounded_and_shape_checked():
 
 def test_encode_detection_composes():
     rng = np.random.default_rng(62)
-    det_global, local, pose = _packet(rng, 3)
-    det_global, local = box_rows(det_global), box_rows(local)
-    via_compose = encode_detection(det_global, local, pose)
-    via_steps = positional_encoding(extract_positional(det_global, local, pose))
+    local, pose = _packet(rng, 3)
+    via_compose = encode_detection(local, pose)
+    via_steps = positional_encoding(extract_positional(local, pose))
     np.testing.assert_array_equal(via_compose, via_steps)
 
 
 def test_batched_encoding_is_bit_identical_to_per_row_formula():
     rng = np.random.default_rng(65)
-    det_global, local, pose = _packet(rng, 7)
-    det_global, local = box_rows(det_global), box_rows(local)
-    batch = encode_detection(det_global, local, pose)
+    local, pose = _packet(rng, 7)
+    batch = encode_detection(local, pose)
     assert batch.shape == (7, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)
     for j in range(7):
-        row = extract_positional(det_global[j:j + 1], local[j:j + 1], pose).values[0]
+        row = extract_positional(local[j:j + 1], pose)[0]
         assert batch[j].tobytes() == _per_row_encoding(row).tobytes()
         # one detection is a batch of one
-        assert batch[j].tobytes() == encode_detection(
-            det_global[j:j + 1], local[j:j + 1], pose)[0].tobytes()
+        assert batch[j].tobytes() == encode_detection(local[j:j + 1], pose)[0].tobytes()
 
 
 def test_synth_appearance_channels():

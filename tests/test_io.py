@@ -84,8 +84,8 @@ def test_config_validation_errors():
         io.config_from_dict({"num_cavs": 0})
     with pytest.raises(ConfigError):
         io.config_from_dict({"tracker": {"assoc_iou_threshold": 1.5}})
-    with pytest.raises(ConfigError):
-        io.config_from_dict({"scenario": {"preset": "highway_mega"}})
+    with pytest.raises(ConfigError, match=r"scenario: unknown key\(s\) \['preset'\]"):
+        io.config_from_dict({"scenario": {"preset": "v2v_mini"}})  # a retired key
     with pytest.raises(ConfigError):
         io.config_from_dict({"train": {"center_distance": "4d"}})
     with pytest.raises(ConfigError):
@@ -642,14 +642,14 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("shared, adam, digest", [
-    (False, False, "c525edf51f53178634ca5f20dff0c42d88eed05c40b4a810305f2cc6d322597e"),
-    (False, True, "3da0100dfd43fc09e2aa2ef5555eec9f85ff10c7ddde9105b1337df3b84f9ce2"),
-    (True, False, "8259a1ab10695a53645636eacaa6437265a846fe6a4d4517e45121cc487af4e5"),
-    (True, True, "8d7cbfc1355038ce69c08b517180fabb41e698bd6ff8c543df8e9eece6376307"),
+    (False, False, "6eb44e533bb7b75c200baeecd90f70bdf6566158c8981805bc6bbdd65fce56d4"),
+    (False, True, "e04d3a3f2b68b7b102c91b3320ee10626b7df49cb421e9070cf13c941032b6cd"),
+    (True, False, "64f49129479b6ccc6a4cad99ca894de2213f2728fd4a2ff7dfe3f15efd4987b7"),
+    (True, True, "d48202325a8a0765a314e48f49d115dcffd4eea900009d3062be7f4e8e0dfa8b"),
 ], ids=["per-vehicle", "per-vehicle-adam", "shared", "shared-adam"])
 def test_checkpoint_bytes_are_pinned(tmp_path, shared, adam, digest):
     # the checkpoint format is fixed: these are the bytes earlier releases wrote, less
-    # the retired `train.batch_windows` key of the config header
+    # the retired `train.batch_windows` and `scenario.preset` keys of the config header
     cfg = small_config(covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
                                           head_hidden=8, shared_weights=shared))
     params = make_params(cfg)

@@ -333,7 +333,7 @@ def test_each_detection_takes_its_own_row():
     process = ProcessModel.constant_velocity()
     # births: each track's initial covariance comes from its detection's row
     for trk, det in zip(_beliefs(tracker), first.detections):
-        f_pos = encode_detection(box_rows([det.box]), box_rows([det.box]), IDENT)
+        f_pos = encode_detection(box_rows([det.box]), IDENT)
         row = covnet.forward(params, det.appearance[None], f_pos)[0]
         born = np.diag(covnet.residual_to_init_noise_diag(row))
         np.testing.assert_allclose(trk.cov, process.A @ born @ process.A.T + process.Q,
@@ -341,8 +341,7 @@ def test_each_detection_takes_its_own_row():
     # matches: a match updates with its own detection's noise, in any order
     second = _learned_packet(rng, 1, 0, [40.1, 0.1, 20.1], cfg)
     rows = covnet.forward(params, np.stack([d.appearance for d in second.detections]),
-                          encode_detection(box_rows(d.box for d in second.detections),
-                                           box_rows(d.box for d in second.detections), IDENT))
+                          encode_detection(box_rows(d.box for d in second.detections), IDENT))
     expected = []
     for trk in _beliefs(tracker):
         dj = int(np.argmin([abs(d.box.x - trk.mean[0]) for d in second.detections]))
@@ -374,8 +373,8 @@ class _DegenerateNoiseAt:
     def __init__(self, timestep, detection):
         self.timestep, self.detection = timestep, detection
 
-    def packet_residuals(self, packet, det_global):
-        rows = np.zeros((len(det_global), covnet.RESIDUAL_DIM))
+    def packet_residuals(self, packet):
+        rows = np.zeros((len(packet.detections), covnet.RESIDUAL_DIM))
         if packet.timestep == self.timestep:
             rows[self.detection, 0] = 1e7  # R_xx = (1 + 1e7)^2: S is beyond the guard
         return rows

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cooptrack.covnet import residual_to_init_noise_diag, residual_to_obs_noise_diag
+from cooptrack.features import extract_positional
 from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
                               TrackState, observation_matrix, predict, update)
 from cooptrack.geometry import (Box7, PoseYawT, box_rows, inverse_pose, iou3d, transform_box,
@@ -65,14 +66,16 @@ def test_transform_then_inverse_pose_is_identity(box, pose):
 
 
 seam_angles = st.floats(math.pi - 1e-6, math.pi) | st.floats(-math.pi, -math.pi + 1e-6)
+# boxes and poses, some with a yaw near the +-pi seam
+seam_boxes = boxes | st.builds(Box7, coords, coords, st.floats(-3.0, 3.0), seam_angles,
+                               extents, extents, extents)
+seam_poses = poses | st.builds(PoseYawT, coords, coords, st.floats(-3.0, 3.0), seam_angles)
 
 
 @st.composite
 def row_sets(draw):
     """Tracks and detections: random, near the yaw seam, identical and touching pairs."""
-    tracks = draw(st.lists(boxes | st.builds(Box7, coords, coords, st.floats(-3.0, 3.0),
-                                             seam_angles, extents, extents, extents),
-                           min_size=1, max_size=5))
+    tracks = draw(st.lists(seam_boxes, min_size=1, max_size=5))
     dets = []
     for t in tracks:
         kind = draw(st.sampled_from(("identical", "end-to-end", "stacked", "mirrored",
@@ -106,11 +109,16 @@ def test_cost_matrix_on_rows_equals_negated_iou_of_boxes_bit_for_bit(sets):
 
 
 @PROPERTY
-@given(st.lists(boxes | st.builds(Box7, coords, coords, st.floats(-3.0, 3.0), seam_angles,
-                                  extents, extents, extents), max_size=5),
-       poses | st.builds(PoseYawT, coords, coords, st.floats(-3.0, 3.0), seam_angles))
+@given(st.lists(seam_boxes, max_size=5), seam_poses)
 def test_transform_rows_gives_the_bits_of_transform_box(local, pose):
     got = transform_rows(box_rows(local), pose)
+    assert got.tobytes() == box_rows(transform_box(b, pose) for b in local).tobytes()
+
+
+@PROPERTY
+@given(st.lists(seam_boxes, max_size=5), seam_poses)
+def test_positional_global_block_gives_the_bits_of_transform_box(local, pose):
+    got = extract_positional(box_rows(local), pose)[:, :7]
     assert got.tobytes() == box_rows(transform_box(b, pose) for b in local).tobytes()
 
 
