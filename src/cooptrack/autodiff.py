@@ -62,6 +62,9 @@ class Tape:
 
         `loss` must be scalar. Nodes not on a path to the loss keep
         `grad = None`; read leaves through `grad_of` to get exact zeros.
+        A node's first gradient is stored as its adjoint returned it and
+        every later one is added into a new array, so a gradient may share
+        memory with another node's: treat every `.grad` as read-only.
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
@@ -77,7 +80,7 @@ class Tape:
             for parent, adjoint in zip(node._parents, node._adjoints):
                 pg = adjoint(g)
                 if parent.grad is None:
-                    parent.grad = pg.copy() if isinstance(pg, np.ndarray) else np.asarray(pg)
+                    parent.grad = np.asarray(pg)
                 else:
                     parent.grad = parent.grad + pg
 
@@ -110,7 +113,11 @@ def val(x):
 
 
 def grad_of(leaf: Node):
-    """Gradient accumulated on a leaf, as an exact zero array if untouched."""
+    """Gradient accumulated on a leaf, as an exact zero array if untouched.
+
+    The array may share memory with other nodes' gradients (`Tape.backward`),
+    so it is read-only: copy it before writing into it.
+    """
     if leaf.grad is None:
         return np.zeros_like(leaf.value)
     return leaf.grad

@@ -39,10 +39,24 @@ class FramePacket:
 
 @dataclass(frozen=True)
 class ReportedTrack:
+    """One reported track of one timestep.
+
+    Every report of a timestep shares `frame`, the (reported, 10) state
+    means of that timestep's reported tracks (one tape node during
+    training), and `row` picks this track's mean from it. `mean` indexes
+    the frame on demand, so each read during training records a node.
+    """
+
     track_id: int
     box: Box7          # global frame, value level
     score: float
-    mean: object       # 10-vector, tape node during training
+    frame: object      # (reported, 10) means, tape node during training
+    row: int
+
+    @property
+    def mean(self):
+        """This track's 10-vector state mean."""
+        return ad.getitem(self.frame, self.row)
 
 
 class ConstantCovariance:
@@ -244,10 +258,11 @@ class CoopTracker:
                                         if life.id not in killed])
             self.tracks = survivors
         boxes = self._box_vectors().tolist()
-        reported = [ReportedTrack(life.id, Box7(*boxes[i]), life.score,
-                                  ad.getitem(self.bank.mean, i))
-                    for i, life in enumerate(self.tracks)
-                    if reportable(life, self.lifecycle)]
+        shown = [i for i, life in enumerate(self.tracks) if reportable(life, self.lifecycle)]
+        frame = ad.getitem(self.bank.mean, np.array(shown, dtype=np.intp))
+        reported = [ReportedTrack(self.tracks[i].id, Box7(*boxes[i]), self.tracks[i].score,
+                                  frame, row)
+                    for row, i in enumerate(shown)]
         self.bank = predict(self.bank, self.process)
         for life in self.tracks:
             life.age += 1

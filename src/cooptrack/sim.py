@@ -9,7 +9,7 @@ is a deterministic function of the scenario seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,9 @@ class SensorModel:
 
     base_std: tuple = (0.15, 0.15, 0.05, 0.03, 0.08, 0.05, 0.05)  # x,y,z,a,l,w,h
     dist_coeff: float = 0.0          # std multiplier grows by this per meter
-    far_range: float = 30.0          # beyond this range the far multiplier kicks in
-    far_multiplier: float = 1.0
     max_range: float = 50.0
     base_miss_prob: float = 0.0
     occlusion_extra_prob: float = 0.0  # added when line of sight is blocked
-    miss_overrides: dict = field(default_factory=dict)  # object_id -> miss prob
     fp_rate: float = 0.0             # probability of one false positive per frame
     degrade_prob: float = 0.0        # chance a detection comes out degraded
     degrade_multiplier: float = 1.0  # extra noise scale on degraded detections
@@ -50,16 +47,10 @@ class SensorModel:
                 raise ValueError(f"{name} must be in [0,1], got {rate}")
         if self.degrade_multiplier < 1.0:
             raise ValueError("degrade_multiplier must be >= 1")
-        for prob in self.miss_overrides.values():
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError("miss_overrides probabilities must be in [0,1]")
 
     def noise_scale(self, rng_range: float) -> float:
         """Positional std multiplier at the given sensing range."""
-        scale = 1.0 + self.dist_coeff * rng_range
-        if rng_range > self.far_range:
-            scale *= self.far_multiplier
-        return scale
+        return 1.0 + self.dist_coeff * rng_range
 
     def positional_std(self, rng_range: float) -> float:
         return self.base_std[0] * self.noise_scale(rng_range)
@@ -213,7 +204,7 @@ def generate(scenario: Scenario) -> list:
                                        rng, sensor.appearance_shape)
                 if rng_range > sensor.max_range:
                     continue
-                miss_prob = sensor.miss_overrides.get(obj_id, sensor.base_miss_prob)
+                miss_prob = sensor.base_miss_prob
                 others = [b for oid, b in gt if oid != obj_id]
                 if _line_of_sight_blocked((pose.t_x, pose.t_y), box, others):
                     miss_prob = min(1.0, miss_prob + sensor.occlusion_extra_prob)
@@ -275,8 +266,7 @@ def preset_v2v_mini(seed: int = 0, duration: int = 200,
                      * noise_multiplier)
     ego = CavSpec(
         poses=straight_pose_track((0.0, 0.0), 0.0, 8.0, frames),
-        sensor=SensorModel(base_std=base_std, dist_coeff=0.004, far_range=30.0,
-                           far_multiplier=1.0, max_range=80.0,
+        sensor=SensorModel(base_std=base_std, dist_coeff=0.004, max_range=80.0,
                            base_miss_prob=min(1.0, 0.12 * miss_multiplier),
                            occlusion_extra_prob=min(1.0, 0.30 * miss_multiplier),
                            fp_rate=min(1.0, 0.30 * fp_multiplier),
@@ -285,8 +275,7 @@ def preset_v2v_mini(seed: int = 0, duration: int = 200,
     )
     trailing = CavSpec(
         poses=straight_pose_track((-45.0, 4.0), 0.0, 8.0, frames),
-        sensor=SensorModel(base_std=base_std, dist_coeff=0.004, far_range=30.0,
-                           far_multiplier=1.0, max_range=160.0,
+        sensor=SensorModel(base_std=base_std, dist_coeff=0.004, max_range=160.0,
                            base_miss_prob=min(1.0, 0.18 * miss_multiplier),
                            occlusion_extra_prob=min(1.0, 0.35 * miss_multiplier),
                            fp_rate=min(1.0, 0.40 * fp_multiplier),

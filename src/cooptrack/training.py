@@ -25,6 +25,7 @@ from .pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_se
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 32768  # entries per block of an Adam step: 256 KiB of float64
 
 
 def split_subsequences(frames, window_length: int):
@@ -58,15 +59,23 @@ def window_loss(reports_per_frame, gt_per_frame, radius: float = 2.0,
     cut. Returns (loss, supervised_count); loss is None when no track
     qualifies anywhere in the window.
 
-    The supervised means of the whole window are stacked into one node and
-    their norms taken in one batch, so the loss adds the same few tape nodes
-    however many tracks it supervises. An exact fit has a zero gradient.
+    The reports of one frame must share their `frame` (`ReportedTrack`);
+    each report's `row` picks its mean, so a frame's list may be filtered or
+    reordered. Each frame's supervised means are one gather from its frame
+    node, in report order, and the window's gathers are joined into one
+    node whose norms are taken in one batch, so the loss adds the same few
+    tape nodes per frame however many tracks it supervises. An exact fit
+    has a zero gradient.
     """
-    rows, targets = [], []
+    parts, targets = [], []
     for reported, gts in zip(reports_per_frame, gt_per_frame):
         if not gts or not reported:
             continue
-        means = np.stack([ad.val(rt.mean) for rt in reported])
+        frame = reported[0].frame
+        if any(rt.frame is not frame for rt in reported):
+            raise ValueError("the reports of one frame must share their frame means")
+        rows = np.array([rt.row for rt in reported], dtype=np.intp)
+        means = ad.val(frame)[rows]
         gt_vectors = np.stack([box.to_vector() for _gid, box in gts])
         dist = _center_distances(means[:, :3], gt_vectors[:, :3], center_mode)
         nearest = np.argmin(dist, axis=1)
@@ -76,13 +85,14 @@ def window_loss(reports_per_frame, gt_per_frame, radius: float = 2.0,
         target = gt_vectors[nearest[keep]].astype(means.dtype)
         track_yaw = means[keep, 3].astype(np.float64)
         target[:, 3] = track_yaw - wrap_angle(track_yaw - target[:, 3])
-        rows.extend(rt.mean for rt, kept in zip(reported, keep) if kept)
+        parts.append(ad.getitem(frame, rows[keep]))
         targets.append(target)
-    if not rows:
+    if not parts:
         return None, 0
-    diff = ad.sub(ad.stack(rows)[:, :7], np.concatenate(targets))
+    targets = np.concatenate(targets)
+    diff = ad.sub(ad.concat(parts)[:, :7], targets)
     norms = ad.sqrt(ad.asum(ad.square(diff), axis=1))
-    return ad.div(ad.asum(norms), float(len(rows))), len(rows)
+    return ad.div(ad.asum(norms), float(len(targets))), len(targets)
 
 
 # --- optimizer -----------------------------------------------------------------
@@ -119,18 +129,43 @@ def clip_gradients(grads: dict, max_norm: float):
 
 def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
               weight_decay: float):
-    """One Adam update; weight decay is folded into the gradient first."""
+    """One Adam update; weight decay is folded into the gradient first.
+
+    The weights and both moments are updated in place, block of rows by
+    block of rows (about ADAM_BLOCK entries each, so a block's arrays stay
+    in cache), through two scratch buffers; each array of `state.m` and
+    `state.v` keeps its identity. Every entry takes the same operations in
+    the same order as the textbook expressions, so the bits are theirs.
+    `grads` is only read: its arrays may share memory with tape gradients.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
+    buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for cav, params in param_sets.items():
-        for name, arr in params.arrays.items():
+        for name, weights in params.arrays.items():
             key = (cav, name)
-            g = grads[key] + weight_decay * arr
-            m = state.m[key] = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
-            v = state.v[key] = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * (g * g)
-            arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            rows = max(1, ADAM_BLOCK // (weights.size // len(weights)))
+            for lo in range(0, len(weights), rows):
+                block = slice(lo, lo + rows)
+                w, m, v = weights[block], state.m[key][block], state.v[key][block]
+                g, s = (b[:w.size].reshape(w.shape) for b in buffers)
+                np.multiply(weight_decay, w, out=g)
+                np.add(grads[key][block], g, out=g)           # g = grad + wd w
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, g, out=s)  # m = b1 m + (1 - b1) g
+                v *= ADAM_BETA2
+                np.multiply(g, g, out=g)
+                g *= 1.0 - ADAM_BETA2
+                v += g                                        # v = b2 v + (1 - b2) g^2
+                np.divide(v, bc2, out=g)
+                np.sqrt(g, out=g)
+                g += ADAM_EPS
+                np.divide(m, bc1, out=s)
+                s *= lr
+                s /= g
+                w -= s                                        # w -= lr m^ / (sqrt(v^) + eps)
 
 
 # --- training loop --------------------------------------------------------------

@@ -323,6 +323,28 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     assert batches == [3, 2, 2]  # constant covariance runs no network
 
 
+def test_step_records_the_same_tape_nodes_however_many_tracks_it_reports():
+    from cooptrack import autodiff as ad
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(7)
+    params = CovNetParams.init(cfg, rng)
+    per_frame = {}
+    for objects in (2, 12):
+        tape = ad.Tape()
+        tracker = CoopTracker(cov_provider=LearnedCovariance({0: (params.lift(tape), cfg)}))
+        xs = [20.0 * k for k in range(objects)]
+        counts = []
+        for t in range(5):
+            before = len(tape)
+            reported = tracker.step([_learned_packet(rng, t, 0, xs, cfg)])
+            assert len(reported) == objects
+            counts.append(len(tape) - before)
+        assert len({id(rt.frame) for rt in reported}) == 1
+        assert [rt.row for rt in reported] == list(range(objects))
+        per_frame[objects] = counts
+    assert per_frame[2] == per_frame[12]
+
+
 def test_each_detection_takes_its_own_row():
     cfg = CovNetConfig()
     rng = np.random.default_rng(6)

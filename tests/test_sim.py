@@ -30,15 +30,16 @@ def test_sensor_model_validation():
     with pytest.raises(ValueError):
         sim.SensorModel(base_std=(-1.0,) * 7)
     with pytest.raises(ValueError):
-        sim.SensorModel(miss_overrides={0: 2.0})
+        sim.SensorModel(occlusion_extra_prob=2.0)
+    with pytest.raises(ValueError):
+        sim.SensorModel(degrade_multiplier=0.5)
 
 
 def test_noise_scale_grows_with_distance():
-    s = sim.SensorModel(dist_coeff=0.01, far_range=30.0, far_multiplier=3.0)
+    s = sim.SensorModel(dist_coeff=0.01)
     assert s.noise_scale(0.0) == pytest.approx(1.0)
     assert s.noise_scale(10.0) == pytest.approx(1.1)
-    # Far knee multiplies on top of the linear growth.
-    assert s.noise_scale(40.0) == pytest.approx(1.4 * 3.0)
+    assert s.noise_scale(40.0) == pytest.approx(1.4)
     assert s.confidence(0.0) > s.confidence(40.0)
     assert 1e-3 <= s.confidence(1e9) <= 1.0
 
@@ -120,10 +121,34 @@ def test_max_range_drops_far_objects():
     assert len(frames[0].detections[0]) == 1
 
 
-def test_miss_override_suppresses_one_object():
-    frames = sim.generate(_tiny_scenario(miss_overrides={0: 1.0}))
-    for frame in frames:
+def test_certain_miss_suppresses_the_object():
+    duration = 20
+    objects = (sim.constant_turn_trajectory((10.0, 2.0), 0.0, 0.0, 5.0, 0.0,
+                                            (4.5, 1.9, 1.6), duration),)
+    cav = sim.CavSpec(poses=sim.straight_pose_track((0.0, 0.0), 0.0, 5.0, duration),
+                      sensor=sim.SensorModel(base_miss_prob=1.0))
+    frames = sim.generate(sim.Scenario(duration=duration, objects=objects, cavs=(cav,),
+                                       seed=5))
+    assert all(frame.detections[0] == [] for frame in frames)
+
+
+def _queue_scenario(seed, occlusion_extra_prob):
+    """Two objects driving in line ahead of the sensor, the far one hidden
+    behind the near one."""
+    duration = 20
+    objects = tuple(sim.constant_turn_trajectory((x, 0.0), 0.0, 0.0, 5.0, 0.0,
+                                                 (4.5, 1.9, 1.6), duration)
+                    for x in (10.0, 20.0))
+    cav = sim.CavSpec(poses=sim.straight_pose_track((0.0, 0.0), 0.0, 5.0, duration),
+                      sensor=sim.SensorModel(base_std=(0.1,) * 7,
+                                             occlusion_extra_prob=occlusion_extra_prob))
+    return sim.Scenario(duration=duration, objects=objects, cavs=(cav,), seed=seed)
+
+
+def test_certain_occlusion_suppresses_the_hidden_object():
+    for frame in sim.generate(_queue_scenario(5, 1.0)):
         assert len(frame.detections[0]) == 1
+        assert frame.detections[0][0].box.x < 15.0
 
 
 def test_false_positive_rate_and_flag():
@@ -154,12 +179,12 @@ def test_noise_statistics_match_model():
 
 def test_outcome_isolation_between_objects():
     """Dropping one object must not perturb another object's noise."""
-    base = sim.generate(_tiny_scenario(seed=12, base_std=(0.1,) * 7))
-    dropped = sim.generate(_tiny_scenario(seed=12, base_std=(0.1,) * 7,
-                                          miss_overrides={0: 1.0}))
+    base = sim.generate(_queue_scenario(12, 0.0))
+    dropped = sim.generate(_queue_scenario(12, 1.0))
     for fa, fb in zip(base, dropped):
-        # Object 1 is the only detection left in the dropped run.
-        da = fa.detections[0][1]
+        # The near object 0 is the only detection left in the dropped run.
+        assert len(fa.detections[0]) == 2 and len(fb.detections[0]) == 1
+        da = fa.detections[0][0]
         db = fb.detections[0][0]
         np.testing.assert_array_equal(da.box.to_vector(), db.box.to_vector())
 

@@ -15,7 +15,8 @@ from cooptrack import covnet, sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, wrap_angle
 from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings
-from cooptrack.pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
+from cooptrack.pipeline import (LearnedCovariance, ReportedTrack, packets_from_sim_frame,
+                                tracker_from_settings)
 
 EXTENTS = (4.2, 1.9, 1.6)
 
@@ -69,8 +70,10 @@ def test_split_rejects_tiny_window():
 # --- window loss ----------------------------------------------------------------
 
 
-def fake_report(vec):
-    return SimpleNamespace(mean=np.asarray(vec, dtype=float))
+def fake_frame(*means):
+    """One frame's reports, sharing one (tracks, 10) array of means."""
+    frame = np.asarray(means, dtype=float).reshape(len(means), 10)
+    return [ReportedTrack(i, None, 1.0, frame, i) for i in range(len(means))]
 
 
 def boxed(x, y, z=0.0, a=0.0):
@@ -80,21 +83,21 @@ def boxed(x, y, z=0.0, a=0.0):
 def test_loss_matches_hand_computed_norm():
     mean = [1.0, 2.0, 0.5, 0.1, 4.0, 2.0, 1.5, 9.9, 9.9, 9.9]
     gt = boxed(1.3, 2.4, 0.5, 0.1)
-    loss, n = training.window_loss([[fake_report(mean)]], [[(0, gt)]])
+    loss, n = training.window_loss([fake_frame(mean)], [[(0, gt)]])
     assert n == 1
     expected = np.linalg.norm(np.array(mean[:7]) - np.array(gt.to_vector()))
     assert math.isclose(float(loss), expected, rel_tol=1e-12)
     # velocity entries (indices 7..9) must not contribute
     mean2 = mean[:7] + [0.0, 0.0, 0.0]
-    loss2, _ = training.window_loss([[fake_report(mean2)]], [[(0, gt)]])
+    loss2, _ = training.window_loss([fake_frame(mean2)], [[(0, gt)]])
     assert float(loss2) == float(loss)
 
 
 def test_loss_gates_on_center_radius():
     gt = boxed(0.0, 0.0)
-    inside = fake_report([1.9, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
-    outside = fake_report([2.1, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
-    loss, n = training.window_loss([[inside, outside]], [[(0, gt)]])
+    inside = [1.9, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0]
+    outside = [2.1, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0]
+    loss, n = training.window_loss([fake_frame(inside, outside)], [[(0, gt)]])
     assert n == 1
     assert math.isclose(float(loss), 1.9, rel_tol=1e-12)
 
@@ -103,31 +106,31 @@ def test_loss_2d_gating_ignores_height():
     # 2d mode: z offset of 5 m does not disqualify, and the residual still
     # includes z because only the gate changes
     gt = boxed(0.0, 0.0, 0.0)
-    rep = fake_report([1.0, 0, 5.0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
-    loss3d, n3d = training.window_loss([[rep]], [[(0, gt)]], center_mode="3d")
+    rep = fake_frame([1.0, 0, 5.0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
+    loss3d, n3d = training.window_loss([rep], [[(0, gt)]], center_mode="3d")
     assert n3d == 0 and loss3d is None
-    loss2d, n2d = training.window_loss([[rep]], [[(0, gt)]], center_mode="2d")
+    loss2d, n2d = training.window_loss([rep], [[(0, gt)]], center_mode="2d")
     assert n2d == 1
     assert math.isclose(float(loss2d), math.sqrt(1.0 + 25.0), rel_tol=1e-12)
 
 
 def test_loss_picks_nearest_gt_with_lower_index_tiebreak():
-    rep = fake_report([0.0, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
+    rep = fake_frame([0.0, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
     near = boxed(0.5, 0.0)
     far = boxed(1.5, 0.0)
-    loss, _ = training.window_loss([[rep]], [[(7, far), (3, near)]])
+    loss, _ = training.window_loss([rep], [[(7, far), (3, near)]])
     assert math.isclose(float(loss), 0.5, rel_tol=1e-12)
     # exact tie goes to the earlier list entry
     left = boxed(-1.0, 0.0)
     right = boxed(1.0, 0.0, a=0.2)
-    loss_tie, _ = training.window_loss([[rep]], [[(1, left), (2, right)]])
+    loss_tie, _ = training.window_loss([rep], [[(1, left), (2, right)]])
     assert math.isclose(float(loss_tie), 1.0, rel_tol=1e-12)
 
 
 def test_loss_yaw_residual_crosses_angle_cut():
     gt = boxed(0.0, 0.0, a=-3.1)
-    rep = fake_report([0.0, 0, 0, 3.1, 4.2, 1.9, 1.6, 0, 0, 0])
-    loss, _ = training.window_loss([[rep]], [[(0, gt)]])
+    rep = fake_frame([0.0, 0, 0, 3.1, 4.2, 1.9, 1.6, 0, 0, 0])
+    loss, _ = training.window_loss([rep], [[(0, gt)]])
     short_way = abs(wrap_angle(3.1 - (-3.1)))
     assert math.isclose(float(loss), short_way, rel_tol=1e-10)
     assert float(loss) < 0.1
@@ -136,19 +139,30 @@ def test_loss_yaw_residual_crosses_angle_cut():
 def test_loss_none_when_nothing_qualifies():
     loss, n = training.window_loss([[]], [[(0, boxed(0, 0))]])
     assert loss is None and n == 0
-    loss, n = training.window_loss([[fake_report([99] * 10)]], [[(0, boxed(0, 0))]])
+    loss, n = training.window_loss([fake_frame([99] * 10)], [[(0, boxed(0, 0))]])
     assert loss is None and n == 0
-    loss, n = training.window_loss([[fake_report([0] * 10)]], [[]])
+    loss, n = training.window_loss([fake_frame([0] * 10)], [[]])
     assert loss is None and n == 0
 
 
 def test_loss_averages_over_tracks_and_frames():
     gt = boxed(0.0, 0.0)
-    r1 = fake_report([1.0, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
-    r2 = fake_report([0.0, 0.5, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
-    loss, n = training.window_loss([[r1], [r2]], [[(0, gt)], [(0, gt)]])
+    r1 = fake_frame([1.0, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
+    r2 = fake_frame([0.0, 0.5, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
+    loss, n = training.window_loss([r1, r2], [[(0, gt)], [(0, gt)]])
     assert n == 2
     assert math.isclose(float(loss), (1.0 + 0.5) / 2.0, rel_tol=1e-12)
+
+
+def test_loss_reads_each_report_by_its_row():
+    gt = boxed(0.0, 0.0)
+    reports = fake_frame(*([d, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0] for d in (0.5, 3.0, 1.0)))
+    loss, n = training.window_loss([reports[::-1]], [[(0, gt)]])
+    assert n == 2 and float(loss) == (1.0 + 0.5) / 2.0
+    loss, n = training.window_loss([reports[2:]], [[(0, gt)]])
+    assert n == 1 and float(loss) == 1.0
+    with pytest.raises(ValueError, match="share their frame"):
+        training.window_loss([reports[:1] + fake_frame(reports[1].mean)], [[(0, gt)]])
 
 
 def per_pair_window_loss(reports_per_frame, gt_per_frame, radius, center_mode):
@@ -193,7 +207,7 @@ def test_loss_equals_the_per_pair_reference_on_random_scenes(center_mode):
             means = rng.uniform(-4.0, 4.0, (rng.integers(0, 9), 10))
             means[:, 2] = rng.uniform(-1.5, 1.5, len(means))
             means[:, 3] = rng.uniform(-math.pi, math.pi, len(means))
-            frames.append([fake_report(m) for m in means])
+            frames.append(fake_frame(*means))
             truths.append(gts)
         if not _clear_of_ties_and_radius(frames, truths, 2.0, center_mode):
             continue
@@ -215,8 +229,11 @@ def test_loss_tape_nodes_do_not_grow_with_supervised_tracks(frames):
     counts = set()
     for tracks in (1, 4, 16):
         tape = ad.Tape()
-        reports = [[SimpleNamespace(mean=tape.var([0.1 * i, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0]))
-                    for i in range(tracks)] for _ in range(frames)]
+        reports = []
+        for _ in range(frames):
+            means = tape.var([[0.1 * i, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0]
+                              for i in range(tracks)])
+            reports.append([ReportedTrack(i, None, 1.0, means, i) for i in range(tracks)])
         leaves = len(tape)
         _, n = training.window_loss(reports, [[(0, gt)]] * frames)
         assert n == tracks * frames
@@ -262,6 +279,36 @@ def test_batched_loss_gradient_bits_equal_the_per_track_reference():
     assert n == want_n > 10
     assert math.isclose(batched, reference, rel_tol=1e-14)
     assert got == want
+
+
+def test_a_second_backward_gives_the_same_gradients_as_isolated_adjoints():
+    """Gradients may share memory (`Tape.backward` stores first gradients as
+    given); no adjoint may write into one. Run the backward pass twice, then
+    once more with every adjoint fed its own copy and made to return a
+    fresh array: all three give every node the same bits."""
+    frames = sim.generate(tiny_scenario())
+    tape = ad.Tape()
+    params = fresh_params(small_net(), 2)
+    lifted = {cav: p.lift(tape) for cav, p in params.items()}
+    tracker = tracker_from_settings(
+        TrackerSettings(), LearnedCovariance({cav: (lifted[cav], small_net()) for cav in lifted}))
+    reports = [tracker.step(packets_from_sim_frame(f)) for f in frames]
+    loss, n = training.window_loss(reports, [f.gt for f in frames])
+    assert n > 10
+    nodes = list(tape._nodes)
+
+    def gradient_bytes():
+        tape.backward(loss)
+        return [None if node.grad is None else np.asarray(node.grad).tobytes()
+                for node in nodes]
+
+    first = gradient_bytes()
+    assert gradient_bytes() == first
+    for node in nodes:
+        node._adjoints = tuple(lambda g, adjoint=adjoint: np.array(adjoint(np.array(g)))
+                               for adjoint in node._adjoints)
+    assert gradient_bytes() == first
+    assert sum(g is not None for g in first) > len(nodes) // 2
 
 
 # --- the window's network passes -------------------------------------------------
@@ -447,6 +494,59 @@ def test_adam_bias_correction_first_step():
     state = training.AdamState.init(sets)
     training.adam_step(sets, {(0, "w"): np.array([0.7, -0.2])}, state, 1e-3, 0.0)
     np.testing.assert_allclose(params.arrays["w"], [-1e-3, 1e-3], rtol=1e-6)
+
+
+def textbook_adam_step(param_sets, grads, state, lr, weight_decay):
+    """Reference: `adam_step` written as out-of-place expressions."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - training.ADAM_BETA1 ** t
+    bc2 = 1.0 - training.ADAM_BETA2 ** t
+    for cav, params in param_sets.items():
+        for name, arr in params.arrays.items():
+            key = (cav, name)
+            g = grads[key] + weight_decay * arr
+            m = state.m[key] = training.ADAM_BETA1 * state.m[key] + (1.0 - training.ADAM_BETA1) * g
+            v = state.v[key] = (training.ADAM_BETA2 * state.v[key]
+                                + (1.0 - training.ADAM_BETA2) * (g * g))
+            arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + training.ADAM_EPS)
+
+
+@pytest.mark.parametrize("block", [None, 100], ids=["default_blocks", "small_blocks"])
+@pytest.mark.parametrize("shared", [False, True], ids=["per_vehicle", "shared"])
+def test_adam_step_gives_the_bits_of_the_textbook_expressions(shared, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(training, "ADAM_BLOCK", block)
+    rng = np.random.default_rng(17)
+    if shared:
+        one = CovNetParams.init(small_net(), rng)
+        params = training._distinct_param_sets({0: one, 1: one})
+    else:
+        params = fresh_params(small_net(), 17)
+    want = copy.deepcopy(params)
+    state, want_state = training.AdamState.init(params), training.AdamState.init(want)
+    moments = {key: (state.m[key], state.v[key]) for key in state.m}
+    size = sum(arr.size for p in params.values() for arr in p.arrays.values())
+    clipped = 0
+    for step in range(6):
+        scale = (0.3, 3.0)[step % 2] / math.sqrt(size)  # global norms near 0.3 and 3
+        grads = {(cav, name): rng.standard_normal(arr.shape) * scale
+                 for cav, p in params.items() for name, arr in p.arrays.items()}
+        grads, norm = training.clip_gradients(grads, 1.0)
+        clipped += norm > 1.0
+        before = {key: g.copy() for key, g in grads.items()}
+        for g in grads.values():
+            g.flags.writeable = False
+        training.adam_step(params, grads, state, 1e-2, 1e-3)
+        textbook_adam_step(want, before, want_state, 1e-2, 1e-3)
+        assert all(np.array_equal(g, before[key]) for key, g in grads.items())
+        assert state.step == want_state.step == step + 1
+        assert param_bytes(params) == param_bytes(want)
+        for key, (m, v) in moments.items():
+            assert state.m[key] is m and state.v[key] is v
+            assert m.tobytes() == want_state.m[key].tobytes()
+            assert v.tobytes() == want_state.v[key].tobytes()
+    assert 0 < clipped < 6
 
 
 def test_adam_state_init_covers_all_params():
