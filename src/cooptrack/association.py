@@ -9,11 +9,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .geometry import iou3d
 
-DEFAULT_IOU_THRESHOLD = 0.1
-DEFAULT_MIN_HITS = 3
-DEFAULT_MAX_AGE = 2
-SCORE_DECAY = 0.9
-
 
 def build_cost_matrix(tracks, detections) -> np.ndarray:
     """Negated pairwise 3D IoU between (n, 7) track rows and (m, 7) detection rows.
@@ -58,7 +53,7 @@ def hungarian_solve(cost: np.ndarray):
     return [(int(r), int(c)) for r, c in zip(rows, cols) if r < n and c < m]
 
 
-def associate(cost, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list:
+def associate(cost, iou_threshold: float) -> list:
     """Hungarian matching on a negated-IoU matrix, keeping the pairs that reach the threshold.
 
     `cost` is a (tracks, detections) matrix as built by `build_cost_matrix`.
@@ -74,9 +69,9 @@ def associate(cost, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> list:
 
 @dataclass(frozen=True)
 class LifecycleConfig:
-    min_hits: int = DEFAULT_MIN_HITS
-    max_age: int = DEFAULT_MAX_AGE
-    score_decay: float = SCORE_DECAY
+    min_hits: int = 3
+    max_age: int = 2
+    score_decay: float = 0.9
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 The primitive set is exactly what the differentiable filter, the covariance
 network, and the training loss need: broadcasting addition, subtraction and
-division, batched matmul, slicing (`node[idx]`), a row scatter, stacking,
+division, batched matmul, slicing (`node[idx]`), a row scatter,
 concatenation and reshaping, sums, elementwise square and square root, a
 floor clamp (ReLU is the clamp at zero), batched diagonal embedding, axis
 permutation, convolution patch extraction (im2col), and a batched
@@ -235,15 +235,6 @@ def getitem(a, idx):
         return full
 
     return _record(out, (a,), (adjoint,))
-
-
-def stack(parts):
-    """Equal-shape operands stacked along a new leading axis: one node with
-    a parent per Node operand, whose adjoint for part i is `g[i]`."""
-    out = np.stack([val(p) for p in parts])
-    if not any(isinstance(p, Node) for p in parts):
-        return out
-    return _record(out, tuple(parts), [operator.itemgetter(i) for i in range(len(parts))])
 
 
 def scatter_rows(base, rows, values):
@@ -499,7 +490,7 @@ def linear(x, weight, bias):
     return add(matmul(x, weight), bias)
 
 
-def conv2d(x, weight, bias, stride=2, pad=1):
+def conv2d(x, weight, bias, stride, pad):
     """2D convolution of an (n, c, h, w) batch with (c_out, c, k, k) weights.
 
     One matmul covers the patches of all n images; the adjoint follows by

@@ -36,7 +36,14 @@ def _check_out_dir(path: str):
 
 
 def _make_parent_dir(path: str):
-    """Create the directory an output file goes to, before the work that fills it."""
+    """Create the directory an output file goes to, before the work that fills it.
+
+    A path that names a directory, an existing one or any that ends in a
+    separator, cannot take the file: a usage error (ConfigError), raised
+    before anything is created.
+    """
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise cio.ConfigError(f"--out: {path!r} is a directory, not an output file path")
     directory = os.path.dirname(path) or "."
     _check_out_dir(directory)
     os.makedirs(directory, exist_ok=True)
@@ -98,12 +105,7 @@ def cmd_train(args) -> int:
     cio.check_appearance(args.scenarios, frames, cfg.covnet)
     if args.resume:
         ckpt = cio.load_checkpoint(args.resume, expect_config=cfg)
-        params_by_cav = ckpt.params_by_cav
-        adam = None
-        if ckpt.adam_state is not None:
-            adam = training.AdamState(step=ckpt.adam_state["step"],
-                                      m=ckpt.adam_state["m"], v=ckpt.adam_state["v"])
-        epochs_done = ckpt.epochs_done
+        params_by_cav, adam, epochs_done = ckpt.params_by_cav, ckpt.adam_state, ckpt.epochs_done
     else:
         params_by_cav = training.init_params_for_run(cfg, np.random.default_rng(cfg.seed))
         adam = None
@@ -116,8 +118,7 @@ def cmd_train(args) -> int:
                                 epochs_done=epochs_done)
     ckpt = cio.Checkpoint(params_by_cav=result.params_by_cav, config=cfg,
                           seed=cfg.seed, epochs_done=result.epochs_done,
-                          adam_state={"step": result.adam.step, "m": result.adam.m,
-                                      "v": result.adam.v})
+                          adam_state=result.adam)
     cio.save_checkpoint(args.out, ckpt)
     curve_path = args.out + ".losscurve.jsonl"
     cio.write_log(curve_path, cio.FORMAT_LOSSCURVE, result.loss_curve)
@@ -128,8 +129,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     track_frames, comm_mb, run_cfg = cio.load_track_output(args.tracks)
-    iou_threshold = (metrics.EVAL_IOU_THRESHOLD if run_cfg is None
-                     else run_cfg.eval_iou_threshold)
+    iou_threshold = (run_cfg or cio.RunConfig()).eval_iou_threshold
     gt_frames = cio.load_gt_frames(args.gt)
     _make_parent_dir(args.out)
     report = metrics.evaluate(track_frames, gt_frames, iou_threshold=iou_threshold)

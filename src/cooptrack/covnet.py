@@ -117,11 +117,6 @@ class CovNetParams:
                 arrays[name] = rng.uniform(-k, k, size=shape)
         return cls(config, arrays)
 
-    @classmethod
-    def zeros(cls, config: CovNetConfig) -> "CovNetParams":
-        arrays = {name: np.zeros(shape) for name, shape in layer_shapes(config).items()}
-        return cls(config, arrays)
-
     def lift(self, tape: ad.Tape) -> dict:
         """Wrap every array as a tape variable for a training pass."""
         return {name: tape.var(arr) for name, arr in self.arrays.items()}

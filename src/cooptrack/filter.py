@@ -34,25 +34,25 @@ class DegenerateCovariance(ValueError):
     """Innovation covariance too ill-conditioned to invert."""
 
 
-def constant_velocity_transition(dtype=np.float64) -> np.ndarray:
+def constant_velocity_transition() -> np.ndarray:
     """Transition matrix coupling position to per-frame velocity."""
-    A = np.eye(STATE_DIM, dtype=dtype)
+    A = np.eye(STATE_DIM)
     A[0, 7] = 1.0
     A[1, 8] = 1.0
     A[2, 9] = 1.0
     return A
 
 
-def observation_matrix(dtype=np.float64) -> np.ndarray:
+def observation_matrix() -> np.ndarray:
     """H = [I 0]: the first 7 state variables are observed directly."""
-    H = np.zeros((OBS_DIM, STATE_DIM), dtype=dtype)
-    H[:OBS_DIM, :OBS_DIM] = np.eye(OBS_DIM, dtype=dtype)
+    H = np.zeros((OBS_DIM, STATE_DIM))
+    H[:OBS_DIM, :OBS_DIM] = np.eye(OBS_DIM)
     return H
 
 
-def default_process_noise(q_velocity: float = 0.01, dtype=np.float64) -> np.ndarray:
+def default_process_noise(q_velocity: float) -> np.ndarray:
     """Diagonal process noise: zero on observed variables, q on velocities."""
-    q = np.zeros(STATE_DIM, dtype=dtype)
+    q = np.zeros(STATE_DIM)
     q[7:] = q_velocity
     return np.diag(q)
 
@@ -63,9 +63,8 @@ class ProcessModel:
     Q: np.ndarray
 
     @staticmethod
-    def constant_velocity(q_velocity: float = 0.01, dtype=np.float64) -> "ProcessModel":
-        return ProcessModel(constant_velocity_transition(dtype),
-                            default_process_noise(q_velocity, dtype=dtype))
+    def constant_velocity(q_velocity: float) -> "ProcessModel":
+        return ProcessModel(constant_velocity_transition(), default_process_noise(q_velocity))
 
 
 @dataclass

@@ -83,10 +83,6 @@ class PoseYawT:
         for f in ("t_x", "t_y", "t_z"):
             object.__setattr__(self, f, float(getattr(self, f)))
 
-    @staticmethod
-    def identity() -> "PoseYawT":
-        return PoseYawT(0.0, 0.0, 0.0, 0.0)
-
 
 def transform_point(p, pose: PoseYawT):
     """Apply a pose to a 3D point: rotate about z by yaw, then translate."""

@@ -702,12 +702,32 @@ def _read_json(path: str, error=LogFormatError) -> dict:
 
 
 @dataclass
+class AdamState:
+    """Adam's step count and moments, keyed by (cav, layer name) like the
+    optimized parameter sets."""
+
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+    @classmethod
+    def init(cls, param_sets: dict) -> "AdamState":
+        """Zero moments for every array of `param_sets` (cav -> CovNetParams)."""
+        state = cls()
+        for cav, params in param_sets.items():
+            for name, arr in params.arrays.items():
+                state.m[(cav, name)] = np.zeros_like(arr)
+                state.v[(cav, name)] = np.zeros_like(arr)
+        return state
+
+
+@dataclass
 class Checkpoint:
     params_by_cav: dict
     config: RunConfig
     seed: int
     epochs_done: int = 0
-    adam_state: dict = None  # {"step": int, "m": {(cav,name): arr}, "v": {...}}
+    adam_state: AdamState | None = None
 
 
 def _param_cavs(cfg: RunConfig):
@@ -732,14 +752,13 @@ def save_checkpoint(path: str, ckpt: Checkpoint):
         cav, name, kind = entry["cav"], entry["name"], entry["kind"]
         arr = np.ascontiguousarray(
             ckpt.params_by_cav[cav].arrays[name] if kind == "param"
-            else ckpt.adam_state[kind.removeprefix("adam_")][cav, name], dtype="<f8")
+            else getattr(ckpt.adam_state, kind.removeprefix("adam_"))[cav, name], dtype="<f8")
         manifest.append(dict(entry, shape=list(arr.shape)))
         blobs.append(arr.tobytes())
     header = {"format": FORMAT_CHECKPOINT, "version": SCHEMA_VERSION,
               "config": config_to_dict(cfg), "seed": int(ckpt.seed),
               "epochs_done": int(ckpt.epochs_done),
-              "adam_step": (None if ckpt.adam_state is None
-                            else int(ckpt.adam_state["step"])),
+              "adam_step": None if ckpt.adam_state is None else int(ckpt.adam_state.step),
               "manifest": manifest}
     with replace_file(path, "wb") as fh:
         fh.write((canonical_json(header) + "\n").encode())
@@ -808,8 +827,7 @@ def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
             params_by_cav[cav] = params_by_cav[0]
     adam_state = None
     if header.get("adam_step") is not None:
-        adam_state = {"step": header["adam_step"], "m": arrays["adam_m"],
-                      "v": arrays["adam_v"]}
+        adam_state = AdamState(header["adam_step"], arrays["adam_m"], arrays["adam_v"])
     for key, what in (("num_cavs", "number of vehicles"), ("covnet", "network settings"),
                       ("normalization_bounds", "normalization bounds")):
         if expect_config is not None and getattr(expect_config, key) != getattr(cfg, key):

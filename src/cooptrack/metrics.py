@@ -25,10 +25,9 @@ import numpy as np
 
 from .association import associate, build_cost_matrix
 from .geometry import box_rows
-from .io import replace_file
+from .io import RunConfig, replace_file
 
 NUM_RECALL_LEVELS = 40
-EVAL_IOU_THRESHOLD = 0.25
 MT_FRACTION = 0.8
 ML_FRACTION = 0.2
 
@@ -67,8 +66,7 @@ class EvalReport:
     levels: list = field(default_factory=list)
 
 
-def match_frame(track_ids, gt_ids, cost, keep,
-                iou_threshold: float = EVAL_IOU_THRESHOLD) -> list:
+def match_frame(track_ids, gt_ids, cost, keep, iou_threshold: float) -> list:
     """Match one frame's kept tracks to ground truth by IoU.
 
     `cost` is the frame's negated-IoU matrix (`association.build_cost_matrix`)
@@ -138,7 +136,7 @@ def _sweep(scored, threshold, solved, iou_threshold):
 
 
 def evaluate(track_frames: dict, gt_frames: dict,
-             iou_threshold: float = EVAL_IOU_THRESHOLD) -> EvalReport:
+             iou_threshold: float = RunConfig.eval_iou_threshold) -> EvalReport:
     """Full recall-sweep evaluation.
 
     `track_frames`: timestep -> list of (track_id, Box7, score).

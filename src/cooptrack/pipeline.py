@@ -95,7 +95,7 @@ class LearnedCovariance:
             return entry, entry.config
         return entry
 
-    def residuals(self, packets):
+    def _residuals(self, packets):
         """Residual rows of every detection of `packets`, from one network pass.
 
         The packets' vehicles must share one parameter set. Rows come packet
@@ -136,7 +136,7 @@ class LearnedCovariance:
                     groups.setdefault(id(params), []).append(packet)
         window = {}
         for group in groups.values():
-            rows = self.residuals(group)
+            rows = self._residuals(group)
             start = 0
             for packet in group:
                 stop = start + len(packet.detections)
@@ -151,7 +151,7 @@ class LearnedCovariance:
         one network pass over the packet.
         """
         if self._window is None:
-            return self.residuals([packet])
+            return self._residuals([packet])
         entry = self._window.get((packet.timestep, packet.cav_id))
         if entry is None or entry[2] - entry[1] != len(packet.detections):
             raise ValueError(f"the precomputed window holds no packet of vehicle "

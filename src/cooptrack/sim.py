@@ -17,6 +17,8 @@ from .features import DEFAULT_APPEARANCE_SHAPE, synth_appearance
 from .geometry import Box7, PoseYawT, inverse_pose, transform_box, wrap_angle
 
 FRAME_RATE_HZ = 10.0
+FRAME_DT = 1.0 / FRAME_RATE_HZ  # seconds between frames
+CONFIDENCE_COEFF = 1.2  # detection score = exp(-coeff * positional std)
 MIN_EXTENT = 0.05  # extent noise is truncated here so boxes stay valid
 MAX_POSE_STEP = 5.0
 
@@ -33,7 +35,6 @@ class SensorModel:
     fp_rate: float = 0.0             # probability of one false positive per frame
     degrade_prob: float = 0.0        # chance a detection comes out degraded
     degrade_multiplier: float = 1.0  # extra noise scale on degraded detections
-    confidence_coeff: float = 1.2    # score = exp(-coeff * positional std)
     appearance_shape: tuple = DEFAULT_APPEARANCE_SHAPE
 
     def __post_init__(self):
@@ -56,7 +57,7 @@ class SensorModel:
         return self.base_std[0] * self.noise_scale(rng_range)
 
     def confidence(self, rng_range: float) -> float:
-        return max(1e-3, min(1.0, math.exp(-self.confidence_coeff
+        return max(1e-3, min(1.0, math.exp(-CONFIDENCE_COEFF
                                            * self.positional_std(rng_range))))
 
 
@@ -108,9 +109,8 @@ class SimFrame:
     poses: dict        # cav_id -> PoseYawT
 
 
-def constant_turn_trajectory(start_xy, z, yaw, speed, turn_rate, extents, frames,
-                             dt: float = 1.0 / FRAME_RATE_HZ) -> tuple:
-    """Box7 per frame under constant speed and constant yaw rate.
+def constant_turn_trajectory(start_xy, z, yaw, speed, turn_rate, extents, frames) -> tuple:
+    """Box7 per frame under constant speed and constant yaw rate, FRAME_DT apart.
 
     turn_rate = 0 gives straight constant-velocity motion; the box yaw always
     equals the instantaneous heading.
@@ -121,20 +121,20 @@ def constant_turn_trajectory(start_xy, z, yaw, speed, turn_rate, extents, frames
     out = []
     for _ in range(frames):
         out.append(Box7(x, y, z, wrap_angle(a), l, w, h))
-        x += speed * dt * math.cos(a)
-        y += speed * dt * math.sin(a)
-        a += turn_rate * dt
+        x += speed * FRAME_DT * math.cos(a)
+        y += speed * FRAME_DT * math.sin(a)
+        a += turn_rate * FRAME_DT
     return tuple(out)
 
 
-def straight_pose_track(start_xy, yaw, speed, frames,
-                        dt: float = 1.0 / FRAME_RATE_HZ, z: float = 0.0) -> tuple:
+def straight_pose_track(start_xy, yaw, speed, frames) -> tuple:
+    """A vehicle pose per frame, at height 0, driving straight at constant speed."""
     x, y = start_xy
     out = []
     for _ in range(frames):
-        out.append(PoseYawT(x, y, z, wrap_angle(yaw)))
-        x += speed * dt * math.cos(yaw)
-        y += speed * dt * math.sin(yaw)
+        out.append(PoseYawT(x, y, 0.0, wrap_angle(yaw)))
+        x += speed * FRAME_DT * math.cos(yaw)
+        y += speed * FRAME_DT * math.sin(yaw)
     return tuple(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from . import autodiff as ad
 from .covnet import CovNetParams
 from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
+from .io import AdamState, TrainSettings
 from .pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
 
 ADAM_BETA1 = 0.9
@@ -48,8 +49,9 @@ def _center_distances(means, centers, mode: str) -> np.ndarray:
     return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
 
 
-def window_loss(reports_per_frame, gt_per_frame, radius: float = 2.0,
-                center_mode: str = "3d"):
+def window_loss(reports_per_frame, gt_per_frame,
+                radius: float = TrainSettings.gt_match_radius,
+                center_mode: str = TrainSettings.center_distance):
     """Mean L2 error of reported boxes against their nearest ground truth.
 
     Only tracks whose nearest ground-truth center lies within `radius` meters
@@ -96,22 +98,6 @@ def window_loss(reports_per_frame, gt_per_frame, radius: float = 2.0,
 
 
 # --- optimizer -----------------------------------------------------------------
-
-
-@dataclass
-class AdamState:
-    step: int = 0
-    m: dict = field(default_factory=dict)  # (cav, name) -> array
-    v: dict = field(default_factory=dict)
-
-    @classmethod
-    def init(cls, param_sets: dict) -> "AdamState":
-        state = cls()
-        for cav, params in param_sets.items():
-            for name, arr in params.arrays.items():
-                state.m[(cav, name)] = np.zeros_like(arr)
-                state.v[(cav, name)] = np.zeros_like(arr)
-        return state
 
 
 def global_grad_norm(grads: dict) -> float:
@@ -173,9 +159,8 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
 
 @dataclass
 class TrainResult:
-    param_sets: dict          # distinct parameter sets actually optimized
     params_by_cav: dict       # cav_id -> CovNetParams (aliases in shared mode)
-    adam: AdamState
+    adam: AdamState           # moments keyed by (optimized cav, layer name)
     loss_curve: list          # {"epoch", "window", "loss", "supervised"}
     epochs_done: int
 
@@ -269,8 +254,7 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                                    "supervised": supervised})
             finally:
                 tape.release()  # free the window's graph by reference counting
-    return TrainResult(param_sets=param_sets, params_by_cav=params_by_cav,
-                       adam=adam, loss_curve=loss_curve,
+    return TrainResult(params_by_cav=params_by_cav, adam=adam, loss_curve=loss_curve,
                        epochs_done=max(epochs_done, settings.epochs))
 
 

@@ -105,14 +105,6 @@ def test_getitem_adjoint_equals_add_at_for_basic_and_fancy_indices():
         assert got.tobytes() == want.tobytes(), idx
 
 
-def test_stack_grad():
-    rng = np.random.default_rng(15)
-    x0 = rng.standard_normal((2, 3))
-    w = rng.standard_normal(3)
-    check_grad(lambda x: ad.asum(ad.square(ad.stack([x[0], ad.square(x[1]), x[0], w]))), x0)
-    assert ad.stack([x0[0], w]).tolist() == [x0[0].tolist(), w.tolist()]
-
-
 def test_sqrt_adjoint_is_zero_where_the_root_is_zero():
     tape = ad.Tape()
     x = tape.var([0.0, 4.0, 0.0])
@@ -330,11 +322,11 @@ def test_conv2d_grad():
     x = rng.standard_normal((3, 2, 4, 4))
     w0 = rng.standard_normal((3, 2, 3, 3))
     b0 = rng.standard_normal(3)
-    check_grad(lambda w: ad.asum(ad.square(ad.conv2d(x, w, b0))), w0, rtol=1e-5)
-    check_grad(lambda b: ad.asum(ad.square(ad.conv2d(x, w0, b))), b0, rtol=1e-5)
+    check_grad(lambda w: ad.asum(ad.square(ad.conv2d(x, w, b0, 2, 1))), w0, rtol=1e-5)
+    check_grad(lambda b: ad.asum(ad.square(ad.conv2d(x, w0, b, 2, 1))), b0, rtol=1e-5)
     tape = ad.Tape()
     xleaf = tape.var(x)
-    tape.backward(ad.asum(ad.square(ad.conv2d(xleaf, w0, b0))))
+    tape.backward(ad.asum(ad.square(ad.conv2d(xleaf, w0, b0, 2, 1))))
 
     def f(xv):
         return float(sum(np.sum(np.asarray(reference_conv2d(
@@ -405,10 +397,11 @@ def test_conv_index_cache_does_not_grow_with_batch_size():
     for n in range(1, 301):
         x = rng.standard_normal((n, 3, 8, 8))
         if n % 50:
-            ad.conv2d(ad.conv2d(x, w1, b1), w2, b2)
+            ad.conv2d(ad.conv2d(x, w1, b1, 2, 1), w2, b2, 2, 1)
         else:  # now and then on the tape, backward pass included
             tape = ad.Tape()
-            tape.backward(ad.asum(ad.conv2d(ad.conv2d(tape.var(x), w1, b1), w2, b2)))
+            inner = ad.conv2d(tape.var(x), w1, b1, 2, 1)
+            tape.backward(ad.asum(ad.conv2d(inner, w2, b2, 2, 1)))
         sizes.add(ad.im2col_indices.cache_info().currsize)
     assert sizes == {2}  # one entry per conv layer's image shape
 
@@ -472,8 +465,6 @@ OPS = {
     "matmul": (ad.matmul, lambda r: [r.standard_normal((2, 3, 4)), r.standard_normal(4)]),
     "getitem": (lambda a: ad.getitem(a, (slice(None), [0, 2, 0])),
                 lambda r: [r.standard_normal((3, 4))]),
-    "stack": (lambda *parts: ad.stack(list(parts)),
-              lambda r: [r.standard_normal((2, 3)) for _ in range(3)]),
     "scatter_rows": (lambda base, values: ad.scatter_rows(base, [3, 0], values),
                      lambda r: [r.standard_normal((4, 3)), r.standard_normal((2, 3))]),
     "concat": (lambda *parts: ad.concat(list(parts), axis=-1),
@@ -564,3 +555,91 @@ def test_every_imported_name_is_used_in_its_module():
         dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
                  if name not in used and name not in exempt]
     assert not dead, "imported but never used: " + ", ".join(sorted(dead))
+
+
+# names defined in src/ that no code there uses, each kept for the reason given
+UNREFERENCED_KEPT = {
+    "features.positional_encoding": "the reference test_encode_detection_composes holds "
+                                    "encode_detection's pose-once shortcut to",
+    "filter.fuse_sequential": "acceptance criterion 1 folds the update with it",
+    "io.save_config": "the acceptance and CLI tests write their config files with it",
+    "pipeline.CoopTracker.skipped_updates": "the count of degenerate updates a run skips, "
+                                            "which the planned consistency report records",
+}
+
+
+def _module_bindings(module, tree, defined):
+    """What each module-level name of `module` stands for: the qualified name of a
+    module or definition of the package, or None for anything from outside it."""
+    bound = {name.split(".")[1]: name for name in defined
+             if name.startswith(module + ".") and name.count(".") == 1}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name.split(".")[0], None)
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                target = None  # `import numpy as np`, `from dataclasses import field`
+                if node.level and node.module is None:  # `from . import autodiff as ad`
+                    target = alias.name
+                elif node.level:  # `from .geometry import Box7`
+                    target = f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = target
+    return bound
+
+
+def _qualified(expr, bound):
+    """The qualified name of a Name or attribute chain, or None when it is not
+    rooted in a package name (`np.stack`, `self.bank`, `f(x).y`)."""
+    if isinstance(expr, ast.Name):
+        return bound.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        base = _qualified(expr.value, bound)
+        return base and f"{base}.{expr.attr}"
+    return None
+
+
+def unreferenced_definitions(src) -> list:
+    """Functions, classes and (non-dunder) methods defined in the modules of `src`
+    that no code there refers to outside their own definition. A qualified use
+    (`ad.conv2d`, `CovNetParams.init`) counts for that name alone; an attribute of
+    anything else (`self.lift`, `params.lift`) counts for every method so named."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(src).glob("*.py"))}
+    spans = {}  # qualified name -> (module, first line, last line)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                spans[f"{module}.{node.name}"] = (module, node.lineno, node.end_lineno)
+            if isinstance(node, ast.ClassDef):
+                spans.update((f"{module}.{node.name}.{item.name}",
+                              (module, item.lineno, item.end_lineno))
+                             for item in node.body if isinstance(item, ast.FunctionDef)
+                             and not item.name.startswith("__"))
+    uses = []  # (qualified name, or None for any method named `attr`; attr; module; line)
+    for module, tree in trees.items():
+        bound = _module_bindings(module, tree, spans)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and bound.get(node.id):
+                uses.append((bound[node.id], None, module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                base = _qualified(node.value, bound)
+                if base:
+                    uses.append((f"{base}.{node.attr}", None, module, node.lineno))
+                elif not (isinstance(node.value, ast.Name) and node.value.id in bound):
+                    uses.append((None, node.attr, module, node.lineno))
+    unused = []
+    for name, (module, first, last) in spans.items():
+        method = name.count(".") == 2 and name.rsplit(".", 1)[1]
+        if not any((q == name or (q is None and attr == method))
+                   and not (m == module and first <= line <= last)
+                   for q, attr, m, line in uses):
+            unused.append(name)
+    return unused
+
+
+def test_every_definition_is_used_in_the_package():
+    unused = set(unreferenced_definitions(pathlib.Path(ad.__file__).parent))
+    assert unused <= set(UNREFERENCED_KEPT), (
+        "defined but never used in src/: " + ", ".join(sorted(unused - set(UNREFERENCED_KEPT))))
+    assert set(UNREFERENCED_KEPT) <= unused, "kept names now used in src/: drop them from the list"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cooptrack import cli, io, metrics, sim, training
-from cooptrack.covnet import CovNetParams
+from cooptrack.covnet import CovNetParams, layer_shapes
 from cooptrack.io import Checkpoint, NetSettings, RunConfig, ScenarioConfig, TrainSettings
 
 
@@ -386,13 +386,14 @@ def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail
                              adam=False, kind="param"):
     """Save a zero checkpoint for `cfg` (with zero Adam tables if `adam`), then edit
     its header, the first entry of its first table of `kind`, or its end."""
-    params = {cav: CovNetParams.zeros(cfg.covnet.covnet_config())
+    net_cfg = cfg.covnet.covnet_config()
+    params = {cav: CovNetParams(net_cfg, {name: np.zeros(shape)
+                                          for name, shape in layer_shapes(net_cfg).items()})
               for cav in range(cfg.num_cavs)}
     adam_state = None
     if adam:
-        zeros = {(cav, name): np.zeros_like(arr)
-                 for cav, p in params.items() for name, arr in p.arrays.items()}
-        adam_state = {"step": 1, "m": zeros, "v": dict(zeros)}
+        adam_state = io.AdamState.init(params)
+        adam_state.step = 1
     io.save_checkpoint(path, Checkpoint(params_by_cav=params, config=cfg, seed=0,
                                         adam_state=adam_state))
     with open(path, "rb") as fh:
@@ -489,14 +490,15 @@ def test_a_checkpoint_whose_values_overflow_the_network_exits_2(
         tmp_path, config_path, sim_dir, capsys, command, data_flag, ckpt_flag, huge):
     cfg = small_config()
     params = training.init_params_for_run(cfg, np.random.default_rng(0))
-    adam = training.AdamState.init(params)
+    adam = io.AdamState.init(params)
     tables = ([a for p in params.values() for a in p.arrays.values()] if huge == "weights"
               else list(adam.m.values()))
     for arr in tables:
         arr.flat[0] = 1e300  # finite, so the checkpoint loads
     ckpt = str(tmp_path / "huge.ckpt")
-    io.save_checkpoint(ckpt, Checkpoint(params_by_cav=params, config=cfg, seed=0, adam_state={
-        "step": 1, "m": adam.m, "v": adam.v}))
+    adam.step = 1
+    io.save_checkpoint(ckpt, Checkpoint(params_by_cav=params, config=cfg, seed=0,
+                                        adam_state=adam))
     assert cli.main([command, "--config", config_path, data_flag, sim_dir,
                      ckpt_flag, ckpt, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {ckpt}: the checkpoint's weights or Adam moments are too large" in (
@@ -658,7 +660,7 @@ def test_resume_past_the_configured_epochs_trains_none_and_keeps_the_count(
     a = io.load_checkpoint(full)
     b = io.load_checkpoint(resumed)
     assert b.epochs_done == a.epochs_done == 2
-    assert b.adam_state["step"] == a.adam_state["step"]
+    assert b.adam_state.step == a.adam_state.step
     for cav in a.params_by_cav:
         for name, arr in a.params_by_cav[cav].arrays.items():
             assert arr.tobytes() == b.params_by_cav[cav].arrays[name].tobytes()
@@ -748,6 +750,27 @@ def test_an_out_path_below_a_regular_file_exits_2_before_any_work(
     assert err.startswith("error: --out: cannot create directory ")
     assert f"{str(afile)!r} is not a directory" in err
     assert err.count("\n") == 1 and afile.read_text() == "x"
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_an_out_path_naming_a_directory_exits_2_before_any_work(
+        tmp_path, config_path, sim_dir, track_dir, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for owner, name in ((sim, "generate"), (training, "train"), (metrics, "evaluate")):
+        monkeypatch.setattr(owner, name, refuse)
+    argv = {"train": ["--config", config_path, "--scenarios", sim_dir],
+            "eval": ["--tracks", track_dir, "--gt", sim_dir],
+            "ablate": ["--config", config_path]}[command]
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    new = str(tmp_path / "new") + os.sep
+    for out in (str(existing), new):
+        assert cli.main([command, *argv, "--out", out]) == 2
+        assert capsys.readouterr().err == (f"error: --out: {out!r} is a directory, "
+                                           f"not an output file path\n")
+    assert os.listdir(existing) == [] and not os.path.exists(new)
 
 
 def test_eval_scores_at_the_runs_iou_threshold(tmp_path, config_path, sim_dir, capsys):

@@ -26,6 +26,10 @@ from cooptrack.filter import OBS_DIM, R_FLOOR, STATE_DIM
 SMALL = CovNetConfig(conv_channels=(4, 8), pos_hidden=8, pos_out=32, head_hidden=8)
 
 
+def _zero_params(cfg):
+    return CovNetParams(cfg, {name: np.zeros(shape) for name, shape in layer_shapes(cfg).items()})
+
+
 def _inputs(rng, cfg=None, n=1):
     """A batch of n detections' appearance tensors and positional encodings."""
     cfg = cfg or CovNetConfig()
@@ -162,7 +166,7 @@ def test_forward_tape_matches_plain_bitwise():
 
 
 def test_forward_zero_params_zero_output():
-    params = CovNetParams.zeros(CovNetConfig())
+    params = _zero_params(CovNetConfig())
     rng = np.random.default_rng(72)
     for n in (1, 4, 13):
         f_app, f_pos = _inputs(rng, n=n)
@@ -171,7 +175,7 @@ def test_forward_zero_params_zero_output():
 
 
 def test_forward_validates_input_shapes():
-    params = CovNetParams.zeros(CovNetConfig())
+    params = _zero_params(CovNetConfig())
     rng = np.random.default_rng(73)
     f_app, f_pos = _inputs(rng, n=2)
     with pytest.raises(ValueError):

@@ -87,7 +87,7 @@ def test_transform_box_preserves_extents_and_iou():
 
 def test_identity_pose_and_inverse_compose():
     box = Box7(2.0, -1.0, 0.5, 0.3, 4.2, 1.9, 1.5)
-    assert transform_box(box, PoseYawT.identity()) == box
+    assert transform_box(box, PoseYawT(0.0, 0.0, 0.0, 0.0)) == box
     rng = np.random.default_rng(13)
     for _ in range(100):
         pose = PoseYawT(*rng.uniform(-10, 10, size=3), rng.uniform(-math.pi, math.pi))

@@ -591,20 +591,20 @@ def test_checkpoint_round_trip_with_adam_state(tmp_path):
     cfg = small_config()
     params = make_params(cfg)
     sets = {c: p for c, p in params.items()}
-    state = training.AdamState.init(sets)
+    state = io.AdamState.init(sets)
     rng = np.random.default_rng(1)
     grads = {key: rng.standard_normal(m.shape) for key, m in state.m.items()}
     training.adam_step(sets, grads, state, 1e-3, 1e-5)
     path = str(tmp_path / "ckpt.bin")
     io.save_checkpoint(path, Checkpoint(
         params_by_cav=params, config=cfg, seed=0, epochs_done=3,
-        adam_state={"step": state.step, "m": state.m, "v": state.v}))
+        adam_state=state))
     loaded = io.load_checkpoint(path)
     assert loaded.epochs_done == 3
-    assert loaded.adam_state["step"] == 1
+    assert loaded.adam_state.step == 1
     for key in state.m:
-        np.testing.assert_array_equal(loaded.adam_state["m"][key], state.m[key])
-        np.testing.assert_array_equal(loaded.adam_state["v"][key], state.v[key])
+        np.testing.assert_array_equal(loaded.adam_state.m[key], state.m[key])
+        np.testing.assert_array_equal(loaded.adam_state.v[key], state.v[key])
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):
@@ -659,8 +659,8 @@ def test_checkpoint_bytes_are_pinned(tmp_path, shared, adam, digest):
         keys = [(cav, name) for cav in ([0] if shared else range(cfg.num_cavs))
                 for name in params[cav].arrays]
         shapes = {(cav, name): params[cav].arrays[name].shape for cav, name in keys}
-        adam_state = {"step": 4, "m": {k: rng.standard_normal(shapes[k]) for k in keys},
-                      "v": {k: rng.random(shapes[k]) for k in keys}}
+        adam_state = io.AdamState(step=4, m={k: rng.standard_normal(shapes[k]) for k in keys},
+                                  v={k: rng.random(shapes[k]) for k in keys})
     path = tmp_path / "ckpt.bin"
     io.save_checkpoint(str(path), Checkpoint(params_by_cav=params, config=cfg, seed=7,
                                              epochs_done=2, adam_state=adam_state))

@@ -15,7 +15,7 @@ import pytest
 from cooptrack import metrics
 from cooptrack.association import build_cost_matrix
 from cooptrack.geometry import Box7, box_rows
-from cooptrack.io import gt_frames_from_records, track_frames_from_records
+from cooptrack.io import RunConfig, gt_frames_from_records, track_frames_from_records
 from cooptrack.metrics import (
     BOX_REALS,
     MEGABYTE,
@@ -46,11 +46,12 @@ def _perfect_case(num_objects=3, num_frames=10):
 
 
 def _match(tracks, gts, keep=None):
-    """match_frame on the frame's full gt x track cost matrix, keeping every
-    track unless `keep` lists the kept columns."""
+    """match_frame on the frame's full gt x track cost matrix at the default
+    evaluation IoU, keeping every track unless `keep` lists the kept columns."""
     cost = build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b in tracks))
     keep = list(range(len(tracks))) if keep is None else keep
-    return match_frame([tid for tid, _ in tracks], [gid for gid, _ in gts], cost, keep)
+    return match_frame([tid for tid, _ in tracks], [gid for gid, _ in gts], cost, keep,
+                       RunConfig.eval_iou_threshold)
 
 
 def test_match_frame_counts():

@@ -9,7 +9,7 @@ import pytest
 
 from cooptrack import covnet, metrics, sim
 from cooptrack.association import LifecycleConfig
-from cooptrack.covnet import CovNetConfig, CovNetParams
+from cooptrack.covnet import CovNetConfig, CovNetParams, layer_shapes
 from cooptrack.features import encode_detection
 from cooptrack.filter import (ObservationModel, ProcessModel, TrackState, observation_matrix,
                               predict, update)
@@ -25,7 +25,11 @@ from cooptrack.pipeline import (
 )
 from cooptrack.io import TrackerSettings
 
-IDENT = PoseYawT.identity()
+IDENT = PoseYawT(0.0, 0.0, 0.0, 0.0)
+
+
+def _zero_params(cfg=CovNetConfig()):
+    return CovNetParams(cfg, {name: np.zeros(shape) for name, shape in layer_shapes(cfg).items()})
 
 
 def _det(x, y, conf=0.9, yaw=0.0):
@@ -245,7 +249,7 @@ def test_a_live_track_without_a_positive_extent_fails_its_frame(extent):
 
 
 def test_learned_provider_requires_params_and_appearance():
-    params = {0: CovNetParams.zeros(CovNetConfig())}
+    params = {0: _zero_params()}
     provider = LearnedCovariance(params)
     tracker = CoopTracker(cov_provider=provider)
     with pytest.raises(ValueError, match="frame 0"):
@@ -261,8 +265,7 @@ def test_zero_params_equal_constant_covariance_exactly():
     the constant tracker's floating point stream bit for bit."""
     frames = sim.generate(sim.preset_v2v_mini(seed=11, duration=40))
     packets = [packets_from_sim_frame(f) for f in frames]
-    zero_params = {0: CovNetParams.zeros(CovNetConfig()),
-                   1: CovNetParams.zeros(CovNetConfig())}
+    zero_params = {0: _zero_params(), 1: _zero_params()}
     rep_learned, cost_l = run_sequence(packets, CoopTracker(LearnedCovariance(zero_params)))
     rep_const, cost_c = run_sequence(packets, CoopTracker(ConstantCovariance()))
     assert cost_l.num_shared_detections == cost_c.num_shared_detections
@@ -352,7 +355,7 @@ def test_each_detection_takes_its_own_row():
     first = _learned_packet(rng, 0, 0, [0.0, 20.0, 40.0], cfg)
     tracker = CoopTracker(cov_provider=LearnedCovariance({0: params}))
     tracker.step([first])
-    process = ProcessModel.constant_velocity()
+    process = ProcessModel.constant_velocity(TrackerSettings.process_noise_velocity)
     # births: each track's initial covariance comes from its detection's row
     for trk, det in zip(_beliefs(tracker), first.detections):
         f_pos = encode_detection(box_rows([det.box]), IDENT)
@@ -376,7 +379,7 @@ def test_each_detection_takes_its_own_row():
 
 
 def test_empty_packet_needs_no_parameters():
-    provider = LearnedCovariance({0: CovNetParams.zeros(CovNetConfig())})
+    provider = LearnedCovariance({0: _zero_params()})
     assert CoopTracker(cov_provider=provider).step([_packet(0, 7, [])]) == []
 
 
@@ -403,7 +406,7 @@ class _DegenerateNoiseAt:
 
 
 def test_one_degenerate_update_does_not_abort_the_sequence():
-    process = ProcessModel.constant_velocity()
+    process = ProcessModel.constant_velocity(TrackerSettings.process_noise_velocity)
     tracker = CoopTracker(cov_provider=_DegenerateNoiseAt(timestep=1, detection=1),
                           lifecycle=LifecycleConfig(min_hits=1, max_age=2))
     xs = (0.0, 20.0, 40.0)

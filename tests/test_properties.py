@@ -14,8 +14,9 @@ from cooptrack.geometry import (Box7, PoseYawT, box_rows, inverse_pose, iou3d, t
                                 transform_rows, wrap_angle)
 from cooptrack.association import build_cost_matrix
 from cooptrack import metrics
-from cooptrack.metrics import (EVAL_IOU_THRESHOLD, ML_FRACTION, MT_FRACTION, NUM_RECALL_LEVELS,
-                               EvalReport, RecallLevel, count_id_switches, evaluate, match_frame)
+from cooptrack.io import RunConfig
+from cooptrack.metrics import (ML_FRACTION, MT_FRACTION, NUM_RECALL_LEVELS, EvalReport,
+                               RecallLevel, count_id_switches, evaluate, match_frame)
 
 # deterministic example sequences, no example database on disk
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -160,7 +161,7 @@ def _reference_sweep(frames, track_frames, gt_frames, avg_score, threshold):
                 if avg_score[tid] >= threshold]
         cost = build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b in kept))
         pairs = match_frame([tid for tid, _ in kept], [g for g, _ in gts], cost,
-                            np.arange(len(kept)), EVAL_IOU_THRESHOLD)
+                            np.arange(len(kept)), RunConfig.eval_iou_threshold)
         tp, fp, fn = tp + len(pairs), fp + len(kept) - len(pairs), fn + len(gts) - len(pairs)
         ids += count_id_switches(pairs, last_ids)
         for gt_id, tid, iou in pairs:

@@ -670,7 +670,7 @@ def test_exact_hits_give_a_zero_loss_gradient_not_nan(monkeypatch):
     result = training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
     assert result.loss_curve == [{"epoch": 0, "window": 0, "loss": 0.0, "supervised": 30}]
     assert norms == [0.0] and result.adam.step == 1
-    for params in result.param_sets.values():
+    for params in result.params_by_cav.values():
         assert all(np.all(np.isfinite(arr)) for arr in params.arrays.values())
 
 
@@ -761,9 +761,8 @@ def test_train_shared_weights_updates_single_set():
     shared = CovNetParams.init(small_net(), rng)
     params = {0: shared, 1: shared}
     result = training.train(frames, params, cfg.train, cfg.tracker)
-    assert list(result.param_sets) == [0]
     assert result.params_by_cav[0] is result.params_by_cav[1]
-    assert all(key[0] == 0 for key in result.adam.m)
+    assert {cav for cav, _name in result.adam.m} == {0}
 
 
 def test_init_params_for_run_honors_sharing_flag():
