@@ -23,35 +23,28 @@ from .io import (DETECTIONS_FILE, GT_FILE, TENSORS_FILE, TRACKS_FILE,  # noqa: F
 # --- subcommands ----------------------------------------------------------------
 
 
-def _check_out_dir(path: str):
-    """Reject, before any work, an output directory that a regular file
-    stands in the place of (the directory or one of its parents): a usage
-    error (ConfigError) naming both. Creates nothing."""
-    head = path
-    while head and not os.path.exists(head):
-        head = os.path.dirname(head)
-    if head and not os.path.isdir(head):
-        raise cio.ConfigError(f"--out: cannot create directory {path!r}: "
-                              f"{head!r} is not a directory")
-
-
-def _make_parent_dir(path: str):
-    """Create the directory an output file goes to, before the work that fills it.
-
-    A path that names a directory, an existing one or any that ends in a
-    separator, cannot take the file: a usage error (ConfigError), raised
-    before anything is created.
-    """
-    if not os.path.basename(path) or os.path.isdir(path):
-        raise cio.ConfigError(f"--out: {path!r} is a directory, not an output file path")
-    directory = os.path.dirname(path) or "."
-    _check_out_dir(directory)
-    os.makedirs(directory, exist_ok=True)
+def _check_outputs(paths, make_dir: bool = False):
+    """Reject, before any work, output files that cannot be written: a usage
+    error (ConfigError) naming the first of `paths` that is a directory (an
+    existing one, or any path ending in a separator) or whose directory a
+    regular file stands in the place of (the directory or one of its parents).
+    With `make_dir`, then create the directory of `paths[0]`; nothing else."""
+    for path in paths:
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise cio.ConfigError(f"--out: {path!r} is a directory, not an output file path")
+        directory = head = os.path.dirname(path)
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            raise cio.ConfigError(f"--out: cannot create directory {directory!r}: "
+                                  f"{head!r} is not a directory")
+    if make_dir:
+        os.makedirs(os.path.dirname(paths[0]) or ".", exist_ok=True)
 
 
 def cmd_simulate(args) -> int:
     cfg = cio.load_config(args.config)
-    _check_out_dir(args.out)
+    _check_outputs([os.path.join(args.out, name) for name in cio.SIMULATE_FILES])
     frames = sim.generate(cio.build_scenario(cfg))
     cio.write_sim_output(frames, args.out, tuple(cfg.covnet.app_shape))
     cio.write_run_metadata(args.out, cfg, {"command": "simulate"})
@@ -85,7 +78,7 @@ def _parse_cavs(text: str, known) -> list:
 
 def cmd_track(args) -> int:
     cfg = cio.load_config(args.config)
-    _check_out_dir(args.out)
+    _check_outputs([os.path.join(args.out, name) for name in cio.TRACK_FILES])
     frames, det_records = cio.load_sim_frames(args.detections)
     known = _log_vehicles(cfg, det_records)
     cav_filter = None if args.cavs is None else _parse_cavs(args.cavs, known)
@@ -110,7 +103,8 @@ def cmd_train(args) -> int:
         params_by_cav = training.init_params_for_run(cfg, np.random.default_rng(cfg.seed))
         adam = None
         epochs_done = 0
-    _make_parent_dir(args.out)
+    curve_path = args.out + ".losscurve.jsonl"
+    _check_outputs([args.out, curve_path], make_dir=True)
     with (cio.checkpoint_overflow_rejected(args.resume) if args.resume
           else contextlib.nullcontext()):
         result = training.train(frames, params_by_cav, cfg.train, cfg.tracker,
@@ -120,7 +114,6 @@ def cmd_train(args) -> int:
                           seed=cfg.seed, epochs_done=result.epochs_done,
                           adam_state=result.adam)
     cio.save_checkpoint(args.out, ckpt)
-    curve_path = args.out + ".losscurve.jsonl"
     cio.write_log(curve_path, cio.FORMAT_LOSSCURVE, result.loss_curve)
     print(f"trained {result.epochs_done - epochs_done} epoch(s); "
           f"checkpoint at {args.out}")
@@ -131,11 +124,12 @@ def cmd_eval(args) -> int:
     track_frames, comm_mb, run_cfg = cio.load_track_output(args.tracks)
     iou_threshold = (run_cfg or cio.RunConfig()).eval_iou_threshold
     gt_frames = cio.load_gt_frames(args.gt)
-    _make_parent_dir(args.out)
+    base, ext = os.path.splitext(args.out)
+    levels_path = f"{base}_levels{ext or '.csv'}"
+    _check_outputs([args.out, levels_path], make_dir=True)
     report = metrics.evaluate(track_frames, gt_frames, iou_threshold=iou_threshold)
     metrics.write_summary_csv(args.out, [("run", report, comm_mb)])
-    base, ext = os.path.splitext(args.out)
-    metrics.write_recall_table_csv(f"{base}_levels{ext or '.csv'}", report)
+    metrics.write_recall_table_csv(levels_path, report)
     print(f"AMOTA {report.amota:.2f}  sAMOTA {report.samota:.2f}  "
           f"AMOTP {report.amotp:.2f}  MOTA {report.mota:.2f}  "
           f"MT {report.mt:.2f}  ML {report.ml:.2f}  IDS {report.ids}")
@@ -155,7 +149,7 @@ def cmd_comm_cost(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = cio.load_config(args.config)
-    _make_parent_dir(args.out)
+    _check_outputs([args.out], make_dir=True)
     train_cfg = cfg
     eval_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
     train_frames = sim.generate(cio.build_scenario(train_cfg))
@@ -258,7 +252,7 @@ def main(argv=None) -> int:
     except (cio.ConfigError, cio.LogFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,7 @@ from .association import LifecycleConfig
 from .covnet import CovNetConfig, CovNetParams, layer_shapes
 from .features import DEFAULT_BOUNDS
 from .geometry import Box7, PoseYawT
+from .sim import ScenarioConfig
 
 FORMAT_DETECTIONS = "cooptrack-detections"
 FORMAT_TRACKS = "cooptrack-tracks"
@@ -39,14 +40,15 @@ FORMAT_TENSORS = "cooptrack-tensors"
 FORMAT_CHECKPOINT = "cooptrack-checkpoint"
 SCHEMA_VERSION = 1
 
-# the files of a run directory: `simulate` writes the first three, `track`
-# the next two, and both write RUN_META_FILE
 GT_FILE = "gt.jsonl"
 DETECTIONS_FILE = "detections.jsonl"
 TENSORS_FILE = "tensors.bin"
 TRACKS_FILE = "tracks.jsonl"
 COMM_FILE = "comm.json"
 RUN_META_FILE = "run_meta.json"
+# the files of a run directory that `simulate` and `track` write
+SIMULATE_FILES = (GT_FILE, DETECTIONS_FILE, TENSORS_FILE, RUN_META_FILE)
+TRACK_FILES = (TRACKS_FILE, COMM_FILE, RUN_META_FILE)
 
 
 class LogFormatError(ValueError):
@@ -98,14 +100,6 @@ def _unlink(path: str):
 
 
 # --- configuration -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    duration: int = 200
-    noise_multiplier: float = 1.0
-    miss_multiplier: float = 1.0
-    fp_multiplier: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -562,12 +556,8 @@ def build_scenario(cfg: RunConfig) -> sim.Scenario:
     if cfg.covnet.app_shape[0] < 3:
         raise ConfigError(f"covnet.app_shape: the simulator draws at least 3 channels, "
                           f"got {list(cfg.covnet.app_shape)}")
-    sc = cfg.scenario
-    return sim.preset_v2v_mini(seed=cfg.seed, duration=sc.duration,
-                               noise_multiplier=sc.noise_multiplier,
-                               miss_multiplier=sc.miss_multiplier,
-                               fp_multiplier=sc.fp_multiplier,
-                               app_shape=tuple(cfg.covnet.app_shape))
+    return sim.preset_v2v_mini(seed=cfg.seed, app_shape=tuple(cfg.covnet.app_shape),
+                               **dataclasses.asdict(cfg.scenario))
 
 
 def write_sim_output(frames, out_dir: str, app_shape) -> None:
@@ -734,6 +724,13 @@ def _param_cavs(cfg: RunConfig):
     return [0] if cfg.covnet.shared_weights else list(range(cfg.num_cavs))
 
 
+def params_by_vehicle(cfg: RunConfig, make: Callable[[int], CovNetParams]) -> dict:
+    """Vehicle id -> parameter set, `make(cav)` giving the set of each owning vehicle
+    in id order; under shared weights every vehicle uses vehicle 0's."""
+    owned = {cav: make(cav) for cav in _param_cavs(cfg)}
+    return {cav: owned.get(cav, owned[0]) for cav in range(cfg.num_cavs)}
+
+
 def _checkpoint_manifest(cfg: RunConfig, adam: bool) -> list:
     """The manifest a checkpoint of `cfg` holds, in file order: the `param` entries,
     then (when `adam`) the `adam_m` and `adam_v` ones; each kind by vehicle id, and
@@ -819,12 +816,8 @@ def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:
                                  f"{entry['name']} has {bad} entries")
         arrays[entry["kind"]][entry["cav"], entry["name"]] = block.reshape(entry["shape"])
     net_cfg = cfg.covnet.covnet_config()
-    params_by_cav = {cav: CovNetParams(net_cfg, {name: arrays["param"][cav, name]
-                                                 for name in layer_shapes(net_cfg)})
-                     for cav in _param_cavs(cfg)}
-    if cfg.covnet.shared_weights:
-        for cav in range(cfg.num_cavs):
-            params_by_cav[cav] = params_by_cav[0]
+    params_by_cav = params_by_vehicle(cfg, lambda cav: CovNetParams(
+        net_cfg, {name: arrays["param"][cav, name] for name in layer_shapes(net_cfg)}))
     adam_state = None
     if header.get("adam_step") is not None:
         adam_state = AdamState(header["adam_step"], arrays["adam_m"], arrays["adam_v"])

@@ -227,10 +227,20 @@ def generate(scenario: Scenario) -> list:
     return frames
 
 
-def preset_v2v_mini(seed: int = 0, duration: int = 200,
-                    noise_multiplier: float = 1.0,
-                    miss_multiplier: float = 1.0,
-                    fp_multiplier: float = 1.0,
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """The `preset_v2v_mini` settings a run config holds (its `scenario` section)."""
+
+    duration: int = 200
+    noise_multiplier: float = 1.0
+    miss_multiplier: float = 1.0
+    fp_multiplier: float = 1.0
+
+
+def preset_v2v_mini(seed: int = 0, duration: int = ScenarioConfig.duration,
+                    noise_multiplier: float = ScenarioConfig.noise_multiplier,
+                    miss_multiplier: float = ScenarioConfig.miss_multiplier,
+                    fp_multiplier: float = ScenarioConfig.fp_multiplier,
                     app_shape: tuple = DEFAULT_APPEARANCE_SHAPE) -> Scenario:
     """Canonical 2-vehicle, 12-object scenario.
 

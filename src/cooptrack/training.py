@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .covnet import CovNetParams
 from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
-from .io import AdamState, TrainSettings
+from .io import AdamState, TrainSettings, params_by_vehicle
 from .pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
 
 ADAM_BETA1 = 0.9
@@ -261,7 +261,4 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
 def init_params_for_run(config, rng: np.random.Generator) -> dict:
     """Fresh per-vehicle parameter sets honoring the shared-weights flag."""
     net_cfg = config.covnet.covnet_config()
-    if config.covnet.shared_weights:
-        shared = CovNetParams.init(net_cfg, rng)
-        return {cav: shared for cav in range(config.num_cavs)}
-    return {cav: CovNetParams.init(net_cfg, rng) for cav in range(config.num_cavs)}
+    return params_by_vehicle(config, lambda cav: CovNetParams.init(net_cfg, rng))

@@ -452,11 +452,6 @@ def test_gradient_accumulates_over_reuse():
     np.testing.assert_allclose(ad.grad_of(x), [6.0])
 
 
-def _spd_stack(rng, k, n):
-    x = rng.standard_normal((k, n, n))
-    return x @ np.swapaxes(x, -1, -2) + n * np.eye(n)
-
-
 # every taped op, as (call on its operands, operands drawn from an rng)
 OPS = {
     "add": (ad.add, lambda r: [r.standard_normal((3, 4)), r.standard_normal((1, 4))]),
@@ -643,3 +638,17 @@ def test_every_definition_is_used_in_the_package():
     assert unused <= set(UNREFERENCED_KEPT), (
         "defined but never used in src/: " + ", ".join(sorted(unused - set(UNREFERENCED_KEPT))))
     assert set(UNREFERENCED_KEPT) <= unused, "kept names now used in src/: drop them from the list"
+
+
+def test_no_name_is_defined_twice_in_one_scope():
+    # a second definition silently replaces the first; a second `test_` drops a test
+    twice = []
+    for root in (pathlib.Path(ad.__file__).parent, pathlib.Path(__file__).parent):
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+                names = [node.name for node in scope.body if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+                twice += [f"{path.name}: {getattr(scope, 'name', 'module')}.{name}"
+                          for name in sorted(set(names)) if names.count(name) > 1]
+    assert not twice, "defined twice in one scope: " + ", ".join(twice)

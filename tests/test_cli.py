@@ -50,8 +50,8 @@ def read_csv(path):
 
 
 def test_simulate_writes_all_artifacts(sim_dir, capsys):
-    for name in (io.GT_FILE, io.DETECTIONS_FILE, io.TENSORS_FILE, io.RUN_META_FILE):
-        assert os.path.exists(os.path.join(sim_dir, name))
+    # the files that `simulate` checks before any work are the ones it writes
+    assert sorted(os.listdir(sim_dir)) == sorted(io.SIMULATE_FILES)
     gt = io.read_log(os.path.join(sim_dir, io.GT_FILE), io.FORMAT_GROUNDTRUTH)
     assert {r["t"] for r in gt} == set(range(20))
     assert len({r["obj"] for r in gt}) == 12
@@ -105,6 +105,7 @@ def test_track_without_checkpoint_counts_box_only_payload(tmp_path, config_path,
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--out", out]) == 0
     capsys.readouterr()
+    assert sorted(os.listdir(out)) == sorted(io.TRACK_FILES)  # as checked before the work
     tracks = io.read_log(os.path.join(out, io.TRACKS_FILE), io.FORMAT_TRACKS)
     assert tracks
     assert all(0.0 < r["score"] <= 1.0 for r in tracks)
@@ -752,25 +753,40 @@ def test_an_out_path_below_a_regular_file_exits_2_before_any_work(
     assert err.count("\n") == 1 and afile.read_text() == "x"
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+@pytest.mark.parametrize("command", ["simulate", "track", "train", "eval", "ablate"])
 def test_an_out_path_naming_a_directory_exits_2_before_any_work(
         tmp_path, config_path, sim_dir, track_dir, capsys, monkeypatch, command):
     def refuse(*args, **kwargs):
         raise AssertionError("the work started")
 
-    for owner, name in ((sim, "generate"), (training, "train"), (metrics, "evaluate")):
+    for owner, name in ((sim, "generate"), (cli, "run_tracking"), (training, "train"),
+                        (metrics, "evaluate")):
         monkeypatch.setattr(owner, name, refuse)
-    argv = {"train": ["--config", config_path, "--scenarios", sim_dir],
+    argv = {"simulate": ["--config", config_path],
+            "track": ["--config", config_path, "--detections", sim_dir],
+            "train": ["--config", config_path, "--scenarios", sim_dir],
             "eval": ["--tracks", track_dir, "--gt", sim_dir],
             "ablate": ["--config", config_path]}[command]
     existing = tmp_path / "existing"
     existing.mkdir()
     new = str(tmp_path / "new") + os.sep
-    for out in (str(existing), new):
+    # (--out, the output path in the way): --out itself when it names a file ...
+    cases = [] if command in ("simulate", "track") else [(str(existing),) * 2, (new,) * 2]
+    # ... and a file that the command writes beside or below it
+    run = tmp_path / "run"
+    derived = {"simulate": (run, run / io.RUN_META_FILE), "track": (run, run / io.TRACKS_FILE),
+               "train": (run / "m.ckpt", run / "m.ckpt.losscurve.jsonl"),
+               "eval": (run / "s.csv", run / "s_levels.csv")}.get(command)
+    if derived:
+        derived[1].mkdir(parents=True)
+        cases.append(tuple(map(str, derived)))
+    for out, in_the_way in cases:
         assert cli.main([command, *argv, "--out", out]) == 2
-        assert capsys.readouterr().err == (f"error: --out: {out!r} is a directory, "
+        assert capsys.readouterr().err == (f"error: --out: {in_the_way!r} is a directory, "
                                            f"not an output file path\n")
     assert os.listdir(existing) == [] and not os.path.exists(new)
+    if derived:
+        assert os.listdir(run) == [derived[1].name] and os.listdir(derived[1]) == []
 
 
 def test_eval_scores_at_the_runs_iou_threshold(tmp_path, config_path, sim_dir, capsys):
@@ -932,6 +948,14 @@ def test_missing_input_exits_1(tmp_path, config_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_input_that_cannot_be_read_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", str(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_help_documents_every_config_key(capsys):
