@@ -10,25 +10,32 @@ from scipy.optimize import linear_sum_assignment
 from .geometry import iou3d
 
 
+def prescreen_pairs(a, b):
+    """Index arrays (i, j) of every pair of an (n, 7) and an (m, 7) box-row array
+    whose BEV circumcircles overlap, in row-major order. Every other pair has
+    an IoU of exactly zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ra = 0.5 * np.hypot(a[:, 4], a[:, 5])
+    rb = 0.5 * np.hypot(b[:, 4], b[:, 5])
+    dist = np.hypot(a[:, 0:1] - b[None, :, 0], a[:, 1:2] - b[None, :, 1])
+    return np.nonzero(dist <= ra[:, None] + rb[None, :])
+
+
 def build_cost_matrix(tracks, detections) -> np.ndarray:
     """Negated pairwise 3D IoU between (n, 7) track rows and (m, 7) detection rows.
 
     Each row is a box's (x, y, z, a, l, w, h) with its yaw wrapped as Box7
-    wraps it (`geometry.box_rows` turns Box7s into such rows). A
-    center-distance prescreen skips pairs whose BEV circumcircles cannot
-    overlap; those entries are exactly zero IoU anyway. Every other pair
-    is one `iou3d` call on the two rows.
+    wraps it (`geometry.box_rows` turns Box7s into such rows). Pairs that
+    `prescreen_pairs` drops are exactly zero IoU; every other pair is one
+    `iou3d` call on the two rows. A tracker's matrix holds too few pairs for
+    the batched `iou3d_rows` to pay for its fixed cost.
     """
     n, m = len(tracks), len(detections)
     cost = np.zeros((n, m), dtype=float)
     if n == 0 or m == 0:
         return cost
     tracks, detections = np.asarray(tracks, dtype=float), np.asarray(detections, dtype=float)
-    tr = 0.5 * np.hypot(tracks[:, 4], tracks[:, 5])
-    dr = 0.5 * np.hypot(detections[:, 4], detections[:, 5])
-    dist = np.hypot(tracks[:, 0:1] - detections[None, :, 0],
-                    tracks[:, 1:2] - detections[None, :, 1])
-    ii, jj = np.nonzero(dist <= tr[:, None] + dr[None, :])
+    ii, jj = prescreen_pairs(tracks, detections)
     track_rows, det_rows = tracks.tolist(), detections.tolist()
     cost[ii, jj] = [-iou3d(track_rows[i], det_rows[j])
                     for i, j in zip(ii.tolist(), jj.tolist())]
@@ -38,10 +45,13 @@ def build_cost_matrix(tracks, detections) -> np.ndarray:
 def hungarian_solve(cost: np.ndarray):
     """Minimum-total-cost perfect matching on the zero-padded square matrix.
 
-    Returns (row, col) pairs restricted to the real (unpadded) entries.
+    Returns (row, col) int pairs restricted to the real (unpadded) entries,
+    in ascending row order. On a square matrix the solver gives the rows in
+    order, so the real rows are the first n, and their real columns those
+    below m.
     """
     cost = np.asarray(cost, dtype=float)
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
     n, m = cost.shape
     if n == 0 or m == 0:
@@ -49,8 +59,8 @@ def hungarian_solve(cost: np.ndarray):
     size = max(n, m)
     padded = np.zeros((size, size), dtype=float)
     padded[:n, :m] = cost
-    rows, cols = linear_sum_assignment(padded)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if r < n and c < m]
+    _rows, cols = linear_sum_assignment(padded)
+    return [(r, c) for r, c in enumerate(cols[:n].tolist()) if c < m]
 
 
 def associate(cost, iou_threshold: float) -> list:
@@ -58,13 +68,14 @@ def associate(cost, iou_threshold: float) -> list:
 
     `cost` is a (tracks, detections) matrix as built by `build_cost_matrix`.
     Returns (row, col, iou) for every solved pair whose IoU is at least
-    `iou_threshold`, in ascending row order; a row or column in no returned
-    pair is unmatched.
+    `iou_threshold`, in ascending row order, with row and col ints and iou
+    the numpy float64 read from `cost`; a row or column in no returned pair
+    is unmatched.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
-    return [(r, c, -cost[r, c]) for r, c in hungarian_solve(cost)
-            if -cost[r, c] >= iou_threshold]
+    return [(r, c, iou) for r, c in hungarian_solve(cost)
+            if (iou := -cost[r, c]) >= iou_threshold]
 
 
 @dataclass(frozen=True)

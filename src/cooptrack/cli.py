@@ -26,12 +26,16 @@ from .io import (DETECTIONS_FILE, GT_FILE, TENSORS_FILE, TRACKS_FILE,  # noqa: F
 def _check_outputs(paths, make_dir: bool = False):
     """Reject, before any work, output files that cannot be written: a usage
     error (ConfigError) naming the first of `paths` that is a directory (an
-    existing one, or any path ending in a separator) or whose directory a
+    existing one, or any path ending in a separator), whose partial file
+    (`io.replace_file` writes through it) is a directory, or whose directory a
     regular file stands in the place of (the directory or one of its parents).
     With `make_dir`, then create the directory of `paths[0]`; nothing else."""
     for path in paths:
         if not os.path.basename(path) or os.path.isdir(path):
             raise cio.ConfigError(f"--out: {path!r} is a directory, not an output file path")
+        if os.path.isdir(path + cio.PARTIAL_SUFFIX):
+            raise cio.ConfigError(f"--out: {path + cio.PARTIAL_SUFFIX!r} is a directory, "
+                                  f"but {path!r} is written through that name")
         directory = head = os.path.dirname(path)
         while head and not os.path.exists(head):
             head = os.path.dirname(head)

@@ -202,3 +202,115 @@ def iou3d(b1, b2) -> float:
     if union <= 0.0:
         return 0.0
     return min(1.0, inter_vol / union)
+
+
+def _per_element(fn, *arrays) -> np.ndarray:
+    """`fn` (a `math` function) applied to each element: libm's bits, as `iou3d` has
+    them, which numpy's own `np.cos` or `np.hypot` need not give."""
+    return np.array(list(map(fn, *(x.tolist() for x in arrays))), dtype=float)
+
+
+def iou3d_rows(a, b) -> np.ndarray:
+    """`iou3d(a[k], b[k])` for every k of two (P, 7) arrays of box rows, as a (P,) array.
+
+    Every pair runs `iou3d`'s arithmetic on the same values in the same order,
+    so each entry has its bits: the same canonical pair order (the first
+    column in which the rows differ decides), the same early exits, and the
+    same four slab clips, here over all pairs at once. A clipped polygon is
+    kept as a row of vertices padded with copies of its last vertex; padding
+    adds nothing to the next clip and exact zeros to the shoelace sum, which
+    is accumulated in `iou3d`'s order (from the wrap term). Trig and `hypot`
+    are taken per element with `math`, as `iou3d` takes them.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 7)
+    b = np.asarray(b, dtype=float).reshape(-1, 7)
+    out = np.zeros(len(a))
+    if not len(a):
+        return out
+    with np.errstate(all="ignore"):  # Python float arithmetic does not warn either
+        first = (a != b).argmax(axis=1)
+        index = np.arange(len(a))
+        swap = (b[index, first] < a[index, first])[:, None]
+        x1, y1, z1, a1, l1, w1, h1 = np.where(swap, b, a).T
+        x2, y2, z2, a2, l2, w2, h2 = np.where(swap, a, b).T
+
+        zlo = np.maximum(z1 - 0.5 * h1, z2 - 0.5 * h2)
+        zhi = np.minimum(z1 + 0.5 * h1, z2 + 0.5 * h2)
+        dx, dy = x2 - x1, y2 - y1
+        reach = 0.5 * _per_element(math.hypot, l1, w1) + 0.5 * _per_element(math.hypot, l2, w2)
+        live = np.flatnonzero(~(zhi <= zlo) & ~(_per_element(math.hypot, dx, dy) > reach))
+        if not len(live):
+            return out
+        (dx, dy, a1, a2, l1, w1, h1, l2, w2, h2, zlo, zhi) = (
+            v[live] for v in (dx, dy, a1, a2, l1, w1, h1, l2, w2, h2, zlo, zhi))
+
+        c1, s1 = _per_element(math.cos, a1), _per_element(math.sin, a1)
+        cx, cy = c1 * dx + s1 * dy, c1 * dy - s1 * dx
+        c, s = _per_element(math.cos, a2 - a1), _per_element(math.sin, a2 - a1)
+        chl, shl, chw, shw = c * (0.5 * l2), s * (0.5 * l2), c * (0.5 * w2), s * (0.5 * w2)
+        us = np.stack([cx + chl - shw, cx - chl - shw, cx - chl + shw, cx + chl + shw], axis=1)
+        vs = np.stack([cy + shl + chw, cy - shl + chw, cy - shl - chw, cy + shl - chw], axis=1)
+        count = np.full(len(live), 4)
+        keep = np.arange(len(live))  # the entries of `live` still being clipped
+        for half in (0.5 * l1, 0.5 * w1, 0.5 * l1, 0.5 * w1):
+            us, vs, count, kept = _clip_rows(us, vs, count, half[keep])
+            keep = keep[kept]
+            if not len(keep):
+                return out
+
+        terms = np.empty(us.shape)
+        terms[:, 0] = us[:, -1] * vs[:, 0] - us[:, 0] * vs[:, -1]
+        terms[:, 1:] = us[:, :-1] * vs[:, 1:] - us[:, 1:] * vs[:, :-1]
+        inter_area = 0.5 * np.abs(np.cumsum(terms, axis=1)[:, -1])
+        inter_vol = inter_area * (zhi[keep] - zlo[keep])
+        union = (l1[keep] * w1[keep] * h1[keep] + l2[keep] * w2[keep] * h2[keep]
+                 - inter_vol)
+        iou = np.minimum(1.0, inter_vol / union)
+        out[live[keep]] = np.where((inter_area < _AREA_EPS) | (union <= 0.0), 0.0, iou)
+    return out
+
+
+def _clip_rows(us, vs, count, bound):
+    """One clip pass of `iou3d` over padded polygon rows: keep u <= bound, turn a quarter.
+
+    `us`, `vs` are (R, W) vertex coordinates whose first `count` entries are
+    real and the rest copies of the last one, so slot W-1 is each polygon's
+    last vertex and the previous vertex of slot 0. Each real vertex emits, in
+    order, the crossing of its edge with the side (if the edge crosses) and
+    itself (if inside), as `iou3d` appends them; a running count places the
+    emitted candidates. Returns the new rows, padded the same way, their
+    counts, and the indices of the input rows left non-empty.
+    """
+    rows, width = us.shape
+    bound = bound[:, None]
+    pu = np.concatenate([us[:, -1:], us[:, :-1]], axis=1)
+    pv = np.concatenate([vs[:, -1:], vs[:, :-1]], axis=1)
+    real = np.arange(width) < count[:, None]
+    inside = us <= bound
+    emit = np.empty((rows, width, 2), dtype=bool)
+    emit[:, :, 0] = (inside != (pu <= bound)) & real
+    emit[:, :, 1] = inside & real
+    cand_u = np.empty((rows, width, 2))
+    cand_v = np.empty((rows, width, 2))
+    cand_u[:, :, 0] = pv + (bound - pu) * (vs - pv) / (us - pu)  # used where the edge crosses
+    cand_u[:, :, 1] = vs
+    cand_v[:, :, 0] = -bound
+    cand_v[:, :, 1] = -us
+    emit = emit.reshape(rows, 2 * width)
+    slot = np.cumsum(emit, axis=1)  # 1 + each emitted candidate's place in its row
+    count = slot[:, -1]
+    kept = np.flatnonzero(count)
+    new_width = count.max()
+    src = np.flatnonzero(emit)  # flat indices of the emitted candidates, row by row
+    row = src // (2 * width)
+    if len(kept) < rows:
+        row = (np.cumsum(count > 0) - 1)[row]
+    count = count[kept]
+    last = src[np.cumsum(count) - 1]  # each kept row's last emitted candidate
+    dest = row * new_width + slot.ravel()[src] - 1
+    new_u = np.repeat(cand_u.take(last), new_width)
+    new_v = np.repeat(cand_v.take(last), new_width)
+    new_u[dest] = cand_u.take(src)
+    new_v[dest] = cand_v.take(src)
+    return (new_u.reshape(len(kept), new_width), new_v.reshape(len(kept), new_width),
+            count, kept)

@@ -49,6 +49,7 @@ RUN_META_FILE = "run_meta.json"
 # the files of a run directory that `simulate` and `track` write
 SIMULATE_FILES = (GT_FILE, DETECTIONS_FILE, TENSORS_FILE, RUN_META_FILE)
 TRACK_FILES = (TRACKS_FILE, COMM_FILE, RUN_META_FILE)
+PARTIAL_SUFFIX = ".partial"  # `replace_file` writes `<path>.partial`, then renames it
 
 
 class LogFormatError(ValueError):
@@ -76,7 +77,7 @@ def replace_file(path: str, mode: str = "w"):
     renamed over, but not one that is unlinked. On error the partial file is
     deleted and `path` left as it was. Nothing is fsynced.
     """
-    partial = path + ".partial"
+    partial = path + PARTIAL_SUFFIX
     _unlink(partial)
     binary = "b" in mode
     try:

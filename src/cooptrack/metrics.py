@@ -7,11 +7,15 @@ using their per-track average score. MOTA, MT, and ML are reported at the
 best-MOTA level of the sweep. All metric fields are percentages.
 
 IoU does not depend on the score threshold, so each frame's gt x track IoU
-matrix is built once. A pass keeps each frame's n best-scored tracks (ties
-kept together), so a frame's matches depend on n alone: they are solved once
-per (frame, n) and replayed in every later pass of the same call. Id switches
-are counted pass by pass from the replayed matches, and levels that share a
-threshold share one pass.
+matrix is built once. The IoUs are batched per `evaluate` call: every frame's
+prescreened pairs are scored in one `geometry.iou3d_rows` call, whose fixed
+cost a whole sequence's pairs repay; the tracker's per-frame matrices are too
+small for that and stay on the per-pair path (`association.build_cost_matrix`).
+A pass keeps each frame's n best-scored tracks (ties kept together), so a
+frame's matches depend on n alone: they are solved once per (frame, n) and
+replayed in every later pass of the same call. Id switches are counted pass
+by pass from the replayed matches, and levels that share a threshold share
+one pass.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import associate, build_cost_matrix
-from .geometry import box_rows
+from .association import associate, prescreen_pairs
+from .geometry import box_rows, iou3d_rows
 from .io import RunConfig, replace_file
 
 NUM_RECALL_LEVELS = 40
@@ -69,13 +73,14 @@ class EvalReport:
 def match_frame(track_ids, gt_ids, cost, keep, iou_threshold: float) -> list:
     """Match one frame's kept tracks to ground truth by IoU.
 
-    `cost` is the frame's negated-IoU matrix (`association.build_cost_matrix`)
-    with one row per id in `gt_ids` and one column per id in `track_ids`;
-    only the columns listed in `keep` (ascending) take part. Returns
-    (gt_id, track_id, iou) for every solved pair whose IoU reaches
+    `cost` is the frame's negated-IoU matrix (as `association.build_cost_matrix`
+    builds it) with one row per id in `gt_ids` and one column per id in
+    `track_ids`; only the columns listed in `keep` (ascending) take part.
+    Returns (gt_id, track_id, iou) for every solved pair whose IoU reaches
     `iou_threshold`.
     """
-    return [(gt_ids[r], track_ids[keep[c]], iou)
+    kept = np.asarray(keep).tolist()
+    return [(gt_ids[r], track_ids[kept[c]], iou)
             for r, c, iou in associate(cost[:, keep], iou_threshold)]
 
 
@@ -151,15 +156,24 @@ def evaluate(track_frames: dict, gt_frames: dict,
     avg_score = _track_average_scores(track_frames)
     # per frame: gt ids, track ids, track average scores, those scores negated
     # and sorted (a pass's kept count is one bisection), and the gt x track
-    # cost matrix (built from each frame's boxes as rows, converted once)
-    scored = []
+    # cost matrix, filled below from one IoU batch over every frame's pairs
+    scored, pairs, gt_side, track_side = [], [], [], []
     for t in frames:
         gts, items = gt_frames.get(t, []), track_frames.get(t, [])
         scores = [avg_score[tid] for tid, _b, _s in items]
+        gt_rows, track_rows = box_rows(b for _, b in gts), box_rows(b for _, b, _s in items)
+        ii, jj = prescreen_pairs(gt_rows, track_rows)
+        cost = np.zeros((len(gts), len(items)))
+        pairs.append((cost, ii, jj))
+        gt_side.append(gt_rows[ii])
+        track_side.append(track_rows[jj])
         scored.append(([g for g, _ in gts], [tid for tid, _b, _s in items],
-                       np.array(scores), sorted(-s for s in scores),
-                       build_cost_matrix(box_rows(b for _, b in gts),
-                                         box_rows(b for _, b, _s in items))))
+                       np.array(scores), sorted(-s for s in scores), cost))
+    neg_iou = -iou3d_rows(np.concatenate(gt_side), np.concatenate(track_side))
+    start = 0
+    for cost, ii, jj in pairs:
+        cost[ii, jj] = neg_iou[start:start + len(ii)]
+        start += len(ii)
     # (frame index, kept count) -> that frame's matches; tied scores are kept
     # together, so the count fixes the kept columns
     solved = {}

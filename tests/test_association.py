@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from cooptrack.association import (
     Lifecycle,
@@ -117,6 +118,58 @@ def test_associate_validates_threshold():
         associate(np.zeros((0, 0)), 0.0)
     with pytest.raises(ValueError):
         associate(np.zeros((0, 0)), 1.0)
+
+
+def _list_hungarian_solve(cost):
+    """`hungarian_solve` as it was before it cut the solution with a slice and
+    filtered plain ints: the reference for that path."""
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    if n == 0 or m == 0:
+        return []
+    size = max(n, m)
+    padded = np.zeros((size, size), dtype=float)
+    padded[:n, :m] = cost
+    rows, cols = linear_sum_assignment(padded)
+    return [(int(r), int(c)) for r, c in zip(rows, cols) if r < n and c < m]
+
+
+def _list_associate(cost, iou_threshold):
+    return [(r, c, -cost[r, c]) for r, c in _list_hungarian_solve(cost)
+            if -cost[r, c] >= iou_threshold]
+
+
+def _typed(pairs):
+    """Each value's repr: its type, and a float's sign and every bit."""
+    return [tuple(map(repr, pair)) for pair in pairs]
+
+
+def _solver_cases():
+    """Random, tied, tall, wide and empty negated-IoU matrices, zeros included."""
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        n, m = (int(k) for k in rng.integers(0, 8, size=2))
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            cost = -rng.uniform(0.0, 1.0, size=(n, m))
+        elif kind == 1:  # few distinct values: many ties, exact zeros and -0.0
+            cost = -rng.integers(0, 3, size=(n, m)) / 2.0
+        else:  # sparse: most pairs prescreened away
+            cost = -rng.uniform(0.0, 1.0, size=(n, m)) * (rng.uniform(size=(n, m)) < 0.3)
+        yield cost
+    yield from (np.zeros((0, 0)), np.zeros((0, 4)), np.zeros((4, 0)),
+                -np.ones((5, 2)), -np.ones((2, 5)), -np.full((3, 3), 0.5))
+
+
+def test_solve_path_returns_what_the_old_list_comprehensions_returned():
+    shapes = set()
+    for cost in _solver_cases():
+        shapes.add((cost.shape[0] > cost.shape[1]) - (cost.shape[0] < cost.shape[1]))
+        assert _typed(hungarian_solve(cost)) == _typed(_list_hungarian_solve(cost))
+        for threshold in (0.1, 0.5, 0.7):
+            assert (_typed(associate(cost, threshold))
+                    == _typed(_list_associate(cost, threshold)))
+    assert shapes == {-1, 0, 1}
 
 
 def _track(tid, hits=0, misses=0, age=0, score=1.0) -> Lifecycle:

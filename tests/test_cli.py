@@ -789,6 +789,27 @@ def test_an_out_path_naming_a_directory_exits_2_before_any_work(
         assert os.listdir(run) == [derived[1].name] and os.listdir(derived[1]) == []
 
 
+@pytest.mark.parametrize("command", ["train", "track"])
+def test_a_directory_at_an_outputs_partial_file_exits_2_before_any_work(
+        tmp_path, config_path, sim_dir, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli, "run_tracking", refuse)
+    monkeypatch.setattr(training, "train", refuse)
+    run = tmp_path / "run"
+    out, target = {"train": (run / "m.ckpt", run / "m.ckpt"),
+                   "track": (run, run / io.TRACKS_FILE)}[command]
+    partial = pathlib.Path(str(target) + io.PARTIAL_SUFFIX)
+    partial.mkdir(parents=True)
+    source = "--scenarios" if command == "train" else "--detections"
+    assert cli.main([command, "--config", config_path, source, sim_dir,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: --out: {str(partial)!r} is a directory, "
+                                       f"but {str(target)!r} is written through that name\n")
+    assert os.listdir(run) == [partial.name] and os.listdir(partial) == []
+
+
 def test_eval_scores_at_the_runs_iou_threshold(tmp_path, config_path, sim_dir, capsys):
     strict_path = str(tmp_path / "strict.json")
     io.save_config(strict_path, dataclasses.replace(small_config(), eval_iou_threshold=0.5))

@@ -21,6 +21,7 @@ from cooptrack.geometry import (
     box_rows,
     inverse_pose,
     iou3d,
+    iou3d_rows,
     transform_box,
     transform_point,
     wrap_angle,
@@ -357,3 +358,63 @@ def test_iou3d_agrees_with_the_generic_clip_oracle(pair):
     a, b = pair
     assert abs(iou3d(a, b) - clip_oracle_iou(a, b)) <= 1e-12
     assert abs(iou3d(b, a) - clip_oracle_iou(b, a)) <= 1e-12
+
+
+def _assert_rows_equal_pairs(a, b):
+    """`iou3d_rows` equals `iou3d` pair by pair, bit for bit, in both argument orders."""
+    a, b = box_rows(a), box_rows(b)
+    for x, y in ((a, b), (b, a)):
+        got = iou3d_rows(x, y)
+        want = [iou3d(p, q) for p, q in zip(x.tolist(), y.tolist())]
+        assert got.shape == (len(want),)
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(oracle_pairs(), max_size=40))
+def test_iou3d_rows_equals_iou3d_on_every_pair(pairs):
+    _assert_rows_equal_pairs([p for p, _ in pairs], [q for _, q in pairs])
+
+
+def _structured_pairs():
+    """Touching, identical, nested, flush, z-disjoint and tie-broken pairs."""
+    pairs = []
+    for yaw in (0.0, math.pi / 2.0, -math.pi / 2.0, -math.pi):
+        b = Box7(3.0, -7.0, 0.2, yaw, 4.5, 1.9, 1.6)
+        c, s = math.cos(b.a), math.sin(b.a)
+        for gap in (0.0, 1e-13):  # touching along a width side, then a length side
+            for dx, dy in (((b.l - gap) * c, (b.l - gap) * s),
+                           (-(b.w - gap) * s, (b.w - gap) * c)):
+                pairs.append((b, Box7(b.x + dx, b.y + dy, b.z, b.a, b.l, b.w, b.h)))
+        # identical, nested, and flush: a half-length box sharing three sides
+        # in the same direction, and a half-width one sharing a length side
+        pairs.append((b, b))
+        pairs.append((b, Box7(b.x + 0.2 * c, b.y + 0.2 * s, b.z + 0.1, yaw + 0.4,
+                              1.0, 0.5, 0.4)))
+        pairs.append((b, Box7(b.x + 0.25 * b.l * c, b.y + 0.25 * b.l * s, b.z, b.a,
+                              0.5 * b.l, b.w, b.h)))
+        pairs.append((b, Box7(b.x - 0.25 * b.w * s, b.y + 0.25 * b.w * c, b.z, b.a,
+                              b.l, 0.5 * b.w, b.h)))
+        pairs.append((b, Box7(b.x + 0.5 * c, b.y, b.z, b.a, b.l, b.w, b.h)))
+        pairs.append((b, Box7(b.x, b.y, b.z + b.h, b.a, b.l, b.w, b.h)))  # disjoint z
+    # rows equal in their leading fields: a later column decides the order
+    base = (1.0, 2.0, 0.5, 0.3, 4.0, 2.0, 1.5)
+    for col, value in ((3, 0.7), (4, 3.0), (5, 2.5), (6, 1.2)):
+        row = list(base)
+        row[col] = value
+        pairs.append((Box7(*base), Box7(*row)))
+    pairs.append((Box7(0.0, 0.0, 0.0, 0.3, 4.0, 2.0, 1.5),
+                  Box7(-0.0, 0.0, 0.0, 0.3, 4.0, 2.0, 1.4)))  # 0.0 == -0.0 in the order
+    return pairs
+
+
+def test_iou3d_rows_equals_iou3d_on_structured_pairs():
+    pairs = _structured_pairs()
+    _assert_rows_equal_pairs([p for p, _ in pairs], [q for _, q in pairs])
+    for p, q in pairs:  # one pair at a time, too
+        _assert_rows_equal_pairs([p], [q])
+    assert sum(iou3d(p, q) > 0.0 for p, q in pairs) > len(pairs) // 2
+
+
+def test_iou3d_rows_of_no_pairs_is_empty():
+    assert iou3d_rows(np.zeros((0, 7)), np.zeros((0, 7))).shape == (0,)

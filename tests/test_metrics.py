@@ -110,24 +110,51 @@ def test_empty_ground_truth_rejected():
         evaluate({}, {})
 
 
-def test_evaluate_builds_one_cost_matrix_per_frame(monkeypatch):
+def test_evaluate_scores_every_frames_pairs_in_one_iou_batch(monkeypatch):
     # every level is reachable here and thresholds at 0.9
     track_frames, gt_frames = _perfect_case(num_objects=3, num_frames=10)
     track_frames[10] = [(200, _box(500.0), 0.5)]  # a frame without ground truth
-    shapes, real = [], metrics.build_cost_matrix
-    monkeypatch.setattr(metrics, "build_cost_matrix",
-                        lambda gts, tracks: shapes.append((len(gts), len(tracks)))
-                        or real(gts, tracks))
+    batches, real = [], metrics.iou3d_rows
+    monkeypatch.setattr(metrics, "iou3d_rows",
+                        lambda a, b: batches.append((a.copy(), b.copy())) or real(a, b))
     solved = []
     real_match = metrics.match_frame
     monkeypatch.setattr(metrics, "match_frame",
                         lambda *args, **kwargs: solved.append(len(args[3]))
                         or real_match(*args, **kwargs))
     assert evaluate(track_frames, gt_frames).levels[-1].achievable
-    assert shapes == [(3, 3)] * 10 + [(0, 1)]
+    # the objects stand 10 m apart, beyond two circumcircle radii (2.44 m
+    # each), so a frame's prescreen passes each object's (gt, track) pair
+    # alone, and frame 10 passes none
+    assert len(batches) == 1
+    gt_side, track_side = batches[0]
+    np.testing.assert_array_equal(gt_side, box_rows(
+        box for t in range(10) for _gid, box in gt_frames[t]))
+    np.testing.assert_array_equal(track_side, box_rows(
+        box for t in range(10) for _tid, box, _s in track_frames[t]))
     # one solve per distinct (frame, kept count): frames 0-9 keep their three
     # tracks in every pass; frame 10 keeps its 0.5 track only at full recall
     assert solved == [3] * 10 + [1, 0]
+
+
+def test_evaluate_batches_each_frames_pairs_in_row_major_order(monkeypatch):
+    # frame 0: gt 0 overlaps tracks 0 and 1, gt 1 track 1; frame 1: the far gt
+    # overlaps nothing; frame 2: one gt, one track
+    gt_frames = {0: [(0, _box(0.0)), (1, _box(6.0))], 1: [(2, _box(90.0))],
+                 2: [(0, _box(0.5))]}
+    track_frames = {0: [(5, _box(0.2), 0.9), (6, _box(2.0, 1.0), 0.8)],
+                    1: [(7, _box(40.0), 0.7)], 2: [(5, _box(0.7), 0.9)]}
+    batches, real = [], metrics.iou3d_rows
+    monkeypatch.setattr(metrics, "iou3d_rows",
+                        lambda a, b: batches.append((a.copy(), b.copy())) or real(a, b))
+    evaluate(track_frames, gt_frames)
+    assert len(batches) == 1
+    gt_side, track_side = batches[0]
+    g, k = gt_frames, track_frames
+    np.testing.assert_array_equal(gt_side, box_rows(
+        [g[0][0][1], g[0][0][1], g[0][1][1], g[2][0][1]]))
+    np.testing.assert_array_equal(track_side, box_rows(
+        [k[0][0][1], k[0][1][1], k[0][1][1], k[2][0][1]]))
 
 
 def test_evaluate_keeps_no_solve_between_calls():
