@@ -69,13 +69,13 @@ def associate(cost, iou_threshold: float) -> list:
     `cost` is a (tracks, detections) matrix as built by `build_cost_matrix`.
     Returns (row, col, iou) for every solved pair whose IoU is at least
     `iou_threshold`, in ascending row order, with row and col ints and iou
-    the numpy float64 read from `cost`; a row or column in no returned pair
-    is unmatched.
+    the float read from `cost`; a row or column in no returned pair is
+    unmatched.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     return [(r, c, iou) for r, c in hungarian_solve(cost)
-            if (iou := -cost[r, c]) >= iou_threshold]
+            if (iou := -cost.item(r, c)) >= iou_threshold]
 
 
 @dataclass(frozen=True)

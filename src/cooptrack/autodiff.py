@@ -20,6 +20,12 @@ adjoint never runs for a plain operand. Tape mode is therefore
 bit-identical to plain mode by construction. All ops preserve the
 operand dtype, so the whole pipeline can run in float64 or in longdouble
 (used by the finite-difference gradient oracles).
+
+A graph is swept once. `Tape.backward` consumes it as it goes: once a
+node's adjoints have run it drops them and the node's parents, which frees
+the operand arrays the adjoints held, and a non-leaf also drops its
+gradient, so only leaves keep `.grad`. Node values stay until
+`Tape.release`. A graph that must be swept again is built again.
 """
 
 from __future__ import annotations
@@ -35,14 +41,23 @@ class Tape:
 
     Execution order is a topological order of the dataflow graph, so the
     backward pass is one reverse sweep that visits each node exactly once.
+    The sweep consumes the graph (`backward`), so a tape is swept at most
+    once.
     """
 
     def __init__(self):
         self._nodes = []
+        self._swept = False
 
     def var(self, value):
-        """Create a leaf node whose gradient will be accumulated."""
-        return Node(self, np.asarray(value).copy(), (), ())
+        """Create a leaf node whose gradient will be accumulated.
+
+        The leaf holds `value` itself when it is already an array, uncopied,
+        and the adjoints of the ops that read it hold it too: nothing may
+        write into that array while the tape can still sweep, that is until
+        `backward` or `release`.
+        """
+        return Node(self, np.asarray(value), (), ())
 
     def __len__(self):
         return len(self._nodes)
@@ -52,44 +67,59 @@ class Tape:
 
         Every node refers to its tape, so while the tape lists its nodes a
         graph is a reference cycle that only the cyclic collector frees.
-        Once released, a graph is freed by reference counting as soon as
-        nothing else holds its nodes. Call it after the last `backward`.
+        Once released, the node values are freed by reference counting as
+        soon as nothing else holds their nodes, and the tape cannot sweep.
+        Call it once the leaf gradients have been read.
         """
         self._nodes = []
+        self._swept = True
 
     def backward(self, loss: "Node"):
-        """Populate `.grad` on every node reachable from `loss`.
+        """Populate `.grad` on the leaves reachable from `loss`, consuming the graph.
 
-        `loss` must be scalar. Nodes not on a path to the loss keep
-        `grad = None`; read leaves through `grad_of` to get exact zeros.
-        A node's first gradient is stored as its adjoint returned it and
-        every later one is added into a new array, so a gradient may share
-        memory with another node's: treat every `.grad` as read-only.
+        `loss` must be scalar. The one reverse sweep visits every node; once
+        a node's adjoints have run it drops them and the node's parents,
+        which frees the operand arrays the adjoints held, and a non-leaf
+        also drops its gradient. Afterwards only leaves hold `.grad`, and
+        node values stay until `release`. A second call raises ValueError,
+        so a consumed graph never yields partial gradients: build the graph
+        again to sweep it again.
+
+        Leaves not on a path to the loss keep `grad = None`; read leaves
+        through `grad_of` to get exact zeros. A node's first gradient is
+        stored as its adjoint returned it and every later one is added into
+        a new array, so a leaf's gradient may share memory with another
+        leaf's: treat every `.grad` as read-only.
         """
         if loss.tape is not self:
             raise ValueError("loss node belongs to a different tape")
         if np.size(loss.value) != 1:
             raise ValueError(f"loss must be scalar, got shape {np.shape(loss.value)}")
-        for n in self._nodes:
-            n.grad = None
+        if self._swept:
+            raise ValueError("the tape has already been swept or released; "
+                             "record the graph again to sweep it again")
+        self._swept = True
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self._nodes):
             g = node.grad
-            if g is None:
-                continue
-            for parent, adjoint in zip(node._parents, node._adjoints):
-                pg = adjoint(g)
-                if parent.grad is None:
-                    parent.grad = np.asarray(pg)
-                else:
-                    parent.grad = parent.grad + pg
+            if g is not None:
+                for parent, adjoint in zip(node._parents, node._adjoints):
+                    pg = adjoint(g)
+                    if parent.grad is None:
+                        parent.grad = np.asarray(pg)
+                    else:
+                        parent.grad = parent.grad + pg
+            if not node.is_leaf:
+                node._parents = node._adjoints = ()
+                node.grad = None
 
 
 class Node:
     """One tape entry: a primal value, its parents, and one adjoint per parent
-    that maps this node's gradient to that parent's. A leaf has neither."""
+    that maps this node's gradient to that parent's. A leaf has neither, and
+    a swept non-leaf no longer has them either (`Tape.backward`)."""
 
-    __slots__ = ("tape", "value", "_parents", "_adjoints", "grad", "__weakref__")
+    __slots__ = ("tape", "value", "_parents", "_adjoints", "grad", "is_leaf", "__weakref__")
 
     def __init__(self, tape, value, parents, adjoints):
         self.tape = tape
@@ -97,6 +127,7 @@ class Node:
         self._parents = parents
         self._adjoints = adjoints
         self.grad = None
+        self.is_leaf = not parents
         tape._nodes.append(self)
 
     @property
@@ -113,11 +144,16 @@ def val(x):
 
 
 def grad_of(leaf: Node):
-    """Gradient accumulated on a leaf, as an exact zero array if untouched.
+    """Gradient accumulated on a leaf (`Tape.var`), as an exact zero array if untouched.
 
-    The array may share memory with other nodes' gradients (`Tape.backward`),
-    so it is read-only: copy it before writing into it.
+    A non-leaf raises ValueError: the sweep drops its gradient
+    (`Tape.backward`), so it would read as zeros. The array may share
+    memory with other leaves' gradients, so it is read-only: copy it
+    before writing into it.
     """
+    if not leaf.is_leaf:
+        raise ValueError("grad_of takes a leaf made by Tape.var; the backward sweep "
+                         "keeps no gradient on a non-leaf node")
     if leaf.grad is None:
         return np.zeros_like(leaf.value)
     return leaf.grad

@@ -118,7 +118,7 @@ class CovNetParams:
         return cls(config, arrays)
 
     def lift(self, tape: ad.Tape) -> dict:
-        """Wrap every array as a tape variable for a training pass."""
+        """Wrap every array, uncopied (`Tape.var`), as a tape variable for a training pass."""
         return {name: tape.var(arr) for name, arr in self.arrays.items()}
 
 

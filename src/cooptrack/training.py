@@ -192,9 +192,14 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     (`LearnedCovariance.precompute`).
 
     The cyclic garbage collector is paused while training runs, and the
-    caller's setting is restored on return or raise: each window's graph
-    is freed by reference counting (`Tape.release`), so collections would
-    only walk the growing tape.
+    caller's setting is restored on return or raise: collections would only
+    walk the growing tape, and each window's graph is freed by reference
+    counting. The backward sweep frees the adjoints and every non-leaf
+    gradient as it passes them (`Tape.backward`). The window's tape is
+    released (`Tape.release`) as soon as the leaf gradients are read, before
+    clipping and the Adam step, so the step writes into the weight arrays
+    that the leaves hold uncopied (`Tape.var`) only once no sweep can read
+    them.
     """
     gc_enabled = gc.isenabled()
     gc.disable()
@@ -245,6 +250,9 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 for cav, nodes in lifted.items():
                     for name, node in nodes.items():
                         grads[(cav, name)] = ad.grad_of(node)
+                # the leaves hold the weights uncopied (`Tape.var`): free the
+                # graph before the Adam step writes into them
+                tape.release()
                 grads, norm = clip_gradients(grads, settings.grad_clip_norm)
                 if not math.isfinite(norm):
                     raise FloatingPointError(
@@ -253,7 +261,7 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 loss_curve.append({"epoch": epoch, "window": w, "loss": loss_value,
                                    "supervised": supervised})
             finally:
-                tape.release()  # free the window's graph by reference counting
+                tape.release()  # also on the exits that take no Adam step
     return TrainResult(params_by_cav=params_by_cav, adam=adam, loss_curve=loss_curve,
                        epochs_done=max(epochs_done, settings.epochs))
 

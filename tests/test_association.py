@@ -135,7 +135,7 @@ def _list_hungarian_solve(cost):
 
 
 def _list_associate(cost, iou_threshold):
-    return [(r, c, -cost[r, c]) for r, c in _list_hungarian_solve(cost)
+    return [(r, c, float(-cost[r, c])) for r, c in _list_hungarian_solve(cost)
             if -cost[r, c] >= iou_threshold]
 
 

@@ -1,9 +1,10 @@
 """Tape autodiff tests: per-op finite differences, plain/tape bit identity,
-and the SPD inverse's adjoint and guard rails."""
+the SPD inverse's adjoint and guard rails, and the consuming sweep."""
 
 import ast
 import itertools
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -442,6 +443,44 @@ def test_grad_of_unused_leaf_is_zero():
     y = tape.var(np.full(3, 2.0))
     tape.backward(ad.asum(ad.square(x)))
     np.testing.assert_array_equal(ad.grad_of(y), np.zeros(3))
+
+
+def test_backward_consumes_the_graph_and_keeps_only_leaf_gradients():
+    tape = ad.Tape()
+    w0 = np.arange(6.0).reshape(3, 2)
+    w = tape.var(w0)
+    x = np.ones((4, 3))  # held only by the adjoint of the weight's matmul
+    x_alive = weakref.ref(x)
+    hidden = ad.linear(x, w, np.zeros(2))
+    loss = ad.asum(ad.square(hidden))
+    del x
+    assert w.value is w0
+    assert x_alive() is not None
+    tape.backward(loss)
+    assert x_alive() is None
+    assert len(tape) == 5 and hidden.value.shape == (4, 2)
+    np.testing.assert_array_equal(ad.grad_of(w), 2.0 * np.ones((3, 4)) @ hidden.value)
+    for node in (hidden, loss):
+        assert node.grad is None
+        with pytest.raises(ValueError, match="leaf"):
+            ad.grad_of(node)
+
+
+def test_a_consumed_or_released_tape_cannot_sweep_again():
+    tape = ad.Tape()
+    x = tape.var(np.array([1.0, 2.0]))
+    loss = ad.asum(ad.square(x))
+    with pytest.raises(ValueError, match="leaf"):
+        ad.grad_of(loss)
+    tape.backward(loss)
+    with pytest.raises(ValueError, match="swept"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(ad.grad_of(x), [2.0, 4.0])
+    released = ad.Tape()
+    loss = ad.asum(released.var(np.ones(2)))
+    released.release()
+    with pytest.raises(ValueError, match="swept"):
+        released.backward(loss)
 
 
 def test_gradient_accumulates_over_reuse():

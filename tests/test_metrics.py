@@ -7,6 +7,7 @@ that arithmetic rather than from the code under test.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -281,6 +282,19 @@ def test_motp_reflects_localization_quality():
         track_frames[t] = [(100, _box(0.4, t), 0.9)]  # constant offset
     rep = evaluate(track_frames, gt_frames)
     assert 0.0 < rep.amotp < 100.0
+
+
+def test_every_report_field_is_a_python_bool_int_or_float():
+    gt_frames, track_frames = {}, {}
+    for t in range(10):
+        gt_frames[t] = [(0, _box(0.0, t)), (1, _box(20.0, t))]
+        track_frames[t] = [(100, _box(0.4, t), 0.9), (101, _box(20.0, t), 0.5 + 0.01 * t)]
+    rep = evaluate(track_frames, gt_frames)
+    assert 0.0 < rep.amotp < 100.0 and rep.levels
+    for record in (rep, *rep.levels):
+        for f in dataclasses.fields(record):
+            if f.name != "levels":
+                assert type(getattr(record, f.name)) in (bool, int, float), (f.name, record)
 
 
 def test_comm_cost_arithmetic():

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -259,22 +260,32 @@ def per_track_loss(reports_per_frame, gt_per_frame, radius=2.0):
     return ad.div(total, float(len(terms))), len(terms)
 
 
-def test_batched_loss_gradient_bits_equal_the_per_track_reference():
+def window_graph(seed):
+    """A window's graph on a fresh tape: the tracker's reports over
+    `tiny_scenario()` with `fresh_params(small_net(), seed)` lifted. The
+    backward sweep consumes a graph, so each sweep needs its own."""
     frames = sim.generate(tiny_scenario())
     tape = ad.Tape()
-    params = fresh_params(small_net(), 1)
+    params = fresh_params(small_net(), seed)
     lifted = {cav: p.lift(tape) for cav, p in params.items()}
     tracker = tracker_from_settings(
         TrackerSettings(), LearnedCovariance({cav: (lifted[cav], small_net()) for cav in lifted}))
     reports = [tracker.step(packets_from_sim_frame(f)) for f in frames]
-    truths = [f.gt for f in frames]
+    return tape, lifted, reports, [f.gt for f in frames]
+
+
+def leaf_gradient_bytes(lifted):
+    return [ad.grad_of(node).tobytes() for cav in sorted(lifted)
+            for _name, node in sorted(lifted[cav].items())]
+
+
+def test_batched_loss_gradient_bits_equal_the_per_track_reference():
     grads = []
     for loss_fn in (training.window_loss, per_track_loss):
+        tape, lifted, reports, truths = window_graph(1)
         loss, n = loss_fn(reports, truths)
         tape.backward(loss)
-        grads.append((float(ad.val(loss)), n,
-                      [ad.grad_of(node).tobytes() for cav in sorted(lifted)
-                       for _name, node in sorted(lifted[cav].items())]))
+        grads.append((float(ad.val(loss)), n, leaf_gradient_bytes(lifted)))
     (batched, n, got), (reference, want_n, want) = grads
     assert n == want_n > 10
     assert math.isclose(batched, reference, rel_tol=1e-14)
@@ -283,32 +294,53 @@ def test_batched_loss_gradient_bits_equal_the_per_track_reference():
 
 def test_a_second_backward_gives_the_same_gradients_as_isolated_adjoints():
     """Gradients may share memory (`Tape.backward` stores first gradients as
-    given); no adjoint may write into one. Run the backward pass twice, then
-    once more with every adjoint fed its own copy and made to return a
-    fresh array: all three give every node the same bits."""
-    frames = sim.generate(tiny_scenario())
-    tape = ad.Tape()
-    params = fresh_params(small_net(), 2)
-    lifted = {cav: p.lift(tape) for cav, p in params.items()}
-    tracker = tracker_from_settings(
-        TrackerSettings(), LearnedCovariance({cav: (lifted[cav], small_net()) for cav in lifted}))
-    reports = [tracker.step(packets_from_sim_frame(f)) for f in frames]
-    loss, n = training.window_loss(reports, [f.gt for f in frames])
-    assert n > 10
-    nodes = list(tape._nodes)
+    given); no adjoint may write into one. Sweep the window's graph, a
+    second graph built afresh from the same seed, and a third whose every
+    adjoint is fed its own copy and made to return a fresh array: all
+    three give every leaf the same bits."""
 
-    def gradient_bytes():
+    def gradient_bytes(isolate):
+        tape, lifted, reports, truths = window_graph(2)
+        loss, n = training.window_loss(reports, truths)
+        assert n > 10
+        nodes, reached = list(tape._nodes), set()
+
+        def isolated(node, adjoint):
+            def run(g):
+                reached.add(id(node))
+                return np.array(adjoint(np.array(g)))
+            return run
+
+        if isolate:
+            for node in nodes:
+                node._adjoints = tuple(isolated(node, adjoint) for adjoint in node._adjoints)
         tape.backward(loss)
-        return [None if node.grad is None else np.asarray(node.grad).tobytes()
-                for node in nodes]
+        reached.update(id(node) for node in nodes if node.is_leaf and node.grad is not None)
+        return leaf_gradient_bytes(lifted), len(reached), len(nodes)
 
-    first = gradient_bytes()
-    assert gradient_bytes() == first
-    for node in nodes:
-        node._adjoints = tuple(lambda g, adjoint=adjoint: np.array(adjoint(np.array(g)))
-                               for adjoint in node._adjoints)
-    assert gradient_bytes() == first
-    assert sum(g is not None for g in first) > len(nodes) // 2
+    first, _, _ = gradient_bytes(False)
+    assert gradient_bytes(False)[0] == first
+    isolated, reached, nodes = gradient_bytes(True)
+    assert isolated == first
+    assert reached > nodes // 2
+
+
+def test_the_backward_sweep_adds_less_than_twice_the_leaf_gradients():
+    """The sweep frees each adjoint and non-leaf gradient once it has run,
+    so at its peak it holds little beyond the leaf gradients it returns."""
+    tracemalloc.start()
+    try:
+        tape, lifted, reports, truths = window_graph(1)
+        loss, _ = training.window_loss(reports, truths)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        added = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    leaf_bytes = sum(ad.grad_of(node).nbytes for nodes in lifted.values()
+                     for node in nodes.values())
+    assert added < 2 * leaf_bytes
 
 
 # --- the window's network passes -------------------------------------------------
