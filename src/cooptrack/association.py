@@ -96,26 +96,23 @@ class Lifecycle:
     score: float = 1.0
 
 
-def finish_timestep(tracks, matched_flags, cfg: LifecycleConfig):
+def finish_timestep(tracks, matched, cfg: LifecycleConfig) -> list:
     """End-of-timestep bookkeeping, run once per timestep after every round.
 
-    Tracks matched by any sensor this timestep get hits += 1 and misses
-    reset; the rest accumulate a miss, decay their score, and die once
-    misses exceeds max_age. Returns (surviving_tracks, killed_ids).
+    `matched[i]` says whether any sensor matched `tracks[i]` this timestep
+    (a track born this timestep counts as matched). Matched tracks get
+    hits += 1 and misses reset; the rest accumulate a miss, decay their
+    score, and die once misses exceeds max_age. Returns the indices of the
+    surviving tracks, in order.
     """
-    survivors, killed = [], []
-    for trk, matched in zip(tracks, matched_flags):
-        if matched:
+    for trk, hit in zip(tracks, matched):
+        if hit:
             trk.hits += 1
             trk.misses = 0
         else:
             trk.misses += 1
             trk.score *= cfg.score_decay
-        if trk.misses > cfg.max_age:
-            killed.append(trk.id)
-        else:
-            survivors.append(trk)
-    return survivors, killed
+    return [i for i, trk in enumerate(tracks) if trk.misses <= cfg.max_age]
 
 
 def reportable(track, cfg: LifecycleConfig) -> bool:

@@ -48,8 +48,9 @@ def _check_outputs(paths, make_dir: bool = False):
 
 def cmd_simulate(args) -> int:
     cfg = cio.load_config(args.config)
+    scenario = cio.build_scenario(cfg)
     _check_outputs([os.path.join(args.out, name) for name in cio.SIMULATE_FILES])
-    frames = sim.generate(cio.build_scenario(cfg))
+    frames = sim.generate(scenario)
     cio.write_sim_output(frames, args.out, tuple(cfg.covnet.app_shape))
     cio.write_run_metadata(args.out, cfg, {"command": "simulate"})
     print(f"wrote {len(frames)} frames to {args.out}")
@@ -153,11 +154,10 @@ def cmd_comm_cost(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = cio.load_config(args.config)
+    train_scenario = cio.build_scenario(cfg)
+    eval_scenario = cio.build_scenario(dataclasses.replace(cfg, seed=cfg.seed + 1))
     _check_outputs([args.out], make_dir=True)
-    train_cfg = cfg
-    eval_cfg = dataclasses.replace(cfg, seed=cfg.seed + 1)
-    train_frames = sim.generate(cio.build_scenario(train_cfg))
-    eval_frames = sim.generate(cio.build_scenario(eval_cfg))
+    train_frames, eval_frames = sim.generate(train_scenario), sim.generate(eval_scenario)
     gt_frames = {f.timestep: list(f.gt) for f in eval_frames}
 
     variants = [("constant", None),

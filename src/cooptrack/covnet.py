@@ -122,20 +122,16 @@ class CovNetParams:
         return {name: tape.var(arr) for name, arr in self.arrays.items()}
 
 
-def forward(params, f_app, f_pos, config: CovNetConfig = None):
+def forward(params: CovNetParams, f_app, f_pos):
     """Residual std rows for a batch of N detections.
 
     `f_app` is (N, c, h, w) (ignored without the appearance branch), `f_pos`
     is (N, 18, 256); each conv and each linear stage runs once over the whole
-    batch. `params` is either CovNetParams or a name -> array/node mapping
-    from CovNetParams.lift. Works on plain arrays or tape nodes and returns
-    an (N, 10) array (a node when any input is a node).
+    batch. The arrays of `params` may be plain arrays or tape nodes (the
+    mapping of CovNetParams.lift, wrapped as CovNetParams). Returns an
+    (N, 10) array, a node when any input is a node.
     """
-    if isinstance(params, CovNetParams):
-        config = params.config
-        params = params.arrays
-    if config is None:
-        raise ValueError("config required when params is a raw mapping")
+    config, arrays = params.config, params.arrays
     n = len(ad.val(f_pos if config.use_positional else f_app))
     pieces = []
     if config.use_appearance:
@@ -144,7 +140,7 @@ def forward(params, f_app, f_pos, config: CovNetConfig = None):
                              f"{n} x configured {config.app_shape}")
         a = f_app
         for i in range(1, len(config.conv_channels) + 1):
-            a = ad.conv2d(a, params[f"app.conv{i}.w"], params[f"app.conv{i}.b"],
+            a = ad.conv2d(a, arrays[f"app.conv{i}.w"], arrays[f"app.conv{i}.b"],
                           stride=config.stride, pad=config.pad)
             a = ad.relu(a)
         pieces.append(ad.reshape(a, (n, config.appearance_flat_width())))
@@ -154,12 +150,12 @@ def forward(params, f_app, f_pos, config: CovNetConfig = None):
             raise ValueError(
                 f"positional shape {ad.val(f_pos).shape} != expected {expect}")
         x = ad.reshape(f_pos, (n, expect[1] * expect[2]))
-        x = ad.relu(ad.linear(x, params["pos.lin1.w"], params["pos.lin1.b"]))
-        x = ad.relu(ad.linear(x, params["pos.lin2.w"], params["pos.lin2.b"]))
+        x = ad.relu(ad.linear(x, arrays["pos.lin1.w"], arrays["pos.lin1.b"]))
+        x = ad.relu(ad.linear(x, arrays["pos.lin2.w"], arrays["pos.lin2.b"]))
         pieces.append(x)
     h = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1)
-    h = ad.relu(ad.linear(h, params["head.lin1.w"], params["head.lin1.b"]))
-    return ad.linear(h, params["head.lin2.w"], params["head.lin2.b"])
+    h = ad.relu(ad.linear(h, arrays["head.lin1.w"], arrays["head.lin1.b"]))
+    return ad.linear(h, arrays["head.lin2.w"], arrays["head.lin2.b"])
 
 
 def residual_to_obs_noise_diag(sigma_residual):

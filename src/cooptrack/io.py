@@ -554,11 +554,17 @@ def read_tensors(path: str) -> np.ndarray:
 
 
 def build_scenario(cfg: RunConfig) -> sim.Scenario:
+    """The configured `v2v_mini` scenario; ConfigError unless `num_cavs` is its
+    vehicle count."""
     if cfg.covnet.app_shape[0] < 3:
         raise ConfigError(f"covnet.app_shape: the simulator draws at least 3 channels, "
                           f"got {list(cfg.covnet.app_shape)}")
-    return sim.preset_v2v_mini(seed=cfg.seed, app_shape=tuple(cfg.covnet.app_shape),
-                               **dataclasses.asdict(cfg.scenario))
+    scenario = sim.preset_v2v_mini(seed=cfg.seed, app_shape=tuple(cfg.covnet.app_shape),
+                                   **dataclasses.asdict(cfg.scenario))
+    if len(scenario.cavs) != cfg.num_cavs:
+        raise ConfigError(f"num_cavs: the config sets {cfg.num_cavs}, but the simulated "
+                          f"v2v_mini scenario has {len(scenario.cavs)} vehicles")
+    return scenario
 
 
 def write_sim_output(frames, out_dir: str, app_shape) -> None:

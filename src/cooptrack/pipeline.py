@@ -71,29 +71,30 @@ class ConstantCovariance:
 class LearnedCovariance:
     """Covariance-network residuals, one parameter set per vehicle.
 
-    `params_by_cav` maps cav_id to either CovNetParams (plain inference) or
-    a (lifted mapping, CovNetConfig) pair produced for a training tape.
-    Packets are served one network pass each, or, after `precompute`, as
-    slices of one pass per parameter set over a whole window. The network
-    reads each detection's local box and its vehicle's pose
+    `params_by_cav` maps cav_id to CovNetParams, whose arrays may be tape
+    nodes (a training pass), or to a (name -> array/node mapping,
+    CovNetConfig) pair, which is wrapped as CovNetParams here. Packets are
+    served one network pass each, or, after `precompute`, as slices of one
+    pass per parameter set over a whole window. The network reads each
+    detection's local box and its vehicle's pose
     (`features.encode_detection`).
     """
 
     reals_per_detection = metrics.SHARED_REALS
 
     def __init__(self, params_by_cav: dict, bounds=DEFAULT_BOUNDS):
-        self.params_by_cav = params_by_cav
+        self.params_by_cav = {
+            cav: entry if isinstance(entry, covnet.CovNetParams)
+            else covnet.CovNetParams(entry[1], entry[0])
+            for cav, entry in params_by_cav.items()}
         self.bounds = bounds
         self._window = None  # (timestep, cav_id) -> (rows, start, stop)
 
-    def _params(self, cav_id):
-        """(parameters, config) of a vehicle's network."""
+    def _params(self, cav_id) -> covnet.CovNetParams:
+        """A vehicle's network; KeyError for a vehicle that has none."""
         if cav_id not in self.params_by_cav:
             raise KeyError(f"no covariance network parameters for vehicle {cav_id}")
-        entry = self.params_by_cav[cav_id]
-        if isinstance(entry, covnet.CovNetParams):
-            return entry, entry.config
-        return entry
+        return self.params_by_cav[cav_id]
 
     def _residuals(self, packets):
         """Residual rows of every detection of `packets`, from one network pass.
@@ -101,7 +102,7 @@ class LearnedCovariance:
         The packets' vehicles must share one parameter set. Rows come packet
         after packet, each packet's in detection order.
         """
-        params, config = self._params(packets[0].cav_id)
+        params = self._params(packets[0].cav_id)
         sizes = [len(p.detections) for p in packets]
         f_pos = np.empty((sum(sizes), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
         start = 0
@@ -110,13 +111,13 @@ class LearnedCovariance:
                              self.bounds, out=f_pos[start:start + size])
             start += size
         f_app = None
-        if config.use_appearance:
+        if params.config.use_appearance:
             apps = [d.appearance for p in packets for d in p.detections]
             if any(a is None for a in apps):
                 raise ValueError("detection has no appearance tensor but the "
                                  "appearance branch is enabled")
             f_app = np.stack(apps)
-        return covnet.forward(params, f_app, f_pos, config)
+        return covnet.forward(params, f_app, f_pos)
 
     def precompute(self, frame_packets):
         """Compute a window's residual rows before its frames are tracked.
@@ -125,15 +126,16 @@ class LearnedCovariance:
         network's input depends only on the detections and the poses, so
         each parameter set (each vehicle's, or the one shared set) takes
         every row of the window in one pass; a vehicle without detections
-        takes none. From then on `packet_residuals` hands out slices of
-        those rows, and raises ValueError for a packet not in the window.
+        takes none. Vehicles share a set when their entries hold one arrays
+        mapping. From then on `packet_residuals` hands out slices of those
+        rows, and raises ValueError for a packet not in the window.
         """
         groups = {}
         for packets in frame_packets:
             for packet in packets:
                 if packet.detections:
-                    params, _ = self._params(packet.cav_id)
-                    groups.setdefault(id(params), []).append(packet)
+                    arrays = self._params(packet.cav_id).arrays
+                    groups.setdefault(id(arrays), []).append(packet)
         window = {}
         for group in groups.values():
             rows = self._residuals(group)
@@ -216,7 +218,7 @@ class CoopTracker:
         if len({p.cav_id for p in packets}) != len(packets):
             raise ValueError("duplicate cav_id in packets")
 
-        matched_ids = set()
+        matched = [False] * len(self.tracks)  # per bank row: matched this timestep
         for packet in packets:
             det_global = transform_rows(box_rows(d.box for d in packet.detections),
                                         packet.pose)
@@ -234,11 +236,8 @@ class CoopTracker:
                 for ti, dj in zip(rows, dets):
                     life = self.tracks[ti]
                     confidence = packet.detections[dj].confidence
-                    if life.id in matched_ids:
-                        life.score = max(life.score, confidence)
-                    else:
-                        life.score = confidence
-                    matched_ids.add(life.id)
+                    life.score = max(life.score, confidence) if matched[ti] else confidence
+                    matched[ti] = True
             unmatched = np.ones(len(det_global), dtype=bool)
             unmatched[dets] = False
             born = np.flatnonzero(unmatched)
@@ -246,17 +245,15 @@ class CoopTracker:
                 mean = np.concatenate([det_global[born],
                                        np.zeros((len(born), STATE_DIM - OBS_DIM))], axis=1)
                 self.bank = self.bank.append(mean, ad.diag(ad.getitem(init_rows, born)))
-                for dj in born:
-                    life = Lifecycle(id=next(self.ids), score=packet.detections[dj].confidence)
-                    matched_ids.add(life.id)
-                    self.tracks.append(life)
+                self.tracks.extend(Lifecycle(id=next(self.ids),
+                                             score=packet.detections[dj].confidence)
+                                   for dj in born)
+                matched.extend([True] * len(born))
 
-        flags = [life.id in matched_ids for life in self.tracks]
-        survivors, killed = finish_timestep(self.tracks, flags, self.lifecycle)
-        if killed:
-            self.bank = self.bank.take([i for i, life in enumerate(self.tracks)
-                                        if life.id not in killed])
-            self.tracks = survivors
+        alive = finish_timestep(self.tracks, matched, self.lifecycle)
+        if len(alive) < len(self.tracks):
+            self.bank = self.bank.take(alive)
+            self.tracks = [self.tracks[i] for i in alive]
         boxes = self._box_vectors().tolist()
         shown = [i for i, life in enumerate(self.tracks) if reportable(life, self.lifecycle)]
         frame = ad.getitem(self.bank.mean, np.array(shown, dtype=np.intp))

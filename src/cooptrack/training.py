@@ -214,8 +214,6 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
 def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epochs_done):
     windows = split_subsequences(frames, settings.window_length)
     param_sets = _distinct_param_sets(params_by_cav)
-    # each vehicle's parameter object -> the key it is optimized under
-    owner = {id(params): cav for cav, params in param_sets.items()}
     if adam is None:
         adam = AdamState.init(param_sets)
     loss_curve = []
@@ -223,10 +221,11 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
         for w, window in enumerate(windows):
             tape = ad.Tape()
             try:
-                lifted = {cav: params.lift(tape) for cav, params in param_sets.items()}
-                provider_params = {cav: (lifted[owner[id(params)]], params.config)
-                                   for cav, params in params_by_cav.items()}
-                provider = LearnedCovariance(provider_params, bounds)
+                # each distinct parameter object -> its set lifted onto the tape
+                lifted = {id(params): CovNetParams(params.config, params.lift(tape))
+                          for params in param_sets.values()}
+                provider = LearnedCovariance({cav: lifted[id(params)] for cav, params
+                                              in params_by_cav.items()}, bounds)
                 frame_packets = [packets_from_sim_frame(frame) for frame in window]
                 provider.precompute(frame_packets)
                 tracker = tracker_from_settings(tracker_settings, provider)
@@ -246,10 +245,9 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                     raise FloatingPointError(
                         f"non-finite loss {loss_value} in epoch {epoch}, window {w}")
                 tape.backward(loss)
-                grads = {}
-                for cav, nodes in lifted.items():
-                    for name, node in nodes.items():
-                        grads[(cav, name)] = ad.grad_of(node)
+                grads = {(cav, name): ad.grad_of(node)
+                         for cav, params in param_sets.items()
+                         for name, node in lifted[id(params)].arrays.items()}
                 # the leaves hold the weights uncopied (`Tape.var`): free the
                 # graph before the Adam step writes into them
                 tape.release()

@@ -179,28 +179,25 @@ def _track(tid, hits=0, misses=0, age=0, score=1.0) -> Lifecycle:
 def test_finish_timestep_hit_miss_bookkeeping():
     cfg = LifecycleConfig(min_hits=3, max_age=2, score_decay=0.9)
     tracks = [_track(0, hits=1, misses=1, score=0.8), _track(1, hits=4, score=0.5)]
-    survivors, killed = finish_timestep(tracks, [True, False], cfg)
-    assert killed == []
-    assert survivors[0].hits == 2 and survivors[0].misses == 0 and survivors[0].score == 0.8
-    assert survivors[1].hits == 4 and survivors[1].misses == 1
-    assert survivors[1].score == pytest.approx(0.45)
+    assert finish_timestep(tracks, [True, False], cfg) == [0, 1]
+    assert tracks[0].hits == 2 and tracks[0].misses == 0 and tracks[0].score == 0.8
+    assert tracks[1].hits == 4 and tracks[1].misses == 1
+    assert tracks[1].score == pytest.approx(0.45)
 
 
 def test_finish_timestep_kills_after_max_age():
     cfg = LifecycleConfig(min_hits=3, max_age=2, score_decay=0.9)
-    trk = _track(7, hits=5, misses=2)
-    survivors, killed = finish_timestep([trk], [False], cfg)
-    # Third consecutive miss exceeds max_age=2.
-    assert survivors == []
-    assert killed == [7]
+    tracks = [_track(6, misses=1), _track(7, hits=5, misses=2), _track(8, misses=2)]
+    # Third consecutive miss exceeds max_age=2; the rows that survive keep their order.
+    assert finish_timestep(tracks, [False, False, True], cfg) == [0, 2]
+    assert tracks[1].misses == 3
 
 
 def test_miss_streak_reset_by_hit():
     cfg = LifecycleConfig(min_hits=3, max_age=2, score_decay=0.9)
     trk = _track(0)
     for matched in [False, False, True, False, False]:
-        [trk], killed = finish_timestep([trk], [matched], cfg)
-        assert killed == []
+        assert finish_timestep([trk], [matched], cfg) == [0]
     # Streak was broken, so the track is still alive at misses=2.
     assert trk.misses == 2
 

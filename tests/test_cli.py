@@ -383,6 +383,24 @@ def test_a_log_of_other_vehicles_than_num_cavs_is_rejected(tmp_path, sim_dir, ca
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("num_cavs", [3, 1])
+@pytest.mark.parametrize("command", ["simulate", "ablate"])
+def test_a_simulated_run_rejects_num_cavs_other_than_the_scenarios(tmp_path, capsys,
+                                                                    monkeypatch, command,
+                                                                    num_cavs):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the scenario was generated")
+
+    monkeypatch.setattr(sim, "generate", no_work)
+    config = tmp_path / "other.json"
+    io.save_config(str(config), dataclasses.replace(small_config(), num_cavs=num_cavs))
+    out = tmp_path / "new" / ("sim" if command == "simulate" else "grid.csv")
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: num_cavs: the config sets {num_cavs}, but "
+                                       "the simulated v2v_mini scenario has 2 vehicles\n")
+    assert not out.parent.exists()
+
+
 def _write_edited_checkpoint(path, cfg, edit_header=None, first_entry=None, tail=b"",
                              adam=False, kind="param"):
     """Save a zero checkpoint for `cfg` (with zero Adam tables if `adam`), then edit

@@ -161,7 +161,7 @@ def test_forward_tape_matches_plain_bitwise():
         plain = forward(params, f_app, f_pos)
         tape = ad.Tape()
         lifted = params.lift(tape)
-        taped = forward(lifted, f_app, f_pos, config=params.config)
+        taped = forward(CovNetParams(params.config, lifted), f_app, f_pos)
         assert plain.tobytes() == ad.val(taped).tobytes()
 
 
@@ -186,8 +186,6 @@ def test_forward_validates_input_shapes():
         forward(params, f_app[0], f_pos[0])  # one detection still needs the batch axis
     with pytest.raises(ValueError):
         forward(params, f_app[:1], f_pos)  # the branches disagree on N
-    with pytest.raises(ValueError):
-        forward(params.arrays, f_app, f_pos)  # raw mapping needs config
 
 
 def test_residual_to_obs_noise_formula():
@@ -232,7 +230,7 @@ def test_forward_gradient_reaches_all_parameters():
     f_pos = rng.uniform(0.1, 1.0, size=(2, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
     tape = ad.Tape()
     lifted = params.lift(tape)
-    out = forward(lifted, f_app, f_pos, config=params.config)
+    out = forward(CovNetParams(params.config, lifted), f_app, f_pos)
     tape.backward(ad.asum(ad.square(out)))
     for name, leaf in lifted.items():
         g = ad.grad_of(leaf)
@@ -249,7 +247,7 @@ def test_forward_gradient_on_a_batch_matches_finite_differences():
     weights = rng.standard_normal((3, RESIDUAL_DIM))
 
     def loss(arrays):
-        out = forward(arrays, f_app, f_pos, config=SMALL)
+        out = forward(CovNetParams(SMALL, arrays), f_app, f_pos)
         return ad.asum(ad.square(ad.sub(out, weights)))
 
     tape = ad.Tape()

@@ -114,15 +114,17 @@ def test_score_replaced_by_match_confidence():
     assert reported[0].score == pytest.approx(0.4)
 
 
-def test_same_timestep_two_cavs_yield_one_track():
+@pytest.mark.parametrize("confidences", [(0.6, 0.8), (0.8, 0.6)],
+                         ids=["low-first", "high-first"])
+def test_same_timestep_two_cavs_yield_one_track(confidences):
     tracker = CoopTracker()
     reported = tracker.step([
-        _packet(0, 0, [_det(10.0, 0.0, conf=0.6)]),
-        _packet(0, 1, [_det(10.2, 0.0, conf=0.8)]),
+        _packet(0, 0, [_det(10.0, 0.0, conf=confidences[0])]),
+        _packet(0, 1, [_det(10.2, 0.0, conf=confidences[1])]),
     ])
     # Round-two association matches the round-one birth: no duplicate.
     assert len(reported) == 1
-    # Score is the max confidence across same-timestep matches.
+    # Score is the max confidence across same-timestep matches, in either order.
     assert reported[0].score == pytest.approx(0.8)
 
 
@@ -309,9 +311,9 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     batches = []
     real_forward = covnet.forward
 
-    def counting_forward(params, f_app, f_pos, config=None):
+    def counting_forward(params, f_app, f_pos):
         batches.append(len(f_pos))
-        return real_forward(params, f_app, f_pos, config)
+        return real_forward(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting_forward)
     tracker = CoopTracker(cov_provider=LearnedCovariance(params))

@@ -361,9 +361,9 @@ def window_rollout(frames, params_by_cav, precompute, monkeypatch):
     """
     passes, real = [], covnet.forward
 
-    def counting(params, f_app, f_pos, config=None):
+    def counting(params, f_app, f_pos):
         passes.append(len(f_pos))
-        return real(params, f_app, f_pos, config)
+        return real(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting)
     tape = ad.Tape()
@@ -440,9 +440,9 @@ def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
     cfg = small_run_config(train=TrainSettings(window_length=4, epochs=1))
     passes, real = [], covnet.forward
 
-    def counting(params, f_app, f_pos, config=None):
+    def counting(params, f_app, f_pos):
         passes.append(len(f_pos))
-        return real(params, f_app, f_pos, config)
+        return real(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting)
     runs = []
