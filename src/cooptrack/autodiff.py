@@ -43,6 +43,13 @@ class Tape:
     backward pass is one reverse sweep that visits each node exactly once.
     The sweep consumes the graph (`backward`), so a tape is swept at most
     once.
+
+    Several threads may record at once (`pipeline.map_passes`): a node is
+    listed after its parents, so the order stays topological. Where the
+    threads' subgraphs are disjoint, as the passes of different parameter
+    sets are, each node's consumers are recorded by one thread in that
+    thread's order, and the sweep adds a node's gradients in the reverse of
+    that order, so every gradient has the bits of a one-thread recording.
     """
 
     def __init__(self):

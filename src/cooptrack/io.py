@@ -465,7 +465,7 @@ def gt_record(t: int, obj_id: int, box: Box7) -> dict:
 
 
 def record_box(rec) -> Box7:
-    return Box7.from_vector(np.array(rec["box"], dtype=float))
+    return Box7.from_vector(rec["box"])
 
 
 def record_pose(rec) -> PoseYawT:
@@ -478,7 +478,7 @@ def track_frames_from_records(records) -> dict:
     out = {}
     for rec in records:
         out.setdefault(rec["t"], []).append(
-            (rec["id"], Box7.from_vector(rec["box"]), rec["score"]))
+            (rec["id"], record_box(rec), rec["score"]))
     return out
 
 
@@ -486,7 +486,7 @@ def gt_frames_from_records(records) -> dict:
     """{timestep: [(obj_id, Box7)]} from ground-truth log records."""
     out = {}
     for rec in records:
-        out.setdefault(rec["t"], []).append((rec["obj"], Box7.from_vector(rec["box"])))
+        out.setdefault(rec["t"], []).append((rec["obj"], record_box(rec)))
     return out
 
 

@@ -188,7 +188,8 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     no further and keeps its count. A window whose global gradient norm is
     not finite raises FloatingPointError before the optimizer changes
     anything. Each window's covariance rows come from one network pass per
-    parameter set, made before its frames are tracked
+    parameter set, made before its frames are tracked; the sets' passes run
+    concurrently and leave every gradient's bits as they are
     (`LearnedCovariance.precompute`).
 
     The cyclic garbage collector is paused while training runs, and the

@@ -3,11 +3,13 @@ multi-vehicle duplicate suppression, payload accounting, and the learned
 provider's zero-parameter equivalence to the constant tracker."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from cooptrack import covnet, metrics, sim
+from cooptrack import covnet, metrics, pipeline, sim
 from cooptrack.association import LifecycleConfig
 from cooptrack.covnet import CovNetConfig, CovNetParams, layer_shapes
 from cooptrack.features import encode_detection
@@ -262,6 +264,102 @@ def test_learned_provider_requires_params_and_appearance():
         tracker2.step([_packet(0, 0, [_det(5.0, 0.0)])])
 
 
+def test_a_vehicle_without_parameters_fails_its_frame_before_any_round():
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(5)
+    tracker = CoopTracker(cov_provider=LearnedCovariance({0: CovNetParams.init(cfg, rng)}))
+    run_sequence([[_learned_packet(rng, 0, 0, [0.0, 20.0], cfg)]], tracker)
+    mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
+    lives = [dataclasses.astuple(life) for life in tracker.tracks]
+    # vehicle 0's round would match and update both tracks
+    frame = [_learned_packet(rng, 1, 0, [0.1, 20.1], cfg),
+             _learned_packet(rng, 1, 1, [40.0], cfg)]
+    with pytest.raises(ValueError, match="frame 0: .*no covariance network parameters "
+                                         "for vehicle 1"):
+        run_sequence([frame], tracker)
+    assert tracker.bank.mean.tobytes() == mean.tobytes()
+    assert tracker.bank.cov.tobytes() == cov.tobytes()
+    assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
+
+
+def _threads_of_passes(monkeypatch) -> set:
+    """The names of the threads that run `covnet.forward` from now on."""
+    names, real = set(), covnet.forward
+
+    def recording(params, f_app, f_pos):
+        names.add(threading.current_thread().name)
+        return real(params, f_app, f_pos)
+
+    monkeypatch.setattr(covnet, "forward", recording)
+    return names
+
+
+def _switching_often(run):
+    """`run()` with the interpreter switching threads every 10 microseconds."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        return run()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-vehicle", "shared"])
+def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch):
+    frames = sim.generate(sim.preset_v2v_mini(seed=4, duration=12))
+    rng = np.random.default_rng(6)
+    first = CovNetParams.init(CovNetConfig(), rng)
+    params = {0: first, 1: first if shared else CovNetParams.init(CovNetConfig(), rng)}
+    threads = _threads_of_passes(monkeypatch)
+
+    def run(cpus):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        tracker = CoopTracker(cov_provider=LearnedCovariance(params))
+        reports, _ = run_sequence([packets_from_sim_frame(f) for f in frames], tracker)
+        return [(r.track_id, r.box.to_vector().tobytes(), r.score,
+                 np.asarray(r.mean).tobytes()) for frame in reports for r in frame]
+
+    sequential = run(1)
+    assert threads == {threading.current_thread().name}
+    # more workers than this machine's cores, switching threads often
+    assert _switching_often(lambda: run(4)) == sequential
+    assert sum(map(len, sequential)) > 0
+    workers = {name for name in threads if name.startswith("cooptrack-pass")}
+    # one set's passes run one after another, in the calling thread
+    assert bool(workers) != shared
+
+
+@pytest.mark.parametrize("rows", [pipeline.CONCURRENT_MIN_ROWS - 1,
+                                  pipeline.CONCURRENT_MIN_ROWS])
+def test_passes_run_concurrently_only_when_each_has_enough_detections(rows, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(7)
+    provider = LearnedCovariance({cav: CovNetParams.init(cfg, rng) for cav in (0, 1)})
+    threads = _threads_of_passes(monkeypatch)
+    xs = [10.0 * k for k in range(rows)]
+    # the smaller pass decides
+    provider.frame_residuals([_learned_packet(rng, 0, 0, xs, cfg),
+                              _learned_packet(rng, 0, 1, xs + [500.0], cfg)])
+    assert len(threads) == 1 + (rows >= pipeline.CONCURRENT_MIN_ROWS)
+
+
+def test_a_callers_errstate_holds_in_a_pass_on_a_worker(monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    ran_on = {}
+
+    def square(x):
+        ran_on[x] = threading.current_thread().name
+        return np.square(np.float64(x))
+
+    assert pipeline.map_passes(square, [2.0, 3.0]) == [4.0, 9.0]
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            pipeline.map_passes(square, [2.0, 1e300])
+    assert ran_on[2.0] == threading.current_thread().name
+    assert ran_on[1e300].startswith("cooptrack-pass")
+
+
 def test_zero_params_equal_constant_covariance_exactly():
     """sqrt(1)+0 squared is exactly 1.0, so a zero network must reproduce
     the constant tracker's floating point stream bit for bit."""
@@ -308,11 +406,12 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     cfg = CovNetConfig()
     rng = np.random.default_rng(5)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
-    batches = []
+    cav_of = {id(p): cav for cav, p in params.items()}
+    batches = {}  # vehicle -> rows of each of its passes; the vehicles' passes run concurrently
     real_forward = covnet.forward
 
     def counting_forward(params, f_app, f_pos):
-        batches.append(len(f_pos))
+        batches.setdefault(cav_of[id(params)], []).append(len(f_pos))
         return real_forward(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting_forward)
@@ -321,11 +420,11 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
                   _learned_packet(rng, 0, 1, [], cfg),
                   _learned_packet(rng, 0, 2, [0.2, 60.0], cfg)])
     # matched and born detections alike come from one pass per packet
-    assert batches == [3, 2]
+    assert batches == {0: [3], 2: [2]}
     tracker.step([_learned_packet(rng, 1, 1, [0.0, 20.0], cfg)])
-    assert batches == [3, 2, 2]
+    assert batches == {0: [3], 1: [2], 2: [2]}
     CoopTracker().step([_learned_packet(rng, 0, 0, [0.0, 20.0], cfg)])
-    assert batches == [3, 2, 2]  # constant covariance runs no network
+    assert batches == {0: [3], 1: [2], 2: [2]}  # constant covariance runs no network
 
 
 def test_step_records_the_same_tape_nodes_however_many_tracks_it_reports():
@@ -400,11 +499,12 @@ class _DegenerateNoiseAt:
     def __init__(self, timestep, detection):
         self.timestep, self.detection = timestep, detection
 
-    def packet_residuals(self, packet):
-        rows = np.zeros((len(packet.detections), covnet.RESIDUAL_DIM))
-        if packet.timestep == self.timestep:
-            rows[self.detection, 0] = 1e7  # R_xx = (1 + 1e7)^2: S is beyond the guard
-        return rows
+    def frame_residuals(self, packets):
+        frame = [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
+        for packet, rows in zip(packets, frame):
+            if packet.timestep == self.timestep:
+                rows[self.detection, 0] = 1e7  # R_xx = (1 + 1e7)^2: S is beyond the guard
+        return frame
 
 
 def test_one_degenerate_update_does_not_abort_the_sequence():

@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import gc
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from cooptrack import autodiff as ad
-from cooptrack import covnet, sim, training
+from cooptrack import covnet, pipeline, sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, wrap_angle
 from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings
@@ -355,14 +357,15 @@ def silence(frames, cav, timesteps):
 def window_rollout(frames, params_by_cav, precompute, monkeypatch):
     """Rows, loss gradients and network passes of one window on a fresh tape.
 
-    Returns ({(t, cav): rows}, {(cav, name): gradient}, [rows per pass]);
-    a shared parameter set is lifted once and its gradients keyed by its
-    first vehicle.
+    Returns ({(t, cav): rows}, {(cav, name): gradient}, {cav: [rows per
+    pass]}); a shared parameter set is lifted once, and its gradients and
+    passes are keyed by its first vehicle. The passes of different sets run
+    concurrently, so only each set's own passes have an order.
     """
-    passes, real = [], covnet.forward
+    passes, real = {}, covnet.forward
 
     def counting(params, f_app, f_pos):
-        passes.append(len(f_pos))
+        passes.setdefault(cav_of[id(params.arrays)], []).append(len(f_pos))
         return real(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting)
@@ -371,6 +374,7 @@ def window_rollout(frames, params_by_cav, precompute, monkeypatch):
     for cav, params in sorted(params_by_cav.items()):
         if id(params) not in lifted:
             lifted[id(params)] = (cav, params.lift(tape))
+    cav_of = {id(nodes): cav for cav, nodes in lifted.values()}
     provider = LearnedCovariance({cav: (lifted[id(p)][1], p.config)
                                   for cav, p in params_by_cav.items()})
     frame_packets = [packets_from_sim_frame(f) for f in frames]
@@ -403,9 +407,9 @@ def test_window_rows_and_gradients_equal_the_streamed_ones(case, monkeypatch):
     rows, grads, passes = window_rollout(frames, params, True, monkeypatch)
     want_rows, want_grads, streamed = window_rollout(frames, params, False, monkeypatch)
     count = {cav: sum(len(f.detections[cav]) for f in frames) for cav in (0, 1)}
-    assert passes == {"gaps": [count[0], count[1]], "silent": [count[0]],
-                      "shared": [count[0] + count[1]]}[case]
-    assert len(streamed) > len(passes)
+    assert passes == {"gaps": {0: [count[0]], 1: [count[1]]}, "silent": {0: [count[0]]},
+                      "shared": {0: [count[0] + count[1]]}}[case]
+    assert sum(map(len, streamed.values())) > sum(map(len, passes.values()))
     assert rows.keys() == want_rows.keys()
     for key, want in want_rows.items():
         np.testing.assert_allclose(rows[key], want, rtol=1e-12, atol=0)
@@ -417,6 +421,50 @@ def test_window_rows_and_gradients_equal_the_streamed_ones(case, monkeypatch):
             assert scale == 0.0 and not np.any(grads[key])
         else:
             assert scale > 0.0
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-vehicle", "shared"])
+def test_concurrent_passes_leave_an_epoch_byte_identical(shared, monkeypatch):
+    frames = sim.generate(tiny_scenario())
+    cfg = small_run_config(covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
+                                              head_hidden=8, shared_weights=shared),
+                           train=TrainSettings(window_length=4, epochs=1))
+    grads, real = [], ad.grad_of
+
+    def recording(leaf):
+        grads.append(real(leaf).tobytes())
+        return real(leaf)
+
+    monkeypatch.setattr(ad, "grad_of", recording)
+    threads, real_forward = set(), covnet.forward
+
+    def forward(params, f_app, f_pos):
+        threads.add(threading.current_thread().name)
+        return real_forward(params, f_app, f_pos)
+
+    monkeypatch.setattr(covnet, "forward", forward)
+
+    def epoch(cpus):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        grads.clear()
+        params = training.init_params_for_run(cfg, np.random.default_rng(3))
+        result = training.train(frames, params, cfg.train, cfg.tracker)
+        weights = [a.tobytes() for p in training._distinct_param_sets(params).values()
+                   for a in p.arrays.values()]
+        return result.loss_curve, list(grads), weights
+
+    sequential = epoch(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more workers than cores, switching threads often
+    try:
+        assert epoch(4) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+    loss_curve, leaf_grads, _ = sequential
+    assert len(loss_curve) == 2 and all(r["supervised"] > 0 for r in loss_curve)
+    assert len(leaf_grads) == 2 * len(covnet.layer_shapes(small_net())) * (1 if shared else 2)
+    # one set's window takes one pass, in the calling thread
+    assert any(name.startswith("cooptrack-pass") for name in threads) != shared
 
 
 def test_a_packet_the_window_did_not_precompute_raises():
