@@ -73,8 +73,8 @@ def normalize(values, bounds=DEFAULT_BOUNDS) -> np.ndarray:
 def _sinusoids(xb, out) -> np.ndarray:
     """Fill `out` (..., K, 256) with the interleaved sin/cos of (..., K) normalized scalars."""
     phases = xb[..., None] / _SCALES
-    out[..., 0::2] = np.sin(phases)
-    out[..., 1::2] = np.cos(phases)
+    np.sin(phases, out=out[..., 0::2])
+    np.cos(phases, out=out[..., 1::2])
     return out
 
 
@@ -103,9 +103,33 @@ def encode_detection(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS,
     xb = normalize(extract_positional(det_local, pose), bounds)
     if out is None:
         out = np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,))
-    # columns 13: (the pose) are the same in every row of a packet: encode them once
+    # columns 13: (the pose) are the same in every row of a packet: encode them
+    # once, into the first row, and copy that to the others
     _sinusoids(xb[:, :13], out[:, :13])
-    _sinusoids(xb[:1, 13:], out[:, 13:])
+    _sinusoids(xb[:1, 13:], out[:1, 13:])
+    out[1:, 13:] = out[:1, 13:]
+    return out
+
+
+def texture_size(shape) -> int:
+    """Entries of an appearance tensor of `shape` that carry texture: every
+    channel after the first 3. ValueError for fewer than 3 channels."""
+    c, h, w = shape
+    if c < 3:
+        raise ValueError("appearance tensor needs at least 3 channels")
+    return (c - 3) * h * w
+
+
+def appearance_tensors(distances, noise_scales, texture,
+                       shape=DEFAULT_APPEARANCE_SHAPE) -> np.ndarray:
+    """The tensors of `synth_appearance`, (k, *shape), for k objects' distances
+    and noise scales and their (k, `texture_size(shape)`) standard normal draws."""
+    noise_scales = np.asarray(noise_scales, dtype=float)[:, None, None]
+    out = np.zeros((len(noise_scales), *shape), dtype=float)
+    out[:, 0] = 1.0
+    out[:, 1] = (np.asarray(distances, dtype=float) / 100.0)[:, None, None]
+    out[:, 2] = noise_scales
+    out[:, 3:] = noise_scales[:, None] * np.reshape(texture, out[:, 3:].shape)
     return out
 
 
@@ -118,13 +142,5 @@ def synth_appearance(distance: float, noise_scale: float, rng: np.random.Generat
     channels carry seeded texture whose amplitude grows with the noise scale,
     so a zero-noise sensor yields an exactly deterministic baseline tensor.
     """
-    c, h, w = shape
-    if c < 3:
-        raise ValueError("appearance tensor needs at least 3 channels")
-    out = np.zeros(shape, dtype=float)
-    out[0] = 1.0
-    out[1] = distance / 100.0
-    out[2] = noise_scale
-    if c > 3:
-        out[3:] = noise_scale * rng.standard_normal((c - 3, h, w))
-    return out
+    texture = rng.standard_normal((1, texture_size(shape)))
+    return appearance_tensors([distance], [noise_scale], texture, shape)[0]

@@ -60,9 +60,12 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace, round-trip floats."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 @contextlib.contextmanager
@@ -231,6 +234,8 @@ FILE_RANGES = {  # each file object's ranges, keyed by field name
 
 def _is_number(value) -> bool:
     """A finite int or float; a bool, or an int beyond float range, is not."""
+    if type(value) is float:
+        return math.isfinite(value)
     try:
         return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
@@ -447,21 +452,24 @@ def read_log(path: str, format_name: str):
 # conversions between log records and runtime objects
 
 
+def _box_list(box: Box7) -> list:
+    """A Box7's fields, plain floats already, as a record's `box` list."""
+    return [box.x, box.y, box.z, box.a, box.l, box.w, box.h]
+
+
 def detection_record(t: int, cav_id: int, box: Box7, conf: float, pose: PoseYawT,
                      app_index=None) -> dict:
-    return {"t": int(t), "cav": int(cav_id), "box": [float(v) for v in box.to_vector()],
-            "conf": float(conf),
-            "pose": [float(pose.t_x), float(pose.t_y), float(pose.t_z), float(pose.yaw)],
+    return {"t": int(t), "cav": int(cav_id), "box": _box_list(box), "conf": float(conf),
+            "pose": [pose.t_x, pose.t_y, pose.t_z, pose.yaw],
             "app": None if app_index is None else int(app_index)}
 
 
 def track_record(t: int, track_id: int, box: Box7, score: float) -> dict:
-    return {"t": int(t), "id": int(track_id),
-            "box": [float(v) for v in box.to_vector()], "score": float(score)}
+    return {"t": int(t), "id": int(track_id), "box": _box_list(box), "score": float(score)}
 
 
 def gt_record(t: int, obj_id: int, box: Box7) -> dict:
-    return {"t": int(t), "obj": int(obj_id), "box": [float(v) for v in box.to_vector()]}
+    return {"t": int(t), "obj": int(obj_id), "box": _box_list(box)}
 
 
 def record_box(rec) -> Box7:
@@ -607,11 +615,13 @@ def load_sim_frames(data_dir: str):
     tensors = read_tensors(tensor_path) if os.path.exists(tensor_path) else None
     dets_by_t = {}
     poses_by_t = {}
+    run = None  # (t, cav, raw pose) of the records since the last PoseYawT was built
     for rec in det_records:
-        pose = record_pose(rec)
-        if poses_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], pose) != pose:
-            raise LogFormatError(f"{det_path}: conflicting poses for t={rec['t']} "
-                                 f"cav={rec['cav']}")
+        if run != (rec["t"], rec["cav"], rec["pose"]):
+            run, pose = (rec["t"], rec["cav"], rec["pose"]), record_pose(rec)
+            if poses_by_t.setdefault(rec["t"], {}).setdefault(rec["cav"], pose) != pose:
+                raise LogFormatError(f"{det_path}: conflicting poses for t={rec['t']} "
+                                     f"cav={rec['cav']}")
         app = rec.get("app")
         if tensors is None or app is None:
             app = None

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import DEFAULT_APPEARANCE_SHAPE, synth_appearance
-from .geometry import Box7, PoseYawT, inverse_pose, transform_box, wrap_angle
+from .features import (DEFAULT_APPEARANCE_SHAPE, appearance_tensors, synth_appearance,
+                       texture_size)
+from .geometry import Box7, PoseYawT, box_rows, inverse_pose, transform_rows, wrap_angle
 
 FRAME_RATE_HZ = 10.0
 FRAME_DT = 1.0 / FRAME_RATE_HZ  # seconds between frames
@@ -48,9 +49,10 @@ class SensorModel:
                 raise ValueError(f"{name} must be in [0,1], got {rate}")
         if self.degrade_multiplier < 1.0:
             raise ValueError("degrade_multiplier must be >= 1")
+        texture_size(self.appearance_shape)  # at least the 3 signal channels
 
-    def noise_scale(self, rng_range: float) -> float:
-        """Positional std multiplier at the given sensing range."""
+    def noise_scale(self, rng_range):
+        """Positional std multiplier at the given sensing range (or ranges)."""
         return 1.0 + self.dist_coeff * rng_range
 
     def positional_std(self, rng_range: float) -> float:
@@ -138,23 +140,37 @@ def straight_pose_track(start_xy, yaw, speed, frames) -> tuple:
     return tuple(out)
 
 
-def _line_of_sight_blocked(sensor_xy, target_box: Box7, others) -> bool:
-    """Cheap occlusion test: another object's disc intersects the sight segment."""
-    sx, sy = sensor_xy
-    tx, ty = target_box.x, target_box.y
-    dx, dy = tx - sx, ty - sy
+def _line_of_sight_blocked(boxes, sx: float, sy: float) -> np.ndarray:
+    """Cheap occlusion test for every object at once: whether another object's
+    disc meets the sight segment from the sensor at (sx, sy) to the object.
+
+    `boxes` holds the objects' global (n, 7) box rows; an object's disc has
+    half its footprint's diagonal as radius. Object i is blocked when some
+    object j != i projects onto the segment strictly between 5 % and 95 % of
+    its length, at a distance of at most j's radius. An object never hides
+    itself, nor does an equal box: its quotient is exactly 1. A sensor whose
+    squared distance to i's centre is below 1e-9 m² sees i. Every pair takes
+    the operations, in the order, of a loop over pairs in Python floats, and
+    each distance and radius is `math.hypot`'s, so the flags are that loop's.
+    """
+    x, y = boxes[:, 0], boxes[:, 1]
+    radii = 0.5 * np.array(list(map(math.hypot, boxes[:, 4].tolist(), boxes[:, 5].tolist())),
+                           dtype=float)
+    dx, dy = x - sx, y - sy
     seg_len2 = dx * dx + dy * dy
-    if seg_len2 < 1e-9:
-        return False
-    for other in others:
-        radius = 0.5 * math.hypot(other.l, other.w)
-        u = ((other.x - sx) * dx + (other.y - sy) * dy) / seg_len2
-        if not 0.05 < u < 0.95:
-            continue
-        px, py = sx + u * dx, sy + u * dy
-        if math.hypot(other.x - px, other.y - py) <= radius:
-            return True
-    return False
+    # a sensor on its target divides by about 0 (that row is masked out below),
+    # and far-off coordinates overflow to inf as Python floats do, silently
+    with np.errstate(all="ignore"):
+        u = ((x - sx) * dx[:, None] + (y - sy) * dy[:, None]) / seg_len2[:, None]
+    near = (0.05 < u) & (u < 0.95) & ~(seg_len2 < 1e-9)[:, None]
+    target, other = np.nonzero(near)
+    u = u[target, other]
+    off_x = x[other] - (sx + u * dx[target])
+    off_y = y[other] - (sy + u * dy[target])
+    dist = np.array(list(map(math.hypot, off_x.tolist(), off_y.tolist())), dtype=float)
+    blocked = np.zeros(len(boxes), dtype=bool)
+    blocked[target[dist <= radii[other]]] = True
+    return blocked
 
 
 def _false_positive(sensor: SensorModel, rng: np.random.Generator):
@@ -168,6 +184,45 @@ def _false_positive(sensor: SensorModel, rng: np.random.Generator):
     return Detection(box=box, confidence=conf, appearance=app, is_false_positive=True)
 
 
+def _detect(boxes, pose: PoseYawT, sensor: SensorModel, rng: np.random.Generator) -> list:
+    """One vehicle's detections of the objects with global box rows `boxes`, in
+    object order, then its false positive."""
+    # every object draws its miss and degrade coins, then its box noise and
+    # appearance texture, visible or not, so visibility changes never shift
+    # other objects' randomness
+    coins = np.empty((len(boxes), 2))
+    normals = np.empty((len(boxes), 7 + texture_size(sensor.appearance_shape)))
+    for coin, normal in zip(coins, normals):
+        rng.random(out=coin)
+        rng.standard_normal(out=normal)
+    local = transform_rows(boxes, inverse_pose(pose))
+    ranges = np.array(list(map(math.hypot, local[:, 0].tolist(), local[:, 1].tolist())),
+                      dtype=float)
+    miss_prob = np.where(_line_of_sight_blocked(boxes, pose.t_x, pose.t_y),
+                         min(1.0, sensor.base_miss_prob + sensor.occlusion_extra_prob),
+                         sensor.base_miss_prob)
+    kept = np.flatnonzero(~(ranges > sensor.max_range) & ~(coins[:, 0] < miss_prob))
+    ranges, local, normals = ranges[kept], local[kept], normals[kept]
+    scale = sensor.noise_scale(ranges)
+    scale = np.where(coins[kept, 1] < sensor.degrade_prob,
+                     scale * sensor.degrade_multiplier, scale)
+    noise = normals[:, :7] * (np.array(sensor.base_std) * scale[:, None])
+    det_rows = local + noise
+    det_rows[:, 3] = wrap_angle(det_rows[:, 3])
+    extents = det_rows[:, 4:]
+    det_rows[:, 4:] = np.where(extents > MIN_EXTENT, extents, MIN_EXTENT)
+    # appearance channel 2 carries the true per-detection noise level;
+    # detector confidence stays range-based, so quality of a degraded box is
+    # visible only through appearance
+    apps = appearance_tensors(ranges, sensor.base_std[0] * scale, normals[:, 7:],
+                              sensor.appearance_shape)
+    dets = [Detection(box=Box7(*row), confidence=sensor.confidence(rng_range), appearance=app)
+            for row, rng_range, app in zip(det_rows.tolist(), ranges.tolist(), apps)]
+    if rng.uniform() < sensor.fp_rate:
+        dets.append(_false_positive(sensor, rng))
+    return dets
+
+
 def generate(scenario: Scenario) -> list:
     """Render the scenario into per-frame ground truth and detections.
 
@@ -178,51 +233,12 @@ def generate(scenario: Scenario) -> list:
     frames = []
     for t in range(scenario.duration):
         gt = tuple((obj_id, traj[t]) for obj_id, traj in enumerate(scenario.objects))
+        boxes = box_rows(box for _, box in gt)
         detections = {}
         poses = {}
         for cav_id, cav in enumerate(scenario.cavs):
-            pose = cav.poses[t]
-            inv = inverse_pose(pose)
-            sensor = cav.sensor
-            dets = []
-            for obj_id, box in gt:
-                # every draw (miss coin, degrade coin, box noise, appearance
-                # texture) happens for every object, visible or not, so
-                # visibility changes never shift other objects' randomness
-                miss_draw = rng.uniform()
-                degrade_draw = rng.uniform()
-                local = transform_box(box, inv)
-                rng_range = math.hypot(local.x, local.y)
-                noise_draw = rng.standard_normal(7)
-                scale = sensor.noise_scale(rng_range)
-                if degrade_draw < sensor.degrade_prob:
-                    scale *= sensor.degrade_multiplier
-                # appearance channel 2 carries the true per-detection noise
-                # level; detector confidence stays range-based, so quality
-                # of a degraded box is visible only through appearance
-                app = synth_appearance(rng_range, sensor.base_std[0] * scale,
-                                       rng, sensor.appearance_shape)
-                if rng_range > sensor.max_range:
-                    continue
-                miss_prob = sensor.base_miss_prob
-                others = [b for oid, b in gt if oid != obj_id]
-                if _line_of_sight_blocked((pose.t_x, pose.t_y), box, others):
-                    miss_prob = min(1.0, miss_prob + sensor.occlusion_extra_prob)
-                if miss_draw < miss_prob:
-                    continue
-                std = np.array(sensor.base_std) * scale
-                noise = noise_draw * std
-                det_box = Box7(local.x + noise[0], local.y + noise[1],
-                               local.z + noise[2], wrap_angle(local.a + noise[3]),
-                               max(MIN_EXTENT, local.l + noise[4]),
-                               max(MIN_EXTENT, local.w + noise[5]),
-                               max(MIN_EXTENT, local.h + noise[6]))
-                conf = sensor.confidence(rng_range)
-                dets.append(Detection(box=det_box, confidence=conf, appearance=app))
-            if rng.uniform() < sensor.fp_rate:
-                dets.append(_false_positive(sensor, rng))
-            detections[cav_id] = dets
-            poses[cav_id] = pose
+            detections[cav_id] = _detect(boxes, cav.poses[t], cav.sensor, rng)
+            poses[cav_id] = cav.poses[t]
         frames.append(SimFrame(timestep=t, gt=gt, detections=detections, poses=poses))
     return frames
 

@@ -596,6 +596,8 @@ UNREFERENCED_KEPT = {
     "features.positional_encoding": "the reference test_encode_detection_composes holds "
                                     "encode_detection's pose-once shortcut to",
     "filter.fuse_sequential": "acceptance criterion 1 folds the update with it",
+    "geometry.transform_box": "the per-box reference the geometry and simulator tests hold "
+                              "transform_rows to, bit for bit",
     "io.save_config": "the acceptance and CLI tests write their config files with it",
     "pipeline.CoopTracker.skipped_updates": "the count of degenerate updates a run skips, "
                                             "which the planned consistency report records",

@@ -137,6 +137,19 @@ def test_batched_encoding_is_bit_identical_to_per_row_formula():
         assert batch[j].tobytes() == encode_detection(local[j:j + 1], pose)[0].tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 10, 25, 85, 250])
+def test_encoding_written_in_place_has_the_bits_of_whole_sin_and_cos_arrays(n):
+    # the sinusoids are written straight into the encoding's strided halves
+    local, pose = _packet(np.random.default_rng(66), n)
+    xb = normalize(extract_positional(local, pose))
+    phases = xb[..., None] / (2.0 ** (np.arange(ENCODING_HALF_WIDTH) / ENCODING_HALF_WIDTH))
+    want = np.empty((n, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
+    want[..., 0::2] = np.sin(phases)
+    want[..., 1::2] = np.cos(phases)
+    assert positional_encoding(extract_positional(local, pose)).tobytes() == want.tobytes()
+    assert encode_detection(local, pose).tobytes() == want.tobytes()
+
+
 def test_synth_appearance_channels():
     rng = np.random.default_rng(63)
     a = synth_appearance(distance=40.0, noise_scale=0.5, rng=rng)

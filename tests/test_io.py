@@ -250,6 +250,36 @@ def test_detection_log_round_trip(tmp_path):
     assert io.read_log(str(path), io.FORMAT_DETECTIONS) == [old]
 
 
+def _detections_dir(root, records) -> str:
+    """A scene directory of the given detection records, no ground truth or tensors."""
+    io.write_log(str(root / io.GT_FILE), io.FORMAT_GROUNDTRUTH, [])
+    io.write_log(str(root / io.DETECTIONS_FILE), io.FORMAT_DETECTIONS, records)
+    return str(root)
+
+
+def test_a_conflicting_pose_is_rejected_next_to_or_away_from_its_pairs_first_record(tmp_path):
+    other = PoseYawT(5.0, 0.0, 1.2, 0.05)
+    moved = PoseYawT(0.0, 0.0, 1.2, 0.06)
+    for between in ([], [(0, 1, other)], [(1, 0, POSE)], [(0, 1, other), (1, 0, POSE)]):
+        records = [io.detection_record(t, cav, BOX, 0.9, pose)
+                   for t, cav, pose in [(0, 0, POSE), *between, (0, 0, moved)]]
+        with pytest.raises(LogFormatError,
+                           match=r"detections\.jsonl: conflicting poses for t=0 cav=0$"):
+            io.load_sim_frames(_detections_dir(tmp_path, records))
+
+
+def test_raw_poses_equal_after_yaw_wrapping_are_one_pose(tmp_path):
+    pose = PoseYawT(1.0, 2.0, 0.0, math.pi)  # its yaw wraps to -pi
+    records = [io.detection_record(0, cav, BOX, conf, POSE if cav else pose)
+               for cav, conf in ((0, 0.9), (1, 0.9), (0, 0.8), (0, 0.7))]
+    # vehicle 0 writes yaw -pi, then pi after another vehicle's record, then -pi
+    records[2]["pose"][3] = math.pi
+    assert [r["pose"][3] for r in records] == [-math.pi, POSE.yaw, math.pi, -math.pi]
+    frames, _ = io.load_sim_frames(_detections_dir(tmp_path, records))
+    assert frames[0].poses == {0: pose, 1: POSE}
+    assert [d.confidence for d in frames[0].detections[0]] == [0.9, 0.8, 0.7]
+
+
 def test_log_rejects_wrong_format_and_version(tmp_path):
     path = tmp_path / "log.jsonl"
     io.write_log(str(path), io.FORMAT_TRACKS, [])
