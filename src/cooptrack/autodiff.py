@@ -25,7 +25,9 @@ A graph is swept once. `Tape.backward` consumes it as it goes: once a
 node's adjoints have run it drops them and the node's parents, which frees
 the operand arrays the adjoints held, and a non-leaf also drops its
 gradient, so only leaves keep `.grad`. Node values stay until
-`Tape.release`. A graph that must be swept again is built again.
+`Tape.release`. A graph that must be swept again is built again. The
+nodes recorded before a caller's mark may be swept section by section,
+the disjoint sections side by side, with the bits of the one sweep.
 """
 
 from __future__ import annotations
@@ -81,16 +83,27 @@ class Tape:
         self._nodes = []
         self._swept = True
 
-    def backward(self, loss: "Node"):
+    def backward(self, loss: "Node", split_at: int = 0, map_fn=None):
         """Populate `.grad` on the leaves reachable from `loss`, consuming the graph.
 
-        `loss` must be scalar. The one reverse sweep visits every node; once
-        a node's adjoints have run it drops them and the node's parents,
-        which frees the operand arrays the adjoints held, and a non-leaf
-        also drops its gradient. Afterwards only leaves hold `.grad`, and
-        node values stay until `release`. A second call raises ValueError,
-        so a consumed graph never yields partial gradients: build the graph
+        `loss` must be scalar. The reverse sweep visits every node; once a
+        node's adjoints have run it drops them and the node's parents, which
+        frees the operand arrays the adjoints held, and a non-leaf also
+        drops its gradient. Afterwards only leaves hold `.grad`, and node
+        values stay until `release`. A second call raises ValueError, so a
+        consumed graph never yields partial gradients: build the graph
         again to sweep it again.
+
+        With `map_fn` (`map_fn(fn, items)` returns `[fn(item) for item in
+        items]`, the calls possibly concurrent), the nodes recorded from
+        `split_at` on are swept first, in reverse tape order; the earlier
+        ones then split into sections, the connected components of the
+        graph they form, and `map_fn` sweeps the sections, each in reverse
+        tape order (`_sections`). A section holds every consumer of its
+        nodes that is not yet swept, so every gradient is added in the
+        order of the one sweep and keeps its bits. A node that reads a
+        non-leaf of another section, or two sections that read one leaf,
+        join them into one; with one section the sweep keeps the one order.
 
         Leaves not on a path to the loss keep `grad = None`; read leaves
         through `grad_of` to get exact zeros. A node's first gradient is
@@ -107,18 +120,58 @@ class Tape:
                              "record the graph again to sweep it again")
         self._swept = True
         loss.grad = np.ones_like(loss.value)
-        for node in reversed(self._nodes):
-            g = node.grad
-            if g is not None:
-                for parent, adjoint in zip(node._parents, node._adjoints):
-                    pg = adjoint(g)
-                    if parent.grad is None:
-                        parent.grad = np.asarray(pg)
-                    else:
-                        parent.grad = parent.grad + pg
-            if not node.is_leaf:
-                node._parents = node._adjoints = ()
-                node.grad = None
+        if map_fn is None:
+            split_at = 0
+        _sweep(self._nodes[split_at:])
+        sections = _sections(self._nodes[:split_at])
+        if len(sections) > 1:
+            map_fn(_sweep, sections)
+        elif sections:
+            _sweep(sections[0])
+
+
+def _sweep(nodes):
+    """Run the adjoints of `nodes`, last first, consuming each node (`Tape.backward`)."""
+    for node in reversed(nodes):
+        g = node.grad
+        if g is not None:
+            for parent, adjoint in zip(node._parents, node._adjoints):
+                pg = adjoint(g)
+                if parent.grad is None:
+                    parent.grad = np.asarray(pg)
+                else:
+                    parent.grad = parent.grad + pg
+        if not node.is_leaf:
+            node._parents = node._adjoints = ()
+            node.grad = None
+
+
+def _sections(nodes) -> list:
+    """The non-leaf `nodes` grouped by the connected components of the graph
+    that `nodes` form with their parents, each group in tape order.
+
+    `nodes` is a prefix of a tape, so every parent is among them. A
+    component without a non-leaf node has nothing to sweep and gives no
+    group. Groups come in the order of their first node.
+    """
+    index = {id(node): i for i, node in enumerate(nodes)}
+    root = list(range(len(nodes)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, node in enumerate(nodes):
+        for parent in node._parents:
+            a, b = find(i), find(index[id(parent)])
+            root[max(a, b)] = min(a, b)
+    groups = {}
+    for i, node in enumerate(nodes):
+        if not node.is_leaf:
+            groups.setdefault(find(i), []).append(node)
+    return list(groups.values())
 
 
 class Node:

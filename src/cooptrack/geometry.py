@@ -24,7 +24,7 @@ def wrap_angle(a):
     return (a + math.pi) % TWO_PI - math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Box7:
     """Oriented 3D bounding box: center (x, y, z), yaw about z, extents (l, w, h).
 
@@ -40,16 +40,17 @@ class Box7:
     w: float
     h: float
 
-    def __post_init__(self):
-        if not (self.l > 0.0 and self.w > 0.0 and self.h > 0.0):
-            raise ValueError(f"box extents must be positive, got l={self.l} w={self.w} h={self.h}")
-        object.__setattr__(self, "a", wrap_angle(float(self.a)))
-        for f in ("x", "y", "z", "l", "w", "h"):
-            object.__setattr__(self, f, float(getattr(self, f)))
+    def __init__(self, x, y, z, a, l, w, h):
+        """Each field converted to float once, and stored in one write (the
+        dataclass is frozen, so fields cannot be assigned)."""
+        if not (l > 0.0 and w > 0.0 and h > 0.0):
+            raise ValueError(f"box extents must be positive, got l={l} w={w} h={h}")
+        self.__dict__.update(x=float(x), y=float(y), z=float(z), a=wrap_angle(float(a)),
+                             l=float(l), w=float(w), h=float(h))
 
     @staticmethod
     def from_vector(v) -> "Box7":
-        x, y, z, a, l, w, h = (float(c) for c in v)
+        x, y, z, a, l, w, h = v
         return Box7(x, y, z, a, l, w, h)
 
     def to_vector(self) -> np.ndarray:

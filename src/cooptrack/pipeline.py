@@ -49,15 +49,17 @@ def _pass_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
 def map_passes(fn, items) -> list:
     """`[fn(item) for item in items]`, the calls running concurrently.
 
-    Each call is one independent network pass, whose time goes mostly to
-    numpy and BLAS calls that release the GIL. With more than one CPU
-    (`_cpu_count`, the process's affinity) and more than one item, items
-    1.. go to a pool of CPUs - 1 threads while the calling thread runs item
-    0; otherwise the calls run one after another. Each worker's call runs in
-    a copy of the caller's context, so the caller's `np.errstate` holds in
-    it. Returns once every call has finished; a failed call's exception is
-    raised then, the first in item order. `fn` must not call `map_passes`
-    itself: a worker would wait on the pool it occupies.
+    Each call is one independent piece of a parameter set's work (a network
+    pass, a section of the backward sweep, a gradient norm's squared sums,
+    an Adam step), whose time goes mostly to numpy and BLAS calls that
+    release the GIL. With more than one CPU (`_cpu_count`, the process's
+    affinity) and more than one item, items 1.. go to a pool of CPUs - 1
+    threads while the calling thread runs item 0; otherwise the calls run
+    one after another. Each worker's call runs in a copy of the caller's
+    context, so the caller's `np.errstate` holds in it. Returns once every
+    call has finished; a failed call's exception is raised then, the first
+    in item order. `fn` must not call `map_passes` itself: a worker would
+    wait on the pool it occupies.
 
     Calls may record on one tape when their subgraphs are disjoint, as the
     passes of different parameter sets are: each node's consumers are then

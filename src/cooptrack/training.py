@@ -21,7 +21,8 @@ from .covnet import CovNetParams
 from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
 from .io import AdamState, TrainSettings, params_by_vehicle
-from .pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
+from .pipeline import (LearnedCovariance, map_passes, packets_from_sim_frame,
+                       tracker_from_settings)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -101,35 +102,61 @@ def window_loss(reports_per_frame, gt_per_frame,
 
 
 def global_grad_norm(grads: dict) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    """The L2 norm of all of `grads`' arrays, keyed (parameter set, name).
+
+    Each set's squared sums are taken side by side (`pipeline.map_passes`)
+    and added in `grads` order, so the norm has the bits of one sum over
+    `grads`.
+    """
+    keys_by_set = {}
+    for key in grads:
+        keys_by_set.setdefault(key[0], []).append(key)
+
+    def squared_sums(keys):
+        return {key: float(np.sum(grads[key] * grads[key])) for key in keys}
+
+    squares = {}
+    for part in map_passes(squared_sums, keys_by_set.values()):
+        squares.update(part)
+    return math.sqrt(sum(squares[key] for key in grads))
 
 
 def clip_gradients(grads: dict, max_norm: float):
-    """Scale all gradients by one factor so the global norm is <= max_norm."""
+    """(scale, norm): the one factor that brings the global norm of `grads`
+    to at most max_norm, 1.0 when it already is, and that norm.
+
+    No gradient is scaled here: `adam_step` applies the factor.
+    """
     norm = global_grad_norm(grads)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
-    return grads, norm
+        return max_norm / norm, norm
+    return 1.0, norm
 
 
 def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
-              weight_decay: float):
-    """One Adam update; weight decay is folded into the gradient first.
+              weight_decay: float, scale: float = 1.0):
+    """One Adam update of the gradients `grads` times `scale` (the clip factor,
+    `clip_gradients`); weight decay is folded into the gradient first.
 
     The weights and both moments are updated in place, block of rows by
     block of rows (about ADAM_BLOCK entries each, so a block's arrays stay
     in cache), through two scratch buffers; each array of `state.m` and
-    `state.v` keeps its identity. Every entry takes the same operations in
-    the same order as the textbook expressions, so the bits are theirs.
-    `grads` is only read: its arrays may share memory with tape gradients.
+    `state.v` keeps its identity. A block's gradient is scaled into a
+    buffer, giving the products a scaled copy of the whole array would
+    hold. Every entry takes the same operations in the same order as the
+    textbook expressions, so the bits are theirs. The parameter sets are
+    stepped side by side (`pipeline.map_passes`), each with its own
+    buffers: their weights and moments are disjoint. `grads` is only read:
+    its arrays may share memory with tape gradients.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
-    for cav, params in param_sets.items():
+
+    def step_set(item):
+        cav, params = item
+        buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
         for name, weights in params.arrays.items():
             key = (cav, name)
             rows = max(1, ADAM_BLOCK // (weights.size // len(weights)))
@@ -138,7 +165,10 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
                 w, m, v = weights[block], state.m[key][block], state.v[key][block]
                 g, s = (b[:w.size].reshape(w.shape) for b in buffers)
                 np.multiply(weight_decay, w, out=g)
-                np.add(grads[key][block], g, out=g)           # g = grad + wd w
+                grad = grads[key][block]
+                if scale != 1.0:
+                    grad = np.multiply(grad, scale, out=s)    # the clipped gradient
+                np.add(grad, g, out=g)                        # g = grad + wd w
                 m *= ADAM_BETA1
                 m += np.multiply(1.0 - ADAM_BETA1, g, out=s)  # m = b1 m + (1 - b1) g
                 v *= ADAM_BETA2
@@ -152,6 +182,8 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
                 s *= lr
                 s /= g
                 w -= s                                        # w -= lr m^ / (sqrt(v^) + eps)
+
+    map_passes(step_set, param_sets.items())
 
 
 # --- training loop --------------------------------------------------------------
@@ -190,7 +222,10 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     anything. Each window's covariance rows come from one network pass per
     parameter set, made before its frames are tracked; the sets' passes run
     concurrently and leave every gradient's bits as they are
-    (`LearnedCovariance.precompute`).
+    (`LearnedCovariance.precompute`). So do the parts of the backward sweep
+    that reach back into those passes (`Tape.backward` with the tape's
+    length after them as its split), the squared sums of the gradient norm
+    (`global_grad_norm`) and the sets' Adam steps (`adam_step`).
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only
@@ -229,6 +264,7 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                                               in params_by_cav.items()}, bounds)
                 frame_packets = [packets_from_sim_frame(frame) for frame in window]
                 provider.precompute(frame_packets)
+                passes_end = len(tape)
                 tracker = tracker_from_settings(tracker_settings, provider)
                 reports = [tracker.step(packets) for packets in frame_packets]
                 loss, supervised = window_loss(reports, [frame.gt for frame in window],
@@ -245,18 +281,18 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 if not math.isfinite(loss_value):
                     raise FloatingPointError(
                         f"non-finite loss {loss_value} in epoch {epoch}, window {w}")
-                tape.backward(loss)
+                tape.backward(loss, passes_end, map_passes)
                 grads = {(cav, name): ad.grad_of(node)
                          for cav, params in param_sets.items()
                          for name, node in lifted[id(params)].arrays.items()}
                 # the leaves hold the weights uncopied (`Tape.var`): free the
                 # graph before the Adam step writes into them
                 tape.release()
-                grads, norm = clip_gradients(grads, settings.grad_clip_norm)
+                scale, norm = clip_gradients(grads, settings.grad_clip_norm)
                 if not math.isfinite(norm):
                     raise FloatingPointError(
                         f"non-finite gradient norm {norm} in epoch {epoch}, window {w}")
-                adam_step(param_sets, grads, adam, settings.lr, settings.weight_decay)
+                adam_step(param_sets, grads, adam, settings.lr, settings.weight_decay, scale)
                 loss_curve.append({"epoch": epoch, "window": w, "loss": loss_value,
                                    "supervised": supervised})
             finally:

@@ -8,6 +8,7 @@ box's frame is checked on generated pairs. Exact hand-computable cases
 complete the set.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,58 @@ def test_box7_vector_round_trip():
     v = np.array([1.0, -2.0, 0.5, 0.3, 4.0, 2.0, 1.5])
     b = Box7.from_vector(v)
     assert np.allclose(b.to_vector(), v)
+
+
+@dataclasses.dataclass(frozen=True)
+class GeneratedBox7:
+    """Reference: Box7 as the generated dataclass `__init__` plus a
+    `__post_init__` that converts and wraps the fields after it."""
+
+    x: float
+    y: float
+    z: float
+    a: float
+    l: float
+    w: float
+    h: float
+
+    def __post_init__(self):
+        if not (self.l > 0.0 and self.w > 0.0 and self.h > 0.0):
+            raise ValueError(f"box extents must be positive, got l={self.l} w={self.w} h={self.h}")
+        object.__setattr__(self, "a", wrap_angle(float(self.a)))
+        for f in ("x", "y", "z", "l", "w", "h"):
+            object.__setattr__(self, f, float(getattr(self, f)))
+
+
+@pytest.mark.parametrize("values", [
+    (1, 2, 3, 4.0, 5, 6, 7),
+    tuple(np.array([1.5, -2.0, 0.25, -7.0, 4.2, 1.9, 1.6])),
+    (0.0, -0.0, 1e300, math.pi, 1e-300, 2.0, 3.0),
+    (1.0, 2.0, 3.0, np.float32(0.1), True, 2, np.int64(3)),
+], ids=["ints", "numpy-floats", "edges", "mixed"])
+def test_box7_builds_what_the_generated_dataclass_built(values):
+    box, want = Box7(*values), GeneratedBox7(*values)
+    fields = [f.name for f in dataclasses.fields(Box7)]
+    assert fields == [f.name for f in dataclasses.fields(GeneratedBox7)]
+    got = [getattr(box, f) for f in fields]
+    assert all(type(v) is float for v in got)
+    assert got == [getattr(want, f) for f in fields]
+    assert repr(box) == repr(want).replace("GeneratedBox7", "Box7")
+    again = Box7(**dict(zip(fields, values)))
+    assert again == box and hash(again) == hash(box)
+    assert Box7.from_vector(np.array(values, dtype=float)) == Box7(*map(float, values))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        box.x = 0.0
+
+
+@pytest.mark.parametrize("extents", [(-1.0, 1.0, 1.0), (1, 0, 1), (1.0, 1.0, float("nan")),
+                                     (np.float64(2.0), np.float64(-0.5), 1.0)])
+def test_box7_rejects_what_the_generated_dataclass_rejected(extents):
+    with pytest.raises(ValueError) as want:
+        GeneratedBox7(0.0, 0.0, 0.0, 0.0, *extents)
+    with pytest.raises(ValueError, match="box extents must be positive") as got:
+        Box7(0.0, 0.0, 0.0, 0.0, *extents)
+    assert str(got.value) == str(want.value)
 
 
 def test_transform_point_round_trip():

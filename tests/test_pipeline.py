@@ -220,13 +220,13 @@ def test_a_step_builds_a_box_only_for_each_reported_track(monkeypatch):
     # the track at x=40 is now old and unconfirmed; x=60 births a fourth track
     packets = [_packet(2, 0, [_det(0.0, 0.1), _det(60.0, 0.0)]),
                _packet(2, 1, [_det(20.0, 0.1)])]
-    built, real = [], Box7.__post_init__
+    built, real = [], Box7.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
         built.append(self)
-        real(self)
 
-    monkeypatch.setattr(Box7, "__post_init__", counting)
+    monkeypatch.setattr(Box7, "__init__", counting)
     reported = tracker.step(packets)
     assert len(tracker.tracks) == 4 and len(reported) == 3
     assert built == [r.box for r in reported]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cooptrack import autodiff as ad
-from cooptrack import covnet, pipeline, sim, training
+from cooptrack import covnet, io, pipeline, sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, wrap_angle
 from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings
@@ -24,8 +24,9 @@ from cooptrack.pipeline import (LearnedCovariance, ReportedTrack, packets_from_s
 EXTENTS = (4.2, 1.9, 1.6)
 
 
-def tiny_scenario(duration=8, seed=5, base_std=(0.05, 0.05, 0.02, 0.01, 0.03, 0.02, 0.02)):
-    """Two vehicles watching two slow straight movers; small noise."""
+def tiny_scenario(duration=8, seed=5, base_std=(0.05, 0.05, 0.02, 0.01, 0.03, 0.02, 0.02),
+                  starts=((0.0, 0.0), (2.0, -4.0))):
+    """Vehicles (two by default) watching two slow straight movers; small noise."""
     objects = tuple(
         sim.constant_turn_trajectory((x0, y0), 0.0, 0.0, speed, 0.0, EXTENTS, duration)
         for x0, y0, speed in ((8.0, 0.0, 4.0), (14.0, 3.5, 5.0)))
@@ -33,7 +34,7 @@ def tiny_scenario(duration=8, seed=5, base_std=(0.05, 0.05, 0.02, 0.01, 0.03, 0.
     cavs = tuple(
         sim.CavSpec(poses=sim.straight_pose_track(start, 0.0, 0.0, duration),
                     sensor=sensor)
-        for start in ((0.0, 0.0), (2.0, -4.0)))
+        for start in starts)
     return sim.Scenario(duration=duration, objects=objects, cavs=cavs, seed=seed)
 
 
@@ -423,12 +424,19 @@ def test_window_rows_and_gradients_equal_the_streamed_ones(case, monkeypatch):
             assert scale > 0.0
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["per-vehicle", "shared"])
-def test_concurrent_passes_leave_an_epoch_byte_identical(shared, monkeypatch):
-    frames = sim.generate(tiny_scenario())
-    cfg = small_run_config(covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
+# case -> (vehicles, shared weights, grad_clip_norm)
+CONCURRENT_CASES = {"per-vehicle": (2, False, 1.0), "shared": (2, True, 1.0),
+                    "three-sets": (3, False, 1.0), "clipped": (2, False, 1e-3)}
+
+
+@pytest.mark.parametrize("case", list(CONCURRENT_CASES))
+def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_path):
+    num_cavs, shared, clip = CONCURRENT_CASES[case]
+    frames = sim.generate(tiny_scenario(starts=((0.0, 0.0), (2.0, -4.0), (4.0, 4.0))[:num_cavs]))
+    cfg = small_run_config(num_cavs=num_cavs,
+                           covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
                                               head_hidden=8, shared_weights=shared),
-                           train=TrainSettings(window_length=4, epochs=1))
+                           train=TrainSettings(window_length=4, epochs=1, grad_clip_norm=clip))
     grads, real = [], ad.grad_of
 
     def recording(leaf):
@@ -443,15 +451,41 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(shared, monkeypatch):
         return real_forward(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", forward)
+    mapped, norms, real_map, real_clip = [], [], training.map_passes, training.clip_gradients
+
+    def mapping(fn, items):
+        items = list(items)
+        mapped.append((fn.__name__, len(items)))
+        return real_map(fn, items)
+
+    def clipping(grads, max_norm):
+        scale, norm = real_clip(grads, max_norm)
+        norms.append(norm)
+        return scale, norm
+
+    monkeypatch.setattr(training, "map_passes", mapping)
+    monkeypatch.setattr(training, "clip_gradients", clipping)
+    split_sweep = ad.Tape.backward
+
+    def one_sweep(tape, loss, split_at=0, map_fn=None):
+        return split_sweep(tape, loss)
 
     def epoch(cpus):
+        # the reference: one CPU, and the backward sweep in its one order
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(ad.Tape, "backward", one_sweep if cpus == 1 else split_sweep)
         grads.clear()
+        mapped.clear()
         params = training.init_params_for_run(cfg, np.random.default_rng(3))
         result = training.train(frames, params, cfg.train, cfg.tracker)
         weights = [a.tobytes() for p in training._distinct_param_sets(params).values()
                    for a in p.arrays.values()]
-        return result.loss_curve, list(grads), weights
+        moments = [(m.tobytes(), result.adam.v[key].tobytes())
+                   for key, m in result.adam.m.items()]
+        path = tmp_path / f"cpus{cpus}.ckpt"
+        io.save_checkpoint(str(path), io.Checkpoint(params, cfg, cfg.seed, result.epochs_done,
+                                                    result.adam))
+        return result.loss_curve, list(grads), weights, moments, path.read_bytes()
 
     sequential = epoch(1)
     interval = sys.getswitchinterval()
@@ -460,11 +494,41 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(shared, monkeypatch):
         assert epoch(4) == sequential
     finally:
         sys.setswitchinterval(interval)
-    loss_curve, leaf_grads, _ = sequential
+    loss_curve, leaf_grads, _, moments, _ = sequential
+    sets = 1 if shared else num_cavs
     assert len(loss_curve) == 2 and all(r["supervised"] > 0 for r in loss_curve)
-    assert len(leaf_grads) == 2 * len(covnet.layer_shapes(small_net())) * (1 if shared else 2)
+    assert len(leaf_grads) == 2 * len(covnet.layer_shapes(small_net())) * sets
+    assert len(moments) == len(covnet.layer_shapes(small_net())) * sets
+    if case == "clipped":
+        assert norms and all(norm > clip for norm in norms)
     # one set's window takes one pass, in the calling thread
     assert any(name.startswith("cooptrack-pass") for name in threads) != shared
+    # each window sweeps one backward section, takes one norm and one step per set
+    window = ([("_sweep", sets)] if sets > 1 else []) + [("squared_sums", sets),
+                                                         ("step_set", sets)]
+    assert mapped == 2 * window
+
+
+def test_a_clipped_window_steps_as_scaled_copies_would(monkeypatch):
+    frames = sim.generate(tiny_scenario())
+    cfg = small_run_config(train=TrainSettings(window_length=4, epochs=2, grad_clip_norm=1e-3))
+    real_step = training.adam_step
+    scales = []
+
+    def scaled_copies(param_sets, grads, state, lr, weight_decay, scale=1.0):
+        scales.append(scale)
+        real_step(param_sets, {key: g * scale for key, g in grads.items()}, state, lr,
+                  weight_decay)
+
+    runs = []
+    for step in (real_step, scaled_copies):
+        monkeypatch.setattr(training, "adam_step", step)
+        result = training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
+        runs.append((param_bytes(result.params_by_cav),
+                     [(m.tobytes(), result.adam.v[key].tobytes())
+                      for key, m in result.adam.m.items()]))
+    assert runs[0] == runs[1]
+    assert len(scales) == 4 and all(0.0 < scale < 1.0 for scale in scales)
 
 
 def test_a_packet_the_window_did_not_precompute_raises():
@@ -511,8 +575,10 @@ def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
 
 def test_clip_rescales_to_unit_global_norm():
     grads = {("a", "w"): np.array([3.0, 0.0]), ("b", "w"): np.array([[4.0]])}
-    clipped, norm = training.clip_gradients(grads, 1.0)
+    scale, norm = training.clip_gradients(grads, 1.0)
     assert math.isclose(norm, 5.0, rel_tol=1e-12)
+    assert scale == 1.0 / norm
+    clipped = {key: g * scale for key, g in grads.items()}
     assert np.allclose(clipped[("a", "w")], [0.6, 0.0])
     assert np.allclose(clipped[("b", "w")], [[0.8]])
     total = training.global_grad_norm(clipped)
@@ -521,16 +587,16 @@ def test_clip_rescales_to_unit_global_norm():
 
 def test_clip_leaves_small_gradients_alone():
     grads = {("a", "w"): np.array([0.3, 0.4])}
-    clipped, norm = training.clip_gradients(grads, 1.0)
+    scale, norm = training.clip_gradients(grads, 1.0)
     assert math.isclose(norm, 0.5, rel_tol=1e-12)
-    assert clipped[("a", "w")] is grads[("a", "w")]
+    assert scale == 1.0
 
 
 def test_clip_zero_gradients_noop():
     grads = {("a", "w"): np.zeros(3)}
-    clipped, norm = training.clip_gradients(grads, 1.0)
+    scale, norm = training.clip_gradients(grads, 1.0)
     assert norm == 0.0
-    assert np.all(clipped[("a", "w")] == 0.0)
+    assert scale == 1.0
 
 
 # --- Adam -----------------------------------------------------------------------
@@ -612,13 +678,15 @@ def test_adam_step_gives_the_bits_of_the_textbook_expressions(shared, block, mon
         scale = (0.3, 3.0)[step % 2] / math.sqrt(size)  # global norms near 0.3 and 3
         grads = {(cav, name): rng.standard_normal(arr.shape) * scale
                  for cav, p in params.items() for name, arr in p.arrays.items()}
-        grads, norm = training.clip_gradients(grads, 1.0)
+        factor, norm = training.clip_gradients(grads, 1.0)
         clipped += norm > 1.0
         before = {key: g.copy() for key, g in grads.items()}
         for g in grads.values():
             g.flags.writeable = False
-        training.adam_step(params, grads, state, 1e-2, 1e-3)
-        textbook_adam_step(want, before, want_state, 1e-2, 1e-3)
+        training.adam_step(params, grads, state, 1e-2, 1e-3, factor)
+        # the reference steps with the scaled copies an unfused clip would make
+        textbook_adam_step(want, {key: g * factor for key, g in before.items()}, want_state,
+                           1e-2, 1e-3)
         assert all(np.array_equal(g, before[key]) for key, g in grads.items())
         assert state.step == want_state.step == step + 1
         assert param_bytes(params) == param_bytes(want)
@@ -735,9 +803,9 @@ def test_exact_hits_give_a_zero_loss_gradient_not_nan(monkeypatch):
     norms, real = [], training.clip_gradients
 
     def spy(grads, max_norm):
-        clipped, norm = real(grads, max_norm)
+        scale, norm = real(grads, max_norm)
         norms.append(norm)
-        return clipped, norm
+        return scale, norm
 
     monkeypatch.setattr(training, "clip_gradients", spy)
     objects = tuple(sim.constant_turn_trajectory((x0, y0), 0.0, 0.0, 0.0, 0.0, EXTENTS, 10)
