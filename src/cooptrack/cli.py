@@ -52,7 +52,7 @@ def cmd_simulate(args) -> int:
     _check_outputs([os.path.join(args.out, name) for name in cio.SIMULATE_FILES])
     frames = sim.generate(scenario)
     cio.write_sim_output(frames, args.out, tuple(cfg.covnet.app_shape))
-    cio.write_run_metadata(args.out, cfg, {"command": "simulate"})
+    cio.write_run_metadata(args.out, cfg, "simulate")
     print(f"wrote {len(frames)} frames to {args.out}")
     return 0
 
@@ -91,14 +91,23 @@ def cmd_track(args) -> int:
         cio.check_appearance(args.detections, frames, cfg.covnet)
     reports, cost = run_tracking(cfg, frames, args.checkpoint, cav_filter)
     cio.write_track_output(args.out, frames, reports, cost)
-    cio.write_run_metadata(args.out, cfg, {"command": "track"})
+    cio.write_run_metadata(args.out, cfg, "track")
     print(f"wrote {sum(len(r) for r in reports)} track records to {args.out}")
     return 0
+
+
+def _check_window(cfg, frames: int, source: str):
+    """Reject, before any work, training input of fewer frames than one window:
+    it would train on nothing."""
+    if frames < cfg.train.window_length:
+        raise cio.ConfigError(f"train.window_length: {source} holds {frames} frame(s), "
+                              f"fewer than one window of {cfg.train.window_length}")
 
 
 def cmd_train(args) -> int:
     cfg = cio.load_config(args.config)
     frames, det_records = cio.load_sim_frames(args.scenarios)
+    _check_window(cfg, len(frames), f"the log {args.scenarios!r}")
     _log_vehicles(cfg, det_records)
     cio.check_appearance(args.scenarios, frames, cfg.covnet)
     if args.resume:
@@ -154,6 +163,7 @@ def cmd_comm_cost(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = cio.load_config(args.config)
+    _check_window(cfg, cfg.scenario.duration, "scenario.duration")
     train_scenario = cio.build_scenario(cfg)
     eval_scenario = cio.build_scenario(dataclasses.replace(cfg, seed=cfg.seed + 1))
     _check_outputs([args.out], make_dir=True)

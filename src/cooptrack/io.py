@@ -364,12 +364,10 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical_json(config_to_dict(cfg)).encode()).hexdigest()
 
 
-def write_run_metadata(out_dir: str, cfg: RunConfig, extra: dict = None):
-    """Record enough to replay the run exactly: config, its hash, version."""
+def write_run_metadata(out_dir: str, cfg: RunConfig, command: str):
+    """Record enough to replay the run exactly: config, its hash, version, command."""
     meta = {"config": config_to_dict(cfg), "config_sha256": config_hash(cfg),
-            "seed": cfg.seed, "package_version": __version__}
-    if extra:
-        meta.update(extra)
+            "seed": cfg.seed, "package_version": __version__, "command": command}
     path = os.path.join(out_dir, RUN_META_FILE)
     with replace_file(path) as fh:
         fh.write(canonical_json(meta))

@@ -86,14 +86,6 @@ def map_passes(fn, items) -> list:
 CONCURRENT_MIN_ROWS = 8
 
 
-def _map_groups(fn, groups) -> list:
-    """`fn` over groups of packets, concurrently (`map_passes`) when every
-    group holds at least CONCURRENT_MIN_ROWS detections."""
-    if all(sum(len(p.detections) for p in g) >= CONCURRENT_MIN_ROWS for g in groups):
-        return map_passes(fn, groups)
-    return [fn(group) for group in groups]
-
-
 @dataclass(frozen=True)
 class FramePacket:
     """One vehicle's detections for one timestep, in its local frame."""
@@ -140,10 +132,10 @@ class LearnedCovariance:
 
     `params_by_cav` maps cav_id to CovNetParams, whose arrays may be tape
     nodes (a training pass), or to a (name -> array/node mapping,
-    CovNetConfig) pair, which is wrapped as CovNetParams here. Packets are
-    served one network pass each, the passes of a frame's parameter sets
-    concurrently (`frame_residuals`), or, after `precompute`, as slices of
-    one pass per parameter set over a whole window. The network reads each
+    CovNetConfig) pair, which is wrapped as CovNetParams here. Rows come
+    from one network pass per parameter set over a frame
+    (`frame_residuals`) or, after `precompute`, over a whole window, whose
+    rows each frame then takes as slices. The network reads each
     detection's local box and its vehicle's pose
     (`features.encode_detection`).
     """
@@ -156,7 +148,7 @@ class LearnedCovariance:
             else covnet.CovNetParams(entry[1], entry[0])
             for cav, entry in params_by_cav.items()}
         self.bounds = bounds
-        self._window = None  # (timestep, cav_id) -> (rows, start, stop)
+        self._window = None  # `_rows` of the precomputed window
 
     def _params(self, cav_id) -> covnet.CovNetParams:
         """A vehicle's network; KeyError for a vehicle that has none."""
@@ -187,19 +179,36 @@ class LearnedCovariance:
             f_app = np.stack(apps)
         return covnet.forward(params, f_app, f_pos)
 
-    def _pass_groups(self, packets) -> list:
-        """The non-empty `packets` grouped by parameter set, in first-seen order.
+    def _rows(self, packets) -> dict:
+        """Residual rows of the non-empty `packets`, one pass per parameter set.
 
         Vehicles share a set when their entries hold one arrays mapping.
-        Every packet's vehicle is looked up here, so one without parameters
-        raises KeyError before any pass runs.
+        Every packet's vehicle is looked up before any pass runs, so one
+        without parameters raises KeyError. The sets' passes run
+        concurrently (`map_passes`) when each holds at least
+        CONCURRENT_MIN_ROWS detections: on a tape they record disjoint
+        subgraphs, so the gradients keep the bits of passes made one after
+        another. Returns {(timestep, cav_id): (rows, start, stop)}, the
+        packet's rows being `rows[start:stop]`.
         """
         groups = {}
         for packet in packets:
             if packet.detections:
                 arrays = self._params(packet.cav_id).arrays
                 groups.setdefault(id(arrays), []).append(packet)
-        return list(groups.values())
+        groups = list(groups.values())
+        if all(sum(len(p.detections) for p in g) >= CONCURRENT_MIN_ROWS for g in groups):
+            passes = map_passes(self._residuals, groups)
+        else:
+            passes = [self._residuals(group) for group in groups]
+        slices = {}
+        for group, rows in zip(groups, passes):
+            start = 0
+            for packet in group:
+                stop = start + len(packet.detections)
+                slices[(packet.timestep, packet.cav_id)] = (rows, start, stop)
+                start = stop
+        return slices
 
     def precompute(self, frame_packets):
         """Compute a window's residual rows before its frames are tracked.
@@ -207,63 +216,36 @@ class LearnedCovariance:
         `frame_packets` lists the packets of each frame of the window. The
         network's input depends only on the detections and the poses, so
         each parameter set (each vehicle's, or the one shared set) takes
-        every row of the window in one pass; a vehicle without detections
-        takes none. The sets' passes run concurrently (`_map_groups`): on a
-        tape they record disjoint subgraphs, so the gradients keep the bits
-        of passes made one after another. From then on `packet_residuals`
-        hands out slices of those rows, and raises ValueError for a packet
-        not in the window.
+        every row of the window in one pass (`_rows`); a vehicle without
+        detections takes none. From then on `frame_residuals` hands out
+        slices of those rows.
         """
-        groups = self._pass_groups(p for packets in frame_packets for p in packets)
-        window = {}
-        for group, rows in zip(groups, _map_groups(self._residuals, groups)):
-            start = 0
-            for packet in group:
-                stop = start + len(packet.detections)
-                window[(packet.timestep, packet.cav_id)] = (rows, start, stop)
-                start = stop
-        self._window = window
+        self._window = self._rows(p for packets in frame_packets for p in packets)
 
     def frame_residuals(self, packets) -> list:
         """Residual rows of each of one frame's packets: (N, 10) for N detections.
 
-        An empty packet gets no rows and needs no parameters. Every other
-        packet takes one network pass (`packet_residuals`). The passes of
-        different parameter sets run concurrently when each set has enough
-        detections (`_map_groups`), and those of one set one after another,
-        so the passes that run together never share a tape node; after
-        `precompute` each packet's rows are a slice, taken in the calling
-        thread.
+        Row j of a packet's rows belongs to its detection j. An empty packet
+        gets no rows and needs no parameters. The rows are slices of the
+        precomputed window, or else of `_rows` of this frame: one pass per
+        parameter set, which for a vehicle with its own set is one pass over
+        its packet. After `precompute`, a packet the window does not hold
+        raises ValueError.
         """
-        groups = self._pass_groups(packets)
-
-        def group_rows(group):
-            return [self.packet_residuals(packet) for packet in group]
-
-        if self._window is None:
-            done = _map_groups(group_rows, groups)
-        else:
-            done = [group_rows(group) for group in groups]
-        rows = {id(packet): r for group, group_done in zip(groups, done)
-                for packet, r in zip(group, group_done)}
-        return [rows[id(p)] if p.detections else np.zeros((0, covnet.RESIDUAL_DIM))
-                for p in packets]
-
-    def packet_residuals(self, packet):
-        """Residual rows (N, 10) for a packet's N detections.
-
-        Row j belongs to detection j. Without a precomputed window this is
-        one network pass over the packet.
-        """
-        if self._window is None:
-            return self._residuals([packet])
-        entry = self._window.get((packet.timestep, packet.cav_id))
-        if entry is None or entry[2] - entry[1] != len(packet.detections):
-            raise ValueError(f"the precomputed window holds no packet of vehicle "
-                             f"{packet.cav_id} at t={packet.timestep} with "
-                             f"{len(packet.detections)} detections")
-        rows, start, stop = entry
-        return rows[start:stop]
+        slices = self._rows(packets) if self._window is None else self._window
+        out = []
+        for packet in packets:
+            if not packet.detections:
+                out.append(np.zeros((0, covnet.RESIDUAL_DIM)))
+                continue
+            entry = slices.get((packet.timestep, packet.cav_id))
+            if entry is None or entry[2] - entry[1] != len(packet.detections):
+                raise ValueError(f"the precomputed window holds no packet of vehicle "
+                                 f"{packet.cav_id} at t={packet.timestep} with "
+                                 f"{len(packet.detections)} detections")
+            rows, start, stop = entry
+            out.append(rows[start:stop])
+        return out
 
 
 class CoopTracker:

@@ -2,6 +2,7 @@
 the SPD inverse's adjoint and guard rails, and the consuming sweep."""
 
 import ast
+import dataclasses
 import itertools
 import pathlib
 import weakref
@@ -762,3 +763,58 @@ def test_no_name_is_defined_twice_in_one_scope():
                 twice += [f"{path.name}: {getattr(scope, 'name', 'module')}.{name}"
                           for name in sorted(set(names)) if names.count(name) > 1]
     assert not twice, "defined twice in one scope: " + ", ".join(twice)
+
+
+def _readme_target(expr, names):
+    """What an expression of README code reads attributes from: ("object", x)
+    for a cooptrack module, class or function, ("instance", cls) for a call of
+    a cooptrack class (or a name bound to one), else None."""
+    if isinstance(expr, ast.Name):
+        return names.get(expr.id)
+    if isinstance(expr, ast.Call):
+        target = _readme_target(expr.func, names)
+        if target and target[0] == "object" and isinstance(target[1], type):
+            return ("instance", target[1])
+    if isinstance(expr, ast.Attribute):
+        target = _readme_target(expr.value, names)
+        if target and target[0] == "object" and hasattr(target[1], expr.attr):
+            return ("object", getattr(target[1], expr.attr))
+    return None
+
+
+def _readme_has(target, attr) -> bool:
+    """Whether `attr` can be read from a README target: an attribute of the
+    object or class, or a dataclass field of an instance."""
+    kind, obj = target
+    return hasattr(obj, attr) or (kind == "instance" and dataclasses.is_dataclass(obj)
+                                  and attr in {f.name for f in dataclasses.fields(obj)})
+
+
+def test_the_readme_python_block_reads_only_attributes_that_exist():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```")[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    missing = []
+    for block in blocks:
+        tree = ast.parse(block)
+        compile(tree, "README.md", "exec")
+        names = {}  # local name -> _readme_target
+        for node in tree.body:
+            for attr in ast.walk(node):
+                if isinstance(attr, ast.Attribute):
+                    target = _readme_target(attr.value, names)
+                    if target and not _readme_has(target, attr.attr):
+                        missing.append(f"{ast.unparse(attr.value)}.{attr.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "cooptrack":
+                imported = {}  # an ImportError names what the block imports in vain
+                exec(compile(ast.Module([node], []), "README.md", "exec"), imported)
+                names.update((name, ("object", value)) for name, value in imported.items()
+                             if name != "__builtins__")
+            elif isinstance(node, ast.Assign):
+                value = _readme_target(node.value, names)
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        names.pop(target.id, None)
+                        if value:
+                            names[target.id] = value
+    assert not missing, "README reads attributes that do not exist: " + ", ".join(missing)

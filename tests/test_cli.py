@@ -703,6 +703,19 @@ def test_train_rejects_negative_weight_decay(tmp_path, sim_dir, capsys):
     assert "weight_decay" in capsys.readouterr().err
 
 
+def test_train_on_a_log_shorter_than_one_window_exits_2_writing_nothing(tmp_path, capsys):
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"scenario": {"duration": 5}, "train": {"epochs": 2}}))
+    data = str(tmp_path / "data")
+    assert cli.main(["simulate", "--config", str(config), "--out", data]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), "--scenarios", data,
+                     "--out", str(tmp_path / "models" / "model.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "window_length" in err and "5 frame(s)" in err and "window of 10" in err
+    assert sorted(os.listdir(tmp_path)) == ["data", "short.json"]
+
+
 # --- eval ------------------------------------------------------------------------
 
 
@@ -926,6 +939,22 @@ def test_ablate_produces_four_variant_grid(tmp_path, config_path, capsys):
     for row in rows[1:]:
         amota = float(row[1])
         assert 0.0 <= amota <= 100.0
+
+
+def test_ablate_on_a_scenario_shorter_than_one_window_exits_2_writing_nothing(
+        tmp_path, capsys, monkeypatch):
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"scenario": {"duration": 5}, "train": {"epochs": 2}}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(sim, "generate", refuse)
+    assert cli.main(["ablate", "--config", str(config),
+                     "--out", str(tmp_path / "new" / "grid.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.duration" in err and "5 frame(s)" in err and "window of 10" in err
+    assert os.listdir(tmp_path) == ["short.json"]
 
 
 # --- error handling and help ------------------------------------------------------

@@ -202,11 +202,11 @@ def test_config_hash_stable_and_sensitive():
 
 
 def test_run_metadata_written(tmp_path):
-    path = io.write_run_metadata(str(tmp_path), RunConfig(seed=4), {"note": "x"})
+    path = io.write_run_metadata(str(tmp_path), RunConfig(seed=4), "track")
     with open(path) as fh:
         meta = json.loads(fh.read())
     assert meta["seed"] == 4
-    assert meta["note"] == "x"
+    assert meta["command"] == "track"
     assert meta["config_sha256"] == io.config_hash(RunConfig(seed=4))
 
 
@@ -759,7 +759,7 @@ def _write_to(name, write):
 # one call per writer in the package
 WRITERS = {
     "save_config": _write_to("cfg.json", lambda p: io.save_config(p, RunConfig(seed=3))),
-    "write_run_metadata": lambda d: io.write_run_metadata(d, RunConfig(seed=3)),
+    "write_run_metadata": lambda d: io.write_run_metadata(d, RunConfig(seed=3), "track"),
     "write_log": _write_to("gt.jsonl", lambda p: io.write_log(
         p, io.FORMAT_GROUNDTRUTH, [io.gt_record(0, 1, BOX)])),
     "write_tensors": _write_to("t.bin", lambda p: io.write_tensors(

@@ -427,6 +427,48 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     assert batches == {0: [3], 1: [2], 2: [2]}  # constant covariance runs no network
 
 
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(8)
+    params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
+    packets = [dataclasses.replace(
+        _learned_packet(rng, 3, cav, [10.0 * k + cav for k in range(8 + cav)], cfg),
+        pose=PoseYawT(5.0 * cav, -2.0, 0.0, 0.3 * cav)) for cav in (0, 1, 2)]
+    want = [covnet.forward(params[p.cav_id], np.stack([d.appearance for d in p.detections]),
+                           encode_detection(box_rows(d.box for d in p.detections), p.pose))
+            for p in packets]
+    threads = _threads_of_passes(monkeypatch)
+    got = _switching_often(lambda: LearnedCovariance(params).frame_residuals(packets))
+    assert all(type(rows) is np.ndarray for rows in got)
+    assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
+    assert (len(threads) > 1) == (cpus > 1)
+
+
+def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monkeypatch):
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(9)
+    shared = CovNetParams.init(cfg, rng)
+    params = {0: shared, 1: shared}
+    frame = [_learned_packet(rng, 2, 0, [0.0, 20.0, 40.0], cfg),
+             dataclasses.replace(_learned_packet(rng, 2, 1, [5.0, 15.0, 25.0, 35.0], cfg),
+                                 pose=PoseYawT(-8.0, 3.0, 0.0, 0.4))]
+    window = LearnedCovariance(params)
+    window.precompute([frame])
+    want = window.frame_residuals(frame)
+    batches, real = [], covnet.forward
+
+    def counting(params, f_app, f_pos):
+        batches.append(len(f_pos))
+        return real(params, f_app, f_pos)
+
+    monkeypatch.setattr(covnet, "forward", counting)
+    got = LearnedCovariance(params).frame_residuals(frame)
+    assert batches == [7]
+    assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
+
+
 def test_step_records_the_same_tape_nodes_however_many_tracks_it_reports():
     from cooptrack import autodiff as ad
     cfg = CovNetConfig()

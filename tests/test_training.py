@@ -381,7 +381,7 @@ def window_rollout(frames, params_by_cav, precompute, monkeypatch):
     frame_packets = [packets_from_sim_frame(f) for f in frames]
     if precompute:
         provider.precompute(frame_packets)
-    rows = {(p.timestep, p.cav_id): ad.val(provider.packet_residuals(p))
+    rows = {(p.timestep, p.cav_id): ad.val(provider.frame_residuals([p])[0])
             for packets in frame_packets for p in packets if p.detections}
     tracker = tracker_from_settings(TrackerSettings(), provider)
     reports = [tracker.step(packets) for packets in frame_packets]
@@ -538,13 +538,13 @@ def test_a_packet_the_window_did_not_precompute_raises():
     window = [packets_from_sim_frame(f) for f in frames[:4]]
     provider.precompute(window)
     first = window[0][0]
-    assert provider.packet_residuals(first).shape == (len(first.detections), 10)
+    assert provider.frame_residuals([first])[0].shape == (len(first.detections), 10)
     later = packets_from_sim_frame(frames[4])[0]
     other_vehicle = dataclasses.replace(first, timestep=2, cav_id=1)
     fewer = dataclasses.replace(first, detections=first.detections[1:])
     for packet in (later, other_vehicle, fewer):
         with pytest.raises(ValueError, match="precomputed window holds no packet"):
-            provider.packet_residuals(packet)
+            provider.frame_residuals([packet])
 
 
 def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
