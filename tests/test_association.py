@@ -5,13 +5,17 @@ The exhaustive 500-matrix sweep is in the acceptance suite; here a smaller
 seeded sweep plus structural cases keeps the unit run fast.
 """
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
+from cooptrack import association
 from cooptrack.association import (
     Lifecycle,
     LifecycleConfig,
@@ -73,6 +77,29 @@ def test_hungarian_empty_and_invalid():
         hungarian_solve(np.array([[np.inf, 1.0], [1.0, 2.0]]))
     with pytest.raises(ValueError):
         hungarian_solve(np.array([[np.nan]]))
+
+
+def test_the_directly_loaded_solver_is_scipy_optimizes_own():
+    # the extension loaded without the package is the one the package exports,
+    # so every assignment keeps its bits by construction
+    assert association.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+
+
+def test_without_the_extension_the_solver_comes_from_the_package(monkeypatch):
+    def no_load(spec):
+        raise AssertionError(f"{spec.name} was loaded although no extension suffix exists")
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    monkeypatch.setattr(importlib.util, "module_from_spec", no_load)
+    fallback = association._compiled_linear_sum_assignment()
+    monkeypatch.undo()
+    assert fallback is scipy.optimize.linear_sum_assignment
+
+    rng = np.random.default_rng(51)
+    costs = [rng.uniform(-1.0, 1.0, size=tuple(rng.integers(1, 8, size=2))) for _ in range(60)]
+    loaded = [hungarian_solve(cost) for cost in costs]
+    monkeypatch.setattr(association, "linear_sum_assignment", fallback)
+    assert [hungarian_solve(cost) for cost in costs] == loaded
 
 
 def _box(x, y, yaw=0.0, l=4.0, w=2.0, h=1.6, z=0.0) -> Box7:
