@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import types
 import typing
@@ -405,15 +406,31 @@ def _read_header(line, path: str, format_name: str, noun: str) -> dict:
 
 _LOG_RECORDS = {FORMAT_DETECTIONS: DetectionRecord, FORMAT_TRACKS: TrackRecord,
                 FORMAT_GROUNDTRUTH: GroundTruthRecord, FORMAT_LOSSCURVE: LossRecord}
+# the fields that name what a record is of; no two records of a log share them
+_LOG_KEYS = {FORMAT_TRACKS: ("t", "id"), FORMAT_GROUNDTRUTH: ("t", "obj")}
+_KEY_OF = {name: operator.itemgetter(*fields) for name, fields in _LOG_KEYS.items()}
+
+
+def _repeated(format_name: str, key: tuple, where: str, place: str, number: int,
+              first: int) -> LogFormatError:
+    """The error for `place` (line or record) `number` of a log repeating the key of
+    `place` `first`; `where` prefixes the message."""
+    named = ", ".join(f"{f}={v}" for f, v in zip(_LOG_KEYS[format_name], key))
+    return LogFormatError(f"{where}{place} {number}: repeats the {named} of {place} {first}")
 
 
 def write_log(path: str, format_name: str, records):
-    """Write a schema-headed JSONL file; every record is validated first."""
+    """Write a schema-headed JSONL file; every record is validated first, and
+    a tracks or ground-truth record repeating an earlier one's (t, id) or
+    (t, obj) is refused."""
+    key_of, seen = _KEY_OF.get(format_name), {}
     with replace_file(path) as fh:
         fh.write(canonical_json({"format": format_name, "version": SCHEMA_VERSION}))
         fh.write("\n")
         for i, rec in enumerate(records):
             _check_file_object(_LOG_RECORDS[format_name], rec, f"record {i}")
+            if key_of and (first := seen.setdefault(key_of(rec), i)) != i:
+                raise _repeated(format_name, key_of(rec), "", "record", i, first)
             fh.write(canonical_json(rec))
             fh.write("\n")
 
@@ -421,7 +438,8 @@ def write_log(path: str, format_name: str, records):
 def read_log(path: str, format_name: str):
     """Read and validate a JSONL log; returns its records. Only a line feed ends a
     line, so a record's strings may hold other line separators. Header keys beyond
-    the format and version are ignored."""
+    the format and version are ignored. A tracks or ground-truth record that
+    repeats an earlier one's (t, id) or (t, obj) is rejected with both lines."""
     records = []
     with open(path, "rb") as fh:
         data = fh.read()
@@ -433,6 +451,7 @@ def read_log(path: str, format_name: str):
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise LogFormatError(f"{path} line {lineno}: not valid UTF-8") from exc
     _read_header(lines[0], path, format_name, "log")
+    key_of, seen = _KEY_OF.get(format_name), {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.rstrip("\r"):
             continue
@@ -443,6 +462,8 @@ def read_log(path: str, format_name: str):
         if not isinstance(rec, dict):
             raise LogFormatError(f"{path} line {lineno}: record must be a JSON object")
         _check_file_object(_LOG_RECORDS[format_name], rec, f"{path} line {lineno}")
+        if key_of and (first := seen.setdefault(key_of(rec), lineno)) != lineno:
+            raise _repeated(format_name, key_of(rec), f"{path} ", "line", lineno, first)
         records.append(rec)
     return records
 

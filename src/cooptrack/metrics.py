@@ -12,10 +12,16 @@ prescreened pairs are scored in one `geometry.iou3d_rows` call, whose fixed
 cost a whole sequence's pairs repay; the tracker's per-frame matrices are too
 small for that and stay on the per-pair path (`association.build_cost_matrix`).
 A pass keeps each frame's n best-scored tracks (ties kept together), so a
-frame's matches depend on n alone: they are solved once per (frame, n) and
-replayed in every later pass of the same call. Id switches are counted pass
-by pass from the replayed matches, and levels that share a threshold share
-one pass.
+frame's matches depend on n alone: they are found once per (frame, n) and
+replayed in every later pass of the same call. Most of them need no solver.
+Up to a frame's matching limit (`_read_off`), the kept tracks' positive-IoU
+entries pair each ground truth with at most one track and each track with at
+most one ground truth, and every optimal assignment holds each of those
+pairs: an optimum that left out (g, t) pairs g and t at cost 0 each, and
+swapping (g, t) in lowers the total by IoU(g, t) > 0. Those matches are read
+off the frame's pairs that reach the IoU threshold; only a kept count past
+the limit is solved (`match_frame`). Id switches are counted pass by pass
+from the replayed matches, and levels that share a threshold share one pass.
 """
 
 from __future__ import annotations
@@ -108,12 +114,41 @@ def _track_average_scores(track_frames) -> dict:
     return {tid: totals[tid] / counts[tid] for tid in totals}
 
 
+def _read_off(cost, ranks, iou_threshold):
+    """One frame's matching limit and the matches it fixes.
+
+    `cost` is the frame's negated-IoU matrix; `ranks[c]` counts the tracks
+    scoring above track c, so a pass keeping n tracks keeps the columns of
+    rank < n. The limit is the largest n for which no kept column has two
+    negative entries and no row has two among its kept columns: the lowest
+    rank of a column with two negative rows, or the second-lowest rank of a
+    row's negative columns, whichever is smaller. A matrix with a non-finite
+    entry has limit 0, so its solves (and the solver's finite check) all
+    run. Returns the limit and (rank, row, col, iou) for every entry whose
+    IoU reaches `iou_threshold`, in row-major order, iou read as `associate`
+    reads it.
+    """
+    cols = cost.shape[1]
+    if not np.isfinite(cost).all():
+        return 0, []
+    overlap = cost < 0.0
+    limit = ranks[overlap.sum(axis=0) >= 2].min(initial=cols)
+    if cols >= 2:
+        row_ranks = np.partition(np.where(overlap, ranks, cols), 1, axis=1)
+        limit = row_ranks[:, 1].min(initial=limit)
+    rows, hits = np.nonzero(-cost >= iou_threshold)
+    return int(limit), list(zip(ranks[hits].tolist(), rows.tolist(), hits.tolist(),
+                                (-cost[rows, hits]).tolist()))
+
+
 def _sweep(scored, threshold, solved, iou_threshold):
     """One full pass over the sequence keeping tracks with score >= threshold.
 
     A frame keeping its n best tracks reuses the matches `solved[frame, n]`
-    from an earlier pass of the same `evaluate` call, or solves and stores
-    them. Id switches follow this pass's own matches in frame order.
+    from an earlier pass of the same `evaluate` call, or finds and stores
+    them: read off the frame's fixed pairs of rank < n while n is within its
+    matching limit (see `_read_off`), solved by `match_frame` past it. Id
+    switches follow this pass's own matches in frame order.
     Returns the TP, kept-track and ID-switch counts, the summed TP IoU, the
     number of matched frames per ground-truth id, and the track id of every
     TP match.
@@ -123,14 +158,18 @@ def _sweep(scored, threshold, solved, iou_threshold):
     last_ids = {}
     matched_frames = {}
     matched_tracks = []
-    for i, (gt_ids, track_ids, scores, neg_sorted, cost) in enumerate(scored):
+    for i, (gt_ids, track_ids, scores, neg_sorted, cost, limit, fixed) in enumerate(scored):
         n = bisect_right(neg_sorted, -threshold)
         kept += n
         pairs = solved.get((i, n))
         if pairs is None:
-            pairs = solved[i, n] = match_frame(track_ids, gt_ids, cost,
-                                               np.flatnonzero(scores >= threshold),
-                                               iou_threshold)
+            if n <= limit:
+                pairs = [(gt_ids[r], track_ids[c], iou)
+                         for rank, r, c, iou in fixed if rank < n]
+            else:
+                pairs = match_frame(track_ids, gt_ids, cost,
+                                    np.flatnonzero(scores >= threshold), iou_threshold)
+            solved[i, n] = pairs
         tp += len(pairs)
         ids += count_id_switches(pairs, last_ids)
         for gt_id, tid, iou in pairs:
@@ -154,26 +193,31 @@ def evaluate(track_frames: dict, gt_frames: dict,
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     frames = sorted(set(gt_frames) | set(track_frames))
     avg_score = _track_average_scores(track_frames)
-    # per frame: gt ids, track ids, track average scores, those scores negated
-    # and sorted (a pass's kept count is one bisection), and the gt x track
-    # cost matrix, filled below from one IoU batch over every frame's pairs
-    scored, pairs, gt_side, track_side = [], [], [], []
+    # each frame's prescreened pairs, scored below in one IoU batch
+    pairs, gt_side, track_side = [], [], []
     for t in frames:
         gts, items = gt_frames.get(t, []), track_frames.get(t, [])
-        scores = [avg_score[tid] for tid, _b, _s in items]
         gt_rows, track_rows = box_rows(b for _, b in gts), box_rows(b for _, b, _s in items)
         ii, jj = prescreen_pairs(gt_rows, track_rows)
-        cost = np.zeros((len(gts), len(items)))
-        pairs.append((cost, ii, jj))
+        pairs.append((ii, jj))
         gt_side.append(gt_rows[ii])
         track_side.append(track_rows[jj])
-        scored.append(([g for g, _ in gts], [tid for tid, _b, _s in items],
-                       np.array(scores), sorted(-s for s in scores), cost))
     neg_iou = -iou3d_rows(np.concatenate(gt_side), np.concatenate(track_side))
+    # per frame: gt ids, track ids, track average scores, those scores negated
+    # and sorted (a pass's kept count is one bisection), the gt x track cost
+    # matrix, and its matching limit and fixed pairs
+    scored = []
     start = 0
-    for cost, ii, jj in pairs:
+    for t, (ii, jj) in zip(frames, pairs):
+        gts, items = gt_frames.get(t, []), track_frames.get(t, [])
+        cost = np.zeros((len(gts), len(items)))
         cost[ii, jj] = neg_iou[start:start + len(ii)]
         start += len(ii)
+        scores = np.array([avg_score[tid] for tid, _b, _s in items])
+        neg_sorted = sorted((-scores).tolist())
+        ranks = np.searchsorted(neg_sorted, -scores, side="left")
+        scored.append(([g for g, _ in gts], [tid for tid, _b, _s in items], scores,
+                       neg_sorted, cost, *_read_off(cost, ranks, iou_threshold)))
     # (frame index, kept count) -> that frame's matches; tied scores are kept
     # together, so the count fixes the kept columns
     solved = {}

@@ -894,6 +894,24 @@ def test_eval_rejects_a_mistyped_run_config(tmp_path, track_dir, sim_dir, capsys
     assert not out_csv.exists() and not (tmp_path / "summary_levels.csv").exists()
 
 
+@pytest.mark.parametrize("name, named", [(io.TRACKS_FILE, "id"), (io.GT_FILE, "obj")])
+def test_eval_rejects_a_log_that_repeats_a_record(tmp_path, track_dir, sim_dir, capsys,
+                                                  name, named):
+    path = os.path.join(track_dir if name == io.TRACKS_FILE else sim_dir, name)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    last = json.loads(lines[-1])
+    with open(path, "a") as fh:
+        fh.write(lines[-1] + "\n")
+    out_csv = tmp_path / "summary.csv"
+    assert cli.main(["eval", "--tracks", track_dir, "--gt", sim_dir,
+                     "--out", str(out_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} line {len(lines) + 1}: repeats the t={last['t']}, "
+        f"{named}={last[named]} of line {len(lines)}\n")
+    assert not out_csv.exists() and not (tmp_path / "summary_levels.csv").exists()
+
+
 @pytest.mark.parametrize("comm", ['{}', '{"mb_total": "x"}', '{"mb_total": 1e400}',
                                   '{"mb_total": -3}', '{"mb_total": true}', '[1]'],
                          ids=["empty", "string", "1e400", "negative", "bool", "not-an-object"])

@@ -385,6 +385,32 @@ def test_gt_log_round_trip(tmp_path):
     assert loaded == records
 
 
+@pytest.mark.parametrize("format_name, record, named", [
+    (io.FORMAT_TRACKS, lambda t, i: io.track_record(t, i, BOX, 0.5), "t=1, id=2"),
+    (io.FORMAT_GROUNDTRUTH, lambda t, i: io.gt_record(t, i, BOX), "t=1, obj=2"),
+], ids=["tracks", "gt"])
+def test_a_log_repeating_a_records_key_is_refused_and_rejected(tmp_path, format_name,
+                                                               record, named):
+    path = str(tmp_path / "log.jsonl")
+    records = [record(t, i) for t in range(2) for i in (1, 2)]
+    with pytest.raises(LogFormatError, match=rf"^record 4: repeats the {named} of record 3$"):
+        io.write_log(path, format_name, records + [record(1, 2)])
+    # the same id at another timestep, or another id at the same one, is fine
+    io.write_log(path, format_name, records)
+    with open(path, "a") as fh:
+        fh.write(io.canonical_json(record(1, 2)) + "\n")
+    with pytest.raises(LogFormatError, match=rf"log\.jsonl line 6: repeats the {named} "
+                                             rf"of line 5$"):
+        io.read_log(path, format_name)
+
+
+def test_a_detection_log_may_repeat_a_vehicles_timestep(tmp_path):
+    path = str(tmp_path / "dets.jsonl")
+    records = [io.detection_record(0, 1, BOX, 0.9, POSE)] * 2
+    io.write_log(path, io.FORMAT_DETECTIONS, records)
+    assert io.read_log(path, io.FORMAT_DETECTIONS) == records
+
+
 # --- tensor store ----------------------------------------------------------------
 
 
@@ -819,10 +845,15 @@ def _bad_record_at_3():
     return records
 
 
+def _repeated_record_at_3():
+    return [io.gt_record(i, 1, BOX) for i in range(3)] + [io.gt_record(1, 1, BOX)]
+
+
 @pytest.mark.parametrize("records, error", [
     (_records_failing_at_3, RuntimeError),
     (_bad_record_at_3, LogFormatError),
-], ids=["raising-iterator", "invalid-record"])
+    (_repeated_record_at_3, LogFormatError),
+], ids=["raising-iterator", "invalid-record", "repeated-record"])
 def test_a_failed_log_write_leaves_the_previous_file(tmp_path, records, error):
     path = str(tmp_path / "gt.jsonl")
     io.write_log(path, io.FORMAT_GROUNDTRUTH, [io.gt_record(0, 7, BOX)])

@@ -133,9 +133,68 @@ def test_evaluate_scores_every_frames_pairs_in_one_iou_batch(monkeypatch):
         box for t in range(10) for _gid, box in gt_frames[t]))
     np.testing.assert_array_equal(track_side, box_rows(
         box for t in range(10) for _tid, box, _s in track_frames[t]))
-    # one solve per distinct (frame, kept count): frames 0-9 keep their three
-    # tracks in every pass; frame 10 keeps its 0.5 track only at full recall
-    assert solved == [3] * 10 + [1, 0]
+    # a (frame, kept count) is solved only when its kept tracks' positive IoUs
+    # pair some gt or some track twice; here no frame's whole matrix does, so
+    # no subset of its tracks does either, and every match is read off
+    for t, items in track_frames.items():
+        overlap = build_cost_matrix(box_rows(b for _, b in gt_frames.get(t, [])),
+                                    box_rows(b for _, b, _s in items)) < 0.0
+        assert overlap.sum(axis=0).max(initial=0) <= 1
+        assert overlap.sum(axis=1).max(initial=0) <= 1
+    assert solved == []
+
+
+def _solved_kept_counts(monkeypatch, track_frames, gt_frames):
+    """`evaluate`'s report and the kept count of each `match_frame` call it made."""
+    solved, real_match = [], metrics.match_frame
+    monkeypatch.setattr(metrics, "match_frame",
+                        lambda *args: solved.append(len(args[3])) or real_match(*args))
+    return evaluate(track_frames, gt_frames), solved
+
+
+def test_a_gt_overlapping_two_tracks_is_solved_only_once_both_are_kept(monkeypatch):
+    # gt 0 overlaps track 100 (0.9, on it) and track 200 (0.4, 1 m off); every
+    # level thresholds at 0.9 and keeps track 100 alone, which is read off;
+    # the full-recall pass keeps both and solves each frame once
+    gt_frames = {t: [(0, _box(0.0, t))] for t in range(5)}
+    track_frames = {t: [(100, _box(0.0, t), 0.9), (200, _box(1.0, t), 0.4)]
+                    for t in range(5)}
+    report, solved = _solved_kept_counts(monkeypatch, track_frames, gt_frames)
+    assert solved == [2] * 5
+    assert {lv.threshold for lv in report.levels} == {0.9}
+    assert all((lv.tp, lv.fp, lv.ids) == (5, 0, 0) for lv in report.levels)
+
+
+def test_a_track_overlapping_two_gts_is_solved_once_it_is_kept(monkeypatch):
+    # a chain g1 - t1 - g2: track 1 (0.5) lies between gts 1 and 2, 3 m apart,
+    # nearer gt 1; track 3 (0.9) follows gt 3 alone. Passes keeping track 3
+    # alone are read off; the full-recall pass keeps both and solves
+    gt_frames = {t: [(1, _box(0.0, t)), (2, _box(3.0, t)), (3, _box(40.0, t))]
+                 for t in range(4)}
+    track_frames = {t: [(1, _box(1.0, t), 0.5), (3, _box(40.0, t), 0.9)] for t in range(4)}
+    report, solved = _solved_kept_counts(monkeypatch, track_frames, gt_frames)
+    assert solved == [2] * 4
+    # 12 gts, 8 matchable: recall up to 4/12 needs track 3 alone, up to 8/12 both
+    assert [lv.threshold for lv in report.levels if lv.achievable] == [0.9] * 13 + [0.5] * 13
+    full = report.levels[25]
+    assert (full.tp, full.fp, full.fn, full.ids) == (8, 0, 4, 0)
+    assert not report.levels[26].achievable
+
+
+def test_a_non_finite_iou_is_still_rejected_by_the_solver(monkeypatch):
+    # frame 0 would be read off whole; a NaN among its IoUs sends it to the
+    # solver, whose finite check raises
+    track_frames, gt_frames = _perfect_case(num_objects=3, num_frames=4)
+    real = metrics.iou3d_rows
+
+    def one_nan(a, b):
+        ious = real(a, b)
+        ious[1] = math.nan
+        return ious
+
+    monkeypatch.setattr(metrics, "iou3d_rows", one_nan)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(track_frames, gt_frames)
 
 
 def test_evaluate_batches_each_frames_pairs_in_row_major_order(monkeypatch):

@@ -279,22 +279,64 @@ def test_levels_sharing_a_threshold_equal_rebuilding_each_level(scene):
     assert repr(report) == repr(_reference_evaluate(*scene))
 
 
+@st.composite
+def crowded_scenes(draw):
+    """Scenes that leave the solver work: ground truth closer than a car length
+    (4.5 m), up to three tracks per gt, scores from a few shared values (so
+    average scores tie), exactly repeated boxes, and track ids drawn from a
+    small pool, repeated within a frame too."""
+    num_frames, num_objects = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    offsets = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -2.0]), st.floats(-3.0, 3.0))
+    gt_frames, track_frames = {}, {}
+    for t in range(num_frames):
+        xs = [0.0]
+        for _ in range(num_objects - 1):
+            xs.append(xs[-1] + draw(st.sampled_from([0.0, 1.0, 2.5, 4.0])))
+        gt_frames[t] = [(g, _car(x)) for g, x in enumerate(xs)]
+        track_frames[t] = [(draw(st.integers(0, 4)), _car(x + draw(offsets)),
+                            draw(st.sampled_from([0.25, 0.5, 0.75])))
+                           for x in xs for _ in range(draw(st.integers(0, 3)))]
+    return track_frames, gt_frames
+
+
 @PROPERTY
-@given(tied_scenes())
-def test_evaluate_solves_each_frame_once_per_kept_count(scene):
+@given(crowded_scenes())
+def test_crowded_evaluate_equals_rebuilding_each_levels_matrices(scene):
+    track_frames, gt_frames = scene
+    assert repr(evaluate(track_frames, gt_frames)) == repr(_reference_evaluate(*scene))
+
+
+def _contested_kept_counts(track_frames, gt_frames, report):
+    """(gt ids, track ids, n) of every frame and kept count n of `report`'s passes
+    whose kept tracks' positive IoUs pair some gt, or some track, twice."""
+    avg_score = _reference_average_scores(track_frames)
+    thresholds = {-math.inf} | {lv.threshold for lv in report.levels if lv.achievable}
+    contested = []
+    for t in set(gt_frames) | set(track_frames):
+        gts, items = gt_frames.get(t, []), track_frames.get(t, [])
+        cost = build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b, _s in items))
+        scores = np.array([avg_score[tid] for tid, _b, _s in items])
+        kept = {int((scores >= threshold).sum()): scores >= threshold
+                for threshold in thresholds}
+        for n, keep in kept.items():
+            overlap = cost[:, keep] < 0.0
+            if (overlap.sum(axis=0) >= 2).any() or (overlap.sum(axis=1) >= 2).any():
+                contested.append(([g for g, _ in gts], [tid for tid, _b, _s in items], n))
+    return sorted(contested)
+
+
+@PROPERTY
+@given(st.one_of(tied_scenes(), crowded_scenes()))
+def test_evaluate_solves_each_contested_kept_count_once(scene):
     track_frames, gt_frames = scene
     real_match, solved = metrics.match_frame, []
-    metrics.match_frame = lambda *args: solved.append(1) or real_match(*args)
+    metrics.match_frame = lambda *args: solved.append((args[1], args[0], len(args[3]))) \
+        or real_match(*args)
     try:
         report = evaluate(track_frames, gt_frames)
     finally:
         metrics.match_frame = real_match
-    avg_score = _reference_average_scores(track_frames)
-    thresholds = {-math.inf} | {lv.threshold for lv in report.levels if lv.achievable}
-    kept_counts = {(t, sum(avg_score[tid] >= threshold
-                           for tid, _box, _s in track_frames.get(t, [])))
-                   for t in set(gt_frames) | set(track_frames) for threshold in thresholds}
-    assert len(solved) == len(kept_counts)
+    assert sorted(solved) == _contested_kept_counts(track_frames, gt_frames, report)
 
 
 # network residuals from well below -1 (the R floor engages) to large
