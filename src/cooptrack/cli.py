@@ -138,6 +138,9 @@ def cmd_eval(args) -> int:
     track_frames, comm_mb, run_cfg = cio.load_track_output(args.tracks)
     iou_threshold = (run_cfg or cio.RunConfig()).eval_iou_threshold
     gt_frames = cio.load_gt_frames(args.gt)
+    if not gt_frames:
+        raise cio.LogFormatError(f"{os.path.join(args.gt, cio.GT_FILE)}: no ground-truth "
+                                 f"records; metrics are undefined")
     base, ext = os.path.splitext(args.out)
     levels_path = f"{base}_levels{ext or '.csv'}"
     _check_outputs([args.out, levels_path], make_dir=True)

@@ -6,34 +6,35 @@ true-positive matches reach that recall; tracks are kept or dropped whole,
 using their per-track average score. MOTA, MT, and ML are reported at the
 best-MOTA level of the sweep. All metric fields are percentages.
 
-IoU does not depend on the score threshold, so each frame's gt x track IoU
-matrix is built once. The IoUs are batched per `evaluate` call: every frame's
-prescreened pairs are scored in one `geometry.iou3d_rows` call, whose fixed
-cost a whole sequence's pairs repay; the tracker's per-frame matrices are too
-small for that and stay on the per-pair path (`association.build_cost_matrix`).
+An `evaluate` call sets its whole sequence up once, as arrays (`_Sequence`):
+every gt and track box row, each frame's (gt, track) pairs in row-major
+order, frame after frame, prescreened as `association.prescreen_pairs`
+prescreens them and scored in one `geometry.iou3d_rows` call, whose fixed
+cost a whole sequence's pairs repay (the tracker's per-frame matrices are too
+small for that and stay on the per-pair path, `association.build_cost_matrix`).
 A pass keeps each frame's n best-scored tracks (ties kept together), so a
-frame's matches depend on n alone: they are found once per (frame, n) and
-replayed in every later pass of the same call. Most of them need no solver.
-Up to a frame's matching limit (`_read_off`), the kept tracks' positive-IoU
-entries pair each ground truth with at most one track and each track with at
-most one ground truth, and every optimal assignment holds each of those
-pairs: an optimum that left out (g, t) pairs g and t at cost 0 each, and
-swapping (g, t) in lowers the total by IoU(g, t) > 0. Those matches are read
-off the frame's pairs that reach the IoU threshold; only a kept count past
-the limit is solved (`match_frame`). Id switches are counted pass by pass
-from the replayed matches, and levels that share a threshold share one pass.
+frame's matches depend on n alone, and most of them need no solver. Up to a
+frame's matching limit, the kept tracks' positive-IoU entries pair each
+ground truth with at most one track and each track with at most one ground
+truth, and every optimal assignment holds each of those pairs: an optimum
+that left out (g, t) pairs g and t at cost 0 each, and swapping (g, t) in
+lowers the total by IoU(g, t) > 0. Those matches are read off the pairs that
+reach the IoU threshold, one mask over the whole sequence; only a kept count
+past the limit is solved (`match_frame`), once per (frame, n) of the call.
+A pass's TP, kept-track and id-switch counts are then array reductions, and
+its TP IoUs are added left to right, frame after frame. Levels that share a
+threshold share one pass.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import associate, prescreen_pairs
+from .association import associate
 from .geometry import box_rows, iou3d_rows
 from .io import RunConfig, replace_file
 
@@ -90,21 +91,6 @@ def match_frame(track_ids, gt_ids, cost, keep, iou_threshold: float) -> list:
             for r, c, iou in associate(cost[:, keep], iou_threshold)]
 
 
-def count_id_switches(tp_pairs, last_ids: dict) -> int:
-    """Id switches among one frame's (gt_id, track_id, iou) matches.
-
-    `last_ids` maps gt_id to the track id it last matched and is updated in
-    place; a gt matched to another track than last time is one switch. A
-    frame in which a gt goes unmatched leaves its entry as it was.
-    """
-    ids = 0
-    for gt_id, track_id, _iou in tp_pairs:
-        if last_ids.get(gt_id, track_id) != track_id:
-            ids += 1
-        last_ids[gt_id] = track_id
-    return ids
-
-
 def _track_average_scores(track_frames) -> dict:
     totals, counts = {}, {}
     for items in track_frames.values():
@@ -114,69 +100,134 @@ def _track_average_scores(track_frames) -> dict:
     return {tid: totals[tid] / counts[tid] for tid in totals}
 
 
-def _read_off(cost, ranks, iou_threshold):
-    """One frame's matching limit and the matches it fixes.
+class _Sequence:
+    """One `evaluate` call's frames as arrays, and its recall passes.
 
-    `cost` is the frame's negated-IoU matrix; `ranks[c]` counts the tracks
-    scoring above track c, so a pass keeping n tracks keeps the columns of
-    rank < n. The limit is the largest n for which no kept column has two
-    negative entries and no row has two among its kept columns: the lowest
-    rank of a column with two negative rows, or the second-lowest rank of a
-    row's negative columns, whichever is smaller. A matrix with a non-finite
-    entry has limit 0, so its solves (and the solver's finite check) all
-    run. Returns the limit and (rank, row, col, iou) for every entry whose
-    IoU reaches `iou_threshold`, in row-major order, iou read as `associate`
-    reads it.
+    Gt rows and track rows run frame after frame, each frame's in list order.
+    A track's rank counts the tracks of its frame that score strictly above
+    it, so a pass that keeps a frame's n best tracks keeps its rows of
+    rank < n. A frame's matching limit is the largest n for which no kept
+    track has two positive IoUs and no gt has two among the kept tracks: the
+    lowest rank of a track with two positive IoUs, or the lowest
+    second-lowest rank of a gt's positive tracks, whichever is smaller. A
+    frame with a non-finite IoU has limit 0, so its solves (and the solver's
+    finite check) all run. Up to the limit a pass reads the frame's matches
+    off its pairs that reach the IoU threshold; past it they are solved by
+    `match_frame`, once per (frame, n) of the call.
     """
-    cols = cost.shape[1]
-    if not np.isfinite(cost).all():
-        return 0, []
-    overlap = cost < 0.0
-    limit = ranks[overlap.sum(axis=0) >= 2].min(initial=cols)
-    if cols >= 2:
-        row_ranks = np.partition(np.where(overlap, ranks, cols), 1, axis=1)
-        limit = row_ranks[:, 1].min(initial=limit)
-    rows, hits = np.nonzero(-cost >= iou_threshold)
-    return int(limit), list(zip(ranks[hits].tolist(), rows.tolist(), hits.tolist(),
-                                (-cost[rows, hits]).tolist()))
 
+    def __init__(self, frames, track_frames, gt_frames, iou_threshold):
+        self.gts = [gt_frames.get(t, []) for t in frames]
+        self.items = [track_frames.get(t, []) for t in frames]
+        self.iou_threshold = iou_threshold
+        self.avg_score = _track_average_scores(track_frames)
+        num_gts = np.array([len(gts) for gts in self.gts], dtype=int)
+        num_tracks = np.array([len(items) for items in self.items], dtype=int)
+        self.gt_start = np.cumsum(num_gts) - num_gts
+        self.track_start = np.cumsum(num_tracks) - num_tracks
+        gt_frame = np.repeat(np.arange(len(frames)), num_gts)
+        self.track_frame = np.repeat(np.arange(len(frames)), num_tracks)
+        gt_rows = box_rows(box for gts in self.gts for _, box in gts)
+        track_rows = box_rows(box for items in self.items for _, box, _s in items)
+        self.gt_ids = np.array([g for gts in self.gts for g, _ in gts])
+        track_ids = [tid for items in self.items for tid, _b, _s in items]
+        self.scores = np.array([self.avg_score[tid] for tid in track_ids], dtype=float)
 
-def _sweep(scored, threshold, solved, iou_threshold):
-    """One full pass over the sequence keeping tracks with score >= threshold.
+        # every (gt, track) pair of each frame in row-major order, frame after
+        # frame, prescreened by `prescreen_pairs`' test and scored in one IoU
+        # batch. hypot(dx, dy) >= |dx|, |dy|, so a pair with either beyond
+        # the two radii fails that test; only the rest take the hypot.
+        width = num_tracks[gt_frame]
+        pair_gt = np.repeat(np.arange(len(gt_frame)), width)
+        pair_track = np.arange(len(pair_gt)) - np.repeat(
+            np.cumsum(width) - width - self.track_start[gt_frame], width)
+        dx = gt_rows[:, 0][pair_gt] - track_rows[:, 0][pair_track]
+        dy = gt_rows[:, 1][pair_gt] - track_rows[:, 1][pair_track]
+        reach = (0.5 * np.hypot(gt_rows[:, 4], gt_rows[:, 5]))[pair_gt] \
+            + (0.5 * np.hypot(track_rows[:, 4], track_rows[:, 5]))[pair_track]
+        near = np.flatnonzero(~((np.abs(dx) > reach) | (np.abs(dy) > reach)))
+        near = near[np.hypot(dx[near], dy[near]) <= reach[near]]
+        self.pair_gt, self.pair_track = pair_gt[near], pair_track[near]
+        self.pair_frame = gt_frame[self.pair_gt]
+        self.iou = iou3d_rows(gt_rows[self.pair_gt], track_rows[self.pair_track])
 
-    A frame keeping its n best tracks reuses the matches `solved[frame, n]`
-    from an earlier pass of the same `evaluate` call, or finds and stores
-    them: read off the frame's fixed pairs of rank < n while n is within its
-    matching limit (see `_read_off`), solved by `match_frame` past it. Id
-    switches follow this pass's own matches in frame order.
-    Returns the TP, kept-track and ID-switch counts, the summed TP IoU, the
-    number of matched frames per ground-truth id, and the track id of every
-    TP match.
-    """
-    tp = kept = ids = 0
-    iou_sum = 0.0
-    last_ids = {}
-    matched_frames = {}
-    matched_tracks = []
-    for i, (gt_ids, track_ids, scores, neg_sorted, cost, limit, fixed) in enumerate(scored):
-        n = bisect_right(neg_sorted, -threshold)
-        kept += n
-        pairs = solved.get((i, n))
-        if pairs is None:
-            if n <= limit:
-                pairs = [(gt_ids[r], track_ids[c], iou)
-                         for rank, r, c, iou in fixed if rank < n]
-            else:
-                pairs = match_frame(track_ids, gt_ids, cost,
-                                    np.flatnonzero(scores >= threshold), iou_threshold)
-            solved[i, n] = pairs
-        tp += len(pairs)
-        ids += count_id_switches(pairs, last_ids)
-        for gt_id, tid, iou in pairs:
-            iou_sum += iou
-            matched_frames[gt_id] = matched_frames.get(gt_id, 0) + 1
-            matched_tracks.append(tid)
-    return tp, kept, ids, iou_sum, matched_frames, matched_tracks
+        # ranks: tied scores share the rank of the first of them
+        order = np.lexsort((-self.scores, self.track_frame))
+        neg_sorted, frame_sorted = -self.scores[order], self.track_frame[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (frame_sorted[1:] != frame_sorted[:-1]) | (neg_sorted[1:] != neg_sorted[:-1])
+        tie_start = np.maximum.accumulate(np.where(first, np.arange(len(order)), 0))
+        rank = np.empty(len(order), dtype=int)
+        rank[order] = tie_start - self.track_start[frame_sorted]
+
+        self.limit = num_tracks.copy()
+        positive = self.iou > 0.0
+        pos_gt, pos_track = self.pair_gt[positive], self.pair_track[positive]
+        shared = np.flatnonzero(np.bincount(pos_track, minlength=len(order)) >= 2)
+        np.minimum.at(self.limit, self.track_frame[shared], rank[shared])
+        by_gt = np.lexsort((rank[pos_track], pos_gt))
+        pos_gt, pos_rank = pos_gt[by_gt], rank[pos_track[by_gt]]
+        later = np.flatnonzero(pos_gt[1:] == pos_gt[:-1]) + 1  # all but each gt's lowest
+        np.minimum.at(self.limit, gt_frame[pos_gt[later]], pos_rank[later])
+        self.limit[self.pair_frame[~np.isfinite(self.iou)]] = 0
+
+        hit = np.flatnonzero(self.iou >= iou_threshold)
+        self.hit_frame = self.pair_frame[hit]
+        self.hit_rank = rank[self.pair_track[hit]]
+        self.hit_limit = self.limit[self.hit_frame]
+        self.hit_gt = self.gt_ids[self.pair_gt[hit]]
+        self.hit_track = np.array(track_ids)[self.pair_track[hit]]
+        self.hit_iou = self.iou[hit]
+        self.matrices = {}  # frame -> its track ids, gt ids and negated-IoU matrix
+        self.solved = {}  # (frame, n) -> that frame's matches when it keeps n tracks
+
+    def sweep(self, threshold):
+        """One pass over the sequence keeping tracks with score >= threshold.
+
+        Returns the TP, kept-track and id-switch counts, the TP IoUs added
+        left to right (frame after frame, each frame's in pair order), and
+        the gt id and the track id of every TP match in that order.
+        """
+        kept = np.bincount(self.track_frame[self.scores >= threshold],
+                           minlength=len(self.items))
+        n = kept[self.hit_frame]
+        read_off = np.flatnonzero((self.hit_rank < n) & (n <= self.hit_limit))
+        gt, track, iou = self.hit_gt[read_off], self.hit_track[read_off], self.hit_iou[read_off]
+        contested = np.flatnonzero(kept > self.limit)
+        if len(contested):
+            solved = [self._solve(f, count, threshold)
+                      for f, count in zip(contested.tolist(), kept[contested].tolist())]
+            matches = [m for pairs in solved for m in pairs]
+            order = np.argsort(np.concatenate((self.hit_frame[read_off], np.repeat(
+                contested, [len(pairs) for pairs in solved]))), kind="stable")
+            gt = np.concatenate((gt, np.array([g for g, _t, _i in matches], dtype=gt.dtype)))[order]
+            track = np.concatenate((track, np.array([t for _g, t, _i in matches],
+                                                    dtype=track.dtype)))[order]
+            iou = np.concatenate((iou, [i for _g, _t, i in matches]))[order]
+        # a gt matched to another track than at its previous match is a switch
+        by_gt = np.argsort(gt, kind="stable")
+        gt_sorted, track_sorted = gt[by_gt], track[by_gt]
+        ids = np.count_nonzero((gt_sorted[1:] == gt_sorted[:-1])
+                               & (track_sorted[1:] != track_sorted[:-1]))
+        iou_sum = float(np.add.accumulate(iou)[-1]) if len(iou) else 0.0
+        return len(iou), int(kept.sum()), int(ids), iou_sum, gt, track
+
+    def _solve(self, f, n, threshold):
+        """Frame f's (gt id, track id, iou) matches when it keeps its n best
+        tracks, solved on the first request of the call."""
+        if (f, n) not in self.solved:
+            if f not in self.matrices:
+                gts, items = self.gts[f], self.items[f]
+                lo, hi = np.searchsorted(self.pair_frame, (f, f + 1))
+                cost = np.zeros((len(gts), len(items)))
+                cost[self.pair_gt[lo:hi] - self.gt_start[f],
+                     self.pair_track[lo:hi] - self.track_start[f]] = -self.iou[lo:hi]
+                self.matrices[f] = ([tid for tid, _b, _s in items], [g for g, _ in gts], cost)
+            track_ids, gt_ids, cost = self.matrices[f]
+            start = self.track_start[f]
+            keep = np.flatnonzero(self.scores[start:start + len(track_ids)] >= threshold)
+            self.solved[f, n] = match_frame(track_ids, gt_ids, cost, keep, self.iou_threshold)
+        return self.solved[f, n]
 
 
 def evaluate(track_frames: dict, gt_frames: dict,
@@ -192,49 +243,17 @@ def evaluate(track_frames: dict, gt_frames: dict,
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold must be in (0,1), got {iou_threshold}")
     frames = sorted(set(gt_frames) | set(track_frames))
-    avg_score = _track_average_scores(track_frames)
-    # each frame's prescreened pairs, scored below in one IoU batch
-    pairs, gt_side, track_side = [], [], []
-    for t in frames:
-        gts, items = gt_frames.get(t, []), track_frames.get(t, [])
-        gt_rows, track_rows = box_rows(b for _, b in gts), box_rows(b for _, b, _s in items)
-        ii, jj = prescreen_pairs(gt_rows, track_rows)
-        pairs.append((ii, jj))
-        gt_side.append(gt_rows[ii])
-        track_side.append(track_rows[jj])
-    neg_iou = -iou3d_rows(np.concatenate(gt_side), np.concatenate(track_side))
-    # per frame: gt ids, track ids, track average scores, those scores negated
-    # and sorted (a pass's kept count is one bisection), the gt x track cost
-    # matrix, and its matching limit and fixed pairs
-    scored = []
-    start = 0
-    for t, (ii, jj) in zip(frames, pairs):
-        gts, items = gt_frames.get(t, []), track_frames.get(t, [])
-        cost = np.zeros((len(gts), len(items)))
-        cost[ii, jj] = neg_iou[start:start + len(ii)]
-        start += len(ii)
-        scores = np.array([avg_score[tid] for tid, _b, _s in items])
-        neg_sorted = sorted((-scores).tolist())
-        ranks = np.searchsorted(neg_sorted, -scores, side="left")
-        scored.append(([g for g, _ in gts], [tid for tid, _b, _s in items], scores,
-                       neg_sorted, cost, *_read_off(cost, ranks, iou_threshold)))
-    # (frame index, kept count) -> that frame's matches; tied scores are kept
-    # together, so the count fixes the kept columns
-    solved = {}
+    sequence = _Sequence(frames, track_frames, gt_frames, iou_threshold)
 
     # full-recall pass: collect the score of every achievable TP match
-    *_, full_recall_tracks = _sweep(scored, -math.inf, solved, iou_threshold)
-    tp_scores = sorted((avg_score[tid] for tid in full_recall_tracks), reverse=True)
-
-    gt_lifetime = {}
-    for items in gt_frames.values():
-        for gt_id, _box in items:
-            gt_lifetime[gt_id] = gt_lifetime.get(gt_id, 0) + 1
+    *_, full_recall_tracks = sequence.sweep(-math.inf)
+    tp_scores = sorted((sequence.avg_score[tid] for tid in full_recall_tracks.tolist()),
+                       reverse=True)
 
     levels = []
     passes = {}  # threshold -> that pass's totals; equal thresholds repeat a pass
     best = None
-    best_matched = {}
+    best_gt = None
     for k in range(1, NUM_RECALL_LEVELS + 1):
         target = k / NUM_RECALL_LEVELS
         needed = -(-k * num_gt // NUM_RECALL_LEVELS)  # ceil(target * num_gt), exactly
@@ -243,8 +262,8 @@ def evaluate(track_frames: dict, gt_frames: dict,
             continue
         threshold = tp_scores[needed - 1]
         if threshold not in passes:
-            passes[threshold] = _sweep(scored, threshold, solved, iou_threshold)
-        tp, kept, ids, iou_sum, matched, _ = passes[threshold]
+            passes[threshold] = sequence.sweep(threshold)
+        tp, kept, ids, iou_sum, matched_gt, _ = passes[threshold]
         fp, fn = kept - tp, num_gt - tp
         recall = tp / num_gt
         mota = max(0.0, 1.0 - (fp + fn + ids) / num_gt)
@@ -260,7 +279,7 @@ def evaluate(track_frames: dict, gt_frames: dict,
         levels.append(level)
         if best is None or level.mota > best.mota:
             best = level
-            best_matched = matched
+            best_gt = matched_gt
 
     amota = 100.0 * sum(lv.mota for lv in levels) / NUM_RECALL_LEVELS
     samota = 100.0 * sum(lv.smota for lv in levels) / NUM_RECALL_LEVELS
@@ -268,11 +287,13 @@ def evaluate(track_frames: dict, gt_frames: dict,
     if best is None:
         return EvalReport(amota=0.0, amotp=0.0, samota=0.0, mota=0.0, mt=0.0,
                           ml=100.0, ids=0, num_gt=num_gt, levels=levels)
-    num_traj = len(gt_lifetime)
-    mt = sum(1 for g, life in gt_lifetime.items()
-             if best_matched.get(g, 0) >= MT_FRACTION * life) / num_traj
-    ml = sum(1 for g, life in gt_lifetime.items()
-             if best_matched.get(g, 0) <= ML_FRACTION * life) / num_traj
+    # frames in which each gt is matched at the best level, against its lifetime
+    gt_ids, lifetime = np.unique(sequence.gt_ids, return_counts=True)
+    matched_ids, matches = np.unique(best_gt, return_counts=True)
+    matched = np.zeros_like(lifetime)
+    matched[np.searchsorted(gt_ids, matched_ids)] = matches
+    mt = int(np.count_nonzero(matched >= MT_FRACTION * lifetime)) / len(gt_ids)
+    ml = int(np.count_nonzero(matched <= ML_FRACTION * lifetime)) / len(gt_ids)
     return EvalReport(amota=amota, amotp=amotp, samota=samota,
                       mota=100.0 * best.mota, mt=100.0 * mt, ml=100.0 * ml,
                       ids=best.ids, num_gt=num_gt, levels=levels)

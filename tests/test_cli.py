@@ -912,6 +912,20 @@ def test_eval_rejects_a_log_that_repeats_a_record(tmp_path, track_dir, sim_dir, 
     assert not out_csv.exists() and not (tmp_path / "summary_levels.csv").exists()
 
 
+def test_eval_rejects_a_ground_truth_log_without_records(tmp_path, track_dir, sim_dir, capsys):
+    path = os.path.join(sim_dir, io.GT_FILE)
+    with open(path) as fh:
+        header = fh.readline()
+    with open(path, "w") as fh:
+        fh.write(header)
+    out_csv = tmp_path / "summary.csv"
+    assert cli.main(["eval", "--tracks", track_dir, "--gt", sim_dir,
+                     "--out", str(out_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: no ground-truth records; metrics are undefined\n")
+    assert not out_csv.exists() and not (tmp_path / "summary_levels.csv").exists()
+
+
 @pytest.mark.parametrize("comm", ['{}', '{"mb_total": "x"}', '{"mb_total": 1e400}',
                                   '{"mb_total": -3}', '{"mb_total": true}', '[1]'],
                          ids=["empty", "string", "1e400", "negative", "bool", "not-an-object"])

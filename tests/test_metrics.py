@@ -8,7 +8,9 @@ that arithmetic rather than from the code under test.
 
 import csv
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -25,12 +27,12 @@ from cooptrack.metrics import (
     SHARED_REALS,
     CommCost,
     comm_cost,
-    count_id_switches,
     evaluate,
     match_frame,
     write_recall_table_csv,
     write_summary_csv,
 )
+from test_properties import count_id_switches
 
 
 def _box(x, y=0.0):
@@ -195,6 +197,35 @@ def test_a_non_finite_iou_is_still_rejected_by_the_solver(monkeypatch):
     monkeypatch.setattr(metrics, "iou3d_rows", one_nan)
     with pytest.raises(ValueError, match="finite"):
         evaluate(track_frames, gt_frames)
+
+
+def test_motp_adds_the_true_positive_ious_left_to_right(monkeypatch):
+    # 3 objects 10 m apart over 4 frames: each frame's prescreen passes each
+    # object's (gt, track) pair alone, so the batch runs frame after frame,
+    # object after object. Object k's track scores 0.75, 0.5 or 0.25, so a
+    # level keeps the first 1, 2 or 3 objects; every seeded IoU reaches the
+    # threshold, so every kept pair is a true positive.
+    gt_frames = {t: [(obj, _box(10.0 * obj, t)) for obj in range(3)] for t in range(4)}
+    track_frames = {t: [(100 + obj, _box(10.0 * obj, t), 0.75 - 0.25 * obj)
+                        for obj in range(3)] for t in range(4)}
+    ious = np.random.default_rng(28).uniform(0.5, 1.0, 12)
+    assert ious.min() >= RunConfig.eval_iou_threshold
+    batch = []
+    monkeypatch.setattr(metrics, "iou3d_rows",
+                        lambda a, b: batch.append(a.copy()) or ious[:len(a)].copy())
+    report = evaluate(track_frames, gt_frames)
+    objects = np.rint(batch[0][:, 0] / 10.0).astype(int).tolist()
+    assert objects == [0, 1, 2] * 4
+    # these values tell the three orders apart: pairwise (np.sum) and
+    # compensated (math.fsum, and sum() on Python >= 3.12) addition differ
+    values = ious.tolist()
+    left_to_right = functools.reduce(operator.add, values)
+    assert len({left_to_right / 12, float(np.sum(ious)) / 12, math.fsum(values) / 12}) == 3
+    achievable = [lv for lv in report.levels if lv.achievable]
+    assert sorted({lv.tp for lv in achievable}) == [4, 8, 12]
+    for lv in achievable:
+        kept = [v for obj, v in zip(objects, values) if obj < lv.tp // 4]
+        assert lv.motp.hex() == (functools.reduce(operator.add, kept) / lv.tp).hex()
 
 
 def test_evaluate_batches_each_frames_pairs_in_row_major_order(monkeypatch):

@@ -12,11 +12,11 @@ from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel
                               TrackState, observation_matrix, predict, update)
 from cooptrack.geometry import (Box7, PoseYawT, box_rows, inverse_pose, iou3d, transform_box,
                                 transform_rows, wrap_angle)
-from cooptrack.association import build_cost_matrix
+from cooptrack.association import build_cost_matrix, prescreen_pairs
 from cooptrack import metrics
 from cooptrack.io import RunConfig
 from cooptrack.metrics import (ML_FRACTION, MT_FRACTION, NUM_RECALL_LEVELS, EvalReport,
-                               RecallLevel, count_id_switches, evaluate, match_frame)
+                               RecallLevel, evaluate, match_frame)
 
 # deterministic example sequences, no example database on disk
 PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -149,6 +149,21 @@ def test_evaluate_ignores_track_labels(scene, relabel):
                for t, items in track_frames.items()}
     # repr compares NaN thresholds of unreachable levels as equal
     assert repr(evaluate(renamed, gt_frames)) == repr(evaluate(track_frames, gt_frames))
+
+
+def count_id_switches(tp_pairs, last_ids: dict) -> int:
+    """Id switches among one frame's (gt_id, track_id, iou) matches.
+
+    `last_ids` maps gt_id to the track id it last matched and is updated in
+    place; a gt matched to another track than last time is one switch. A
+    frame in which a gt goes unmatched leaves its entry as it was.
+    """
+    ids = 0
+    for gt_id, track_id, _iou in tp_pairs:
+        if last_ids.get(gt_id, track_id) != track_id:
+            ids += 1
+        last_ids[gt_id] = track_id
+    return ids
 
 
 def _reference_sweep(frames, track_frames, gt_frames, avg_score, threshold):
@@ -304,6 +319,44 @@ def crowded_scenes(draw):
 def test_crowded_evaluate_equals_rebuilding_each_levels_matrices(scene):
     track_frames, gt_frames = scene
     assert repr(evaluate(track_frames, gt_frames)) == repr(_reference_evaluate(*scene))
+
+
+@st.composite
+def scattered_scenes(draw):
+    """Boxes of any heading and size scattered over the plane, so that pairs
+    lie in every direction from each other, some just inside and some just
+    outside the prescreen's reach."""
+    near = st.builds(Box7, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.floats(-1.0, 1.0),
+                     angles, extents, extents, extents)
+    gt_frames, track_frames = {}, {}
+    for t in range(draw(st.integers(1, 3))):
+        gt_frames[t] = [(g, box) for g, box in enumerate(draw(st.lists(near, min_size=1,
+                                                                      max_size=4)))]
+        track_frames[t] = [(k, box, 0.5) for k, box in enumerate(draw(st.lists(near,
+                                                                              max_size=4)))]
+    return track_frames, gt_frames
+
+
+@PROPERTY
+@given(st.one_of(swept_scenes(), crowded_scenes(), scattered_scenes()))
+def test_the_iou_batch_is_every_frames_prescreened_pairs_in_order(scene):
+    track_frames, gt_frames = scene
+    real_iou, batches = metrics.iou3d_rows, []
+    metrics.iou3d_rows = lambda a, b: batches.append((a.copy(), b.copy())) or real_iou(a, b)
+    try:
+        evaluate(track_frames, gt_frames)
+    finally:
+        metrics.iou3d_rows = real_iou
+    gt_side, track_side = [np.empty((0, 7))], [np.empty((0, 7))]
+    for t in sorted(set(gt_frames) | set(track_frames)):
+        gt_rows = box_rows(b for _, b in gt_frames.get(t, []))
+        track_rows = box_rows(b for _, b, _s in track_frames.get(t, []))
+        ii, jj = prescreen_pairs(gt_rows, track_rows)
+        gt_side.append(gt_rows[ii])
+        track_side.append(track_rows[jj])
+    assert len(batches) == 1
+    for got, want in zip(batches[0], (np.concatenate(gt_side), np.concatenate(track_side))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _contested_kept_counts(track_frames, gt_frames, report):
