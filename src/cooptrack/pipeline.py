@@ -15,6 +15,7 @@ import contextvars
 import functools
 import itertools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,19 @@ def map_passes(fn, items) -> list:
     """`[fn(item) for item in items]`, the calls running concurrently.
 
     Each call is one independent piece of a parameter set's work (a network
-    pass, a section of the backward sweep, a gradient norm's squared sums,
-    an Adam step), whose time goes mostly to numpy and BLAS calls that
-    release the GIL. With more than one CPU (`_cpu_count`, the process's
-    affinity) and more than one item, items 1.. go to a pool of CPUs - 1
-    threads while the calling thread runs item 0; otherwise the calls run
-    one after another. Each worker's call runs in a copy of the caller's
-    context, so the caller's `np.errstate` holds in it. Returns once every
-    call has finished; a failed call's exception is raised then, the first
-    in item order. `fn` must not call `map_passes` itself: a worker would
-    wait on the pool it occupies.
+    pass or its encoding, a section of the backward sweep, a gradient
+    norm's squared sums, a block of an Adam step), whose time goes mostly
+    to numpy and BLAS calls that release the GIL. With more than one CPU
+    (`_cpu_count`, the process's affinity) and more than one item, the
+    calling thread and up to CPUs - 1 pool threads each take the next item
+    not yet started, in item order, until none is left; otherwise the
+    calling thread takes them all, one after another. Every call runs in a
+    copy of the caller's context, so the caller's `np.errstate` holds in
+    it. Returns the results in item order once every call has finished; a
+    failed call's exception is raised then, the first in item order. A
+    call may wait for an earlier item's call, which has started by then.
+    `fn` must not call `map_passes` itself: a worker would wait on the
+    pool it occupies.
 
     Calls may record on one tape when their subgraphs are disjoint, as the
     passes of different parameter sets are: each node's consumers are then
@@ -67,22 +71,52 @@ def map_passes(fn, items) -> list:
     the sweep keeps its bits (`autodiff.Tape`).
     """
     items = list(items)
-    workers = _cpu_count() - 1
-    if workers < 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    pool = _pass_pool(workers)
-    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items[1:]]
+    cpus = _cpu_count()
+    context = contextvars.copy_context()
+    results, errors = [None] * len(items), [None] * len(items)
+    claim, taken = threading.Lock(), itertools.count()
+
+    def drain():
+        while True:
+            with claim:
+                index = next(taken)
+            if index >= len(items):
+                return
+            try:
+                results[index] = context.copy().run(fn, items[index])
+            except Exception as exc:  # raised below, in item order
+                errors[index] = exc
+
+    futures = [_pass_pool(cpus - 1).submit(drain) for _ in range(min(cpus, len(items)) - 1)]
     try:
-        first = fn(items[0])
+        drain()
     finally:
         concurrent.futures.wait(futures)
-    return [first] + [future.result() for future in futures]
+    for future in futures:
+        future.result()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
+def sets_outnumber_threads(sets: int) -> bool:
+    """Whether `map_passes` runs concurrently with fewer threads than `sets`.
+
+    Then an item per parameter set leaves a thread idle while another
+    runs a second set, and each set's work is handed out in finer items.
+    """
+    return 1 < _cpu_count() < sets
 
 
 # Detections a pass needs to gain from running beside others. Measured on
 # 2 vCPUs over frames of 2 or 3 vehicles with n detections each: for n = 5
 # to 7 the concurrent passes took 11-33 % longer than sequential ones, for
-# n = 8 to 12 between 2 and 31 % less.
+# n = 8 to 12 between 2 and 31 % less. The cliff is in the pass's largest
+# product, `pos.lin1`'s (n x 4608) by (4608 x 64) matmul, with one BLAS
+# thread: two such products through `map_passes` took 359-366 us against
+# 292-299 us one after the other for n = 7, and 227-241 us against
+# 323-330 us for n = 8 (medians of 400, two runs).
 CONCURRENT_MIN_ROWS = 8
 
 
@@ -162,6 +196,14 @@ class LearnedCovariance:
         The packets' vehicles must share one parameter set. Rows come packet
         after packet, each packet's in detection order.
         """
+        return covnet.forward(self._params(packets[0].cav_id), *self._encode(packets))
+
+    def _encode(self, packets):
+        """The network's input for every detection of `packets`: (f_app, f_pos).
+
+        f_app is None without the appearance branch; with it, a detection
+        without an appearance tensor raises ValueError.
+        """
         params = self._params(packets[0].cav_id)
         sizes = [len(p.detections) for p in packets]
         f_pos = np.empty((sum(sizes), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
@@ -177,7 +219,7 @@ class LearnedCovariance:
                 raise ValueError("detection has no appearance tensor but the "
                                  "appearance branch is enabled")
             f_app = np.stack(apps)
-        return covnet.forward(params, f_app, f_pos)
+        return f_app, f_pos
 
     def _rows(self, packets) -> dict:
         """Residual rows of the non-empty `packets`, one pass per parameter set.
@@ -188,8 +230,12 @@ class LearnedCovariance:
         concurrently (`map_passes`) when each holds at least
         CONCURRENT_MIN_ROWS detections: on a tape they record disjoint
         subgraphs, so the gradients keep the bits of passes made one after
-        another. Returns {(timestep, cav_id): (rows, start, stop)}, the
-        packet's rows being `rows[start:stop]`.
+        another. With more sets than threads (`sets_outnumber_threads`) a
+        set's encoding and its network pass are separate items
+        (`_split_passes`), so no thread idles while another runs a second
+        whole pass; otherwise each set's pass is one item. Returns
+        {(timestep, cav_id): (rows, start, stop)}, the packet's rows being
+        `rows[start:stop]`.
         """
         groups = {}
         for packet in packets:
@@ -197,10 +243,12 @@ class LearnedCovariance:
                 arrays = self._params(packet.cav_id).arrays
                 groups.setdefault(id(arrays), []).append(packet)
         groups = list(groups.values())
-        if all(sum(len(p.detections) for p in g) >= CONCURRENT_MIN_ROWS for g in groups):
-            passes = map_passes(self._residuals, groups)
-        else:
+        if not all(sum(len(p.detections) for p in g) >= CONCURRENT_MIN_ROWS for g in groups):
             passes = [self._residuals(group) for group in groups]
+        elif sets_outnumber_threads(len(groups)):
+            passes = self._split_passes(groups)
+        else:
+            passes = map_passes(self._residuals, groups)
         slices = {}
         for group, rows in zip(groups, passes):
             start = 0
@@ -209,6 +257,36 @@ class LearnedCovariance:
                 slices[(packet.timestep, packet.cav_id)] = (rows, start, stop)
                 start = stop
         return slices
+
+    def _split_passes(self, groups) -> list:
+        """`_residuals` of each group, as two `map_passes` items per group.
+
+        A group's encoding item (`_encode`) and its network item
+        (`covnet.forward`) may run on different threads; every encoding item
+        comes before every network item, so a network item waits only for
+        an encoding that has started. An encoding that raises fails its
+        network item at once. Each network pass still runs whole on one
+        thread, so its products keep their shapes and its tape nodes are
+        recorded by that thread alone.
+        """
+        encodings = [concurrent.futures.Future() for _ in groups]
+
+        def encode(k):
+            try:
+                encodings[k].set_result(self._encode(groups[k]))
+            except BaseException as exc:  # never leave a network item waiting
+                encodings[k].set_exception(exc)
+                raise
+
+        def forward(k):
+            return covnet.forward(self._params(groups[k][0].cav_id), *encodings[k].result())
+
+        def run(job):
+            return job()
+
+        jobs = ([functools.partial(encode, k) for k in range(len(groups))]
+                + [functools.partial(forward, k) for k in range(len(groups))])
+        return map_passes(run, jobs)[len(groups):]
 
     def precompute(self, frame_packets):
         """Compute a window's residual rows before its frames are tracked.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
 from .io import AdamState, TrainSettings, params_by_vehicle
 from .pipeline import (LearnedCovariance, map_passes, packets_from_sim_frame,
-                       tracker_from_settings)
+                       sets_outnumber_threads, tracker_from_settings)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -140,50 +141,60 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
 
     The weights and both moments are updated in place, block of rows by
     block of rows (about ADAM_BLOCK entries each, so a block's arrays stay
-    in cache), through two scratch buffers; each array of `state.m` and
-    `state.v` keeps its identity. A block's gradient is scaled into a
-    buffer, giving the products a scaled copy of the whole array would
-    hold. Every entry takes the same operations in the same order as the
-    textbook expressions, so the bits are theirs. The parameter sets are
-    stepped side by side (`pipeline.map_passes`), each with its own
-    buffers: their weights and moments are disjoint. `grads` is only read:
-    its arrays may share memory with tape gradients.
+    in cache), through two scratch buffers per thread; each array of
+    `state.m` and `state.v` keeps its identity. A block's gradient is
+    scaled into a buffer, giving the products a scaled copy of the whole
+    array would hold. Every entry takes the same operations in the same
+    order as the textbook expressions, so the bits are theirs. The blocks
+    are disjoint, so they are stepped side by side (`pipeline.map_passes`):
+    one item per parameter set, or one per block when the sets outnumber
+    the threads (`pipeline.sets_outnumber_threads`), so that no thread
+    idles while another steps a second set. `grads` is only read: its
+    arrays may share memory with tape gradients.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-
-    def step_set(item):
-        cav, params = item
-        buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    blocks_by_set = []
+    for cav, params in param_sets.items():
+        blocks = []
         for name, weights in params.arrays.items():
-            key = (cav, name)
             rows = max(1, ADAM_BLOCK // (weights.size // len(weights)))
-            for lo in range(0, len(weights), rows):
-                block = slice(lo, lo + rows)
-                w, m, v = weights[block], state.m[key][block], state.v[key][block]
-                g, s = (b[:w.size].reshape(w.shape) for b in buffers)
-                np.multiply(weight_decay, w, out=g)
-                grad = grads[key][block]
-                if scale != 1.0:
-                    grad = np.multiply(grad, scale, out=s)    # the clipped gradient
-                np.add(grad, g, out=g)                        # g = grad + wd w
-                m *= ADAM_BETA1
-                m += np.multiply(1.0 - ADAM_BETA1, g, out=s)  # m = b1 m + (1 - b1) g
-                v *= ADAM_BETA2
-                np.multiply(g, g, out=g)
-                g *= 1.0 - ADAM_BETA2
-                v += g                                        # v = b2 v + (1 - b2) g^2
-                np.divide(v, bc2, out=g)
-                np.sqrt(g, out=g)
-                g += ADAM_EPS
-                np.divide(m, bc1, out=s)
-                s *= lr
-                s /= g
-                w -= s                                        # w -= lr m^ / (sqrt(v^) + eps)
+            blocks += [((cav, name), weights, slice(lo, lo + rows))
+                       for lo in range(0, len(weights), rows)]
+        blocks_by_set.append(blocks)
+    scratch = threading.local()  # each thread's two buffers
 
-    map_passes(step_set, param_sets.items())
+    def step_blocks(blocks):
+        if not hasattr(scratch, "buffers"):
+            scratch.buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+        for key, weights, block in blocks:
+            w, m, v = weights[block], state.m[key][block], state.v[key][block]
+            g, s = (b[:w.size].reshape(w.shape) for b in scratch.buffers)
+            np.multiply(weight_decay, w, out=g)
+            grad = grads[key][block]
+            if scale != 1.0:
+                grad = np.multiply(grad, scale, out=s)    # the clipped gradient
+            np.add(grad, g, out=g)                        # g = grad + wd w
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=s)  # m = b1 m + (1 - b1) g
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=g)
+            g *= 1.0 - ADAM_BETA2
+            v += g                                        # v = b2 v + (1 - b2) g^2
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            np.divide(m, bc1, out=s)
+            s *= lr
+            s /= g
+            w -= s                                        # w -= lr m^ / (sqrt(v^) + eps)
+
+    if sets_outnumber_threads(len(param_sets)):
+        map_passes(step_blocks, [[block] for blocks in blocks_by_set for block in blocks])
+    else:
+        map_passes(step_blocks, blocks_by_set)
 
 
 # --- training loop --------------------------------------------------------------
@@ -222,10 +233,13 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     anything. Each window's covariance rows come from one network pass per
     parameter set, made before its frames are tracked; the sets' passes run
     concurrently and leave every gradient's bits as they are
-    (`LearnedCovariance.precompute`). So do the parts of the backward sweep
-    that reach back into those passes (`Tape.backward` with the tape's
-    length after them as its split), the squared sums of the gradient norm
-    (`global_grad_norm`) and the sets' Adam steps (`adam_step`).
+    (`LearnedCovariance.precompute`; with more sets than threads, each
+    set's encoding and network pass are taken by whichever thread is
+    free). So do the parts of the backward sweep that reach back into
+    those passes (`Tape.backward` with the tape's length after them as its
+    split), the squared sums of the gradient norm (`global_grad_norm`) and
+    the Adam step (`adam_step`, by set or, with more sets than threads, by
+    block).
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only

@@ -5,6 +5,7 @@ provider's zero-parameter equivalence to the constant tracker."""
 import dataclasses
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -329,6 +330,19 @@ def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch)
     assert bool(workers) != shared
 
 
+def _mapped(monkeypatch) -> list:
+    """(function name, item count) of each `pipeline.map_passes` call from now on."""
+    calls, real = [], pipeline.map_passes
+
+    def recording(fn, items):
+        items = list(items)
+        calls.append((fn.__name__, len(items)))
+        return real(fn, items)
+
+    monkeypatch.setattr(pipeline, "map_passes", recording)
+    return calls
+
+
 @pytest.mark.parametrize("rows", [pipeline.CONCURRENT_MIN_ROWS - 1,
                                   pipeline.CONCURRENT_MIN_ROWS])
 def test_passes_run_concurrently_only_when_each_has_enough_detections(rows, monkeypatch):
@@ -337,27 +351,134 @@ def test_passes_run_concurrently_only_when_each_has_enough_detections(rows, monk
     rng = np.random.default_rng(7)
     provider = LearnedCovariance({cav: CovNetParams.init(cfg, rng) for cav in (0, 1)})
     threads = _threads_of_passes(monkeypatch)
+    mapped = _mapped(monkeypatch)
     xs = [10.0 * k for k in range(rows)]
     # the smaller pass decides
     provider.frame_residuals([_learned_packet(rng, 0, 0, xs, cfg),
                               _learned_packet(rng, 0, 1, xs + [500.0], cfg)])
-    assert len(threads) == 1 + (rows >= pipeline.CONCURRENT_MIN_ROWS)
+    if rows >= pipeline.CONCURRENT_MIN_ROWS:
+        # two sets on two threads: one whole pass per item
+        assert mapped == [("_residuals", 2)]
+    else:
+        assert mapped == [] and threads == {threading.current_thread().name}
+
+
+def _on_two_threads(fn):
+    """`fn`, each call waiting until a second call has started on another
+    thread: a `map_passes` of two items then runs one of them on a worker."""
+    both = threading.Barrier(2, timeout=10)
+
+    def waiting(x):
+        both.wait()
+        return fn(x)
+
+    return waiting
 
 
 def test_a_callers_errstate_holds_in_a_pass_on_a_worker(monkeypatch):
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
-    ran_on = {}
+    raised_on = []
 
     def square(x):
-        ran_on[x] = threading.current_thread().name
-        return np.square(np.float64(x))
+        try:
+            return np.square(np.float64(x))
+        except FloatingPointError:
+            raised_on.append(threading.current_thread().name)
+            raise
 
-    assert pipeline.map_passes(square, [2.0, 3.0]) == [4.0, 9.0]
+    assert pipeline.map_passes(_on_two_threads(square), [2.0, 3.0]) == [4.0, 9.0]
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            pipeline.map_passes(square, [2.0, 1e300])
-    assert ran_on[2.0] == threading.current_thread().name
-    assert ran_on[1e300].startswith("cooptrack-pass")
+            pipeline.map_passes(_on_two_threads(square), [1e300, 1e300])
+    # both items overflowed under the caller's errstate, one of them on a worker
+    assert len(raised_on) == 2
+    assert threading.current_thread().name in raised_on
+    assert any(name.startswith("cooptrack-pass") for name in raised_on)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_map_passes_returns_results_in_item_order(cpus, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+
+    def late_square(k):
+        time.sleep(0.001 * ((7 * k) % 5))  # later items often finish first
+        return k * k
+
+    assert pipeline.map_passes(late_square, range(12)) == [k * k for k in range(12)]
+    assert pipeline.map_passes(late_square, []) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_map_passes_raises_the_first_failure_after_every_item_finished(cpus, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+    finished = []
+
+    def item(k):
+        try:
+            time.sleep(0.002 * (k % 3))
+            if k in (3, 5):
+                raise ValueError(f"item {k}")
+            return k
+        finally:
+            finished.append(k)
+
+    with pytest.raises(ValueError, match="^item 3$"):
+        pipeline.map_passes(item, range(9))
+    assert sorted(finished) == list(range(9))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_map_passes_finishes_items_that_wait_on_earlier_items(cpus, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+    done = [threading.Event() for _ in range(8)]
+
+    def chained(k):
+        # every item waits until the one before it has finished
+        waited = k == 0 or done[k - 1].wait(timeout=10)
+        done[k].set()
+        return waited
+
+    assert pipeline.map_passes(chained, range(8)) == [True] * 8
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, bad,
+                                                                         monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(12)
+    params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
+    tracker = CoopTracker(cov_provider=LearnedCovariance(params))
+
+    def frame(t, without_appearance=None):
+        packets = [_learned_packet(rng, t, cav, [10.0 * k + cav for k in range(8)], cfg)
+                   for cav in (0, 1, 2)]
+        if without_appearance is not None:
+            packet = packets[without_appearance]
+            packets[without_appearance] = dataclasses.replace(packet, detections=tuple(
+                dataclasses.replace(d, appearance=None) for d in packet.detections))
+        return packets
+
+    tracker.step(frame(0))
+    mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
+    lives = [dataclasses.astuple(life) for life in tracker.tracks]
+    raised = []
+
+    def step():
+        try:
+            tracker.step(frame(1, without_appearance=bad))
+        except ValueError as exc:
+            raised.append(exc)
+
+    stepping = threading.Thread(target=step, daemon=True)
+    stepping.start()
+    stepping.join(timeout=30)
+    assert not stepping.is_alive(), "a pass waits on an encoding that failed"
+    assert len(raised) == 1 and "no appearance tensor" in str(raised[0])
+    assert tracker.bank.mean.tobytes() == mean.tobytes()
+    assert tracker.bank.cov.tobytes() == cov.tobytes()
+    assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
 
 
 def test_zero_params_equal_constant_covariance_exactly():
@@ -427,7 +548,7 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     assert batches == {0: [3], 1: [2], 2: [2]}  # constant covariance runs no network
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
     cfg = CovNetConfig()
@@ -440,10 +561,14 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
                            encode_detection(box_rows(d.box for d in p.detections), p.pose))
             for p in packets]
     threads = _threads_of_passes(monkeypatch)
+    mapped = _mapped(monkeypatch)
     got = _switching_often(lambda: LearnedCovariance(params).frame_residuals(packets))
     assert all(type(rows) is np.ndarray for rows in got)
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
-    assert (len(threads) > 1) == (cpus > 1)
+    # three sets on two threads: each set's encoding, then each set's whole pass
+    assert mapped == [("run", 6) if cpus == 2 else ("_residuals", 3)]
+    if cpus == 1:
+        assert threads == {threading.current_thread().name}
 
 
 def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monkeypatch):

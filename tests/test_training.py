@@ -424,14 +424,15 @@ def test_window_rows_and_gradients_equal_the_streamed_ones(case, monkeypatch):
             assert scale > 0.0
 
 
-# case -> (vehicles, shared weights, grad_clip_norm)
-CONCURRENT_CASES = {"per-vehicle": (2, False, 1.0), "shared": (2, True, 1.0),
-                    "three-sets": (3, False, 1.0), "clipped": (2, False, 1e-3)}
+# case -> (vehicles, shared weights, grad_clip_norm, CPUs of the concurrent run)
+CONCURRENT_CASES = {"per-vehicle": (2, False, 1.0, 4), "shared": (2, True, 1.0, 4),
+                    "three-sets": (3, False, 1.0, 4), "clipped": (2, False, 1e-3, 4),
+                    "three-sets-two-cpus": (3, False, 1.0, 2)}
 
 
 @pytest.mark.parametrize("case", list(CONCURRENT_CASES))
 def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_path):
-    num_cavs, shared, clip = CONCURRENT_CASES[case]
+    num_cavs, shared, clip, cpus = CONCURRENT_CASES[case]
     frames = sim.generate(tiny_scenario(starts=((0.0, 0.0), (2.0, -4.0), (4.0, 4.0))[:num_cavs]))
     cfg = small_run_config(num_cavs=num_cavs,
                            covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
@@ -464,6 +465,7 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
         return scale, norm
 
     monkeypatch.setattr(training, "map_passes", mapping)
+    monkeypatch.setattr(pipeline, "map_passes", mapping)
     monkeypatch.setattr(training, "clip_gradients", clipping)
     split_sweep = ad.Tape.backward
 
@@ -491,7 +493,7 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more workers than cores, switching threads often
     try:
-        assert epoch(4) == sequential
+        assert epoch(cpus) == sequential
     finally:
         sys.setswitchinterval(interval)
     loss_curve, leaf_grads, _, moments, _ = sequential
@@ -501,11 +503,17 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
     assert len(moments) == len(covnet.layer_shapes(small_net())) * sets
     if case == "clipped":
         assert norms and all(norm > clip for norm in norms)
-    # one set's window takes one pass, in the calling thread
-    assert any(name.startswith("cooptrack-pass") for name in threads) != shared
-    # each window sweeps one backward section, takes one norm and one step per set
-    window = ([("_sweep", sets)] if sets > 1 else []) + [("squared_sums", sets),
-                                                         ("step_set", sets)]
+    if shared:  # one set's window takes one pass, in the calling thread
+        assert threads == {threading.current_thread().name}
+    # each window takes one pass per set, sweeps one backward section, takes one
+    # norm and one step per set; with more sets than threads a set's pass is
+    # two items (its encoding, then its network pass) and its step one item
+    # per block (pos.lin1.w, 4608 x 8, takes two blocks)
+    split = 1 < cpus < sets
+    blocks = len(covnet.layer_shapes(small_net())) + 1
+    window = ([("run", 2 * sets) if split else ("_residuals", sets)]
+              + ([("_sweep", sets)] if sets > 1 else [])
+              + [("squared_sums", sets), ("step_blocks", sets * blocks if split else sets)])
     assert mapped == 2 * window
 
 
@@ -659,16 +667,18 @@ def textbook_adam_step(param_sets, grads, state, lr, weight_decay):
 
 
 @pytest.mark.parametrize("block", [None, 100], ids=["default_blocks", "small_blocks"])
-@pytest.mark.parametrize("shared", [False, True], ids=["per_vehicle", "shared"])
-def test_adam_step_gives_the_bits_of_the_textbook_expressions(shared, block, monkeypatch):
+@pytest.mark.parametrize("sets", ["per_vehicle", "shared", "three_sets_two_cpus"])
+def test_adam_step_gives_the_bits_of_the_textbook_expressions(sets, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(training, "ADAM_BLOCK", block)
+    # more sets than threads: one map_passes item per block
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     rng = np.random.default_rng(17)
-    if shared:
+    if sets == "shared":
         one = CovNetParams.init(small_net(), rng)
         params = training._distinct_param_sets({0: one, 1: one})
     else:
-        params = fresh_params(small_net(), 17)
+        params = fresh_params(small_net(), 17, num_cavs=3 if sets == "three_sets_two_cpus" else 2)
     want = copy.deepcopy(params)
     state, want_state = training.AdamState.init(params), training.AdamState.init(want)
     moments = {key: (state.m[key], state.v[key]) for key in state.m}
