@@ -100,15 +100,6 @@ def map_passes(fn, items) -> list:
     return results
 
 
-def sets_outnumber_threads(sets: int) -> bool:
-    """Whether `map_passes` runs concurrently with fewer threads than `sets`.
-
-    Then an item per parameter set leaves a thread idle while another
-    runs a second set, and each set's work is handed out in finer items.
-    """
-    return 1 < _cpu_count() < sets
-
-
 # Detections a pass needs to gain from running beside others. Measured on
 # 2 vCPUs over frames of 2 or 3 vehicles with n detections each: for n = 5
 # to 7 the concurrent passes took 11-33 % longer than sequential ones, for
@@ -230,10 +221,11 @@ class LearnedCovariance:
         concurrently (`map_passes`) when each holds at least
         CONCURRENT_MIN_ROWS detections: on a tape they record disjoint
         subgraphs, so the gradients keep the bits of passes made one after
-        another. With more sets than threads (`sets_outnumber_threads`) a
-        set's encoding and its network pass are separate items
-        (`_split_passes`), so no thread idles while another runs a second
-        whole pass; otherwise each set's pass is one item. Returns
+        another. With more sets than CPUs, a set's encoding and its network
+        pass are separate items (`_split_passes`), so no thread idles while
+        another runs a second whole pass; otherwise each set's pass is one
+        item, as the split would only add hand-offs (2 sets on 2 CPUs:
+        +1.2 % v2v `learned_frame_ms_p50`). Returns
         {(timestep, cav_id): (rows, start, stop)}, the packet's rows being
         `rows[start:stop]`.
         """
@@ -245,7 +237,7 @@ class LearnedCovariance:
         groups = list(groups.values())
         if not all(sum(len(p.detections) for p in g) >= CONCURRENT_MIN_ROWS for g in groups):
             passes = [self._residuals(group) for group in groups]
-        elif sets_outnumber_threads(len(groups)):
+        elif len(groups) > _cpu_count():
             passes = self._split_passes(groups)
         else:
             passes = map_passes(self._residuals, groups)

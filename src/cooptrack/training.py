@@ -23,7 +23,7 @@ from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
 from .io import AdamState, TrainSettings, params_by_vehicle
 from .pipeline import (LearnedCovariance, map_passes, packets_from_sim_frame,
-                       sets_outnumber_threads, tracker_from_settings)
+                       tracker_from_settings)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -146,55 +146,48 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
     scaled into a buffer, giving the products a scaled copy of the whole
     array would hold. Every entry takes the same operations in the same
     order as the textbook expressions, so the bits are theirs. The blocks
-    are disjoint, so they are stepped side by side (`pipeline.map_passes`):
-    one item per parameter set, or one per block when the sets outnumber
-    the threads (`pipeline.sets_outnumber_threads`), so that no thread
-    idles while another steps a second set. `grads` is only read: its
-    arrays may share memory with tape gradients.
+    are disjoint, so they are stepped side by side (`pipeline.map_passes`),
+    one item per block, taken by whichever thread is free. `grads` is only
+    read: its arrays may share memory with tape gradients.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    blocks_by_set = []
+    blocks = []
     for cav, params in param_sets.items():
-        blocks = []
         for name, weights in params.arrays.items():
             rows = max(1, ADAM_BLOCK // (weights.size // len(weights)))
             blocks += [((cav, name), weights, slice(lo, lo + rows))
                        for lo in range(0, len(weights), rows)]
-        blocks_by_set.append(blocks)
     scratch = threading.local()  # each thread's two buffers
 
-    def step_blocks(blocks):
+    def step_block(item):
+        key, weights, block = item
         if not hasattr(scratch, "buffers"):
             scratch.buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
-        for key, weights, block in blocks:
-            w, m, v = weights[block], state.m[key][block], state.v[key][block]
-            g, s = (b[:w.size].reshape(w.shape) for b in scratch.buffers)
-            np.multiply(weight_decay, w, out=g)
-            grad = grads[key][block]
-            if scale != 1.0:
-                grad = np.multiply(grad, scale, out=s)    # the clipped gradient
-            np.add(grad, g, out=g)                        # g = grad + wd w
-            m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, g, out=s)  # m = b1 m + (1 - b1) g
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=g)
-            g *= 1.0 - ADAM_BETA2
-            v += g                                        # v = b2 v + (1 - b2) g^2
-            np.divide(v, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += ADAM_EPS
-            np.divide(m, bc1, out=s)
-            s *= lr
-            s /= g
-            w -= s                                        # w -= lr m^ / (sqrt(v^) + eps)
+        w, m, v = weights[block], state.m[key][block], state.v[key][block]
+        g, s = (b[:w.size].reshape(w.shape) for b in scratch.buffers)
+        np.multiply(weight_decay, w, out=g)
+        grad = grads[key][block]
+        if scale != 1.0:
+            grad = np.multiply(grad, scale, out=s)    # the clipped gradient
+        np.add(grad, g, out=g)                        # g = grad + wd w
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)  # m = b1 m + (1 - b1) g
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=g)
+        g *= 1.0 - ADAM_BETA2
+        v += g                                        # v = b2 v + (1 - b2) g^2
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        np.divide(m, bc1, out=s)
+        s *= lr
+        s /= g
+        w -= s                                        # w -= lr m^ / (sqrt(v^) + eps)
 
-    if sets_outnumber_threads(len(param_sets)):
-        map_passes(step_blocks, [[block] for blocks in blocks_by_set for block in blocks])
-    else:
-        map_passes(step_blocks, blocks_by_set)
+    map_passes(step_block, blocks)
 
 
 # --- training loop --------------------------------------------------------------
@@ -233,13 +226,12 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     anything. Each window's covariance rows come from one network pass per
     parameter set, made before its frames are tracked; the sets' passes run
     concurrently and leave every gradient's bits as they are
-    (`LearnedCovariance.precompute`; with more sets than threads, each
-    set's encoding and network pass are taken by whichever thread is
-    free). So do the parts of the backward sweep that reach back into
-    those passes (`Tape.backward` with the tape's length after them as its
-    split), the squared sums of the gradient norm (`global_grad_norm`) and
-    the Adam step (`adam_step`, by set or, with more sets than threads, by
-    block).
+    (`LearnedCovariance.precompute`; each set's encoding and its network
+    pass are taken by whichever thread is free). So do the parts of the
+    backward sweep that reach back into those passes (`Tape.backward` with
+    the tape's length after them as its split), the squared sums of the
+    gradient norm (`global_grad_norm`) and the blocks of the Adam step
+    (`adam_step`).
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only

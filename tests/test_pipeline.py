@@ -283,12 +283,23 @@ def test_a_vehicle_without_parameters_fails_its_frame_before_any_round():
     assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
 
 
-def _threads_of_passes(monkeypatch) -> set:
-    """The names of the threads that run `covnet.forward` from now on."""
-    names, real = set(), covnet.forward
+def _threads_of_passes(monkeypatch, meet=False) -> set:
+    """The names of the threads that run `covnet.forward` from now on.
+
+    With `meet`, each of the first two calls waits until the other has
+    started: two passes that run concurrently then always show as two
+    threads, and two that run one after another break the wait
+    (threading.BrokenBarrierError).
+    """
+    names, real, meetings = set(), covnet.forward, []
+    if meet:
+        both = threading.Barrier(2, timeout=10)
+        meetings += [both, both]
 
     def recording(params, f_app, f_pos):
         names.add(threading.current_thread().name)
+        if meetings:
+            meetings.pop().wait()
         return real(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", recording)
@@ -350,17 +361,16 @@ def test_passes_run_concurrently_only_when_each_has_enough_detections(rows, monk
     cfg = CovNetConfig()
     rng = np.random.default_rng(7)
     provider = LearnedCovariance({cav: CovNetParams.init(cfg, rng) for cav in (0, 1)})
-    threads = _threads_of_passes(monkeypatch)
+    concurrent = rows >= pipeline.CONCURRENT_MIN_ROWS
+    threads = _threads_of_passes(monkeypatch, meet=concurrent)
     mapped = _mapped(monkeypatch)
     xs = [10.0 * k for k in range(rows)]
     # the smaller pass decides
     provider.frame_residuals([_learned_packet(rng, 0, 0, xs, cfg),
                               _learned_packet(rng, 0, 1, xs + [500.0], cfg)])
-    if rows >= pipeline.CONCURRENT_MIN_ROWS:
-        # two sets on two threads: one whole pass per item
-        assert mapped == [("_residuals", 2)]
-    else:
-        assert mapped == [] and threads == {threading.current_thread().name}
+    assert len(threads) == 1 + concurrent
+    # two sets on two CPUs: one whole pass per item
+    assert mapped == ([("_residuals", 2)] if concurrent else [])
 
 
 def _on_two_threads(fn):
@@ -560,15 +570,14 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
     want = [covnet.forward(params[p.cav_id], np.stack([d.appearance for d in p.detections]),
                            encode_detection(box_rows(d.box for d in p.detections), p.pose))
             for p in packets]
-    threads = _threads_of_passes(monkeypatch)
+    threads = _threads_of_passes(monkeypatch, meet=cpus > 1)
     mapped = _mapped(monkeypatch)
     got = _switching_often(lambda: LearnedCovariance(params).frame_residuals(packets))
     assert all(type(rows) is np.ndarray for rows in got)
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
-    # three sets on two threads: each set's encoding, then each set's whole pass
-    assert mapped == [("run", 6) if cpus == 2 else ("_residuals", 3)]
-    if cpus == 1:
-        assert threads == {threading.current_thread().name}
+    assert (len(threads) > 1) == (cpus > 1)
+    # more sets than CPUs: each set's encoding, then each set's whole pass
+    assert mapped == [("run", 6) if cpus < 3 else ("_residuals", 3)]
 
 
 def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monkeypatch):

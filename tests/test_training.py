@@ -445,10 +445,12 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
         return real(leaf)
 
     monkeypatch.setattr(ad, "grad_of", recording)
-    threads, real_forward = set(), covnet.forward
+    threads, real_forward, meetings = set(), covnet.forward, []
 
     def forward(params, f_app, f_pos):
         threads.add(threading.current_thread().name)
+        if meetings:
+            meetings.pop().wait()
         return real_forward(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", forward)
@@ -478,6 +480,11 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
         monkeypatch.setattr(ad.Tape, "backward", one_sweep if cpus == 1 else split_sweep)
         grads.clear()
         mapped.clear()
+        if cpus > 1 and not shared:
+            # the first two passes each wait until the other has started, so
+            # they run on two threads (or break the barrier)
+            both = threading.Barrier(2, timeout=10)
+            meetings[:] = [both, both]
         params = training.init_params_for_run(cfg, np.random.default_rng(3))
         result = training.train(frames, params, cfg.train, cfg.tracker)
         weights = [a.tobytes() for p in training._distinct_param_sets(params).values()
@@ -503,17 +510,16 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
     assert len(moments) == len(covnet.layer_shapes(small_net())) * sets
     if case == "clipped":
         assert norms and all(norm > clip for norm in norms)
-    if shared:  # one set's window takes one pass, in the calling thread
-        assert threads == {threading.current_thread().name}
-    # each window takes one pass per set, sweeps one backward section, takes one
-    # norm and one step per set; with more sets than threads a set's pass is
-    # two items (its encoding, then its network pass) and its step one item
-    # per block (pos.lin1.w, 4608 x 8, takes two blocks)
-    split = 1 < cpus < sets
+    # one set's window takes one pass, in the calling thread
+    assert any(name.startswith("cooptrack-pass") for name in threads) != shared
+    # each window takes one pass per set (with more sets than CPUs, each set's
+    # encoding, then each set's network pass), sweeps one backward section per
+    # set, takes one norm per set and its step one item per block (pos.lin1.w,
+    # 4608 x 8, takes two blocks)
+    passes = ("run", 2 * sets) if sets > cpus else ("_residuals", sets)
     blocks = len(covnet.layer_shapes(small_net())) + 1
-    window = ([("run", 2 * sets) if split else ("_residuals", sets)]
-              + ([("_sweep", sets)] if sets > 1 else [])
-              + [("squared_sums", sets), ("step_blocks", sets * blocks if split else sets)])
+    window = ([passes] + ([("_sweep", sets)] if sets > 1 else [])
+              + [("squared_sums", sets), ("step_block", sets * blocks)])
     assert mapped == 2 * window
 
 
@@ -667,18 +673,18 @@ def textbook_adam_step(param_sets, grads, state, lr, weight_decay):
 
 
 @pytest.mark.parametrize("block", [None, 100], ids=["default_blocks", "small_blocks"])
-@pytest.mark.parametrize("sets", ["per_vehicle", "shared", "three_sets_two_cpus"])
+@pytest.mark.parametrize("sets", ["per_vehicle", "shared", "three_sets"])
 def test_adam_step_gives_the_bits_of_the_textbook_expressions(sets, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(training, "ADAM_BLOCK", block)
-    # more sets than threads: one map_passes item per block
+    # two threads take the blocks as they come
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     rng = np.random.default_rng(17)
     if sets == "shared":
         one = CovNetParams.init(small_net(), rng)
         params = training._distinct_param_sets({0: one, 1: one})
     else:
-        params = fresh_params(small_net(), 17, num_cavs=3 if sets == "three_sets_two_cpus" else 2)
+        params = fresh_params(small_net(), 17, num_cavs=3 if sets == "three_sets" else 2)
     want = copy.deepcopy(params)
     state, want_state = training.AdamState.init(params), training.AdamState.init(want)
     moments = {key: (state.m[key], state.v[key]) for key in state.m}
