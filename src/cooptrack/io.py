@@ -7,6 +7,13 @@ and replay is exact. Appearance tensors and checkpoints use a one-line JSON
 header followed by raw little-endian float64 data; each file is read whole, in
 one call that returns plain data. Every output file is written through
 `replace_file`, so a failed write leaves the previous file.
+
+A log's records are checked a column at a time (`_columns_hold`): per field one
+exact-type set and numpy finiteness and range checks, and one set of the key
+tuples, all derived from the record's dataclass and FILE_RANGES. A log those
+checks refuse is walked record by record, in order (`_walked`). The walk raises
+the first bad record's error, naming its file and line, and accepts what the
+columns leave to it, such as integer coordinates.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -158,10 +166,13 @@ class RunConfig:
 class Allowed(typing.NamedTuple):
     text: str  # for people, as in `--help` and the README
     test: Callable[[object], bool]
+    # `test` elementwise over an array of a log field's values, a row per record; a
+    # range without one leaves its field to the per-record walk
+    column: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _at_least(lo) -> Allowed:
-    return Allowed(f">= {lo}", lambda v: v >= lo)
+    return Allowed(f">= {lo}", lambda v: v >= lo, lambda a: a >= lo)
 
 
 def _one_of(*options) -> Allowed:
@@ -170,7 +181,7 @@ def _one_of(*options) -> Allowed:
 
 _POSITIVE = Allowed("> 0", lambda v: v > 0)
 _UNIT_OPEN = Allowed("in (0, 1)", lambda v: 0 < v < 1)
-_UNIT_HALF_OPEN = Allowed("in (0, 1]", lambda v: 0 < v <= 1)
+_UNIT_HALF_OPEN = Allowed("in (0, 1]", lambda v: 0 < v <= 1, lambda a: (0 < a) & (a <= 1))
 _ALL_POSITIVE = Allowed("non-empty, all >= 1", lambda v: len(v) > 0 and min(v) >= 1)
 _COUNT = _at_least(0)
 
@@ -217,13 +228,15 @@ CheckpointHeader = _file_object("CheckpointHeader", [
 TensorHeader = _file_object("TensorHeader", [("dtype", str), ("shape", tuple[int, ...])])
 CommFile = _file_object("CommFile", [("mb_total", float)])
 
-_BOX = Allowed("[x, y, z, yaw, l, w, h] with l, w, h > 0", lambda v: min(v[4:]) > 0)
+_BOX = Allowed("[x, y, z, yaw, l, w, h] with l, w, h > 0", lambda v: min(v[4:]) > 0,
+               lambda a: (a[:, 4:] > 0).all(axis=1))
 
 FILE_RANGES = {  # each file object's ranges, keyed by field name
     DetectionRecord: {"t": _COUNT, "cav": _COUNT, "box": _BOX, "conf": _UNIT_HALF_OPEN,
                       "app": _COUNT},
     TrackRecord: {"t": _COUNT, "id": _COUNT, "box": _BOX,
-                  "score": Allowed("in [0, 1]", lambda v: 0 <= v <= 1)},
+                  "score": Allowed("in [0, 1]", lambda v: 0 <= v <= 1,
+                                   lambda a: (0 <= a) & (a <= 1))},
     GroundTruthRecord: {"t": _COUNT, "obj": _COUNT, "box": _BOX},
     LossRecord: {"epoch": _COUNT, "window": _COUNT, "loss": _at_least(0),
                  "supervised": _COUNT},
@@ -419,28 +432,118 @@ def _repeated(format_name: str, key: tuple, where: str, place: str, number: int,
     return LogFormatError(f"{where}{place} {number}: repeats the {named} of {place} {first}")
 
 
+@functools.cache
+def _column_of(hint) -> Callable[[list], np.ndarray | None]:
+    """The column form of `_is_a(hint)` for a log field: a function of the list of the
+    field's values that returns them as one array, a row per value, when each is of
+    `hint` as the writers give it (an int exactly, a finite float exactly, a list of the
+    tuple's length; nulls of an optional field are dropped), and None otherwise. None
+    is no verdict: an int in a float field, a tuple for a list, or a type hint not
+    named here passes only through the per-record walk."""
+    args = typing.get_args(hint)
+    if hint in (int, float):
+        def column(values):
+            if not set(map(type, values)) <= {hint}:
+                return None
+            try:
+                array = np.array(values, dtype=hint)
+            except OverflowError:  # an int beyond int64
+                return None
+            return array if hint is int or np.isfinite(array).all() else None
+        return column
+    if isinstance(hint, types.UnionType):  # `T | None`, as in `_is_a`
+        (item,) = [a for a in args if a is not type(None)]
+        present = _column_of(item)
+        return lambda values: present([v for v in values if v is not None])
+    if typing.get_origin(hint) is tuple and Ellipsis not in args:
+        (item,), length = {_column_of(a) for a in args}, len(args)
+
+        def column(values):
+            if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {length}):
+                return None
+            items = item(list(itertools.chain.from_iterable(values)))
+            return None if items is None else items.reshape(-1, length)
+        return column
+    return lambda values: None
+
+
+def _columns_hold(format_name: str, records: list) -> bool:
+    """Whether every record of a log is valid, with no two sharing the log's key fields,
+    decided one field at a time over the whole list: each field's type (`_column_of`),
+    its range (`Allowed.column`) and one set of the key tuples. False when a record is
+    not valid, and also when a column holds a value that only the per-record walk
+    judges, so False asks for the walk."""
+    cls = _LOG_RECORDS[format_name]
+    if not set(map(type, records)) <= {dict}:
+        return False
+    ranges, columns = FILE_RANGES[cls], {}
+    for name, hint, _, _ in _schema(cls):
+        try:
+            columns[name] = list(map(operator.itemgetter(name), records))
+        except KeyError:
+            return False
+        array = _column_of(hint)(columns[name])
+        allowed = ranges.get(name)
+        if array is None or allowed and not (allowed.column and allowed.column(array).all()):
+            return False
+    key_fields = _LOG_KEYS.get(format_name)
+    return not key_fields or len(set(zip(*map(columns.get, key_fields)))) == len(records)
+
+
+def _walked(format_name: str, numbered, where: str, place: str):
+    """Each record of `numbered`, (number, record) pairs in log order, once it passes
+    `_check_file_object` and holds no key an earlier one held. This walk is the
+    authority on a log the columns refuse: it raises the first bad record's error,
+    naming `place` (record or line) and its number after `where`."""
+    cls, key_of, seen = _LOG_RECORDS[format_name], _KEY_OF.get(format_name), {}
+    for number, rec in numbered:
+        _check_file_object(cls, rec, f"{where}{place} {number}")
+        if key_of and (first := seen.setdefault(key_of(rec), number)) != number:
+            raise _repeated(format_name, key_of(rec), where, place, number, first)
+        yield rec
+
+
 def write_log(path: str, format_name: str, records):
     """Write a schema-headed JSONL file; every record is validated first, and
     a tracks or ground-truth record repeating an earlier one's (t, id) or
-    (t, obj) is refused."""
-    key_of, seen = _KEY_OF.get(format_name), {}
+    (t, obj) is refused. The records are checked as columns; when those refuse
+    them, each record is checked and then written in turn, so the first bad one
+    is named."""
+    listed = []
     with replace_file(path) as fh:
         fh.write(canonical_json({"format": format_name, "version": SCHEMA_VERSION}))
         fh.write("\n")
-        for i, rec in enumerate(records):
-            _check_file_object(_LOG_RECORDS[format_name], rec, f"record {i}")
-            if key_of and (first := seen.setdefault(key_of(rec), i)) != i:
-                raise _repeated(format_name, key_of(rec), "", "record", i, first)
-            fh.write(canonical_json(rec))
-            fh.write("\n")
+        try:
+            listed.extend(records)
+        finally:  # the records an iterable gave before it raised are still checked first
+            if not _columns_hold(format_name, listed):
+                listed = _walked(format_name, enumerate(listed), "", "record")
+            fh.write("".join([canonical_json(rec) + "\n" for rec in listed]))
+
+
+def _parsed(path: str, lines):
+    """(line number, record) of each line after the header that is not blank, parsed
+    when it is reached; a line that is not a JSON object raises then."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.rstrip("\r"):
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogFormatError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(rec, dict):
+            raise LogFormatError(f"{path} line {lineno}: record must be a JSON object")
+        yield lineno, rec
 
 
 def read_log(path: str, format_name: str):
     """Read and validate a JSONL log; returns its records. Only a line feed ends a
     line, so a record's strings may hold other line separators. Header keys beyond
     the format and version are ignored. A tracks or ground-truth record that
-    repeats an earlier one's (t, id) or (t, obj) is rejected with both lines."""
-    records = []
+    repeats an earlier one's (t, id) or (t, obj) is rejected with both lines.
+    Every line is parsed and the records are checked as columns; a log that fails
+    either is read again line by line, each record checked as it is parsed, so the
+    first bad line is named."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data:
@@ -451,20 +554,12 @@ def read_log(path: str, format_name: str):
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise LogFormatError(f"{path} line {lineno}: not valid UTF-8") from exc
     _read_header(lines[0], path, format_name, "log")
-    key_of, seen = _KEY_OF.get(format_name), {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.rstrip("\r"):
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LogFormatError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(rec, dict):
-            raise LogFormatError(f"{path} line {lineno}: record must be a JSON object")
-        _check_file_object(_LOG_RECORDS[format_name], rec, f"{path} line {lineno}")
-        if key_of and (first := seen.setdefault(key_of(rec), lineno)) != lineno:
-            raise _repeated(format_name, key_of(rec), f"{path} ", "line", lineno, first)
-        records.append(rec)
+    try:  # a line of "\r" alone is blank, and fails here
+        records = list(map(json.loads, filter(None, lines[1:])))
+    except (ValueError, RecursionError):
+        records = None
+    if records is None or not _columns_hold(format_name, records):
+        records = list(_walked(format_name, _parsed(path, lines), f"{path} ", "line"))
     return records
 
 

@@ -91,8 +91,8 @@ def test_simulate_is_deterministic(tmp_path, config_path, capsys):
     assert cli.main(["simulate", "--config", config_path, "--out", out_b]) == 0
     capsys.readouterr()
     for name in (io.GT_FILE, io.DETECTIONS_FILE, io.TENSORS_FILE):
-        a = open(os.path.join(out_a, name), "rb").read()
-        b = open(os.path.join(out_b, name), "rb").read()
+        a = pathlib.Path(out_a, name).read_bytes()
+        b = pathlib.Path(out_b, name).read_bytes()
         assert a == b, name
 
 
@@ -149,8 +149,8 @@ def test_track_zero_checkpoint_matches_constant_mode(tmp_path, config_path, sim_
     assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
                      "--checkpoint", ckpt_path, "--out", out_zero]) == 0
     capsys.readouterr()
-    const_tracks = open(os.path.join(out_const, io.TRACKS_FILE), "rb").read()
-    zero_tracks = open(os.path.join(out_zero, io.TRACKS_FILE), "rb").read()
+    const_tracks = pathlib.Path(out_const, io.TRACKS_FILE).read_bytes()
+    zero_tracks = pathlib.Path(out_zero, io.TRACKS_FILE).read_bytes()
     assert const_tracks == zero_tracks
     # payload accounting still charges the full shared vector
     with open(os.path.join(out_zero, io.COMM_FILE)) as fh:
@@ -1034,8 +1034,7 @@ def test_wrong_log_format_exits_2(tmp_path, config_path, sim_dir, capsys):
                      "--out", trk]) == 0
     swapped = tmp_path / "swapped"
     swapped.mkdir()
-    src = os.path.join(sim_dir, io.DETECTIONS_FILE)
-    (swapped / io.GT_FILE).write_bytes(open(src, "rb").read())
+    (swapped / io.GT_FILE).write_bytes(pathlib.Path(sim_dir, io.DETECTIONS_FILE).read_bytes())
     code = cli.main(["eval", "--tracks", trk, "--gt", str(swapped),
                      "--out", str(tmp_path / "s.csv")])
     assert code == 2

@@ -411,6 +411,222 @@ def test_a_detection_log_may_repeat_a_vehicles_timestep(tmp_path):
     assert io.read_log(path, io.FORMAT_DETECTIONS) == records
 
 
+def _reference_write_log(path, format_name, records):
+    """`io.write_log` as a loop over records: each is checked, then written."""
+    key_of, seen = io._KEY_OF.get(format_name), {}
+    with io.replace_file(path) as fh:
+        fh.write(io.canonical_json({"format": format_name, "version": io.SCHEMA_VERSION}))
+        fh.write("\n")
+        for i, rec in enumerate(records):
+            io._check_file_object(io._LOG_RECORDS[format_name], rec, f"record {i}")
+            if key_of and (first := seen.setdefault(key_of(rec), i)) != i:
+                raise io._repeated(format_name, key_of(rec), "", "record", i, first)
+            fh.write(io.canonical_json(rec))
+            fh.write("\n")
+
+
+def _reference_read_log(path, format_name):
+    """`io.read_log` as a loop over lines: each record is checked as it is parsed."""
+    records = []
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        raise LogFormatError(f"{path}: empty file (missing header)")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LogFormatError(f"{path} line {lineno}: not valid UTF-8") from exc
+    io._read_header(lines[0], path, format_name, "log")
+    key_of, seen = io._KEY_OF.get(format_name), {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.rstrip("\r"):
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogFormatError(f"{path} line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(rec, dict):
+            raise LogFormatError(f"{path} line {lineno}: record must be a JSON object")
+        io._check_file_object(io._LOG_RECORDS[format_name], rec, f"{path} line {lineno}")
+        if key_of and (first := seen.setdefault(key_of(rec), lineno)) != lineno:
+            raise io._repeated(format_name, key_of(rec), f"{path} ", "line", lineno, first)
+        records.append(rec)
+    return records
+
+
+# a valid log of each kind, as its writers give it
+_VALID_LOGS = {
+    io.FORMAT_DETECTIONS: [io.detection_record(t, cav, BOX, 0.9 - 0.1 * t, POSE,
+                                               app_index=None if t == 1 else 2 * t + cav)
+                           for t in range(3) for cav in (0, 1)],
+    io.FORMAT_TRACKS: [io.track_record(t, tid, BOX, 0.25 * tid) for t in range(3)
+                       for tid in (1, 2)],
+    io.FORMAT_GROUNDTRUTH: [io.gt_record(t, obj, BOX) for t in range(3) for obj in (0, 1)],
+    io.FORMAT_LOSSCURVE: [{"epoch": e, "window": w, "loss": 0.5 + e + 0.25 * w,
+                           "supervised": 2 * w} for e in range(2) for w in range(3)],
+}
+
+
+def _places(rec, format_name, hint):
+    """(container, key) of each value of `rec` whose type hint is `hint`: its fields
+    and, for float, the items of its box and pose lists."""
+    schema = io._schema(io._LOG_RECORDS[format_name])
+    places = [(rec, name) for name, h, _, _ in schema if h in (hint, hint | None)]
+    if hint is float:
+        places += [(rec[name], j) for name in ("box", "pose")
+                   if isinstance(rec.get(name), list) for j in range(len(rec[name]))]
+    return places
+
+
+def _set_some(hint, values):
+    """A mutation setting a value of type `hint` to one of `values`."""
+    def mutate(rec, draw, format_name, records):
+        container, key = draw.draw(st.sampled_from(_places(rec, format_name, hint)))
+        container[key] = draw.draw(st.sampled_from(values))
+    return mutate
+
+
+def _zero_extent(rec, draw, format_name, records):
+    if isinstance(rec.get("box"), list) and len(rec["box"]) == 7:
+        rec["box"][draw.draw(st.integers(4, 6))] = draw.draw(st.sampled_from([0.0, -0.0]))
+
+
+def _box_length(rec, draw, format_name, records):
+    if isinstance(rec.get("box"), list):
+        rec["box"] = draw.draw(st.sampled_from([rec["box"][:-1], rec["box"] + [1.0], []]))
+
+
+def _tuple_for_list(rec, draw, format_name, records):
+    for name in ("box", "pose"):
+        if isinstance(rec.get(name), list):
+            rec[name] = tuple(rec[name])
+
+
+def _missing_key(rec, draw, format_name, records):
+    if rec:
+        del rec[draw.draw(st.sampled_from(sorted(rec)))]
+
+
+def _extra_key(rec, draw, format_name, records):
+    rec[draw.draw(st.sampled_from(["extra", "sigma"]))] = draw.draw(_ANY_JSON)
+
+
+def _repeated_key(rec, draw, format_name, records):
+    other = draw.draw(st.sampled_from(records))
+    for name in io._LOG_KEYS.get(format_name, ()):
+        if name in other:
+            rec[name] = other[name]
+
+
+# mutations of one record of a log, each (record, draw, format, the log's records) -> None
+_MUTATIONS = {
+    "any-value": lambda rec, draw, format_name, records: _mutate_value(rec, draw),
+    "bool-for-int": _set_some(int, [True, False]),
+    "int-for-float": _set_some(float, [0, 1, 3, -2, 10**400]),
+    "non-finite": _set_some(float, [math.nan, math.inf, -math.inf]),
+    "negative-count": _set_some(int, [-1]),
+    "zero-extent": _zero_extent,
+    "box-length": _box_length,
+    "tuple-for-list": _tuple_for_list,
+    "missing-key": _missing_key,
+    "extra-key": _extra_key,
+    "repeated-key": _repeated_key,
+}
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(format_name=st.sampled_from(sorted(_VALID_LOGS)), draw=st.data())
+def test_log_checks_equal_the_per_record_loop(tmp_path_factory, format_name, draw):
+    records = json.loads(json.dumps(_VALID_LOGS[format_name]))
+    for _ in range(draw.draw(st.integers(0, 2))):
+        rec = draw.draw(st.sampled_from(records))
+        _MUTATIONS[draw.draw(st.sampled_from(sorted(_MUTATIONS)))](rec, draw, format_name,
+                                                                    records)
+    if draw.draw(st.booleans()):  # a record that is not an object
+        records[draw.draw(st.integers(0, len(records) - 1))] = draw.draw(
+            st.sampled_from([[1, 2], 5, "x", None, []]))
+    root = tmp_path_factory.mktemp("logs")
+
+    def outcome(call):
+        try:
+            return "ok", json.dumps(call())
+        except Exception as exc:  # the type and message are compared
+            return type(exc).__name__, str(exc)
+
+    def written(write, name, given):
+        write(str(root / name), format_name, given)
+        return (root / name).read_text(encoding="utf-8")
+
+    expected = outcome(lambda: written(_reference_write_log, "ref.jsonl", records))
+    assert outcome(lambda: written(io.write_log, "new.jsonl", records)) == expected
+    assert outcome(lambda: written(io.write_log, "gen.jsonl", iter(records))) == expected
+    # the read side: the records as json writes them (NaN, 400-digit ints, spaces),
+    # with invalid JSON or blank lines inserted and LF or CRLF line ends
+    lines = [io.canonical_json({"format": format_name, "version": 1})]
+    lines += [json.dumps(rec) for rec in records]
+    for _ in range(draw.draw(st.integers(0, 2))):
+        lines.insert(draw.draw(st.integers(1, len(lines))),
+                     draw.draw(st.sampled_from(["{not json", "", "\r", "[1,", " "])))
+    end = draw.draw(st.sampled_from(["\n", "\r\n"]))
+    path = root / "log.jsonl"
+    path.write_bytes((end.join(lines) + end).encode())
+    assert outcome(lambda: io.read_log(str(path), format_name)) == \
+        outcome(lambda: _reference_read_log(str(path), format_name))
+
+
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """The `where` argument of every `io._check_file_object` call."""
+    calls = []
+    check = io._check_file_object
+
+    def spy(cls, data, where):
+        calls.append(where)
+        return check(cls, data, where)
+
+    monkeypatch.setattr(io, "_check_file_object", spy)
+    return calls
+
+
+def test_canonical_logs_never_take_the_per_record_walk(tmp_path, walk_calls):
+    from test_sim import _lane_scenario
+    frames = sim.generate(_lane_scenario())  # 40 objects, 3 vehicles
+    io.write_sim_output(frames, str(tmp_path / "data"), (8, 8, 8))
+    loaded, det_records = io.load_sim_frames(str(tmp_path / "data"))
+    assert len(det_records) > 500
+    reports, cost = cli.run_tracking(RunConfig(num_cavs=3), loaded)
+    io.write_track_output(str(tmp_path / "run"), loaded, reports, cost)
+    track_frames, _, _ = io.load_track_output(str(tmp_path / "run"))
+    assert sum(map(len, track_frames.values())) > 100
+    # the tensor header and comm file are single objects, checked as before
+    assert walk_calls == [f"{tmp_path}/data/{io.TENSORS_FILE} line 1",
+                          f"{tmp_path}/run/{io.COMM_FILE}"]
+    walk_calls.clear()
+    for format_name, records in _VALID_LOGS.items():  # a loss curve too
+        io.write_log(str(tmp_path / "log.jsonl"), format_name, records)
+        assert io.read_log(str(tmp_path / "log.jsonl"), format_name) == records
+    assert walk_calls == []
+
+
+@pytest.mark.parametrize("format_name", sorted(_VALID_LOGS))
+def test_a_log_with_a_bad_record_is_walked_up_to_it(tmp_path, walk_calls, format_name):
+    records = [dict(rec) for rec in _VALID_LOGS[format_name]]
+    records[3]["epoch" if format_name == io.FORMAT_LOSSCURVE else "t"] = -1
+    path = tmp_path / "log.jsonl"
+    with pytest.raises(LogFormatError, match=r"^record 3: (t|epoch): must be >= 0, got -1$"):
+        io.write_log(str(path), format_name, records)
+    assert walk_calls == [f"record {i}" for i in range(4)]
+    walk_calls.clear()
+    lines = [io.canonical_json({"format": format_name, "version": 1})]
+    lines += [io.canonical_json(rec) for rec in records] + ["{not json"]
+    path.write_text("\n".join(lines) + "\n")
+    # the bad record comes before the invalid line, so it is the one named
+    with pytest.raises(LogFormatError, match=r"log\.jsonl line 5: (t|epoch): must be >= 0"):
+        io.read_log(str(path), format_name)
+    assert walk_calls == [f"{path} line {n}" for n in range(2, 6)]
+
+
 # --- tensor store ----------------------------------------------------------------
 
 
@@ -669,7 +885,7 @@ def test_checkpoint_save_is_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     io.save_checkpoint(p1, Checkpoint(params_by_cav=params, config=cfg, seed=0))
     io.save_checkpoint(p2, Checkpoint(params_by_cav=params, config=cfg, seed=0))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
 
 def test_checkpoint_shared_weights_stores_one_set(tmp_path):
