@@ -276,15 +276,16 @@ def div(a, b):
                                  lambda g: _unbroadcast(-g * av / (bv * bv), sb)))
 
 
-def matmul(a, b):
+def matmul(a, b, product=None):
     """a @ b for operands of any rank.
 
-    The adjoint promotes a 1-D operand as matmul does (a row for `a`, a
-    column for `b`) and sums broadcast batch axes back to each operand's
-    shape.
+    `product`, when given, is `val(a) @ val(b)` computed already (on
+    another thread, say), and is taken as the value. The adjoint promotes a
+    1-D operand as matmul does (a row for `a`, a column for `b`) and sums
+    broadcast batch axes back to each operand's shape.
     """
     av, bv = val(a), val(b)
-    out = av @ bv
+    out = av @ bv if product is None else product
     if not (isinstance(a, Node) or isinstance(b, Node)):
         return out
     av, bv = np.asarray(av), np.asarray(bv)
@@ -581,9 +582,9 @@ def transpose(a, axes):
     return _record(np.transpose(a.value, axes), (a,), (lambda g: np.transpose(g, inverse),))
 
 
-def linear(x, weight, bias):
-    """x @ weight + bias, tape-aware in any operand."""
-    return add(matmul(x, weight), bias)
+def linear(x, weight, bias, product=None):
+    """x @ weight + bias, tape-aware in any operand; `product` as in `matmul`."""
+    return add(matmul(x, weight, product), bias)
 
 
 def conv2d(x, weight, bias, stride, pad):

@@ -122,7 +122,40 @@ class CovNetParams:
         return {name: tape.var(arr) for name, arr in self.arrays.items()}
 
 
-def forward(params: CovNetParams, f_app, f_pos):
+def check_appearance(config: CovNetConfig, f_app, n: int):
+    """ValueError unless `f_app` holds n appearance tensors of the configured shape."""
+    if ad.val(f_app).shape != (n,) + tuple(config.app_shape):
+        raise ValueError(f"appearance shape {ad.val(f_app).shape} != "
+                         f"{n} x configured {config.app_shape}")
+
+
+def first_product(params: CovNetParams, f_pos):
+    """The positional branch's first product, as a plain array: the (N, 18,
+    256) encodings `f_pos` as (N, 4608) rows times the value of `pos.lin1.w`;
+    None without the positional branch.
+
+    One BLAS call, which releases the GIL, so another thread may run it
+    while this one runs other parts of the pass (`forward`'s `first`).
+    """
+    if not params.config.use_positional:
+        return None
+    w = ad.val(params.arrays["pos.lin1.w"])
+    return np.reshape(f_pos, (len(f_pos), len(w))) @ w
+
+
+def appearance_branch(params: CovNetParams, f_app):
+    """The appearance branch of a pass over N detections: their (N, c, h, w)
+    tensors `f_app` through the strided convolutions, flattened to (N, width)."""
+    config, arrays = params.config, params.arrays
+    a = f_app
+    for i in range(1, len(config.conv_channels) + 1):
+        a = ad.conv2d(a, arrays[f"app.conv{i}.w"], arrays[f"app.conv{i}.b"],
+                      stride=config.stride, pad=config.pad)
+        a = ad.relu(a)
+    return ad.reshape(a, (len(ad.val(f_app)), config.appearance_flat_width()))
+
+
+def forward(params: CovNetParams, f_app, f_pos, first=None, app=None):
     """Residual std rows for a batch of N detections.
 
     `f_app` is (N, c, h, w) (ignored without the appearance branch), `f_pos`
@@ -130,27 +163,26 @@ def forward(params: CovNetParams, f_app, f_pos):
     batch. The arrays of `params` may be plain arrays or tape nodes (the
     mapping of CovNetParams.lift, wrapped as CovNetParams). Returns an
     (N, 10) array, a node when any input is a node.
+
+    Parts of the pass may have run already, so that they could overlap
+    other work (`pipeline.LearnedCovariance`): `app` is then
+    `appearance_branch(params, f_app)`, and `first` is `first_product(params,
+    f_pos)`, which the pass takes as the value of that product, recording
+    the same node.
     """
     config, arrays = params.config, params.arrays
     n = len(ad.val(f_pos if config.use_positional else f_app))
     pieces = []
     if config.use_appearance:
-        if ad.val(f_app).shape != (n,) + tuple(config.app_shape):
-            raise ValueError(f"appearance shape {ad.val(f_app).shape} != "
-                             f"{n} x configured {config.app_shape}")
-        a = f_app
-        for i in range(1, len(config.conv_channels) + 1):
-            a = ad.conv2d(a, arrays[f"app.conv{i}.w"], arrays[f"app.conv{i}.b"],
-                          stride=config.stride, pad=config.pad)
-            a = ad.relu(a)
-        pieces.append(ad.reshape(a, (n, config.appearance_flat_width())))
+        check_appearance(config, f_app, n)
+        pieces.append(appearance_branch(params, f_app) if app is None else app)
     if config.use_positional:
         expect = (n, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)
         if ad.val(f_pos).shape != expect:
             raise ValueError(
                 f"positional shape {ad.val(f_pos).shape} != expected {expect}")
         x = ad.reshape(f_pos, (n, expect[1] * expect[2]))
-        x = ad.relu(ad.linear(x, arrays["pos.lin1.w"], arrays["pos.lin1.b"]))
+        x = ad.relu(ad.linear(x, arrays["pos.lin1.w"], arrays["pos.lin1.b"], first))
         x = ad.relu(ad.linear(x, arrays["pos.lin2.w"], arrays["pos.lin2.b"]))
         pieces.append(x)
     h = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1)

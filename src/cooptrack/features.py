@@ -13,6 +13,7 @@ rows and (N, 18, 256) encodings.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -61,12 +62,25 @@ def extract_positional(det_local, pose: PoseYawT) -> np.ndarray:
     ], axis=1)
 
 
-def normalize(values, bounds=DEFAULT_BOUNDS) -> np.ndarray:
-    """Map each column of (N, 18) values from its [min, max] onto [-pi, pi], clamping."""
+@functools.lru_cache(maxsize=16)
+def _bound_arrays(bounds):
+    """`bounds` as read-only (lo, span) arrays, span = hi - lo; ValueError
+    unless min < max for every variable. Cached per bounds tuple."""
     lo, hi = np.asarray(bounds, dtype=float).T
     if np.any(lo >= hi):
         raise ValueError("bounds must satisfy min < max for every variable")
-    u = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    span = hi - lo
+    lo.flags.writeable = span.flags.writeable = False
+    return lo, span
+
+
+def normalize(values, bounds=DEFAULT_BOUNDS) -> np.ndarray:
+    """Map each column of (N, 18) values from its [min, max] onto [-pi, pi], clamping."""
+    try:
+        lo, span = _bound_arrays(bounds)
+    except TypeError:  # unhashable bounds, such as lists, are not cached
+        lo, span = _bound_arrays.__wrapped__(bounds)
+    u = np.clip((values - lo) / span, 0.0, 1.0)
     return -math.pi + 2.0 * math.pi * u
 
 
@@ -91,24 +105,41 @@ def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     return _sinusoids(xb, np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,)))
 
 
-def encode_detection(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS,
-                     out=None) -> np.ndarray:
-    """Encode one packet's detections: extract_positional, then positional_encoding.
+def positional_rows(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS) -> np.ndarray:
+    """One packet's normalized positional rows, (N, 18) on [-pi, pi]:
+    `normalize` of `extract_positional`, the input of `fill_encoding`."""
+    return normalize(extract_positional(det_local, pose), bounds)
+
+
+def fill_encoding(xb, out, sizes=None) -> np.ndarray:
+    """Write the sinusoidal encoding of normalized rows `xb` (N, 18) into
+    `out` (N, 18, 256), as `positional_encoding` would; returns `out`.
+
+    `sizes` lists the row counts of the packets whose rows `xb` holds, one
+    after another (None: one packet). Columns 13: (the pose) are the same
+    in every row of a packet, so they are encoded once per packet, into its
+    first row, and copied to the others. Only numpy calls run here, so the
+    fill holds the GIL little.
+    """
+    start = 0
+    for size in (len(xb),) if sizes is None else sizes:
+        rows, first = slice(start, start + size), slice(start, start + 1)
+        _sinusoids(xb[rows, :13], out[rows, :13])
+        _sinusoids(xb[first, 13:], out[first, 13:])
+        out[start + 1:start + size, 13:] = out[first, 13:]
+        start += size
+    return out
+
+
+def encode_detection(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS) -> np.ndarray:
+    """Encode one packet's detections, (N, 18, 256): `positional_rows`, then
+    `fill_encoding`.
 
     `det_local` holds the packet's (N, 7) box rows in the sensor's frame and
-    `pose` is the sensor's local-to-global transform. The (N, 18, 256)
-    encoding is written to `out` when given (a window's packets fill slices
-    of one array), else to a new array.
+    `pose` is the sensor's local-to-global transform.
     """
-    xb = normalize(extract_positional(det_local, pose), bounds)
-    if out is None:
-        out = np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,))
-    # columns 13: (the pose) are the same in every row of a packet: encode them
-    # once, into the first row, and copy that to the others
-    _sinusoids(xb[:, :13], out[:, :13])
-    _sinusoids(xb[:1, 13:], out[:1, 13:])
-    out[1:, 13:] = out[:1, 13:]
-    return out
+    xb = positional_rows(det_local, pose, bounds)
+    return fill_encoding(xb, np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,)))
 
 
 def texture_size(shape) -> int:

@@ -25,8 +25,9 @@ from . import covnet, metrics
 from . import io as cio
 from .association import (Lifecycle, LifecycleConfig, associate, build_cost_matrix,
                           finish_timestep, reportable)
-from .features import (DEFAULT_BOUNDS, ENCODING_HALF_WIDTH, POSITIONAL_DIM,
-                       encode_detection)
+# encode_detection is not called here, but the benchmark's tracer test looks it up here
+from .features import (DEFAULT_BOUNDS, ENCODING_HALF_WIDTH, POSITIONAL_DIM,  # noqa: F401
+                       encode_detection, fill_encoding, positional_rows)
 from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
                      observation_matrix, predict, update)
 from .geometry import Box7, PoseYawT, box_rows, transform_rows, wrap_angle
@@ -42,27 +43,34 @@ def _cpu_count() -> int:
 
 @functools.cache
 def _pass_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
-    """The worker threads of `map_passes`, built on first use."""
+    """The worker threads of `start_passes`, built on first use."""
     return concurrent.futures.ThreadPoolExecutor(max_workers=workers,
                                                  thread_name_prefix="cooptrack-pass")
 
 
-def map_passes(fn, items) -> list:
-    """`[fn(item) for item in items]`, the calls running concurrently.
+def start_passes(fn, items, pool=True):
+    """Start `[fn(item) for item in items]`, the calls running concurrently;
+    returns `join`, which returns their results.
 
-    Each call is one independent piece of a parameter set's work (a network
-    pass or its encoding, a section of the backward sweep, a gradient
+    Each call is one independent piece of a parameter set's work (the bulk
+    kernels of a network pass, a section of the backward sweep, a gradient
     norm's squared sums, a block of an Adam step), whose time goes mostly
     to numpy and BLAS calls that release the GIL. With more than one CPU
-    (`_cpu_count`, the process's affinity) and more than one item, the
-    calling thread and up to CPUs - 1 pool threads each take the next item
-    not yet started, in item order, until none is left; otherwise the
-    calling thread takes them all, one after another. Every call runs in a
-    copy of the caller's context, so the caller's `np.errstate` holds in
-    it. Returns the results in item order once every call has finished; a
-    failed call's exception is raised then, the first in item order. A
-    call may wait for an earlier item's call, which has started by then.
-    `fn` must not call `map_passes` itself: a worker would wait on the
+    (`_cpu_count`, the process's affinity) and more than one item, up to
+    CPUs - 1 pool threads start at once, each taking the next item not yet
+    started, in item order, until none is left; `join()` makes the calling
+    thread take items the same way, waits until every call has finished
+    and returns the results in item order. A failed call's exception is
+    raised then, the first in item order; a later `join()` returns the same
+    results or raises the same error. With one CPU, one item or not `pool`,
+    the first `join` runs every call in the calling thread, one after
+    another. Every call runs in a copy of the caller's context at the
+    start, so the caller's `np.errstate` holds in it.
+
+    A call may wait for an earlier item's call, which has started by then,
+    or for work the caller does between the start and `join`; if that work
+    fails, the caller must release such a call (make its wait raise) before
+    it joins. `fn` must not start passes itself: a worker would wait on the
     pool it occupies.
 
     Calls may record on one tape when their subgraphs are disjoint, as the
@@ -84,31 +92,31 @@ def map_passes(fn, items) -> list:
                 return
             try:
                 results[index] = context.copy().run(fn, items[index])
-            except Exception as exc:  # raised below, in item order
+            except Exception as exc:  # raised by join, in item order
                 errors[index] = exc
 
-    futures = [_pass_pool(cpus - 1).submit(drain) for _ in range(min(cpus, len(items)) - 1)]
-    try:
-        drain()
-    finally:
-        concurrent.futures.wait(futures)
-    for future in futures:
-        future.result()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
+    workers = min(cpus, len(items)) - 1 if pool else 0
+    futures = [_pass_pool(cpus - 1).submit(drain) for _ in range(workers)]
+
+    def join() -> list:
+        try:
+            drain()
+        finally:
+            concurrent.futures.wait(futures)
+        for future in futures:
+            future.result()
+        for error in errors:
+            if error is not None:
+                raise error
+        return results
+
+    return join
 
 
-# Detections a pass needs to gain from running beside others. Measured on
-# 2 vCPUs over frames of 2 or 3 vehicles with n detections each: for n = 5
-# to 7 the concurrent passes took 11-33 % longer than sequential ones, for
-# n = 8 to 12 between 2 and 31 % less. The cliff is in the pass's largest
-# product, `pos.lin1`'s (n x 4608) by (4608 x 64) matmul, with one BLAS
-# thread: two such products through `map_passes` took 359-366 us against
-# 292-299 us one after the other for n = 7, and 227-241 us against
-# 323-330 us for n = 8 (medians of 400, two runs).
-CONCURRENT_MIN_ROWS = 8
+def map_passes(fn, items) -> list:
+    """`[fn(item) for item in items]`, the calls running concurrently: the
+    results of `start_passes(fn, items)`, joined at once."""
+    return start_passes(fn, items)()
 
 
 @dataclass(frozen=True)
@@ -143,13 +151,26 @@ class ReportedTrack:
         return ad.getitem(self.frame, self.row)
 
 
+# Detections the passes of one call need in all before their bulk kernels
+# go to the pool; with fewer, the calling thread runs the kernels itself.
+# Measured in process on 2 vCPUs (one BLAS thread, seed-1 v2v scenes, best
+# of 4 per frame): on real frames the pool made a step 8-15 % faster from
+# 13 detections on and changed it by -1 to +4 % at 11 and 12; on frames cut
+# to k detections per vehicle it made a step 4-13 % slower for k = 1 to 5
+# (0.92 against 0.84 ms for k = 1), the same for k = 6 and 7 and 7 %
+# faster for k = 8.
+CONCURRENT_MIN_ROWS = 13
+
+
 class ConstantCovariance:
     """Zero residuals: identity observation noise and identity initial covariance."""
 
     reals_per_detection = metrics.BOX_REALS
 
-    def frame_residuals(self, packets) -> list:
-        return [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
+    def start_residuals(self, packets):
+        """A function returning each packet's (N, 10) residual rows, all zero."""
+        rows = [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
+        return lambda: rows
 
 
 class LearnedCovariance:
@@ -159,10 +180,16 @@ class LearnedCovariance:
     nodes (a training pass), or to a (name -> array/node mapping,
     CovNetConfig) pair, which is wrapped as CovNetParams here. Rows come
     from one network pass per parameter set over a frame
-    (`frame_residuals`) or, after `precompute`, over a whole window, whose
+    (`start_residuals`) or, after `precompute`, over a whole window, whose
     rows each frame then takes as slices. The network reads each
-    detection's local box and its vehicle's pose
-    (`features.encode_detection`).
+    detection's local box and its vehicle's pose (`features`).
+
+    Only a pass's two GIL-free bulk kernels go to the pool: the fill of its
+    (N, 18, 256) encoding (`features.fill_encoding`) and the first product
+    of its positional branch (`covnet.first_product`). The calling thread
+    does everything else: each set's inputs, its appearance branch and the
+    rest of its pass (`covnet.forward`), and, in a tracker's step, the
+    first association round.
     """
 
     reals_per_detection = metrics.SHARED_REALS
@@ -173,7 +200,7 @@ class LearnedCovariance:
             else covnet.CovNetParams(entry[1], entry[0])
             for cav, entry in params_by_cav.items()}
         self.bounds = bounds
-        self._window = None  # `_rows` of the precomputed window
+        self._window = None  # the rows of the precomputed window (`_start_rows`)
 
     def _params(self, cav_id) -> covnet.CovNetParams:
         """A vehicle's network; KeyError for a vehicle that has none."""
@@ -181,53 +208,46 @@ class LearnedCovariance:
             raise KeyError(f"no covariance network parameters for vehicle {cav_id}")
         return self.params_by_cav[cav_id]
 
-    def _residuals(self, packets):
-        """Residual rows of every detection of `packets`, from one network pass.
+    def _appearance(self, packets, config: covnet.CovNetConfig):
+        """The appearance tensors of every detection of `packets`, stacked;
+        None without the appearance branch. ValueError for a detection
+        without one, or for tensors not of the configured shape."""
+        if not config.use_appearance:
+            return None
+        apps = [d.appearance for p in packets for d in p.detections]
+        if any(a is None for a in apps):
+            raise ValueError("detection has no appearance tensor but the "
+                             "appearance branch is enabled")
+        f_app = np.stack(apps)
+        covnet.check_appearance(config, f_app, len(apps))
+        return f_app
 
-        The packets' vehicles must share one parameter set. Rows come packet
-        after packet, each packet's in detection order.
-        """
-        return covnet.forward(self._params(packets[0].cav_id), *self._encode(packets))
-
-    def _encode(self, packets):
-        """The network's input for every detection of `packets`: (f_app, f_pos).
-
-        f_app is None without the appearance branch; with it, a detection
-        without an appearance tensor raises ValueError.
-        """
-        params = self._params(packets[0].cav_id)
-        sizes = [len(p.detections) for p in packets]
-        f_pos = np.empty((sum(sizes), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
-        start = 0
-        for packet, size in zip(packets, sizes):
-            encode_detection(box_rows(d.box for d in packet.detections), packet.pose,
-                             self.bounds, out=f_pos[start:start + size])
-            start += size
-        f_app = None
-        if params.config.use_appearance:
-            apps = [d.appearance for p in packets for d in p.detections]
-            if any(a is None for a in apps):
-                raise ValueError("detection has no appearance tensor but the "
-                                 "appearance branch is enabled")
-            f_app = np.stack(apps)
-        return f_app, f_pos
-
-    def _rows(self, packets) -> dict:
-        """Residual rows of the non-empty `packets`, one pass per parameter set.
+    def _start_rows(self, packets):
+        """Start the residual rows of the non-empty `packets`, one pass per
+        parameter set; returns `collect`, which finishes the passes and
+        returns {(timestep, cav_id): (rows, start, stop)}, the packet's
+        rows being `rows[start:stop]`.
 
         Vehicles share a set when their entries hold one arrays mapping.
-        Every packet's vehicle is looked up before any pass runs, so one
-        without parameters raises KeyError. The sets' passes run
-        concurrently (`map_passes`) when each holds at least
-        CONCURRENT_MIN_ROWS detections: on a tape they record disjoint
-        subgraphs, so the gradients keep the bits of passes made one after
-        another. With more sets than CPUs, a set's encoding and its network
-        pass are separate items (`_split_passes`), so no thread idles while
-        another runs a second whole pass; otherwise each set's pass is one
-        item, as the split would only add hand-offs (2 sets on 2 CPUs:
-        +1.2 % v2v `learned_frame_ms_p50`). Returns
-        {(timestep, cav_id): (rows, start, stop)}, the packet's rows being
-        `rows[start:stop]`.
+        Every vehicle is looked up first (KeyError for one without
+        parameters). Then the bulk kernels are started (`start_passes`):
+        every set's encoding fill, then every set's first product, each
+        product waiting for its fill and each fill for its set's rows. They
+        go to the pool when the packets hold at least CONCURRENT_MIN_ROWS
+        detections in all, and otherwise run in the calling thread at
+        `collect`. Started first, a worker is awake by the time the calling
+        thread has checked every set's appearance tensors (stacked, and
+        ValueError for a missing one or a wrong shape) and built each set's
+        normalized positional rows (`features.positional_rows`), which lets
+        its fill begin. A bad input raises here, before any kernel has
+        begun, once the waiting kernels are released and joined.
+
+        `collect` runs every set's appearance branch while the kernels
+        run, then takes any kernel still left (the `join`), then finishes
+        each set's pass through `covnet.forward`. The passes record their
+        tape nodes in this thread, in the same order with any number of
+        CPUs, and the sets' subgraphs are disjoint, so every gradient keeps
+        the bits of passes made one after another.
         """
         groups = {}
         for packet in packets:
@@ -235,50 +255,59 @@ class LearnedCovariance:
                 arrays = self._params(packet.cav_id).arrays
                 groups.setdefault(id(arrays), []).append(packet)
         groups = list(groups.values())
-        if not all(sum(len(p.detections) for p in g) >= CONCURRENT_MIN_ROWS for g in groups):
-            passes = [self._residuals(group) for group in groups]
-        elif len(groups) > _cpu_count():
-            passes = self._split_passes(groups)
-        else:
-            passes = map_passes(self._residuals, groups)
-        slices = {}
-        for group, rows in zip(groups, passes):
-            start = 0
-            for packet in group:
-                stop = start + len(packet.detections)
-                slices[(packet.timestep, packet.cav_id)] = (rows, start, stop)
-                start = stop
-        return slices
+        params = [self._params(group[0].cav_id) for group in groups]
+        sizes = [[len(p.detections) for p in group] for group in groups]
+        f_pos = [np.empty((sum(s), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)) for s in sizes]
+        rows_in = [_Handoff() for _ in groups]
+        encoded = [_Handoff() for _ in groups]
 
-    def _split_passes(self, groups) -> list:
-        """`_residuals` of each group, as two `map_passes` items per group.
-
-        A group's encoding item (`_encode`) and its network item
-        (`covnet.forward`) may run on different threads; every encoding item
-        comes before every network item, so a network item waits only for
-        an encoding that has started. An encoding that raises fails its
-        network item at once. Each network pass still runs whole on one
-        thread, so its products keep their shapes and its tape nodes are
-        recorded by that thread alone.
-        """
-        encodings = [concurrent.futures.Future() for _ in groups]
-
-        def encode(k):
+        def fill(k):
             try:
-                encodings[k].set_result(self._encode(groups[k]))
-            except BaseException as exc:  # never leave a network item waiting
-                encodings[k].set_exception(exc)
+                encoded[k].put(fill_encoding(rows_in[k].get(), f_pos[k], sizes[k]))
+            except BaseException as exc:  # never leave a product waiting
+                encoded[k].fail(exc)
                 raise
 
-        def forward(k):
-            return covnet.forward(self._params(groups[k][0].cav_id), *encodings[k].result())
+        def product(k):
+            return covnet.first_product(params[k], encoded[k].get())
 
-        def run(job):
-            return job()
+        jobs = ([functools.partial(fill, k) for k in range(len(groups))]
+                + [functools.partial(product, k) for k in range(len(groups))])
+        join = start_passes(_call, jobs, sum(map(sum, sizes)) >= CONCURRENT_MIN_ROWS)
+        put = 0
+        try:
+            f_app = [self._appearance(group, p.config) for group, p in zip(groups, params)]
+            for group in groups:
+                xb = [positional_rows(box_rows(d.box for d in p.detections), p.pose,
+                                      self.bounds) for p in group]
+                rows_in[put].put(xb[0] if len(xb) == 1 else np.concatenate(xb))
+                put += 1
+        except BaseException as exc:
+            for handoff in rows_in[put:]:
+                handoff.fail(exc)  # the fills waiting on it raise it
+            join()
+            raise
 
-        jobs = ([functools.partial(encode, k) for k in range(len(groups))]
-                + [functools.partial(forward, k) for k in range(len(groups))])
-        return map_passes(run, jobs)[len(groups):]
+        def collect() -> dict:
+            try:
+                apps = [None if f_app[k] is None else covnet.appearance_branch(params[k],
+                                                                               f_app[k])
+                        for k in range(len(groups))]
+            finally:
+                products = join()[len(groups):]
+            passes = [covnet.forward(params[k], f_app[k], f_pos[k], first=products[k],
+                                     app=apps[k])
+                      for k in range(len(groups))]
+            slices = {}
+            for group, rows in zip(groups, passes):
+                start = 0
+                for packet in group:
+                    stop = start + len(packet.detections)
+                    slices[(packet.timestep, packet.cav_id)] = (rows, start, stop)
+                    start = stop
+            return slices
+
+        return collect
 
     def precompute(self, frame_packets):
         """Compute a window's residual rows before its frames are tracked.
@@ -286,36 +315,80 @@ class LearnedCovariance:
         `frame_packets` lists the packets of each frame of the window. The
         network's input depends only on the detections and the poses, so
         each parameter set (each vehicle's, or the one shared set) takes
-        every row of the window in one pass (`_rows`); a vehicle without
-        detections takes none. From then on `frame_residuals` hands out
-        slices of those rows.
+        every row of the window in one pass (`_start_rows`); a vehicle
+        without detections takes none. From then on `start_residuals` hands
+        out slices of those rows.
         """
-        self._window = self._rows(p for packets in frame_packets for p in packets)
+        self._window = self._start_rows(p for packets in frame_packets for p in packets)()
 
-    def frame_residuals(self, packets) -> list:
-        """Residual rows of each of one frame's packets: (N, 10) for N detections.
+    def start_residuals(self, packets):
+        """Start the residual rows of one frame's packets; returns a function
+        that waits for them and returns them, (N, 10) for each packet of N
+        detections.
 
         Row j of a packet's rows belongs to its detection j. An empty packet
         gets no rows and needs no parameters. The rows are slices of the
-        precomputed window, or else of `_rows` of this frame: one pass per
-        parameter set, which for a vehicle with its own set is one pass over
-        its packet. After `precompute`, a packet the window does not hold
+        precomputed window, or else of this frame's passes (`_start_rows`):
+        one pass per parameter set, which for a vehicle with its own set is
+        one pass over its packet. Every input is checked before this
+        returns; after `precompute`, a packet the window does not hold
         raises ValueError.
         """
-        slices = self._rows(packets) if self._window is None else self._window
-        out = []
-        for packet in packets:
-            if not packet.detections:
-                out.append(np.zeros((0, covnet.RESIDUAL_DIM)))
-                continue
-            entry = slices.get((packet.timestep, packet.cav_id))
-            if entry is None or entry[2] - entry[1] != len(packet.detections):
-                raise ValueError(f"the precomputed window holds no packet of vehicle "
-                                 f"{packet.cav_id} at t={packet.timestep} with "
-                                 f"{len(packet.detections)} detections")
-            rows, start, stop = entry
-            out.append(rows[start:stop])
-        return out
+        if self._window is None:
+            collect = self._start_rows(packets)
+            return lambda: _packet_rows(packets, collect())
+        rows = _packet_rows(packets, self._window)
+        return lambda: rows
+
+
+def _packet_rows(packets, slices) -> list:
+    """Each packet's rows, taken from `slices` (`LearnedCovariance._start_rows`)."""
+    out = []
+    for packet in packets:
+        if not packet.detections:
+            out.append(np.zeros((0, covnet.RESIDUAL_DIM)))
+            continue
+        entry = slices.get((packet.timestep, packet.cav_id))
+        if entry is None or entry[2] - entry[1] != len(packet.detections):
+            raise ValueError(f"the precomputed window holds no packet of vehicle "
+                             f"{packet.cav_id} at t={packet.timestep} with "
+                             f"{len(packet.detections)} detections")
+        rows, start, stop = entry
+        out.append(rows[start:stop])
+    return out
+
+
+def _call(job):
+    return job()
+
+
+class _Handoff:
+    """One value passed to the threads that wait for it: `put` or `fail`
+    once, and each `get` waits until then and returns the value or raises
+    the error. A `concurrent.futures.Future` without callbacks or
+    cancellation, at a tenth of its cost: one lock, held until then."""
+
+    __slots__ = ("_held", "_value", "_error")
+
+    def __init__(self):
+        self._held = threading.Lock()
+        self._held.acquire()
+        self._value = self._error = None
+
+    def put(self, value):
+        self._value = value
+        self._held.release()
+
+    def fail(self, error: BaseException):
+        self._error = error
+        self._held.release()
+
+    def get(self):
+        with self._held:
+            pass
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 class CoopTracker:
@@ -349,9 +422,14 @@ class CoopTracker:
         are processed in ascending cav_id regardless of input order. Each
         round with matches is one bank update; a matched track whose update
         is degenerate keeps its predicted state, still counts as matched,
-        and is counted in `skipped_updates`. Every packet's residual rows
-        come from the provider before the first round (`frame_residuals`),
-        so a pass that fails leaves the tracker as it was.
+        and is counted in `skipped_updates`.
+
+        The provider starts every packet's residual rows first
+        (`start_residuals`, which checks every input), and the first
+        round's association runs while its passes do: it reads no residual
+        and changes nothing. The rows are then collected before the first
+        update, so a pass that fails leaves the tracker as it was; a failed
+        pass's error takes precedence over one of that association.
 
         Association works on float rows: each packet's detections reach the
         global frame as one (N, 7) array, and the live tracks enter each
@@ -364,16 +442,17 @@ class CoopTracker:
         if len({p.cav_id for p in packets}) != len(packets):
             raise ValueError("duplicate cav_id in packets")
 
-        residuals = self.cov.frame_residuals(packets)
+        collect = self.cov.start_residuals(packets)
+        try:
+            first = self._associate(packets[0]) if packets else None
+        finally:
+            residuals = collect()
         matched = [False] * len(self.tracks)  # per bank row: matched this timestep
-        for packet, sigmas in zip(packets, residuals):
-            det_global = transform_rows(box_rows(d.box for d in packet.detections),
-                                        packet.pose)
+        for k, (packet, sigmas) in enumerate(zip(packets, residuals)):
+            det_global, matches = first if k == 0 else self._associate(packet)
             # a zero residual gives the identity's diagonals
             obs_rows = covnet.residual_to_obs_noise_diag(sigmas)
             init_rows = covnet.residual_to_init_noise_diag(sigmas)
-            matches = associate(build_cost_matrix(self._track_rows(), det_global),
-                                self.assoc_iou_threshold)
             dets = np.array([dj for _ti, dj, _iou in matches], dtype=np.intp)
             if matches:
                 rows = np.array([ti for ti, _dj, _iou in matches], dtype=np.intp)
@@ -413,6 +492,13 @@ class CoopTracker:
         for life in self.tracks:
             life.age += 1
         return reported
+
+    def _associate(self, packet):
+        """A round's association: (the packet's detections as global rows,
+        `associate`'s matches of the live tracks to them)."""
+        det_global = transform_rows(box_rows(d.box for d in packet.detections), packet.pose)
+        return det_global, associate(build_cost_matrix(self._track_rows(), det_global),
+                                     self.assoc_iou_threshold)
 
     def _box_vectors(self) -> np.ndarray:
         """The observed 7 state variables of every live track, as float64 rows."""

@@ -637,9 +637,13 @@ def test_threads_are_built_only_by_the_pass_pool():
         + ", ".join(f"{name}:{line}" for name, line, home in built if not home))
 
 
-# names `cli` imports only so that callers can reach them as `cli.<name>`
-CLI_REEXPORTS = {"GT_FILE", "DETECTIONS_FILE", "TENSORS_FILE", "TRACKS_FILE",
-                 "load_sim_frames", "reports_to_records", "write_sim_output"}
+# names a module imports only so that callers can reach them as `<module>.<name>`
+REEXPORTS = {
+    "cli.py": {"GT_FILE", "DETECTIONS_FILE", "TENSORS_FILE", "TRACKS_FILE",
+               "load_sim_frames", "reports_to_records", "write_sim_output"},
+    # the benchmark's tracer test looks it up as `pipeline.encode_detection`
+    "pipeline.py": {"encode_detection"},
+}
 
 
 def test_every_imported_name_is_used_in_its_module():
@@ -655,7 +659,7 @@ def test_every_imported_name_is_used_in_its_module():
                 for alias in node.names:
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exempt = CLI_REEXPORTS if path.name == "cli.py" else set()
+        exempt = REEXPORTS.get(path.name, set())
         dead += [f"{path.name}:{line} {name}" for name, line in imported.items()
                  if name not in used and name not in exempt]
     assert not dead, "imported but never used: " + ", ".join(sorted(dead))
@@ -663,6 +667,9 @@ def test_every_imported_name_is_used_in_its_module():
 
 # names defined in src/ that no code there uses, each kept for the reason given
 UNREFERENCED_KEPT = {
+    "features.encode_detection": "the composition of positional_rows and fill_encoding, "
+                                 "from which the network and pipeline tests take their "
+                                 "reference encodings",
     "features.positional_encoding": "the reference test_encode_detection_composes holds "
                                     "encode_detection's pose-once shortcut to",
     "filter.fuse_sequential": "acceptance criterion 1 folds the update with it",

@@ -12,8 +12,10 @@ from cooptrack.features import (
     POSITIONAL_DIM,
     encode_detection,
     extract_positional,
+    fill_encoding,
     normalize,
     positional_encoding,
+    positional_rows,
     synth_appearance,
 )
 from cooptrack.geometry import Box7, PoseYawT, box_rows, transform_box
@@ -88,8 +90,22 @@ def test_normalize_var_endpoints_and_clamp():
 
 
 def test_normalize_var_rejects_degenerate_bounds():
-    with pytest.raises(ValueError):
-        normalize(np.zeros((1, POSITIONAL_DIM)), bounds=(((1.0, 1.0),) * POSITIONAL_DIM))
+    degenerate = ((1.0, 1.0),) * POSITIONAL_DIM
+    for _ in range(2):  # a refused tuple is refused again, not cached
+        with pytest.raises(ValueError, match="min < max for every variable"):
+            normalize(np.zeros((1, POSITIONAL_DIM)), bounds=degenerate)
+    with pytest.raises(ValueError, match="min < max for every variable"):
+        normalize(np.zeros((1, POSITIONAL_DIM)), bounds=[list(b) for b in degenerate])
+
+
+def test_normalize_takes_the_bits_of_its_bounds_in_any_sequence():
+    values = np.random.default_rng(60).uniform(-150.0, 150.0, (6, POSITIONAL_DIM))
+    want = normalize(values)
+    assert normalize(values, DEFAULT_BOUNDS).tobytes() == want.tobytes()
+    assert normalize(values, [list(b) for b in DEFAULT_BOUNDS]).tobytes() == want.tobytes()
+    lo, hi = np.asarray(DEFAULT_BOUNDS).T
+    direct = -math.pi + 2.0 * math.pi * np.clip((values - lo) / (hi - lo), 0.0, 1.0)
+    assert want.tobytes() == direct.tobytes()
 
 
 def test_positional_encoding_matches_direct_formula():
@@ -123,6 +139,15 @@ def test_encode_detection_composes():
     via_compose = encode_detection(local, pose)
     via_steps = positional_encoding(extract_positional(local, pose))
     np.testing.assert_array_equal(via_compose, via_steps)
+
+
+def test_one_fill_over_several_packets_gives_each_packets_encoding():
+    rng = np.random.default_rng(64)
+    packets = [_packet(rng, n) for n in (1, 4, 2)]
+    xb = np.concatenate([positional_rows(local, pose) for local, pose in packets])
+    got = fill_encoding(xb, np.empty((7, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)), [1, 4, 2])
+    want = np.concatenate([encode_detection(local, pose) for local, pose in packets])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_batched_encoding_is_bit_identical_to_per_row_formula():

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cooptrack import covnet, metrics, pipeline, sim
 from cooptrack.association import LifecycleConfig
@@ -283,27 +285,44 @@ def test_a_vehicle_without_parameters_fails_its_frame_before_any_round():
     assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
 
 
-def _threads_of_passes(monkeypatch, meet=False) -> set:
-    """The names of the threads that run `covnet.forward` from now on.
+def _threads_of_kernels(monkeypatch, meet=False) -> dict:
+    """The thread of each call from now on of the parts of a network pass:
+    {"fill": [...], "product": [...], "forward": [...]}, one name per call.
 
-    With `meet`, each of the first two calls waits until the other has
-    started: two passes that run concurrently then always show as two
+    With `meet`, each of the first two encoding fills waits until the other
+    has started: two fills that run concurrently then always show as two
     threads, and two that run one after another break the wait
     (threading.BrokenBarrierError).
     """
-    names, real, meetings = set(), covnet.forward, []
+    names = {"fill": [], "product": [], "forward": []}
+    meetings = []
     if meet:
         both = threading.Barrier(2, timeout=10)
         meetings += [both, both]
+    fill, product, forward = pipeline.fill_encoding, covnet.first_product, covnet.forward
 
-    def recording(params, f_app, f_pos):
-        names.add(threading.current_thread().name)
+    def filling(*args):
+        names["fill"].append(threading.current_thread().name)
         if meetings:
             meetings.pop().wait()
-        return real(params, f_app, f_pos)
+        return fill(*args)
 
+    def multiplying(*args):
+        names["product"].append(threading.current_thread().name)
+        return product(*args)
+
+    def recording(*args, **kwargs):
+        names["forward"].append(threading.current_thread().name)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fill_encoding", filling)
+    monkeypatch.setattr(covnet, "first_product", multiplying)
     monkeypatch.setattr(covnet, "forward", recording)
     return names
+
+
+def _workers(names) -> set:
+    return {name for name in names if name.startswith("cooptrack-pass")}
 
 
 def _switching_often(run):
@@ -322,7 +341,7 @@ def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch)
     rng = np.random.default_rng(6)
     first = CovNetParams.init(CovNetConfig(), rng)
     params = {0: first, 1: first if shared else CovNetParams.init(CovNetConfig(), rng)}
-    threads = _threads_of_passes(monkeypatch)
+    threads = _threads_of_kernels(monkeypatch)
 
     def run(cpus):
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
@@ -332,45 +351,56 @@ def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch)
                  np.asarray(r.mean).tobytes()) for frame in reports for r in frame]
 
     sequential = run(1)
-    assert threads == {threading.current_thread().name}
+    assert {name for names in threads.values() for name in names} == {
+        threading.current_thread().name}
+    # the first frame (13 detections) puts its kernels on the pool: with a
+    # set per vehicle, its two fills run on two threads
+    threads = _threads_of_kernels(monkeypatch, meet=not shared)
     # more workers than this machine's cores, switching threads often
     assert _switching_often(lambda: run(4)) == sequential
     assert sum(map(len, sequential)) > 0
-    workers = {name for name in threads if name.startswith("cooptrack-pass")}
-    # one set's passes run one after another, in the calling thread
-    assert bool(workers) != shared
+    # the calling thread runs every pass; only the bulk kernels may go elsewhere
+    assert set(threads["forward"]) == {threading.current_thread().name}
+    if not shared:
+        assert _workers(threads["fill"])
 
 
-def _mapped(monkeypatch) -> list:
-    """(function name, item count) of each `pipeline.map_passes` call from now on."""
-    calls, real = [], pipeline.map_passes
+def _started(monkeypatch) -> list:
+    """([(kernel, set) of each item], pooled) of each `pipeline.start_passes`
+    call from now on."""
+    calls, real = [], pipeline.start_passes
 
-    def recording(fn, items):
+    def recording(fn, items, pool=True):
         items = list(items)
-        calls.append((fn.__name__, len(items)))
-        return real(fn, items)
+        calls.append(([(job.func.__name__, job.args[0]) for job in items], pool))
+        return real(fn, items, pool)
 
-    monkeypatch.setattr(pipeline, "map_passes", recording)
+    monkeypatch.setattr(pipeline, "start_passes", recording)
     return calls
+
+
+def _kernels(sets) -> list:
+    """The items of the passes of `sets` parameter sets: each fill, then each product."""
+    return [("fill", k) for k in range(sets)] + [("product", k) for k in range(sets)]
 
 
 @pytest.mark.parametrize("rows", [pipeline.CONCURRENT_MIN_ROWS - 1,
                                   pipeline.CONCURRENT_MIN_ROWS])
-def test_passes_run_concurrently_only_when_each_has_enough_detections(rows, monkeypatch):
+def test_bulk_kernels_go_to_the_pool_only_with_enough_detections_in_all(rows, monkeypatch):
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     cfg = CovNetConfig()
     rng = np.random.default_rng(7)
     provider = LearnedCovariance({cav: CovNetParams.init(cfg, rng) for cav in (0, 1)})
-    concurrent = rows >= pipeline.CONCURRENT_MIN_ROWS
-    threads = _threads_of_passes(monkeypatch, meet=concurrent)
-    mapped = _mapped(monkeypatch)
+    pooled = rows >= pipeline.CONCURRENT_MIN_ROWS
+    threads = _threads_of_kernels(monkeypatch, meet=pooled)
+    started = _started(monkeypatch)
     xs = [10.0 * k for k in range(rows)]
-    # the smaller pass decides
-    provider.frame_residuals([_learned_packet(rng, 0, 0, xs, cfg),
-                              _learned_packet(rng, 0, 1, xs + [500.0], cfg)])
-    assert len(threads) == 1 + concurrent
-    # two sets on two CPUs: one whole pass per item
-    assert mapped == ([("_residuals", 2)] if concurrent else [])
+    # the two packets hold the rows between them
+    provider.start_residuals([_learned_packet(rng, 0, 0, xs[:rows // 2], cfg),
+                              _learned_packet(rng, 0, 1, xs[rows // 2:], cfg)])()
+    assert len(set(threads["fill"])) == 1 + pooled
+    assert threads["forward"] == [threading.current_thread().name] * 2
+    assert started == [(_kernels(2), pooled)]
 
 
 def _on_two_threads(fn):
@@ -451,6 +481,12 @@ def test_map_passes_finishes_items_that_wait_on_earlier_items(cpus, monkeypatch)
     assert pipeline.map_passes(chained, range(8)) == [True] * 8
 
 
+# kind of bad input -> (the exception it raises, its message)
+BAD_INPUTS = {"no appearance": (ValueError, "no appearance tensor"),
+              "wrong shape": (ValueError, "appearance shape"),
+              "no parameters": (KeyError, "no covariance network parameters")}
+
+
 @pytest.mark.parametrize("bad", [0, 2])
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, bad,
@@ -461,34 +497,103 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, ba
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
     tracker = CoopTracker(cov_provider=LearnedCovariance(params))
 
-    def frame(t, without_appearance=None):
+    def frame(t, kind=None):
         packets = [_learned_packet(rng, t, cav, [10.0 * k + cav for k in range(8)], cfg)
                    for cav in (0, 1, 2)]
-        if without_appearance is not None:
-            packet = packets[without_appearance]
-            packets[without_appearance] = dataclasses.replace(packet, detections=tuple(
+        packet = packets[bad]
+        if kind == "no appearance":
+            packets[bad] = dataclasses.replace(packet, detections=tuple(
                 dataclasses.replace(d, appearance=None) for d in packet.detections))
+        elif kind == "wrong shape":
+            packets[bad] = dataclasses.replace(packet, detections=tuple(
+                dataclasses.replace(d, appearance=d.appearance[1:]) for d in packet.detections))
+        elif kind == "no parameters":
+            packets[bad] = dataclasses.replace(packet, cav_id=7)
         return packets
 
     tracker.step(frame(0))
     mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
     lives = [dataclasses.astuple(life) for life in tracker.tracks]
-    raised = []
+    for kind, (error, message) in BAD_INPUTS.items():
+        raised = []
 
-    def step():
-        try:
-            tracker.step(frame(1, without_appearance=bad))
-        except ValueError as exc:
-            raised.append(exc)
+        def step():
+            try:
+                tracker.step(frame(1, kind))
+            except (ValueError, KeyError) as exc:
+                raised.append(exc)
 
-    stepping = threading.Thread(target=step, daemon=True)
-    stepping.start()
-    stepping.join(timeout=30)
-    assert not stepping.is_alive(), "a pass waits on an encoding that failed"
-    assert len(raised) == 1 and "no appearance tensor" in str(raised[0])
-    assert tracker.bank.mean.tobytes() == mean.tobytes()
-    assert tracker.bank.cov.tobytes() == cov.tobytes()
-    assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
+        # the kernels are started before the inputs are checked: a check that
+        # raises must release them, or the step would wait for them for ever
+        stepping = threading.Thread(target=step, daemon=True)
+        stepping.start()
+        stepping.join(timeout=30)
+        assert not stepping.is_alive(), f"{kind}: a kernel waits on an input that failed"
+        assert len(raised) == 1 and type(raised[0]) is error and message in str(raised[0])
+        assert tracker.bank.mean.tobytes() == mean.tobytes()
+        assert tracker.bank.cov.tobytes() == cov.tobytes()
+        assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
+
+
+class _RowsFirst:
+    """A provider whose rows are all computed when a step starts them, before
+    the step's first association round: the order of a step that takes
+    every packet's rows first and then runs the rounds."""
+
+    def __init__(self, provider):
+        self.provider = provider
+        self.reals_per_detection = provider.reals_per_detection
+
+    def start_residuals(self, packets):
+        rows = self.provider.start_residuals(packets)()
+        return lambda: rows
+
+
+NETS = [CovNetParams.init(CovNetConfig(), np.random.default_rng(k)) for k in range(3)]
+
+
+@st.composite
+def _scenes(draw):
+    """(frames of packets, params by vehicle): 1-3 vehicles seeing up to 10
+    of a few moving objects each (none, for an empty packet), each vehicle
+    with its own set or all sharing one."""
+    cavs = draw(st.integers(1, 3))
+    shared = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    objects = rng.uniform(-25.0, 25.0, (draw(st.integers(1, 10)), 2))
+    poses = [PoseYawT(*rng.uniform(-5.0, 5.0, 3), rng.uniform(-0.5, 0.5)) for _ in range(cavs)]
+    frames = []
+    for t in range(draw(st.integers(1, 4))):
+        packets = []
+        for cav in range(cavs):
+            seen = draw(st.lists(st.integers(0, len(objects) - 1), max_size=10))
+            dets = [sim.Detection(box=Box7(*(objects[i] + 0.8 * t + rng.normal(0.0, 0.3, 2)),
+                                           0.0, 0.0, 4.5, 1.9, 1.6),
+                                  confidence=float(rng.uniform(0.3, 1.0)),
+                                  appearance=rng.standard_normal(CovNetConfig().app_shape))
+                    for i in seen]
+            packets.append(_packet(t, cav, dets, poses[cav]))
+        frames.append(packets)
+    return frames, {cav: NETS[0 if shared else cav] for cav in range(cavs)}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@settings(max_examples=80, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scene=_scenes())
+def test_a_step_gives_the_bits_of_one_that_takes_every_row_first(cpus, scene, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+    frames, params = scene
+
+    def run(provider):
+        tracker = CoopTracker(cov_provider=provider)
+        reports = [tracker.step(packets) for packets in frames]
+        return ([(r.track_id, r.box.to_vector().tobytes(), r.score, np.asarray(r.mean).tobytes())
+                 for frame in reports for r in frame],
+                tracker.bank.mean.tobytes(), tracker.bank.cov.tobytes(),
+                tracker.skipped_updates, next(tracker.ids))
+
+    assert run(LearnedCovariance(params)) == run(_RowsFirst(LearnedCovariance(params)))
 
 
 def test_zero_params_equal_constant_covariance_exactly():
@@ -541,9 +646,9 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     batches = {}  # vehicle -> rows of each of its passes; the vehicles' passes run concurrently
     real_forward = covnet.forward
 
-    def counting_forward(params, f_app, f_pos):
+    def counting_forward(params, f_app, f_pos, **parts):
         batches.setdefault(cav_of[id(params)], []).append(len(f_pos))
-        return real_forward(params, f_app, f_pos)
+        return real_forward(params, f_app, f_pos, **parts)
 
     monkeypatch.setattr(covnet, "forward", counting_forward)
     tracker = CoopTracker(cov_provider=LearnedCovariance(params))
@@ -570,14 +675,16 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
     want = [covnet.forward(params[p.cav_id], np.stack([d.appearance for d in p.detections]),
                            encode_detection(box_rows(d.box for d in p.detections), p.pose))
             for p in packets]
-    threads = _threads_of_passes(monkeypatch, meet=cpus > 1)
-    mapped = _mapped(monkeypatch)
-    got = _switching_often(lambda: LearnedCovariance(params).frame_residuals(packets))
+    threads = _threads_of_kernels(monkeypatch, meet=cpus > 1)
+    started = _started(monkeypatch)
+    got = _switching_often(lambda: LearnedCovariance(params).start_residuals(packets)())
     assert all(type(rows) is np.ndarray for rows in got)
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
-    assert (len(threads) > 1) == (cpus > 1)
-    # more sets than CPUs: each set's encoding, then each set's whole pass
-    assert mapped == [("run", 6) if cpus < 3 else ("_residuals", 3)]
+    assert (len(set(threads["fill"])) > 1) == (cpus > 1)
+    # one pass per set, in the calling thread; the pool takes every set's
+    # encoding fill, then every set's first product
+    assert threads["forward"] == [threading.current_thread().name] * 3
+    assert started == [(_kernels(3), True)]
 
 
 def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monkeypatch):
@@ -590,15 +697,15 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
                                  pose=PoseYawT(-8.0, 3.0, 0.0, 0.4))]
     window = LearnedCovariance(params)
     window.precompute([frame])
-    want = window.frame_residuals(frame)
+    want = window.start_residuals(frame)()
     batches, real = [], covnet.forward
 
-    def counting(params, f_app, f_pos):
+    def counting(params, f_app, f_pos, **parts):
         batches.append(len(f_pos))
-        return real(params, f_app, f_pos)
+        return real(params, f_app, f_pos, **parts)
 
     monkeypatch.setattr(covnet, "forward", counting)
-    got = LearnedCovariance(params).frame_residuals(frame)
+    got = LearnedCovariance(params).start_residuals(frame)()
     assert batches == [7]
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
 
@@ -675,12 +782,12 @@ class _DegenerateNoiseAt:
     def __init__(self, timestep, detection):
         self.timestep, self.detection = timestep, detection
 
-    def frame_residuals(self, packets):
+    def start_residuals(self, packets):
         frame = [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
         for packet, rows in zip(packets, frame):
             if packet.timestep == self.timestep:
                 rows[self.detection, 0] = 1e7  # R_xx = (1 + 1e7)^2: S is beyond the guard
-        return frame
+        return lambda: frame
 
 
 def test_one_degenerate_update_does_not_abort_the_sequence():

@@ -365,9 +365,9 @@ def window_rollout(frames, params_by_cav, precompute, monkeypatch):
     """
     passes, real = {}, covnet.forward
 
-    def counting(params, f_app, f_pos):
+    def counting(params, f_app, f_pos, **parts):
         passes.setdefault(cav_of[id(params.arrays)], []).append(len(f_pos))
-        return real(params, f_app, f_pos)
+        return real(params, f_app, f_pos, **parts)
 
     monkeypatch.setattr(covnet, "forward", counting)
     tape = ad.Tape()
@@ -381,7 +381,7 @@ def window_rollout(frames, params_by_cav, precompute, monkeypatch):
     frame_packets = [packets_from_sim_frame(f) for f in frames]
     if precompute:
         provider.precompute(frame_packets)
-    rows = {(p.timestep, p.cav_id): ad.val(provider.frame_residuals([p])[0])
+    rows = {(p.timestep, p.cav_id): ad.val(provider.start_residuals([p])()[0])
             for packets in frame_packets for p in packets if p.detections}
     tracker = tracker_from_settings(TrackerSettings(), provider)
     reports = [tracker.step(packets) for packets in frame_packets]
@@ -445,21 +445,32 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
         return real(leaf)
 
     monkeypatch.setattr(ad, "grad_of", recording)
-    threads, real_forward, meetings = set(), covnet.forward, []
+    threads, passes, meetings = set(), set(), []
+    real_fill, real_forward = pipeline.fill_encoding, covnet.forward
 
-    def forward(params, f_app, f_pos):
+    def fill(*args):
         threads.add(threading.current_thread().name)
         if meetings:
             meetings.pop().wait()
-        return real_forward(params, f_app, f_pos)
+        return real_fill(*args)
 
+    def forward(*args, **parts):
+        passes.add(threading.current_thread().name)
+        return real_forward(*args, **parts)
+
+    monkeypatch.setattr(pipeline, "fill_encoding", fill)
     monkeypatch.setattr(covnet, "forward", forward)
-    mapped, norms, real_map, real_clip = [], [], training.map_passes, training.clip_gradients
+    mapped, norms, real_start, real_clip = [], [], pipeline.start_passes, training.clip_gradients
 
     def mapping(fn, items):
         items = list(items)
         mapped.append((fn.__name__, len(items)))
-        return real_map(fn, items)
+        return real_start(fn, items)()
+
+    def starting(fn, items, pool=True):
+        items = list(items)
+        mapped.append(([(job.func.__name__, job.args[0]) for job in items], pool))
+        return real_start(fn, items, pool)
 
     def clipping(grads, max_norm):
         scale, norm = real_clip(grads, max_norm)
@@ -468,6 +479,7 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
 
     monkeypatch.setattr(training, "map_passes", mapping)
     monkeypatch.setattr(pipeline, "map_passes", mapping)
+    monkeypatch.setattr(pipeline, "start_passes", starting)
     monkeypatch.setattr(training, "clip_gradients", clipping)
     split_sweep = ad.Tape.backward
 
@@ -481,8 +493,8 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
         grads.clear()
         mapped.clear()
         if cpus > 1 and not shared:
-            # the first two passes each wait until the other has started, so
-            # they run on two threads (or break the barrier)
+            # the first two encoding fills each wait until the other has
+            # started, so they run on two threads (or break the barrier)
             both = threading.Barrier(2, timeout=10)
             meetings[:] = [both, both]
         params = training.init_params_for_run(cfg, np.random.default_rng(3))
@@ -510,15 +522,18 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
     assert len(moments) == len(covnet.layer_shapes(small_net())) * sets
     if case == "clipped":
         assert norms and all(norm > clip for norm in norms)
-    # one set's window takes one pass, in the calling thread
-    assert any(name.startswith("cooptrack-pass") for name in threads) != shared
-    # each window takes one pass per set (with more sets than CPUs, each set's
-    # encoding, then each set's network pass), sweeps one backward section per
-    # set, takes one norm per set and its step one item per block (pos.lin1.w,
-    # 4608 x 8, takes two blocks)
-    passes = ("run", 2 * sets) if sets > cpus else ("_residuals", sets)
+    # the calling thread runs every pass; with a set per vehicle, the fills
+    # of the concurrent epoch run on two threads
+    assert passes == {threading.current_thread().name}
+    assert shared or any(name.startswith("cooptrack-pass") for name in threads)
+    # each window's passes put each set's encoding fill, then each set's first
+    # product on the pool; it sweeps one backward section per set, takes one
+    # norm per set and its step one item per block (pos.lin1.w, 4608 x 8,
+    # takes two blocks)
+    kernels = ([("fill", k) for k in range(sets)] + [("product", k) for k in range(sets)],
+               True)
     blocks = len(covnet.layer_shapes(small_net())) + 1
-    window = ([passes] + ([("_sweep", sets)] if sets > 1 else [])
+    window = ([kernels] + ([("_sweep", sets)] if sets > 1 else [])
               + [("squared_sums", sets), ("step_block", sets * blocks)])
     assert mapped == 2 * window
 
@@ -552,13 +567,13 @@ def test_a_packet_the_window_did_not_precompute_raises():
     window = [packets_from_sim_frame(f) for f in frames[:4]]
     provider.precompute(window)
     first = window[0][0]
-    assert provider.frame_residuals([first])[0].shape == (len(first.detections), 10)
+    assert provider.start_residuals([first])()[0].shape == (len(first.detections), 10)
     later = packets_from_sim_frame(frames[4])[0]
     other_vehicle = dataclasses.replace(first, timestep=2, cav_id=1)
     fewer = dataclasses.replace(first, detections=first.detections[1:])
     for packet in (later, other_vehicle, fewer):
         with pytest.raises(ValueError, match="precomputed window holds no packet"):
-            provider.frame_residuals([packet])
+            provider.start_residuals([packet])
 
 
 def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
@@ -566,9 +581,9 @@ def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
     cfg = small_run_config(train=TrainSettings(window_length=4, epochs=1))
     passes, real = [], covnet.forward
 
-    def counting(params, f_app, f_pos):
+    def counting(params, f_app, f_pos, **parts):
         passes.append(len(f_pos))
-        return real(params, f_app, f_pos)
+        return real(params, f_app, f_pos, **parts)
 
     monkeypatch.setattr(covnet, "forward", counting)
     runs = []
