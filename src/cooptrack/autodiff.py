@@ -46,12 +46,10 @@ class Tape:
     The sweep consumes the graph (`backward`), so a tape is swept at most
     once.
 
-    Several threads may record at once (`pipeline.map_passes`): a node is
-    listed after its parents, so the order stays topological. Where the
-    threads' subgraphs are disjoint, as the passes of different parameter
-    sets are, each node's consumers are recorded by one thread in that
-    thread's order, and the sweep adds a node's gradients in the reverse of
-    that order, so every gradient has the bits of a one-thread recording.
+    One thread records on a tape. The work that `pipeline.start_passes`
+    hands to other threads fills arrays, multiplies or sweeps, and records
+    no node, so a recording lists its nodes in the same order with any
+    number of CPUs, and the sweep adds every gradient in the same order.
     """
 
     def __init__(self):

@@ -48,7 +48,7 @@ def _pass_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
                                                  thread_name_prefix="cooptrack-pass")
 
 
-def start_passes(fn, items, pool=True):
+def start_passes(fn, items):
     """Start `[fn(item) for item in items]`, the calls running concurrently;
     returns `join`, which returns their results.
 
@@ -62,21 +62,19 @@ def start_passes(fn, items, pool=True):
     thread take items the same way, waits until every call has finished
     and returns the results in item order. A failed call's exception is
     raised then, the first in item order; a later `join()` returns the same
-    results or raises the same error. With one CPU, one item or not `pool`,
-    the first `join` runs every call in the calling thread, one after
-    another. Every call runs in a copy of the caller's context at the
-    start, so the caller's `np.errstate` holds in it.
+    results or raises the same error. With one CPU or one item, the first
+    `join` runs every call in the calling thread, one after another. Every
+    call runs in a copy of the caller's context at the start, so the
+    caller's `np.errstate` holds in it.
 
-    A call may wait for an earlier item's call, which has started by then,
-    or for work the caller does between the start and `join`; if that work
-    fails, the caller must release such a call (make its wait raise) before
-    it joins. `fn` must not start passes itself: a worker would wait on the
-    pool it occupies.
+    A call may wait for an earlier item's call, which has started by then.
+    `fn` must not start passes itself: a worker would wait on the pool it
+    occupies.
 
-    Calls may record on one tape when their subgraphs are disjoint, as the
-    passes of different parameter sets are: each node's consumers are then
-    recorded by one thread, in that thread's order, so every gradient of
-    the sweep keeps its bits (`autodiff.Tape`).
+    The calls fill arrays, multiply or sweep; they record no tape node.
+    The calling thread records every node, in the same order with any
+    number of CPUs, so the tape and every gradient of its sweep keep their
+    bits (`autodiff.Tape`).
     """
     items = list(items)
     cpus = _cpu_count()
@@ -95,7 +93,7 @@ def start_passes(fn, items, pool=True):
             except Exception as exc:  # raised by join, in item order
                 errors[index] = exc
 
-    workers = min(cpus, len(items)) - 1 if pool else 0
+    workers = min(cpus, len(items)) - 1
     futures = [_pass_pool(cpus - 1).submit(drain) for _ in range(workers)]
 
     def join() -> list:
@@ -149,17 +147,6 @@ class ReportedTrack:
     def mean(self):
         """This track's 10-vector state mean."""
         return ad.getitem(self.frame, self.row)
-
-
-# Detections the passes of one call need in all before their bulk kernels
-# go to the pool; with fewer, the calling thread runs the kernels itself.
-# Measured in process on 2 vCPUs (one BLAS thread, seed-1 v2v scenes, best
-# of 4 per frame): on real frames the pool made a step 8-15 % faster from
-# 13 detections on and changed it by -1 to +4 % at 11 and 12; on frames cut
-# to k detections per vehicle it made a step 4-13 % slower for k = 1 to 5
-# (0.92 against 0.84 ms for k = 1), the same for k = 6 and 7 and 7 %
-# faster for k = 8.
-CONCURRENT_MIN_ROWS = 13
 
 
 class ConstantCovariance:
@@ -229,18 +216,14 @@ class LearnedCovariance:
         rows being `rows[start:stop]`.
 
         Vehicles share a set when their entries hold one arrays mapping.
-        Every vehicle is looked up first (KeyError for one without
-        parameters). Then the bulk kernels are started (`start_passes`):
-        every set's encoding fill, then every set's first product, each
-        product waiting for its fill and each fill for its set's rows. They
-        go to the pool when the packets hold at least CONCURRENT_MIN_ROWS
-        detections in all, and otherwise run in the calling thread at
-        `collect`. Started first, a worker is awake by the time the calling
-        thread has checked every set's appearance tensors (stacked, and
-        ValueError for a missing one or a wrong shape) and built each set's
-        normalized positional rows (`features.positional_rows`), which lets
-        its fill begin. A bad input raises here, before any kernel has
-        begun, once the waiting kernels are released and joined.
+        Every input is checked before any kernel starts, so a bad one
+        raises here with nothing begun: every vehicle is looked up
+        (KeyError for one without parameters), then every set's appearance
+        tensors are stacked (ValueError for a missing one or a wrong
+        shape). Each set's normalized positional rows are built
+        (`features.positional_rows`), and then the bulk kernels start
+        (`start_passes`): every set's encoding fill, then every set's first
+        product, each product waiting for its set's fill.
 
         `collect` runs every set's appearance branch while the kernels
         run, then takes any kernel still left (the `join`), then finishes
@@ -256,14 +239,19 @@ class LearnedCovariance:
                 groups.setdefault(id(arrays), []).append(packet)
         groups = list(groups.values())
         params = [self._params(group[0].cav_id) for group in groups]
+        f_app = [self._appearance(group, p.config) for group, p in zip(groups, params)]
+        normalized = []
+        for group in groups:
+            xb = [positional_rows(box_rows(d.box for d in p.detections), p.pose, self.bounds)
+                  for p in group]
+            normalized.append(xb[0] if len(xb) == 1 else np.concatenate(xb))
         sizes = [[len(p.detections) for p in group] for group in groups]
         f_pos = [np.empty((sum(s), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)) for s in sizes]
-        rows_in = [_Handoff() for _ in groups]
         encoded = [_Handoff() for _ in groups]
 
         def fill(k):
             try:
-                encoded[k].put(fill_encoding(rows_in[k].get(), f_pos[k], sizes[k]))
+                encoded[k].put(fill_encoding(normalized[k], f_pos[k], sizes[k]))
             except BaseException as exc:  # never leave a product waiting
                 encoded[k].fail(exc)
                 raise
@@ -273,20 +261,7 @@ class LearnedCovariance:
 
         jobs = ([functools.partial(fill, k) for k in range(len(groups))]
                 + [functools.partial(product, k) for k in range(len(groups))])
-        join = start_passes(_call, jobs, sum(map(sum, sizes)) >= CONCURRENT_MIN_ROWS)
-        put = 0
-        try:
-            f_app = [self._appearance(group, p.config) for group, p in zip(groups, params)]
-            for group in groups:
-                xb = [positional_rows(box_rows(d.box for d in p.detections), p.pose,
-                                      self.bounds) for p in group]
-                rows_in[put].put(xb[0] if len(xb) == 1 else np.concatenate(xb))
-                put += 1
-        except BaseException as exc:
-            for handoff in rows_in[put:]:
-                handoff.fail(exc)  # the fills waiting on it raise it
-            join()
-            raise
+        join = start_passes(_call, jobs)
 
         def collect() -> dict:
             try:

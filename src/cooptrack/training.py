@@ -226,12 +226,12 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     anything. Each window's covariance rows come from one network pass per
     parameter set, made before its frames are tracked; the sets' passes run
     concurrently and leave every gradient's bits as they are
-    (`LearnedCovariance.precompute`; each set's encoding and its network
-    pass are taken by whichever thread is free). So do the parts of the
-    backward sweep that reach back into those passes (`Tape.backward` with
-    the tape's length after them as its split), the squared sums of the
-    gradient norm (`global_grad_norm`) and the blocks of the Adam step
-    (`adam_step`).
+    (`LearnedCovariance.precompute`: the pool takes each set's encoding
+    fill and first product, and the calling thread records every tape
+    node). So do the parts of the backward sweep that reach back into those
+    passes (`Tape.backward` with the tape's length after them as its
+    split), the squared sums of the gradient norm (`global_grad_norm`) and
+    the blocks of the Adam step (`adam_step`).
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only

@@ -353,8 +353,8 @@ def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch)
     sequential = run(1)
     assert {name for names in threads.values() for name in names} == {
         threading.current_thread().name}
-    # the first frame (13 detections) puts its kernels on the pool: with a
-    # set per vehicle, its two fills run on two threads
+    # every frame puts its kernels on the pool: with a set per vehicle, the
+    # first frame's two fills run on two threads
     threads = _threads_of_kernels(monkeypatch, meet=not shared)
     # more workers than this machine's cores, switching threads often
     assert _switching_often(lambda: run(4)) == sequential
@@ -366,14 +366,14 @@ def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch)
 
 
 def _started(monkeypatch) -> list:
-    """([(kernel, set) of each item], pooled) of each `pipeline.start_passes`
-    call from now on."""
+    """[(kernel, set) of each item] of each `pipeline.start_passes` call from
+    now on."""
     calls, real = [], pipeline.start_passes
 
-    def recording(fn, items, pool=True):
+    def recording(fn, items):
         items = list(items)
-        calls.append(([(job.func.__name__, job.args[0]) for job in items], pool))
-        return real(fn, items, pool)
+        calls.append([(job.func.__name__, job.args[0]) for job in items])
+        return real(fn, items)
 
     monkeypatch.setattr(pipeline, "start_passes", recording)
     return calls
@@ -384,23 +384,32 @@ def _kernels(sets) -> list:
     return [("fill", k) for k in range(sets)] + [("product", k) for k in range(sets)]
 
 
-@pytest.mark.parametrize("rows", [pipeline.CONCURRENT_MIN_ROWS - 1,
-                                  pipeline.CONCURRENT_MIN_ROWS])
-def test_bulk_kernels_go_to_the_pool_only_with_enough_detections_in_all(rows, monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+@pytest.mark.parametrize("cavs", [2, 3])
+def test_small_frames_run_their_kernels_on_the_pool_and_keep_their_bits(cavs, monkeypatch):
     cfg = CovNetConfig()
     rng = np.random.default_rng(7)
-    provider = LearnedCovariance({cav: CovNetParams.init(cfg, rng) for cav in (0, 1)})
-    pooled = rows >= pipeline.CONCURRENT_MIN_ROWS
-    threads = _threads_of_kernels(monkeypatch, meet=pooled)
+    params = {cav: CovNetParams.init(cfg, rng) for cav in range(cavs)}
+    # 1 or 2 detections per vehicle, at most 6 in a frame
+    frames = [[_learned_packet(rng, t, cav, [10.0 * k + cav for k in range(1 + (t + cav) % 2)],
+                               cfg) for cav in range(cavs)] for t in range(3)]
+
+    def run(cpus):
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+        tracker = CoopTracker(cov_provider=LearnedCovariance(params))
+        reports = [tracker.step(packets) for packets in frames]
+        return ([(r.track_id, r.box.to_vector().tobytes(), r.score,
+                  np.asarray(r.mean).tobytes()) for frame in reports for r in frame],
+                tracker.bank.mean.tobytes(), tracker.bank.cov.tobytes())
+
+    one = run(1)
+    # the first frame's first two fills meet on two threads
+    threads = _threads_of_kernels(monkeypatch, meet=True)
     started = _started(monkeypatch)
-    xs = [10.0 * k for k in range(rows)]
-    # the two packets hold the rows between them
-    provider.start_residuals([_learned_packet(rng, 0, 0, xs[:rows // 2], cfg),
-                              _learned_packet(rng, 0, 1, xs[rows // 2:], cfg)])()
-    assert len(set(threads["fill"])) == 1 + pooled
-    assert threads["forward"] == [threading.current_thread().name] * 2
-    assert started == [(_kernels(2), pooled)]
+    assert run(2) == one
+    assert len(one[0]) > 0
+    assert len(set(threads["fill"][:2])) == 2 and _workers(threads["fill"])
+    assert threads["forward"] == [threading.current_thread().name] * (3 * cavs)
+    assert started == [_kernels(cavs)] * 3
 
 
 def _on_two_threads(fn):
@@ -514,6 +523,7 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, ba
     tracker.step(frame(0))
     mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
     lives = [dataclasses.astuple(life) for life in tracker.tracks]
+    started = _started(monkeypatch)
     for kind, (error, message) in BAD_INPUTS.items():
         raised = []
 
@@ -523,13 +533,14 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, ba
             except (ValueError, KeyError) as exc:
                 raised.append(exc)
 
-        # the kernels are started before the inputs are checked: a check that
-        # raises must release them, or the step would wait for them for ever
+        # every input is checked before any kernel starts; a step that
+        # waited for ever on a kernel would fail here, not hang the suite
         stepping = threading.Thread(target=step, daemon=True)
         stepping.start()
         stepping.join(timeout=30)
         assert not stepping.is_alive(), f"{kind}: a kernel waits on an input that failed"
         assert len(raised) == 1 and type(raised[0]) is error and message in str(raised[0])
+        assert started == [], f"{kind}: kernels started before the inputs were checked"
         assert tracker.bank.mean.tobytes() == mean.tobytes()
         assert tracker.bank.cov.tobytes() == cov.tobytes()
         assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
@@ -684,7 +695,7 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
     # one pass per set, in the calling thread; the pool takes every set's
     # encoding fill, then every set's first product
     assert threads["forward"] == [threading.current_thread().name] * 3
-    assert started == [(_kernels(3), True)]
+    assert started == [_kernels(3)]
 
 
 def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monkeypatch):

@@ -467,10 +467,10 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
         mapped.append((fn.__name__, len(items)))
         return real_start(fn, items)()
 
-    def starting(fn, items, pool=True):
+    def starting(fn, items):
         items = list(items)
-        mapped.append(([(job.func.__name__, job.args[0]) for job in items], pool))
-        return real_start(fn, items, pool)
+        mapped.append([(job.func.__name__, job.args[0]) for job in items])
+        return real_start(fn, items)
 
     def clipping(grads, max_norm):
         scale, norm = real_clip(grads, max_norm)
@@ -530,12 +530,43 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
     # product on the pool; it sweeps one backward section per set, takes one
     # norm per set and its step one item per block (pos.lin1.w, 4608 x 8,
     # takes two blocks)
-    kernels = ([("fill", k) for k in range(sets)] + [("product", k) for k in range(sets)],
-               True)
+    kernels = [("fill", k) for k in range(sets)] + [("product", k) for k in range(sets)]
     blocks = len(covnet.layer_shapes(small_net())) + 1
     window = ([kernels] + ([("_sweep", sets)] if sets > 1 else [])
               + [("squared_sums", sets), ("step_block", sets * blocks)])
     assert mapped == 2 * window
+
+
+@pytest.mark.parametrize("num_cavs", [2, 3])
+def test_every_tape_node_of_a_window_is_made_on_the_calling_thread(num_cavs, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
+    frames = sim.generate(tiny_scenario(duration=4,
+                                        starts=((0.0, 0.0), (2.0, -4.0), (4.0, 4.0))[:num_cavs]))
+    cfg = small_run_config(num_cavs=num_cavs, train=TrainSettings(window_length=4, epochs=1))
+    makers, fills = set(), set()
+    real_init, real_fill = ad.Node.__init__, pipeline.fill_encoding
+    # the window's first two encoding fills meet on two threads
+    both = threading.Barrier(2, timeout=10)
+    meetings = [both, both]
+
+    def init(node, *args):
+        makers.add(threading.current_thread().name)
+        real_init(node, *args)
+
+    def fill(*args):
+        fills.add(threading.current_thread().name)
+        if meetings:
+            meetings.pop().wait()
+        return real_fill(*args)
+
+    monkeypatch.setattr(ad.Node, "__init__", init)
+    monkeypatch.setattr(pipeline, "fill_encoding", fill)
+    result = training.train(frames, fresh_params(small_net(), 1, num_cavs), cfg.train,
+                            cfg.tracker)
+    # a whole window: passes, tracking, loss, a split sweep and an Adam step
+    assert result.adam.step == 1
+    assert any(name.startswith("cooptrack-pass") for name in fills)
+    assert makers == {threading.current_thread().name}
 
 
 def test_a_clipped_window_steps_as_scaled_copies_would(monkeypatch):
