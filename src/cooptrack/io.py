@@ -165,14 +165,13 @@ class RunConfig:
 
 class Allowed(typing.NamedTuple):
     text: str  # for people, as in `--help` and the README
+    # a log field's test is elementwise, so `_columns_hold` applies it to an array of
+    # the field's values, a row per record
     test: Callable[[object], bool]
-    # `test` elementwise over an array of a log field's values, a row per record; a
-    # range without one leaves its field to the per-record walk
-    column: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _at_least(lo) -> Allowed:
-    return Allowed(f">= {lo}", lambda v: v >= lo, lambda a: a >= lo)
+    return Allowed(f">= {lo}", lambda v: v >= lo)
 
 
 def _one_of(*options) -> Allowed:
@@ -181,7 +180,7 @@ def _one_of(*options) -> Allowed:
 
 _POSITIVE = Allowed("> 0", lambda v: v > 0)
 _UNIT_OPEN = Allowed("in (0, 1)", lambda v: 0 < v < 1)
-_UNIT_HALF_OPEN = Allowed("in (0, 1]", lambda v: 0 < v <= 1, lambda a: (0 < a) & (a <= 1))
+_UNIT_HALF_OPEN = Allowed("in (0, 1]", lambda v: (0 < v) & (v <= 1))
 _ALL_POSITIVE = Allowed("non-empty, all >= 1", lambda v: len(v) > 0 and min(v) >= 1)
 _COUNT = _at_least(0)
 
@@ -228,15 +227,14 @@ CheckpointHeader = _file_object("CheckpointHeader", [
 TensorHeader = _file_object("TensorHeader", [("dtype", str), ("shape", tuple[int, ...])])
 CommFile = _file_object("CommFile", [("mb_total", float)])
 
-_BOX = Allowed("[x, y, z, yaw, l, w, h] with l, w, h > 0", lambda v: min(v[4:]) > 0,
-               lambda a: (a[:, 4:] > 0).all(axis=1))
+_BOX = Allowed("[x, y, z, yaw, l, w, h] with l, w, h > 0",
+               lambda v: (np.asarray(v, dtype=float)[..., 4:] > 0).all(axis=-1))
 
 FILE_RANGES = {  # each file object's ranges, keyed by field name
     DetectionRecord: {"t": _COUNT, "cav": _COUNT, "box": _BOX, "conf": _UNIT_HALF_OPEN,
                       "app": _COUNT},
     TrackRecord: {"t": _COUNT, "id": _COUNT, "box": _BOX,
-                  "score": Allowed("in [0, 1]", lambda v: 0 <= v <= 1,
-                                   lambda a: (0 <= a) & (a <= 1))},
+                  "score": Allowed("in [0, 1]", lambda v: (0 <= v) & (v <= 1))},
     GroundTruthRecord: {"t": _COUNT, "obj": _COUNT, "box": _BOX},
     LossRecord: {"epoch": _COUNT, "window": _COUNT, "loss": _at_least(0),
                  "supervised": _COUNT},
@@ -470,9 +468,9 @@ def _column_of(hint) -> Callable[[list], np.ndarray | None]:
 def _columns_hold(format_name: str, records: list) -> bool:
     """Whether every record of a log is valid, with no two sharing the log's key fields,
     decided one field at a time over the whole list: each field's type (`_column_of`),
-    its range (`Allowed.column`) and one set of the key tuples. False when a record is
-    not valid, and also when a column holds a value that only the per-record walk
-    judges, so False asks for the walk."""
+    its range (`Allowed.test`, applied to the column) and one set of the key tuples.
+    False when a record is not valid, and also when a column holds a value that only
+    the per-record walk judges, so False asks for the walk."""
     cls = _LOG_RECORDS[format_name]
     if not set(map(type, records)) <= {dict}:
         return False
@@ -484,7 +482,7 @@ def _columns_hold(format_name: str, records: list) -> bool:
             return False
         array = _column_of(hint)(columns[name])
         allowed = ranges.get(name)
-        if array is None or allowed and not (allowed.column and allowed.column(array).all()):
+        if array is None or allowed and not allowed.test(array).all():
             return False
     key_fields = _LOG_KEYS.get(format_name)
     return not key_fields or len(set(zip(*map(columns.get, key_fields)))) == len(records)
@@ -504,21 +502,18 @@ def _walked(format_name: str, numbered, where: str, place: str):
 
 
 def write_log(path: str, format_name: str, records):
-    """Write a schema-headed JSONL file; every record is validated first, and
-    a tracks or ground-truth record repeating an earlier one's (t, id) or
-    (t, obj) is refused. The records are checked as columns; when those refuse
-    them, each record is checked and then written in turn, so the first bad one
-    is named."""
-    listed = []
+    """Write a schema-headed JSONL file; every record is validated before the file
+    is opened, and a tracks or ground-truth record repeating an earlier one's
+    (t, id) or (t, obj) is refused. The records are checked as columns; when those
+    refuse them, each record is checked in turn, so the first bad one is named. A
+    refused log opens no file: `path` is left as it was and no `.partial` is made."""
+    records = list(records)
+    if not _columns_hold(format_name, records):
+        records = list(_walked(format_name, enumerate(records), "", "record"))
     with replace_file(path) as fh:
         fh.write(canonical_json({"format": format_name, "version": SCHEMA_VERSION}))
         fh.write("\n")
-        try:
-            listed.extend(records)
-        finally:  # the records an iterable gave before it raised are still checked first
-            if not _columns_hold(format_name, listed):
-                listed = _walked(format_name, enumerate(listed), "", "record")
-            fh.write("".join([canonical_json(rec) + "\n" for rec in listed]))
+        fh.write("".join([canonical_json(rec) + "\n" for rec in records]))
 
 
 def _parsed(path: str, lines):

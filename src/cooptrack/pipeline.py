@@ -67,9 +67,10 @@ def start_passes(fn, items):
     call runs in a copy of the caller's context at the start, so the
     caller's `np.errstate` holds in it.
 
-    A call may wait for an earlier item's call, which has started by then.
-    `fn` must not start passes itself: a worker would wait on the pool it
-    occupies.
+    A call may wait for an earlier item's call, which has started by then:
+    a network pass's product waits on a lock that its fill releases when it
+    ends (`LearnedCovariance._start_rows`). `fn` must not start passes
+    itself: a worker would wait on the pool it occupies.
 
     The calls fill arrays, multiply or sweep; they record no tape node.
     The calling thread records every node, in the same order with any
@@ -223,7 +224,10 @@ class LearnedCovariance:
         shape). Each set's normalized positional rows are built
         (`features.positional_rows`), and then the bulk kernels start
         (`start_passes`): every set's encoding fill, then every set's first
-        product, each product waiting for its set's fill.
+        product. Each set has a lock, held from here until its fill ends,
+        and its product waits on it, then multiplies the filled encoding;
+        after a failed fill it returns None, as `join` raises the fill's
+        error first (fills precede products in item order).
 
         `collect` runs every set's appearance branch while the kernels
         run, then takes any kernel still left (the `join`), then finishes
@@ -247,17 +251,22 @@ class LearnedCovariance:
             normalized.append(xb[0] if len(xb) == 1 else np.concatenate(xb))
         sizes = [[len(p.detections) for p in group] for group in groups]
         f_pos = [np.empty((sum(s), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)) for s in sizes]
-        encoded = [_Handoff() for _ in groups]
+        filling = [threading.Lock() for _ in groups]  # held until the set's fill ends
+        for lock in filling:
+            lock.acquire()
+        filled = [False] * len(groups)
 
         def fill(k):
             try:
-                encoded[k].put(fill_encoding(normalized[k], f_pos[k], sizes[k]))
-            except BaseException as exc:  # never leave a product waiting
-                encoded[k].fail(exc)
-                raise
+                fill_encoding(normalized[k], f_pos[k], sizes[k])
+                filled[k] = True
+            finally:  # never leave a product waiting
+                filling[k].release()
 
         def product(k):
-            return covnet.first_product(params[k], encoded[k].get())
+            with filling[k]:
+                pass
+            return covnet.first_product(params[k], f_pos[k]) if filled[k] else None
 
         jobs = ([functools.partial(fill, k) for k in range(len(groups))]
                 + [functools.partial(product, k) for k in range(len(groups))])
@@ -335,35 +344,6 @@ def _packet_rows(packets, slices) -> list:
 
 def _call(job):
     return job()
-
-
-class _Handoff:
-    """One value passed to the threads that wait for it: `put` or `fail`
-    once, and each `get` waits until then and returns the value or raises
-    the error. A `concurrent.futures.Future` without callbacks or
-    cancellation, at a tenth of its cost: one lock, held until then."""
-
-    __slots__ = ("_held", "_value", "_error")
-
-    def __init__(self):
-        self._held = threading.Lock()
-        self._held.acquire()
-        self._value = self._error = None
-
-    def put(self, value):
-        self._value = value
-        self._held.release()
-
-    def fail(self, error: BaseException):
-        self._error = error
-        self._held.release()
-
-    def get(self):
-        with self._held:
-            pass
-        if self._error is not None:
-            raise self._error
-        return self._value
 
 
 class CoopTracker:

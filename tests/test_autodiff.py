@@ -676,6 +676,8 @@ UNREFERENCED_KEPT = {
     "geometry.transform_box": "the per-box reference the geometry and simulator tests hold "
                               "transform_rows to, bit for bit",
     "io.save_config": "the acceptance and CLI tests write their config files with it",
+    "metrics.PAYLOAD_RATIO": "the shared-to-box payload ratio that acceptance criterion 7 "
+                             "reads",
     "pipeline.CoopTracker.skipped_updates": "the count of degenerate updates a run skips, "
                                             "which the planned consistency report records",
 }
@@ -713,10 +715,12 @@ def _qualified(expr, bound):
 
 
 def unreferenced_definitions(src) -> list:
-    """Functions, classes and (non-dunder) methods defined in the modules of `src`
-    that no code there refers to outside their own definition. A qualified use
-    (`ad.conv2d`, `CovNetParams.init`) counts for that name alone; an attribute of
-    anything else (`self.lift`, `params.lift`) counts for every method so named."""
+    """Functions, classes, (non-dunder) methods and (non-dunder) names assigned at
+    module level (constants) defined in the modules of `src` that no code there
+    refers to outside their own definition. A qualified use (`ad.conv2d`,
+    `CovNetParams.init`, `metrics.BOX_REALS`) counts for that name alone; an
+    attribute of anything else (`self.lift`, `params.lift`) counts for every method
+    so named."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(pathlib.Path(src).glob("*.py"))}
     spans = {}  # qualified name -> (module, first line, last line)
@@ -724,6 +728,11 @@ def unreferenced_definitions(src) -> list:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 spans[f"{module}.{node.name}"] = (module, node.lineno, node.end_lineno)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                spans.update((f"{module}.{name.id}", (module, node.lineno, node.end_lineno))
+                             for target in targets for name in ast.walk(target)
+                             if isinstance(name, ast.Name) and not name.id.startswith("__"))
             if isinstance(node, ast.ClassDef):
                 spans.update((f"{module}.{node.name}.{item.name}",
                               (module, item.lineno, item.end_lineno))

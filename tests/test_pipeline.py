@@ -546,6 +546,79 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, ba
         assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
 
 
+@pytest.mark.parametrize("bad", [0, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
+        cpus, bad, monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(21)
+    params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
+    # the failing set is the one with 5 detections; the others have 8
+    frames = [[_learned_packet(rng, t, cav, [10.0 * k + cav for k in range(5 if cav == bad
+                                                                              else 8)], cfg)
+               for cav in (0, 1, 2)] for t in range(2)]
+    expected = CoopTracker(cov_provider=LearnedCovariance(params))
+    for packets in frames:
+        expected.step(packets)
+    tracker = CoopTracker(cov_provider=LearnedCovariance(params))
+    tracker.step(frames[0])
+    mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
+    lives = [dataclasses.astuple(life) for life in tracker.tracks]
+
+    failing, failed_on, multiplied = [True], [], []
+    fill_started = threading.Event()
+    real_fill, real_product, real_branch = (pipeline.fill_encoding, covnet.first_product,
+                                            covnet.appearance_branch)
+
+    def fill(xb, out, sizes):
+        if failing[0] and len(xb) == 5:
+            failed_on.append(threading.current_thread().name)
+            fill_started.set()
+            raise RuntimeError("fill failed")
+        return real_fill(xb, out, sizes)
+
+    def product(p, f_pos):
+        multiplied.append(len(f_pos))
+        return real_product(p, f_pos)
+
+    def branch(p, f_app):
+        # with a worker, the calling thread takes no item until the failing
+        # fill has started, so that fill runs on the pool
+        assert cpus == 1 or fill_started.wait(timeout=10)
+        return real_branch(p, f_app)
+
+    monkeypatch.setattr(pipeline, "fill_encoding", fill)
+    monkeypatch.setattr(covnet, "first_product", product)
+    monkeypatch.setattr(covnet, "appearance_branch", branch)
+    raised = []
+
+    def step():
+        try:
+            tracker.step(frames[1])
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    # a product left waiting on its set's fill would fail here, not hang the suite
+    stepping = threading.Thread(target=step, daemon=True)
+    stepping.start()
+    stepping.join(timeout=30)
+    assert not stepping.is_alive(), "a kernel waits on a fill that failed"
+    assert [str(exc) for exc in raised] == ["fill failed"]
+    assert failed_on == [stepping.name] if cpus == 1 else len(_workers(failed_on)) == 1
+    assert sorted(multiplied) == [8, 8]  # the failed set is never multiplied
+    assert tracker.bank.mean.tobytes() == mean.tobytes()
+    assert tracker.bank.cov.tobytes() == cov.tobytes()
+    assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
+    # the tracker steps on as one that never failed
+    failing[0] = False
+    tracker.step(frames[1])
+    assert tracker.bank.mean.tobytes() == expected.bank.mean.tobytes()
+    assert tracker.bank.cov.tobytes() == expected.bank.cov.tobytes()
+    assert ([dataclasses.astuple(life) for life in tracker.tracks]
+            == [dataclasses.astuple(life) for life in expected.tracks])
+
+
 class _RowsFirst:
     """A provider whose rows are all computed when a step starts them, before
     the step's first association round: the order of a step that takes
