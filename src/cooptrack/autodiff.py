@@ -478,22 +478,25 @@ def _spd_inverse_rows(a: np.ndarray):
     Matrices whose estimate exceeds SPD_CONDITION_LIMIT (or is NaN) get a
     zero inverse.
     """
-    L = None
+    L = failed = None
     if a.dtype == np.float64:
         try:
             L = np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             pass  # some matrix failed; the hand-rolled loop finds which
     if L is not None:
-        failed = np.zeros(a.shape[0], dtype=bool)
         L_inv = np.linalg.inv(L)
     else:
         L, failed = _cholesky_rows(a)
         L_inv = _inverse_lower_rows(L)
     d = np.diagonal(L, axis1=-2, axis2=-1)
-    cond = np.where(failed, np.inf, (np.max(d, axis=-1) / np.min(d, axis=-1)) ** 2)
+    cond = (np.max(d, axis=-1) / np.min(d, axis=-1)) ** 2
+    if failed is not None:  # LAPACK factored every matrix otherwise
+        cond = np.where(failed, np.inf, cond)
     out = np.swapaxes(L_inv, -1, -2) @ L_inv
-    out[~(cond <= SPD_CONDITION_LIMIT)] = 0.0
+    over = ~(cond <= SPD_CONDITION_LIMIT)
+    if over.any():
+        out[over] = 0.0
     return out, cond
 
 

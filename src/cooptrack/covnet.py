@@ -21,6 +21,12 @@ from .filter import OBS_DIM, R_FLOOR, STATE_DIM
 RESIDUAL_DIM = STATE_DIM
 BRANCH_WIDTH_TOLERANCE = 0.15
 
+# The unit standard deviations the residuals are added to, shared and read-only.
+_UNIT_OBS = np.ones(OBS_DIM)
+_UNIT_OBS.flags.writeable = False
+_UNIT_STATE = np.ones(STATE_DIM)
+_UNIT_STATE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class CovNetConfig:
@@ -194,13 +200,18 @@ def residual_to_obs_noise_diag(sigma_residual):
     """Observation noise diagonal from the first 7 entries of each residual row.
 
     diag = (1 + residual)^2, floored at R_FLOOR: a zero residual gives the
-    identity's diagonal exactly. Takes a 10-vector or an (N, 10) batch.
+    identity's diagonal exactly. Takes a 10-vector or an (N, 10) batch. The
+    ones are one shared read-only row, not a new array per call.
     """
-    s = ad.add(np.ones(OBS_DIM), sigma_residual[..., 0:OBS_DIM])
+    s = ad.add(_UNIT_OBS, sigma_residual[..., 0:OBS_DIM])
     return ad.floor_clamp(ad.square(s), R_FLOOR)
 
 
 def residual_to_init_noise_diag(sigma_residual):
-    """Initial track covariance diagonal from all 10 entries of each residual row."""
-    s = ad.add(np.ones(STATE_DIM), sigma_residual)
+    """Initial track covariance diagonal from all 10 entries of each residual row.
+
+    diag = (1 + residual)^2, floored at R_FLOOR, the ones being one shared
+    read-only row as in `residual_to_obs_noise_diag`.
+    """
+    s = ad.add(_UNIT_STATE, sigma_residual)
     return ad.floor_clamp(ad.square(s), R_FLOOR)

@@ -44,10 +44,19 @@ def constant_velocity_transition() -> np.ndarray:
 
 
 def observation_matrix() -> np.ndarray:
-    """H = [I 0]: the first 7 state variables are observed directly."""
+    """H = [I 0]: the first 7 state variables are observed directly.
+
+    Each call returns a new, writable array; `OBSERVATION_MATRIX` is the
+    one shared copy.
+    """
     H = np.zeros((OBS_DIM, STATE_DIM))
     H[:OBS_DIM, :OBS_DIM] = np.eye(OBS_DIM)
     return H
+
+
+# The shared, read-only H: `update` accepts it without comparing entries.
+OBSERVATION_MATRIX = observation_matrix()
+OBSERVATION_MATRIX.flags.writeable = False
 
 
 def default_process_noise(q_velocity: float) -> np.ndarray:
@@ -71,11 +80,14 @@ class ProcessModel:
 class ObservationModel:
     """Observation matrix plus a diagonal noise covariance.
 
-    H must be `observation_matrix()`, [I 0]: the update reads the observed
-    block of the covariance by slicing. `r_diag` holds the diagonal of R,
-    one (7,) row per observation, and may be a tape node during training.
-    Entries are floored at R_FLOOR when built through `covnet`, which keeps
-    the innovation covariance invertible.
+    H must equal `observation_matrix()`, [I 0]: the update reads the
+    observed block of the covariance by slicing. The tracker passes the
+    shared read-only `OBSERVATION_MATRIX`, which `update` accepts at once;
+    any other H is compared with it entry by entry on every update.
+    `r_diag` holds the diagonal of R, one (7,) row per observation, and may
+    be a tape node during training. Entries are floored at R_FLOOR when
+    built through `covnet`, which keeps the innovation covariance
+    invertible.
     """
 
     H: np.ndarray
@@ -181,7 +193,9 @@ def _update_rows(mean, cov, obs: np.ndarray, r_diag):
 
 
 def _check_observation_model(H: np.ndarray):
-    if np.shape(H) != (OBS_DIM, STATE_DIM) or not np.array_equal(H, observation_matrix()):
+    if H is OBSERVATION_MATRIX:
+        return
+    if np.shape(H) != (OBS_DIM, STATE_DIM) or not np.array_equal(H, OBSERVATION_MATRIX):
         raise ValueError("the update supports only H = [I 0] (filter.observation_matrix())")
 
 
@@ -194,12 +208,18 @@ def update(state, obs, obs_model: ObservationModel, rows=None):
     more than pi/2) before use, and the updated yaw is re-wrapped into
     [-pi, pi) by a constant shift.
 
+    `obs_model.H` must equal [I 0]; `OBSERVATION_MATRIX` itself skips the
+    comparison.
+
     With a TrackState, `obs` is a 7-vector and a degenerate innovation
-    covariance raises DegenerateCovariance. With a TrackBank, `rows` holds k
-    distinct row indices, `obs` and `obs_model.r_diag` are (k, 7), and all
-    rows update at once; a row with a degenerate innovation covariance
-    keeps its predicted state and is counted in the bank's `skipped`.
-    Rows not listed are returned bit-identical.
+    covariance raises DegenerateCovariance. With a TrackBank of T rows,
+    `rows` holds k distinct row indices in [0, T) (a negative index is
+    rejected, not counted from the end, so no row can be named twice),
+    `obs` and `obs_model.r_diag` are (k, 7), and all rows update at once;
+    a bad `rows` raises ValueError before anything is computed. A row with
+    a degenerate innovation covariance keeps its predicted state and is
+    counted in the bank's `skipped`. Rows not listed are returned
+    bit-identical.
     """
     _check_observation_model(obs_model.H)
     dtype = ad.val(state.mean).dtype
@@ -219,7 +239,11 @@ def update(state, obs, obs_model: ObservationModel, rows=None):
     obs = np.asarray(obs, dtype=dtype)
     if obs.shape != (len(rows), OBS_DIM):
         raise ValueError(f"observations {obs.shape} do not match {len(rows)} rows of {OBS_DIM}")
-    if len(np.unique(rows)) != len(rows):
+    indices, size = rows.tolist(), len(ad.val(state.mean))
+    if indices and not 0 <= min(indices) <= max(indices) < size:
+        bad = next(i for i in indices if not 0 <= i < size)
+        raise ValueError(f"bank row {bad} is outside the bank's {size} rows")
+    if len(set(indices)) != len(indices):
         raise ValueError("bank rows of one update must be distinct")
     mean, cov, cond = _update_rows(ad.getitem(state.mean, rows), ad.getitem(state.cov, rows),
                                    obs, obs_model.r_diag)

@@ -28,8 +28,8 @@ from .association import (Lifecycle, LifecycleConfig, associate, build_cost_matr
 # encode_detection is not called here, but the benchmark's tracer test looks it up here
 from .features import (DEFAULT_BOUNDS, ENCODING_HALF_WIDTH, POSITIONAL_DIM,  # noqa: F401
                        encode_detection, fill_encoding, positional_rows)
-from .filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
-                     observation_matrix, predict, update)
+from .filter import (OBS_DIM, OBSERVATION_MATRIX, STATE_DIM, ObservationModel, ProcessModel,
+                     TrackBank, predict, update)
 from .geometry import Box7, PoseYawT, box_rows, transform_rows, wrap_angle
 
 
@@ -413,10 +413,10 @@ class CoopTracker:
                 rows = np.array([ti for ti, _dj, _iou in matches], dtype=np.intp)
                 obs = det_global[dets]
                 self.bank = update(self.bank, obs,
-                                   ObservationModel(observation_matrix(),
+                                   ObservationModel(OBSERVATION_MATRIX,
                                                     ad.getitem(obs_rows, dets)),
                                    rows)
-                for ti, dj in zip(rows, dets):
+                for ti, dj, _iou in matches:
                     life = self.tracks[ti]
                     confidence = packet.detections[dj].confidence
                     life.score = max(life.score, confidence) if matched[ti] else confidence
@@ -430,7 +430,7 @@ class CoopTracker:
                 self.bank = self.bank.append(mean, ad.diag(ad.getitem(init_rows, born)))
                 self.tracks.extend(Lifecycle(id=next(self.ids),
                                              score=packet.detections[dj].confidence)
-                                   for dj in born)
+                                   for dj in born.tolist())
                 matched.extend([True] * len(born))
 
         alive = finish_timestep(self.tracks, matched, self.lifecycle)

@@ -230,6 +230,19 @@ def test_lapack_and_hand_rolled_inverses_agree():
     np.testing.assert_allclose(fallback[keep], lapack[keep], rtol=0, atol=1e-13)
 
 
+def test_a_lapack_stack_gives_each_matrix_the_bits_of_its_own_call():
+    rng = np.random.default_rng(18)
+    a = _spd_stack(rng, 5, 7)
+    a[3] = np.diag([1.0, 1e-14, 1.0, 1.0, 1.0, 1.0, 1.0])  # factored, but over the limit
+    for stack in (a[[0, 1, 2, 4]], a):  # no matrix over the limit, then one
+        inv, cond = ad._spd_inverse_rows(stack)
+        for k, matrix in enumerate(stack):
+            own, own_cond = ad._spd_inverse_rows(matrix[None])
+            assert inv[k].tobytes() == own[0].tobytes()
+            assert cond[k].tobytes() == own_cond[0].tobytes()
+    assert cond[3] > ad.SPD_CONDITION_LIMIT and not inv[3].any()
+
+
 def test_bad_row_in_a_batch_is_reported_not_raised():
     rng = np.random.default_rng(16)
     a = _spd_stack(rng, 4, 3)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cooptrack import autodiff as ad
+from cooptrack import covnet
 from cooptrack.covnet import (
     BRANCH_WIDTH_TOLERANCE,
     RESIDUAL_DIM,
@@ -281,3 +282,17 @@ def test_residual_maps_work_row_wise_on_a_batch():
     for j in range(4):
         assert obs[j].tobytes() == residual_to_obs_noise_diag(sigmas[j]).tobytes()
         assert init[j].tobytes() == residual_to_init_noise_diag(sigmas[j]).tobytes()
+
+
+def test_the_unit_rows_are_read_only_and_no_result_shares_them():
+    for unit in (covnet._UNIT_OBS, covnet._UNIT_STATE):
+        assert not unit.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            unit[0] = 2.0
+    zero = np.zeros((2, STATE_DIM))
+    for residual_map, width in ((residual_to_obs_noise_diag, OBS_DIM),
+                                (residual_to_init_noise_diag, STATE_DIM)):
+        out = residual_map(zero)
+        assert out.flags.writeable
+        out[:] = 5.0  # a result is the caller's own array
+        np.testing.assert_array_equal(residual_map(zero), np.ones((2, width)))

@@ -14,6 +14,7 @@ import pytest
 from cooptrack import autodiff as ad
 from cooptrack.filter import (
     OBS_DIM,
+    OBSERVATION_MATRIX,
     STATE_DIM,
     DegenerateCovariance,
     ObservationModel,
@@ -269,3 +270,87 @@ def test_degenerate_row_keeps_its_prediction_and_the_rest_update():
                                                                     r_diag[j]))])
         np.testing.assert_allclose(out.mean[i], ref_mean, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(out.cov[i], ref_cov, rtol=1e-10, atol=1e-12)
+
+
+def _bank_round(seed, size=3, k=2):
+    """A bank of `size` random tracks and k observations with their R rows."""
+    rng = np.random.default_rng(seed)
+    tracks = [random_track(rng) for _ in range(size)]
+    bank = TrackBank(np.stack([t.mean for t in tracks]), np.stack([t.cov for t in tracks]))
+    obs = np.stack([tracks[i].mean[:OBS_DIM] + 0.2 * rng.standard_normal(OBS_DIM)
+                    for i in range(k)])
+    return bank, obs, rng.uniform(0.2, 3.0, size=(k, OBS_DIM))
+
+
+def _bank_bytes(bank) -> tuple:
+    return bank.mean.tobytes(), bank.cov.tobytes(), bank.skipped
+
+
+@pytest.mark.parametrize("rows, bad", [([-1, 2], -1), ([0, 3], 3), ([-4, 0], -4),
+                                       (np.array([2, -3], dtype=np.intp), -3)])
+def test_bank_rows_outside_the_bank_are_rejected_before_any_work(rows, bad):
+    bank, obs, r_diag = _bank_round(60)
+    before = _bank_bytes(bank)
+    with pytest.raises(ValueError, match=rf"bank row {bad} is outside the bank's 3 rows"):
+        update(bank, obs, ObservationModel(OBSERVATION_MATRIX, r_diag), rows)
+    assert _bank_bytes(bank) == before
+    # without the check, row -1 aliased row 2 and the second write won
+    with pytest.raises(ValueError, match="outside"):
+        update(bank, obs, ObservationModel(OBSERVATION_MATRIX, r_diag), [2, -1])
+
+
+def test_valid_bank_rows_keep_their_bits_however_they_are_given():
+    bank, obs, r_diag = _bank_round(61)
+    model = ObservationModel(OBSERVATION_MATRIX, r_diag)
+    want = _bank_bytes(update(bank, obs, model, [2, 0]))
+    for rows in ([np.int64(2), np.int32(0)], np.array([2, 0]), np.array([2, 0], dtype=np.intp),
+                 (2, 0)):
+        assert _bank_bytes(update(bank, obs, model, rows)) == want
+    # each row's update is its own: one row at a time gives the same bits
+    first = update(bank, obs[:1], ObservationModel(OBSERVATION_MATRIX, r_diag[:1]), [2])
+    second = update(first, obs[1:], ObservationModel(OBSERVATION_MATRIX, r_diag[1:]), [0])
+    assert _bank_bytes(second) == want
+
+
+@pytest.mark.parametrize("rows", [[1, 1], np.array([1, 1], dtype=np.intp),
+                                  [np.int64(1), np.int32(1)], [0, 2, 0]],
+                         ids=["list", "intp", "numpy-ints", "three"])
+def test_repeated_bank_rows_are_rejected(rows):
+    bank, obs, r_diag = _bank_round(62, k=len(rows))
+    before = _bank_bytes(bank)
+    with pytest.raises(ValueError, match="bank rows of one update must be distinct"):
+        update(bank, obs, ObservationModel(OBSERVATION_MATRIX, r_diag), rows)
+    assert _bank_bytes(bank) == before
+
+
+def test_an_h_equal_to_the_shared_one_gives_its_bits():
+    bank, obs, r_diag = _bank_round(64)
+    fresh = observation_matrix()
+    assert fresh is not OBSERVATION_MATRIX
+    for H in (fresh, fresh.astype(np.float32), fresh.tolist()):
+        assert (_bank_bytes(update(bank, obs, ObservationModel(H, r_diag), [1, 2]))
+                == _bank_bytes(update(bank, obs, ObservationModel(OBSERVATION_MATRIX, r_diag),
+                                      [1, 2])))
+    state = TrackState(bank.mean[0], bank.cov[0])
+    got = update(state, obs[0], ObservationModel(fresh, r_diag[0]))
+    want = update(state, obs[0], ObservationModel(OBSERVATION_MATRIX, r_diag[0]))
+    assert (got.mean.tobytes(), got.cov.tobytes()) == (want.mean.tobytes(), want.cov.tobytes())
+
+
+def test_an_h_one_entry_off_is_still_rejected():
+    state = TrackState(np.zeros(STATE_DIM), np.eye(STATE_DIM))
+    off = observation_matrix()
+    off[0, 7] = 1e-300
+    with pytest.raises(ValueError, match=r"H = \[I 0\]"):
+        update(state, np.zeros(OBS_DIM), ObservationModel(off, np.ones(OBS_DIM)))
+
+
+def test_the_shared_h_is_read_only_and_observation_matrix_returns_a_writable_copy():
+    assert not OBSERVATION_MATRIX.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        OBSERVATION_MATRIX[0, 0] = 2.0
+    fresh = observation_matrix()
+    assert fresh.flags.writeable and not np.shares_memory(fresh, OBSERVATION_MATRIX)
+    np.testing.assert_array_equal(fresh, OBSERVATION_MATRIX)
+    fresh[0, 0] = 2.0  # a caller's copy is its own
+    np.testing.assert_array_equal(observation_matrix(), OBSERVATION_MATRIX)
