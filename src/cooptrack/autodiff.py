@@ -2,7 +2,8 @@
 
 The primitive set is exactly what the differentiable filter, the covariance
 network, and the training loss need: broadcasting addition, subtraction and
-division, batched matmul, slicing (`node[idx]`), a row scatter,
+division, batched matmul and a constant matrix times each row block of a
+weight, slicing (`node[idx]`), a row scatter,
 concatenation and reshaping, sums, elementwise square and square root, a
 floor clamp (ReLU is the clamp at zero), batched diagonal embedding, axis
 permutation, convolution patch extraction (im2col), and a batched
@@ -46,10 +47,10 @@ class Tape:
     The sweep consumes the graph (`backward`), so a tape is swept at most
     once.
 
-    One thread records on a tape. The work that `pipeline.start_passes`
-    hands to other threads fills arrays, multiplies or sweeps, and records
-    no node, so a recording lists its nodes in the same order with any
-    number of CPUs, and the sweep adds every gradient in the same order.
+    One thread records on a tape. The work that `pipeline.map_passes`
+    hands to other threads sweeps, sums or steps and records no node, so a
+    recording lists its nodes in the same order with any number of CPUs,
+    and the sweep adds every gradient in the same order.
     """
 
     def __init__(self):
@@ -274,16 +275,15 @@ def div(a, b):
                                  lambda g: _unbroadcast(-g * av / (bv * bv), sb)))
 
 
-def matmul(a, b, product=None):
+def matmul(a, b):
     """a @ b for operands of any rank.
 
-    `product`, when given, is `val(a) @ val(b)` computed already (on
-    another thread, say), and is taken as the value. The adjoint promotes a
-    1-D operand as matmul does (a row for `a`, a column for `b`) and sums
-    broadcast batch axes back to each operand's shape.
+    The adjoint promotes a 1-D operand as matmul does (a row for `a`, a
+    column for `b`) and sums broadcast batch axes back to each operand's
+    shape.
     """
     av, bv = val(a), val(b)
-    out = av @ bv if product is None else product
+    out = av @ bv
     if not (isinstance(a, Node) or isinstance(b, Node)):
         return out
     av, bv = np.asarray(av), np.asarray(bv)
@@ -583,9 +583,27 @@ def transpose(a, axes):
     return _record(np.transpose(a.value, axes), (a,), (lambda g: np.transpose(g, inverse),))
 
 
-def linear(x, weight, bias, product=None):
-    """x @ weight + bias, tape-aware in any operand; `product` as in `matmul`."""
-    return add(matmul(x, weight, product), bias)
+def linear(x, weight, bias):
+    """x @ weight + bias, tape-aware in any operand."""
+    return add(matmul(x, weight), bias)
+
+
+def left_multiply_blocks(m, w):
+    """`m` times each (p, q) row block of `w` (k p, q), stacked: (k r, q),
+    for a constant (r, p) array `m`.
+
+    One node on the tape, whose adjoint is m^T times each (r, q) row block
+    of the gradient.
+    """
+    wv = val(w)
+    r, p = np.shape(m)
+    q = wv.shape[1]
+    out = np.reshape(m @ np.reshape(wv, (-1, p, q)), (-1, q))
+    if not isinstance(w, Node):
+        return out
+    m_t = np.transpose(m)
+    return _record(out, (w,), (lambda g: np.reshape(m_t @ np.reshape(g, (-1, r, q)),
+                                                    wv.shape),))
 
 
 def conv2d(x, weight, bias, stride, pad):

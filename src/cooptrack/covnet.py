@@ -3,9 +3,13 @@
 Two branches process the appearance tensor (two strided convolutions) and the
 encoded positional matrix (two linear stages); their flattened outputs are
 concatenated and passed through a two-stage linear head with one rectifier in
-between. The 10 outputs are additive standard-deviation residuals: the first
-7 adjust the observation noise diagonal, all 10 adjust the initial state
-covariance diagonal of newly born tracks.
+between. The first positional stage is specified on the (N, 18 x 256)
+sinusoidal encoding, and its weight `pos.lin1.w` is stored and trained at
+that shape; a pass reads it folded into the Chebyshev basis (`fold`), as an
+(N, 18 (D + 1)) by (18 (D + 1), hidden) product. The 10 outputs are
+additive standard-deviation residuals: the first 7 adjust the observation
+noise diagonal, all 10 adjust the initial state covariance diagonal of newly
+born tracks.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .features import DEFAULT_APPEARANCE_SHAPE, ENCODING_HALF_WIDTH, POSITIONAL_DIM
+from .features import (CHEBYSHEV_BASIS, CHEBYSHEV_DEGREE, DEFAULT_APPEARANCE_SHAPE,
+                       ENCODING_HALF_WIDTH, POSITIONAL_DIM)
 from .filter import OBS_DIM, R_FLOOR, STATE_DIM
 
 RESIDUAL_DIM = STATE_DIM
@@ -135,60 +140,55 @@ def check_appearance(config: CovNetConfig, f_app, n: int):
                          f"{n} x configured {config.app_shape}")
 
 
-def first_product(params: CovNetParams, f_pos):
-    """The positional branch's first product, as a plain array: the (N, 18,
-    256) encodings `f_pos` as (N, 4608) rows times the value of `pos.lin1.w`;
-    None without the positional branch.
+def fold(params: CovNetParams) -> CovNetParams:
+    """`params` with `pos.lin1.w` folded into the Chebyshev basis, the
+    weights `forward` reads; the other arrays are the same objects.
 
-    One BLAS call, which releases the GIL, so another thread may run it
-    while this one runs other parts of the pass (`forward`'s `first`).
+    Feature f's (256, hidden) block W_f becomes CHEBYSHEV_BASIS W_f, so
+    that f's Chebyshev values times it give its sinusoids times W_f
+    (`features.chebyshev_rows`): (18 (D + 1), hidden) in all, one tape node
+    when the weight is a node. Without the positional branch `params` is
+    returned as it is.
     """
     if not params.config.use_positional:
-        return None
-    w = ad.val(params.arrays["pos.lin1.w"])
-    return np.reshape(f_pos, (len(f_pos), len(w))) @ w
+        return params
+    arrays = dict(params.arrays)
+    arrays["pos.lin1.w"] = ad.left_multiply_blocks(CHEBYSHEV_BASIS, arrays["pos.lin1.w"])
+    return CovNetParams(params.config, arrays)
 
 
-def appearance_branch(params: CovNetParams, f_app):
-    """The appearance branch of a pass over N detections: their (N, c, h, w)
-    tensors `f_app` through the strided convolutions, flattened to (N, width)."""
-    config, arrays = params.config, params.arrays
-    a = f_app
-    for i in range(1, len(config.conv_channels) + 1):
-        a = ad.conv2d(a, arrays[f"app.conv{i}.w"], arrays[f"app.conv{i}.b"],
-                      stride=config.stride, pad=config.pad)
-        a = ad.relu(a)
-    return ad.reshape(a, (len(ad.val(f_app)), config.appearance_flat_width()))
-
-
-def forward(params: CovNetParams, f_app, f_pos, first=None, app=None):
+def forward(params: CovNetParams, f_app, f_pos):
     """Residual std rows for a batch of N detections.
 
-    `f_app` is (N, c, h, w) (ignored without the appearance branch), `f_pos`
-    is (N, 18, 256); each conv and each linear stage runs once over the whole
-    batch. The arrays of `params` may be plain arrays or tape nodes (the
-    mapping of CovNetParams.lift, wrapped as CovNetParams). Returns an
+    `params` are folded (`fold`). `f_app` is (N, c, h, w) (ignored without
+    the appearance branch), `f_pos` the (N, 18, D + 1) Chebyshev rows of the
+    detections' normalized positional rows (`features.chebyshev_rows`); each
+    conv and each linear stage runs once over the whole batch. The arrays
+    of `params` may be plain arrays or tape nodes (the mapping of
+    CovNetParams.lift, wrapped as CovNetParams and folded). Returns an
     (N, 10) array, a node when any input is a node.
-
-    Parts of the pass may have run already, so that they could overlap
-    other work (`pipeline.LearnedCovariance`): `app` is then
-    `appearance_branch(params, f_app)`, and `first` is `first_product(params,
-    f_pos)`, which the pass takes as the value of that product, recording
-    the same node.
     """
     config, arrays = params.config, params.arrays
     n = len(ad.val(f_pos if config.use_positional else f_app))
     pieces = []
     if config.use_appearance:
         check_appearance(config, f_app, n)
-        pieces.append(appearance_branch(params, f_app) if app is None else app)
+        a = f_app
+        for i in range(1, len(config.conv_channels) + 1):
+            a = ad.conv2d(a, arrays[f"app.conv{i}.w"], arrays[f"app.conv{i}.b"],
+                          stride=config.stride, pad=config.pad)
+            a = ad.relu(a)
+        pieces.append(ad.reshape(a, (n, config.appearance_flat_width())))
     if config.use_positional:
-        expect = (n, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)
+        expect = (n, POSITIONAL_DIM, CHEBYSHEV_DEGREE + 1)
         if ad.val(f_pos).shape != expect:
-            raise ValueError(
-                f"positional shape {ad.val(f_pos).shape} != expected {expect}")
+            raise ValueError(f"positional shape {ad.val(f_pos).shape} != expected {expect}")
+        w = arrays["pos.lin1.w"]
+        if ad.val(w).shape[0] != expect[1] * expect[2]:
+            raise ValueError(f"pos.lin1.w has {ad.val(w).shape[0]} rows, not the "
+                             f"{expect[1] * expect[2]} of folded weights (`fold`)")
         x = ad.reshape(f_pos, (n, expect[1] * expect[2]))
-        x = ad.relu(ad.linear(x, arrays["pos.lin1.w"], arrays["pos.lin1.b"], first))
+        x = ad.relu(ad.linear(x, w, arrays["pos.lin1.b"]))
         x = ad.relu(ad.linear(x, arrays["pos.lin2.w"], arrays["pos.lin2.b"]))
         pieces.append(x)
     h = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1)

@@ -5,10 +5,12 @@ from its sensor-local box and the sensor's local-to-global transform, and a
 small synthetic appearance tensor standing in for detector feature-map
 crops. The positional vector holds the detection's global box, its local box
 and the transform; the global box is the local box carried through the
-transform, computed here, so the two always agree. The vector is expanded to
-an 18x256 sinusoidal encoding before entering the network. Positional
-features are computed for all N detections of a packet at once, as (N, 18)
-rows and (N, 18, 256) encodings.
+transform, computed here, so the two always agree. Each normalized scalar
+is specified to expand into 256 sinusoids (`positional_encoding`), whose
+frequencies all lie in one octave; on [-pi, pi] they are, to rounding,
+polynomials of degree CHEBYSHEV_DEGREE. So the network reads each scalar's
+Chebyshev values instead, (N, 18, D + 1) rows (`chebyshev_rows`), and
+CHEBYSHEV_BASIS maps them onto the 256 sinusoids.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .geometry import PoseYawT, transform_rows
 
 POSITIONAL_DIM = 18
 ENCODING_HALF_WIDTH = 128  # d; each scalar maps to 2*d sinusoid entries
+# the smallest degree whose interpolants meet the encoding within 2e-15 on
+# [-pi, pi] (tests/test_features.py)
+CHEBYSHEV_DEGREE = 20
 DEFAULT_APPEARANCE_SHAPE = (8, 8, 8)  # channels, height, width
 
 # Per-variable (min, max) normalization bounds, in f_pos order:
@@ -107,39 +112,66 @@ def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
 
 def positional_rows(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     """One packet's normalized positional rows, (N, 18) on [-pi, pi]:
-    `normalize` of `extract_positional`, the input of `fill_encoding`."""
+    `normalize` of `extract_positional`, the input of `chebyshev_rows`."""
     return normalize(extract_positional(det_local, pose), bounds)
 
 
-def fill_encoding(xb, out, sizes=None) -> np.ndarray:
-    """Write the sinusoidal encoding of normalized rows `xb` (N, 18) into
-    `out` (N, 18, 256), as `positional_encoding` would; returns `out`.
-
-    `sizes` lists the row counts of the packets whose rows `xb` holds, one
-    after another (None: one packet). Columns 13: (the pose) are the same
-    in every row of a packet, so they are encoded once per packet, into its
-    first row, and copied to the others. Only numpy calls run here, so the
-    fill holds the GIL little.
-    """
-    start = 0
-    for size in (len(xb),) if sizes is None else sizes:
-        rows, first = slice(start, start + size), slice(start, start + 1)
-        _sinusoids(xb[rows, :13], out[rows, :13])
-        _sinusoids(xb[first, 13:], out[first, 13:])
-        out[start + 1:start + size, 13:] = out[first, 13:]
-        start += size
-    return out
-
-
 def encode_detection(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS) -> np.ndarray:
-    """Encode one packet's detections, (N, 18, 256): `positional_rows`, then
-    `fill_encoding`.
+    """Encode one packet's detections, (N, 18, 256): `positional_encoding` of
+    `extract_positional`.
 
     `det_local` holds the packet's (N, 7) box rows in the sensor's frame and
     `pose` is the sensor's local-to-global transform.
     """
-    xb = positional_rows(det_local, pose, bounds)
-    return fill_encoding(xb, np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,)))
+    return positional_encoding(extract_positional(det_local, pose), bounds)
+
+
+def chebyshev_rows(xb) -> np.ndarray:
+    """The Chebyshev values T_0..T_D of t = xb / pi for normalized rows `xb`
+    (N, 18): (N, 18, D + 1), D = CHEBYSHEV_DEGREE, in the dtype of t.
+
+    By the recurrence T_{k+1} = 2t T_k - T_{k-1}, so any float dtype works.
+    Row f of a detection times CHEBYSHEV_BASIS is its scalar f's encoding,
+    to rounding.
+    """
+    t = np.asarray(xb) / math.pi
+    out = np.empty((CHEBYSHEV_DEGREE + 1,) + t.shape, dtype=t.dtype)
+    out[0] = 1.0
+    out[1] = t
+    twice = 2.0 * t
+    for k in range(2, CHEBYSHEV_DEGREE + 1):
+        np.multiply(twice, out[k - 1], out=out[k])
+        out[k] -= out[k - 2]
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+
+
+def _chebyshev_basis(degree: int) -> np.ndarray:
+    """The (degree + 1, 256) coefficients of the interpolants of the 256
+    sinusoids of `positional_encoding`, as functions of t = xb / pi, at the
+    degree + 1 Chebyshev points of the first kind; read-only.
+
+    A discrete cosine transform of their values at the points, summed point
+    by point in a fixed order, so no BLAS or LAPACK build changes a bit. It
+    runs in longdouble and is rounded once at the end: summed in float64,
+    the small high-degree coefficients would be off by about 1e-16, which
+    the steep high-degree T_k magnify near t = +-1.
+    """
+    n = degree + 1
+    theta = np.arccos(np.longdouble(-1.0)) * (np.arange(n) + 0.5) / n
+    values = _sinusoids(math.pi * np.cos(theta),
+                        np.empty((n, 2 * ENCODING_HALF_WIDTH), dtype=np.longdouble))
+    cosines = np.cos(np.outer(np.arange(n), theta))  # T_j at point k
+    basis = np.zeros((n, 2 * ENCODING_HALF_WIDTH), dtype=np.longdouble)
+    for k in range(n):
+        basis += cosines[:, k:k + 1] * values[k]
+    basis *= 2.0 / n
+    basis[0] *= 0.5
+    basis = basis.astype(float)
+    basis.flags.writeable = False
+    return basis
+
+
+CHEBYSHEV_BASIS = _chebyshev_basis(CHEBYSHEV_DEGREE)
 
 
 def texture_size(shape) -> int:

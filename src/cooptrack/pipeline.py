@@ -26,8 +26,8 @@ from . import io as cio
 from .association import (Lifecycle, LifecycleConfig, associate, build_cost_matrix,
                           finish_timestep, reportable)
 # encode_detection is not called here, but the benchmark's tracer test looks it up here
-from .features import (DEFAULT_BOUNDS, ENCODING_HALF_WIDTH, POSITIONAL_DIM,  # noqa: F401
-                       encode_detection, fill_encoding, positional_rows)
+from .features import (DEFAULT_BOUNDS, chebyshev_rows, encode_detection,  # noqa: F401
+                       positional_rows)
 from .filter import (OBS_DIM, OBSERVATION_MATRIX, STATE_DIM, ObservationModel, ProcessModel,
                      TrackBank, predict, update)
 from .geometry import Box7, PoseYawT, box_rows, transform_rows, wrap_angle
@@ -43,39 +43,32 @@ def _cpu_count() -> int:
 
 @functools.cache
 def _pass_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
-    """The worker threads of `start_passes`, built on first use."""
+    """The worker threads of `map_passes`, built on first use."""
     return concurrent.futures.ThreadPoolExecutor(max_workers=workers,
                                                  thread_name_prefix="cooptrack-pass")
 
 
-def start_passes(fn, items):
-    """Start `[fn(item) for item in items]`, the calls running concurrently;
-    returns `join`, which returns their results.
+def map_passes(fn, items) -> list:
+    """`[fn(item) for item in items]`, the calls running concurrently.
 
-    Each call is one independent piece of a parameter set's work (the bulk
-    kernels of a network pass, a section of the backward sweep, a gradient
-    norm's squared sums, a block of an Adam step), whose time goes mostly
-    to numpy and BLAS calls that release the GIL. With more than one CPU
-    (`_cpu_count`, the process's affinity) and more than one item, up to
-    CPUs - 1 pool threads start at once, each taking the next item not yet
-    started, in item order, until none is left; `join()` makes the calling
-    thread take items the same way, waits until every call has finished
-    and returns the results in item order. A failed call's exception is
-    raised then, the first in item order; a later `join()` returns the same
-    results or raises the same error. With one CPU or one item, the first
-    `join` runs every call in the calling thread, one after another. Every
-    call runs in a copy of the caller's context at the start, so the
-    caller's `np.errstate` holds in it.
+    Each call is one independent piece of a parameter set's work (a section
+    of the backward sweep, a gradient norm's squared sums, a block of an
+    Adam step), whose time goes mostly to numpy calls that release the GIL.
+    With more than one CPU (`_cpu_count`, the process's affinity) and more
+    than one item, up to CPUs - 1 pool threads start at once, and they and
+    the calling thread each take the next item not yet started, in item
+    order, until none is left. The results come back in item order once
+    every call has finished; a failed call's exception is raised then, the
+    first in item order. With one CPU or one item, every call runs in the
+    calling thread, one after another. Every call runs in a copy of the
+    caller's context at the start, so the caller's `np.errstate` holds in
+    it. A call may wait for an earlier item's call, which has started by
+    then; `fn` must not map passes itself: a worker would wait on the pool
+    it occupies.
 
-    A call may wait for an earlier item's call, which has started by then:
-    a network pass's product waits on a lock that its fill releases when it
-    ends (`LearnedCovariance._start_rows`). `fn` must not start passes
-    itself: a worker would wait on the pool it occupies.
-
-    The calls fill arrays, multiply or sweep; they record no tape node.
-    The calling thread records every node, in the same order with any
-    number of CPUs, so the tape and every gradient of its sweep keep their
-    bits (`autodiff.Tape`).
+    The calls record no tape node: the calling thread records every node,
+    in the same order with any number of CPUs, so the tape and every
+    gradient of its sweep keep their bits (`autodiff.Tape`).
     """
     items = list(items)
     cpus = _cpu_count()
@@ -91,31 +84,21 @@ def start_passes(fn, items):
                 return
             try:
                 results[index] = context.copy().run(fn, items[index])
-            except Exception as exc:  # raised by join, in item order
+            except Exception as exc:  # raised below, in item order
                 errors[index] = exc
 
     workers = min(cpus, len(items)) - 1
     futures = [_pass_pool(cpus - 1).submit(drain) for _ in range(workers)]
-
-    def join() -> list:
-        try:
-            drain()
-        finally:
-            concurrent.futures.wait(futures)
-        for future in futures:
-            future.result()
-        for error in errors:
-            if error is not None:
-                raise error
-        return results
-
-    return join
-
-
-def map_passes(fn, items) -> list:
-    """`[fn(item) for item in items]`, the calls running concurrently: the
-    results of `start_passes(fn, items)`, joined at once."""
-    return start_passes(fn, items)()
+    try:
+        drain()
+    finally:
+        concurrent.futures.wait(futures)
+    for future in futures:
+        future.result()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 @dataclass(frozen=True)
@@ -166,32 +149,34 @@ class LearnedCovariance:
 
     `params_by_cav` maps cav_id to CovNetParams, whose arrays may be tape
     nodes (a training pass), or to a (name -> array/node mapping,
-    CovNetConfig) pair, which is wrapped as CovNetParams here. Rows come
-    from one network pass per parameter set over a frame
+    CovNetConfig) pair, which is wrapped as CovNetParams here. Vehicles
+    share a set when their entries hold one arrays mapping. A provider
+    reads its weights once, when it is built: it folds each set for its
+    passes then (`covnet.fold`, one tape node per set for lifted weights),
+    so weights changed later, as by an optimizer step, need a new provider.
+    Rows come from one network pass per parameter set over a frame
     (`start_residuals`) or, after `precompute`, over a whole window, whose
     rows each frame then takes as slices. The network reads each
-    detection's local box and its vehicle's pose (`features`).
-
-    Only a pass's two GIL-free bulk kernels go to the pool: the fill of its
-    (N, 18, 256) encoding (`features.fill_encoding`) and the first product
-    of its positional branch (`covnet.first_product`). The calling thread
-    does everything else: each set's inputs, its appearance branch and the
-    rest of its pass (`covnet.forward`), and, in a tracker's step, the
-    first association round.
+    detection's local box and its vehicle's pose (`features`). Every pass
+    runs on the calling thread.
     """
 
     reals_per_detection = metrics.SHARED_REALS
 
     def __init__(self, params_by_cav: dict, bounds=DEFAULT_BOUNDS):
-        self.params_by_cav = {
-            cav: entry if isinstance(entry, covnet.CovNetParams)
-            else covnet.CovNetParams(entry[1], entry[0])
-            for cav, entry in params_by_cav.items()}
+        folded = {}  # id of a set's arrays mapping -> the set, folded
+        self.params_by_cav = {}
+        for cav, entry in params_by_cav.items():
+            params = (entry if isinstance(entry, covnet.CovNetParams)
+                      else covnet.CovNetParams(entry[1], entry[0]))
+            if id(params.arrays) not in folded:
+                folded[id(params.arrays)] = covnet.fold(params)
+            self.params_by_cav[cav] = folded[id(params.arrays)]
         self.bounds = bounds
-        self._window = None  # the rows of the precomputed window (`_start_rows`)
+        self._window = None  # the rows of the precomputed window (`_rows`)
 
     def _params(self, cav_id) -> covnet.CovNetParams:
-        """A vehicle's network; KeyError for a vehicle that has none."""
+        """A vehicle's folded network; KeyError for a vehicle that has none."""
         if cav_id not in self.params_by_cav:
             raise KeyError(f"no covariance network parameters for vehicle {cav_id}")
         return self.params_by_cav[cav_id]
@@ -210,88 +195,37 @@ class LearnedCovariance:
         covnet.check_appearance(config, f_app, len(apps))
         return f_app
 
-    def _start_rows(self, packets):
-        """Start the residual rows of the non-empty `packets`, one pass per
-        parameter set; returns `collect`, which finishes the passes and
-        returns {(timestep, cav_id): (rows, start, stop)}, the packet's
-        rows being `rows[start:stop]`.
+    def _rows(self, packets) -> dict:
+        """The residual rows of the non-empty `packets`, one pass per
+        parameter set: {(timestep, cav_id): (rows, start, stop)}, the
+        packet's rows being `rows[start:stop]`.
 
-        Vehicles share a set when their entries hold one arrays mapping.
-        Every input is checked before any kernel starts, so a bad one
-        raises here with nothing begun: every vehicle is looked up
-        (KeyError for one without parameters), then every set's appearance
-        tensors are stacked (ValueError for a missing one or a wrong
-        shape). Each set's normalized positional rows are built
-        (`features.positional_rows`), and then the bulk kernels start
-        (`start_passes`): every set's encoding fill, then every set's first
-        product. Each set has a lock, held from here until its fill ends,
-        and its product waits on it, then multiplies the filled encoding;
-        after a failed fill it returns None, as `join` raises the fill's
-        error first (fills precede products in item order).
-
-        `collect` runs every set's appearance branch while the kernels
-        run, then takes any kernel still left (the `join`), then finishes
-        each set's pass through `covnet.forward`. The passes record their
-        tape nodes in this thread, in the same order with any number of
-        CPUs, and the sets' subgraphs are disjoint, so every gradient keeps
-        the bits of passes made one after another.
+        Every input is checked before any pass runs: every vehicle is
+        looked up (KeyError for one without parameters), then every set's
+        appearance tensors are stacked (ValueError for a missing one or a
+        wrong shape). Each set's pass then reads its packets' normalized
+        positional rows (`features.positional_rows`) as Chebyshev rows
+        (`features.chebyshev_rows`).
         """
         groups = {}
         for packet in packets:
             if packet.detections:
-                arrays = self._params(packet.cav_id).arrays
-                groups.setdefault(id(arrays), []).append(packet)
+                params = self._params(packet.cav_id)
+                groups.setdefault(id(params.arrays), (params, []))[1].append(packet)
         groups = list(groups.values())
-        params = [self._params(group[0].cav_id) for group in groups]
-        f_app = [self._appearance(group, p.config) for group, p in zip(groups, params)]
-        normalized = []
-        for group in groups:
+        f_app = [self._appearance(group, params.config) for params, group in groups]
+        slices = {}
+        for (params, group), app in zip(groups, f_app):
             xb = [positional_rows(box_rows(d.box for d in p.detections), p.pose, self.bounds)
                   for p in group]
-            normalized.append(xb[0] if len(xb) == 1 else np.concatenate(xb))
-        sizes = [[len(p.detections) for p in group] for group in groups]
-        f_pos = [np.empty((sum(s), POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)) for s in sizes]
-        filling = [threading.Lock() for _ in groups]  # held until the set's fill ends
-        for lock in filling:
-            lock.acquire()
-        filled = [False] * len(groups)
-
-        def fill(k):
-            try:
-                fill_encoding(normalized[k], f_pos[k], sizes[k])
-                filled[k] = True
-            finally:  # never leave a product waiting
-                filling[k].release()
-
-        def product(k):
-            with filling[k]:
-                pass
-            return covnet.first_product(params[k], f_pos[k]) if filled[k] else None
-
-        jobs = ([functools.partial(fill, k) for k in range(len(groups))]
-                + [functools.partial(product, k) for k in range(len(groups))])
-        join = start_passes(_call, jobs)
-
-        def collect() -> dict:
-            try:
-                apps = [None if f_app[k] is None else covnet.appearance_branch(params[k],
-                                                                               f_app[k])
-                        for k in range(len(groups))]
-            finally:
-                products = join()[len(groups):]
-            passes = [covnet.forward(params[k], f_app[k], f_pos[k], first=products[k],
-                                     app=apps[k])
-                      for k in range(len(groups))]
-            slices = {}
-            for group, rows in zip(groups, passes):
-                start = 0
-                for packet in group:
-                    stop = start + len(packet.detections)
-                    slices[(packet.timestep, packet.cav_id)] = (rows, start, stop)
-                    start = stop
-            return slices
-
-        return collect
+            rows = covnet.forward(params, app,
+                                  chebyshev_rows(xb[0] if len(xb) == 1 else np.concatenate(xb)))
+            start = 0
+            for packet in group:
+                stop = start + len(packet.detections)
+                slices[(packet.timestep, packet.cav_id)] = (rows, start, stop)
+                start = stop
+        return slices
 
     def precompute(self, frame_packets):
         """Compute a window's residual rows before its frames are tracked.
@@ -299,34 +233,30 @@ class LearnedCovariance:
         `frame_packets` lists the packets of each frame of the window. The
         network's input depends only on the detections and the poses, so
         each parameter set (each vehicle's, or the one shared set) takes
-        every row of the window in one pass (`_start_rows`); a vehicle
-        without detections takes none. From then on `start_residuals` hands
-        out slices of those rows.
+        every row of the window in one pass (`_rows`); a vehicle without
+        detections takes none. From then on `start_residuals` hands out
+        slices of those rows.
         """
-        self._window = self._start_rows(p for packets in frame_packets for p in packets)()
+        self._window = self._rows(p for packets in frame_packets for p in packets)
 
     def start_residuals(self, packets):
-        """Start the residual rows of one frame's packets; returns a function
-        that waits for them and returns them, (N, 10) for each packet of N
-        detections.
+        """The residual rows of one frame's packets, (N, 10) for each packet
+        of N detections, computed now; returns a function that returns them.
 
         Row j of a packet's rows belongs to its detection j. An empty packet
         gets no rows and needs no parameters. The rows are slices of the
-        precomputed window, or else of this frame's passes (`_start_rows`):
-        one pass per parameter set, which for a vehicle with its own set is
-        one pass over its packet. Every input is checked before this
-        returns; after `precompute`, a packet the window does not hold
-        raises ValueError.
+        precomputed window, or else of this frame's passes (`_rows`): one
+        pass per parameter set, which for a vehicle with its own set is one
+        pass over its packet. After `precompute`, a packet the window does
+        not hold raises ValueError.
         """
-        if self._window is None:
-            collect = self._start_rows(packets)
-            return lambda: _packet_rows(packets, collect())
-        rows = _packet_rows(packets, self._window)
+        rows = _packet_rows(packets, self._rows(packets) if self._window is None
+                            else self._window)
         return lambda: rows
 
 
 def _packet_rows(packets, slices) -> list:
-    """Each packet's rows, taken from `slices` (`LearnedCovariance._start_rows`)."""
+    """Each packet's rows, taken from `slices` (`LearnedCovariance._rows`)."""
     out = []
     for packet in packets:
         if not packet.detections:
@@ -340,10 +270,6 @@ def _packet_rows(packets, slices) -> list:
         rows, start, stop = entry
         out.append(rows[start:stop])
     return out
-
-
-def _call(job):
-    return job()
 
 
 class CoopTracker:
@@ -379,12 +305,9 @@ class CoopTracker:
         is degenerate keeps its predicted state, still counts as matched,
         and is counted in `skipped_updates`.
 
-        The provider starts every packet's residual rows first
-        (`start_residuals`, which checks every input), and the first
-        round's association runs while its passes do: it reads no residual
-        and changes nothing. The rows are then collected before the first
-        update, so a pass that fails leaves the tracker as it was; a failed
-        pass's error takes precedence over one of that association.
+        The provider computes every packet's residual rows first
+        (`start_residuals`, which checks every input), before the first
+        round, so a pass that fails leaves the tracker as it was.
 
         Association works on float rows: each packet's detections reach the
         global frame as one (N, 7) array, and the live tracks enter each
@@ -397,14 +320,10 @@ class CoopTracker:
         if len({p.cav_id for p in packets}) != len(packets):
             raise ValueError("duplicate cav_id in packets")
 
-        collect = self.cov.start_residuals(packets)
-        try:
-            first = self._associate(packets[0]) if packets else None
-        finally:
-            residuals = collect()
+        residuals = self.cov.start_residuals(packets)()
         matched = [False] * len(self.tracks)  # per bank row: matched this timestep
-        for k, (packet, sigmas) in enumerate(zip(packets, residuals)):
-            det_global, matches = first if k == 0 else self._associate(packet)
+        for packet, sigmas in zip(packets, residuals):
+            det_global, matches = self._associate(packet)
             # a zero residual gives the identity's diagonals
             obs_rows = covnet.residual_to_obs_noise_diag(sigmas)
             init_rows = covnet.residual_to_init_noise_diag(sigmas)

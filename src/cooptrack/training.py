@@ -223,15 +223,15 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     randomness. A checkpoint that has done `settings.epochs` already trains
     no further and keeps its count. A window whose global gradient norm is
     not finite raises FloatingPointError before the optimizer changes
-    anything. Each window's covariance rows come from one network pass per
-    parameter set, made before its frames are tracked; the sets' passes run
-    concurrently and leave every gradient's bits as they are
-    (`LearnedCovariance.precompute`: the pool takes each set's encoding
-    fill and first product, and the calling thread records every tape
-    node). So do the parts of the backward sweep that reach back into those
-    passes (`Tape.backward` with the tape's length after them as its
-    split), the squared sums of the gradient norm (`global_grad_norm`) and
-    the blocks of the Adam step (`adam_step`).
+    anything. Each window builds its provider from the lifted weights,
+    which folds each parameter set once (`LearnedCovariance`), and its
+    covariance rows come from one network pass per parameter set, made
+    before its frames are tracked (`LearnedCovariance.precompute`). The
+    parts of the backward sweep that reach back into those passes
+    (`Tape.backward` with the tape's length after them as its split), the
+    squared sums of the gradient norm (`global_grad_norm`) and the blocks
+    of the Adam step (`adam_step`) run concurrently and leave every bit as
+    it is.
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only

@@ -1,9 +1,12 @@
 """Covariance network tests.
 
 The forward oracle is a straight-line reimplementation using only numpy
-(explicit loop convolution, explicit matmuls) so a bug in the autodiff
-primitives cannot hide in both sides.
+(explicit loop convolution, explicit matmuls, the full sinusoidal encoding
+and the unfolded `pos.lin1.w`) so a bug in the autodiff primitives or the
+fold cannot hide in both sides.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,12 +18,14 @@ from cooptrack.covnet import (
     RESIDUAL_DIM,
     CovNetConfig,
     CovNetParams,
+    fold,
     forward,
     layer_shapes,
     residual_to_init_noise_diag,
     residual_to_obs_noise_diag,
 )
-from cooptrack.features import ENCODING_HALF_WIDTH, POSITIONAL_DIM
+from cooptrack.features import (CHEBYSHEV_BASIS, CHEBYSHEV_DEGREE, ENCODING_HALF_WIDTH,
+                                POSITIONAL_DIM, chebyshev_rows)
 from cooptrack.filter import OBS_DIM, R_FLOOR, STATE_DIM
 
 
@@ -32,16 +37,36 @@ def _zero_params(cfg):
 
 
 def _inputs(rng, cfg=None, n=1):
-    """A batch of n detections' appearance tensors and positional encodings."""
+    """A batch of n detections' appearance tensors and normalized positional rows."""
     cfg = cfg or CovNetConfig()
     f_app = rng.standard_normal((n,) + cfg.app_shape)
-    f_pos = rng.uniform(-1, 1, size=(n, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
-    return f_app, f_pos
+    xb = rng.uniform(-math.pi, math.pi, size=(n, POSITIONAL_DIM))
+    return f_app, xb
 
 
-def reference_forward(params: CovNetParams, f_app, f_pos):
+SCALES = 2.0 ** (np.arange(ENCODING_HALF_WIDTH) / ENCODING_HALF_WIDTH)
+
+
+def _encoding(xb):
+    """The (..., 18, 256) sinusoidal encoding of normalized rows, and its
+    derivative with respect to each row entry."""
+    phases = xb[..., None] / SCALES
+    enc, slope = (np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,), dtype=xb.dtype)
+                  for _ in range(2))
+    enc[..., 0::2], enc[..., 1::2] = np.sin(phases), np.cos(phases)
+    slope[..., 0::2], slope[..., 1::2] = np.cos(phases) / SCALES, -np.sin(phases) / SCALES
+    return enc, slope
+
+
+def _pass(params, f_app, xb):
+    """`forward` as a provider runs it: folded weights, Chebyshev rows."""
+    return forward(fold(params), f_app, chebyshev_rows(xb))
+
+
+def reference_forward(params: CovNetParams, f_app, xb):
     """Nested-loop conv + explicit matmul re-derivation of forward() for one
-    detection: f_app is (c, h, w), f_pos (18, 256), the result a 10-vector."""
+    detection: f_app is (c, h, w), xb its 18 normalized positional entries,
+    the result a 10-vector."""
     cfg = params.config
     arr = params.arrays
 
@@ -69,7 +94,7 @@ def reference_forward(params: CovNetParams, f_app, f_pos):
                                 cfg.stride, cfg.pad), 0.0)
         pieces.append(a.reshape(-1))
     if cfg.use_positional:
-        x = f_pos.reshape(-1)
+        x = _encoding(xb)[0].reshape(-1)
         x = np.maximum(x @ arr["pos.lin1.w"] + arr["pos.lin1.b"], 0.0)
         x = np.maximum(x @ arr["pos.lin2.w"] + arr["pos.lin2.b"], 0.0)
         pieces.append(x)
@@ -131,9 +156,9 @@ def test_forward_matches_reference():
                 CovNetConfig(use_positional=False),
                 CovNetConfig(use_appearance=False)):
         params = CovNetParams.init(cfg, rng)
-        f_app, f_pos = _inputs(rng, cfg)
-        got = forward(params, f_app, f_pos)
-        want = reference_forward(params, f_app[0], f_pos[0])
+        f_app, xb = _inputs(rng, cfg)
+        got = _pass(params, f_app, xb)
+        want = reference_forward(params, f_app[0], xb[0])
         assert got.shape == (1, RESIDUAL_DIM)
         np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12)
 
@@ -144,13 +169,13 @@ def test_batched_forward_matches_single_rows_and_reference():
                 CovNetConfig(use_positional=False),
                 CovNetConfig(use_appearance=False)):
         params = CovNetParams.init(cfg, rng)
-        f_app, f_pos = _inputs(rng, cfg, n=5)
-        batch = forward(params, f_app, f_pos)
+        f_app, xb = _inputs(rng, cfg, n=5)
+        batch = _pass(params, f_app, xb)
         assert batch.shape == (5, RESIDUAL_DIM)
         for j in range(5):
-            single = forward(params, f_app[j:j + 1], f_pos[j:j + 1])
+            single = _pass(params, f_app[j:j + 1], xb[j:j + 1])
             np.testing.assert_allclose(batch[j], single[0], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(batch[j], reference_forward(params, f_app[j], f_pos[j]),
+            np.testing.assert_allclose(batch[j], reference_forward(params, f_app[j], xb[j]),
                                        rtol=1e-12, atol=1e-12)
 
 
@@ -158,11 +183,11 @@ def test_forward_tape_matches_plain_bitwise():
     rng = np.random.default_rng(71)
     params = CovNetParams.init(CovNetConfig(), rng)
     for n in (1, 5):
-        f_app, f_pos = _inputs(rng, n=n)
-        plain = forward(params, f_app, f_pos)
+        f_app, xb = _inputs(rng, n=n)
+        plain = _pass(params, f_app, xb)
         tape = ad.Tape()
         lifted = params.lift(tape)
-        taped = forward(CovNetParams(params.config, lifted), f_app, f_pos)
+        taped = _pass(CovNetParams(params.config, lifted), f_app, xb)
         assert plain.tobytes() == ad.val(taped).tobytes()
 
 
@@ -170,15 +195,18 @@ def test_forward_zero_params_zero_output():
     params = _zero_params(CovNetConfig())
     rng = np.random.default_rng(72)
     for n in (1, 4, 13):
-        f_app, f_pos = _inputs(rng, n=n)
-        np.testing.assert_array_equal(forward(params, f_app, f_pos),
-                                      np.zeros((n, RESIDUAL_DIM)))
+        f_app, xb = _inputs(rng, n=n)
+        np.testing.assert_array_equal(_pass(params, f_app, xb), np.zeros((n, RESIDUAL_DIM)))
 
 
 def test_forward_validates_input_shapes():
-    params = _zero_params(CovNetConfig())
+    unfolded = _zero_params(CovNetConfig())
+    params = fold(unfolded)
     rng = np.random.default_rng(73)
-    f_app, f_pos = _inputs(rng, n=2)
+    f_app, xb = _inputs(rng, n=2)
+    f_pos = chebyshev_rows(xb)
+    with pytest.raises(ValueError, match="folded weights"):
+        forward(unfolded, f_app, f_pos)
     with pytest.raises(ValueError):
         forward(params, f_app[:, :, :4, :], f_pos)
     with pytest.raises(ValueError):
@@ -228,10 +256,10 @@ def test_forward_gradient_reaches_all_parameters():
     rng = np.random.default_rng(74)
     params = CovNetParams.init(CovNetConfig(), rng)
     f_app = np.abs(rng.standard_normal((2,) + params.config.app_shape)) + 0.1
-    f_pos = rng.uniform(0.1, 1.0, size=(2, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH))
+    xb = rng.uniform(-math.pi, math.pi, size=(2, POSITIONAL_DIM))
     tape = ad.Tape()
     lifted = params.lift(tape)
-    out = forward(CovNetParams(params.config, lifted), f_app, f_pos)
+    out = _pass(CovNetParams(params.config, lifted), f_app, xb)
     tape.backward(ad.asum(ad.square(out)))
     for name, leaf in lifted.items():
         g = ad.grad_of(leaf)
@@ -244,11 +272,11 @@ def test_forward_gradient_on_a_batch_matches_finite_differences():
     central differences evaluated in longdouble."""
     rng = np.random.default_rng(76)
     params = CovNetParams.init(SMALL, rng)
-    f_app, f_pos = _inputs(rng, SMALL, n=3)
+    f_app, xb = _inputs(rng, SMALL, n=3)
     weights = rng.standard_normal((3, RESIDUAL_DIM))
 
     def loss(arrays):
-        out = forward(CovNetParams(SMALL, arrays), f_app, f_pos)
+        out = _pass(CovNetParams(SMALL, arrays), f_app, xb)
         return ad.asum(ad.square(ad.sub(out, weights)))
 
     tape = ad.Tape()
@@ -273,6 +301,63 @@ def test_forward_gradient_on_a_batch_matches_finite_differences():
         d_ld = d.astype(np.longdouble)
         fd = float((loss_at(flat + h * d_ld) - loss_at(flat - h * d_ld)) / (2 * h))
         assert grad @ d == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_the_folded_product_and_its_gradients_match_the_full_encoding(dtype):
+    rng = np.random.default_rng(78)
+    n = 9
+    xb = rng.uniform(-math.pi, math.pi, (n, POSITIONAL_DIM)).astype(dtype)
+    xb[0], xb[1] = -math.pi, math.pi
+    params = CovNetParams.init(CovNetConfig(), rng)
+    params.arrays["pos.lin1.w"] = params.arrays["pos.lin1.w"].astype(dtype)
+    w = params.arrays["pos.lin1.w"]
+    weights = rng.standard_normal(n * w.shape[1])
+    enc, enc_slope = _encoding(xb)
+    # dT_k/dxb = k U_{k-1}(t) / pi, by the recurrence of the second kind
+    t = xb / math.pi
+    second = np.empty(xb.shape + (CHEBYSHEV_DEGREE,), dtype=dtype)
+    second[..., 0], second[..., 1] = 1.0, 2.0 * t
+    for k in range(2, CHEBYSHEV_DEGREE):
+        second[..., k] = 2.0 * t * second[..., k - 1] - second[..., k - 2]
+    cheb_slope = np.zeros(xb.shape + (CHEBYSHEV_DEGREE + 1,), dtype=dtype)
+    cheb_slope[..., 1:] = np.arange(1, CHEBYSHEV_DEGREE + 1) * second / math.pi
+
+    def product(rows, folded):
+        """The product on plain arrays, then on the tape, with the loss's
+        gradients as to the weight and as to the normalized rows `xb`."""
+        flat = np.reshape(rows, (n, -1))
+        plain = flat @ (fold(params).arrays["pos.lin1.w"] if folded else w)
+        tape = ad.Tape()
+        weight, leaf = tape.var(w), tape.var(flat)
+        lifted = fold(CovNetParams(params.config, {**params.arrays, "pos.lin1.w": weight}))
+        out = ad.matmul(leaf, lifted.arrays["pos.lin1.w"] if folded else weight)
+        assert np.array_equal(out.value, plain)  # longdouble's padding bytes may differ
+        tape.backward(ad.matmul(ad.reshape(out, (-1,)), weights))
+        slope = cheb_slope if folded else enc_slope
+        as_rows = np.sum(np.reshape(ad.grad_of(leaf), rows.shape) * slope, axis=-1)
+        return plain, ad.grad_of(weight), as_rows
+
+    full = product(enc, folded=False)
+    folded = product(chebyshev_rows(xb), folded=True)
+    assert fold(params).arrays["pos.lin1.w"].shape == (
+        POSITIONAL_DIM * (CHEBYSHEV_DEGREE + 1), w.shape[1])
+    for got, want in zip(folded, full):
+        assert got.dtype == want.dtype == dtype
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_the_fold_multiplies_each_features_block_by_the_basis():
+    params = CovNetParams.init(SMALL, np.random.default_rng(79))
+    folded = fold(params)
+    w = params.arrays["pos.lin1.w"]
+    blocks = np.reshape(w, (POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH, -1))
+    want = np.concatenate([CHEBYSHEV_BASIS @ block for block in blocks])
+    np.testing.assert_allclose(folded.arrays["pos.lin1.w"], want, rtol=0.0, atol=1e-15)
+    assert all(folded.arrays[name] is params.arrays[name]
+               for name in params.arrays if name != "pos.lin1.w")
+    app_only = CovNetParams.init(CovNetConfig(use_positional=False), np.random.default_rng(0))
+    assert fold(app_only) is app_only
 
 
 def test_residual_maps_work_row_wise_on_a_batch():

@@ -1,21 +1,25 @@
 """Feature extraction tests: positional layout, normalization, sinusoidal
-encoding against the direct formula, and the synthetic appearance tensor."""
+encoding against the direct formula, its Chebyshev basis, and the synthetic
+appearance tensor."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from cooptrack.features import (
     DEFAULT_BOUNDS,
+    CHEBYSHEV_BASIS,
+    CHEBYSHEV_DEGREE,
     ENCODING_HALF_WIDTH,
     POSITIONAL_DIM,
+    _chebyshev_basis,
+    chebyshev_rows,
     encode_detection,
     extract_positional,
-    fill_encoding,
     normalize,
     positional_encoding,
-    positional_rows,
     synth_appearance,
 )
 from cooptrack.geometry import Box7, PoseYawT, box_rows, transform_box
@@ -141,15 +145,6 @@ def test_encode_detection_composes():
     np.testing.assert_array_equal(via_compose, via_steps)
 
 
-def test_one_fill_over_several_packets_gives_each_packets_encoding():
-    rng = np.random.default_rng(64)
-    packets = [_packet(rng, n) for n in (1, 4, 2)]
-    xb = np.concatenate([positional_rows(local, pose) for local, pose in packets])
-    got = fill_encoding(xb, np.empty((7, POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH)), [1, 4, 2])
-    want = np.concatenate([encode_detection(local, pose) for local, pose in packets])
-    assert got.tobytes() == want.tobytes()
-
-
 def test_batched_encoding_is_bit_identical_to_per_row_formula():
     rng = np.random.default_rng(65)
     local, pose = _packet(rng, 7)
@@ -173,6 +168,64 @@ def test_encoding_written_in_place_has_the_bits_of_whole_sin_and_cos_arrays(n):
     want[..., 1::2] = np.cos(phases)
     assert positional_encoding(extract_positional(local, pose)).tobytes() == want.tobytes()
     assert encode_detection(local, pose).tobytes() == want.tobytes()
+
+
+# the stated bound on the Chebyshev interpolants' error, and the grid it holds on
+# (at the chosen degree the error is 1.0e-15; one degree less gives 6.6e-15)
+BASIS_BOUND = 2e-15
+GRID = np.linspace(-math.pi, math.pi, 200_001)
+
+
+def test_the_chebyshev_degree_is_the_smallest_within_the_bound():
+    assert GRID[0] == -math.pi and GRID[-1] == math.pi
+    bases = [_chebyshev_basis(degree) for degree in range(CHEBYSHEV_DEGREE + 1)]
+    errors = np.zeros(CHEBYSHEV_DEGREE + 1)  # each degree's largest error so far
+    for lo in range(0, len(GRID), 20_000):
+        x = GRID[lo:lo + 20_000]
+        phases = x[:, None] / (2.0 ** (np.arange(ENCODING_HALF_WIDTH) / ENCODING_HALF_WIDTH))
+        want = np.empty((len(x), 2 * ENCODING_HALF_WIDTH))
+        want[:, 0::2] = np.sin(phases)
+        want[:, 1::2] = np.cos(phases)
+        rows = chebyshev_rows(x)
+        for degree, basis in enumerate(bases):
+            if degree == CHEBYSHEV_DEGREE or errors[degree] <= BASIS_BOUND:
+                got = rows[:, :degree + 1] @ basis
+                errors[degree] = max(errors[degree], np.abs(got - want).max())
+    assert errors[-1] <= BASIS_BOUND
+    assert np.all(errors[:-1] > BASIS_BOUND), errors
+    assert CHEBYSHEV_BASIS.tobytes() == bases[-1].tobytes()
+    assert not CHEBYSHEV_BASIS.flags.writeable
+
+
+def test_the_basis_holds_the_jacobi_anger_coefficients():
+    # sin(z t) = 2 sum_k (-1)^k J_{2k+1}(z) T_{2k+1}(t) and cos(z t) = J_0(z)
+    # + 2 sum_k (-1)^k J_{2k}(z) T_{2k}(t), z = pi / 2^(i/128); interpolating
+    # at n = D + 1 points of the first kind folds degree 2n -+ j onto j
+    n = CHEBYSHEV_DEGREE + 1
+    z = math.pi / 2.0 ** (np.arange(ENCODING_HALF_WIDTH) / ENCODING_HALF_WIDTH)
+    j = np.arange(4 * n)[:, None]
+    series = np.empty((4 * n, 2 * ENCODING_HALF_WIDTH))
+    series[:, 0::2] = np.where(j % 2 == 1, 2.0 * (-1.0) ** ((j - 1) // 2) * jv(j, z), 0.0)
+    series[:, 1::2] = np.where(j % 2 == 0, 2.0 * (-1.0) ** (j // 2) * jv(j, z), 0.0)
+    series[0] /= 2.0
+    want = np.empty((n, 2 * ENCODING_HALF_WIDTH))
+    want[0] = series[0] - series[2 * n]
+    want[1:] = series[1:n] - series[2 * n - 1:n:-1] - series[2 * n + 1:3 * n]
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(CHEBYSHEV_BASIS - want) <= 2e-15 * scale + 1e-18)
+
+
+def test_chebyshev_rows_follow_the_recurrence_in_any_float_dtype():
+    xb = normalize(np.random.default_rng(67).uniform(-150.0, 150.0, (6, POSITIONAL_DIM)))
+    rows = chebyshev_rows(xb)
+    assert rows.shape == (6, POSITIONAL_DIM, CHEBYSHEV_DEGREE + 1) and rows.dtype == np.float64
+    want = np.polynomial.chebyshev.chebvander(xb / math.pi, CHEBYSHEV_DEGREE)
+    np.testing.assert_allclose(rows, want, rtol=0.0, atol=1e-13)
+    long = chebyshev_rows(xb.astype(np.longdouble))
+    assert long.dtype == np.longdouble
+    np.testing.assert_allclose(long.astype(float), rows, rtol=0.0, atol=1e-13)
+    # one detection is a batch of one
+    assert chebyshev_rows(xb[2:3]).tobytes() == rows[2:3].tobytes()
 
 
 def test_synth_appearance_channels():

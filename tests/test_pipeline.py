@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cooptrack import covnet, metrics, pipeline, sim
 from cooptrack.association import LifecycleConfig
 from cooptrack.covnet import CovNetConfig, CovNetParams, layer_shapes
-from cooptrack.features import encode_detection
+from cooptrack.features import chebyshev_rows, positional_rows
 from cooptrack.filter import (ObservationModel, ProcessModel, TrackState, observation_matrix,
                               predict, update)
 from cooptrack.geometry import Box7, PoseYawT, box_rows
@@ -44,6 +44,11 @@ def _det(x, y, conf=0.9, yaw=0.0):
 
 def _packet(t, cav, dets, pose=IDENT):
     return FramePacket(timestep=t, cav_id=cav, pose=pose, detections=tuple(dets))
+
+
+def _chebyshev(detections, pose):
+    """The Chebyshev rows of detections seen through `pose`, a pass's `f_pos`."""
+    return chebyshev_rows(positional_rows(box_rows(d.box for d in detections), pose))
 
 
 def _beliefs(tracker) -> list:
@@ -285,44 +290,16 @@ def test_a_vehicle_without_parameters_fails_its_frame_before_any_round():
     assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
 
 
-def _threads_of_kernels(monkeypatch, meet=False) -> dict:
-    """The thread of each call from now on of the parts of a network pass:
-    {"fill": [...], "product": [...], "forward": [...]}, one name per call.
-
-    With `meet`, each of the first two encoding fills waits until the other
-    has started: two fills that run concurrently then always show as two
-    threads, and two that run one after another break the wait
-    (threading.BrokenBarrierError).
-    """
-    names = {"fill": [], "product": [], "forward": []}
-    meetings = []
-    if meet:
-        both = threading.Barrier(2, timeout=10)
-        meetings += [both, both]
-    fill, product, forward = pipeline.fill_encoding, covnet.first_product, covnet.forward
-
-    def filling(*args):
-        names["fill"].append(threading.current_thread().name)
-        if meetings:
-            meetings.pop().wait()
-        return fill(*args)
-
-    def multiplying(*args):
-        names["product"].append(threading.current_thread().name)
-        return product(*args)
+def _pass_threads(monkeypatch) -> list:
+    """The thread of each network pass (`covnet.forward` call) from now on."""
+    names, forward = [], covnet.forward
 
     def recording(*args, **kwargs):
-        names["forward"].append(threading.current_thread().name)
+        names.append(threading.current_thread().name)
         return forward(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "fill_encoding", filling)
-    monkeypatch.setattr(covnet, "first_product", multiplying)
     monkeypatch.setattr(covnet, "forward", recording)
     return names
-
-
-def _workers(names) -> set:
-    return {name for name in names if name.startswith("cooptrack-pass")}
 
 
 def _switching_often(run):
@@ -341,7 +318,7 @@ def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch)
     rng = np.random.default_rng(6)
     first = CovNetParams.init(CovNetConfig(), rng)
     params = {0: first, 1: first if shared else CovNetParams.init(CovNetConfig(), rng)}
-    threads = _threads_of_kernels(monkeypatch)
+    threads = _pass_threads(monkeypatch)
 
     def run(cpus):
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
@@ -351,65 +328,11 @@ def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch)
                  np.asarray(r.mean).tobytes()) for frame in reports for r in frame]
 
     sequential = run(1)
-    assert {name for names in threads.values() for name in names} == {
-        threading.current_thread().name}
-    # every frame puts its kernels on the pool: with a set per vehicle, the
-    # first frame's two fills run on two threads
-    threads = _threads_of_kernels(monkeypatch, meet=not shared)
     # more workers than this machine's cores, switching threads often
     assert _switching_often(lambda: run(4)) == sequential
     assert sum(map(len, sequential)) > 0
-    # the calling thread runs every pass; only the bulk kernels may go elsewhere
-    assert set(threads["forward"]) == {threading.current_thread().name}
-    if not shared:
-        assert _workers(threads["fill"])
-
-
-def _started(monkeypatch) -> list:
-    """[(kernel, set) of each item] of each `pipeline.start_passes` call from
-    now on."""
-    calls, real = [], pipeline.start_passes
-
-    def recording(fn, items):
-        items = list(items)
-        calls.append([(job.func.__name__, job.args[0]) for job in items])
-        return real(fn, items)
-
-    monkeypatch.setattr(pipeline, "start_passes", recording)
-    return calls
-
-
-def _kernels(sets) -> list:
-    """The items of the passes of `sets` parameter sets: each fill, then each product."""
-    return [("fill", k) for k in range(sets)] + [("product", k) for k in range(sets)]
-
-
-@pytest.mark.parametrize("cavs", [2, 3])
-def test_small_frames_run_their_kernels_on_the_pool_and_keep_their_bits(cavs, monkeypatch):
-    cfg = CovNetConfig()
-    rng = np.random.default_rng(7)
-    params = {cav: CovNetParams.init(cfg, rng) for cav in range(cavs)}
-    # 1 or 2 detections per vehicle, at most 6 in a frame
-    frames = [[_learned_packet(rng, t, cav, [10.0 * k + cav for k in range(1 + (t + cav) % 2)],
-                               cfg) for cav in range(cavs)] for t in range(3)]
-
-    def run(cpus):
-        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
-        tracker = CoopTracker(cov_provider=LearnedCovariance(params))
-        reports = [tracker.step(packets) for packets in frames]
-        return ([(r.track_id, r.box.to_vector().tobytes(), r.score,
-                  np.asarray(r.mean).tobytes()) for frame in reports for r in frame],
-                tracker.bank.mean.tobytes(), tracker.bank.cov.tobytes())
-
-    one = run(1)
-    # the first frame's first two fills meet on two threads
-    threads = _threads_of_kernels(monkeypatch, meet=True)
-    started = _started(monkeypatch)
-    assert run(2) == one
-    assert len(one[0]) > 0
-    assert len(set(threads["fill"][:2])) == 2 and _workers(threads["fill"])
-    assert threads["forward"] == [threading.current_thread().name] * (3 * cavs)
-    assert started == [_kernels(cavs)] * 3
+    # every pass runs on the calling thread
+    assert set(threads) == {threading.current_thread().name}
 
 
 def _on_two_threads(fn):
@@ -523,34 +446,18 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, ba
     tracker.step(frame(0))
     mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
     lives = [dataclasses.astuple(life) for life in tracker.tracks]
-    started = _started(monkeypatch)
+    passes = _pass_threads(monkeypatch)
     for kind, (error, message) in BAD_INPUTS.items():
-        raised = []
-
-        def step():
-            try:
-                tracker.step(frame(1, kind))
-            except (ValueError, KeyError) as exc:
-                raised.append(exc)
-
-        # every input is checked before any kernel starts; a step that
-        # waited for ever on a kernel would fail here, not hang the suite
-        stepping = threading.Thread(target=step, daemon=True)
-        stepping.start()
-        stepping.join(timeout=30)
-        assert not stepping.is_alive(), f"{kind}: a kernel waits on an input that failed"
-        assert len(raised) == 1 and type(raised[0]) is error and message in str(raised[0])
-        assert started == [], f"{kind}: kernels started before the inputs were checked"
+        with pytest.raises(error, match=message):
+            tracker.step(frame(1, kind))
+        assert passes == [], f"{kind}: a pass ran before the inputs were checked"
         assert tracker.bank.mean.tobytes() == mean.tobytes()
         assert tracker.bank.cov.tobytes() == cov.tobytes()
         assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
 
 
 @pytest.mark.parametrize("bad", [0, 2])
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
-        cpus, bad, monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+def test_a_pass_that_raises_fails_its_step_and_leaves_the_tracker(bad, monkeypatch):
     cfg = CovNetConfig()
     rng = np.random.default_rng(21)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
@@ -566,47 +473,16 @@ def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
     mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
     lives = [dataclasses.astuple(life) for life in tracker.tracks]
 
-    failing, failed_on, multiplied = [True], [], []
-    fill_started = threading.Event()
-    real_fill, real_product, real_branch = (pipeline.fill_encoding, covnet.first_product,
-                                            covnet.appearance_branch)
+    failing, real_rows = [True], pipeline.chebyshev_rows
 
-    def fill(xb, out, sizes):
+    def rows(xb):
         if failing[0] and len(xb) == 5:
-            failed_on.append(threading.current_thread().name)
-            fill_started.set()
-            raise RuntimeError("fill failed")
-        return real_fill(xb, out, sizes)
+            raise RuntimeError("pass failed")
+        return real_rows(xb)
 
-    def product(p, f_pos):
-        multiplied.append(len(f_pos))
-        return real_product(p, f_pos)
-
-    def branch(p, f_app):
-        # with a worker, the calling thread takes no item until the failing
-        # fill has started, so that fill runs on the pool
-        assert cpus == 1 or fill_started.wait(timeout=10)
-        return real_branch(p, f_app)
-
-    monkeypatch.setattr(pipeline, "fill_encoding", fill)
-    monkeypatch.setattr(covnet, "first_product", product)
-    monkeypatch.setattr(covnet, "appearance_branch", branch)
-    raised = []
-
-    def step():
-        try:
-            tracker.step(frames[1])
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    # a product left waiting on its set's fill would fail here, not hang the suite
-    stepping = threading.Thread(target=step, daemon=True)
-    stepping.start()
-    stepping.join(timeout=30)
-    assert not stepping.is_alive(), "a kernel waits on a fill that failed"
-    assert [str(exc) for exc in raised] == ["fill failed"]
-    assert failed_on == [stepping.name] if cpus == 1 else len(_workers(failed_on)) == 1
-    assert sorted(multiplied) == [8, 8]  # the failed set is never multiplied
+    monkeypatch.setattr(pipeline, "chebyshev_rows", rows)
+    with pytest.raises(RuntimeError, match="pass failed"):
+        tracker.step(frames[1])
     assert tracker.bank.mean.tobytes() == mean.tobytes()
     assert tracker.bank.cov.tobytes() == cov.tobytes()
     assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
@@ -726,16 +602,17 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     cfg = CovNetConfig()
     rng = np.random.default_rng(5)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
-    cav_of = {id(p): cav for cav, p in params.items()}
-    batches = {}  # vehicle -> rows of each of its passes; the vehicles' passes run concurrently
+    provider = LearnedCovariance(params)
+    cav_of = {id(p): cav for cav, p in provider.params_by_cav.items()}  # the folded sets
+    batches = {}  # vehicle -> rows of each of its passes
     real_forward = covnet.forward
 
-    def counting_forward(params, f_app, f_pos, **parts):
+    def counting_forward(params, f_app, f_pos):
         batches.setdefault(cav_of[id(params)], []).append(len(f_pos))
-        return real_forward(params, f_app, f_pos, **parts)
+        return real_forward(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting_forward)
-    tracker = CoopTracker(cov_provider=LearnedCovariance(params))
+    tracker = CoopTracker(cov_provider=provider)
     tracker.step([_learned_packet(rng, 0, 0, [0.0, 20.0, 40.0], cfg),
                   _learned_packet(rng, 0, 1, [], cfg),
                   _learned_packet(rng, 0, 2, [0.2, 60.0], cfg)])
@@ -756,19 +633,16 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
     packets = [dataclasses.replace(
         _learned_packet(rng, 3, cav, [10.0 * k + cav for k in range(8 + cav)], cfg),
         pose=PoseYawT(5.0 * cav, -2.0, 0.0, 0.3 * cav)) for cav in (0, 1, 2)]
-    want = [covnet.forward(params[p.cav_id], np.stack([d.appearance for d in p.detections]),
-                           encode_detection(box_rows(d.box for d in p.detections), p.pose))
+    want = [covnet.forward(covnet.fold(params[p.cav_id]),
+                           np.stack([d.appearance for d in p.detections]),
+                           _chebyshev(p.detections, p.pose))
             for p in packets]
-    threads = _threads_of_kernels(monkeypatch, meet=cpus > 1)
-    started = _started(monkeypatch)
+    threads = _pass_threads(monkeypatch)
     got = _switching_often(lambda: LearnedCovariance(params).start_residuals(packets)())
     assert all(type(rows) is np.ndarray for rows in got)
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
-    assert (len(set(threads["fill"])) > 1) == (cpus > 1)
-    # one pass per set, in the calling thread; the pool takes every set's
-    # encoding fill, then every set's first product
-    assert threads["forward"] == [threading.current_thread().name] * 3
-    assert started == [_kernels(3)]
+    # one pass per set, in the calling thread
+    assert threads == [threading.current_thread().name] * 3
 
 
 def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monkeypatch):
@@ -784,9 +658,9 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
     want = window.start_residuals(frame)()
     batches, real = [], covnet.forward
 
-    def counting(params, f_app, f_pos, **parts):
+    def counting(params, f_app, f_pos):
         batches.append(len(f_pos))
-        return real(params, f_app, f_pos, **parts)
+        return real(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting)
     got = LearnedCovariance(params).start_residuals(frame)()
@@ -826,15 +700,16 @@ def test_each_detection_takes_its_own_row():
     process = ProcessModel.constant_velocity(TrackerSettings.process_noise_velocity)
     # births: each track's initial covariance comes from its detection's row
     for trk, det in zip(_beliefs(tracker), first.detections):
-        f_pos = encode_detection(box_rows([det.box]), IDENT)
-        row = covnet.forward(params, det.appearance[None], f_pos)[0]
+        row = covnet.forward(covnet.fold(params), det.appearance[None],
+                             _chebyshev([det], IDENT))[0]
         born = np.diag(covnet.residual_to_init_noise_diag(row))
         np.testing.assert_allclose(trk.cov, process.A @ born @ process.A.T + process.Q,
                                    rtol=1e-12)
     # matches: a match updates with its own detection's noise, in any order
     second = _learned_packet(rng, 1, 0, [40.1, 0.1, 20.1], cfg)
-    rows = covnet.forward(params, np.stack([d.appearance for d in second.detections]),
-                          encode_detection(box_rows(d.box for d in second.detections), IDENT))
+    rows = covnet.forward(covnet.fold(params),
+                          np.stack([d.appearance for d in second.detections]),
+                          _chebyshev(second.detections, IDENT))
     expected = []
     for trk in _beliefs(tracker):
         dj = int(np.argmin([abs(d.box.x - trk.mean[0]) for d in second.detections]))

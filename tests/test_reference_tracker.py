@@ -5,10 +5,11 @@ way, with none of `CoopTracker`'s fast paths: one `TrackState` per track
 and one `filter.update` per matched detection (no bank), `iou3d` on every
 track-detection pair (no prescreen), one `hungarian_solve` per vehicle
 round, the lifecycle rules spelled out here rather than taken from
-`association`, and one network pass per packet, one vehicle after another
-on one thread. Both trackers run the same drawn scenes with constant and
-with seeded learned observation noise; ids, births, kills and skipped
-updates must be equal, and boxes, scores and means agree within `TOL`.
+`association`, and one network pass per packet on its full (N, 18 x 256)
+sinusoidal encoding and unfolded weights, one vehicle after another.
+Both trackers run the same drawn scenes with constant and with seeded
+learned observation noise; ids, births, kills and skipped updates must be
+equal, and boxes, scores and means agree within `TOL`.
 
 A scene whose association, on the reference's own beliefs, sits within
 `TIE` of a tie (two assignments whose kept pairs differ, or an IoU at the
@@ -24,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cooptrack import covnet, sim
+from cooptrack import autodiff as ad
+from cooptrack import sim
 from cooptrack.association import hungarian_solve
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.features import encode_detection
@@ -84,6 +86,23 @@ class _Track:
     age: int = 0
 
 
+def full_width_network(params: CovNetParams, f_app, f_pos) -> np.ndarray:
+    """The covariance network as the README specifies it: the appearance
+    convolutions, and the (N, 18, 256) encodings `f_pos` as (N, 4608) rows
+    times the unfolded `pos.lin1.w`; (N, 10) residual rows."""
+    cfg, arr = params.config, params.arrays
+    n = len(f_pos)
+    a = f_app
+    for i in range(1, len(cfg.conv_channels) + 1):
+        a = np.maximum(ad.conv2d(a, arr[f"app.conv{i}.w"], arr[f"app.conv{i}.b"],
+                                 stride=cfg.stride, pad=cfg.pad), 0.0)
+    x = np.maximum(np.reshape(f_pos, (n, -1)) @ arr["pos.lin1.w"] + arr["pos.lin1.b"], 0.0)
+    x = np.maximum(x @ arr["pos.lin2.w"] + arr["pos.lin2.b"], 0.0)
+    h = np.concatenate([np.reshape(a, (n, -1)), x], axis=1)
+    h = np.maximum(h @ arr["head.lin1.w"] + arr["head.lin1.b"], 0.0)
+    return h @ arr["head.lin2.w"] + arr["head.lin2.b"]
+
+
 class ReferenceTracker:
     """The README's tracker, one track and one detection at a time."""
 
@@ -103,7 +122,7 @@ class ReferenceTracker:
             return np.zeros((n, STATE_DIM))
         f_pos = encode_detection(box_rows(d.box for d in packet.detections), packet.pose)
         f_app = np.stack([d.appearance for d in packet.detections])
-        return covnet.forward(self.params_by_cav[packet.cav_id], f_app, f_pos)
+        return full_width_network(self.params_by_cav[packet.cav_id], f_app, f_pos)
 
     def step(self, packets) -> list:
         """One timestep; returns (id, box, score, mean) for each reported track."""

@@ -360,14 +360,13 @@ def window_rollout(frames, params_by_cav, precompute, monkeypatch):
 
     Returns ({(t, cav): rows}, {(cav, name): gradient}, {cav: [rows per
     pass]}); a shared parameter set is lifted once, and its gradients and
-    passes are keyed by its first vehicle. The passes of different sets run
-    concurrently, so only each set's own passes have an order.
+    passes are keyed by its first vehicle.
     """
     passes, real = {}, covnet.forward
 
-    def counting(params, f_app, f_pos, **parts):
+    def counting(params, f_app, f_pos):
         passes.setdefault(cav_of[id(params.arrays)], []).append(len(f_pos))
-        return real(params, f_app, f_pos, **parts)
+        return real(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting)
     tape = ad.Tape()
@@ -375,9 +374,11 @@ def window_rollout(frames, params_by_cav, precompute, monkeypatch):
     for cav, params in sorted(params_by_cav.items()):
         if id(params) not in lifted:
             lifted[id(params)] = (cav, params.lift(tape))
-    cav_of = {id(nodes): cav for cav, nodes in lifted.values()}
     provider = LearnedCovariance({cav: (lifted[id(p)][1], p.config)
                                   for cav, p in params_by_cav.items()})
+    cav_of = {}  # a folded set's arrays -> its first vehicle
+    for cav, params in sorted(provider.params_by_cav.items()):
+        cav_of.setdefault(id(params.arrays), cav)
     frame_packets = [packets_from_sim_frame(f) for f in frames]
     if precompute:
         provider.precompute(frame_packets)
@@ -446,31 +447,26 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
 
     monkeypatch.setattr(ad, "grad_of", recording)
     threads, passes, meetings = set(), set(), []
-    real_fill, real_forward = pipeline.fill_encoding, covnet.forward
+    real_forward = covnet.forward
 
-    def fill(*args):
-        threads.add(threading.current_thread().name)
-        if meetings:
-            meetings.pop().wait()
-        return real_fill(*args)
-
-    def forward(*args, **parts):
+    def forward(*args):
         passes.add(threading.current_thread().name)
-        return real_forward(*args, **parts)
+        return real_forward(*args)
 
-    monkeypatch.setattr(pipeline, "fill_encoding", fill)
     monkeypatch.setattr(covnet, "forward", forward)
-    mapped, norms, real_start, real_clip = [], [], pipeline.start_passes, training.clip_gradients
+    mapped, norms, real_map, real_clip = [], [], pipeline.map_passes, training.clip_gradients
 
     def mapping(fn, items):
         items = list(items)
         mapped.append((fn.__name__, len(items)))
-        return real_start(fn, items)()
 
-    def starting(fn, items):
-        items = list(items)
-        mapped.append([(job.func.__name__, job.args[0]) for job in items])
-        return real_start(fn, items)
+        def meeting(item):
+            threads.add(threading.current_thread().name)
+            if meetings and len(items) > 1:
+                meetings.pop().wait()
+            return fn(item)
+
+        return real_map(meeting, items)
 
     def clipping(grads, max_norm):
         scale, norm = real_clip(grads, max_norm)
@@ -478,8 +474,6 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
         return scale, norm
 
     monkeypatch.setattr(training, "map_passes", mapping)
-    monkeypatch.setattr(pipeline, "map_passes", mapping)
-    monkeypatch.setattr(pipeline, "start_passes", starting)
     monkeypatch.setattr(training, "clip_gradients", clipping)
     split_sweep = ad.Tape.backward
 
@@ -492,9 +486,10 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
         monkeypatch.setattr(ad.Tape, "backward", one_sweep if cpus == 1 else split_sweep)
         grads.clear()
         mapped.clear()
-        if cpus > 1 and not shared:
-            # the first two encoding fills each wait until the other has
-            # started, so they run on two threads (or break the barrier)
+        if cpus > 1:
+            # the first two items of the first call with several each wait
+            # until the other has started, so they run on two threads (or
+            # break the barrier)
             both = threading.Barrier(2, timeout=10)
             meetings[:] = [both, both]
         params = training.init_params_for_run(cfg, np.random.default_rng(3))
@@ -522,17 +517,14 @@ def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_
     assert len(moments) == len(covnet.layer_shapes(small_net())) * sets
     if case == "clipped":
         assert norms and all(norm > clip for norm in norms)
-    # the calling thread runs every pass; with a set per vehicle, the fills
-    # of the concurrent epoch run on two threads
+    # the calling thread runs every pass; the first two items of the
+    # concurrent epoch's first call with several items run on two threads
     assert passes == {threading.current_thread().name}
-    assert shared or any(name.startswith("cooptrack-pass") for name in threads)
-    # each window's passes put each set's encoding fill, then each set's first
-    # product on the pool; it sweeps one backward section per set, takes one
-    # norm per set and its step one item per block (pos.lin1.w, 4608 x 8,
-    # takes two blocks)
-    kernels = [("fill", k) for k in range(sets)] + [("product", k) for k in range(sets)]
+    assert any(name.startswith("cooptrack-pass") for name in threads)
+    # each window sweeps one backward section per set, takes one norm per set
+    # and its step one item per block (pos.lin1.w, 4608 x 8, takes two blocks)
     blocks = len(covnet.layer_shapes(small_net())) + 1
-    window = ([kernels] + ([("_sweep", sets)] if sets > 1 else [])
+    window = (([("_sweep", sets)] if sets > 1 else [])
               + [("squared_sums", sets), ("step_block", sets * blocks)])
     assert mapped == 2 * window
 
@@ -543,9 +535,9 @@ def test_every_tape_node_of_a_window_is_made_on_the_calling_thread(num_cavs, mon
     frames = sim.generate(tiny_scenario(duration=4,
                                         starts=((0.0, 0.0), (2.0, -4.0), (4.0, 4.0))[:num_cavs]))
     cfg = small_run_config(num_cavs=num_cavs, train=TrainSettings(window_length=4, epochs=1))
-    makers, fills = set(), set()
-    real_init, real_fill = ad.Node.__init__, pipeline.fill_encoding
-    # the window's first two encoding fills meet on two threads
+    makers, mapped = set(), set()
+    real_init, real_map = ad.Node.__init__, training.map_passes
+    # the window's first two backward sections meet on two threads
     both = threading.Barrier(2, timeout=10)
     meetings = [both, both]
 
@@ -553,19 +545,21 @@ def test_every_tape_node_of_a_window_is_made_on_the_calling_thread(num_cavs, mon
         makers.add(threading.current_thread().name)
         real_init(node, *args)
 
-    def fill(*args):
-        fills.add(threading.current_thread().name)
-        if meetings:
-            meetings.pop().wait()
-        return real_fill(*args)
+    def meeting(fn):
+        def item(x):
+            mapped.add(threading.current_thread().name)
+            if meetings:
+                meetings.pop().wait()
+            return fn(x)
+        return item
 
     monkeypatch.setattr(ad.Node, "__init__", init)
-    monkeypatch.setattr(pipeline, "fill_encoding", fill)
+    monkeypatch.setattr(training, "map_passes", lambda fn, items: real_map(meeting(fn), items))
     result = training.train(frames, fresh_params(small_net(), 1, num_cavs), cfg.train,
                             cfg.tracker)
     # a whole window: passes, tracking, loss, a split sweep and an Adam step
     assert result.adam.step == 1
-    assert any(name.startswith("cooptrack-pass") for name in fills)
+    assert any(name.startswith("cooptrack-pass") for name in mapped)
     assert makers == {threading.current_thread().name}
 
 
