@@ -457,7 +457,12 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, ba
 
 
 @pytest.mark.parametrize("bad", [0, 2])
-def test_a_pass_that_raises_fails_its_step_and_leaves_the_tracker(bad, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
+        cpus, bad, monkeypatch):
+    # the name dates from when fills ran on the pool; a pass now runs on the
+    # calling thread whatever the CPU count, and fails the same way for each
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
     cfg = CovNetConfig()
     rng = np.random.default_rng(21)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
