@@ -7,6 +7,7 @@ translation, which is all the tracking pipeline ever needs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,9 +59,15 @@ class Box7:
 
 
 def box_rows(boxes) -> np.ndarray:
-    """A sequence of Box7 as an (n, 7) float64 array of (x, y, z, a, l, w, h) rows."""
-    return np.array([(b.x, b.y, b.z, b.a, b.l, b.w, b.h) for b in boxes],
-                    dtype=float).reshape(-1, 7)
+    """A sequence of Box7 as an (n, 7) float64 array of (x, y, z, a, l, w, h) rows.
+
+    Each box's seven fields fill one float64 array in order, with no row
+    tuples for numpy to read one by one.
+    """
+    boxes = list(boxes)
+    return np.fromiter(itertools.chain.from_iterable((b.x, b.y, b.z, b.a, b.l, b.w, b.h)
+                                                     for b in boxes),
+                       dtype=float, count=7 * len(boxes)).reshape(-1, 7)
 
 
 def _box_values(box) -> tuple:

@@ -14,16 +14,19 @@ cost a whole sequence's pairs repay (the tracker's per-frame matrices are too
 small for that and stay on the per-pair path, `association.build_cost_matrix`).
 A pass keeps each frame's n best-scored tracks (ties kept together), so a
 frame's matches depend on n alone, and most of them need no solver. Up to a
-frame's matching limit, the kept tracks' positive-IoU entries pair each
-ground truth with at most one track and each track with at most one ground
-truth, and every optimal assignment holds each of those pairs: an optimum
-that left out (g, t) pairs g and t at cost 0 each, and swapping (g, t) in
-lowers the total by IoU(g, t) > 0. Those matches are read off the pairs that
-reach the IoU threshold, one mask over the whole sequence; only a kept count
-past the limit is solved (`match_frame`), once per (frame, n) of the call.
-A pass's TP, kept-track and id-switch counts are then array reductions, and
-its TP IoUs are added left to right, frame after frame. Levels that share a
-threshold share one pass.
+frame's star limit, every component of the kept tracks' positive-IoU graph is
+a star (one gt with some tracks, or one track with some gts; a single pair is
+the one-leaf star), and no gt or track holds two positive IoUs within
+`STAR_MARGIN`. Then every optimal assignment of the zero-padded matrix holds
+each star's best pair and no other pair of it: the components are independent,
+and any two pairs of a star share its centre, so an optimum holds at most one
+of them; it holds the best one, which beats every other by more than the
+margin. Those matches are the kept pairs that reach the IoU threshold and hold
+the largest IoU at both their gt and their track, one mask over the whole
+sequence; only a kept count past the limit is solved (`match_frame`), once per
+(frame, n) of the call. A pass's TP, kept-track and id-switch counts are then
+array reductions, and its TP IoUs are added left to right, frame after frame.
+Levels that share a threshold share one pass.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ BOX_REALS = 7
 SHARED_REALS = 17  # 7 box variables + 10 covariance residuals
 PAYLOAD_RATIO = SHARED_REALS / BOX_REALS
 MEGABYTE = 1e6
+
+# two positive IoUs of one gt or one track closer than this send a frame to the
+# solver: far above the rounding of its shortest augmenting paths on costs in
+# [-1, 0], so the solver's choice between them is never guessed
+STAR_MARGIN = 1e-9
 
 
 @dataclass
@@ -106,14 +114,21 @@ class _Sequence:
     Gt rows and track rows run frame after frame, each frame's in list order.
     A track's rank counts the tracks of its frame that score strictly above
     it, so a pass that keeps a frame's n best tracks keeps its rows of
-    rank < n. A frame's matching limit is the largest n for which no kept
-    track has two positive IoUs and no gt has two among the kept tracks: the
-    lowest rank of a track with two positive IoUs, or the lowest
-    second-lowest rank of a gt's positive tracks, whichever is smaller. A
-    frame with a non-finite IoU has limit 0, so its solves (and the solver's
-    finite check) all run. Up to the limit a pass reads the frame's matches
-    off its pairs that reach the IoU threshold; past it they are solved by
-    `match_frame`, once per (frame, n) of the call.
+    rank < n. A frame's star limit is the largest n at which its kept
+    tracks' positive IoUs form stars only, with no two IoUs of one gt or one
+    track within `STAR_MARGIN`. Kept tracks only add pairs as n grows, so
+    the limit is the smallest n - 1 at which one of these appears: a
+    positive pair whose track has two positive gts, once that track and a
+    second positive track of its gt are kept; two IoUs within the margin at
+    a track, once it is kept; two at a gt, once both of their tracks are
+    kept. A frame with a
+    non-finite IoU has limit 0, so its solves (and the solver's finite
+    check) all run. The positive pairs are sorted once, here: a pair that
+    reaches the IoU threshold and holds its track's largest IoU is read off
+    by a pass whose n keeps its track and is at most both the frame's limit
+    and the lowest rank of a track of larger IoU at its gt (`hit_cap`).
+    Past the limit a frame's matches are solved by `match_frame`, once per
+    (frame, n) of the call.
     """
 
     def __init__(self, frames, track_frames, gt_frames, iou_threshold):
@@ -160,24 +175,58 @@ class _Sequence:
         rank = np.empty(len(order), dtype=int)
         rank[order] = tie_start - self.track_start[frame_sorted]
 
+        # star limits (see the class docstring), from the positive pairs
         self.limit = num_tracks.copy()
-        positive = self.iou > 0.0
-        pos_gt, pos_track = self.pair_gt[positive], self.pair_track[positive]
-        shared = np.flatnonzero(np.bincount(pos_track, minlength=len(order)) >= 2)
-        np.minimum.at(self.limit, self.track_frame[shared], rank[shared])
-        by_gt = np.lexsort((rank[pos_track], pos_gt))
-        pos_gt, pos_rank = pos_gt[by_gt], rank[pos_track[by_gt]]
-        later = np.flatnonzero(pos_gt[1:] == pos_gt[:-1]) + 1  # all but each gt's lowest
-        np.minimum.at(self.limit, gt_frame[pos_gt[later]], pos_rank[later])
+        positive = np.flatnonzero(self.iou > 0.0)
+        pos_gt, pos_track, pos_iou = self.pair_gt[positive], self.pair_track[positive], \
+            self.iou[positive]
+        pos_rank, pos_frame = rank[pos_track], self.pair_frame[positive]
+        # a pair whose track has two positive gts joins two stars once its
+        # track and its gt's second-ranked positive track are both kept
+        by_rank = np.lexsort((pos_rank, pos_gt))
+        gt_sorted, rank_sorted = pos_gt[by_rank], pos_rank[by_rank]
+        later = np.flatnonzero(gt_sorted[1:] == gt_sorted[:-1]) + 1  # all but each gt's lowest
+        second = num_tracks[gt_frame]
+        np.minimum.at(second, gt_sorted[later], rank_sorted[later])
+        forked = np.flatnonzero(np.bincount(pos_track, minlength=len(rank))[pos_track] >= 2)
+        np.minimum.at(self.limit, pos_frame[forked],
+                      np.maximum(pos_rank[forked], second[pos_gt[forked]]))
+        # two IoUs within the margin at one gt or one track, once both are kept:
+        # in (centre, IoU) order every close pair of a centre is found at some
+        # offset k, and no offset past the first without one holds any
+        for centre in (pos_gt, pos_track):
+            by_iou = np.lexsort((pos_iou, centre))
+            c, v, r, f = centre[by_iou], pos_iou[by_iou], pos_rank[by_iou], pos_frame[by_iou]
+            for k in range(1, len(by_iou)):
+                close = np.flatnonzero((c[k:] == c[:-k]) & (v[k:] - v[:-k] <= STAR_MARGIN))
+                if not len(close):
+                    break
+                np.minimum.at(self.limit, f[close], np.maximum(r[close], r[close + k]))
         self.limit[self.pair_frame[~np.isfinite(self.iou)]] = 0
 
-        hit = np.flatnonzero(self.iou >= iou_threshold)
-        self.hit_frame = self.pair_frame[hit]
-        self.hit_rank = rank[self.pair_track[hit]]
-        self.hit_limit = self.limit[self.hit_frame]
-        self.hit_gt = self.gt_ids[self.pair_gt[hit]]
-        self.hit_track = np.array(track_ids)[self.pair_track[hit]]
-        self.hit_iou = self.iou[hit]
+        # a star's read-off pair holds the largest IoU at its track (among
+        # every gt) and at its gt (among the kept tracks): so it is read off
+        # while the lowest-ranked track of larger IoU at its gt is not kept
+        by_track = np.lexsort((-pos_iou, pos_track))
+        best = np.zeros(len(positive), dtype=bool)
+        best[by_track[np.flatnonzero(np.diff(pos_track[by_track], prepend=-1))]] = True
+        by_gt = np.lexsort((-pos_iou, pos_gt))
+        g, r = pos_gt[by_gt], pos_rank[by_gt]
+        first = np.diff(g, prepend=-1) != 0
+        above = np.where(first, num_tracks[gt_frame[g]], np.roll(r, 1))  # the previous pair's rank
+        # a running minimum that restarts at each gt: the k-th gt of the
+        # order is shifted below every earlier one
+        shift = (np.cumsum(first) - 1) * (num_tracks.max(initial=0) + 1)
+        beaten = np.empty(len(positive), dtype=int)
+        beaten[by_gt] = np.minimum.accumulate(above - shift) + shift
+
+        hit = np.flatnonzero(best & (pos_iou >= iou_threshold))
+        self.hit_frame = pos_frame[hit]
+        self.hit_rank = pos_rank[hit]
+        self.hit_cap = np.minimum(self.limit[self.hit_frame], beaten[hit])
+        self.hit_gt = self.gt_ids[pos_gt[hit]]
+        self.hit_track = np.array(track_ids)[pos_track[hit]]
+        self.hit_iou = pos_iou[hit]
         self.matrices = {}  # frame -> its track ids, gt ids and negated-IoU matrix
         self.solved = {}  # (frame, n) -> that frame's matches when it keeps n tracks
 
@@ -191,7 +240,7 @@ class _Sequence:
         kept = np.bincount(self.track_frame[self.scores >= threshold],
                            minlength=len(self.items))
         n = kept[self.hit_frame]
-        read_off = np.flatnonzero((self.hit_rank < n) & (n <= self.hit_limit))
+        read_off = np.flatnonzero((self.hit_rank < n) & (n <= self.hit_cap))
         gt, track, iou = self.hit_gt[read_off], self.hit_track[read_off], self.hit_iou[read_off]
         contested = np.flatnonzero(kept > self.limit)
         if len(contested):

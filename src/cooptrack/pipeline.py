@@ -138,10 +138,9 @@ class ConstantCovariance:
 
     reals_per_detection = metrics.BOX_REALS
 
-    def start_residuals(self, packets):
-        """A function returning each packet's (N, 10) residual rows, all zero."""
-        rows = [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
-        return lambda: rows
+    def residual_rows(self, packets):
+        """Each packet's (N, 10) residual rows, all zero."""
+        return [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
 
 
 class LearnedCovariance:
@@ -155,7 +154,7 @@ class LearnedCovariance:
     passes then (`covnet.fold`, one tape node per set for lifted weights),
     so weights changed later, as by an optimizer step, need a new provider.
     Rows come from one network pass per parameter set over a frame
-    (`start_residuals`) or, after `precompute`, over a whole window, whose
+    (`residual_rows`) or, after `precompute`, over a whole window, whose
     rows each frame then takes as slices. The network reads each
     detection's local box and its vehicle's pose (`features`). Every pass
     runs on the calling thread.
@@ -234,14 +233,14 @@ class LearnedCovariance:
         network's input depends only on the detections and the poses, so
         each parameter set (each vehicle's, or the one shared set) takes
         every row of the window in one pass (`_rows`); a vehicle without
-        detections takes none. From then on `start_residuals` hands out
+        detections takes none. From then on `residual_rows` hands out
         slices of those rows.
         """
         self._window = self._rows(p for packets in frame_packets for p in packets)
 
-    def start_residuals(self, packets):
+    def residual_rows(self, packets):
         """The residual rows of one frame's packets, (N, 10) for each packet
-        of N detections, computed now; returns a function that returns them.
+        of N detections.
 
         Row j of a packet's rows belongs to its detection j. An empty packet
         gets no rows and needs no parameters. The rows are slices of the
@@ -250,9 +249,8 @@ class LearnedCovariance:
         pass over its packet. After `precompute`, a packet the window does
         not hold raises ValueError.
         """
-        rows = _packet_rows(packets, self._rows(packets) if self._window is None
+        return _packet_rows(packets, self._rows(packets) if self._window is None
                             else self._window)
-        return lambda: rows
 
 
 def _packet_rows(packets, slices) -> list:
@@ -306,7 +304,7 @@ class CoopTracker:
         and is counted in `skipped_updates`.
 
         The provider computes every packet's residual rows first
-        (`start_residuals`, which checks every input), before the first
+        (`residual_rows`, which checks every input), before the first
         round, so a pass that fails leaves the tracker as it was.
 
         Association works on float rows: each packet's detections reach the
@@ -320,7 +318,7 @@ class CoopTracker:
         if len({p.cav_id for p in packets}) != len(packets):
             raise ValueError("duplicate cav_id in packets")
 
-        residuals = self.cov.start_residuals(packets)()
+        residuals = self.cov.residual_rows(packets)
         matched = [False] * len(self.tracks)  # per bank row: matched this timestep
         for packet, sigmas in zip(packets, residuals):
             det_global, matches = self._associate(packet)

@@ -15,10 +15,11 @@ import operator
 import numpy as np
 import pytest
 
-from cooptrack import metrics
+from cooptrack import metrics, sim
 from cooptrack.association import build_cost_matrix
 from cooptrack.geometry import Box7, box_rows
-from cooptrack.io import RunConfig, gt_frames_from_records, track_frames_from_records
+from cooptrack.io import (RunConfig, gt_frames_from_records, track_frames_from_records,
+                          track_frames_from_reports)
 from cooptrack.metrics import (
     BOX_REALS,
     MEGABYTE,
@@ -32,7 +33,10 @@ from cooptrack.metrics import (
     write_recall_table_csv,
     write_summary_csv,
 )
-from test_properties import count_id_switches
+from cooptrack.pipeline import (ConstantCovariance, CoopTracker, LearnedCovariance,
+                                 packets_from_sim_frame)
+from cooptrack.training import init_params_for_run
+from test_properties import _reference_evaluate, count_id_switches
 
 
 def _box(x, y=0.0):
@@ -135,9 +139,9 @@ def test_evaluate_scores_every_frames_pairs_in_one_iou_batch(monkeypatch):
         box for t in range(10) for _gid, box in gt_frames[t]))
     np.testing.assert_array_equal(track_side, box_rows(
         box for t in range(10) for _tid, box, _s in track_frames[t]))
-    # a (frame, kept count) is solved only when its kept tracks' positive IoUs
-    # pair some gt or some track twice; here no frame's whole matrix does, so
-    # no subset of its tracks does either, and every match is read off
+    # a (frame, kept count) is solved only past the frame's star limit; here
+    # no frame's whole matrix pairs a gt or a track twice, so every kept
+    # graph is a matching, the one-leaf star, and every match is read off
     for t, items in track_frames.items():
         overlap = build_cost_matrix(box_rows(b for _, b in gt_frames.get(t, [])),
                                     box_rows(b for _, b, _s in items)) < 0.0
@@ -154,33 +158,85 @@ def _solved_kept_counts(monkeypatch, track_frames, gt_frames):
     return evaluate(track_frames, gt_frames), solved
 
 
-def test_a_gt_overlapping_two_tracks_is_solved_only_once_both_are_kept(monkeypatch):
-    # gt 0 overlaps track 100 (0.9, on it) and track 200 (0.4, 1 m off); every
-    # level thresholds at 0.9 and keeps track 100 alone, which is read off;
-    # the full-recall pass keeps both and solves each frame once
+def test_a_gt_centred_star_is_read_off_without_a_solve(monkeypatch):
+    # gt 0 overlaps track 100 (0.9, on it) and track 200 (0.4, 1 m off): a
+    # star at the gt, whose best pair every optimal assignment holds, so even
+    # the full-recall pass, which keeps both tracks, solves nothing
     gt_frames = {t: [(0, _box(0.0, t))] for t in range(5)}
     track_frames = {t: [(100, _box(0.0, t), 0.9), (200, _box(1.0, t), 0.4)]
                     for t in range(5)}
     report, solved = _solved_kept_counts(monkeypatch, track_frames, gt_frames)
-    assert solved == [2] * 5
+    assert solved == []
     assert {lv.threshold for lv in report.levels} == {0.9}
     assert all((lv.tp, lv.fp, lv.ids) == (5, 0, 0) for lv in report.levels)
+    assert repr(report) == repr(_reference_evaluate(track_frames, gt_frames))
 
 
-def test_a_track_overlapping_two_gts_is_solved_once_it_is_kept(monkeypatch):
-    # a chain g1 - t1 - g2: track 1 (0.5) lies between gts 1 and 2, 3 m apart,
-    # nearer gt 1; track 3 (0.9) follows gt 3 alone. Passes keeping track 3
-    # alone are read off; the full-recall pass keeps both and solves
+def test_a_track_centred_star_is_read_off_without_a_solve(monkeypatch):
+    # track 1 (0.5) lies between gts 1 and 2, 3 m apart, nearer gt 1: a star
+    # at the track; track 3 (0.9) follows gt 3 alone
     gt_frames = {t: [(1, _box(0.0, t)), (2, _box(3.0, t)), (3, _box(40.0, t))]
                  for t in range(4)}
     track_frames = {t: [(1, _box(1.0, t), 0.5), (3, _box(40.0, t), 0.9)] for t in range(4)}
     report, solved = _solved_kept_counts(monkeypatch, track_frames, gt_frames)
-    assert solved == [2] * 4
+    assert solved == []
     # 12 gts, 8 matchable: recall up to 4/12 needs track 3 alone, up to 8/12 both
     assert [lv.threshold for lv in report.levels if lv.achievable] == [0.9] * 13 + [0.5] * 13
     full = report.levels[25]
     assert (full.tp, full.fp, full.fn, full.ids) == (8, 0, 4, 0)
     assert not report.levels[26].achievable
+    assert repr(report) == repr(_reference_evaluate(track_frames, gt_frames))
+
+
+def test_exactly_repeated_boxes_at_one_gt_go_to_the_solver(monkeypatch):
+    # tracks 100 (0.9) and 200 (0.4) sit on one box 1 m off gt 0: two equal
+    # IoUs at the gt, so a pass that keeps both leaves the choice to the solver
+    gt_frames = {t: [(0, _box(0.0, t))] for t in range(3)}
+    track_frames = {t: [(100, _box(1.0, t), 0.9), (200, _box(1.0, t), 0.4)]
+                    for t in range(3)}
+    report, solved = _solved_kept_counts(monkeypatch, track_frames, gt_frames)
+    assert solved == [2] * 3
+    assert repr(report) == repr(_reference_evaluate(track_frames, gt_frames))
+
+
+@pytest.mark.parametrize("centre", ["gt", "track"])
+def test_two_ious_within_the_margin_go_to_the_solver(monkeypatch, centre):
+    # one frame per gap: two pairs at one gt (tracks of scores 0.9 and 0.4) or
+    # at one track (of score 0.9), whose IoUs differ by half the margin, the
+    # margin or twice it
+    gaps = [0.5 * metrics.STAR_MARGIN, metrics.STAR_MARGIN, 2.0 * metrics.STAR_MARGIN]
+    gt_frames, track_frames = {}, {}
+    for t in range(len(gaps)):
+        if centre == "gt":
+            gt_frames[t] = [(0, _box(0.0, 10.0 * t))]
+            track_frames[t] = [(100, _box(0.5, 10.0 * t), 0.9), (200, _box(-0.5, 10.0 * t), 0.4)]
+        else:
+            gt_frames[t] = [(0, _box(-0.5, 10.0 * t)), (1, _box(0.5, 10.0 * t))]
+            track_frames[t] = [(100, _box(0.0, 10.0 * t), 0.9)]
+    ious = np.concatenate([[0.6, 0.6 + gap] for gap in gaps])
+    monkeypatch.setattr(metrics, "iou3d_rows", lambda a, b: ious[:len(a)].copy())
+    report, solved = _solved_kept_counts(monkeypatch, track_frames, gt_frames)
+    # the two frames within the margin are solved once their two pairs are
+    # kept (every pass keeps every track here); the third is read off
+    assert solved == ([2, 2] if centre == "gt" else [1, 1])
+    # and read off as the solver matches it
+    monkeypatch.setattr(metrics, "STAR_MARGIN", 1.0)
+    assert repr(evaluate(track_frames, gt_frames)) == repr(report)
+    assert solved == ([2] * 5 if centre == "gt" else [1] * 5)
+
+
+def test_a_chain_is_solved_from_the_count_that_keeps_both_tracks(monkeypatch):
+    # a chain g1 - t1 - g2 - t2: track 1 (0.9) overlaps gts 1 and 2, track 2
+    # (0.5) gt 2 alone, with IoUs 7/11, 5/13 and 23/67 (no two within the
+    # margin). Passes keeping track 1 alone see a star at it and are read
+    # off; passes keeping both are solved, once per frame
+    gt_frames = {t: [(1, _box(0.0, t)), (2, _box(3.0, t))] for t in range(4)}
+    track_frames = {t: [(1, _box(1.0, t), 0.9), (2, _box(5.2, t), 0.5)] for t in range(4)}
+    report, solved = _solved_kept_counts(monkeypatch, track_frames, gt_frames)
+    assert solved == [2] * 4
+    assert [lv.threshold for lv in report.levels if lv.achievable] == [0.9] * 20 + [0.5] * 20
+    assert all(lv.tp == 8 for lv in report.levels[20:])
+    assert repr(report) == repr(_reference_evaluate(track_frames, gt_frames))
 
 
 def test_a_non_finite_iou_is_still_rejected_by_the_solver(monkeypatch):
@@ -246,6 +302,29 @@ def test_evaluate_batches_each_frames_pairs_in_row_major_order(monkeypatch):
         [g[0][0][1], g[0][0][1], g[0][1][1], g[2][0][1]]))
     np.testing.assert_array_equal(track_side, box_rows(
         [k[0][0][1], k[0][1][1], k[0][1][1], k[2][0][1]]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_evaluate_equals_rebuilding_each_levels_matrices_on_tracked_scenes(seed):
+    # a short v2v_mini scene tracked with constant and with seeded learned
+    # noise; the tracker's output leaves stars (a gt under two tracks, or a
+    # track over two gts) for the read-off
+    frames = sim.generate(sim.preset_v2v_mini(seed=seed, duration=30))
+    packets = [packets_from_sim_frame(f) for f in frames]
+    gt_frames = {f.timestep: list(f.gt) for f in frames}
+    learned = init_params_for_run(RunConfig(seed=seed), np.random.default_rng(seed))
+    stars = 0
+    for provider in (ConstantCovariance(), LearnedCovariance(learned)):
+        tracker = CoopTracker(cov_provider=provider)
+        reports = [tracker.step(frame) for frame in packets]
+        track_frames = track_frames_from_reports(reports, [f.timestep for f in frames])
+        assert repr(evaluate(track_frames, gt_frames)) == repr(
+            _reference_evaluate(track_frames, gt_frames))
+        for t, items in track_frames.items():
+            overlap = build_cost_matrix(box_rows(b for _, b in gt_frames[t]),
+                                        box_rows(b for _, b, _s in items)) < 0.0
+            stars += int((overlap.sum(axis=0) >= 2).any() or (overlap.sum(axis=1) >= 2).any())
+    assert stars > 0
 
 
 def test_evaluate_keeps_no_solve_between_calls():

@@ -501,17 +501,16 @@ def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
 
 
 class _RowsFirst:
-    """A provider whose rows are all computed when a step starts them, before
-    the step's first association round: the order of a step that takes
-    every packet's rows first and then runs the rounds."""
+    """A provider that hands a step every packet's rows, computed before the
+    step's first association round: the order of a step that takes every
+    packet's rows first and then runs the rounds."""
 
     def __init__(self, provider):
         self.provider = provider
         self.reals_per_detection = provider.reals_per_detection
 
-    def start_residuals(self, packets):
-        rows = self.provider.start_residuals(packets)()
-        return lambda: rows
+    def residual_rows(self, packets):
+        return self.provider.residual_rows(packets)
 
 
 NETS = [CovNetParams.init(CovNetConfig(), np.random.default_rng(k)) for k in range(3)]
@@ -643,7 +642,7 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
                            _chebyshev(p.detections, p.pose))
             for p in packets]
     threads = _pass_threads(monkeypatch)
-    got = _switching_often(lambda: LearnedCovariance(params).start_residuals(packets)())
+    got = _switching_often(lambda: LearnedCovariance(params).residual_rows(packets))
     assert all(type(rows) is np.ndarray for rows in got)
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
     # one pass per set, in the calling thread
@@ -660,7 +659,7 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
                                  pose=PoseYawT(-8.0, 3.0, 0.0, 0.4))]
     window = LearnedCovariance(params)
     window.precompute([frame])
-    want = window.start_residuals(frame)()
+    want = window.residual_rows(frame)
     batches, real = [], covnet.forward
 
     def counting(params, f_app, f_pos):
@@ -668,7 +667,7 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
         return real(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting)
-    got = LearnedCovariance(params).start_residuals(frame)()
+    got = LearnedCovariance(params).residual_rows(frame)
     assert batches == [7]
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
 
@@ -746,12 +745,12 @@ class _DegenerateNoiseAt:
     def __init__(self, timestep, detection):
         self.timestep, self.detection = timestep, detection
 
-    def start_residuals(self, packets):
+    def residual_rows(self, packets):
         frame = [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
         for packet, rows in zip(packets, frame):
             if packet.timestep == self.timestep:
                 rows[self.detection, 0] = 1e7  # R_xx = (1 + 1e7)^2: S is beyond the guard
-        return lambda: frame
+        return frame
 
 
 def test_one_degenerate_update_does_not_abort_the_sequence():

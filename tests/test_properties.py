@@ -359,28 +359,34 @@ def test_the_iou_batch_is_every_frames_prescreened_pairs_in_order(scene):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _contested_kept_counts(track_frames, gt_frames, report):
-    """(gt ids, track ids, n) of every frame and kept count n of `report`'s passes
-    whose kept tracks' positive IoUs pair some gt, or some track, twice."""
+def _past_the_star_limit(track_frames, gt_frames, report):
+    """(gt ids, track ids, n) of every frame and kept count n of `report`'s
+    passes whose kept tracks' positive-IoU graph is not all stars (a pair
+    whose gt has two of them and whose track two gts), or holds two
+    positive IoUs within `metrics.STAR_MARGIN` at one gt or one track."""
     avg_score = _reference_average_scores(track_frames)
     thresholds = {-math.inf} | {lv.threshold for lv in report.levels if lv.achievable}
-    contested = []
+    solved = []
     for t in set(gt_frames) | set(track_frames):
         gts, items = gt_frames.get(t, []), track_frames.get(t, [])
-        cost = build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b, _s in items))
+        iou = -build_cost_matrix(box_rows(b for _, b in gts), box_rows(b for _, b, _s in items))
         scores = np.array([avg_score[tid] for tid, _b, _s in items])
         kept = {int((scores >= threshold).sum()): scores >= threshold
                 for threshold in thresholds}
         for n, keep in kept.items():
-            overlap = cost[:, keep] < 0.0
-            if (overlap.sum(axis=0) >= 2).any() or (overlap.sum(axis=1) >= 2).any():
-                contested.append(([g for g, _ in gts], [tid for tid, _b, _s in items], n))
-    return sorted(contested)
+            positive = iou[:, keep] > 0.0
+            joined = positive & (positive.sum(axis=1, keepdims=True) >= 2) \
+                & (positive.sum(axis=0) >= 2)
+            close = [np.diff(np.sort(v[v > 0.0])) <= metrics.STAR_MARGIN
+                     for v in list(iou[:, keep]) + list(iou[:, keep].T)]
+            if joined.any() or any(c.any() for c in close):
+                solved.append(([g for g, _ in gts], [tid for tid, _b, _s in items], n))
+    return sorted(solved)
 
 
 @PROPERTY
 @given(st.one_of(tied_scenes(), crowded_scenes()))
-def test_evaluate_solves_each_contested_kept_count_once(scene):
+def test_evaluate_solves_each_kept_count_past_its_star_limit_once(scene):
     track_frames, gt_frames = scene
     real_match, solved = metrics.match_frame, []
     metrics.match_frame = lambda *args: solved.append((args[1], args[0], len(args[3]))) \
@@ -389,7 +395,7 @@ def test_evaluate_solves_each_contested_kept_count_once(scene):
         report = evaluate(track_frames, gt_frames)
     finally:
         metrics.match_frame = real_match
-    assert sorted(solved) == _contested_kept_counts(track_frames, gt_frames, report)
+    assert sorted(solved) == _past_the_star_limit(track_frames, gt_frames, report)
 
 
 # network residuals from well below -1 (the R floor engages) to large
