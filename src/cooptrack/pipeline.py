@@ -10,12 +10,7 @@ after the final round, followed by the predict step for the next frame.
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
-import functools
 import itertools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,74 +26,6 @@ from .features import (DEFAULT_BOUNDS, chebyshev_rows, encode_detection,  # noqa
 from .filter import (OBS_DIM, OBSERVATION_MATRIX, STATE_DIM, ObservationModel, ProcessModel,
                      TrackBank, predict, update)
 from .geometry import Box7, PoseYawT, box_rows, transform_rows, wrap_angle
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _pass_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
-    """The worker threads of `map_passes`, built on first use."""
-    return concurrent.futures.ThreadPoolExecutor(max_workers=workers,
-                                                 thread_name_prefix="cooptrack-pass")
-
-
-def map_passes(fn, items) -> list:
-    """`[fn(item) for item in items]`, the calls running concurrently.
-
-    Each call is one independent piece of a parameter set's work (a section
-    of the backward sweep, a gradient norm's squared sums, a block of an
-    Adam step), whose time goes mostly to numpy calls that release the GIL.
-    With more than one CPU (`_cpu_count`, the process's affinity) and more
-    than one item, up to CPUs - 1 pool threads start at once, and they and
-    the calling thread each take the next item not yet started, in item
-    order, until none is left. The results come back in item order once
-    every call has finished; a failed call's exception is raised then, the
-    first in item order. With one CPU or one item, every call runs in the
-    calling thread, one after another. Every call runs in a copy of the
-    caller's context at the start, so the caller's `np.errstate` holds in
-    it. A call may wait for an earlier item's call, which has started by
-    then; `fn` must not map passes itself: a worker would wait on the pool
-    it occupies.
-
-    The calls record no tape node: the calling thread records every node,
-    in the same order with any number of CPUs, so the tape and every
-    gradient of its sweep keep their bits (`autodiff.Tape`).
-    """
-    items = list(items)
-    cpus = _cpu_count()
-    context = contextvars.copy_context()
-    results, errors = [None] * len(items), [None] * len(items)
-    claim, taken = threading.Lock(), itertools.count()
-
-    def drain():
-        while True:
-            with claim:
-                index = next(taken)
-            if index >= len(items):
-                return
-            try:
-                results[index] = context.copy().run(fn, items[index])
-            except Exception as exc:  # raised below, in item order
-                errors[index] = exc
-
-    workers = min(cpus, len(items)) - 1
-    futures = [_pass_pool(cpus - 1).submit(drain) for _ in range(workers)]
-    try:
-        drain()
-    finally:
-        concurrent.futures.wait(futures)
-    for future in futures:
-        future.result()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,7 @@ from .covnet import CovNetParams
 from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
 from .io import AdamState, TrainSettings, params_by_vehicle
-from .pipeline import (LearnedCovariance, map_passes, packets_from_sim_frame,
-                       tracker_from_settings)
+from .pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -103,23 +101,9 @@ def window_loss(reports_per_frame, gt_per_frame,
 
 
 def global_grad_norm(grads: dict) -> float:
-    """The L2 norm of all of `grads`' arrays, keyed (parameter set, name).
-
-    Each set's squared sums are taken side by side (`pipeline.map_passes`)
-    and added in `grads` order, so the norm has the bits of one sum over
-    `grads`.
-    """
-    keys_by_set = {}
-    for key in grads:
-        keys_by_set.setdefault(key[0], []).append(key)
-
-    def squared_sums(keys):
-        return {key: float(np.sum(grads[key] * grads[key])) for key in keys}
-
-    squares = {}
-    for part in map_passes(squared_sums, keys_by_set.values()):
-        squares.update(part)
-    return math.sqrt(sum(squares[key] for key in grads))
+    """The L2 norm of all of `grads`' arrays, their squared sums added in
+    `grads` order."""
+    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
 
 
 def clip_gradients(grads: dict, max_norm: float):
@@ -141,14 +125,12 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
 
     The weights and both moments are updated in place, block of rows by
     block of rows (about ADAM_BLOCK entries each, so a block's arrays stay
-    in cache), through two scratch buffers per thread; each array of
-    `state.m` and `state.v` keeps its identity. A block's gradient is
-    scaled into a buffer, giving the products a scaled copy of the whole
+    in cache), through two scratch buffers allocated once per call; each
+    array of `state.m` and `state.v` keeps its identity. A block's gradient
+    is scaled into a buffer, giving the products a scaled copy of the whole
     array would hold. Every entry takes the same operations in the same
-    order as the textbook expressions, so the bits are theirs. The blocks
-    are disjoint, so they are stepped side by side (`pipeline.map_passes`),
-    one item per block, taken by whichever thread is free. `grads` is only
-    read: its arrays may share memory with tape gradients.
+    order as the textbook expressions, so the bits are theirs. `grads` is
+    only read: its arrays may share memory with tape gradients.
     """
     state.step += 1
     t = state.step
@@ -160,14 +142,10 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
             rows = max(1, ADAM_BLOCK // (weights.size // len(weights)))
             blocks += [((cav, name), weights, slice(lo, lo + rows))
                        for lo in range(0, len(weights), rows)]
-    scratch = threading.local()  # each thread's two buffers
-
-    def step_block(item):
-        key, weights, block = item
-        if not hasattr(scratch, "buffers"):
-            scratch.buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for key, weights, block in blocks:
         w, m, v = weights[block], state.m[key][block], state.v[key][block]
-        g, s = (b[:w.size].reshape(w.shape) for b in scratch.buffers)
+        g, s = (b[:w.size].reshape(w.shape) for b in buffers)
         np.multiply(weight_decay, w, out=g)
         grad = grads[key][block]
         if scale != 1.0:
@@ -186,8 +164,6 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
         s *= lr
         s /= g
         w -= s                                        # w -= lr m^ / (sqrt(v^) + eps)
-
-    map_passes(step_block, blocks)
 
 
 # --- training loop --------------------------------------------------------------
@@ -227,11 +203,8 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     which folds each parameter set once (`LearnedCovariance`), and its
     covariance rows come from one network pass per parameter set, made
     before its frames are tracked (`LearnedCovariance.precompute`). The
-    parts of the backward sweep that reach back into those passes
-    (`Tape.backward` with the tape's length after them as its split), the
-    squared sums of the gradient norm (`global_grad_norm`) and the blocks
-    of the Adam step (`adam_step`) run concurrently and leave every bit as
-    it is.
+    backward sweep, the gradient norm and the Adam step run on the calling
+    thread, one after another.
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only
@@ -270,7 +243,6 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                                               in params_by_cav.items()}, bounds)
                 frame_packets = [packets_from_sim_frame(frame) for frame in window]
                 provider.precompute(frame_packets)
-                passes_end = len(tape)
                 tracker = tracker_from_settings(tracker_settings, provider)
                 reports = [tracker.step(packets) for packets in frame_packets]
                 loss, supervised = window_loss(reports, [frame.gt for frame in window],
@@ -287,7 +259,7 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 if not math.isfinite(loss_value):
                     raise FloatingPointError(
                         f"non-finite loss {loss_value} in epoch {epoch}, window {w}")
-                tape.backward(loss, passes_end, map_passes)
+                tape.backward(loss)
                 grads = {(cav, name): ad.grad_of(node)
                          for cav, params in param_sets.items()
                          for name, node in lifted[id(params)].arrays.items()}

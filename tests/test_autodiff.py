@@ -508,56 +508,6 @@ def test_a_consumed_or_released_tape_cannot_sweep_again():
         released.backward(loss)
 
 
-def _sectioned_loss(tape, sections, join):
-    """A loss over `sections` disjoint subgraphs recorded before the returned
-    mark, each read again after it, with the leaves and the mark.
-
-    `join` makes the last section read the first one's non-leaf ("non-leaf")
-    or leaf ("leaf") before the mark.
-    """
-    rng = np.random.default_rng(8)
-    leaves = [tape.var(rng.standard_normal((3, 4))) for _ in range(sections)]
-    hidden = []
-    for k, w in enumerate(leaves):
-        if k == sections - 1 and join == "leaf":
-            w = ad.add(w, leaves[0])
-        h = ad.relu(ad.matmul(rng.standard_normal((5, 3)), w))
-        if k == sections - 1 and join == "non-leaf":
-            h = ad.add(h, hidden[0])
-        hidden.append(ad.add(ad.square(h), h))
-    mark = len(tape)
-    # later consumers: of every section at once, of one section twice, of a leaf
-    loss = ad.asum(ad.square(ad.concat(hidden, axis=1)))
-    loss = ad.add(loss, ad.asum(ad.div(hidden[1], 3.0)))
-    loss = ad.add(loss, ad.asum(ad.matmul(rng.standard_normal((2, 3)), leaves[0])))
-    return loss, leaves, mark
-
-
-@pytest.mark.parametrize("sections, join, mapped", [
-    (3, None, [3]), (3, "non-leaf", [2]), (2, "non-leaf", []), (2, "leaf", []),
-], ids=["split", "joined", "one-section", "shared-leaf"])
-def test_a_split_sweep_gives_the_bits_of_the_one_sweep(sections, join, mapped):
-    tape = ad.Tape()
-    loss, leaves, _ = _sectioned_loss(tape, sections, join)
-    tape.backward(loss)
-    want = [ad.grad_of(leaf).tobytes() for leaf in leaves]
-    calls = []
-
-    def backwards(fn, items):
-        """Sweeps the sections last first, so one that leaned on another shows."""
-        items = list(items)
-        calls.append(len(items))
-        return [fn(item) for item in reversed(items)][::-1]
-
-    tape = ad.Tape()
-    loss, leaves, mark = _sectioned_loss(tape, sections, join)
-    nodes = list(tape._nodes)
-    tape.backward(loss, mark, backwards)
-    assert calls == mapped
-    assert [ad.grad_of(leaf).tobytes() for leaf in leaves] == want
-    assert all(node.grad is None and not node._parents for node in nodes if not node.is_leaf)
-
-
 def test_gradient_accumulates_over_reuse():
     tape = ad.Tape()
     x = tape.var(np.array([3.0]))
@@ -644,23 +594,23 @@ def test_nodes_are_made_only_by_the_leaf_and_the_recording_helper():
     assert not made, "make nodes through autodiff._record: " + ", ".join(made)
 
 
-def test_threads_are_built_only_by_the_pass_pool():
-    # every concurrent piece of work goes through pipeline.map_passes and its pool
-    src = pathlib.Path(ad.__file__).parent
-    built = []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        home = {n.lineno for f in tree.body if isinstance(f, ast.FunctionDef)
-                and path.name == "pipeline.py" and f.name == "_pass_pool"
-                for n in ast.walk(f) if hasattr(n, "lineno")}
-        for node in ast.walk(tree):
+def test_no_module_starts_a_thread():
+    # every pass and every piece of the optimizer runs on the calling thread
+    found = []
+    for path in sorted(pathlib.Path(ad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
             func = getattr(node, "func", None)
-            name = getattr(func, "id", getattr(func, "attr", None))
-            if isinstance(node, ast.Call) and name in ("ThreadPoolExecutor", "Thread"):
-                built.append((path.name, node.lineno, node.lineno in home))
-    assert [home for _, _, home in built] == [True], (
-        "build threads in pipeline._pass_pool only: "
-        + ", ".join(f"{name}:{line}" for name, line, home in built if not home))
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if any(m.split(".")[0] in ("threading", "concurrent") for m in modules) or (
+                    isinstance(node, ast.Call) and called in ("Thread", "ThreadPoolExecutor")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "cooptrack starts no thread: " + ", ".join(found)
 
 
 # names a module imports only so that callers can reach them as `<module>.<name>`

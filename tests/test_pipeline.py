@@ -3,14 +3,9 @@ multi-vehicle duplicate suppression, payload accounting, and the learned
 provider's zero-parameter equivalence to the constant tracker."""
 
 import dataclasses
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from cooptrack import covnet, metrics, pipeline, sim
 from cooptrack.association import LifecycleConfig
@@ -290,127 +285,24 @@ def test_a_vehicle_without_parameters_fails_its_frame_before_any_round():
     assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
 
 
-def _pass_threads(monkeypatch) -> list:
-    """The thread of each network pass (`covnet.forward` call) from now on."""
-    names, forward = [], covnet.forward
-
-    def recording(*args, **kwargs):
-        names.append(threading.current_thread().name)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(covnet, "forward", recording)
-    return names
-
-
-def _switching_often(run):
-    """`run()` with the interpreter switching threads every 10 microseconds."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        return run()
-    finally:
-        sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("shared", [False, True], ids=["per-vehicle", "shared"])
-def test_concurrent_passes_give_the_bits_of_sequential_ones(shared, monkeypatch):
+def test_a_second_run_gives_the_bits_of_the_first(shared):
+    # a run leaves nothing behind (in its provider, the folded weights or the
+    # parameter sets) that changes a later run's tracks
     frames = sim.generate(sim.preset_v2v_mini(seed=4, duration=12))
     rng = np.random.default_rng(6)
     first = CovNetParams.init(CovNetConfig(), rng)
     params = {0: first, 1: first if shared else CovNetParams.init(CovNetConfig(), rng)}
-    threads = _pass_threads(monkeypatch)
 
-    def run(cpus):
-        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+    def run():
         tracker = CoopTracker(cov_provider=LearnedCovariance(params))
         reports, _ = run_sequence([packets_from_sim_frame(f) for f in frames], tracker)
         return [(r.track_id, r.box.to_vector().tobytes(), r.score,
                  np.asarray(r.mean).tobytes()) for frame in reports for r in frame]
 
-    sequential = run(1)
-    # more workers than this machine's cores, switching threads often
-    assert _switching_often(lambda: run(4)) == sequential
-    assert sum(map(len, sequential)) > 0
-    # every pass runs on the calling thread
-    assert set(threads) == {threading.current_thread().name}
-
-
-def _on_two_threads(fn):
-    """`fn`, each call waiting until a second call has started on another
-    thread: a `map_passes` of two items then runs one of them on a worker."""
-    both = threading.Barrier(2, timeout=10)
-
-    def waiting(x):
-        both.wait()
-        return fn(x)
-
-    return waiting
-
-
-def test_a_callers_errstate_holds_in_a_pass_on_a_worker(monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
-    raised_on = []
-
-    def square(x):
-        try:
-            return np.square(np.float64(x))
-        except FloatingPointError:
-            raised_on.append(threading.current_thread().name)
-            raise
-
-    assert pipeline.map_passes(_on_two_threads(square), [2.0, 3.0]) == [4.0, 9.0]
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError, match="overflow"):
-            pipeline.map_passes(_on_two_threads(square), [1e300, 1e300])
-    # both items overflowed under the caller's errstate, one of them on a worker
-    assert len(raised_on) == 2
-    assert threading.current_thread().name in raised_on
-    assert any(name.startswith("cooptrack-pass") for name in raised_on)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_map_passes_returns_results_in_item_order(cpus, monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
-
-    def late_square(k):
-        time.sleep(0.001 * ((7 * k) % 5))  # later items often finish first
-        return k * k
-
-    assert pipeline.map_passes(late_square, range(12)) == [k * k for k in range(12)]
-    assert pipeline.map_passes(late_square, []) == []
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_map_passes_raises_the_first_failure_after_every_item_finished(cpus, monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
-    finished = []
-
-    def item(k):
-        try:
-            time.sleep(0.002 * (k % 3))
-            if k in (3, 5):
-                raise ValueError(f"item {k}")
-            return k
-        finally:
-            finished.append(k)
-
-    with pytest.raises(ValueError, match="^item 3$"):
-        pipeline.map_passes(item, range(9))
-    assert sorted(finished) == list(range(9))
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_map_passes_finishes_items_that_wait_on_earlier_items(cpus, monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
-    done = [threading.Event() for _ in range(8)]
-
-    def chained(k):
-        # every item waits until the one before it has finished
-        waited = k == 0 or done[k - 1].wait(timeout=10)
-        done[k].set()
-        return waited
-
-    assert pipeline.map_passes(chained, range(8)) == [True] * 8
+    once = run()
+    assert run() == once
+    assert sum(map(len, once)) > 0
 
 
 # kind of bad input -> (the exception it raises, its message)
@@ -420,10 +312,7 @@ BAD_INPUTS = {"no appearance": (ValueError, "no appearance tensor"),
 
 
 @pytest.mark.parametrize("bad", [0, 2])
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, bad,
-                                                                         monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(bad, monkeypatch):
     cfg = CovNetConfig()
     rng = np.random.default_rng(12)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
@@ -446,7 +335,13 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, ba
     tracker.step(frame(0))
     mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
     lives = [dataclasses.astuple(life) for life in tracker.tracks]
-    passes = _pass_threads(monkeypatch)
+    passes, forward = [], covnet.forward
+
+    def recording(*args, **kwargs):
+        passes.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(covnet, "forward", recording)
     for kind, (error, message) in BAD_INPUTS.items():
         with pytest.raises(error, match=message):
             tracker.step(frame(1, kind))
@@ -457,12 +352,7 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(cpus, ba
 
 
 @pytest.mark.parametrize("bad", [0, 2])
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
-        cpus, bad, monkeypatch):
-    # the name dates from when fills ran on the pool; a pass now runs on the
-    # calling thread whatever the CPU count, and fails the same way for each
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+def test_a_pass_that_raises_fails_its_step_and_leaves_the_tracker(bad, monkeypatch):
     cfg = CovNetConfig()
     rng = np.random.default_rng(21)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
@@ -498,66 +388,6 @@ def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
     assert tracker.bank.cov.tobytes() == expected.bank.cov.tobytes()
     assert ([dataclasses.astuple(life) for life in tracker.tracks]
             == [dataclasses.astuple(life) for life in expected.tracks])
-
-
-class _RowsFirst:
-    """A provider that hands a step every packet's rows, computed before the
-    step's first association round: the order of a step that takes every
-    packet's rows first and then runs the rounds."""
-
-    def __init__(self, provider):
-        self.provider = provider
-        self.reals_per_detection = provider.reals_per_detection
-
-    def residual_rows(self, packets):
-        return self.provider.residual_rows(packets)
-
-
-NETS = [CovNetParams.init(CovNetConfig(), np.random.default_rng(k)) for k in range(3)]
-
-
-@st.composite
-def _scenes(draw):
-    """(frames of packets, params by vehicle): 1-3 vehicles seeing up to 10
-    of a few moving objects each (none, for an empty packet), each vehicle
-    with its own set or all sharing one."""
-    cavs = draw(st.integers(1, 3))
-    shared = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    objects = rng.uniform(-25.0, 25.0, (draw(st.integers(1, 10)), 2))
-    poses = [PoseYawT(*rng.uniform(-5.0, 5.0, 3), rng.uniform(-0.5, 0.5)) for _ in range(cavs)]
-    frames = []
-    for t in range(draw(st.integers(1, 4))):
-        packets = []
-        for cav in range(cavs):
-            seen = draw(st.lists(st.integers(0, len(objects) - 1), max_size=10))
-            dets = [sim.Detection(box=Box7(*(objects[i] + 0.8 * t + rng.normal(0.0, 0.3, 2)),
-                                           0.0, 0.0, 4.5, 1.9, 1.6),
-                                  confidence=float(rng.uniform(0.3, 1.0)),
-                                  appearance=rng.standard_normal(CovNetConfig().app_shape))
-                    for i in seen]
-            packets.append(_packet(t, cav, dets, poses[cav]))
-        frames.append(packets)
-    return frames, {cav: NETS[0 if shared else cav] for cav in range(cavs)}
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-@settings(max_examples=80, deadline=None, database=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(scene=_scenes())
-def test_a_step_gives_the_bits_of_one_that_takes_every_row_first(cpus, scene, monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
-    frames, params = scene
-
-    def run(provider):
-        tracker = CoopTracker(cov_provider=provider)
-        reports = [tracker.step(packets) for packets in frames]
-        return ([(r.track_id, r.box.to_vector().tobytes(), r.score, np.asarray(r.mean).tobytes())
-                 for frame in reports for r in frame],
-                tracker.bank.mean.tobytes(), tracker.bank.cov.tobytes(),
-                tracker.skipped_updates, next(tracker.ids))
-
-    assert run(LearnedCovariance(params)) == run(_RowsFirst(LearnedCovariance(params)))
 
 
 def test_zero_params_equal_constant_covariance_exactly():
@@ -628,9 +458,7 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     assert batches == {0: [3], 1: [2], 2: [2]}  # constant covariance runs no network
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
+def test_per_vehicle_frame_rows_equal_one_forward_per_packet():
     cfg = CovNetConfig()
     rng = np.random.default_rng(8)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
@@ -641,12 +469,9 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(cpus, monkeypatch):
                            np.stack([d.appearance for d in p.detections]),
                            _chebyshev(p.detections, p.pose))
             for p in packets]
-    threads = _pass_threads(monkeypatch)
-    got = _switching_often(lambda: LearnedCovariance(params).residual_rows(packets))
+    got = LearnedCovariance(params).residual_rows(packets)
     assert all(type(rows) is np.ndarray for rows in got)
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
-    # one pass per set, in the calling thread
-    assert threads == [threading.current_thread().name] * 3
 
 
 def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monkeypatch):

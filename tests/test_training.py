@@ -4,8 +4,6 @@ import copy
 import dataclasses
 import gc
 import math
-import sys
-import threading
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -14,7 +12,7 @@ import numpy as np
 import pytest
 
 from cooptrack import autodiff as ad
-from cooptrack import covnet, io, pipeline, sim, training
+from cooptrack import covnet, sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, wrap_angle
 from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings
@@ -425,144 +423,6 @@ def test_window_rows_and_gradients_equal_the_streamed_ones(case, monkeypatch):
             assert scale > 0.0
 
 
-# case -> (vehicles, shared weights, grad_clip_norm, CPUs of the concurrent run)
-CONCURRENT_CASES = {"per-vehicle": (2, False, 1.0, 4), "shared": (2, True, 1.0, 4),
-                    "three-sets": (3, False, 1.0, 4), "clipped": (2, False, 1e-3, 4),
-                    "three-sets-two-cpus": (3, False, 1.0, 2)}
-
-
-@pytest.mark.parametrize("case", list(CONCURRENT_CASES))
-def test_concurrent_passes_leave_an_epoch_byte_identical(case, monkeypatch, tmp_path):
-    num_cavs, shared, clip, cpus = CONCURRENT_CASES[case]
-    frames = sim.generate(tiny_scenario(starts=((0.0, 0.0), (2.0, -4.0), (4.0, 4.0))[:num_cavs]))
-    cfg = small_run_config(num_cavs=num_cavs,
-                           covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
-                                              head_hidden=8, shared_weights=shared),
-                           train=TrainSettings(window_length=4, epochs=1, grad_clip_norm=clip))
-    grads, real = [], ad.grad_of
-
-    def recording(leaf):
-        grads.append(real(leaf).tobytes())
-        return real(leaf)
-
-    monkeypatch.setattr(ad, "grad_of", recording)
-    threads, passes, meetings = set(), set(), []
-    real_forward = covnet.forward
-
-    def forward(*args):
-        passes.add(threading.current_thread().name)
-        return real_forward(*args)
-
-    monkeypatch.setattr(covnet, "forward", forward)
-    mapped, norms, real_map, real_clip = [], [], pipeline.map_passes, training.clip_gradients
-
-    def mapping(fn, items):
-        items = list(items)
-        mapped.append((fn.__name__, len(items)))
-
-        def meeting(item):
-            threads.add(threading.current_thread().name)
-            if meetings and len(items) > 1:
-                meetings.pop().wait()
-            return fn(item)
-
-        return real_map(meeting, items)
-
-    def clipping(grads, max_norm):
-        scale, norm = real_clip(grads, max_norm)
-        norms.append(norm)
-        return scale, norm
-
-    monkeypatch.setattr(training, "map_passes", mapping)
-    monkeypatch.setattr(training, "clip_gradients", clipping)
-    split_sweep = ad.Tape.backward
-
-    def one_sweep(tape, loss, split_at=0, map_fn=None):
-        return split_sweep(tape, loss)
-
-    def epoch(cpus):
-        # the reference: one CPU, and the backward sweep in its one order
-        monkeypatch.setattr(pipeline, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(ad.Tape, "backward", one_sweep if cpus == 1 else split_sweep)
-        grads.clear()
-        mapped.clear()
-        if cpus > 1:
-            # the first two items of the first call with several each wait
-            # until the other has started, so they run on two threads (or
-            # break the barrier)
-            both = threading.Barrier(2, timeout=10)
-            meetings[:] = [both, both]
-        params = training.init_params_for_run(cfg, np.random.default_rng(3))
-        result = training.train(frames, params, cfg.train, cfg.tracker)
-        weights = [a.tobytes() for p in training._distinct_param_sets(params).values()
-                   for a in p.arrays.values()]
-        moments = [(m.tobytes(), result.adam.v[key].tobytes())
-                   for key, m in result.adam.m.items()]
-        path = tmp_path / f"cpus{cpus}.ckpt"
-        io.save_checkpoint(str(path), io.Checkpoint(params, cfg, cfg.seed, result.epochs_done,
-                                                    result.adam))
-        return result.loss_curve, list(grads), weights, moments, path.read_bytes()
-
-    sequential = epoch(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # more workers than cores, switching threads often
-    try:
-        assert epoch(cpus) == sequential
-    finally:
-        sys.setswitchinterval(interval)
-    loss_curve, leaf_grads, _, moments, _ = sequential
-    sets = 1 if shared else num_cavs
-    assert len(loss_curve) == 2 and all(r["supervised"] > 0 for r in loss_curve)
-    assert len(leaf_grads) == 2 * len(covnet.layer_shapes(small_net())) * sets
-    assert len(moments) == len(covnet.layer_shapes(small_net())) * sets
-    if case == "clipped":
-        assert norms and all(norm > clip for norm in norms)
-    # the calling thread runs every pass; the first two items of the
-    # concurrent epoch's first call with several items run on two threads
-    assert passes == {threading.current_thread().name}
-    assert any(name.startswith("cooptrack-pass") for name in threads)
-    # each window sweeps one backward section per set, takes one norm per set
-    # and its step one item per block (pos.lin1.w, 4608 x 8, takes two blocks)
-    blocks = len(covnet.layer_shapes(small_net())) + 1
-    window = (([("_sweep", sets)] if sets > 1 else [])
-              + [("squared_sums", sets), ("step_block", sets * blocks)])
-    assert mapped == 2 * window
-
-
-@pytest.mark.parametrize("num_cavs", [2, 3])
-def test_every_tape_node_of_a_window_is_made_on_the_calling_thread(num_cavs, monkeypatch):
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
-    frames = sim.generate(tiny_scenario(duration=4,
-                                        starts=((0.0, 0.0), (2.0, -4.0), (4.0, 4.0))[:num_cavs]))
-    cfg = small_run_config(num_cavs=num_cavs, train=TrainSettings(window_length=4, epochs=1))
-    makers, mapped = set(), set()
-    real_init, real_map = ad.Node.__init__, training.map_passes
-    # the window's first two backward sections meet on two threads
-    both = threading.Barrier(2, timeout=10)
-    meetings = [both, both]
-
-    def init(node, *args):
-        makers.add(threading.current_thread().name)
-        real_init(node, *args)
-
-    def meeting(fn):
-        def item(x):
-            mapped.add(threading.current_thread().name)
-            if meetings:
-                meetings.pop().wait()
-            return fn(x)
-        return item
-
-    monkeypatch.setattr(ad.Node, "__init__", init)
-    monkeypatch.setattr(training, "map_passes", lambda fn, items: real_map(meeting(fn), items))
-    result = training.train(frames, fresh_params(small_net(), 1, num_cavs), cfg.train,
-                            cfg.tracker)
-    # a whole window: passes, tracking, loss, a split sweep and an Adam step
-    assert result.adam.step == 1
-    assert any(name.startswith("cooptrack-pass") for name in mapped)
-    assert makers == {threading.current_thread().name}
-
-
 def test_a_clipped_window_steps_as_scaled_copies_would(monkeypatch):
     frames = sim.generate(tiny_scenario())
     cfg = small_run_config(train=TrainSettings(window_length=4, epochs=2, grad_clip_norm=1e-3))
@@ -717,8 +577,6 @@ def textbook_adam_step(param_sets, grads, state, lr, weight_decay):
 def test_adam_step_gives_the_bits_of_the_textbook_expressions(sets, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(training, "ADAM_BLOCK", block)
-    # two threads take the blocks as they come
-    monkeypatch.setattr(pipeline, "_cpu_count", lambda: 2)
     rng = np.random.default_rng(17)
     if sets == "shared":
         one = CovNetParams.init(small_net(), rng)
