@@ -312,7 +312,10 @@ BAD_INPUTS = {"no appearance": (ValueError, "no appearance tensor"),
 
 
 @pytest.mark.parametrize("bad", [0, 2])
-def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(bad, monkeypatch):
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(steps, bad,
+                                                                         monkeypatch):
+    # steps: the frames the tracker takes before the failing one
     cfg = CovNetConfig()
     rng = np.random.default_rng(12)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
@@ -332,7 +335,8 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(bad, mon
             packets[bad] = dataclasses.replace(packet, cav_id=7)
         return packets
 
-    tracker.step(frame(0))
+    for t in range(steps):
+        tracker.step(frame(t))
     mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
     lives = [dataclasses.astuple(life) for life in tracker.tracks]
     passes, forward = [], covnet.forward
@@ -344,7 +348,7 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(bad, mon
     monkeypatch.setattr(covnet, "forward", recording)
     for kind, (error, message) in BAD_INPUTS.items():
         with pytest.raises(error, match=message):
-            tracker.step(frame(1, kind))
+            tracker.step(frame(steps, kind))
         assert passes == [], f"{kind}: a pass ran before the inputs were checked"
         assert tracker.bank.mean.tobytes() == mean.tobytes()
         assert tracker.bank.cov.tobytes() == cov.tobytes()
@@ -352,19 +356,25 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(bad, mon
 
 
 @pytest.mark.parametrize("bad", [0, 2])
-def test_a_pass_that_raises_fails_its_step_and_leaves_the_tracker(bad, monkeypatch):
+@pytest.mark.parametrize("steps", [1, 2, 4])
+def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
+        steps, bad, monkeypatch):
+    # the name dates from when fills ran on a thread pool; a pass now runs on
+    # the calling thread. steps: the frames the tracker takes before the
+    # failing one
     cfg = CovNetConfig()
     rng = np.random.default_rng(21)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
     # the failing set is the one with 5 detections; the others have 8
     frames = [[_learned_packet(rng, t, cav, [10.0 * k + cav for k in range(5 if cav == bad
                                                                               else 8)], cfg)
-               for cav in (0, 1, 2)] for t in range(2)]
+               for cav in (0, 1, 2)] for t in range(steps + 1)]
     expected = CoopTracker(cov_provider=LearnedCovariance(params))
     for packets in frames:
         expected.step(packets)
     tracker = CoopTracker(cov_provider=LearnedCovariance(params))
-    tracker.step(frames[0])
+    for packets in frames[:steps]:
+        tracker.step(packets)
     mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
     lives = [dataclasses.astuple(life) for life in tracker.tracks]
 
@@ -377,13 +387,13 @@ def test_a_pass_that_raises_fails_its_step_and_leaves_the_tracker(bad, monkeypat
 
     monkeypatch.setattr(pipeline, "chebyshev_rows", rows)
     with pytest.raises(RuntimeError, match="pass failed"):
-        tracker.step(frames[1])
+        tracker.step(frames[steps])
     assert tracker.bank.mean.tobytes() == mean.tobytes()
     assert tracker.bank.cov.tobytes() == cov.tobytes()
     assert [dataclasses.astuple(life) for life in tracker.tracks] == lives
     # the tracker steps on as one that never failed
     failing[0] = False
-    tracker.step(frames[1])
+    tracker.step(frames[steps])
     assert tracker.bank.mean.tobytes() == expected.bank.mean.tobytes()
     assert tracker.bank.cov.tobytes() == expected.bank.cov.tobytes()
     assert ([dataclasses.astuple(life) for life in tracker.tracks]
@@ -458,13 +468,14 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     assert batches == {0: [3], 1: [2], 2: [2]}  # constant covariance runs no network
 
 
-def test_per_vehicle_frame_rows_equal_one_forward_per_packet():
+@pytest.mark.parametrize("vehicles", [1, 2, 4])
+def test_per_vehicle_frame_rows_equal_one_forward_per_packet(vehicles):
     cfg = CovNetConfig()
     rng = np.random.default_rng(8)
-    params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
+    params = {cav: CovNetParams.init(cfg, rng) for cav in range(vehicles)}
     packets = [dataclasses.replace(
         _learned_packet(rng, 3, cav, [10.0 * k + cav for k in range(8 + cav)], cfg),
-        pose=PoseYawT(5.0 * cav, -2.0, 0.0, 0.3 * cav)) for cav in (0, 1, 2)]
+        pose=PoseYawT(5.0 * cav, -2.0, 0.0, 0.3 * cav)) for cav in range(vehicles)]
     want = [covnet.forward(covnet.fold(params[p.cav_id]),
                            np.stack([d.appearance for d in p.detections]),
                            _chebyshev(p.detections, p.pose))
