@@ -80,11 +80,11 @@ class LearnedCovariance:
     reads its weights once, when it is built: it folds each set for its
     passes then (`covnet.fold`, one tape node per set for lifted weights),
     so weights changed later, as by an optimizer step, need a new provider.
-    Rows come from one network pass per parameter set over a frame
-    (`residual_rows`) or, after `precompute`, over a whole window, whose
-    rows each frame then takes as slices. The network reads each
-    detection's local box and its vehicle's pose (`features`). Every pass
-    runs on the calling thread.
+    A provider keeps no state besides its folded sets: `residual_rows`
+    makes one network pass per parameter set over whatever packets it is
+    given, a frame's when tracking, a whole window's in training. The
+    network reads each detection's local box and its vehicle's pose
+    (`features`). Every pass runs on the calling thread.
     """
 
     reals_per_detection = metrics.SHARED_REALS
@@ -99,7 +99,6 @@ class LearnedCovariance:
                 folded[id(params.arrays)] = covnet.fold(params)
             self.params_by_cav[cav] = folded[id(params.arrays)]
         self.bounds = bounds
-        self._window = None  # the rows of the precomputed window (`_rows`)
 
     def _params(self, cav_id) -> covnet.CovNetParams:
         """A vehicle's folded network; KeyError for a vehicle that has none."""
@@ -121,80 +120,41 @@ class LearnedCovariance:
         covnet.check_appearance(config, f_app, len(apps))
         return f_app
 
-    def _rows(self, packets) -> dict:
-        """The residual rows of the non-empty `packets`, one pass per
-        parameter set: {(timestep, cav_id): (rows, start, stop)}, the
-        packet's rows being `rows[start:stop]`.
+    def residual_rows(self, packets):
+        """Each packet's (N, 10) residual rows, in packet order; row j of a
+        packet's rows belongs to its detection j.
 
-        Every input is checked before any pass runs: every vehicle is
-        looked up (KeyError for one without parameters), then every set's
-        appearance tensors are stacked (ValueError for a missing one or a
-        wrong shape). Each set's pass then reads its packets' normalized
-        positional rows (`features.positional_rows`) as Chebyshev rows
-        (`features.chebyshev_rows`).
+        One network pass per parameter set covers that set's non-empty
+        `packets`, be they one frame's or a whole window's, and each packet
+        takes its slice of the pass's rows. An empty packet gets (0, 10)
+        rows and needs no parameters. Every input is checked before any pass
+        runs: every vehicle is looked up (KeyError for one without
+        parameters), then every set's appearance tensors are stacked
+        (ValueError for a missing one or a wrong shape). Each pass reads its
+        packets' normalized positional rows (`features.positional_rows`) as
+        Chebyshev rows (`features.chebyshev_rows`).
         """
-        groups = {}
-        for packet in packets:
+        packets = list(packets)
+        out = [None if p.detections else np.zeros((0, covnet.RESIDUAL_DIM)) for p in packets]
+        groups = {}  # id of a set's arrays -> (the set, its [(index, packet)])
+        for i, packet in enumerate(packets):
             if packet.detections:
                 params = self._params(packet.cav_id)
-                groups.setdefault(id(params.arrays), (params, []))[1].append(packet)
+                groups.setdefault(id(params.arrays), (params, []))[1].append((i, packet))
         groups = list(groups.values())
-        f_app = [self._appearance(group, params.config) for params, group in groups]
-        slices = {}
+        f_app = [self._appearance([p for _i, p in group], params.config)
+                 for params, group in groups]
         for (params, group), app in zip(groups, f_app):
             xb = [positional_rows(box_rows(d.box for d in p.detections), p.pose, self.bounds)
-                  for p in group]
+                  for _i, p in group]
             rows = covnet.forward(params, app,
                                   chebyshev_rows(xb[0] if len(xb) == 1 else np.concatenate(xb)))
             start = 0
-            for packet in group:
+            for i, packet in group:
                 stop = start + len(packet.detections)
-                slices[(packet.timestep, packet.cav_id)] = (rows, start, stop)
+                out[i] = rows[start:stop]
                 start = stop
-        return slices
-
-    def precompute(self, frame_packets):
-        """Compute a window's residual rows before its frames are tracked.
-
-        `frame_packets` lists the packets of each frame of the window. The
-        network's input depends only on the detections and the poses, so
-        each parameter set (each vehicle's, or the one shared set) takes
-        every row of the window in one pass (`_rows`); a vehicle without
-        detections takes none. From then on `residual_rows` hands out
-        slices of those rows.
-        """
-        self._window = self._rows(p for packets in frame_packets for p in packets)
-
-    def residual_rows(self, packets):
-        """The residual rows of one frame's packets, (N, 10) for each packet
-        of N detections.
-
-        Row j of a packet's rows belongs to its detection j. An empty packet
-        gets no rows and needs no parameters. The rows are slices of the
-        precomputed window, or else of this frame's passes (`_rows`): one
-        pass per parameter set, which for a vehicle with its own set is one
-        pass over its packet. After `precompute`, a packet the window does
-        not hold raises ValueError.
-        """
-        return _packet_rows(packets, self._rows(packets) if self._window is None
-                            else self._window)
-
-
-def _packet_rows(packets, slices) -> list:
-    """Each packet's rows, taken from `slices` (`LearnedCovariance._rows`)."""
-    out = []
-    for packet in packets:
-        if not packet.detections:
-            out.append(np.zeros((0, covnet.RESIDUAL_DIM)))
-            continue
-        entry = slices.get((packet.timestep, packet.cav_id))
-        if entry is None or entry[2] - entry[1] != len(packet.detections):
-            raise ValueError(f"the precomputed window holds no packet of vehicle "
-                             f"{packet.cav_id} at t={packet.timestep} with "
-                             f"{len(packet.detections)} detections")
-        rows, start, stop = entry
-        out.append(rows[start:stop])
-    return out
+        return out
 
 
 class CoopTracker:

@@ -200,11 +200,12 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     no further and keeps its count. A window whose global gradient norm is
     not finite raises FloatingPointError before the optimizer changes
     anything. Each window builds its provider from the lifted weights,
-    which folds each parameter set once (`LearnedCovariance`), and its
-    covariance rows come from one network pass per parameter set, made
-    before its frames are tracked (`LearnedCovariance.precompute`). The
-    backward sweep, the gradient norm and the Adam step run on the calling
-    thread, one after another.
+    which folds each parameter set once (`LearnedCovariance`). Its
+    covariance rows come from one `residual_rows` call over all of its
+    packets, one network pass per parameter set, made before its frames
+    are tracked; the tracker then takes each packet's rows from them
+    (`_WindowRows`). The backward sweep, the gradient norm and the Adam
+    step run on the calling thread, one after another.
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only
@@ -226,6 +227,18 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
             gc.enable()
 
 
+class _WindowRows:
+    """A window's covariance provider: each of its packets' residual rows,
+    as one `residual_rows` call gave them for all of `packets`."""
+
+    def __init__(self, packets, rows):
+        self.rows = {(p.timestep, p.cav_id): r for p, r in zip(packets, rows)}
+
+    def residual_rows(self, packets):
+        """Each packet's rows, looked up by its timestep and vehicle."""
+        return [self.rows[p.timestep, p.cav_id] for p in packets]
+
+
 def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epochs_done):
     windows = split_subsequences(frames, settings.window_length)
     param_sets = _distinct_param_sets(params_by_cav)
@@ -242,8 +255,9 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 provider = LearnedCovariance({cav: lifted[id(params)] for cav, params
                                               in params_by_cav.items()}, bounds)
                 frame_packets = [packets_from_sim_frame(frame) for frame in window]
-                provider.precompute(frame_packets)
-                tracker = tracker_from_settings(tracker_settings, provider)
+                packets = [p for frame in frame_packets for p in frame]
+                tracker = tracker_from_settings(
+                    tracker_settings, _WindowRows(packets, provider.residual_rows(packets)))
                 reports = [tracker.step(packets) for packets in frame_packets]
                 loss, supervised = window_loss(reports, [frame.gt for frame in window],
                                                settings.gt_match_radius,

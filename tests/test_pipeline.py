@@ -493,9 +493,10 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
     frame = [_learned_packet(rng, 2, 0, [0.0, 20.0, 40.0], cfg),
              dataclasses.replace(_learned_packet(rng, 2, 1, [5.0, 15.0, 25.0, 35.0], cfg),
                                  pose=PoseYawT(-8.0, 3.0, 0.0, 0.4))]
-    window = LearnedCovariance(params)
-    window.precompute([frame])
-    want = window.residual_rows(frame)
+    window = covnet.forward(covnet.fold(shared),
+                            np.stack([d.appearance for p in frame for d in p.detections]),
+                            np.concatenate([_chebyshev(p.detections, p.pose) for p in frame]))
+    want = [window[:3], window[3:]]
     batches, real = [], covnet.forward
 
     def counting(params, f_app, f_pos):

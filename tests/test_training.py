@@ -353,8 +353,10 @@ def silence(frames, cav, timesteps):
             if f.timestep in timesteps else f for f in frames]
 
 
-def window_rollout(frames, params_by_cav, precompute, monkeypatch):
-    """Rows, loss gradients and network passes of one window on a fresh tape.
+def window_rollout(frames, params_by_cav, window, monkeypatch):
+    """Rows, loss gradients and network passes of one window on a fresh tape,
+    the rows from one pass over the whole window (`training._WindowRows`)
+    if `window`, else from each frame's passes.
 
     Returns ({(t, cav): rows}, {(cav, name): gradient}, {cav: [rows per
     pass]}); a shared parameter set is lifted once, and its gradients and
@@ -378,8 +380,9 @@ def window_rollout(frames, params_by_cav, precompute, monkeypatch):
     for cav, params in sorted(provider.params_by_cav.items()):
         cav_of.setdefault(id(params.arrays), cav)
     frame_packets = [packets_from_sim_frame(f) for f in frames]
-    if precompute:
-        provider.precompute(frame_packets)
+    if window:
+        packets = [p for frame in frame_packets for p in frame]
+        provider = training._WindowRows(packets, provider.residual_rows(packets))
     rows = {(p.timestep, p.cav_id): ad.val(provider.residual_rows([p])[0])
             for packets in frame_packets for p in packets if p.detections}
     tracker = tracker_from_settings(TrackerSettings(), provider)
@@ -445,20 +448,18 @@ def test_a_clipped_window_steps_as_scaled_copies_would(monkeypatch):
     assert len(scales) == 4 and all(0.0 < scale < 1.0 for scale in scales)
 
 
-def test_a_packet_the_window_did_not_precompute_raises():
+def test_the_provider_keeps_no_state_between_calls():
     frames = silence(sim.generate(tiny_scenario()), 1, (2,))
     rng = np.random.default_rng(4)
-    provider = LearnedCovariance({cav: CovNetParams.init(small_net(), rng) for cav in (0, 1)})
-    window = [packets_from_sim_frame(f) for f in frames[:4]]
-    provider.precompute(window)
-    first = window[0][0]
-    assert provider.residual_rows([first])[0].shape == (len(first.detections), 10)
-    later = packets_from_sim_frame(frames[4])[0]
-    other_vehicle = dataclasses.replace(first, timestep=2, cav_id=1)
-    fewer = dataclasses.replace(first, detections=first.detections[1:])
-    for packet in (later, other_vehicle, fewer):
-        with pytest.raises(ValueError, match="precomputed window holds no packet"):
-            provider.residual_rows([packet])
+    params = {cav: CovNetParams.init(small_net(), rng) for cav in (0, 1)}
+    provider = LearnedCovariance(params)
+    before = {name: copy.copy(value) for name, value in vars(provider).items()}
+    provider.residual_rows([p for f in frames[:4] for p in packets_from_sim_frame(f)])
+    frame = packets_from_sim_frame(frames[4])
+    got = provider.residual_rows(frame)
+    assert vars(provider) == before
+    want = LearnedCovariance(params).residual_rows(frame)
+    assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
 
 
 def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
