@@ -214,21 +214,53 @@ def iou3d(b1, b2) -> float:
 
 def _per_element(fn, *arrays) -> np.ndarray:
     """`fn` (a `math` function) applied to each element: libm's bits, as `iou3d` has
-    them, which numpy's own `np.cos` or `np.hypot` need not give."""
+    them, which numpy's own `np.cos` need not give."""
     return np.array(list(map(fn, *(x.tolist() for x in arrays))), dtype=float)
+
+
+# A pair whose footprints lie apart along an edge normal by more than this share
+# of its reach has IoU 0.0: numpy's trig and the projections' rounding move a
+# gap by a few ulps of the reach (1e-16 of it), far below this margin.
+_APART_MARGIN = 1e-9
+
+
+def _apart(dx, dy, a1, a2, l1, w1, l2, w2, reach) -> np.ndarray:
+    """Whether each pair's footprints are apart along one of the four edge normals.
+
+    A gap is the centre offset projected on a normal less both boxes' half
+    spans on it. For a pair inside its circumcircle test, every term is below
+    the reach, so a gap over `_APART_MARGIN` of the reach is a true gap, far
+    above the rounding of `iou3d`'s corners and crossings (also a few ulps of
+    the reach). Its clip then keeps no vertex, and it returns 0.0, as this
+    exit does.
+    """
+    c1, s1, c2, s2 = np.cos(a1), np.sin(a1), np.cos(a2), np.sin(a2)
+    c = np.abs(c1 * c2 + s1 * s2)  # |cos(a2 - a1)|
+    s = np.abs(c1 * s2 - s1 * c2)  # |sin(a2 - a1)|
+    gap = np.maximum.reduce([
+        np.abs(c1 * dx + s1 * dy) - 0.5 * (l1 + l2 * c + w2 * s),
+        np.abs(c1 * dy - s1 * dx) - 0.5 * (w1 + l2 * s + w2 * c),
+        np.abs(c2 * dx + s2 * dy) - 0.5 * (l2 + l1 * c + w1 * s),
+        np.abs(c2 * dy - s2 * dx) - 0.5 * (w2 + l1 * s + w1 * c)])
+    return gap > _APART_MARGIN * reach
 
 
 def iou3d_rows(a, b) -> np.ndarray:
     """`iou3d(a[k], b[k])` for every k of two (P, 7) arrays of box rows, as a (P,) array.
 
-    Every pair runs `iou3d`'s arithmetic on the same values in the same order,
-    so each entry has its bits: the same canonical pair order (the first
-    column in which the rows differ decides), the same early exits, and the
-    same four slab clips, here over all pairs at once. A clipped polygon is
-    kept as a row of vertices padded with copies of its last vertex; padding
-    adds nothing to the next clip and exact zeros to the shoelace sum, which
-    is accumulated in `iou3d`'s order (from the wrap term). Trig and `hypot`
-    are taken per element with `math`, as `iou3d` takes them.
+    Each entry has `iou3d`'s bits. Pairs are put in its canonical order (the
+    first column in which the rows differ decides). Every exit to 0.0 that
+    needs no clip is then taken on whole arrays, with numpy's own functions:
+    - the z overlap, as `iou3d` tests it;
+    - the circumcircle test, with `np.hypot`. Where it and `math.hypot`
+      disagree, the circumcircles touch, and `iou3d` keeps no area either way;
+    - footprints apart along an edge normal by a margin (`_apart`).
+    The pairs left run `iou3d`'s arithmetic on the same values in the same
+    order: trig per element with `math`, as `iou3d` takes it, and the four
+    slab clips over all pairs at once. A clipped polygon is kept as a row of
+    vertices padded with copies of its last vertex; padding adds nothing to
+    the next clip and exact zeros to the shoelace sum, which is accumulated in
+    `iou3d`'s order (from the wrap term).
     """
     a = np.asarray(a, dtype=float).reshape(-1, 7)
     b = np.asarray(b, dtype=float).reshape(-1, 7)
@@ -245,8 +277,10 @@ def iou3d_rows(a, b) -> np.ndarray:
         zlo = np.maximum(z1 - 0.5 * h1, z2 - 0.5 * h2)
         zhi = np.minimum(z1 + 0.5 * h1, z2 + 0.5 * h2)
         dx, dy = x2 - x1, y2 - y1
-        reach = 0.5 * _per_element(math.hypot, l1, w1) + 0.5 * _per_element(math.hypot, l2, w2)
-        live = np.flatnonzero(~(zhi <= zlo) & ~(_per_element(math.hypot, dx, dy) > reach))
+        reach = 0.5 * np.hypot(l1, w1) + 0.5 * np.hypot(l2, w2)
+        live = np.flatnonzero(~(zhi <= zlo) & ~(np.hypot(dx, dy) > reach))
+        live = live[~_apart(dx[live], dy[live], a1[live], a2[live], l1[live], w1[live],
+                            l2[live], w2[live], reach[live])]
         if not len(live):
             return out
         (dx, dy, a1, a2, l1, w1, h1, l2, w2, h2, zlo, zhi) = (

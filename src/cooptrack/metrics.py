@@ -6,12 +6,14 @@ true-positive matches reach that recall; tracks are kept or dropped whole,
 using their per-track average score. MOTA, MT, and ML are reported at the
 best-MOTA level of the sweep. All metric fields are percentages.
 
-An `evaluate` call sets its whole sequence up once, as arrays (`_Sequence`):
-every gt and track box row, each frame's (gt, track) pairs in row-major
-order, frame after frame, prescreened as `association.prescreen_pairs`
-prescreens them and scored in one `geometry.iou3d_rows` call, whose fixed
-cost a whole sequence's pairs repay (the tracker's per-frame matrices are too
-small for that and stay on the per-pair path, `association.build_cost_matrix`).
+An `evaluate` call sets its whole sequence up once, as arrays (`_Sequence`),
+in one pass over its frames: every gt and track item with its box row, id and
+score, and each track's average score, one `np.bincount` over its items in
+`track_frames` order. Then each frame's (gt, track) pairs in row-major order,
+frame after frame, prescreened as `association.prescreen_pairs` prescreens
+them and scored in one `geometry.iou3d_rows` call, whose fixed cost a whole
+sequence's pairs repay (the tracker's per-frame matrices are too small for
+that and stay on the per-pair path, `association.build_cost_matrix`).
 A pass keeps each frame's n best-scored tracks (ties kept together), so a
 frame's matches depend on n alone, and most of them need no solver. Up to a
 frame's star limit, every component of the kept tracks' positive-IoU graph is
@@ -99,19 +101,15 @@ def match_frame(track_ids, gt_ids, cost, keep, iou_threshold: float) -> list:
             for r, c, iou in associate(cost[:, keep], iou_threshold)]
 
 
-def _track_average_scores(track_frames) -> dict:
-    totals, counts = {}, {}
-    for items in track_frames.values():
-        for track_id, _box, score in items:
-            totals[track_id] = totals.get(track_id, 0.0) + score
-            counts[track_id] = counts.get(track_id, 0) + 1
-    return {tid: totals[tid] / counts[tid] for tid in totals}
-
-
 class _Sequence:
     """One `evaluate` call's frames as arrays, and its recall passes.
 
-    Gt rows and track rows run frame after frame, each frame's in list order.
+    Gt rows and track rows run frame after frame, each frame's in list order,
+    gathered in one pass over the frames. A track's average score adds its
+    scores in `track_frames` order (the order of the dict's frames, each
+    frame's items in list order), as a loop over the dict would, so its bits
+    do not depend on how the frames are sorted here; a non-finite score
+    raises a `ValueError` naming its timestep and track.
     A track's rank counts the tracks of its frame that score strictly above
     it, so a pass that keeps a frame's n best tracks keeps its rows of
     rank < n. A frame's star limit is the largest n at which its kept
@@ -132,21 +130,41 @@ class _Sequence:
     """
 
     def __init__(self, frames, track_frames, gt_frames, iou_threshold):
-        self.gts = [gt_frames.get(t, []) for t in frames]
-        self.items = [track_frames.get(t, []) for t in frames]
+        self.gts, self.items, gt_items, track_items = [], [], [], []
+        for t in frames:
+            gts, items = gt_frames.get(t, []), track_frames.get(t, [])
+            self.gts.append(gts)
+            self.items.append(items)
+            gt_items += gts
+            track_items += items
         self.iou_threshold = iou_threshold
-        self.avg_score = _track_average_scores(track_frames)
-        num_gts = np.array([len(gts) for gts in self.gts], dtype=int)
-        num_tracks = np.array([len(items) for items in self.items], dtype=int)
+        num_gts = np.fromiter(map(len, self.gts), dtype=int, count=len(frames))
+        num_tracks = np.fromiter(map(len, self.items), dtype=int, count=len(frames))
         self.gt_start = np.cumsum(num_gts) - num_gts
         self.track_start = np.cumsum(num_tracks) - num_tracks
         gt_frame = np.repeat(np.arange(len(frames)), num_gts)
         self.track_frame = np.repeat(np.arange(len(frames)), num_tracks)
-        gt_rows = box_rows(box for gts in self.gts for _, box in gts)
-        track_rows = box_rows(box for items in self.items for _, box, _s in items)
-        self.gt_ids = np.array([g for gts in self.gts for g, _ in gts])
-        track_ids = [tid for items in self.items for tid, _b, _s in items]
-        self.scores = np.array([self.avg_score[tid] for tid in track_ids], dtype=float)
+        gt_ids, gt_boxes = zip(*gt_items)
+        track_ids, track_boxes, scores = zip(*track_items) if track_items else ((), (), ())
+        gt_rows, track_rows = box_rows(gt_boxes), box_rows(track_boxes)
+        self.gt_ids = np.array(gt_ids)
+        scores = np.array(scores, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if len(bad):
+            k = bad[0]
+            raise ValueError(f"track {track_ids[k]} at timestep {frames[self.track_frame[k]]}"
+                             f" has a non-finite score {scores[k]}")
+
+        # a track's average score adds its scores in `track_frames` order, as a
+        # loop over the dict would: `np.bincount` adds its weights in order
+        track_ids = np.array(track_ids)
+        self.distinct_ids, code = np.unique(track_ids, return_inverse=True)
+        position = {t: k for k, t in enumerate(track_frames)}
+        in_order = np.argsort(np.array([position.get(t, 0) for t in frames],
+                                       dtype=int)[self.track_frame], kind="stable")
+        self.avg_score = np.bincount(code[in_order], weights=scores[in_order]) \
+            / np.bincount(code)
+        self.scores = self.avg_score[code]
 
         # every (gt, track) pair of each frame in row-major order, frame after
         # frame, prescreened by `prescreen_pairs`' test and scored in one IoU
@@ -225,7 +243,7 @@ class _Sequence:
         self.hit_rank = pos_rank[hit]
         self.hit_cap = np.minimum(self.limit[self.hit_frame], beaten[hit])
         self.hit_gt = self.gt_ids[pos_gt[hit]]
-        self.hit_track = np.array(track_ids)[pos_track[hit]]
+        self.hit_track = track_ids[pos_track[hit]]
         self.hit_iou = pos_iou[hit]
         self.matrices = {}  # frame -> its track ids, gt ids and negated-IoU matrix
         self.solved = {}  # (frame, n) -> that frame's matches when it keeps n tracks
@@ -285,6 +303,8 @@ def evaluate(track_frames: dict, gt_frames: dict,
 
     `track_frames`: timestep -> list of (track_id, Box7, score).
     `gt_frames`: timestep -> list of (gt_id, Box7).
+    Raises a `ValueError` for empty ground truth, an IoU threshold outside
+    (0, 1), or a non-finite track score.
     """
     num_gt = sum(len(v) for v in gt_frames.values())
     if num_gt == 0:
@@ -296,7 +316,8 @@ def evaluate(track_frames: dict, gt_frames: dict,
 
     # full-recall pass: collect the score of every achievable TP match
     *_, full_recall_tracks = sequence.sweep(-math.inf)
-    tp_scores = sorted((sequence.avg_score[tid] for tid in full_recall_tracks.tolist()),
+    tp_scores = sorted(sequence.avg_score[np.searchsorted(sequence.distinct_ids,
+                                                          full_recall_tracks)].tolist(),
                        reverse=True)
 
     levels = []

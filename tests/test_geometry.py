@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cooptrack import geometry
 from cooptrack.geometry import (
     Box7,
     PoseYawT,
@@ -461,12 +462,89 @@ def _structured_pairs():
     return pairs
 
 
+def _reach(p, q):
+    return 0.5 * math.hypot(p.l, p.w) + 0.5 * math.hypot(q.l, q.w)
+
+
+def _half_span(box, angle):
+    """Half the extent of a box's footprint along the direction `angle`."""
+    return 0.5 * (box.l * abs(math.cos(angle - box.a)) + box.w * abs(math.sin(angle - box.a)))
+
+
+def _circumcircle_pairs():
+    """Centre distances within 3 ulps of the summed circumradii, in a diagonal
+    direction (so `hypot` rounds), and 1e-6 of them inside. With yaw offset 0
+    both diagonals lie on the line of centres, so two corners meet where the
+    circumcircles touch, and overlap a little inside."""
+    pairs = []
+    p = Box7(3.0, -7.0, 0.2, 0.4, 4.5, 1.9, 1.6)
+    theta = p.a + math.atan2(p.w, p.l)  # p's (+l, +w) corner
+    for l, w, turn in ((4.5, 1.9, 0.0), (1.0, 0.5, 0.0), (9.0, 2.5, 0.0), (4.5, 1.9, 0.3)):
+        q = Box7(0.0, 0.0, 0.2, theta + math.pi - math.atan2(w, l) + turn, l, w, 1.6)
+        reach = _reach(p, q)
+        for k in range(-3, 4):
+            dx = reach * math.cos(theta)
+            for _ in range(abs(k)):
+                dx = math.nextafter(dx, math.copysign(math.inf, k))
+            pairs.append((p, dataclasses.replace(q, x=p.x + dx,
+                                                 y=p.y + reach * math.sin(theta))))
+        inside = (1.0 - 1e-6) * reach
+        pairs.append((p, dataclasses.replace(q, x=p.x + inside * math.cos(theta),
+                                             y=p.y + inside * math.sin(theta))))
+    return pairs
+
+
+def _margin_pairs():
+    """Footprints apart along one box's length or width normal by just under,
+    at and just over `_APART_MARGIN` of the reach, or overlapping by it: the
+    other box's nearest corner (or side, when the yaws are equal) faces the
+    middle of that box's side, so the gap is the distance between them."""
+    pairs = []
+    p = Box7(3.0, -7.0, 0.2, 0.4, 4.5, 1.9, 1.6)
+    for yaw, l, w in ((0.4, 4.5, 1.9), (1.2, 1.0, 0.5), (-2.0, 9.0, 2.5)):
+        q = Box7(0.0, 0.0, 0.2, yaw, l, w, 1.6)
+        reach = _reach(p, q)
+        for owner, other, sign in ((p, q, 1.0), (q, p, -1.0)):
+            for normal in (owner.a, owner.a + 0.5 * math.pi):
+                nx, ny = math.cos(normal), math.sin(normal)
+                ux, uy = math.cos(other.a), math.sin(other.a)
+                # the other box's corner nearest the owner's side, from its centre
+                su = -math.copysign(0.5, nx * ux + ny * uy) * other.l
+                sv = -math.copysign(0.5, ny * ux - nx * uy) * other.w
+                ex, ey = su * ux - sv * uy, su * uy + sv * ux
+                for f in (-1.0, 0.9, 1.0, 1.1):
+                    d = _half_span(owner, normal) + f * geometry._APART_MARGIN * reach
+                    # offset from the owner's centre to the other's, turned into q - p
+                    ox, oy = d * nx - ex, d * ny - ey
+                    pairs.append((p, dataclasses.replace(q, x=p.x + sign * ox,
+                                                         y=p.y + sign * oy)))
+    return pairs
+
+
+def _shifted(pairs, shift):
+    return [tuple(dataclasses.replace(b, x=b.x + shift, y=b.y + shift) for b in pair)
+            for pair in pairs]
+
+
 def test_iou3d_rows_equals_iou3d_on_structured_pairs():
     pairs = _structured_pairs()
-    _assert_rows_equal_pairs([p for p, _ in pairs], [q for _, q in pairs])
-    for p, q in pairs:  # one pair at a time, too
-        _assert_rows_equal_pairs([p], [q])
     assert sum(iou3d(p, q) > 0.0 for p, q in pairs) > len(pairs) // 2
+    # and the array exits' edges: the circumcircle test and the separating axes
+    circles, margins = _circumcircle_pairs(), _margin_pairs()
+    for shift in (0.0, 1e4, 1e6):  # here and at coordinates around 1e4 and 1e6 m
+        moved = _shifted(pairs + circles + margins, shift)
+        _assert_rows_equal_pairs([p for p, _ in moved], [q for _, q in moved])
+        for p, q in moved:  # one pair at a time, too
+            _assert_rows_equal_pairs([p], [q])
+    assert {math.hypot(q.x - p.x, q.y - p.y) > _reach(p, q) for p, q in circles} == {True, False}
+    assert any(iou3d(p, q) > 0.0 for p, q in circles)  # corners overlapping inside
+    rows_p, rows_q = box_rows(p for p, _ in margins), box_rows(q for _, q in margins)
+    apart = geometry._apart(rows_q[:, 0] - rows_p[:, 0], rows_q[:, 1] - rows_p[:, 1],
+                            rows_p[:, 3], rows_q[:, 3], rows_p[:, 4], rows_p[:, 5],
+                            rows_q[:, 4], rows_q[:, 5],
+                            np.array([_reach(p, q) for p, q in margins])).reshape(-1, 4)
+    assert not apart[:, :2].any() and apart[:, 3].all()  # f = -1 and 0.9, then 1.1
+    assert any(iou3d(p, q) > 0.0 for p, q in margins[::4])  # overlapping by the margin
 
 
 def test_iou3d_rows_of_no_pairs_is_empty():

@@ -117,6 +117,21 @@ def test_empty_ground_truth_rejected():
         evaluate({}, {})
 
 
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_track_score_is_rejected_naming_its_timestep_and_track(score):
+    # a NaN average score used to fail every `>=` threshold, even the
+    # full-recall pass's, so the call returned AMOTA 0.0 with no error
+    b = _box(0.0)
+    gt_frames = {t: [(1, b)] for t in range(3)}
+    track_frames = {0: [(5, b, 0.9)], 2: [(5, b, 0.9), (7, _box(20.0), score)],
+                    1: [(5, b, score)]}
+    with pytest.raises(ValueError, match=r"track 5 at timestep 1 has a non-finite score"):
+        evaluate(track_frames, gt_frames)
+    del track_frames[1]
+    with pytest.raises(ValueError, match=r"track 7 at timestep 2 has a non-finite score"):
+        evaluate(track_frames, gt_frames)
+
+
 def test_evaluate_scores_every_frames_pairs_in_one_iou_batch(monkeypatch):
     # every level is reachable here and thresholds at 0.9
     track_frames, gt_frames = _perfect_case(num_objects=3, num_frames=10)

@@ -244,22 +244,34 @@ def _reference_evaluate(track_frames, gt_frames):
 def swept_scenes(draw):
     """Scenes for the recall sweep: a few shared score values (so average scores
     tie), ids drawn per frame from a small pool (so identities switch), clutter,
-    and frames with no tracks or no ground truth, present as [] or absent."""
+    and frames with no tracks or no ground truth, present as [] or absent. Some
+    tracks score 0.1, 0.2 or 0.7 frame by frame, whose sums depend on the order
+    of addition; an id may repeat within a frame, and the track frames' keys
+    come in any order."""
     num_frames, num_objects = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    scores = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=7, max_size=7))
+    fixed = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, None]), min_size=7, max_size=7))
+
+    def score(tid):
+        return draw(st.sampled_from([0.1, 0.2, 0.7])) if fixed[tid] is None else fixed[tid]
+
     gt_frames, track_frames = {}, {}
     for t in range(num_frames):
         gts = [(g, _car(10.0 * g + 0.5 * t)) for g in range(num_objects)
                if t == 0 or draw(st.booleans())]
-        tracks = [(tid, _car(10.0 * g + 0.5 * t + draw(st.floats(-3.5, 3.5))), scores[tid])
+        tracks = [(tid, _car(10.0 * g + 0.5 * t + draw(st.floats(-3.5, 3.5))), score(tid))
                   for g in range(num_objects) if draw(st.booleans())
                   for tid in [draw(st.integers(0, 5))]]
+        if tracks and draw(st.booleans()):  # a second item of one of the frame's ids
+            tid = draw(st.sampled_from([tid for tid, _b, _s in tracks]))
+            tracks.insert(draw(st.integers(0, len(tracks))),
+                          (tid, _car(draw(st.floats(-5.0, 45.0))), score(tid)))
         if draw(st.booleans()):
-            tracks.append((6, _car(draw(st.floats(-20.0, 60.0))), scores[6]))
+            tracks.append((6, _car(draw(st.floats(-20.0, 60.0))), score(6)))
         for frames_, items in ((gt_frames, gts), (track_frames, tracks)):
             if items or draw(st.booleans()):
                 frames_[t] = items
-    return track_frames, gt_frames
+    order = draw(st.permutations(list(track_frames)))
+    return {t: track_frames[t] for t in order}, gt_frames
 
 
 @PROPERTY
