@@ -9,9 +9,11 @@ best-MOTA level of the sweep. All metric fields are percentages.
 An `evaluate` call sets its whole sequence up once, as arrays (`_Sequence`),
 in one pass over its frames: every gt and track item with its box row, id and
 score, and each track's average score, one `np.bincount` over its items in
-`track_frames` order. Then each frame's (gt, track) pairs in row-major order,
-frame after frame, prescreened as `association.prescreen_pairs` prescreens
-them and scored in one `geometry.iou3d_rows` call, whose fixed cost a whole
+`track_frames` order. A non-finite box or score raises a `ValueError`. Then
+each frame's (gt, track) pairs in row-major order, frame after frame,
+prescreened by `association.prescreen_pairs`' test (`footprint_reach` and
+`extents_meet`: a pair is kept unless its footprints' x or y extents lie
+apart) and scored in one `geometry.iou3d_rows` call, whose fixed cost a whole
 sequence's pairs repay (the tracker's per-frame matrices are too small for
 that and stay on the per-pair path, `association.build_cost_matrix`).
 A pass keeps each frame's n best-scored tracks (ties kept together), so a
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import associate
+from .association import associate, extents_meet, footprint_reach
 from .geometry import box_rows, iou3d_rows
 from .io import RunConfig, replace_file
 
@@ -108,8 +110,9 @@ class _Sequence:
     gathered in one pass over the frames. A track's average score adds its
     scores in `track_frames` order (the order of the dict's frames, each
     frame's items in list order), as a loop over the dict would, so its bits
-    do not depend on how the frames are sorted here; a non-finite score
-    raises a `ValueError` naming its timestep and track.
+    do not depend on how the frames are sorted here. A non-finite gt box,
+    track box or track score raises a `ValueError` naming its timestep and
+    id, before any trig runs on the boxes.
     A track's rank counts the tracks of its frame that score strictly above
     it, so a pass that keeps a frame's n best tracks keeps its rows of
     rank < n. A frame's star limit is the largest n at which its kept
@@ -149,6 +152,13 @@ class _Sequence:
         gt_rows, track_rows = box_rows(gt_boxes), box_rows(track_boxes)
         self.gt_ids = np.array(gt_ids)
         scores = np.array(scores, dtype=float)
+        for kind, ids, frame, rows in (("gt", gt_ids, gt_frame, gt_rows),
+                                       ("track", track_ids, self.track_frame, track_rows)):
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if len(bad):
+                k = bad[0]
+                raise ValueError(f"{kind} {ids[k]} at timestep {frames[frame[k]]}"
+                                 f" has a non-finite box {tuple(rows[k].tolist())}")
         bad = np.flatnonzero(~np.isfinite(scores))
         if len(bad):
             k = bad[0]
@@ -168,18 +178,17 @@ class _Sequence:
 
         # every (gt, track) pair of each frame in row-major order, frame after
         # frame, prescreened by `prescreen_pairs`' test and scored in one IoU
-        # batch. hypot(dx, dy) >= |dx|, |dy|, so a pair with either beyond
-        # the two radii fails that test; only the rest take the hypot.
+        # batch
         width = num_tracks[gt_frame]
         pair_gt = np.repeat(np.arange(len(gt_frame)), width)
         pair_track = np.arange(len(pair_gt)) - np.repeat(
             np.cumsum(width) - width - self.track_start[gt_frame], width)
-        dx = gt_rows[:, 0][pair_gt] - track_rows[:, 0][pair_track]
-        dy = gt_rows[:, 1][pair_gt] - track_rows[:, 1][pair_track]
-        reach = (0.5 * np.hypot(gt_rows[:, 4], gt_rows[:, 5]))[pair_gt] \
-            + (0.5 * np.hypot(track_rows[:, 4], track_rows[:, 5]))[pair_track]
-        near = np.flatnonzero(~((np.abs(dx) > reach) | (np.abs(dy) > reach)))
-        near = near[np.hypot(dx[near], dy[near]) <= reach[near]]
+        gt_x, gt_y = footprint_reach(gt_rows)
+        track_x, track_y = footprint_reach(track_rows)
+        near = np.flatnonzero(extents_meet(
+            gt_rows[:, 0][pair_gt] - track_rows[:, 0][pair_track],
+            gt_rows[:, 1][pair_gt] - track_rows[:, 1][pair_track],
+            gt_x[pair_gt] + track_x[pair_track], gt_y[pair_gt] + track_y[pair_track]))
         self.pair_gt, self.pair_track = pair_gt[near], pair_track[near]
         self.pair_frame = gt_frame[self.pair_gt]
         self.iou = iou3d_rows(gt_rows[self.pair_gt], track_rows[self.pair_track])
@@ -304,7 +313,7 @@ def evaluate(track_frames: dict, gt_frames: dict,
     `track_frames`: timestep -> list of (track_id, Box7, score).
     `gt_frames`: timestep -> list of (gt_id, Box7).
     Raises a `ValueError` for empty ground truth, an IoU threshold outside
-    (0, 1), or a non-finite track score.
+    (0, 1), or a non-finite box or track score.
     """
     num_gt = sum(len(v) for v in gt_frames.values())
     if num_gt == 0:

@@ -23,9 +23,10 @@ from cooptrack.association import (
     build_cost_matrix,
     finish_timestep,
     hungarian_solve,
+    prescreen_pairs,
     reportable,
 )
-from cooptrack.geometry import Box7, box_rows
+from cooptrack.geometry import _APART_MARGIN, Box7, box_rows, iou3d
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -114,6 +115,68 @@ def test_build_cost_matrix_is_negated_iou():
     assert cost[0, 0] < -0.3  # heavy overlap
     assert cost[0, 1] == 0.0  # prescreened far pair
     assert cost[1, 1] == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", range(7))
+@pytest.mark.parametrize("side", ["track", "detection"])
+def test_a_non_finite_row_value_is_rejected_naming_its_side_and_row(side, column, value):
+    # a NaN centre used to score 0.0 with no error, and an infinite yaw
+    # failed inside `iou3d`; the check also runs before the prescreen's
+    # `np.cos`, which would warn on an infinite yaw
+    rows = {"track": box_rows([_box(0, 0), _box(10, 0), _box(30, 0)]),
+            "detection": box_rows([_box(0.5, 0), _box(10, 0), _box(20, 0)])}
+    rows[side][1, column] = value
+    rows[side][-1, column] = math.nan  # a later bad row is not the one named
+    with pytest.raises(ValueError, match=rf"^{side} row 1 has a non-finite value {value} "
+                                         rf"in column {column}$"):
+        build_cost_matrix(rows["track"], rows["detection"])
+
+
+def _half_spans(box):
+    """Half the x and the y extent of a box's footprint."""
+    c, s = abs(math.cos(box.a)), abs(math.sin(box.a))
+    return 0.5 * (box.l * c + box.w * s), 0.5 * (box.l * s + box.w * c)
+
+
+def _extent_margin_pairs(shift):
+    """Pairs around (shift, shift) whose x or y extents lie apart by f times
+    `_APART_MARGIN` of their summed half spans, f in (-1, 0.9, 1, 1.1), the
+    other axis overlapping, at yaws 0, +-1e-7, pi/4, pi/2 and next to +-pi."""
+    yaws = (0.0, 1e-7, -1e-7, 0.25 * math.pi, 0.5 * math.pi,
+            math.nextafter(math.pi, 0.0), -math.pi, math.nextafter(-math.pi, 0.0))
+    pairs = []
+    for yaw_p, yaw_q in itertools.product(yaws, repeat=2):
+        p = Box7(shift, shift, 0.0, yaw_p, 4.5, 1.9, 1.6)
+        q = Box7(0.0, 0.0, 0.1, yaw_q, 5.0, 2.0, 1.8)
+        (px, py), (qx, qy) = _half_spans(p), _half_spans(q)
+        for axis, sign in itertools.product((0, 1), (1.0, -1.0)):
+            span = px + qx if axis == 0 else py + qy
+            for f in (-1.0, 0.9, 1.0, 1.1):
+                d = sign * span * (1.0 + f * _APART_MARGIN)
+                dx, dy = (d, 0.3) if axis == 0 else (0.3, d)
+                pairs.append((p, Box7(p.x + dx, p.y + dy, q.z, q.a, q.l, q.w, q.h)))
+    return pairs
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4, 1e6])
+def test_the_prescreen_drops_pairs_apart_by_its_margin_and_no_closer(shift):
+    pairs = _extent_margin_pairs(shift)
+    kept = np.array([len(prescreen_pairs(box_rows([p]), box_rows([q]))[0]) == 1
+                     for p, q in pairs]).reshape(-1, 4)
+    # overlapping by the margin and apart by 0.9 of it are kept, apart by
+    # 1.1 of it dropped; at the margin itself rounding decides
+    assert kept[:, :2].all() and not kept[:, 3].any()
+    for (p, q), keep in zip(pairs, kept.ravel()):
+        if not keep:
+            assert iou3d(p, q) == 0.0
+    assert any(iou3d(p, q) > 0.0 for p, q in pairs[::4])  # overlapping by the margin
+    # and each (p, all of its q) matrix has every pair's bits
+    for k in range(0, len(pairs), 16):
+        p, dets = pairs[k][0], [q for _, q in pairs[k:k + 16]]
+        want = np.array([[-iou3d(p, q) for q in dets]])
+        cost = build_cost_matrix(box_rows([p]), box_rows(dets))
+        assert (cost + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_associate_obvious_pairs():

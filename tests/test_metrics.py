@@ -132,6 +132,43 @@ def test_a_non_finite_track_score_is_rejected_naming_its_timestep_and_track(scor
         evaluate(track_frames, gt_frames)
 
 
+def _holding(box, field, value):
+    """`box` with `field` stored as `value`: Box7 itself rejects a NaN or
+    negative extent and wraps an infinite yaw to NaN, so the value is
+    written past its checks, as a caller's own box type might hold it."""
+    box = dataclasses.replace(box)
+    box.__dict__[field] = value
+    return box
+
+
+def test_a_nan_centre_is_rejected_not_scored_as_no_overlap():
+    # this call used to return AMOTA 0.0 with no error
+    b = _box(0.0)
+    with pytest.raises(ValueError, match=r"^track 5 at timestep 0 has a non-finite box"):
+        evaluate({0: [(5, Box7(math.nan, 0, 0, 0, 4, 2, 1.6), 0.9)], 1: [(5, b, 0.9)]},
+                 {0: [(1, b)], 1: [(1, b)]})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x", "y", "z", "a", "l", "w", "h"])
+@pytest.mark.parametrize("kind", ["gt", "track"])
+def test_a_non_finite_box_is_rejected_naming_its_timestep_and_id(kind, field, value):
+    b = _box(0.0)
+    gt_frames = {t: [(1, b), (2, _box(20.0))] for t in range(3)}
+    track_frames = {t: [(5, b, 0.9), (7, _box(20.0), 0.8)] for t in range(3)}
+    bad = _holding(b, field, value)
+    if kind == "gt":
+        gt_frames[1][1] = (2, bad)
+        gt_frames[2][0] = (1, bad)  # a later bad box is not the one named
+        name = "gt 2 at timestep 1"
+    else:
+        track_frames[1][1] = (7, bad, 0.8)
+        track_frames[2][0] = (5, bad, 0.9)
+        name = "track 7 at timestep 1"
+    with pytest.raises(ValueError, match=rf"^{name} has a non-finite box \(.*{value}"):
+        evaluate(track_frames, gt_frames)
+
+
 def test_evaluate_scores_every_frames_pairs_in_one_iou_batch(monkeypatch):
     # every level is reachable here and thresholds at 0.9
     track_frames, gt_frames = _perfect_case(num_objects=3, num_frames=10)
@@ -145,7 +182,7 @@ def test_evaluate_scores_every_frames_pairs_in_one_iou_batch(monkeypatch):
                         lambda *args, **kwargs: solved.append(len(args[3]))
                         or real_match(*args, **kwargs))
     assert evaluate(track_frames, gt_frames).levels[-1].achievable
-    # the objects stand 10 m apart, beyond two circumcircle radii (2.44 m
+    # the objects stand 10 m apart, beyond their two half lengths (2.25 m
     # each), so a frame's prescreen passes each object's (gt, track) pair
     # alone, and frame 10 passes none
     assert len(batches) == 1

@@ -75,17 +75,26 @@ seam_poses = poses | st.builds(PoseYawT, coords, coords, st.floats(-3.0, 3.0), s
 
 @st.composite
 def row_sets(draw):
-    """Tracks and detections: random, near the yaw seam, identical and touching pairs."""
-    tracks = draw(st.lists(seam_boxes, min_size=1, max_size=5))
+    """Tracks and detections: random, near the yaw seam or heading along an axis,
+    identical and touching pairs, and side by side (touching, or a gap apart:
+    some gaps near the prescreen's margin, some negative)."""
+    axis_boxes = st.builds(Box7, coords, coords, st.floats(-3.0, 3.0),
+                           st.sampled_from([0.0, 0.5 * math.pi, -0.5 * math.pi, -math.pi]),
+                           extents, extents, extents)
+    tracks = draw(st.lists(seam_boxes | axis_boxes, min_size=1, max_size=5))
     dets = []
     for t in tracks:
         kind = draw(st.sampled_from(("identical", "end-to-end", "stacked", "mirrored",
-                                     "nudged", "other")))
+                                     "nudged", "side by side", "other")))
         c, s = math.cos(t.a), math.sin(t.a)
         if kind == "identical":
             dets.append(t)
         elif kind == "end-to-end":  # touching along the heading
             dets.append(Box7(t.x + c * t.l, t.y + s * t.l, t.z, t.a, t.l, t.w, t.h))
+        elif kind == "side by side":  # along the width normal: touching, or a gap apart
+            d = t.w + draw(st.sampled_from([0.0, 1e-9, 2e-9]).map(lambda k: k * t.w)
+                           | st.floats(-0.5 * t.w, 1.0))
+            dets.append(Box7(t.x - s * d, t.y + c * d, t.z, t.a, t.l, t.w, t.h))
         elif kind == "stacked":  # touching faces in z
             dets.append(Box7(t.x, t.y, t.z + t.h, t.a, t.l, t.w, t.h))
         elif kind == "mirrored":  # the same heading across the seam when near +-pi
@@ -123,8 +132,8 @@ def test_positional_global_block_gives_the_bits_of_transform_box(local, pose):
     assert got.tobytes() == box_rows(transform_box(b, pose) for b in local).tobytes()
 
 
-def _car(x):
-    return Box7(x, 0.0, 0.0, 0.0, 4.5, 1.9, 1.6)
+def _car(x, y=0.0):
+    return Box7(x, y, 0.0, 0.0, 4.5, 1.9, 1.6)
 
 
 @st.composite
@@ -311,16 +320,21 @@ def crowded_scenes(draw):
     """Scenes that leave the solver work: ground truth closer than a car length
     (4.5 m), up to three tracks per gt, scores from a few shared values (so
     average scores tie), exactly repeated boxes, and track ids drawn from a
-    small pool, repeated within a frame too."""
+    small pool, repeated within a frame too. Each box lies in one of two
+    neighbouring lanes: 4 m apart, as in the dense scenes (the cars'
+    circumcircles overlap), side by side (1.9 m, touching), or a gap apart
+    within or beyond the prescreen's margin; or all in one lane."""
     num_frames, num_objects = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     offsets = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -2.0]), st.floats(-3.0, 3.0))
+    lanes = st.sampled_from([0.0, draw(st.sampled_from([0.0, 4.0, 1.9, 1.9 + 1e-9,
+                                                         1.9 + 1e-8]))])
     gt_frames, track_frames = {}, {}
     for t in range(num_frames):
         xs = [0.0]
         for _ in range(num_objects - 1):
             xs.append(xs[-1] + draw(st.sampled_from([0.0, 1.0, 2.5, 4.0])))
-        gt_frames[t] = [(g, _car(x)) for g, x in enumerate(xs)]
-        track_frames[t] = [(draw(st.integers(0, 4)), _car(x + draw(offsets)),
+        gt_frames[t] = [(g, _car(x, draw(lanes))) for g, x in enumerate(xs)]
+        track_frames[t] = [(draw(st.integers(0, 4)), _car(x + draw(offsets), draw(lanes)),
                             draw(st.sampled_from([0.25, 0.5, 0.75])))
                            for x in xs for _ in range(draw(st.integers(0, 3)))]
     return track_frames, gt_frames
