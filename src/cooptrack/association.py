@@ -4,10 +4,10 @@ A cost matrix scores only the pairs whose footprints' x and y extents meet
 (`prescreen_pairs`): a box footprint projects onto the world x axis exactly
 as [x - hx, x + hx] (`footprint_reach`), so a pair whose centres lie
 farther apart on x or y than its two half spans shares no area. Within
-`geometry._APART_MARGIN` of touching, a pair is kept and scored. This is
-the separating-axis test of Gottschalk, Lin and Manocha ("OBBTree",
-SIGGRAPH 1996) on the two world axes; boxes in neighbouring lanes, whose
-circumcircles overlap, are apart on one of them.
+`_APART_MARGIN` of touching, a pair is kept and scored. This is the
+separating-axis test of Gottschalk, Lin and Manocha ("OBBTree", SIGGRAPH
+1996) on the two world axes, and the only test that decides a pair is
+apart: `iou3d` itself clips every pair that overlaps in z.
 
 The assignment solver is scipy's compiled `linear_sum_assignment`, loaded
 from its own extension file without importing the `scipy.optimize` package.
@@ -23,7 +23,7 @@ from importlib import machinery
 import numpy as np
 import scipy
 
-from .geometry import _APART_MARGIN, iou3d
+from .geometry import iou3d
 
 
 def _compiled_linear_sum_assignment():
@@ -49,6 +49,10 @@ def _compiled_linear_sum_assignment():
 
 linear_sum_assignment = _compiled_linear_sum_assignment()
 
+
+# The share of a pair's summed half spans by which its footprints must lie apart
+# on x or y for `prescreen_pairs` to drop it (`extents_meet`).
+_APART_MARGIN = 1e-9
 
 # a pair's two reaches on an axis add up to its two half spans there, widened
 # by `_APART_MARGIN` of their sum (to within an ulp of the sum)

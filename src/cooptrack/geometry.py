@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_INF = math.inf
 
 
 def wrap_angle(a):
@@ -29,8 +30,8 @@ def wrap_angle(a):
 class Box7:
     """Oriented 3D bounding box: center (x, y, z), yaw about z, extents (l, w, h).
 
-    Length runs along the heading. Extents must be positive; yaw is
-    normalized to [-pi, pi) on construction.
+    Length runs along the heading. Every field must be finite and the
+    extents positive; yaw is normalized to [-pi, pi) on construction.
     """
 
     x: float
@@ -43,9 +44,18 @@ class Box7:
 
     def __init__(self, x, y, z, a, l, w, h):
         """Each field converted to float once, and stored in one write (the
-        dataclass is frozen, so fields cannot be assigned)."""
+        dataclass is frozen, so fields cannot be assigned).
+
+        A NaN or infinite field raises a ValueError naming it. The test is a
+        chain of comparisons, a few per field and no sum to overflow, as a box
+        is built for every detection, record and reported track."""
         if not (l > 0.0 and w > 0.0 and h > 0.0):
             raise ValueError(f"box extents must be positive, got l={l} w={w} h={h}")
+        if not (-_INF < x < _INF and -_INF < y < _INF and -_INF < z < _INF
+                and -_INF < a < _INF and l < _INF and w < _INF and h < _INF):
+            name, value = next(field for field in zip("xyzalwh", (x, y, z, a, l, w, h))
+                               if not math.isfinite(field[1]))
+            raise ValueError(f"box fields must be finite, got {name}={value}")
         self.__dict__.update(x=float(x), y=float(y), z=float(z), a=wrap_angle(float(a)),
                              l=float(l), w=float(w), h=float(h))
 
@@ -154,6 +164,9 @@ def iou3d(b1, b2) -> float:
     The BEV overlap is found in the first box's frame, where that box is
     the axis-aligned slab |x| <= l1/2, |y| <= w1/2: the second box's
     corners are clipped (Sutherland-Hodgman) against the four slab sides.
+    Only the z overlap is tested before the clip: footprints that lie apart
+    clip to no vertex, so their IoU is 0.0. Callers scoring many pairs drop
+    those first (`association.prescreen_pairs`).
     """
     k1, k2 = _box_values(b1), _box_values(b2)
     if k2 < k1:
@@ -161,16 +174,12 @@ def iou3d(b1, b2) -> float:
     x1, y1, z1, a1, l1, w1, h1 = k1
     x2, y2, z2, a2, l2, w2, h2 = k2
 
-    # Cheap exact rejections before clipping.
+    # the clip's volume needs a positive z overlap
     zlo = max(z1 - 0.5 * h1, z2 - 0.5 * h2)
     zhi = min(z1 + 0.5 * h1, z2 + 0.5 * h2)
     if zhi <= zlo:
         return 0.0
-    r1 = 0.5 * math.hypot(l1, w1)
-    r2 = 0.5 * math.hypot(l2, w2)
     dx, dy = x2 - x1, y2 - y1
-    if math.hypot(dx, dy) > r1 + r2:
-        return 0.0
 
     # The second box's CCW corners in the first box's frame; c * (-d) is
     # -(c * d) exactly, so each product is formed once.
@@ -218,49 +227,17 @@ def _per_element(fn, *arrays) -> np.ndarray:
     return np.array(list(map(fn, *(x.tolist() for x in arrays))), dtype=float)
 
 
-# A pair whose footprints lie apart along an edge normal by more than this share
-# of its reach has IoU 0.0: numpy's trig and the projections' rounding move a
-# gap by a few ulps of the reach (1e-16 of it), far below this margin.
-_APART_MARGIN = 1e-9
-
-
-def _apart(dx, dy, a1, a2, l1, w1, l2, w2, reach) -> np.ndarray:
-    """Whether each pair's footprints are apart along one of the four edge normals.
-
-    A gap is the centre offset projected on a normal less both boxes' half
-    spans on it. For a pair inside its circumcircle test, every term is below
-    the reach, so a gap over `_APART_MARGIN` of the reach is a true gap, far
-    above the rounding of `iou3d`'s corners and crossings (also a few ulps of
-    the reach). Its clip then keeps no vertex, and it returns 0.0, as this
-    exit does.
-    """
-    c1, s1, c2, s2 = np.cos(a1), np.sin(a1), np.cos(a2), np.sin(a2)
-    c = np.abs(c1 * c2 + s1 * s2)  # |cos(a2 - a1)|
-    s = np.abs(c1 * s2 - s1 * c2)  # |sin(a2 - a1)|
-    gap = np.maximum.reduce([
-        np.abs(c1 * dx + s1 * dy) - 0.5 * (l1 + l2 * c + w2 * s),
-        np.abs(c1 * dy - s1 * dx) - 0.5 * (w1 + l2 * s + w2 * c),
-        np.abs(c2 * dx + s2 * dy) - 0.5 * (l2 + l1 * c + w1 * s),
-        np.abs(c2 * dy - s2 * dx) - 0.5 * (w2 + l1 * s + w1 * c)])
-    return gap > _APART_MARGIN * reach
-
-
 def iou3d_rows(a, b) -> np.ndarray:
     """`iou3d(a[k], b[k])` for every k of two (P, 7) arrays of box rows, as a (P,) array.
 
     Each entry has `iou3d`'s bits. Pairs are put in its canonical order (the
-    first column in which the rows differ decides). Every exit to 0.0 that
-    needs no clip is then taken on whole arrays, with numpy's own functions:
-    - the z overlap, as `iou3d` tests it;
-    - the circumcircle test, with `np.hypot`. Where it and `math.hypot`
-      disagree, the circumcircles touch, and `iou3d` keeps no area either way;
-    - footprints apart along an edge normal by a margin (`_apart`).
-    The pairs left run `iou3d`'s arithmetic on the same values in the same
-    order: trig per element with `math`, as `iou3d` takes it, and the four
-    slab clips over all pairs at once. A clipped polygon is kept as a row of
-    vertices padded with copies of its last vertex; padding adds nothing to
-    the next clip and exact zeros to the shoelace sum, which is accumulated in
-    `iou3d`'s order (from the wrap term).
+    first column in which the rows differ decides), and those without `iou3d`'s
+    z overlap are 0.0. The pairs left run `iou3d`'s arithmetic on the same
+    values in the same order: trig per element with `math`, as `iou3d` takes
+    it, and the four slab clips over all pairs at once. A clipped polygon is
+    kept as a row of vertices padded with copies of its last vertex; padding
+    adds nothing to the next clip and exact zeros to the shoelace sum, which
+    is accumulated in `iou3d`'s order (from the wrap term).
     """
     a = np.asarray(a, dtype=float).reshape(-1, 7)
     b = np.asarray(b, dtype=float).reshape(-1, 7)
@@ -277,10 +254,7 @@ def iou3d_rows(a, b) -> np.ndarray:
         zlo = np.maximum(z1 - 0.5 * h1, z2 - 0.5 * h2)
         zhi = np.minimum(z1 + 0.5 * h1, z2 + 0.5 * h2)
         dx, dy = x2 - x1, y2 - y1
-        reach = 0.5 * np.hypot(l1, w1) + 0.5 * np.hypot(l2, w2)
-        live = np.flatnonzero(~(zhi <= zlo) & ~(np.hypot(dx, dy) > reach))
-        live = live[~_apart(dx[live], dy[live], a1[live], a2[live], l1[live], w1[live],
-                            l2[live], w2[live], reach[live])]
+        live = np.flatnonzero(~(zhi <= zlo))
         if not len(live):
             return out
         (dx, dy, a1, a2, l1, w1, h1, l2, w2, h2, zlo, zhi) = (

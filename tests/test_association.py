@@ -17,6 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from cooptrack import association
 from cooptrack.association import (
+    _APART_MARGIN,
     Lifecycle,
     LifecycleConfig,
     associate,
@@ -26,7 +27,7 @@ from cooptrack.association import (
     prescreen_pairs,
     reportable,
 )
-from cooptrack.geometry import _APART_MARGIN, Box7, box_rows, iou3d
+from cooptrack.geometry import Box7, box_rows, iou3d
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:

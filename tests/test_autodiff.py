@@ -641,6 +641,26 @@ def test_every_imported_name_is_used_in_its_module():
     assert not dead, "imported but never used: " + ", ".join(sorted(dead))
 
 
+def test_no_module_reads_another_modules_private_name():
+    # a name two modules share is public, and defined in the module that owns it
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for path in sorted(pathlib.Path(ad.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = _module_bindings(path.stem, tree, {})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:  # `from .geometry import _x`
+                found += [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                          for alias in node.names if private(alias.name)]
+            elif isinstance(node, ast.Attribute) and private(node.attr):  # `geometry._x`
+                name = _qualified(node, bound)
+                if name:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, "private to another module: " + ", ".join(found)
+
+
 # names defined in src/ that no code there uses, each kept for the reason given
 UNREFERENCED_KEPT = {
     "features.encode_detection": "the specification of a packet's (N, 18, 256) encoding, "

@@ -9,6 +9,7 @@ complete the set.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooptrack import geometry
+from cooptrack.association import _APART_MARGIN
 from cooptrack.geometry import (
     Box7,
     PoseYawT,
@@ -116,6 +117,18 @@ def test_box7_rejects_what_the_generated_dataclass_rejected(extents):
     with pytest.raises(ValueError, match="box extents must be positive") as got:
         Box7(0.0, 0.0, 0.0, 0.0, *extents)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x", "y", "z", "a", "l", "w", "h"])
+def test_box7_rejects_a_non_finite_field_naming_it(field, value):
+    # an infinite yaw used to be stored as NaN, and a NaN centre as is
+    values = dict(x=1.0, y=-2.0, z=0.5, a=0.3, l=4.0, w=2.0, h=1.5)
+    values[field] = value
+    with pytest.raises(ValueError, match=rf"\b{field}={value}\b"):
+        Box7(**values)
+    with pytest.raises(ValueError, match=rf"\b{field}={value}\b"):
+        Box7.from_vector(np.array(list(values.values())))
 
 
 def test_transform_point_round_trip():
@@ -475,7 +488,8 @@ def _circumcircle_pairs():
     """Centre distances within 3 ulps of the summed circumradii, in a diagonal
     direction (so `hypot` rounds), and 1e-6 of them inside. With yaw offset 0
     both diagonals lie on the line of centres, so two corners meet where the
-    circumcircles touch, and overlap a little inside."""
+    circumcircles touch, and overlap a little inside: the clip's edge cases
+    of corners that touch or barely cross."""
     pairs = []
     p = Box7(3.0, -7.0, 0.2, 0.4, 4.5, 1.9, 1.6)
     theta = p.a + math.atan2(p.w, p.l)  # p's (+l, +w) corner
@@ -498,7 +512,8 @@ def _margin_pairs():
     """Footprints apart along one box's length or width normal by just under,
     at and just over `_APART_MARGIN` of the reach, or overlapping by it: the
     other box's nearest corner (or side, when the yaws are equal) faces the
-    middle of that box's side, so the gap is the distance between them."""
+    middle of that box's side, so the gap is the distance between them. The
+    clip keeps a sliver of area, or none, for each."""
     pairs = []
     p = Box7(3.0, -7.0, 0.2, 0.4, 4.5, 1.9, 1.6)
     for yaw, l, w in ((0.4, 4.5, 1.9), (1.2, 1.0, 0.5), (-2.0, 9.0, 2.5)):
@@ -513,7 +528,7 @@ def _margin_pairs():
                 sv = -math.copysign(0.5, ny * ux - nx * uy) * other.w
                 ex, ey = su * ux - sv * uy, su * uy + sv * ux
                 for f in (-1.0, 0.9, 1.0, 1.1):
-                    d = _half_span(owner, normal) + f * geometry._APART_MARGIN * reach
+                    d = _half_span(owner, normal) + f * _APART_MARGIN * reach
                     # offset from the owner's centre to the other's, turned into q - p
                     ox, oy = d * nx - ex, d * ny - ey
                     pairs.append((p, dataclasses.replace(q, x=p.x + sign * ox,
@@ -529,7 +544,8 @@ def _shifted(pairs, shift):
 def test_iou3d_rows_equals_iou3d_on_structured_pairs():
     pairs = _structured_pairs()
     assert sum(iou3d(p, q) > 0.0 for p, q in pairs) > len(pairs) // 2
-    # and the array exits' edges: the circumcircle test and the separating axes
+    # and the clip's edges: corners touching where the circumcircles meet, and
+    # sides a hair apart along an edge normal
     circles, margins = _circumcircle_pairs(), _margin_pairs()
     for shift in (0.0, 1e4, 1e6):  # here and at coordinates around 1e4 and 1e6 m
         moved = _shifted(pairs + circles + margins, shift)
@@ -538,13 +554,23 @@ def test_iou3d_rows_equals_iou3d_on_structured_pairs():
             _assert_rows_equal_pairs([p], [q])
     assert {math.hypot(q.x - p.x, q.y - p.y) > _reach(p, q) for p, q in circles} == {True, False}
     assert any(iou3d(p, q) > 0.0 for p, q in circles)  # corners overlapping inside
-    rows_p, rows_q = box_rows(p for p, _ in margins), box_rows(q for _, q in margins)
-    apart = geometry._apart(rows_q[:, 0] - rows_p[:, 0], rows_q[:, 1] - rows_p[:, 1],
-                            rows_p[:, 3], rows_q[:, 3], rows_p[:, 4], rows_p[:, 5],
-                            rows_q[:, 4], rows_q[:, 5],
-                            np.array([_reach(p, q) for p, q in margins])).reshape(-1, 4)
-    assert not apart[:, :2].any() and apart[:, 3].all()  # f = -1 and 0.9, then 1.1
     assert any(iou3d(p, q) > 0.0 for p, q in margins[::4])  # overlapping by the margin
+
+
+@pytest.mark.parametrize("yaws", [(0.0, 0.0), (0.5 * math.pi, 0.5 * math.pi), (-math.pi, -math.pi),
+                                  (0.0, 0.5 * math.pi), (0.3, -2.1)])
+def test_iou3d_of_finite_boxes_whose_centre_offset_overflows_is_zero(yaws):
+    # centres so far apart that x2 - x1 or y2 - y1 overflows to +-inf: the clip
+    # keeps no vertex, in both kernels, and nothing warns
+    coords = (1e308, -1e308, 1.7e308, -1.7e308, 1e300)
+    first, second = [], []
+    for x1, y1, x2, y2 in itertools.product(coords, repeat=4):
+        if (x1, y1) != (x2, y2):
+            first.append(Box7(x1, y1, 0.2, yaws[0], 4.5, 1.9, 1.6))
+            second.append(Box7(x2, y2, 0.0, yaws[1], 1.0, 0.5, 1.6))
+    assert any(math.isinf(q.x - p.x) or math.isinf(q.y - p.y) for p, q in zip(first, second))
+    _assert_rows_equal_pairs(first, second)
+    assert not iou3d_rows(box_rows(first), box_rows(second)).any()
 
 
 def test_iou3d_rows_of_no_pairs_is_empty():

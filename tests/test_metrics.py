@@ -133,9 +133,9 @@ def test_a_non_finite_track_score_is_rejected_naming_its_timestep_and_track(scor
 
 
 def _holding(box, field, value):
-    """`box` with `field` stored as `value`: Box7 itself rejects a NaN or
-    negative extent and wraps an infinite yaw to NaN, so the value is
-    written past its checks, as a caller's own box type might hold it."""
+    """`box` with `field` stored as `value`: Box7 itself rejects a non-finite
+    field or a non-positive extent, so the value is written past its checks,
+    as a caller's own box type might hold it."""
     box = dataclasses.replace(box)
     box.__dict__[field] = value
     return box
@@ -145,7 +145,7 @@ def test_a_nan_centre_is_rejected_not_scored_as_no_overlap():
     # this call used to return AMOTA 0.0 with no error
     b = _box(0.0)
     with pytest.raises(ValueError, match=r"^track 5 at timestep 0 has a non-finite box"):
-        evaluate({0: [(5, Box7(math.nan, 0, 0, 0, 4, 2, 1.6), 0.9)], 1: [(5, b, 0.9)]},
+        evaluate({0: [(5, _holding(b, "x", math.nan), 0.9)], 1: [(5, b, 0.9)]},
                  {0: [(1, b)], 1: [(1, b)]})
 
 
