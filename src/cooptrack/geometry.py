@@ -97,9 +97,14 @@ class PoseYawT:
     yaw: float
 
     def __post_init__(self):
-        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
-        for f in ("t_x", "t_y", "t_z"):
-            object.__setattr__(self, f, float(getattr(self, f)))
+        """Fields made floats, yaw wrapped; ValueError naming a NaN or infinite one."""
+        t_x, t_y, t_z, yaw = float(self.t_x), float(self.t_y), float(self.t_z), float(self.yaw)
+        if not (-_INF < t_x < _INF and -_INF < t_y < _INF and -_INF < t_z < _INF
+                and -_INF < yaw < _INF):
+            name, value = next(f for f in zip(("t_x", "t_y", "t_z", "yaw"), (t_x, t_y, t_z, yaw))
+                               if not math.isfinite(f[1]))
+            raise ValueError(f"pose fields must be finite, got {name}={value}")
+        self.__dict__.update(t_x=t_x, t_y=t_y, t_z=t_z, yaw=wrap_angle(yaw))
 
 
 def transform_point(p, pose: PoseYawT):

@@ -586,16 +586,14 @@ def record_box(rec) -> Box7:
 
 
 def record_pose(rec) -> PoseYawT:
-    p = rec["pose"]
-    return PoseYawT(p[0], p[1], p[2], p[3])
+    return PoseYawT(*rec["pose"])
 
 
 def track_frames_from_records(records) -> dict:
     """{timestep: [(track_id, Box7, score)]} from track log records."""
     out = {}
     for rec in records:
-        out.setdefault(rec["t"], []).append(
-            (rec["id"], record_box(rec), rec["score"]))
+        out.setdefault(rec["t"], []).append((rec["id"], record_box(rec), rec["score"]))
     return out
 
 
@@ -610,10 +608,15 @@ def gt_frames_from_records(records) -> dict:
 def track_frames_from_reports(reports, timesteps) -> dict:
     """{timestep: [(track_id, Box7, score)]} from per-frame tracker reports.
 
-    `timesteps[i]` is the timestep of the frame that produced `reports[i]`.
+    `timesteps[i]` is the timestep of the frame that produced `reports[i]`;
+    a timestep given twice raises a ValueError naming it.
     """
-    return {t: [(rt.track_id, rt.box, rt.score) for rt in frame]
-            for t, frame in zip(timesteps, reports, strict=True)}
+    out = {}
+    for t, frame in zip(timesteps, reports, strict=True):
+        if t in out:
+            raise ValueError(f"timestep {t} is repeated in the reports' timesteps")
+        out[t] = [(rt.track_id, rt.box, rt.score) for rt in frame]
+    return out
 
 
 def reports_to_records(reports, timesteps=None) -> list:
@@ -819,8 +822,8 @@ def _read_json(path: str, error=LogFormatError) -> dict:
 
 @dataclass
 class AdamState:
-    """Adam's step count and moments, keyed by (cav, layer name) like the
-    optimized parameter sets."""
+    """Adam's step count and moments, keyed by (owner cav, layer name) like the
+    optimized parameter sets (`set_owners`)."""
 
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -828,13 +831,10 @@ class AdamState:
 
     @classmethod
     def init(cls, param_sets: dict) -> "AdamState":
-        """Zero moments for every array of `param_sets` (cav -> CovNetParams)."""
-        state = cls()
-        for cav, params in param_sets.items():
-            for name, arr in params.arrays.items():
-                state.m[(cav, name)] = np.zeros_like(arr)
-                state.v[(cav, name)] = np.zeros_like(arr)
-        return state
+        """Zero moments for every array of `param_sets` (owner -> CovNetParams)."""
+        m = {(cav, name): np.zeros_like(arr)
+             for cav, params in param_sets.items() for name, arr in params.arrays.items()}
+        return cls(0, m, {key: np.zeros_like(arr) for key, arr in m.items()})
 
 
 @dataclass
@@ -857,6 +857,14 @@ def params_by_vehicle(cfg: RunConfig, make: Callable[[int], CovNetParams]) -> di
     return {cav: owned.get(cav, owned[0]) for cav in range(cfg.num_cavs)}
 
 
+def set_owners(params_by_cav: dict) -> dict:
+    """Vehicle id -> the owner of its parameter set, in id order: vehicles share a set
+    exactly when their CovNetParams hold one `arrays` mapping, owned by the lowest id."""
+    owner_of = {}  # id of an arrays mapping -> its owner
+    return {cav: owner_of.setdefault(id(params_by_cav[cav].arrays), cav)
+            for cav in sorted(params_by_cav)}
+
+
 def _checkpoint_manifest(cfg: RunConfig, adam: bool) -> list:
     """The manifest a checkpoint of `cfg` holds, in file order: the `param` entries,
     then (when `adam`) the `adam_m` and `adam_v` ones; each kind by vehicle id, and
@@ -868,9 +876,12 @@ def _checkpoint_manifest(cfg: RunConfig, adam: bool) -> list:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint):
-    cfg = ckpt.config
-    manifest = []
-    blobs = []
+    """ValueError, before any file is opened, unless `set_owners` gives the config's."""
+    cfg, owners = ckpt.config, set_owners(ckpt.params_by_cav)
+    if owners != params_by_vehicle(cfg, lambda cav: cav):  # the owners the config names
+        raise ValueError(f"parameter set owners {owners} disagree with num_cavs={cfg.num_cavs}"
+                         f" and covnet.shared_weights={cfg.covnet.shared_weights}")
+    manifest, blobs = [], []
     for entry in _checkpoint_manifest(cfg, ckpt.adam_state is not None):
         cav, name, kind = entry["cav"], entry["name"], entry["kind"]
         arr = np.ascontiguousarray(

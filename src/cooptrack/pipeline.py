@@ -76,35 +76,28 @@ class LearnedCovariance:
     `params_by_cav` maps cav_id to CovNetParams, whose arrays may be tape
     nodes (a training pass), or to a (name -> array/node mapping,
     CovNetConfig) pair, which is wrapped as CovNetParams here. Vehicles
-    share a set when their entries hold one arrays mapping. A provider
-    reads its weights once, when it is built: it folds each set for its
-    passes then (`covnet.fold`, one tape node per set for lifted weights),
-    so weights changed later, as by an optimizer step, need a new provider.
-    A provider keeps no state besides its folded sets: `residual_rows`
-    makes one network pass per parameter set over whatever packets it is
-    given, a frame's when tracking, a whole window's in training. The
-    network reads each detection's local box and its vehicle's pose
-    (`features`). Every pass runs on the calling thread.
+    share a set as `io.set_owners` says, by holding one arrays mapping. A
+    provider reads its weights once, when it is built: it folds each set for
+    its passes then (`covnet.fold`, one tape node per set for lifted
+    weights), so weights changed later, as by an optimizer step, need a new
+    provider. A provider keeps no state besides its folded sets and their
+    owners: `residual_rows` makes one network pass per parameter set over
+    whatever packets it is given, a frame's when tracking, a whole window's
+    in training. The network reads each detection's local box and its
+    vehicle's pose (`features`). Every pass runs on the calling thread.
     """
 
     reals_per_detection = metrics.SHARED_REALS
 
     def __init__(self, params_by_cav: dict, bounds=DEFAULT_BOUNDS):
-        folded = {}  # id of a set's arrays mapping -> the set, folded
-        self.params_by_cav = {}
-        for cav, entry in params_by_cav.items():
-            params = (entry if isinstance(entry, covnet.CovNetParams)
-                      else covnet.CovNetParams(entry[1], entry[0]))
-            if id(params.arrays) not in folded:
-                folded[id(params.arrays)] = covnet.fold(params)
-            self.params_by_cav[cav] = folded[id(params.arrays)]
+        params = {cav: entry if isinstance(entry, covnet.CovNetParams)
+                  else covnet.CovNetParams(entry[1], entry[0])
+                  for cav, entry in params_by_cav.items()}
+        self.owners = cio.set_owners(params)
+        folded = {cav: covnet.fold(params[cav]) for cav, owner in self.owners.items()
+                  if cav == owner}
+        self.params_by_cav = {cav: folded[owner] for cav, owner in self.owners.items()}
         self.bounds = bounds
-
-    def _params(self, cav_id) -> covnet.CovNetParams:
-        """A vehicle's folded network; KeyError for a vehicle that has none."""
-        if cav_id not in self.params_by_cav:
-            raise KeyError(f"no covariance network parameters for vehicle {cav_id}")
-        return self.params_by_cav[cav_id]
 
     def _appearance(self, packets, config: covnet.CovNetConfig):
         """The appearance tensors of every detection of `packets`, stacked;
@@ -136,12 +129,13 @@ class LearnedCovariance:
         """
         packets = list(packets)
         out = [None if p.detections else np.zeros((0, covnet.RESIDUAL_DIM)) for p in packets]
-        groups = {}  # id of a set's arrays -> (the set, its [(index, packet)])
+        groups = {}  # owner -> its [(index, packet)]
         for i, packet in enumerate(packets):
             if packet.detections:
-                params = self._params(packet.cav_id)
-                groups.setdefault(id(params.arrays), (params, []))[1].append((i, packet))
-        groups = list(groups.values())
+                if packet.cav_id not in self.owners:
+                    raise KeyError(f"no covariance network parameters for vehicle {packet.cav_id}")
+                groups.setdefault(self.owners[packet.cav_id], []).append((i, packet))
+        groups = [(self.params_by_cav[owner], group) for owner, group in groups.items()]
         f_app = [self._appearance([p for _i, p in group], params.config)
                  for params, group in groups]
         for (params, group), app in zip(groups, f_app):

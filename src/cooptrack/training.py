@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .covnet import CovNetParams
 from .features import DEFAULT_BOUNDS
 from .geometry import wrap_angle
-from .io import AdamState, TrainSettings, params_by_vehicle
+from .io import AdamState, TrainSettings, params_by_vehicle, set_owners
 from .pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_settings
 
 ADAM_BETA1 = 0.9
@@ -172,19 +172,9 @@ def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
 @dataclass
 class TrainResult:
     params_by_cav: dict       # cav_id -> CovNetParams (aliases in shared mode)
-    adam: AdamState           # moments keyed by (optimized cav, layer name)
+    adam: AdamState           # moments keyed by (owner cav, layer name)
     loss_curve: list          # {"epoch", "window", "loss", "supervised"}
     epochs_done: int
-
-
-def _distinct_param_sets(params_by_cav: dict) -> dict:
-    """Collapse aliased parameter objects (shared-weights mode) to one entry."""
-    seen = {}
-    for cav in sorted(params_by_cav):
-        params = params_by_cav[cav]
-        if not any(params is p for p in seen.values()):
-            seen[cav] = params
-    return seen
 
 
 def train(frames, params_by_cav: dict, settings, tracker_settings,
@@ -199,7 +189,8 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     randomness. A checkpoint that has done `settings.epochs` already trains
     no further and keeps its count. A window whose global gradient norm is
     not finite raises FloatingPointError before the optimizer changes
-    anything. Each window builds its provider from the lifted weights,
+    anything. Each parameter set (`set_owners`) is lifted, stepped and keyed
+    by its owner. Each window builds its provider from the lifted weights,
     which folds each parameter set once (`LearnedCovariance`). Its
     covariance rows come from one `residual_rows` call over all of its
     packets, one network pass per parameter set, made before its frames
@@ -241,7 +232,8 @@ class _WindowRows:
 
 def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epochs_done):
     windows = split_subsequences(frames, settings.window_length)
-    param_sets = _distinct_param_sets(params_by_cav)
+    owners = set_owners(params_by_cav)
+    param_sets = {cav: params_by_cav[cav] for cav, owner in owners.items() if cav == owner}
     if adam is None:
         adam = AdamState.init(param_sets)
     loss_curve = []
@@ -249,11 +241,10 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
         for w, window in enumerate(windows):
             tape = ad.Tape()
             try:
-                # each distinct parameter object -> its set lifted onto the tape
-                lifted = {id(params): CovNetParams(params.config, params.lift(tape))
-                          for params in param_sets.values()}
-                provider = LearnedCovariance({cav: lifted[id(params)] for cav, params
-                                              in params_by_cav.items()}, bounds)
+                lifted = {cav: CovNetParams(params.config, params.lift(tape))
+                          for cav, params in param_sets.items()}
+                provider = LearnedCovariance({cav: lifted[owner] for cav, owner
+                                              in owners.items()}, bounds)
                 frame_packets = [packets_from_sim_frame(frame) for frame in window]
                 packets = [p for frame in frame_packets for p in frame]
                 tracker = tracker_from_settings(
@@ -274,9 +265,8 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                     raise FloatingPointError(
                         f"non-finite loss {loss_value} in epoch {epoch}, window {w}")
                 tape.backward(loss)
-                grads = {(cav, name): ad.grad_of(node)
-                         for cav, params in param_sets.items()
-                         for name, node in lifted[id(params)].arrays.items()}
+                grads = {(cav, name): ad.grad_of(node) for cav, params in lifted.items()
+                         for name, node in params.arrays.items()}
                 # the leaves hold the weights uncopied (`Tape.var`): free the
                 # graph before the Adam step writes into them
                 tape.release()

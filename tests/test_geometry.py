@@ -131,6 +131,24 @@ def test_box7_rejects_a_non_finite_field_naming_it(field, value):
         Box7.from_vector(np.array(list(values.values())))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["t_x", "t_y", "t_z", "yaw"])
+def test_pose_rejects_a_non_finite_field_naming_it(field, value):
+    # an infinite yaw used to be stored as NaN, and a NaN translation as is
+    values = dict(t_x=1.0, t_y=-2.0, t_z=0.5, yaw=0.3)
+    values[field] = value
+    with pytest.raises(ValueError, match=rf"\b{field}={value}\b"):
+        PoseYawT(**values)
+    with pytest.raises(ValueError, match=rf"\b{field}={value}\b"):
+        PoseYawT(*np.array(list(values.values())))
+
+
+def test_pose_fields_are_floats_and_its_yaw_is_wrapped():
+    pose = PoseYawT(1, np.float64(-2.5), np.int64(3), 3 * math.pi)
+    assert [type(v) for v in dataclasses.astuple(pose)] == [float] * 4
+    assert dataclasses.astuple(pose) == (1.0, -2.5, 3.0, wrap_angle(3 * math.pi))
+
+
 def test_transform_point_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(200):

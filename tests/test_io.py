@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooptrack import cli, io, metrics, sim, training
+from cooptrack import cli, io, metrics, pipeline, sim, training
 from cooptrack.covnet import CovNetParams
 from cooptrack.geometry import Box7, PoseYawT
 from cooptrack.io import (Checkpoint, ConfigError, LogFormatError, NetSettings,
@@ -836,6 +836,19 @@ def test_a_mutated_file_loads_or_is_rejected(tiny_run, name, kind, draw):
             fh.write(original)
 
 
+def test_a_repeated_timestep_is_refused_not_dropped():
+    frame = np.zeros((1, 10))
+    a = pipeline.ReportedTrack(1, Box7(0.0, 0.0, 0.0, 0.0, 4.0, 2.0, 1.5), 0.9, frame, 0)
+    b = pipeline.ReportedTrack(2, Box7(9.0, 0.0, 0.0, 0.0, 4.0, 2.0, 1.5), 0.8, frame, 0)
+    for convert in (io.track_frames_from_reports, io.reports_to_records):
+        with pytest.raises(ValueError, match=r"\btimestep 5 is repeated"):
+            convert([[a], [b]], [5, 5])
+        with pytest.raises(ValueError, match=r"\btimestep 5 is repeated"):
+            convert([[a], [], [b]], [5, 6, 5])  # also when the repeat is not adjacent
+    assert [r["id"] for r in io.reports_to_records([[a], [b]], [5, 6])] == [1, 2]
+    assert list(io.track_frames_from_reports([[a], [b]], [6, 5])) == [6, 5]
+
+
 # --- checkpoints -----------------------------------------------------------------
 
 
@@ -900,6 +913,58 @@ def test_checkpoint_shared_weights_stores_one_set(tmp_path):
     assert loaded.params_by_cav[0] is loaded.params_by_cav[1]
     for name, arr in params[0].arrays.items():
         np.testing.assert_array_equal(loaded.params_by_cav[0].arrays[name], arr)
+
+
+def sharing_config(shared: bool, num_cavs=2) -> RunConfig:
+    return small_config(num_cavs=num_cavs, covnet=NetSettings(
+        conv_channels=(4, 8), pos_hidden=8, pos_out=32, head_hidden=8, shared_weights=shared))
+
+
+def test_set_owners_names_each_set_by_its_lowest_vehicle():
+    a, b = make_params(sharing_config(False)).values()
+    params = {2: a, 0: b, 3: b, 1: CovNetParams(a.config, a.arrays)}
+    # one `arrays` mapping is one set, whether or not the CovNetParams is the same object
+    assert list(io.set_owners(params).items()) == [(0, 0), (1, 1), (2, 1), (3, 0)]
+    assert io.set_owners({}) == {}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-vehicle", "shared"])
+@pytest.mark.parametrize("num_cavs", [1, 3])
+def test_the_owners_the_config_names_are_those_of_its_fresh_sets(shared, num_cavs):
+    cfg = sharing_config(shared, num_cavs)
+    want = {cav: 0 if shared else cav for cav in range(num_cavs)}
+    assert io.params_by_vehicle(cfg, lambda cav: cav) == want
+    assert io.set_owners(make_params(cfg)) == want
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["config-shared", "config-per-vehicle"])
+def test_save_checkpoint_rejects_sets_shared_otherwise_than_the_config_names(tmp_path, shared):
+    # sets laid out for the other sharing flag: under shared weights vehicle 1's distinct
+    # weights used to be dropped, and without them one aliased set was saved as two
+    cfg = sharing_config(shared)
+    params = make_params(sharing_config(not shared))
+    missing, extra = {0: params[0]}, {**params, 2: params[1]}
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(b"earlier checkpoint")
+    for bad in (params, missing, extra):
+        with pytest.raises(ValueError, match="disagree with num_cavs=2 and "
+                                             f"covnet.shared_weights={shared}"):
+            io.save_checkpoint(str(path), Checkpoint(params_by_cav=bad, config=cfg, seed=0))
+    # refused before any file is opened: no .partial, and the old file as it was
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+    assert path.read_bytes() == b"earlier checkpoint"
+
+
+def test_a_checkpoint_of_aliased_arrays_is_the_one_of_one_shared_set(tmp_path):
+    cfg = sharing_config(True)
+    one = make_params(cfg)[0]
+    aliased = {0: one, 1: CovNetParams(one.config, one.arrays)}
+    io.save_checkpoint(str(tmp_path / "a.bin"), Checkpoint(aliased, cfg, seed=0))
+    io.save_checkpoint(str(tmp_path / "b.bin"), Checkpoint({0: one, 1: one}, cfg, seed=0))
+    data = (tmp_path / "a.bin").read_bytes()
+    assert data == (tmp_path / "b.bin").read_bytes()
+    io.save_checkpoint(str(tmp_path / "c.bin"), io.load_checkpoint(str(tmp_path / "a.bin")))
+    assert (tmp_path / "c.bin").read_bytes() == data
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):

@@ -23,7 +23,7 @@ from cooptrack.pipeline import (
     run_sequence,
     tracker_from_settings,
 )
-from cooptrack.io import TrackerSettings
+from cooptrack.io import TrackerSettings, set_owners
 
 IDENT = PoseYawT(0.0, 0.0, 0.0, 0.0)
 
@@ -447,7 +447,8 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     rng = np.random.default_rng(5)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
     provider = LearnedCovariance(params)
-    cav_of = {id(p): cav for cav, p in provider.params_by_cav.items()}  # the folded sets
+    cav_of = {id(provider.params_by_cav[cav]): owner  # the folded sets
+              for cav, owner in set_owners(provider.params_by_cav).items()}
     batches = {}  # vehicle -> rows of each of its passes
     real_forward = covnet.forward
 

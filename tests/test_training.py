@@ -15,7 +15,7 @@ from cooptrack import autodiff as ad
 from cooptrack import covnet, sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, wrap_angle
-from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings
+from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings, set_owners
 from cooptrack.pipeline import (LearnedCovariance, ReportedTrack, packets_from_sim_frame,
                                 tracker_from_settings)
 
@@ -360,7 +360,7 @@ def window_rollout(frames, params_by_cav, window, monkeypatch):
 
     Returns ({(t, cav): rows}, {(cav, name): gradient}, {cav: [rows per
     pass]}); a shared parameter set is lifted once, and its gradients and
-    passes are keyed by its first vehicle.
+    passes are keyed by its owner (`set_owners`).
     """
     passes, real = {}, covnet.forward
 
@@ -370,15 +370,12 @@ def window_rollout(frames, params_by_cav, window, monkeypatch):
 
     monkeypatch.setattr(covnet, "forward", counting)
     tape = ad.Tape()
-    lifted = {}
-    for cav, params in sorted(params_by_cav.items()):
-        if id(params) not in lifted:
-            lifted[id(params)] = (cav, params.lift(tape))
-    provider = LearnedCovariance({cav: (lifted[id(p)][1], p.config)
-                                  for cav, p in params_by_cav.items()})
-    cav_of = {}  # a folded set's arrays -> its first vehicle
-    for cav, params in sorted(provider.params_by_cav.items()):
-        cav_of.setdefault(id(params.arrays), cav)
+    owners = set_owners(params_by_cav)
+    lifted = {cav: params_by_cav[cav].lift(tape) for cav in dict.fromkeys(owners.values())}
+    provider = LearnedCovariance({cav: (lifted[owner], params_by_cav[cav].config)
+                                  for cav, owner in owners.items()})
+    # a folded set's arrays -> its owner
+    cav_of = {id(provider.params_by_cav[cav].arrays): owner for cav, owner in owners.items()}
     frame_packets = [packets_from_sim_frame(f) for f in frames]
     if window:
         packets = [p for frame in frame_packets for p in frame]
@@ -392,7 +389,7 @@ def window_rollout(frames, params_by_cav, window, monkeypatch):
     tape.backward(loss)
     monkeypatch.undo()
     grads = {(cav, name): ad.grad_of(node)
-             for cav, nodes in lifted.values() for name, node in nodes.items()}
+             for cav, nodes in lifted.items() for name, node in nodes.items()}
     return rows, grads, passes
 
 
@@ -581,7 +578,7 @@ def test_adam_step_gives_the_bits_of_the_textbook_expressions(sets, block, monke
     rng = np.random.default_rng(17)
     if sets == "shared":
         one = CovNetParams.init(small_net(), rng)
-        params = training._distinct_param_sets({0: one, 1: one})
+        params = {0: one}
     else:
         params = fresh_params(small_net(), 17, num_cavs=3 if sets == "three_sets" else 2)
     want = copy.deepcopy(params)
@@ -826,6 +823,26 @@ def test_train_shared_weights_updates_single_set():
     result = training.train(frames, params, cfg.train, cfg.tracker)
     assert result.params_by_cav[0] is result.params_by_cav[1]
     assert {cav for cav, _name in result.adam.m} == {0}
+
+
+def test_aliased_arrays_train_bit_for_bit_like_one_shared_set():
+    # two CovNetParams holding one arrays mapping are one set (`set_owners`): it used to
+    # be stepped twice per window, with Adam moments kept under both vehicles
+    frames = sim.generate(tiny_scenario())
+    cfg = small_run_config()
+    one = CovNetParams.init(small_net(), np.random.default_rng(3))
+    twin = copy.deepcopy(one)
+    aliased = training.train(frames, {0: one, 1: CovNetParams(one.config, one.arrays)},
+                             cfg.train, cfg.tracker)
+    shared = training.train(frames, {0: twin, 1: twin}, cfg.train, cfg.tracker)
+    assert aliased.params_by_cav[1].arrays is one.arrays
+    assert param_bytes(aliased.params_by_cav) == param_bytes(shared.params_by_cav)
+    assert list(aliased.adam.m) == list(shared.adam.m) == [(0, name) for name in one.arrays]
+    assert aliased.adam.step == shared.adam.step == len(shared.loss_curve) > 0
+    for key in shared.adam.m:
+        assert aliased.adam.m[key].tobytes() == shared.adam.m[key].tobytes()
+        assert aliased.adam.v[key].tobytes() == shared.adam.v[key].tobytes()
+    assert aliased.loss_curve == shared.loss_curve
 
 
 def test_init_params_for_run_honors_sharing_flag():
