@@ -7,9 +7,9 @@ between. The first positional stage is specified on the (N, 18 x 256)
 sinusoidal encoding, and its weight `pos.lin1.w` is stored and trained at
 that shape; a pass reads it folded into the Chebyshev basis (`fold`), as an
 (N, 18 (D + 1)) by (18 (D + 1), hidden) product. The 10 outputs are
-additive standard-deviation residuals: the first 7 adjust the observation
-noise diagonal, all 10 adjust the initial state covariance diagonal of newly
-born tracks.
+additive standard-deviation residuals, which `residual_to_noise_diag` maps to
+a detection's noise diagonal: its first 7 entries are the observation noise,
+all 10 the initial state covariance of a track the detection births.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ import numpy as np
 from . import autodiff as ad
 from .features import (CHEBYSHEV_BASIS, CHEBYSHEV_DEGREE, DEFAULT_APPEARANCE_SHAPE,
                        ENCODING_HALF_WIDTH, POSITIONAL_DIM)
-from .filter import OBS_DIM, R_FLOOR, STATE_DIM
+from .filter import R_FLOOR, STATE_DIM
 
 RESIDUAL_DIM = STATE_DIM
 BRANCH_WIDTH_TOLERANCE = 0.15
 
 # The unit standard deviations the residuals are added to, shared and read-only.
-_UNIT_OBS = np.ones(OBS_DIM)
-_UNIT_OBS.flags.writeable = False
 _UNIT_STATE = np.ones(STATE_DIM)
 _UNIT_STATE.flags.writeable = False
 
@@ -196,22 +194,14 @@ def forward(params: CovNetParams, f_app, f_pos):
     return ad.linear(h, arrays["head.lin2.w"], arrays["head.lin2.b"])
 
 
-def residual_to_obs_noise_diag(sigma_residual):
-    """Observation noise diagonal from the first 7 entries of each residual row.
+def residual_to_noise_diag(sigma_residual):
+    """The noise diagonal of each residual row: (1 + residual)^2, floored at
+    R_FLOOR.
 
-    diag = (1 + residual)^2, floored at R_FLOOR: a zero residual gives the
-    identity's diagonal exactly. Takes a 10-vector or an (N, 10) batch. The
-    ones are one shared read-only row, not a new array per call.
-    """
-    s = ad.add(_UNIT_OBS, sigma_residual[..., 0:OBS_DIM])
-    return ad.floor_clamp(ad.square(s), R_FLOOR)
-
-
-def residual_to_init_noise_diag(sigma_residual):
-    """Initial track covariance diagonal from all 10 entries of each residual row.
-
-    diag = (1 + residual)^2, floored at R_FLOOR, the ones being one shared
-    read-only row as in `residual_to_obs_noise_diag`.
+    Takes a 10-vector or an (N, 10) batch, elementwise; a zero residual gives
+    ones exactly. Entries 0..6 of a row are its detection's observation noise
+    diagonal, all 10 the initial covariance diagonal of a track it births.
+    The ones are one shared read-only row, not a new array per call.
     """
     s = ad.add(_UNIT_STATE, sigma_residual)
     return ad.floor_clamp(ad.square(s), R_FLOOR)

@@ -236,13 +236,14 @@ def iou3d_rows(a, b) -> np.ndarray:
     """`iou3d(a[k], b[k])` for every k of two (P, 7) arrays of box rows, as a (P,) array.
 
     Each entry has `iou3d`'s bits. Pairs are put in its canonical order (the
-    first column in which the rows differ decides), and those without `iou3d`'s
-    z overlap are 0.0. The pairs left run `iou3d`'s arithmetic on the same
-    values in the same order: trig per element with `math`, as `iou3d` takes
-    it, and the four slab clips over all pairs at once. A clipped polygon is
-    kept as a row of vertices padded with copies of its last vertex; padding
-    adds nothing to the next clip and exact zeros to the shoelace sum, which
-    is accumulated in `iou3d`'s order (from the wrap term).
+    first column in which the rows differ decides) and run `iou3d`'s
+    arithmetic on the same values in the same order: trig per element with
+    `math`, as `iou3d` takes it, and the four slab clips over all pairs at
+    once. A pair without `iou3d`'s z overlap is clipped like the others and
+    then set to 0.0, as `iou3d` returns for it. A clipped polygon is kept as
+    a row of vertices padded with copies of its last vertex; padding adds
+    nothing to the next clip and exact zeros to the shoelace sum, which is
+    accumulated in `iou3d`'s order (from the wrap term).
     """
     a = np.asarray(a, dtype=float).reshape(-1, 7)
     b = np.asarray(b, dtype=float).reshape(-1, 7)
@@ -259,11 +260,6 @@ def iou3d_rows(a, b) -> np.ndarray:
         zlo = np.maximum(z1 - 0.5 * h1, z2 - 0.5 * h2)
         zhi = np.minimum(z1 + 0.5 * h1, z2 + 0.5 * h2)
         dx, dy = x2 - x1, y2 - y1
-        live = np.flatnonzero(~(zhi <= zlo))
-        if not len(live):
-            return out
-        (dx, dy, a1, a2, l1, w1, h1, l2, w2, h2, zlo, zhi) = (
-            v[live] for v in (dx, dy, a1, a2, l1, w1, h1, l2, w2, h2, zlo, zhi))
 
         c1, s1 = _per_element(math.cos, a1), _per_element(math.sin, a1)
         cx, cy = c1 * dx + s1 * dy, c1 * dy - s1 * dx
@@ -271,8 +267,8 @@ def iou3d_rows(a, b) -> np.ndarray:
         chl, shl, chw, shw = c * (0.5 * l2), s * (0.5 * l2), c * (0.5 * w2), s * (0.5 * w2)
         us = np.stack([cx + chl - shw, cx - chl - shw, cx - chl + shw, cx + chl + shw], axis=1)
         vs = np.stack([cy + shl + chw, cy - shl + chw, cy - shl - chw, cy + shl - chw], axis=1)
-        count = np.full(len(live), 4)
-        keep = np.arange(len(live))  # the entries of `live` still being clipped
+        count = np.full(len(a), 4)
+        keep = np.arange(len(a))  # the pairs still being clipped
         for half in (0.5 * l1, 0.5 * w1, 0.5 * l1, 0.5 * w1):
             us, vs, count, kept = _clip_rows(us, vs, count, half[keep])
             keep = keep[kept]
@@ -287,7 +283,8 @@ def iou3d_rows(a, b) -> np.ndarray:
         union = (l1[keep] * w1[keep] * h1[keep] + l2[keep] * w2[keep] * h2[keep]
                  - inter_vol)
         iou = np.minimum(1.0, inter_vol / union)
-        out[live[keep]] = np.where((inter_area < _AREA_EPS) | (union <= 0.0), 0.0, iou)
+        zero = (inter_area < _AREA_EPS) | (union <= 0.0) | (zhi[keep] <= zlo[keep])
+        out[keep] = np.where(zero, 0.0, iou)
     return out
 
 

@@ -51,7 +51,7 @@ ML_FRACTION = 0.2
 
 BYTES_PER_REAL = 4
 BOX_REALS = 7
-SHARED_REALS = 17  # 7 box variables + 10 covariance residuals
+SHARED_REALS = 17  # 7 box variables + a 10-entry noise diagonal
 PAYLOAD_RATIO = SHARED_REALS / BOX_REALS
 MEGABYTE = 1e6
 

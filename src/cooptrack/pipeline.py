@@ -61,17 +61,17 @@ class ReportedTrack:
 
 
 class ConstantCovariance:
-    """Zero residuals: identity observation noise and identity initial covariance."""
+    """Identity observation noise and identity initial covariance."""
 
     reals_per_detection = metrics.BOX_REALS
 
-    def residual_rows(self, packets):
-        """Each packet's (N, 10) residual rows, all zero."""
-        return [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
+    def noise_rows(self, packets):
+        """Each packet's (N, 10) noise rows, all ones."""
+        return [np.ones((len(p.detections), STATE_DIM)) for p in packets]
 
 
 class LearnedCovariance:
-    """Covariance-network residuals, one parameter set per vehicle.
+    """Covariance-network noise rows, one parameter set per vehicle.
 
     `params_by_cav` maps cav_id to CovNetParams, whose arrays may be tape
     nodes (a training pass), or to a (name -> array/node mapping,
@@ -81,7 +81,7 @@ class LearnedCovariance:
     its passes then (`covnet.fold`, one tape node per set for lifted
     weights), so weights changed later, as by an optimizer step, need a new
     provider. A provider keeps no state besides its folded sets and their
-    owners: `residual_rows` makes one network pass per parameter set over
+    owners: `noise_rows` makes one network pass per parameter set over
     whatever packets it is given, a frame's when tracking, a whole window's
     in training. The network reads each detection's local box and its
     vehicle's pose (`features`). Every pass runs on the calling thread.
@@ -113,13 +113,14 @@ class LearnedCovariance:
         covnet.check_appearance(config, f_app, len(apps))
         return f_app
 
-    def residual_rows(self, packets):
-        """Each packet's (N, 10) residual rows, in packet order; row j of a
+    def noise_rows(self, packets):
+        """Each packet's (N, 10) noise rows, in packet order; row j of a
         packet's rows belongs to its detection j.
 
         One network pass per parameter set covers that set's non-empty
-        `packets`, be they one frame's or a whole window's, and each packet
-        takes its slice of the pass's rows. An empty packet gets (0, 10)
+        `packets`, be they one frame's or a whole window's; its residual
+        rows are mapped to noise rows once (`covnet.residual_to_noise_diag`),
+        and each packet takes its slice of them. An empty packet gets (0, 10)
         rows and needs no parameters. Every input is checked before any pass
         runs: every vehicle is looked up (KeyError for one without
         parameters), then every set's appearance tensors are stacked
@@ -128,7 +129,7 @@ class LearnedCovariance:
         Chebyshev rows (`features.chebyshev_rows`).
         """
         packets = list(packets)
-        out = [None if p.detections else np.zeros((0, covnet.RESIDUAL_DIM)) for p in packets]
+        out = [None if p.detections else np.ones((0, STATE_DIM)) for p in packets]
         groups = {}  # owner -> its [(index, packet)]
         for i, packet in enumerate(packets):
             if packet.detections:
@@ -141,8 +142,8 @@ class LearnedCovariance:
         for (params, group), app in zip(groups, f_app):
             xb = [positional_rows(box_rows(d.box for d in p.detections), p.pose, self.bounds)
                   for _i, p in group]
-            rows = covnet.forward(params, app,
-                                  chebyshev_rows(xb[0] if len(xb) == 1 else np.concatenate(xb)))
+            rows = covnet.residual_to_noise_diag(covnet.forward(
+                params, app, chebyshev_rows(xb[0] if len(xb) == 1 else np.concatenate(xb))))
             start = 0
             for i, packet in group:
                 stop = start + len(packet.detections)
@@ -184,9 +185,11 @@ class CoopTracker:
         is degenerate keeps its predicted state, still counts as matched,
         and is counted in `skipped_updates`.
 
-        The provider computes every packet's residual rows first
-        (`residual_rows`, which checks every input), before the first
-        round, so a pass that fails leaves the tracker as it was.
+        The provider computes every packet's noise rows first
+        (`noise_rows`, which checks every input), before the first round,
+        so a pass that fails leaves the tracker as it was. A matched
+        detection's row gives its observation noise (entries 0..6), a
+        born track's its initial covariance diagonal (all 10).
 
         Association works on float rows: each packet's detections reach the
         global frame as one (N, 7) array, and the live tracks enter each
@@ -199,20 +202,17 @@ class CoopTracker:
         if len({p.cav_id for p in packets}) != len(packets):
             raise ValueError("duplicate cav_id in packets")
 
-        residuals = self.cov.residual_rows(packets)
+        frame_noise = self.cov.noise_rows(packets)
         matched = [False] * len(self.tracks)  # per bank row: matched this timestep
-        for packet, sigmas in zip(packets, residuals):
+        for packet, noise in zip(packets, frame_noise):
             det_global, matches = self._associate(packet)
-            # a zero residual gives the identity's diagonals
-            obs_rows = covnet.residual_to_obs_noise_diag(sigmas)
-            init_rows = covnet.residual_to_init_noise_diag(sigmas)
             dets = np.array([dj for _ti, dj, _iou in matches], dtype=np.intp)
             if matches:
                 rows = np.array([ti for ti, _dj, _iou in matches], dtype=np.intp)
                 obs = det_global[dets]
                 self.bank = update(self.bank, obs,
                                    ObservationModel(OBSERVATION_MATRIX,
-                                                    ad.getitem(obs_rows, dets)),
+                                                    ad.getitem(noise, (dets, slice(OBS_DIM)))),
                                    rows)
                 for ti, dj, _iou in matches:
                     life = self.tracks[ti]
@@ -225,7 +225,7 @@ class CoopTracker:
             if len(born):
                 mean = np.concatenate([det_global[born],
                                        np.zeros((len(born), STATE_DIM - OBS_DIM))], axis=1)
-                self.bank = self.bank.append(mean, ad.diag(ad.getitem(init_rows, born)))
+                self.bank = self.bank.append(mean, ad.diag(ad.getitem(noise, born)))
                 self.tracks.extend(Lifecycle(id=next(self.ids),
                                              score=packet.detections[dj].confidence)
                                    for dj in born.tolist())

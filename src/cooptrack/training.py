@@ -191,12 +191,12 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     not finite raises FloatingPointError before the optimizer changes
     anything. Each parameter set (`set_owners`) is lifted, stepped and keyed
     by its owner. Each window builds its provider from the lifted weights,
-    which folds each parameter set once (`LearnedCovariance`). Its
-    covariance rows come from one `residual_rows` call over all of its
-    packets, one network pass per parameter set, made before its frames
-    are tracked; the tracker then takes each packet's rows from them
-    (`_WindowRows`). The backward sweep, the gradient norm and the Adam
-    step run on the calling thread, one after another.
+    which folds each parameter set once (`LearnedCovariance`). Its noise
+    rows come from one `noise_rows` call over all of its packets, one
+    network pass and one residual-to-noise map per parameter set, made
+    before its frames are tracked; the tracker then takes each packet's
+    rows from them (`_WindowRows`). The backward sweep, the gradient norm
+    and the Adam step run on the calling thread, one after another.
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only
@@ -219,13 +219,13 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
 
 
 class _WindowRows:
-    """A window's covariance provider: each of its packets' residual rows,
-    as one `residual_rows` call gave them for all of `packets`."""
+    """A window's covariance provider: each of its packets' noise rows, as
+    one `noise_rows` call gave them for all of `packets`."""
 
     def __init__(self, packets, rows):
         self.rows = {(p.timestep, p.cav_id): r for p, r in zip(packets, rows)}
 
-    def residual_rows(self, packets):
+    def noise_rows(self, packets):
         """Each packet's rows, looked up by its timestep and vehicle."""
         return [self.rows[p.timestep, p.cav_id] for p in packets]
 
@@ -248,7 +248,7 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 frame_packets = [packets_from_sim_frame(frame) for frame in window]
                 packets = [p for frame in frame_packets for p in frame]
                 tracker = tracker_from_settings(
-                    tracker_settings, _WindowRows(packets, provider.residual_rows(packets)))
+                    tracker_settings, _WindowRows(packets, provider.noise_rows(packets)))
                 reports = [tracker.step(packets) for packets in frame_packets]
                 loss, supervised = window_loss(reports, [frame.gt for frame in window],
                                                settings.gt_match_radius,

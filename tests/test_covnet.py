@@ -21,8 +21,7 @@ from cooptrack.covnet import (
     fold,
     forward,
     layer_shapes,
-    residual_to_init_noise_diag,
-    residual_to_obs_noise_diag,
+    residual_to_noise_diag,
 )
 from cooptrack.features import (CHEBYSHEV_BASIS, CHEBYSHEV_DEGREE, ENCODING_HALF_WIDTH,
                                 POSITIONAL_DIM, chebyshev_rows)
@@ -219,26 +218,26 @@ def test_forward_validates_input_shapes():
 
 def test_residual_to_obs_noise_formula():
     sigma = np.array([0.5, -0.2, 0.0, 1.0, -0.5, 2.0, 0.1, 9.9, 9.9, 9.9])
-    got = residual_to_obs_noise_diag(sigma)
+    got = residual_to_noise_diag(sigma)[:OBS_DIM]
     want = np.maximum((1.0 + sigma[:OBS_DIM]) ** 2, R_FLOOR)
     np.testing.assert_allclose(got, want)
     # Entries 7..9 must not influence the observation noise.
     other = sigma.copy()
     other[7:] = -3.0
-    np.testing.assert_array_equal(got, residual_to_obs_noise_diag(other))
+    np.testing.assert_array_equal(got, residual_to_noise_diag(other)[:OBS_DIM])
 
 
 def test_residual_to_obs_noise_floor():
     sigma = np.full(STATE_DIM, 1.0)
     sigma[0] = -1.0  # 1 + (-1) = 0 -> squared 0 -> floored
-    got = residual_to_obs_noise_diag(sigma)
+    got = residual_to_noise_diag(sigma)[:OBS_DIM]
     assert got[0] == R_FLOOR
     np.testing.assert_allclose(got[1:], np.full(OBS_DIM - 1, 4.0))
 
 
 def test_residual_to_init_noise_uses_all_ten():
     sigma = np.linspace(-0.3, 0.6, STATE_DIM)
-    got = residual_to_init_noise_diag(sigma)
+    got = residual_to_noise_diag(sigma)
     want = np.maximum((1.0 + sigma) ** 2, R_FLOOR)
     np.testing.assert_allclose(got, want)
     assert got.shape == (STATE_DIM,)
@@ -248,8 +247,8 @@ def test_zero_residual_reproduces_defaults_exactly():
     # sqrt(1.0) + 0.0 squared is exactly 1.0 in IEEE arithmetic; this
     # anchors the zero-checkpoint equivalence to the constant tracker.
     zero = np.zeros(STATE_DIM)
-    np.testing.assert_array_equal(residual_to_obs_noise_diag(zero), np.ones(OBS_DIM))
-    np.testing.assert_array_equal(residual_to_init_noise_diag(zero), np.ones(STATE_DIM))
+    np.testing.assert_array_equal(residual_to_noise_diag(zero)[:OBS_DIM], np.ones(OBS_DIM))
+    np.testing.assert_array_equal(residual_to_noise_diag(zero), np.ones(STATE_DIM))
 
 
 def test_forward_gradient_reaches_all_parameters():
@@ -362,22 +361,21 @@ def test_the_fold_multiplies_each_features_block_by_the_basis():
 
 def test_residual_maps_work_row_wise_on_a_batch():
     sigmas = np.random.default_rng(77).uniform(-1.5, 2.0, size=(4, STATE_DIM))
-    obs, init = residual_to_obs_noise_diag(sigmas), residual_to_init_noise_diag(sigmas)
+    init = residual_to_noise_diag(sigmas)
+    obs = init[..., :OBS_DIM]
     assert obs.shape == (4, OBS_DIM) and init.shape == (4, STATE_DIM)
     for j in range(4):
-        assert obs[j].tobytes() == residual_to_obs_noise_diag(sigmas[j]).tobytes()
-        assert init[j].tobytes() == residual_to_init_noise_diag(sigmas[j]).tobytes()
+        assert obs[j].tobytes() == residual_to_noise_diag(sigmas[j])[:OBS_DIM].tobytes()
+        assert init[j].tobytes() == residual_to_noise_diag(sigmas[j]).tobytes()
 
 
 def test_the_unit_rows_are_read_only_and_no_result_shares_them():
-    for unit in (covnet._UNIT_OBS, covnet._UNIT_STATE):
-        assert not unit.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            unit[0] = 2.0
+    unit = covnet._UNIT_STATE
+    assert not unit.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        unit[0] = 2.0
     zero = np.zeros((2, STATE_DIM))
-    for residual_map, width in ((residual_to_obs_noise_diag, OBS_DIM),
-                                (residual_to_init_noise_diag, STATE_DIM)):
-        out = residual_map(zero)
-        assert out.flags.writeable
-        out[:] = 5.0  # a result is the caller's own array
-        np.testing.assert_array_equal(residual_map(zero), np.ones((2, width)))
+    out = residual_to_noise_diag(zero)
+    assert out.flags.writeable
+    out[:] = 5.0  # a result is the caller's own array
+    np.testing.assert_array_equal(residual_to_noise_diag(zero), np.ones((2, STATE_DIM)))

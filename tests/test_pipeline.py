@@ -11,9 +11,10 @@ from cooptrack import covnet, metrics, pipeline, sim
 from cooptrack.association import LifecycleConfig
 from cooptrack.covnet import CovNetConfig, CovNetParams, layer_shapes
 from cooptrack.features import chebyshev_rows, positional_rows
-from cooptrack.filter import (ObservationModel, ProcessModel, TrackState, observation_matrix,
+from cooptrack.filter import (OBSERVATION_MATRIX, ObservationModel, ProcessModel, TrackBank,
+                              TrackState, observation_matrix,
                               predict, update)
-from cooptrack.geometry import Box7, PoseYawT, box_rows
+from cooptrack.geometry import Box7, PoseYawT, box_rows, transform_rows
 from cooptrack.pipeline import (
     ConstantCovariance,
     CoopTracker,
@@ -477,11 +478,11 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(vehicles):
     packets = [dataclasses.replace(
         _learned_packet(rng, 3, cav, [10.0 * k + cav for k in range(8 + cav)], cfg),
         pose=PoseYawT(5.0 * cav, -2.0, 0.0, 0.3 * cav)) for cav in range(vehicles)]
-    want = [covnet.forward(covnet.fold(params[p.cav_id]),
-                           np.stack([d.appearance for d in p.detections]),
-                           _chebyshev(p.detections, p.pose))
+    want = [covnet.residual_to_noise_diag(covnet.forward(
+                covnet.fold(params[p.cav_id]), np.stack([d.appearance for d in p.detections]),
+                _chebyshev(p.detections, p.pose)))
             for p in packets]
-    got = LearnedCovariance(params).residual_rows(packets)
+    got = LearnedCovariance(params).noise_rows(packets)
     assert all(type(rows) is np.ndarray for rows in got)
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
 
@@ -494,9 +495,9 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
     frame = [_learned_packet(rng, 2, 0, [0.0, 20.0, 40.0], cfg),
              dataclasses.replace(_learned_packet(rng, 2, 1, [5.0, 15.0, 25.0, 35.0], cfg),
                                  pose=PoseYawT(-8.0, 3.0, 0.0, 0.4))]
-    window = covnet.forward(covnet.fold(shared),
-                            np.stack([d.appearance for p in frame for d in p.detections]),
-                            np.concatenate([_chebyshev(p.detections, p.pose) for p in frame]))
+    window = covnet.residual_to_noise_diag(covnet.forward(
+        covnet.fold(shared), np.stack([d.appearance for p in frame for d in p.detections]),
+        np.concatenate([_chebyshev(p.detections, p.pose) for p in frame])))
     want = [window[:3], window[3:]]
     batches, real = [], covnet.forward
 
@@ -505,7 +506,7 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
         return real(params, f_app, f_pos)
 
     monkeypatch.setattr(covnet, "forward", counting)
-    got = LearnedCovariance(params).residual_rows(frame)
+    got = LearnedCovariance(params).noise_rows(frame)
     assert batches == [7]
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
 
@@ -544,7 +545,7 @@ def test_each_detection_takes_its_own_row():
     for trk, det in zip(_beliefs(tracker), first.detections):
         row = covnet.forward(covnet.fold(params), det.appearance[None],
                              _chebyshev([det], IDENT))[0]
-        born = np.diag(covnet.residual_to_init_noise_diag(row))
+        born = np.diag(covnet.residual_to_noise_diag(row))
         np.testing.assert_allclose(trk.cov, process.A @ born @ process.A.T + process.Q,
                                    rtol=1e-12)
     # matches: a match updates with its own detection's noise, in any order
@@ -556,11 +557,57 @@ def test_each_detection_takes_its_own_row():
     for trk in _beliefs(tracker):
         dj = int(np.argmin([abs(d.box.x - trk.mean[0]) for d in second.detections]))
         model = ObservationModel(observation_matrix(),
-                                 covnet.residual_to_obs_noise_diag(rows[dj]))
+                                 covnet.residual_to_noise_diag(rows[dj])[:7])
         expected.append(update(trk, second.detections[dj].box.to_vector(), model).mean)
     tracker.step([second])
     for got, want in zip(_beliefs(tracker), expected):
         np.testing.assert_allclose(got.mean, process.A @ want, rtol=1e-12, atol=1e-12)
+
+
+class _NoiseRows:
+    """Arbitrary positive noise rows, drawn afresh for every packet: a
+    per-detection R and initial covariance."""
+
+    reals_per_detection = metrics.SHARED_REALS
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.given = {}  # (timestep, cav) -> the rows handed out
+
+    def noise_rows(self, packets):
+        frame = [self.rng.uniform(0.05, 8.0, size=(len(p.detections), 10)) for p in packets]
+        self.given.update(((p.timestep, p.cav_id), rows) for p, rows in zip(packets, frame))
+        return frame
+
+
+def test_a_step_fuses_and_births_with_the_providers_noise_rows_as_given():
+    process = ProcessModel.constant_velocity(TrackerSettings.process_noise_velocity)
+    provider = _NoiseRows(11)
+    tracker = CoopTracker(cov_provider=provider)
+    first = _packet(0, 0, [_det(x, 0.0) for x in (0.0, 20.0, 40.0)])
+    tracker.step([first])
+    # a birth's covariance is its detection's row on the diagonal, before predict
+    obs = transform_rows(box_rows(d.box for d in first.detections), IDENT)
+    born = TrackBank(np.concatenate([obs, np.zeros((3, 3))], axis=1),
+                     np.stack([np.diag(row) for row in provider.given[0, 0]]))
+    want = predict(born, process)
+    assert tracker.bank.mean.tobytes() == want.mean.tobytes()
+    assert tracker.bank.cov.tobytes() == want.cov.tobytes()
+    # a match updates with entries 0..6 of its detection's row, in any
+    # detection order; the unmatched detection births track 3
+    before = tracker.bank
+    second = _packet(1, 0, [_det(40.2, 0.1), _det(90.0, 0.0), _det(0.2, -0.1), _det(20.1, 0.2)])
+    tracker.step([second])
+    rows = provider.given[1, 0]
+    obs = transform_rows(box_rows(d.box for d in second.detections), IDENT)
+    dets = np.array([2, 3, 0])  # the detections of tracks 0, 1 and 2
+    fused = update(before, obs[dets], ObservationModel(OBSERVATION_MATRIX, rows[dets, :7]),
+                   np.arange(3))
+    want = predict(fused.append(np.concatenate([obs[1:2], np.zeros((1, 3))], axis=1),
+                                np.diag(rows[1])[None]), process)
+    assert [t.id for t in tracker.tracks] == [0, 1, 2, 3] and fused.skipped == 0
+    assert tracker.bank.mean.tobytes() == want.mean.tobytes()
+    assert tracker.bank.cov.tobytes() == want.cov.tobytes()
 
 
 def test_empty_packet_needs_no_parameters():
@@ -583,11 +630,11 @@ class _DegenerateNoiseAt:
     def __init__(self, timestep, detection):
         self.timestep, self.detection = timestep, detection
 
-    def residual_rows(self, packets):
-        frame = [np.zeros((len(p.detections), covnet.RESIDUAL_DIM)) for p in packets]
+    def noise_rows(self, packets):
+        frame = [np.ones((len(p.detections), 10)) for p in packets]
         for packet, rows in zip(packets, frame):
             if packet.timestep == self.timestep:
-                rows[self.detection, 0] = 1e7  # R_xx = (1 + 1e7)^2: S is beyond the guard
+                rows[self.detection, 0] = (1 + 1e7) ** 2  # S is beyond the guard
         return frame
 
 

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooptrack.covnet import residual_to_init_noise_diag, residual_to_obs_noise_diag
+from cooptrack.covnet import residual_to_noise_diag
 from cooptrack.features import extract_positional
 from cooptrack.filter import (OBS_DIM, STATE_DIM, ObservationModel, ProcessModel, TrackBank,
                               TrackState, observation_matrix, predict, update)
@@ -483,7 +483,7 @@ def bank_rounds(draw):
         root = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=STATE_DIM * STATE_DIM,
                                       max_size=STATE_DIM * STATE_DIM))).reshape(STATE_DIM,
                                                                                STATE_DIM)
-        init = residual_to_init_noise_diag(np.array(
+        init = residual_to_noise_diag(np.array(
             draw(st.lists(st.floats(-0.5, 2.0), min_size=STATE_DIM, max_size=STATE_DIM))))
         means.append(mean)
         covs.append(0.3 * root @ root.T + np.diag(init))
@@ -494,8 +494,9 @@ def bank_rounds(draw):
                                                         max_size=OBS_DIM)))
         o[3] = draw(angles)
         obs.append(o)
-        r_diag.append(residual_to_obs_noise_diag(np.array(
-            draw(st.lists(st.floats(-0.5, 2.0), min_size=STATE_DIM, max_size=STATE_DIM)))))
+        noise = residual_to_noise_diag(np.array(
+            draw(st.lists(st.floats(-0.5, 2.0), min_size=STATE_DIM, max_size=STATE_DIM))))
+        r_diag.append(noise[:OBS_DIM])
     r_diag = np.array(r_diag)
     if draw(st.booleans()):
         r_diag = r_diag.astype(np.longdouble)
@@ -535,7 +536,7 @@ def test_covariance_stays_symmetric_psd_through_long_chains(init_residual, q_vel
     """One track filtered alone and as row 1 of a bank whose rows 0 and 2
     are born with it and updated on alternate observations."""
     process = ProcessModel.constant_velocity(q_velocity=q_velocity)
-    init_cov = np.diag(residual_to_init_noise_diag(np.array(init_residual)))
+    init_cov = np.diag(residual_to_noise_diag(np.array(init_residual)))
     state = TrackState(mean=np.zeros(STATE_DIM), cov=init_cov)
     bank = TrackBank(np.zeros((3, STATE_DIM)), np.stack([init_cov] * 3))
     for updates in chain:
@@ -543,7 +544,7 @@ def test_covariance_stays_symmetric_psd_through_long_chains(init_residual, q_vel
         bank = predict(bank, process)
         _assert_symmetric_psd(state.cov)
         for k, (offset, residual) in enumerate(updates):
-            r_diag = residual_to_obs_noise_diag(np.array(residual + [0.0] * 3))
+            r_diag = residual_to_noise_diag(np.array(residual + [0.0] * 3))[:OBS_DIM]
             obs = state.mean[:OBS_DIM] + np.array(offset)
             state = update(state, obs, ObservationModel(observation_matrix(), r_diag))
             _assert_symmetric_psd(state.cov)

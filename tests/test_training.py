@@ -379,8 +379,8 @@ def window_rollout(frames, params_by_cav, window, monkeypatch):
     frame_packets = [packets_from_sim_frame(f) for f in frames]
     if window:
         packets = [p for frame in frame_packets for p in frame]
-        provider = training._WindowRows(packets, provider.residual_rows(packets))
-    rows = {(p.timestep, p.cav_id): ad.val(provider.residual_rows([p])[0])
+        provider = training._WindowRows(packets, provider.noise_rows(packets))
+    rows = {(p.timestep, p.cav_id): ad.val(provider.noise_rows([p])[0])
             for packets in frame_packets for p in packets if p.detections}
     tracker = tracker_from_settings(TrackerSettings(), provider)
     reports = [tracker.step(packets) for packets in frame_packets]
@@ -451,11 +451,11 @@ def test_the_provider_keeps_no_state_between_calls():
     params = {cav: CovNetParams.init(small_net(), rng) for cav in (0, 1)}
     provider = LearnedCovariance(params)
     before = {name: copy.copy(value) for name, value in vars(provider).items()}
-    provider.residual_rows([p for f in frames[:4] for p in packets_from_sim_frame(f)])
+    provider.noise_rows([p for f in frames[:4] for p in packets_from_sim_frame(f)])
     frame = packets_from_sim_frame(frames[4])
-    got = provider.residual_rows(frame)
+    got = provider.noise_rows(frame)
     assert vars(provider) == before
-    want = LearnedCovariance(params).residual_rows(frame)
+    want = LearnedCovariance(params).noise_rows(frame)
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
 
 
@@ -480,6 +480,32 @@ def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
     assert passes == rows and min(rows) > 4
     assert result.adam.step == 2
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_a_window_maps_each_pass_to_noise_once(shared, monkeypatch):
+    frames = silence(sim.generate(tiny_scenario()), 1, range(4, 8))
+    cfg = small_run_config(train=TrainSettings(window_length=4, epochs=1))
+    params = fresh_params(small_net(), 1)
+    if shared:
+        params = {0: params[0], 1: params[0]}
+    passes, mapped = [], []
+    real_forward, real_map = covnet.forward, covnet.residual_to_noise_diag
+
+    def forward(params, f_app, f_pos):
+        passes.append(real_forward(params, f_app, f_pos))
+        return passes[-1]
+
+    def noise_map(sigma_residual):
+        mapped.append(sigma_residual)
+        return real_map(sigma_residual)
+
+    monkeypatch.setattr(covnet, "forward", forward)
+    monkeypatch.setattr(covnet, "residual_to_noise_diag", noise_map)
+    training.train(frames, params, cfg.train, cfg.tracker)
+    # window 0: one pass per set; window 1: vehicle 1 sees nothing
+    assert len(passes) == (2 if shared else 3)
+    assert len(mapped) == len(passes) and all(m is p for m, p in zip(mapped, passes))
 
 
 # --- gradient clipping ----------------------------------------------------------
