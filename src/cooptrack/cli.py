@@ -119,8 +119,9 @@ def cmd_train(args) -> int:
         epochs_done = 0
     curve_path = args.out + ".losscurve.jsonl"
     _check_outputs([args.out, curve_path], make_dir=True)
-    with (cio.checkpoint_overflow_rejected(args.resume) if args.resume
-          else contextlib.nullcontext()):
+    with (cio.checkpoint_overflow_rejected(
+            args.resume, f", or train.lr ({cfg.train.lr:g}) is too large")
+          if args.resume else contextlib.nullcontext()):
         result = training.train(frames, params_by_cav, cfg.train, cfg.tracker,
                                 bounds=cfg.normalization_bounds, adam=adam,
                                 epochs_done=epochs_done)
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
     except (cio.ConfigError, cio.LogFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

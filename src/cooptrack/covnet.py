@@ -99,9 +99,8 @@ def layer_shapes(cfg: CovNetConfig) -> dict:
     return shapes
 
 
-def _fan_in(name: str, shape: tuple) -> int:
-    if name.endswith(".b"):
-        return 0
+def _fan_in(shape: tuple) -> int:
+    """A weight array's inputs per output: in-channels times kernel area, or rows."""
     if len(shape) == 4:
         return shape[1] * shape[2] * shape[3]
     return shape[0]
@@ -122,7 +121,7 @@ class CovNetParams:
             if name.endswith(".b"):
                 arrays[name] = np.zeros(shape)
             else:
-                k = 1.0 / np.sqrt(_fan_in(name, shape))
+                k = 1.0 / np.sqrt(_fan_in(shape))
                 arrays[name] = rng.uniform(-k, k, size=shape)
         return cls(config, arrays)
 

@@ -239,17 +239,16 @@ def iou3d_rows(a, b) -> np.ndarray:
     first column in which the rows differ decides) and run `iou3d`'s
     arithmetic on the same values in the same order: trig per element with
     `math`, as `iou3d` takes it, and the four slab clips over all pairs at
-    once. A pair without `iou3d`'s z overlap is clipped like the others and
-    then set to 0.0, as `iou3d` returns for it. A clipped polygon is kept as
-    a row of vertices padded with copies of its last vertex; padding adds
-    nothing to the next clip and exact zeros to the shoelace sum, which is
-    accumulated in `iou3d`'s order (from the wrap term).
+    once. Every pair keeps its row through all four clips: one without
+    `iou3d`'s z overlap, or whose polygon clips to nothing, is clipped like
+    the others and then set to 0.0, as `iou3d` returns for it. A clipped
+    polygon is kept as a row of vertices padded with copies of its last
+    vertex; padding adds nothing to the next clip and exact zeros to the
+    shoelace sum, which is accumulated in `iou3d`'s order (from the wrap
+    term).
     """
     a = np.asarray(a, dtype=float).reshape(-1, 7)
     b = np.asarray(b, dtype=float).reshape(-1, 7)
-    out = np.zeros(len(a))
-    if not len(a):
-        return out
     with np.errstate(all="ignore"):  # Python float arithmetic does not warn either
         first = (a != b).argmax(axis=1)
         index = np.arange(len(a))
@@ -268,24 +267,17 @@ def iou3d_rows(a, b) -> np.ndarray:
         us = np.stack([cx + chl - shw, cx - chl - shw, cx - chl + shw, cx + chl + shw], axis=1)
         vs = np.stack([cy + shl + chw, cy - shl + chw, cy - shl - chw, cy + shl - chw], axis=1)
         count = np.full(len(a), 4)
-        keep = np.arange(len(a))  # the pairs still being clipped
         for half in (0.5 * l1, 0.5 * w1, 0.5 * l1, 0.5 * w1):
-            us, vs, count, kept = _clip_rows(us, vs, count, half[keep])
-            keep = keep[kept]
-            if not len(keep):
-                return out
+            us, vs, count = _clip_rows(us, vs, count, half)
 
         terms = np.empty(us.shape)
         terms[:, 0] = us[:, -1] * vs[:, 0] - us[:, 0] * vs[:, -1]
         terms[:, 1:] = us[:, :-1] * vs[:, 1:] - us[:, 1:] * vs[:, :-1]
         inter_area = 0.5 * np.abs(np.cumsum(terms, axis=1)[:, -1])
-        inter_vol = inter_area * (zhi[keep] - zlo[keep])
-        union = (l1[keep] * w1[keep] * h1[keep] + l2[keep] * w2[keep] * h2[keep]
-                 - inter_vol)
-        iou = np.minimum(1.0, inter_vol / union)
-        zero = (inter_area < _AREA_EPS) | (union <= 0.0) | (zhi[keep] <= zlo[keep])
-        out[keep] = np.where(zero, 0.0, iou)
-    return out
+        inter_vol = inter_area * (zhi - zlo)
+        union = l1 * w1 * h1 + l2 * w2 * h2 - inter_vol
+        zero = (count == 0) | (inter_area < _AREA_EPS) | (union <= 0.0) | (zhi <= zlo)
+        return np.where(zero, 0.0, np.minimum(1.0, inter_vol / union))
 
 
 def _clip_rows(us, vs, count, bound):
@@ -296,8 +288,9 @@ def _clip_rows(us, vs, count, bound):
     last vertex and the previous vertex of slot 0. Each real vertex emits, in
     order, the crossing of its edge with the side (if the edge crosses) and
     itself (if inside), as `iou3d` appends them; a running count places the
-    emitted candidates. Returns the new rows, padded the same way, their
-    counts, and the indices of the input rows left non-empty.
+    emitted candidates. Returns the R new rows, padded the same way, and
+    their counts. A row that clips to nothing keeps its place with count 0;
+    its slots hold some other candidate, which no later pass emits.
     """
     rows, width = us.shape
     bound = bound[:, None]
@@ -317,18 +310,14 @@ def _clip_rows(us, vs, count, bound):
     emit = emit.reshape(rows, 2 * width)
     slot = np.cumsum(emit, axis=1)  # 1 + each emitted candidate's place in its row
     count = slot[:, -1]
-    kept = np.flatnonzero(count)
-    new_width = count.max()
+    new_width = count.max(initial=1)
     src = np.flatnonzero(emit)  # flat indices of the emitted candidates, row by row
-    row = src // (2 * width)
-    if len(kept) < rows:
-        row = (np.cumsum(count > 0) - 1)[row]
-    count = count[kept]
-    last = src[np.cumsum(count) - 1]  # each kept row's last emitted candidate
-    dest = row * new_width + slot.ravel()[src] - 1
+    # each row's last emitted candidate; an empty row takes the one before it,
+    # or the sentinel 0 when none has emitted yet
+    last = np.append(src, 0)[np.cumsum(count) - 1]
+    dest = src // (2 * width) * new_width + slot.ravel()[src] - 1
     new_u = np.repeat(cand_u.take(last), new_width)
     new_v = np.repeat(cand_v.take(last), new_width)
     new_u[dest] = cand_u.take(src)
     new_v[dest] = cand_v.take(src)
-    return (new_u.reshape(len(kept), new_width), new_v.reshape(len(kept), new_width),
-            count, kept)
+    return new_u.reshape(rows, new_width), new_v.reshape(rows, new_width), count

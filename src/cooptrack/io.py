@@ -909,17 +909,18 @@ def _manifest_entry(manifest, i) -> str:
 
 
 @contextlib.contextmanager
-def checkpoint_overflow_rejected(path: str):
+def checkpoint_overflow_rejected(path: str, other_cause: str = ""):
     """Run the block with numpy's overflow and invalid operations raised, not
     warned, and report them as a LogFormatError naming checkpoint `path`:
     finite weights or Adam moments (say 1e300) can still overflow the
-    network or the optimizer."""
+    network or the optimizer. `other_cause` ends the message, naming what
+    else could have overflowed them."""
     with np.errstate(over="raise", invalid="raise"):
         try:
             yield
         except FloatingPointError as exc:
             raise LogFormatError(f"{path}: the checkpoint's weights or Adam moments "
-                                 f"are too large ({exc})") from exc
+                                 f"are too large ({exc}){other_cause}") from exc
 
 
 def load_checkpoint(path: str, expect_config: RunConfig = None) -> Checkpoint:

@@ -187,15 +187,16 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     checkpoint to resume; resumed training is bit-identical to an
     uninterrupted run because window order is fixed and the loop consumes no
     randomness. A checkpoint that has done `settings.epochs` already trains
-    no further and keeps its count. A window whose global gradient norm is
-    not finite raises FloatingPointError before the optimizer changes
-    anything. Each parameter set (`set_owners`) is lifted, stepped and keyed
-    by its owner. Each window builds its provider from the lifted weights,
-    which folds each parameter set once (`LearnedCovariance`). Its noise
-    rows come from one `noise_rows` call over all of its packets, one
-    network pass and one residual-to-noise map per parameter set, made
-    before its frames are tracked; the tracker then takes each packet's
-    rows from them (`_WindowRows`). The backward sweep, the gradient norm
+    no further and keeps its count. A window whose noise rows (where weights
+    that have overflowed first show) or global gradient norm are not finite
+    raises FloatingPointError, naming its epoch and window, before the
+    optimizer changes anything. Each parameter set (`set_owners`) is lifted,
+    stepped and keyed by its owner. Each window builds its provider from the
+    lifted weights, which folds each parameter set once
+    (`LearnedCovariance`). Its noise rows come from one `noise_rows` call
+    over all of its packets, one network pass and one residual-to-noise map
+    per parameter set, made before its frames are tracked; the tracker then
+    takes each packet's rows from them (`_WindowRows`). The backward sweep, the gradient norm
     and the Adam step run on the calling thread, one after another.
 
     The cyclic garbage collector is paused while training runs, and the
@@ -247,8 +248,12 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                                               in owners.items()}, bounds)
                 frame_packets = [packets_from_sim_frame(frame) for frame in window]
                 packets = [p for frame in frame_packets for p in frame]
-                tracker = tracker_from_settings(
-                    tracker_settings, _WindowRows(packets, provider.noise_rows(packets)))
+                rows = provider.noise_rows(packets)
+                if not all(np.isfinite(ad.val(r)).all() for r in rows):
+                    raise FloatingPointError(
+                        f"non-finite noise rows in epoch {epoch}, window {w}: the "
+                        f"covariance network's weights have overflowed")
+                tracker = tracker_from_settings(tracker_settings, _WindowRows(packets, rows))
                 reports = [tracker.step(packets) for packets in frame_packets]
                 loss, supervised = window_loss(reports, [frame.gt for frame in window],
                                                settings.gt_match_radius,

@@ -524,6 +524,35 @@ def test_a_checkpoint_whose_values_overflow_the_network_exits_2(
         capsys.readouterr().err)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns as the weights overflow
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_a_training_run_that_diverges_names_its_window_or_the_learning_rate(
+        tmp_path, config_path, sim_dir, capsys, resume):
+    # a step size of 1e150 sends the weights to about 1e150 after the first
+    # window, so the next window's network pass overflows
+    cfg = small_config()
+    diverging = str(tmp_path / "diverging.json")
+    io.save_config(diverging, dataclasses.replace(
+        cfg, train=dataclasses.replace(cfg.train, epochs=3, lr=1e150)))
+    argv = ["train", "--config", diverging, "--scenarios", sim_dir,
+            "--out", str(tmp_path / "out.ckpt")]
+    if resume:
+        ckpt = str(tmp_path / "one-epoch.ckpt")
+        assert cli.main(["train", "--config", config_path, "--scenarios", sim_dir,
+                         "--out", ckpt]) == 0
+        argv += ["--resume", ckpt]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "box extents" not in err
+    if resume:
+        assert code == 2
+        assert (f"error: {ckpt}: the checkpoint's weights or Adam moments are too large "
+                f"(overflow encountered in matmul), or train.lr (1e+150) is too large") in err
+    else:
+        assert code == 1
+        assert "error: non-finite noise rows in epoch 0, window 1" in err
+
+
 def _drop_tensor_store(sim_dir):
     os.remove(os.path.join(sim_dir, io.TENSORS_FILE))
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cooptrack import geometry
 from cooptrack.association import _APART_MARGIN
 from cooptrack.geometry import (
     Box7,
@@ -573,6 +574,56 @@ def test_iou3d_rows_equals_iou3d_on_structured_pairs():
     assert {math.hypot(q.x - p.x, q.y - p.y) > _reach(p, q) for p, q in circles} == {True, False}
     assert any(iou3d(p, q) > 0.0 for p, q in circles)  # corners overlapping inside
     assert any(iou3d(p, q) > 0.0 for p, q in margins[::4])  # overlapping by the margin
+
+
+def _empty_at_pass(k, turn=0.0):
+    """A pair whose polygon clips to nothing at pass k (1 to 4) of the clip.
+
+    The first box (the smaller row, so the one whose frame the clip runs in)
+    sits at the origin and the second beside it at x = 5. Pass k clips the
+    first box's side at local u = l/2, v = w/2, u = -l/2 and v = -w/2 in
+    turn, so the yaws 0, -pi/2, -pi and pi/2 put that side between them."""
+    yaw = (0.0, -0.5 * math.pi, -math.pi, 0.5 * math.pi)[k - 1]
+    return (Box7(0.0, 0.0, 0.2, yaw, 4.5, 1.9, 1.6),
+            Box7(5.0, 0.3, 0.2, yaw + turn, 1.0, 0.5, 1.6))
+
+
+def _clip_counts(monkeypatch, a, b):
+    """Each pass's vertex counts in `iou3d_rows(a, b)`, as a (4, P) array."""
+    counts, clip = [], geometry._clip_rows
+
+    def recorded(*args):
+        out = clip(*args)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(geometry, "_clip_rows", recorded)
+    iou3d_rows(box_rows(a), box_rows(b))
+    monkeypatch.undo()
+    return np.array(counts)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_iou3d_rows_keeps_the_place_of_a_pair_that_clips_to_nothing(monkeypatch, k):
+    overlapping = [(p, q) for p, q in _structured_pairs() if iou3d(p, q) > 0.0][:5]
+    for turn in (0.0, 0.3):
+        empty = _empty_at_pass(k, turn)
+        for place in (0, len(overlapping) // 2, len(overlapping)):  # first, middle, last
+            pairs = overlapping[:place] + [empty] + overlapping[place:]
+            first, second = [p for p, _ in pairs], [q for _, q in pairs]
+            _assert_rows_equal_pairs(first, second)
+            counts = _clip_counts(monkeypatch, first, second)
+            assert counts[k - 1:, place].tolist() == [0] * (5 - k)
+            assert counts[:k - 1, place].all()
+            assert np.delete(counts, place, axis=1).all()  # the others keep vertices
+
+
+def test_iou3d_rows_of_pairs_that_all_clip_to_nothing_at_the_first_pass(monkeypatch):
+    pairs = [_empty_at_pass(1, turn) for turn in (0.0, 0.3, -1.2)]
+    first, second = [p for p, _ in pairs], [q for _, q in pairs]
+    _assert_rows_equal_pairs(first, second)
+    assert not _clip_counts(monkeypatch, first, second).any()
+    assert iou3d_rows(box_rows(first), box_rows(second)).tolist() == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("yaws", [(0.0, 0.0), (0.5 * math.pi, 0.5 * math.pi), (-math.pi, -math.pi),
