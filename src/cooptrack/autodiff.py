@@ -530,24 +530,6 @@ def linear(x, weight, bias):
     return add(matmul(x, weight), bias)
 
 
-def left_multiply_blocks(m, w):
-    """`m` times each (p, q) row block of `w` (k p, q), stacked: (k r, q),
-    for a constant (r, p) array `m`.
-
-    One node on the tape, whose adjoint is m^T times each (r, q) row block
-    of the gradient.
-    """
-    wv = val(w)
-    r, p = np.shape(m)
-    q = wv.shape[1]
-    out = np.reshape(m @ np.reshape(wv, (-1, p, q)), (-1, q))
-    if not isinstance(w, Node):
-        return out
-    m_t = np.transpose(m)
-    return _record(out, (w,), (lambda g: np.reshape(m_t @ np.reshape(g, (-1, r, q)),
-                                                    wv.shape),))
-
-
 def conv2d(x, weight, bias, stride, pad):
     """2D convolution of an (n, c, h, w) batch with (c_out, c, k, k) weights.
 

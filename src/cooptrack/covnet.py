@@ -4,11 +4,12 @@ Two branches process the appearance tensor (two strided convolutions) and the
 encoded positional matrix (two linear stages); their flattened outputs are
 concatenated and passed through a two-stage linear head with one rectifier in
 between. The first positional stage is specified on the (N, 18 x 256)
-sinusoidal encoding, and its weight `pos.lin1.w` is stored and trained at
-that shape; a pass reads it folded into the Chebyshev basis (`fold`), as an
-(N, 18 (D + 1)) by (18 (D + 1), hidden) product. The 10 outputs are
-additive standard-deviation residuals, which `residual_to_noise_diag` maps to
-a detection's noise diagonal: its first 7 entries are the observation noise,
+sinusoidal encoding; its weight `pos.lin1.w` is stored, trained and
+checkpointed in the Chebyshev basis the network reads, as the
+(18 (D + 1), hidden) weight of an (N, 18 (D + 1)) product
+(`features.chebyshev_rows`). The 10 outputs are additive
+standard-deviation residuals, which `residual_to_noise_diag` maps to a
+detection's noise diagonal: its first 7 entries are the observation noise,
 all 10 the initial state covariance of a track the detection births.
 """
 
@@ -87,8 +88,7 @@ def layer_shapes(cfg: CovNetConfig) -> dict:
             shapes[f"app.conv{i}.b"] = (c_out,)
             c_in = c_out
     if cfg.use_positional:
-        pos_in = POSITIONAL_DIM * 2 * ENCODING_HALF_WIDTH
-        shapes["pos.lin1.w"] = (pos_in, cfg.pos_hidden)
+        shapes["pos.lin1.w"] = (POSITIONAL_DIM * (CHEBYSHEV_DEGREE + 1), cfg.pos_hidden)
         shapes["pos.lin1.b"] = (cfg.pos_hidden,)
         shapes["pos.lin2.w"] = (cfg.pos_hidden, cfg.pos_out)
         shapes["pos.lin2.b"] = (cfg.pos_out,)
@@ -115,11 +115,23 @@ class CovNetParams:
 
     @classmethod
     def init(cls, config: CovNetConfig, rng: np.random.Generator) -> "CovNetParams":
-        """Seeded uniform [-k, k] weights with k = 1/sqrt(fan_in), zero biases."""
+        """Seeded uniform [-k, k] weights with k = 1/sqrt(fan_in), zero biases.
+
+        `pos.lin1.w` is drawn as the (18 x 256, hidden) weight of the
+        sinusoidal encoding, fan-in 18 x 256, and folded once into the
+        Chebyshev basis: feature f's (256, hidden) block W_f becomes
+        CHEBYSHEV_BASIS W_f, so that f's Chebyshev values times it give its
+        sinusoids times W_f.
+        """
         arrays = {}
         for name, shape in layer_shapes(config).items():
             if name.endswith(".b"):
                 arrays[name] = np.zeros(shape)
+            elif name == "pos.lin1.w":
+                width = 2 * ENCODING_HALF_WIDTH
+                k = 1.0 / np.sqrt(POSITIONAL_DIM * width)
+                drawn = rng.uniform(-k, k, size=(POSITIONAL_DIM, width, shape[1]))
+                arrays[name] = np.reshape(CHEBYSHEV_BASIS @ drawn, shape)
             else:
                 k = 1.0 / np.sqrt(_fan_in(shape))
                 arrays[name] = rng.uniform(-k, k, size=shape)
@@ -137,33 +149,16 @@ def check_appearance(config: CovNetConfig, f_app, n: int):
                          f"{n} x configured {config.app_shape}")
 
 
-def fold(params: CovNetParams) -> CovNetParams:
-    """`params` with `pos.lin1.w` folded into the Chebyshev basis, the
-    weights `forward` reads; the other arrays are the same objects.
-
-    Feature f's (256, hidden) block W_f becomes CHEBYSHEV_BASIS W_f, so
-    that f's Chebyshev values times it give its sinusoids times W_f
-    (`features.chebyshev_rows`): (18 (D + 1), hidden) in all, one tape node
-    when the weight is a node. Without the positional branch `params` is
-    returned as it is.
-    """
-    if not params.config.use_positional:
-        return params
-    arrays = dict(params.arrays)
-    arrays["pos.lin1.w"] = ad.left_multiply_blocks(CHEBYSHEV_BASIS, arrays["pos.lin1.w"])
-    return CovNetParams(params.config, arrays)
-
-
 def forward(params: CovNetParams, f_app, f_pos):
     """Residual std rows for a batch of N detections.
 
-    `params` are folded (`fold`). `f_app` is (N, c, h, w) (ignored without
-    the appearance branch), `f_pos` the (N, 18, D + 1) Chebyshev rows of the
-    detections' normalized positional rows (`features.chebyshev_rows`); each
-    conv and each linear stage runs once over the whole batch. The arrays
-    of `params` may be plain arrays or tape nodes (the mapping of
-    CovNetParams.lift, wrapped as CovNetParams and folded). Returns an
-    (N, 10) array, a node when any input is a node.
+    `f_app` is (N, c, h, w) (ignored without the appearance branch), `f_pos`
+    the (N, 18, D + 1) Chebyshev rows of the detections' normalized
+    positional rows (`features.chebyshev_rows`), read as (N, 18 (D + 1))
+    rows times `pos.lin1.w`; each conv and each linear stage runs once over
+    the whole batch. The arrays of `params` may be plain arrays or tape
+    nodes (the mapping of CovNetParams.lift, wrapped as CovNetParams).
+    Returns an (N, 10) array, a node when any input is a node.
     """
     config, arrays = params.config, params.arrays
     n = len(ad.val(f_pos if config.use_positional else f_app))
@@ -183,7 +178,7 @@ def forward(params: CovNetParams, f_app, f_pos):
         w = arrays["pos.lin1.w"]
         if ad.val(w).shape[0] != expect[1] * expect[2]:
             raise ValueError(f"pos.lin1.w has {ad.val(w).shape[0]} rows, not the "
-                             f"{expect[1] * expect[2]} of folded weights (`fold`)")
+                             f"{expect[1] * expect[2]} of the Chebyshev rows it multiplies")
         x = ad.reshape(f_pos, (n, expect[1] * expect[2]))
         x = ad.relu(ad.linear(x, w, arrays["pos.lin1.b"]))
         x = ad.relu(ad.linear(x, arrays["pos.lin2.w"], arrays["pos.lin2.b"]))

@@ -77,14 +77,12 @@ class LearnedCovariance:
     nodes (a training pass), or to a (name -> array/node mapping,
     CovNetConfig) pair, which is wrapped as CovNetParams here. Vehicles
     share a set as `io.set_owners` says, by holding one arrays mapping. A
-    provider reads its weights once, when it is built: it folds each set for
-    its passes then (`covnet.fold`, one tape node per set for lifted
-    weights), so weights changed later, as by an optimizer step, need a new
-    provider. A provider keeps no state besides its folded sets and their
-    owners: `noise_rows` makes one network pass per parameter set over
-    whatever packets it is given, a frame's when tracking, a whole window's
-    in training. The network reads each detection's local box and its
-    vehicle's pose (`features`). Every pass runs on the calling thread.
+    provider keeps no state besides its sets and their owners: `noise_rows`
+    makes one network pass per parameter set, reading its arrays as they are
+    then, over whatever packets it is given, a frame's when tracking, a
+    whole window's in training. The network reads each detection's local
+    box and its vehicle's pose (`features`). Every pass runs on the calling
+    thread.
     """
 
     reals_per_detection = metrics.SHARED_REALS
@@ -94,9 +92,7 @@ class LearnedCovariance:
                   else covnet.CovNetParams(entry[1], entry[0])
                   for cav, entry in params_by_cav.items()}
         self.owners = cio.set_owners(params)
-        folded = {cav: covnet.fold(params[cav]) for cav, owner in self.owners.items()
-                  if cav == owner}
-        self.params_by_cav = {cav: folded[owner] for cav, owner in self.owners.items()}
+        self.params_by_cav = {cav: params[owner] for cav, owner in self.owners.items()}
         self.bounds = bounds
 
     def _appearance(self, packets, config: covnet.CovNetConfig):

@@ -191,13 +191,14 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     that have overflowed first show) or global gradient norm are not finite
     raises FloatingPointError, naming its epoch and window, before the
     optimizer changes anything. Each parameter set (`set_owners`) is lifted,
-    stepped and keyed by its owner. Each window builds its provider from the
-    lifted weights, which folds each parameter set once
-    (`LearnedCovariance`). Its noise rows come from one `noise_rows` call
-    over all of its packets, one network pass and one residual-to-noise map
-    per parameter set, made before its frames are tracked; the tracker then
-    takes each packet's rows from them (`_WindowRows`). The backward sweep, the gradient norm
-    and the Adam step run on the calling thread, one after another.
+    stepped and keyed by its owner; every array stepped is one the network
+    reads, `pos.lin1.w` included (`covnet`). Each window builds its provider
+    from the lifted weights (`LearnedCovariance`). Its noise rows come from
+    one `noise_rows` call over all of its packets, one network pass and one
+    residual-to-noise map per parameter set, made before its frames are
+    tracked; the tracker then takes each packet's rows from them
+    (`_WindowRows`). The backward sweep, the gradient norm and the Adam step
+    run on the calling thread, one after another.
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only

@@ -315,17 +315,6 @@ def reference_conv2d(x, w, b, stride, pad):
     return out
 
 
-def test_left_multiply_blocks_value_and_grad():
-    rng = np.random.default_rng(10)
-    m = rng.standard_normal((2, 3))
-    w0 = rng.standard_normal((9, 4))  # three (3, 4) blocks
-    np.testing.assert_array_equal(ad.left_multiply_blocks(m, w0),
-                                  np.concatenate([m @ w0[k:k + 3] for k in (0, 3, 6)]))
-    check_grad(lambda w: ad.asum(ad.square(ad.left_multiply_blocks(m, w))), w0)
-    wide = ad.left_multiply_blocks(m, w0.astype(np.longdouble))
-    assert wide.dtype == np.longdouble and wide.shape == (6, 4)
-
-
 def test_conv2d_matches_reference():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((3, 3, 8, 7))
@@ -536,8 +525,6 @@ OPS = {
     "diag": (ad.diag, lambda r: [r.standard_normal((2, 3))]),
     "spd_inverse_rows": (lambda a: ad.spd_inverse_rows(a)[0], lambda r: [_spd_stack(r, 2, 3)]),
     "im2col": (lambda x: ad.im2col(x, 3, 2, 1), lambda r: [r.standard_normal((2, 2, 5, 5))]),
-    "left_multiply_blocks": (lambda w: ad.left_multiply_blocks(np.arange(6.0).reshape(2, 3), w),
-                             lambda r: [r.standard_normal((6, 4))]),
     "transpose": (lambda a: ad.transpose(a, (2, 0, 1)),
                   lambda r: [r.standard_normal((2, 3, 4))]),
 }

@@ -499,6 +499,39 @@ def test_bad_checkpoint_is_rejected_with_its_path(tmp_path, config_path, sim_dir
     assert ckpt in err and message in err
 
 
+def test_a_checkpoint_with_the_full_width_positional_weight_is_refused_by_name(
+        tmp_path, config_path, sim_dir, capsys):
+    # checkpoints written before `pos.lin1.w` moved to the Chebyshev basis hold
+    # it at the (18 x 256, hidden) width of the sinusoidal encoding, under the
+    # same schema version; the manifest comparison names the entry
+    cfg = io.load_config(config_path)
+    ckpt = str(tmp_path / "full-width.ckpt")
+    io.save_checkpoint(ckpt, Checkpoint(params_by_cav=training.init_params_for_run(
+        cfg, np.random.default_rng(0)), config=cfg, seed=0))
+    with open(ckpt, "rb") as fh:
+        header, data = json.loads(fh.readline()), fh.read()
+    blobs, at = [], 0
+    for entry in header["manifest"]:
+        size = 8 * math.prod(entry["shape"])
+        blob, at = data[at:at + size], at + size
+        if entry["name"] == "pos.lin1.w":
+            entry["shape"] = [4608, entry["shape"][1]]
+            blob = np.zeros(entry["shape"], dtype="<f8").tobytes()
+        blobs.append(blob)
+    with open(ckpt, "wb") as fh:
+        fh.write((io.canonical_json(header) + "\n").encode() + b"".join(blobs))
+    assert header["version"] == io.SCHEMA_VERSION == 1
+    message = (f"{ckpt} line 1: manifest entry 4 is "
+               '{"cav":0,"kind":"param","name":"pos.lin1.w","shape":[4608,8]}, '
+               'expected {"cav":0,"kind":"param","name":"pos.lin1.w","shape":[378,8]}')
+    with pytest.raises(io.LogFormatError) as info:
+        io.load_checkpoint(ckpt)
+    assert str(info.value) == message
+    assert cli.main(["track", "--config", config_path, "--detections", sim_dir,
+                     "--checkpoint", ckpt, "--out", str(tmp_path / "trk")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, data_flag, ckpt_flag, huge", [
     ("track", "--detections", "--checkpoint", "weights"),

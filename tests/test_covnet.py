@@ -2,8 +2,9 @@
 
 The forward oracle is a straight-line reimplementation using only numpy
 (explicit loop convolution, explicit matmuls, the full sinusoidal encoding
-and the unfolded `pos.lin1.w`) so a bug in the autodiff primitives or the
-fold cannot hide in both sides.
+and a full-width (18 x 256, hidden) `pos.lin1.w` drawn here) so a bug in the
+autodiff primitives or the Chebyshev basis cannot hide in both sides. The
+package is given that weight's fold into the basis (`package_params`).
 """
 
 import math
@@ -18,7 +19,6 @@ from cooptrack.covnet import (
     RESIDUAL_DIM,
     CovNetConfig,
     CovNetParams,
-    fold,
     forward,
     layer_shapes,
     residual_to_noise_diag,
@@ -58,16 +58,49 @@ def _encoding(xb):
 
 
 def _pass(params, f_app, xb):
-    """`forward` as a provider runs it: folded weights, Chebyshev rows."""
-    return forward(fold(params), f_app, chebyshev_rows(xb))
+    """`forward` as a provider runs it, on Chebyshev rows."""
+    return forward(params, f_app, chebyshev_rows(xb))
 
 
-def reference_forward(params: CovNetParams, f_app, xb):
+FULL_WIDTH = POSITIONAL_DIM * 2 * ENCODING_HALF_WIDTH  # the sinusoidal encoding's
+
+
+def full_width_arrays(cfg, rng) -> dict:
+    """Seeded arrays as the specification draws them, in `layer_shapes` order:
+    uniform [-k, k] weights with k = 1/sqrt(fan_in), zero biases, and
+    `pos.lin1.w` at the (18 x 256, hidden) width of the sinusoidal encoding."""
+    arrays = {}
+    for name, shape in layer_shapes(cfg).items():
+        if name == "pos.lin1.w":
+            shape = (FULL_WIDTH, cfg.pos_hidden)
+        if name.endswith(".b"):
+            arrays[name] = np.zeros(shape)
+        else:
+            k = 1.0 / np.sqrt(math.prod(shape[1:]) if len(shape) == 4 else shape[0])
+            arrays[name] = rng.uniform(-k, k, size=shape)
+    return arrays
+
+
+def fold_blocks(w):
+    """A full-width (18 x 256, hidden) weight in the Chebyshev basis: each
+    feature's (256, hidden) block times CHEBYSHEV_BASIS, stacked."""
+    blocks = np.reshape(w, (POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH, -1))
+    return np.concatenate([CHEBYSHEV_BASIS @ block for block in blocks])
+
+
+def package_params(cfg, full: dict) -> CovNetParams:
+    """The package's parameters for full-width arrays: `pos.lin1.w` folded
+    (`fold_blocks`), every other array the same object."""
+    arrays = dict(full)
+    if cfg.use_positional:
+        arrays["pos.lin1.w"] = fold_blocks(full["pos.lin1.w"])
+    return CovNetParams(cfg, arrays)
+
+
+def reference_forward(cfg, arr: dict, f_app, xb):
     """Nested-loop conv + explicit matmul re-derivation of forward() for one
-    detection: f_app is (c, h, w), xb its 18 normalized positional entries,
-    the result a 10-vector."""
-    cfg = params.config
-    arr = params.arrays
+    detection, on full-width arrays (`full_width_arrays`): f_app is (c, h, w),
+    xb its 18 normalized positional entries, the result a 10-vector."""
 
     def conv(x, w, b, stride, pad):
         c_in, h, wd = x.shape
@@ -122,7 +155,7 @@ def test_layer_shapes_defaults():
     shapes = layer_shapes(CovNetConfig())
     assert shapes["app.conv1.w"] == (16, 8, 3, 3)
     assert shapes["app.conv2.w"] == (32, 16, 3, 3)
-    assert shapes["pos.lin1.w"] == (POSITIONAL_DIM * 2 * ENCODING_HALF_WIDTH, 64)
+    assert shapes["pos.lin1.w"] == (POSITIONAL_DIM * (CHEBYSHEV_DEGREE + 1), 64) == (378, 64)
     assert shapes["pos.lin2.w"] == (64, 128)
     assert shapes["head.lin1.w"] == (256, 64)
     assert shapes["head.lin2.w"] == (64, RESIDUAL_DIM)
@@ -141,7 +174,7 @@ def test_params_init_distribution_and_determinism():
         np.testing.assert_array_equal(p1.arrays[name], p2.arrays[name])
         if name.endswith(".b"):
             np.testing.assert_array_equal(p1.arrays[name], np.zeros(shape))
-        else:
+        elif name != "pos.lin1.w":  # a fold of a uniform draw, pinned below
             fan_in = shape[1] * shape[2] * shape[3] if len(shape) == 4 else shape[0]
             k = 1.0 / np.sqrt(fan_in)
             assert np.all(np.abs(p1.arrays[name]) <= k)
@@ -154,10 +187,10 @@ def test_forward_matches_reference():
     for cfg in (CovNetConfig(),
                 CovNetConfig(use_positional=False),
                 CovNetConfig(use_appearance=False)):
-        params = CovNetParams.init(cfg, rng)
+        full = full_width_arrays(cfg, rng)
         f_app, xb = _inputs(rng, cfg)
-        got = _pass(params, f_app, xb)
-        want = reference_forward(params, f_app[0], xb[0])
+        got = _pass(package_params(cfg, full), f_app, xb)
+        want = reference_forward(cfg, full, f_app[0], xb[0])
         assert got.shape == (1, RESIDUAL_DIM)
         np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12)
 
@@ -167,14 +200,15 @@ def test_batched_forward_matches_single_rows_and_reference():
     for cfg in (CovNetConfig(),
                 CovNetConfig(use_positional=False),
                 CovNetConfig(use_appearance=False)):
-        params = CovNetParams.init(cfg, rng)
+        full = full_width_arrays(cfg, rng)
+        params = package_params(cfg, full)
         f_app, xb = _inputs(rng, cfg, n=5)
         batch = _pass(params, f_app, xb)
         assert batch.shape == (5, RESIDUAL_DIM)
         for j in range(5):
             single = _pass(params, f_app[j:j + 1], xb[j:j + 1])
             np.testing.assert_allclose(batch[j], single[0], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(batch[j], reference_forward(params, f_app[j], xb[j]),
+            np.testing.assert_allclose(batch[j], reference_forward(cfg, full, f_app[j], xb[j]),
                                        rtol=1e-12, atol=1e-12)
 
 
@@ -199,13 +233,14 @@ def test_forward_zero_params_zero_output():
 
 
 def test_forward_validates_input_shapes():
-    unfolded = _zero_params(CovNetConfig())
-    params = fold(unfolded)
+    params = _zero_params(CovNetConfig())
+    full_width = CovNetParams(params.config, {**params.arrays,
+                                              "pos.lin1.w": np.zeros((FULL_WIDTH, 64))})
     rng = np.random.default_rng(73)
     f_app, xb = _inputs(rng, n=2)
     f_pos = chebyshev_rows(xb)
-    with pytest.raises(ValueError, match="folded weights"):
-        forward(unfolded, f_app, f_pos)
+    with pytest.raises(ValueError, match="4608 rows, not the 378 of the Chebyshev rows"):
+        forward(full_width, f_app, f_pos)
     with pytest.raises(ValueError):
         forward(params, f_app[:, :, :4, :], f_pos)
     with pytest.raises(ValueError):
@@ -308,9 +343,7 @@ def test_the_folded_product_and_its_gradients_match_the_full_encoding(dtype):
     n = 9
     xb = rng.uniform(-math.pi, math.pi, (n, POSITIONAL_DIM)).astype(dtype)
     xb[0], xb[1] = -math.pi, math.pi
-    params = CovNetParams.init(CovNetConfig(), rng)
-    params.arrays["pos.lin1.w"] = params.arrays["pos.lin1.w"].astype(dtype)
-    w = params.arrays["pos.lin1.w"]
+    w = full_width_arrays(CovNetConfig(), rng)["pos.lin1.w"].astype(dtype)
     weights = rng.standard_normal(n * w.shape[1])
     enc, enc_slope = _encoding(xb)
     # dT_k/dxb = k U_{k-1}(t) / pi, by the recurrence of the second kind
@@ -322,41 +355,50 @@ def test_the_folded_product_and_its_gradients_match_the_full_encoding(dtype):
     cheb_slope = np.zeros(xb.shape + (CHEBYSHEV_DEGREE + 1,), dtype=dtype)
     cheb_slope[..., 1:] = np.arange(1, CHEBYSHEV_DEGREE + 1) * second / math.pi
 
-    def product(rows, folded):
+    def product(rows, w, slope):
         """The product on plain arrays, then on the tape, with the loss's
         gradients as to the weight and as to the normalized rows `xb`."""
         flat = np.reshape(rows, (n, -1))
-        plain = flat @ (fold(params).arrays["pos.lin1.w"] if folded else w)
+        plain = flat @ w
         tape = ad.Tape()
         weight, leaf = tape.var(w), tape.var(flat)
-        lifted = fold(CovNetParams(params.config, {**params.arrays, "pos.lin1.w": weight}))
-        out = ad.matmul(leaf, lifted.arrays["pos.lin1.w"] if folded else weight)
+        out = ad.matmul(leaf, weight)
         assert np.array_equal(out.value, plain)  # longdouble's padding bytes may differ
         tape.backward(ad.matmul(ad.reshape(out, (-1,)), weights))
-        slope = cheb_slope if folded else enc_slope
         as_rows = np.sum(np.reshape(ad.grad_of(leaf), rows.shape) * slope, axis=-1)
         return plain, ad.grad_of(weight), as_rows
 
-    full = product(enc, folded=False)
-    folded = product(chebyshev_rows(xb), folded=True)
-    assert fold(params).arrays["pos.lin1.w"].shape == (
-        POSITIONAL_DIM * (CHEBYSHEV_DEGREE + 1), w.shape[1])
-    for got, want in zip(folded, full):
+    full = product(enc, w, enc_slope)
+    folded_w = fold_blocks(w)
+    assert folded_w.shape == (POSITIONAL_DIM * (CHEBYSHEV_DEGREE + 1), w.shape[1])
+    plain, grad, as_rows = product(chebyshev_rows(xb), folded_w, cheb_slope)
+    # the folded weight's gradient carried back through the fold to the full
+    # weight: the basis transposed times each feature's (D + 1, hidden) block
+    blocks = np.reshape(grad, (POSITIONAL_DIM, CHEBYSHEV_DEGREE + 1, -1))
+    grad = np.concatenate([CHEBYSHEV_BASIS.T @ block for block in blocks])
+    for got, want in zip((plain, grad, as_rows), full):
         assert got.dtype == want.dtype == dtype
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_the_fold_multiplies_each_features_block_by_the_basis():
-    params = CovNetParams.init(SMALL, np.random.default_rng(79))
-    folded = fold(params)
-    w = params.arrays["pos.lin1.w"]
-    blocks = np.reshape(w, (POSITIONAL_DIM, 2 * ENCODING_HALF_WIDTH, -1))
-    want = np.concatenate([CHEBYSHEV_BASIS @ block for block in blocks])
-    np.testing.assert_allclose(folded.arrays["pos.lin1.w"], want, rtol=0.0, atol=1e-15)
-    assert all(folded.arrays[name] is params.arrays[name]
-               for name in params.arrays if name != "pos.lin1.w")
-    app_only = CovNetParams.init(CovNetConfig(use_positional=False), np.random.default_rng(0))
-    assert fold(app_only) is app_only
+def test_init_draws_the_full_width_weight_and_folds_it_into_the_basis():
+    # untrained weights keep the bits of the fold of the full-width draw, and
+    # the generator ends where drawing the full-width arrays leaves it, so a
+    # second vehicle's set keeps its bits too
+    for cfg in (CovNetConfig(), SMALL, CovNetConfig(use_appearance=False)):
+        rng, spec = np.random.default_rng(79), np.random.default_rng(79)
+        params = CovNetParams.init(cfg, rng)
+        full = full_width_arrays(cfg, spec)
+        assert list(params.arrays) == list(full) == list(layer_shapes(cfg))
+        want = package_params(cfg, full)
+        for name, arr in params.arrays.items():
+            assert arr.shape == layer_shapes(cfg)[name]
+            assert arr.tobytes() == want.arrays[name].tobytes(), name
+        assert rng.bit_generator.state == spec.bit_generator.state
+    app_only = CovNetConfig(use_positional=False)
+    params = CovNetParams.init(app_only, np.random.default_rng(0))
+    full = full_width_arrays(app_only, np.random.default_rng(0))
+    assert all(params.arrays[name].tobytes() == full[name].tobytes() for name in full)
 
 
 def test_residual_maps_work_row_wise_on_a_batch():

@@ -979,14 +979,15 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("shared, adam, digest", [
-    (False, False, "6eb44e533bb7b75c200baeecd90f70bdf6566158c8981805bc6bbdd65fce56d4"),
-    (False, True, "e04d3a3f2b68b7b102c91b3320ee10626b7df49cb421e9070cf13c941032b6cd"),
-    (True, False, "64f49129479b6ccc6a4cad99ca894de2213f2728fd4a2ff7dfe3f15efd4987b7"),
-    (True, True, "d48202325a8a0765a314e48f49d115dcffd4eea900009d3062be7f4e8e0dfa8b"),
+    (False, False, "03d6ffc2814afacbcebb05ec1c07693080fd6911907eda3adc805ab83be87fbb"),
+    (False, True, "c8133a7210df0d567c7aecf3e72a38cdc1590bf09a3d32e2d9ed1285d6222579"),
+    (True, False, "999b83986c8d9695b278acd66af7232a146152ba8cbe3b5a3d96b4c89e077c9a"),
+    (True, True, "bc87b02166949edb92870af9023eaaae2f20f1496db013ef7e8feb8baad68d9a"),
 ], ids=["per-vehicle", "per-vehicle-adam", "shared", "shared-adam"])
 def test_checkpoint_bytes_are_pinned(tmp_path, shared, adam, digest):
     # the checkpoint format is fixed: these are the bytes earlier releases wrote, less
-    # the retired `train.batch_windows` and `scenario.preset` keys of the config header
+    # the retired `train.batch_windows` and `scenario.preset` keys of the config header,
+    # with `pos.lin1.w` and its Adam moments at their (18 (D + 1), hidden) shape
     cfg = small_config(covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
                                           head_hidden=8, shared_weights=shared))
     params = make_params(cfg)

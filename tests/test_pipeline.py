@@ -288,8 +288,8 @@ def test_a_vehicle_without_parameters_fails_its_frame_before_any_round():
 
 @pytest.mark.parametrize("shared", [False, True], ids=["per-vehicle", "shared"])
 def test_a_second_run_gives_the_bits_of_the_first(shared):
-    # a run leaves nothing behind (in its provider, the folded weights or the
-    # parameter sets) that changes a later run's tracks
+    # a run leaves nothing behind (in its provider or the parameter sets)
+    # that changes a later run's tracks
     frames = sim.generate(sim.preset_v2v_mini(seed=4, duration=12))
     rng = np.random.default_rng(6)
     first = CovNetParams.init(CovNetConfig(), rng)
@@ -448,7 +448,7 @@ def test_step_calls_the_network_once_per_non_empty_packet(monkeypatch):
     rng = np.random.default_rng(5)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
     provider = LearnedCovariance(params)
-    cav_of = {id(provider.params_by_cav[cav]): owner  # the folded sets
+    cav_of = {id(provider.params_by_cav[cav]): owner  # the sets the passes read
               for cav, owner in set_owners(provider.params_by_cav).items()}
     batches = {}  # vehicle -> rows of each of its passes
     real_forward = covnet.forward
@@ -479,7 +479,7 @@ def test_per_vehicle_frame_rows_equal_one_forward_per_packet(vehicles):
         _learned_packet(rng, 3, cav, [10.0 * k + cav for k in range(8 + cav)], cfg),
         pose=PoseYawT(5.0 * cav, -2.0, 0.0, 0.3 * cav)) for cav in range(vehicles)]
     want = [covnet.residual_to_noise_diag(covnet.forward(
-                covnet.fold(params[p.cav_id]), np.stack([d.appearance for d in p.detections]),
+                params[p.cav_id], np.stack([d.appearance for d in p.detections]),
                 _chebyshev(p.detections, p.pose)))
             for p in packets]
     got = LearnedCovariance(params).noise_rows(packets)
@@ -496,7 +496,7 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
              dataclasses.replace(_learned_packet(rng, 2, 1, [5.0, 15.0, 25.0, 35.0], cfg),
                                  pose=PoseYawT(-8.0, 3.0, 0.0, 0.4))]
     window = covnet.residual_to_noise_diag(covnet.forward(
-        covnet.fold(shared), np.stack([d.appearance for p in frame for d in p.detections]),
+        shared, np.stack([d.appearance for p in frame for d in p.detections]),
         np.concatenate([_chebyshev(p.detections, p.pose) for p in frame])))
     want = [window[:3], window[3:]]
     batches, real = [], covnet.forward
@@ -543,15 +543,13 @@ def test_each_detection_takes_its_own_row():
     process = ProcessModel.constant_velocity(TrackerSettings.process_noise_velocity)
     # births: each track's initial covariance comes from its detection's row
     for trk, det in zip(_beliefs(tracker), first.detections):
-        row = covnet.forward(covnet.fold(params), det.appearance[None],
-                             _chebyshev([det], IDENT))[0]
+        row = covnet.forward(params, det.appearance[None], _chebyshev([det], IDENT))[0]
         born = np.diag(covnet.residual_to_noise_diag(row))
         np.testing.assert_allclose(trk.cov, process.A @ born @ process.A.T + process.Q,
                                    rtol=1e-12)
     # matches: a match updates with its own detection's noise, in any order
     second = _learned_packet(rng, 1, 0, [40.1, 0.1, 20.1], cfg)
-    rows = covnet.forward(covnet.fold(params),
-                          np.stack([d.appearance for d in second.detections]),
+    rows = covnet.forward(params, np.stack([d.appearance for d in second.detections]),
                           _chebyshev(second.detections, IDENT))
     expected = []
     for trk in _beliefs(tracker):

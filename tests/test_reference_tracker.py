@@ -6,7 +6,9 @@ and one `filter.update` per matched detection (no bank), `iou3d` on every
 track-detection pair (no prescreen), one `hungarian_solve` per vehicle
 round, the lifecycle rules spelled out here rather than taken from
 `association`, and one network pass per packet on its full (N, 18 x 256)
-sinusoidal encoding and unfolded weights, one vehicle after another.
+sinusoidal encoding and full-width weights drawn here, one vehicle after
+another; `CoopTracker` is given those weights folded into the Chebyshev
+basis.
 Both trackers run the same drawn scenes with constant and with seeded
 learned observation noise; ids, births, kills and skipped updates must be
 equal, and boxes, scores and means agree within `TOL`.
@@ -37,6 +39,7 @@ from cooptrack.geometry import (Box7, PoseYawT, box_rows, inverse_pose, iou3d, t
                                 wrap_angle)
 from cooptrack.io import TrackerSettings
 from cooptrack.pipeline import ConstantCovariance, CoopTracker, FramePacket, LearnedCovariance
+from test_covnet import full_width_arrays, package_params
 
 TOL = 1e-9  # boxes, scores and means: absolute, in metres, radians and score units
 TIE = 1e-9  # an association this close to a tie is set aside
@@ -89,7 +92,7 @@ class _Track:
 def full_width_network(params: CovNetParams, f_app, f_pos) -> np.ndarray:
     """The covariance network as the README specifies it: the appearance
     convolutions, and the (N, 18, 256) encodings `f_pos` as (N, 4608) rows
-    times the unfolded `pos.lin1.w`; (N, 10) residual rows."""
+    times the full-width (18 x 256, hidden) `pos.lin1.w`; (N, 10) residual rows."""
     cfg, arr = params.config, params.arrays
     n = len(f_pos)
     a = f_app
@@ -177,7 +180,8 @@ class ReferenceTracker:
 
 
 NET = CovNetConfig(conv_channels=(4, 8), pos_hidden=8, pos_out=32, head_hidden=8)
-NETS = [CovNetParams.init(NET, np.random.default_rng(90 + k)) for k in range(3)]
+FULL_WIDTH_NETS = [CovNetParams(NET, full_width_arrays(NET, np.random.default_rng(90 + k)))
+                   for k in range(3)]
 
 
 @st.composite
@@ -244,7 +248,7 @@ def _births_and_kills(live) -> list:
 @given(scene=scenes())
 def test_the_tracker_agrees_with_the_reference_tracker(learned, scene):
     frames, cavs = scene
-    params = {cav: NETS[cav] for cav in range(cavs)} if learned else None
+    params = {cav: FULL_WIDTH_NETS[cav] for cav in range(cavs)} if learned else None
     reference = ReferenceTracker(params)
     want, want_live = [], []
     for packets in frames:
@@ -252,7 +256,9 @@ def test_the_tracker_agrees_with_the_reference_tracker(learned, scene):
         want_live.append([track.id for track in reference.tracks])
     assume(reference.gap > TIE)
 
-    tracker = CoopTracker(LearnedCovariance(params) if learned else ConstantCovariance())
+    tracker = CoopTracker(LearnedCovariance({cav: package_params(NET, p.arrays)
+                                             for cav, p in params.items()})
+                          if learned else ConstantCovariance())
     got, live = [], []
     for packets in frames:
         got.append(tracker.step(packets))

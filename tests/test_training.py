@@ -18,6 +18,7 @@ from cooptrack.geometry import Box7, wrap_angle
 from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings, set_owners
 from cooptrack.pipeline import (LearnedCovariance, ReportedTrack, packets_from_sim_frame,
                                 tracker_from_settings)
+from test_covnet import full_width_arrays, package_params
 
 EXTENTS = (4.2, 1.9, 1.6)
 
@@ -374,7 +375,7 @@ def window_rollout(frames, params_by_cav, window, monkeypatch):
     lifted = {cav: params_by_cav[cav].lift(tape) for cav in dict.fromkeys(owners.values())}
     provider = LearnedCovariance({cav: (lifted[owner], params_by_cav[cav].config)
                                   for cav, owner in owners.items()})
-    # a folded set's arrays -> its owner
+    # a set's arrays -> its owner
     cav_of = {id(provider.params_by_cav[cav].arrays): owner for cav, owner in owners.items()}
     frame_packets = [packets_from_sim_frame(f) for f in frames]
     if window:
@@ -883,6 +884,20 @@ def test_init_params_for_run_honors_sharing_flag():
     rng = np.random.default_rng(0)
     shared = training.init_params_for_run(shared_cfg, rng)
     assert shared[0] is shared[1]
+
+
+def test_each_vehicles_initial_set_is_the_fold_of_its_own_full_width_draw():
+    # the vehicles' sets come from one generator in turn, so each set's
+    # full-width draw leaves it where the next set's draw starts
+    cfg = small_run_config()
+    net_cfg = cfg.covnet.covnet_config()
+    params = training.init_params_for_run(cfg, np.random.default_rng(3))
+    spec = np.random.default_rng(3)
+    for cav in (0, 1):
+        want = package_params(net_cfg, full_width_arrays(net_cfg, spec))
+        assert list(params[cav].arrays) == list(want.arrays)
+        assert all(params[cav].arrays[name].tobytes() == arr.tobytes()
+                   for name, arr in want.arrays.items())
 
 
 def test_train_builds_its_trackers_from_the_tracker_settings(monkeypatch):
