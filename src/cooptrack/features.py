@@ -44,6 +44,24 @@ DEFAULT_BOUNDS = (
 _SCALES = 2.0 ** (np.arange(ENCODING_HALF_WIDTH) / ENCODING_HALF_WIDTH)
 
 
+def pose_columns(pose: PoseYawT) -> list:
+    """The last 5 entries of every positional row of a vehicle's packet:
+    (t_x, t_y, t_z, yaw, r_t) of its local-to-global transform `pose`."""
+    return [pose.t_x, pose.t_y, pose.t_z, pose.yaw, math.hypot(pose.t_x, pose.t_y)]
+
+
+def positional_columns(det_local, det_global, poses) -> np.ndarray:
+    """Raw positional rows, (N, 18), from N detections' (N, 7) box rows in
+    their sensor's frame, the same boxes in the global frame and each
+    detection's `pose_columns`, (N, 5). The detections may come from any
+    number of packets; every entry depends on its own detection alone."""
+    return np.concatenate([
+        det_global, np.hypot(det_global[:, 0], det_global[:, 1])[:, None],
+        det_local[:, :4], np.hypot(det_local[:, 0], det_local[:, 1])[:, None],
+        poses,
+    ], axis=1)
+
+
 def extract_positional(det_local, pose: PoseYawT) -> np.ndarray:
     """Raw (unnormalized) positional rows, (N, 18), one per detection.
 
@@ -53,18 +71,13 @@ def extract_positional(det_local, pose: PoseYawT) -> np.ndarray:
     local-to-global transform. Row layout: (x,y,z,a,l,w,h,r)_global +
     (x,y,z,a,r)_local + (t_x,t_y,t_z,yaw,r_t), where the global box is
     `geometry.transform_rows(det_local, pose)` and each r is the horizontal
-    radial distance of its own entries.
+    radial distance of its own entries (`positional_columns`).
     """
     lo = np.asarray(det_local, dtype=float)
     if lo.ndim != 2 or lo.shape[1] != 7:
         raise ValueError(f"box rows must have shape (N, 7), got {lo.shape}")
-    g = transform_rows(lo, pose)
-    pose_row = [pose.t_x, pose.t_y, pose.t_z, pose.yaw, math.hypot(pose.t_x, pose.t_y)]
-    return np.concatenate([
-        g, np.hypot(g[:, 0], g[:, 1])[:, None],
-        lo[:, :4], np.hypot(lo[:, 0], lo[:, 1])[:, None],
-        np.broadcast_to(pose_row, (len(lo), 5)),
-    ], axis=1)
+    return positional_columns(lo, transform_rows(lo, pose),
+                              np.broadcast_to(pose_columns(pose), (len(lo), 5)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -112,7 +125,9 @@ def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
 
 def positional_rows(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     """One packet's normalized positional rows, (N, 18) on [-pi, pi]:
-    `normalize` of `extract_positional`, the input of `chebyshev_rows`."""
+    `normalize` of `extract_positional`, the input of `chebyshev_rows`.
+    A provider builds the rows of many packets at once
+    (`positional_columns`), with the same bits."""
     return normalize(extract_positional(det_local, pose), bounds)
 
 

@@ -10,6 +10,7 @@ after the final round, followed by the predict step for the next frame.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .association import (Lifecycle, LifecycleConfig, associate, build_cost_matr
                           finish_timestep, reportable)
 # encode_detection is not called here, but the benchmark's tracer test looks it up here
 from .features import (DEFAULT_BOUNDS, chebyshev_rows, encode_detection,  # noqa: F401
-                       positional_rows)
+                       normalize, pose_columns, positional_columns)
 from .filter import (OBS_DIM, OBSERVATION_MATRIX, STATE_DIM, ObservationModel, ProcessModel,
                      TrackBank, predict, update)
 from .geometry import Box7, PoseYawT, box_rows, transform_rows, wrap_angle
@@ -30,12 +31,32 @@ from .geometry import Box7, PoseYawT, box_rows, transform_rows, wrap_angle
 
 @dataclass(frozen=True)
 class FramePacket:
-    """One vehicle's detections for one timestep, in its local frame."""
+    """One vehicle's detections for one timestep, in its local frame.
+
+    `local_rows` and `global_rows` are the detections' boxes as (N, 7)
+    float rows, in the vehicle's frame and carried through `pose`. Each is
+    built on first use and kept, read-only, so the provider's features,
+    association and births all read one conversion of each detection.
+    """
 
     timestep: int
     cav_id: int
     pose: PoseYawT
     detections: tuple  # objects with .box (Box7), .confidence, .appearance
+
+    @functools.cached_property
+    def local_rows(self) -> np.ndarray:
+        """The detections' boxes in the vehicle's frame (`box_rows`), read-only."""
+        rows = box_rows(d.box for d in self.detections)
+        rows.flags.writeable = False
+        return rows
+
+    @functools.cached_property
+    def global_rows(self) -> np.ndarray:
+        """`local_rows` carried to the global frame (`transform_rows`), read-only."""
+        rows = transform_rows(self.local_rows, self.pose)
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)
@@ -120,9 +141,13 @@ class LearnedCovariance:
         rows and needs no parameters. Every input is checked before any pass
         runs: every vehicle is looked up (KeyError for one without
         parameters), then every set's appearance tensors are stacked
-        (ValueError for a missing one or a wrong shape). Each pass reads its
-        packets' normalized positional rows (`features.positional_rows`) as
-        Chebyshev rows (`features.chebyshev_rows`).
+        (ValueError for a missing one or a wrong shape). The features of
+        all of `packets` are built once per call: their cached box rows
+        (`FramePacket.local_rows`, `global_rows`) with each packet's pose
+        columns make one array of positional rows, which is normalized and
+        read as Chebyshev rows (`features.chebyshev_rows`) in one go, every
+        entry as `features.positional_rows` gives it packet by packet. Each
+        pass reads its set's slice of them.
         """
         packets = list(packets)
         out = [None if p.detections else np.ones((0, STATE_DIM)) for p in packets]
@@ -135,11 +160,20 @@ class LearnedCovariance:
         groups = [(self.params_by_cav[owner], group) for owner, group in groups.items()]
         f_app = [self._appearance([p for _i, p in group], params.config)
                  for params, group in groups]
+        if not groups:
+            return out  # every packet is empty
+        live = [p for _params, group in groups for _i, p in group]  # set by set
+        f_pos = chebyshev_rows(normalize(positional_columns(
+            np.concatenate([p.local_rows for p in live]),
+            np.concatenate([p.global_rows for p in live]),
+            np.repeat([pose_columns(p.pose) for p in live],
+                      [len(p.detections) for p in live], axis=0)), self.bounds))
+        offset = 0
         for (params, group), app in zip(groups, f_app):
-            xb = [positional_rows(box_rows(d.box for d in p.detections), p.pose, self.bounds)
-                  for _i, p in group]
+            size = sum(len(p.detections) for _i, p in group)
             rows = covnet.residual_to_noise_diag(covnet.forward(
-                params, app, chebyshev_rows(xb[0] if len(xb) == 1 else np.concatenate(xb))))
+                params, app, f_pos[offset:offset + size]))
+            offset += size
             start = 0
             for i, packet in group:
                 stop = start + len(packet.detections)
@@ -187,10 +221,13 @@ class CoopTracker:
         detection's row gives its observation noise (entries 0..6), a
         born track's its initial covariance diagonal (all 10).
 
-        Association works on float rows: each packet's detections reach the
-        global frame as one (N, 7) array, and the live tracks enter each
-        round as the bank's rows (`_track_rows`). Box7s are built only for
-        the reported tracks.
+        Association works on float rows: each packet's detections enter
+        their round as its cached global rows (`FramePacket.global_rows`),
+        which a learned provider's features have already read, so each
+        detection is converted once per step, and the live tracks enter as
+        the bank's rows (`_track_rows`). Matched observations and births
+        gather from those rows. Box7s are built only for the reported
+        tracks.
         """
         packets = sorted(packets, key=lambda p: p.cav_id)
         if len({p.timestep for p in packets}) > 1:
@@ -201,7 +238,9 @@ class CoopTracker:
         frame_noise = self.cov.noise_rows(packets)
         matched = [False] * len(self.tracks)  # per bank row: matched this timestep
         for packet, noise in zip(packets, frame_noise):
-            det_global, matches = self._associate(packet)
+            det_global = packet.global_rows
+            matches = associate(build_cost_matrix(self._track_rows(), det_global),
+                                self.assoc_iou_threshold)
             dets = np.array([dj for _ti, dj, _iou in matches], dtype=np.intp)
             if matches:
                 rows = np.array([ti for ti, _dj, _iou in matches], dtype=np.intp)
@@ -241,13 +280,6 @@ class CoopTracker:
         for life in self.tracks:
             life.age += 1
         return reported
-
-    def _associate(self, packet):
-        """A round's association: (the packet's detections as global rows,
-        `associate`'s matches of the live tracks to them)."""
-        det_global = transform_rows(box_rows(d.box for d in packet.detections), packet.pose)
-        return det_global, associate(build_cost_matrix(self._track_rows(), det_global),
-                                     self.assoc_iou_threshold)
 
     def _box_vectors(self) -> np.ndarray:
         """The observed 7 state variables of every live track, as float64 rows."""

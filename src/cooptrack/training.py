@@ -197,8 +197,11 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     one `noise_rows` call over all of its packets, one network pass and one
     residual-to-noise map per parameter set, made before its frames are
     tracked; the tracker then takes each packet's rows from them
-    (`_WindowRows`). The backward sweep, the gradient norm and the Adam step
-    run on the calling thread, one after another.
+    (`_WindowRows`). That call and the window's steps read the same
+    packets, so each packet's box rows (`FramePacket.local_rows`,
+    `global_rows`) are built once per window. The backward sweep, the
+    gradient norm and the Adam step run on the calling thread, one after
+    another.
 
     The cyclic garbage collector is paused while training runs, and the
     caller's setting is restored on return or raise: collections would only

@@ -358,11 +358,9 @@ def test_an_encoding_that_raises_fails_its_frame_and_leaves_the_tracker(steps, b
 
 @pytest.mark.parametrize("bad", [0, 2])
 @pytest.mark.parametrize("steps", [1, 2, 4])
-def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
-        steps, bad, monkeypatch):
-    # the name dates from when fills ran on a thread pool; a pass now runs on
-    # the calling thread. steps: the frames the tracker takes before the
-    # failing one
+def test_a_pass_that_raises_fails_its_step_and_leaves_the_tracker(steps, bad, monkeypatch):
+    # one set's network pass raises after the inputs are checked and the
+    # features built. steps: the frames the tracker takes before the failing one
     cfg = CovNetConfig()
     rng = np.random.default_rng(21)
     params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
@@ -379,14 +377,14 @@ def test_a_fill_that_raises_on_the_pool_fails_its_step_and_leaves_the_tracker(
     mean, cov = tracker.bank.mean.copy(), tracker.bank.cov.copy()
     lives = [dataclasses.astuple(life) for life in tracker.tracks]
 
-    failing, real_rows = [True], pipeline.chebyshev_rows
+    failing, real_forward = [True], covnet.forward
 
-    def rows(xb):
-        if failing[0] and len(xb) == 5:
+    def forward(params, f_app, f_pos):
+        if failing[0] and len(f_pos) == 5:
             raise RuntimeError("pass failed")
-        return real_rows(xb)
+        return real_forward(params, f_app, f_pos)
 
-    monkeypatch.setattr(pipeline, "chebyshev_rows", rows)
+    monkeypatch.setattr(covnet, "forward", forward)
     with pytest.raises(RuntimeError, match="pass failed"):
         tracker.step(frames[steps])
     assert tracker.bank.mean.tobytes() == mean.tobytes()
@@ -511,6 +509,80 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
     assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
 
 
+def _spec_noise_rows(params_by_cav, packets):
+    """Each packet's noise rows by the per-packet specification: one forward
+    per parameter set over the Chebyshev rows of `features.positional_rows`
+    of each of its non-empty packets, in packet order."""
+    owners = set_owners(params_by_cav)
+    out = [np.ones((0, 10)) for _p in packets]
+    for owner in sorted(set(owners.values())):
+        mine = [i for i, p in enumerate(packets) if p.detections and owners[p.cav_id] == owner]
+        if not mine:
+            continue
+        dets = [d for i in mine for d in packets[i].detections]
+        rows = covnet.residual_to_noise_diag(covnet.forward(
+            params_by_cav[owner], np.stack([d.appearance for d in dets]),
+            np.concatenate([_chebyshev(packets[i].detections, packets[i].pose) for i in mine])))
+        start = 0
+        for i in mine:
+            out[i] = rows[start:start + len(packets[i].detections)]
+            start += len(packets[i].detections)
+    return out
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-vehicle", "shared"])
+@pytest.mark.parametrize("vehicles", [1, 2, 3])
+def test_noise_rows_equal_one_forward_per_set_on_each_packets_own_rows(vehicles, shared):
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(30 + vehicles)
+    first = CovNetParams.init(cfg, rng)
+    params = {cav: first if shared or cav == 0 else CovNetParams.init(cfg, rng)
+              for cav in range(vehicles)}
+    sizes = [0, 1, 7, 3]  # detections of each packet, cycling over timesteps and vehicles
+    window = [[dataclasses.replace(
+        _learned_packet(rng, t, cav, [9.0 * k - 4.0 * cav + t for k in
+                                      range(sizes[(t + cav) % len(sizes)])], cfg),
+        pose=PoseYawT(6.0 * cav - t, 2.0 * t, 0.1 * cav, 0.4 * cav - 0.2 * t))
+        for cav in range(vehicles)] for t in range(4)]
+    provider = LearnedCovariance(params)
+    for packets in [*window, [p for frame in window for p in frame]]:
+        got = provider.noise_rows(packets)
+        want = _spec_noise_rows(params, packets)
+        assert [rows.shape for rows in got] == [(len(p.detections), 10) for p in packets]
+        assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
+
+
+def test_a_step_builds_each_packets_rows_once_and_keeps_them_read_only(monkeypatch):
+    cfg = CovNetConfig()
+    rng = np.random.default_rng(14)
+    params = {cav: CovNetParams.init(cfg, rng) for cav in (0, 1, 2)}
+    built, real_rows = [], pipeline.box_rows
+
+    def counting(boxes):
+        built.append(1)
+        return real_rows(boxes)
+
+    monkeypatch.setattr(pipeline, "box_rows", counting)
+    for provider in (ConstantCovariance(), LearnedCovariance(params)):
+        tracker = CoopTracker(cov_provider=provider)
+        for t in range(3):
+            built.clear()
+            packets = [_learned_packet(rng, t, 0, [0.0, 20.0, 40.0], cfg),
+                       _learned_packet(rng, t, 1, [], cfg),
+                       dataclasses.replace(_learned_packet(rng, t, 2, [0.3, 60.0], cfg),
+                                           pose=PoseYawT(1.0, -0.5, 0.0, 0.2))]
+            tracker.step(packets)
+            assert len(built) == len(packets)
+            for packet in packets:
+                for rows in (packet.local_rows, packet.global_rows):
+                    assert not rows.flags.writeable
+                    with pytest.raises(ValueError):
+                        rows[:1] = 0.0
+                assert packet.global_rows.tobytes() == transform_rows(
+                    real_rows(d.box for d in packet.detections), packet.pose).tobytes()
+            assert len(built) == len(packets)
+
+
 def test_step_records_the_same_tape_nodes_however_many_tracks_it_reports():
     from cooptrack import autodiff as ad
     cfg = CovNetConfig()
@@ -609,8 +681,12 @@ def test_a_step_fuses_and_births_with_the_providers_noise_rows_as_given():
 
 
 def test_empty_packet_needs_no_parameters():
+    # a call whose packets are all empty builds no features and runs no pass
     provider = LearnedCovariance({0: _zero_params()})
-    assert CoopTracker(cov_provider=provider).step([_packet(0, 7, [])]) == []
+    empty = [_packet(0, 7, []), _packet(0, 8, [])]
+    assert [rows.shape for rows in provider.noise_rows(empty)] == [(0, 10), (0, 10)]
+    assert CoopTracker(cov_provider=provider).step(empty) == []
+    assert [p.global_rows.shape for p in empty] == [(0, 7), (0, 7)]
 
 
 def test_default_tracker_takes_the_default_settings():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cooptrack import autodiff as ad
-from cooptrack import covnet, sim, training
+from cooptrack import covnet, pipeline, sim, training
 from cooptrack.covnet import CovNetConfig, CovNetParams
 from cooptrack.geometry import Box7, wrap_angle
 from cooptrack.io import NetSettings, RunConfig, TrainSettings, TrackerSettings, set_owners
@@ -481,6 +481,26 @@ def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
     assert passes == rows and min(rows) > 4
     assert result.adam.step == 2
     assert runs[0] == runs[1]
+
+
+def test_a_window_builds_each_packets_rows_once(monkeypatch):
+    frames = silence(sim.generate(tiny_scenario()), 1, range(4, 8))
+    cfg = small_run_config(train=TrainSettings(window_length=4, epochs=1))
+    built, real_rows = [], pipeline.box_rows
+
+    def counting(boxes):
+        rows = real_rows(boxes)
+        built.append(rows.tobytes())
+        return rows
+
+    monkeypatch.setattr(pipeline, "box_rows", counting)
+    training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
+    # one build per packet of each window, the empty ones included: the
+    # window's noise rows and its steps read the same packets
+    want = [real_rows(d.box for d in p.detections).tobytes()
+            for f in frames for p in packets_from_sim_frame(f)]
+    assert len(training.split_subsequences(frames, 4)) * 4 == len(frames)
+    assert sorted(built) == sorted(want)
 
 
 @pytest.mark.parametrize("shared", [False, True])
