@@ -2,8 +2,7 @@
 
 The primitive set is exactly what the differentiable filter, the covariance
 network, and the training loss need: broadcasting addition, subtraction and
-division, batched matmul and a constant matrix times each row block of a
-weight, slicing (`node[idx]`), a row scatter,
+division, batched matmul, slicing (`node[idx]`), a row scatter,
 concatenation and reshaping, sums, elementwise square and square root, a
 floor clamp (ReLU is the clamp at zero), batched diagonal embedding, axis
 permutation, convolution patch extraction (im2col), and a batched

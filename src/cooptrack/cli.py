@@ -15,7 +15,8 @@ from . import metrics, sim, training
 from .pipeline import (ConstantCovariance, LearnedCovariance, frames_to_packets,
                        packets_comm_cost, run_sequence, run_tracking, tracker_from_config)
 
-# kept importable as `cli.<name>` for callers written against earlier versions
+# kept importable as `cli.<name>`: tests/test_acceptance.py and perfbench/workloads.py
+# read them there
 from .io import (DETECTIONS_FILE, GT_FILE, TENSORS_FILE, TRACKS_FILE,  # noqa: F401
                  load_sim_frames, reports_to_records, write_sim_output)
 

@@ -27,11 +27,6 @@ from .filter import R_FLOOR, STATE_DIM
 RESIDUAL_DIM = STATE_DIM
 BRANCH_WIDTH_TOLERANCE = 0.15
 
-# The unit standard deviations the residuals are added to, shared and read-only.
-_UNIT_STATE = np.ones(STATE_DIM)
-_UNIT_STATE.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class CovNetConfig:
     app_shape: tuple[int, int, int] = DEFAULT_APPEARANCE_SHAPE
@@ -195,7 +190,6 @@ def residual_to_noise_diag(sigma_residual):
     Takes a 10-vector or an (N, 10) batch, elementwise; a zero residual gives
     ones exactly. Entries 0..6 of a row are its detection's observation noise
     diagonal, all 10 the initial covariance diagonal of a track it births.
-    The ones are one shared read-only row, not a new array per call.
     """
-    s = ad.add(_UNIT_STATE, sigma_residual)
+    s = ad.add(1.0, sigma_residual)
     return ad.floor_clamp(ad.square(s), R_FLOOR)

@@ -123,14 +123,6 @@ def positional_encoding(f_pos, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     return _sinusoids(xb, np.empty(xb.shape + (2 * ENCODING_HALF_WIDTH,)))
 
 
-def positional_rows(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS) -> np.ndarray:
-    """One packet's normalized positional rows, (N, 18) on [-pi, pi]:
-    `normalize` of `extract_positional`, the input of `chebyshev_rows`.
-    A provider builds the rows of many packets at once
-    (`positional_columns`), with the same bits."""
-    return normalize(extract_positional(det_local, pose), bounds)
-
-
 def encode_detection(det_local, pose: PoseYawT, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     """Encode one packet's detections, (N, 18, 256): `positional_encoding` of
     `extract_positional`.

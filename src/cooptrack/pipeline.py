@@ -146,8 +146,8 @@ class LearnedCovariance:
         (`FramePacket.local_rows`, `global_rows`) with each packet's pose
         columns make one array of positional rows, which is normalized and
         read as Chebyshev rows (`features.chebyshev_rows`) in one go, every
-        entry as `features.positional_rows` gives it packet by packet. Each
-        pass reads its set's slice of them.
+        entry as `features.normalize` of `features.extract_positional` gives
+        it packet by packet. Each pass reads its set's slice of them.
         """
         packets = list(packets)
         out = [None if p.detections else np.ones((0, STATE_DIM)) for p in packets]

@@ -26,7 +26,6 @@ from .pipeline import LearnedCovariance, packets_from_sim_frame, tracker_from_se
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 32768  # entries per block of an Adam step: 256 KiB of float64
 
 
 def split_subsequences(frames, window_length: int):
@@ -120,50 +119,28 @@ def clip_gradients(grads: dict, max_norm: float):
 
 def adam_step(param_sets: dict, grads: dict, state: AdamState, lr: float,
               weight_decay: float, scale: float = 1.0):
-    """One Adam update of the gradients `grads` times `scale` (the clip factor,
-    `clip_gradients`); weight decay is folded into the gradient first.
+    """One Adam update (Kingma and Ba) of the gradients `grads` times `scale`
+    (the clip factor, `clip_gradients`); weight decay is folded into the
+    gradient first.
 
-    The weights and both moments are updated in place, block of rows by
-    block of rows (about ADAM_BLOCK entries each, so a block's arrays stay
-    in cache), through two scratch buffers allocated once per call; each
-    array of `state.m` and `state.v` keeps its identity. A block's gradient
-    is scaled into a buffer, giving the products a scaled copy of the whole
-    array would hold. Every entry takes the same operations in the same
-    order as the textbook expressions, so the bits are theirs. `grads` is
-    only read: its arrays may share memory with tape gradients.
+    The weights and both moments are updated in place, array by array, so
+    each array of `state.m` and `state.v` keeps its identity. `grads` is only
+    read: its arrays may share memory with tape gradients.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    blocks = []
     for cav, params in param_sets.items():
-        for name, weights in params.arrays.items():
-            rows = max(1, ADAM_BLOCK // (weights.size // len(weights)))
-            blocks += [((cav, name), weights, slice(lo, lo + rows))
-                       for lo in range(0, len(weights), rows)]
-    buffers = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
-    for key, weights, block in blocks:
-        w, m, v = weights[block], state.m[key][block], state.v[key][block]
-        g, s = (b[:w.size].reshape(w.shape) for b in buffers)
-        np.multiply(weight_decay, w, out=g)
-        grad = grads[key][block]
-        if scale != 1.0:
-            grad = np.multiply(grad, scale, out=s)    # the clipped gradient
-        np.add(grad, g, out=g)                        # g = grad + wd w
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)  # m = b1 m + (1 - b1) g
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=g)
-        g *= 1.0 - ADAM_BETA2
-        v += g                                        # v = b2 v + (1 - b2) g^2
-        np.divide(v, bc2, out=g)
-        np.sqrt(g, out=g)
-        g += ADAM_EPS
-        np.divide(m, bc1, out=s)
-        s *= lr
-        s /= g
-        w -= s                                        # w -= lr m^ / (sqrt(v^) + eps)
+        for name, w in params.arrays.items():
+            key = (cav, name)
+            m, v = state.m[key], state.v[key]
+            g = grads[key] * scale + weight_decay * w
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            w -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # --- training loop --------------------------------------------------------------
@@ -197,9 +174,10 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     one `noise_rows` call over all of its packets, one network pass and one
     residual-to-noise map per parameter set, made before its frames are
     tracked; the tracker then takes each packet's rows from them
-    (`_WindowRows`). That call and the window's steps read the same
-    packets, so each packet's box rows (`FramePacket.local_rows`,
-    `global_rows`) are built once per window. The backward sweep, the
+    (`_WindowRows`). Each window's packets are built once per call, before
+    the first epoch, and that call and the window's steps read them in
+    every epoch, so each packet's box rows (`FramePacket.local_rows`,
+    `global_rows`) are built once per call. The backward sweep, the
     gradient norm and the Adam step run on the calling thread, one after
     another.
 
@@ -236,21 +214,24 @@ class _WindowRows:
 
 
 def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epochs_done):
-    windows = split_subsequences(frames, settings.window_length)
+    # a run's frames never change, so each window's packets, with their
+    # cached box rows, and its ground truth are built once per run
+    windows = [([packets_from_sim_frame(frame) for frame in window],
+                [frame.gt for frame in window])
+               for window in split_subsequences(frames, settings.window_length)]
     owners = set_owners(params_by_cav)
     param_sets = {cav: params_by_cav[cav] for cav, owner in owners.items() if cav == owner}
     if adam is None:
         adam = AdamState.init(param_sets)
     loss_curve = []
     for epoch in range(epochs_done, settings.epochs):
-        for w, window in enumerate(windows):
+        for w, (frame_packets, gt) in enumerate(windows):
             tape = ad.Tape()
             try:
                 lifted = {cav: CovNetParams(params.config, params.lift(tape))
                           for cav, params in param_sets.items()}
                 provider = LearnedCovariance({cav: lifted[owner] for cav, owner
                                               in owners.items()}, bounds)
-                frame_packets = [packets_from_sim_frame(frame) for frame in window]
                 packets = [p for frame in frame_packets for p in frame]
                 rows = provider.noise_rows(packets)
                 if not all(np.isfinite(ad.val(r)).all() for r in rows):
@@ -259,8 +240,7 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                         f"covariance network's weights have overflowed")
                 tracker = tracker_from_settings(tracker_settings, _WindowRows(packets, rows))
                 reports = [tracker.step(packets) for packets in frame_packets]
-                loss, supervised = window_loss(reports, [frame.gt for frame in window],
-                                               settings.gt_match_radius,
+                loss, supervised = window_loss(reports, gt, settings.gt_match_radius,
                                                settings.center_distance)
                 if loss is None or not isinstance(loss, ad.Node):
                     # no qualifying track touched the parameters; gradients are

@@ -653,9 +653,6 @@ UNREFERENCED_KEPT = {
     "features.encode_detection": "the specification of a packet's (N, 18, 256) encoding, "
                                  "from which the pipeline and reference tracker tests "
                                  "take their full-width reference",
-    "features.positional_rows": "the per-packet specification of a pass's normalized rows, "
-                                "to which the pipeline tests hold the rows that "
-                                "LearnedCovariance.noise_rows builds for many packets at once",
     "filter.fuse_sequential": "acceptance criterion 1 folds the update with it",
     "geometry.transform_box": "the per-box reference the geometry and simulator tests hold "
                               "transform_rows to, bit for bit",

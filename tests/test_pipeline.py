@@ -10,7 +10,7 @@ import pytest
 from cooptrack import covnet, metrics, pipeline, sim
 from cooptrack.association import LifecycleConfig
 from cooptrack.covnet import CovNetConfig, CovNetParams, layer_shapes
-from cooptrack.features import chebyshev_rows, positional_rows
+from cooptrack.features import chebyshev_rows, extract_positional, normalize
 from cooptrack.filter import (OBSERVATION_MATRIX, ObservationModel, ProcessModel, TrackBank,
                               TrackState, observation_matrix,
                               predict, update)
@@ -43,8 +43,10 @@ def _packet(t, cav, dets, pose=IDENT):
 
 
 def _chebyshev(detections, pose):
-    """The Chebyshev rows of detections seen through `pose`, a pass's `f_pos`."""
-    return chebyshev_rows(positional_rows(box_rows(d.box for d in detections), pose))
+    """The Chebyshev rows of detections seen through `pose`, a pass's `f_pos`:
+    one packet's normalized positional rows, read as Chebyshev values."""
+    return chebyshev_rows(normalize(extract_positional(box_rows(d.box for d in detections),
+                                                       pose)))
 
 
 def _beliefs(tracker) -> list:
@@ -511,8 +513,8 @@ def test_a_shared_set_takes_one_pass_per_frame_with_the_rows_of_its_window(monke
 
 def _spec_noise_rows(params_by_cav, packets):
     """Each packet's noise rows by the per-packet specification: one forward
-    per parameter set over the Chebyshev rows of `features.positional_rows`
-    of each of its non-empty packets, in packet order."""
+    per parameter set over the Chebyshev rows of each of its non-empty
+    packets (`_chebyshev`), in packet order."""
     owners = set_owners(params_by_cav)
     out = [np.ones((0, 10)) for _p in packets]
     for owner in sorted(set(owners.values())):

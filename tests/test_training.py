@@ -485,7 +485,7 @@ def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
 
 def test_a_window_builds_each_packets_rows_once(monkeypatch):
     frames = silence(sim.generate(tiny_scenario()), 1, range(4, 8))
-    cfg = small_run_config(train=TrainSettings(window_length=4, epochs=1))
+    cfg = small_run_config(train=TrainSettings(window_length=4, epochs=3))
     built, real_rows = [], pipeline.box_rows
 
     def counting(boxes):
@@ -494,9 +494,10 @@ def test_a_window_builds_each_packets_rows_once(monkeypatch):
         return rows
 
     monkeypatch.setattr(pipeline, "box_rows", counting)
-    training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
-    # one build per packet of each window, the empty ones included: the
-    # window's noise rows and its steps read the same packets
+    result = training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
+    assert result.epochs_done == 3
+    # one build per packet of each window in the whole run, the empty ones
+    # included: every epoch's noise rows and steps read the same packets
     want = [real_rows(d.box for d in p.detections).tobytes()
             for f in frames for p in packets_from_sim_frame(f)]
     assert len(training.split_subsequences(frames, 4)) * 4 == len(frames)
@@ -617,11 +618,8 @@ def textbook_adam_step(param_sets, grads, state, lr, weight_decay):
             arr -= lr * (m / bc1) / (np.sqrt(v / bc2) + training.ADAM_EPS)
 
 
-@pytest.mark.parametrize("block", [None, 100], ids=["default_blocks", "small_blocks"])
 @pytest.mark.parametrize("sets", ["per_vehicle", "shared", "three_sets"])
-def test_adam_step_gives_the_bits_of_the_textbook_expressions(sets, block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(training, "ADAM_BLOCK", block)
+def test_adam_step_gives_the_bits_of_the_textbook_expressions(sets):
     rng = np.random.default_rng(17)
     if sets == "shared":
         one = CovNetParams.init(small_net(), rng)
