@@ -126,24 +126,18 @@ def build_cost_matrix(tracks, detections) -> np.ndarray:
 
 
 def hungarian_solve(cost: np.ndarray):
-    """Minimum-total-cost perfect matching on the zero-padded square matrix.
+    """A minimum-total-cost matching of the (n, m) matrix's rows to its columns.
 
-    Returns (row, col) int pairs restricted to the real (unpadded) entries,
-    in ascending row order. On a square matrix the solver gives the rows in
-    order, so the real rows are the first n, and their real columns those
-    below m.
+    Returns min(n, m) (row, col) pairs of plain ints, in ascending row
+    order, every row and every column in at most one pair. Which of several
+    equal-cost matchings is returned is the solver's choice; any of them is
+    correct.
     """
     cost = np.asarray(cost, dtype=float)
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
-    n, m = cost.shape
-    if n == 0 or m == 0:
-        return []
-    size = max(n, m)
-    padded = np.zeros((size, size), dtype=float)
-    padded[:n, :m] = cost
-    _rows, cols = linear_sum_assignment(padded)
-    return [(r, c) for r, c in enumerate(cols[:n].tolist()) if c < m]
+    rows, cols = linear_sum_assignment(cost)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def associate(cost, iou_threshold: float) -> list:

@@ -139,7 +139,6 @@ class TrainSettings:
     grad_clip_norm: float = 1.0
     epochs: int = 20
     gt_match_radius: float = 2.0
-    center_distance: str = "3d"
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,6 @@ CONFIG_RANGES = {  # keyed by dotted path
     "train.window_length": _at_least(2), "train.lr": _POSITIVE,
     "train.weight_decay": _at_least(0), "train.grad_clip_norm": _POSITIVE,
     "train.epochs": _at_least(0), "train.gt_match_radius": _POSITIVE,
-    "train.center_distance": _one_of("3d", "2d"),
 }
 
 _BoxList = tuple[float, float, float, float, float, float, float]  # [x, y, z, yaw, l, w, h]

@@ -21,7 +21,7 @@ frame's matches depend on n alone, and most of them need no solver. Up to a
 frame's star limit, every component of the kept tracks' positive-IoU graph is
 a star (one gt with some tracks, or one track with some gts; a single pair is
 the one-leaf star), and no gt or track holds two positive IoUs within
-`STAR_MARGIN`. Then every optimal assignment of the zero-padded matrix holds
+`STAR_MARGIN`. Then every optimal assignment of the frame's matrix holds
 each star's best pair and no other pair of it: the components are independent,
 and any two pairs of a star share its centre, so an optimum holds at most one
 of them; it holds the best one, which beats every other by more than the

@@ -10,9 +10,8 @@ after the final round, followed by the predict step for the next frame.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,29 +33,25 @@ class FramePacket:
     """One vehicle's detections for one timestep, in its local frame.
 
     `local_rows` and `global_rows` are the detections' boxes as (N, 7)
-    float rows, in the vehicle's frame and carried through `pose`. Each is
-    built on first use and kept, read-only, so the provider's features,
-    association and births all read one conversion of each detection.
+    float rows, in the vehicle's frame (`box_rows`) and carried through
+    `pose` (`transform_rows`). Both are built when the packet is made and
+    kept, read-only, so the provider's features, association and births all
+    read one conversion of each detection.
     """
 
     timestep: int
     cav_id: int
     pose: PoseYawT
     detections: tuple  # objects with .box (Box7), .confidence, .appearance
+    local_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    global_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def local_rows(self) -> np.ndarray:
-        """The detections' boxes in the vehicle's frame (`box_rows`), read-only."""
-        rows = box_rows(d.box for d in self.detections)
-        rows.flags.writeable = False
-        return rows
-
-    @functools.cached_property
-    def global_rows(self) -> np.ndarray:
-        """`local_rows` carried to the global frame (`transform_rows`), read-only."""
-        rows = transform_rows(self.local_rows, self.pose)
-        rows.flags.writeable = False
-        return rows
+    def __post_init__(self):
+        local = box_rows(d.box for d in self.detections)
+        moved = transform_rows(local, self.pose)
+        for name, rows in (("local_rows", local), ("global_rows", moved)):
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
 
 @dataclass(frozen=True)
@@ -142,7 +137,7 @@ class LearnedCovariance:
         runs: every vehicle is looked up (KeyError for one without
         parameters), then every set's appearance tensors are stacked
         (ValueError for a missing one or a wrong shape). The features of
-        all of `packets` are built once per call: their cached box rows
+        all of `packets` are built once per call: their box rows
         (`FramePacket.local_rows`, `global_rows`) with each packet's pose
         columns make one array of positional rows, which is normalized and
         read as Chebyshev rows (`features.chebyshev_rows`) in one go, every
@@ -222,12 +217,12 @@ class CoopTracker:
         born track's its initial covariance diagonal (all 10).
 
         Association works on float rows: each packet's detections enter
-        their round as its cached global rows (`FramePacket.global_rows`),
-        which a learned provider's features have already read, so each
-        detection is converted once per step, and the live tracks enter as
-        the bank's rows (`_track_rows`). Matched observations and births
-        gather from those rows. Box7s are built only for the reported
-        tracks.
+        their round as its global rows (`FramePacket.global_rows`), built
+        when the packet was made and also read by a learned provider's
+        features, so no detection is converted during a step, and the live
+        tracks enter as the bank's rows (`_track_rows`). Matched
+        observations and births gather from those rows. Box7s are built only
+        for the reported tracks.
         """
         packets = sorted(packets, key=lambda p: p.cav_id)
         if len({p.timestep for p in packets}) > 1:
@@ -300,18 +295,18 @@ class CoopTracker:
         return rows
 
 
-def packets_from_sim_frame(frame) -> list:
-    """Adapt one simulator frame into per-vehicle packets."""
+def packets_from_sim_frame(frame, cav_filter=None) -> list:
+    """Adapt one simulator frame into per-vehicle packets, only for the
+    vehicles in `cav_filter` when one is given."""
     return [FramePacket(timestep=frame.timestep, cav_id=cav_id,
                         pose=frame.poses[cav_id], detections=tuple(dets))
-            for cav_id, dets in sorted(frame.detections.items())]
+            for cav_id, dets in sorted(frame.detections.items())
+            if cav_filter is None or cav_id in cav_filter]
 
 
 def frames_to_packets(frames, cav_filter=None):
     """Per-frame packet lists, keeping only the vehicles in `cav_filter`."""
-    return [[p for p in packets_from_sim_frame(frame)
-             if cav_filter is None or p.cav_id in cav_filter]
-            for frame in frames]
+    return [packets_from_sim_frame(frame, cav_filter) for frame in frames]
 
 
 def packets_comm_cost(frame_packets, reals_per_detection: int) -> metrics.CommCost:

@@ -10,6 +10,7 @@ parameters, and applies Adam with decoupled-from-clipping weight decay
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 from dataclasses import dataclass
@@ -36,25 +37,22 @@ def split_subsequences(frames, window_length: int):
     return [frames[i * window_length:(i + 1) * window_length] for i in range(n)]
 
 
-def _center_distances(means, centers, mode: str) -> np.ndarray:
-    """(tracks, gts) distances between track means and ground-truth centers.
+def _center_distances(means, centers) -> np.ndarray:
+    """(tracks, gts) 3D distances between track means and ground-truth centers.
 
     `means` holds the tracks' first three state entries, `centers` the
-    ground truths' (x, y, z); "2d" ignores z.
+    ground truths' (x, y, z).
     """
     d = means[:, None, :] - centers[None, :, :]
-    if mode == "2d":
-        return np.hypot(d[..., 0], d[..., 1])
     return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
 
 
 def window_loss(reports_per_frame, gt_per_frame,
-                radius: float = TrainSettings.gt_match_radius,
-                center_mode: str = TrainSettings.center_distance):
+                radius: float = TrainSettings.gt_match_radius):
     """Mean L2 error of reported boxes against their nearest ground truth.
 
     Only tracks whose nearest ground-truth center lies within `radius` meters
-    contribute (nearest by center distance, ties to the lower ground-truth
+    contribute (nearest by 3D center distance, ties to the lower ground-truth
     index). The yaw component of each target is shifted by a multiple of 2pi
     (and the magnitude wrapped) so the residual never jumps across the angle
     cut. Returns (loss, supervised_count); loss is None when no track
@@ -78,7 +76,7 @@ def window_loss(reports_per_frame, gt_per_frame,
         rows = np.array([rt.row for rt in reported], dtype=np.intp)
         means = ad.val(frame)[rows]
         gt_vectors = np.stack([box.to_vector() for _gid, box in gts])
-        dist = _center_distances(means[:, :3], gt_vectors[:, :3], center_mode)
+        dist = _center_distances(means[:, :3], gt_vectors[:, :3])
         nearest = np.argmin(dist, axis=1)
         keep = ~(dist[np.arange(len(reported)), nearest] > radius)
         if not keep.any():
@@ -164,13 +162,22 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     checkpoint to resume; resumed training is bit-identical to an
     uninterrupted run because window order is fixed and the loop consumes no
     randomness. A checkpoint that has done `settings.epochs` already trains
-    no further and keeps its count. A window whose noise rows (where weights
-    that have overflowed first show) or global gradient norm are not finite
-    raises FloatingPointError, naming its epoch and window, before the
-    optimizer changes anything. Each parameter set (`set_owners`) is lifted,
-    stepped and keyed by its owner; every array stepped is one the network
-    reads, `pos.lin1.w` included (`covnet`). Each window builds its provider
-    from the lifted weights (`LearnedCovariance`). Its noise rows come from
+    no further and keeps its count.
+
+    The call runs with numpy's overflow and invalid operations raised, not
+    warned, and one raised in a window is a FloatingPointError naming its
+    epoch and window: "non-finite noise rows in epoch E, window W: " and
+    numpy's text when the network pass raises (where weights that have
+    overflowed first show), "floating-point error in ..." when a later part
+    of the window does. Non-finite noise rows, a non-finite loss or global
+    gradient norm that no operation flagged (a NaN handed in) raise too.
+    All but an error inside the Adam step are raised before the optimizer
+    changes anything.
+
+    Each parameter set (`set_owners`) is lifted, stepped and keyed by its
+    owner; every array stepped is one the network reads, `pos.lin1.w`
+    included (`covnet`). Each window builds its provider from the lifted
+    weights (`LearnedCovariance`). Its noise rows come from
     one `noise_rows` call over all of its packets, one network pass and one
     residual-to-noise map per parameter set, made before its frames are
     tracked; the tracker then takes each packet's rows from them
@@ -194,11 +201,22 @@ def train(frames, params_by_cav: dict, settings, tracker_settings,
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _train(frames, params_by_cav, settings, tracker_settings, bounds, adam,
-                      epochs_done)
+        with np.errstate(over="raise", invalid="raise"):
+            return _train(frames, params_by_cav, settings, tracker_settings, bounds, adam,
+                          epochs_done)
     finally:
         if gc_enabled:
             gc.enable()
+
+
+@contextlib.contextmanager
+def _named(prefix: str):
+    """A FloatingPointError raised in the block, raised again as one whose text
+    is `prefix`, a colon and the error's own text."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{prefix}: {exc}") from exc
 
 
 class _WindowRows:
@@ -215,7 +233,7 @@ class _WindowRows:
 
 def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epochs_done):
     # a run's frames never change, so each window's packets, with their
-    # cached box rows, and its ground truth are built once per run
+    # box rows, and its ground truth are built once per run
     windows = [([packets_from_sim_frame(frame) for frame in window],
                 [frame.gt for frame in window])
                for window in split_subsequences(frames, settings.window_length)]
@@ -226,6 +244,7 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
     loss_curve = []
     for epoch in range(epochs_done, settings.epochs):
         for w, (frame_packets, gt) in enumerate(windows):
+            where = f"epoch {epoch}, window {w}"
             tape = ad.Tape()
             try:
                 lifted = {cav: CovNetParams(params.config, params.lift(tape))
@@ -233,15 +252,17 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                 provider = LearnedCovariance({cav: lifted[owner] for cav, owner
                                               in owners.items()}, bounds)
                 packets = [p for frame in frame_packets for p in frame]
-                rows = provider.noise_rows(packets)
+                with _named(f"non-finite noise rows in {where}"):
+                    rows = provider.noise_rows(packets)
+                # a NaN among the weights handed in raises no floating-point exception
                 if not all(np.isfinite(ad.val(r)).all() for r in rows):
-                    raise FloatingPointError(
-                        f"non-finite noise rows in epoch {epoch}, window {w}: the "
-                        f"covariance network's weights have overflowed")
-                tracker = tracker_from_settings(tracker_settings, _WindowRows(packets, rows))
-                reports = [tracker.step(packets) for packets in frame_packets]
-                loss, supervised = window_loss(reports, gt, settings.gt_match_radius,
-                                               settings.center_distance)
+                    raise FloatingPointError(f"non-finite noise rows in {where}: the "
+                                             f"covariance network's weights are not finite")
+                with _named(f"floating-point error in {where}"):
+                    tracker = tracker_from_settings(tracker_settings,
+                                                    _WindowRows(packets, rows))
+                    reports = [tracker.step(packets) for packets in frame_packets]
+                    loss, supervised = window_loss(reports, gt, settings.gt_match_radius)
                 if loss is None or not isinstance(loss, ad.Node):
                     # no qualifying track touched the parameters; gradients are
                     # all zero, so no optimizer step is taken
@@ -250,20 +271,23 @@ def _train(frames, params_by_cav, settings, tracker_settings, bounds, adam, epoc
                                        "supervised": supervised})
                     continue
                 loss_value = float(ad.val(loss))
+                # nor does an infinity or a NaN carried in, by a ground-truth box say
                 if not math.isfinite(loss_value):
-                    raise FloatingPointError(
-                        f"non-finite loss {loss_value} in epoch {epoch}, window {w}")
-                tape.backward(loss)
-                grads = {(cav, name): ad.grad_of(node) for cav, params in lifted.items()
-                         for name, node in params.arrays.items()}
-                # the leaves hold the weights uncopied (`Tape.var`): free the
-                # graph before the Adam step writes into them
-                tape.release()
-                scale, norm = clip_gradients(grads, settings.grad_clip_norm)
+                    raise FloatingPointError(f"non-finite loss {loss_value} in {where}")
+                with _named(f"floating-point error in {where}"):
+                    tape.backward(loss)
+                    grads = {(cav, name): ad.grad_of(node) for cav, params in lifted.items()
+                             for name, node in params.arrays.items()}
+                    # the leaves hold the weights uncopied (`Tape.var`): free the
+                    # graph before the Adam step writes into them
+                    tape.release()
+                    scale, norm = clip_gradients(grads, settings.grad_clip_norm)
+                # nor a NaN that reaches a gradient quietly
                 if not math.isfinite(norm):
-                    raise FloatingPointError(
-                        f"non-finite gradient norm {norm} in epoch {epoch}, window {w}")
-                adam_step(param_sets, grads, adam, settings.lr, settings.weight_decay, scale)
+                    raise FloatingPointError(f"non-finite gradient norm {norm} in {where}")
+                with _named(f"floating-point error in {where}"):
+                    adam_step(param_sets, grads, adam, settings.lr, settings.weight_decay,
+                              scale)
                 loss_curve.append({"epoch": epoch, "window": w, "loss": loss_value,
                                    "supervised": supervised})
             finally:

@@ -211,25 +211,6 @@ def test_associate_validates_threshold():
         associate(np.zeros((0, 0)), 1.0)
 
 
-def _list_hungarian_solve(cost):
-    """`hungarian_solve` as it was before it cut the solution with a slice and
-    filtered plain ints: the reference for that path."""
-    cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape
-    if n == 0 or m == 0:
-        return []
-    size = max(n, m)
-    padded = np.zeros((size, size), dtype=float)
-    padded[:n, :m] = cost
-    rows, cols = linear_sum_assignment(padded)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if r < n and c < m]
-
-
-def _list_associate(cost, iou_threshold):
-    return [(r, c, float(-cost[r, c])) for r, c in _list_hungarian_solve(cost)
-            if -cost[r, c] >= iou_threshold]
-
-
 def _typed(pairs):
     """Each value's repr: its type, and a float's sign and every bit."""
     return [tuple(map(repr, pair)) for pair in pairs]
@@ -252,14 +233,34 @@ def _solver_cases():
                 -np.ones((5, 2)), -np.ones((2, 5)), -np.full((3, 3), 0.5))
 
 
-def test_solve_path_returns_what_the_old_list_comprehensions_returned():
+def _padded_total(cost):
+    """The total cost of an optimal perfect matching of the zero-padded square."""
+    n, m = cost.shape
+    size = max(n, m)
+    padded = np.zeros((size, size))
+    padded[:n, :m] = cost
+    rows, cols = linear_sum_assignment(padded)
+    return padded[rows, cols].sum()
+
+
+def test_the_solve_is_an_optimal_matching_of_the_rectangle():
+    # any optimal matching is correct: the pairs are not pinned, only their
+    # shape, their total and what `associate` reads from them
     shapes = set()
     for cost in _solver_cases():
-        shapes.add((cost.shape[0] > cost.shape[1]) - (cost.shape[0] < cost.shape[1]))
-        assert _typed(hungarian_solve(cost)) == _typed(_list_hungarian_solve(cost))
+        n, m = cost.shape
+        shapes.add((n > m) - (n < m))
+        pairs = hungarian_solve(cost)
+        assert len(pairs) == min(n, m)
+        assert all(type(k) is int for pair in pairs for k in pair)
+        rows, cols = [r for r, _ in pairs], [c for _, c in pairs]
+        assert rows == sorted(set(rows)) and len(set(cols)) == len(cols)
+        total = sum(cost[r, c] for r, c in pairs)
+        assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-12)
+        assert total == pytest.approx(_padded_total(cost), abs=1e-12)
         for threshold in (0.1, 0.5, 0.7):
-            assert (_typed(associate(cost, threshold))
-                    == _typed(_list_associate(cost, threshold)))
+            want = [(r, c, float(-cost[r, c])) for r, c in pairs if -cost[r, c] >= threshold]
+            assert _typed(associate(cost, threshold)) == _typed(want)
     assert shapes == {-1, 0, 1}
 
 

@@ -557,7 +557,6 @@ def test_a_checkpoint_whose_values_overflow_the_network_exits_2(
         capsys.readouterr().err)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns as the weights overflow
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
 def test_a_training_run_that_diverges_names_its_window_or_the_learning_rate(
         tmp_path, config_path, sim_dir, capsys, resume):
@@ -580,7 +579,8 @@ def test_a_training_run_that_diverges_names_its_window_or_the_learning_rate(
     if resume:
         assert code == 2
         assert (f"error: {ckpt}: the checkpoint's weights or Adam moments are too large "
-                f"(overflow encountered in matmul), or train.lr (1e+150) is too large") in err
+                f"(non-finite noise rows in epoch 1, window 1: overflow encountered in "
+                f"matmul), or train.lr (1e+150) is too large") in err
     else:
         assert code == 1
         assert "error: non-finite noise rows in epoch 0, window 1" in err

@@ -86,8 +86,8 @@ def test_config_validation_errors():
         io.config_from_dict({"tracker": {"assoc_iou_threshold": 1.5}})
     with pytest.raises(ConfigError, match=r"scenario: unknown key\(s\) \['preset'\]"):
         io.config_from_dict({"scenario": {"preset": "v2v_mini"}})  # a retired key
-    with pytest.raises(ConfigError):
-        io.config_from_dict({"train": {"center_distance": "4d"}})
+    with pytest.raises(ConfigError, match=r"train: unknown key\(s\) \['center_distance'\]"):
+        io.config_from_dict({"train": {"center_distance": "3d"}})  # a retired key
     with pytest.raises(ConfigError):
         io.config_from_dict({"normalization_bounds": [[0, 1]]})
     with pytest.raises(ConfigError, match="covnet: at least one input branch"):
@@ -979,15 +979,16 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("shared, adam, digest", [
-    (False, False, "03d6ffc2814afacbcebb05ec1c07693080fd6911907eda3adc805ab83be87fbb"),
-    (False, True, "c8133a7210df0d567c7aecf3e72a38cdc1590bf09a3d32e2d9ed1285d6222579"),
-    (True, False, "999b83986c8d9695b278acd66af7232a146152ba8cbe3b5a3d96b4c89e077c9a"),
-    (True, True, "bc87b02166949edb92870af9023eaaae2f20f1496db013ef7e8feb8baad68d9a"),
+    (False, False, "5f2716ca008788d12b91ef13bb9a19c6c7aa470498e858a23e4e040e587b629d"),
+    (False, True, "fc0edac2be69002f618a8924522fe8ad7adce232eea650a07051eac04b3bd6c3"),
+    (True, False, "85dcc86344836d26578b57b64a1a4c4c9fc47ee4d6eb5b503daed25ef6f0f56c"),
+    (True, True, "488787cd048841915ca47782ae698b27a8ee8886942978362d4d027996b9b1ac"),
 ], ids=["per-vehicle", "per-vehicle-adam", "shared", "shared-adam"])
 def test_checkpoint_bytes_are_pinned(tmp_path, shared, adam, digest):
     # the checkpoint format is fixed: these are the bytes earlier releases wrote, less
-    # the retired `train.batch_windows` and `scenario.preset` keys of the config header,
-    # with `pos.lin1.w` and its Adam moments at their (18 (D + 1), hidden) shape
+    # the retired `train.batch_windows`, `scenario.preset` and `train.center_distance`
+    # keys of the config header, with `pos.lin1.w` and its Adam moments at their
+    # (18 (D + 1), hidden) shape
     cfg = small_config(covnet=NetSettings(conv_channels=(4, 8), pos_hidden=8, pos_out=32,
                                           head_hidden=8, shared_weights=shared))
     params = make_params(cfg)

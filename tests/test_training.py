@@ -105,18 +105,6 @@ def test_loss_gates_on_center_radius():
     assert math.isclose(float(loss), 1.9, rel_tol=1e-12)
 
 
-def test_loss_2d_gating_ignores_height():
-    # 2d mode: z offset of 5 m does not disqualify, and the residual still
-    # includes z because only the gate changes
-    gt = boxed(0.0, 0.0, 0.0)
-    rep = fake_frame([1.0, 0, 5.0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
-    loss3d, n3d = training.window_loss([rep], [[(0, gt)]], center_mode="3d")
-    assert n3d == 0 and loss3d is None
-    loss2d, n2d = training.window_loss([rep], [[(0, gt)]], center_mode="2d")
-    assert n2d == 1
-    assert math.isclose(float(loss2d), math.sqrt(1.0 + 25.0), rel_tol=1e-12)
-
-
 def test_loss_picks_nearest_gt_with_lower_index_tiebreak():
     rep = fake_frame([0.0, 0, 0, 0, 4.2, 1.9, 1.6, 0, 0, 0])
     near = boxed(0.5, 0.0)
@@ -168,14 +156,13 @@ def test_loss_reads_each_report_by_its_row():
         training.window_loss([reports[:1] + fake_frame(reports[1].mean)], [[(0, gt)]])
 
 
-def per_pair_window_loss(reports_per_frame, gt_per_frame, radius, center_mode):
+def per_pair_window_loss(reports_per_frame, gt_per_frame, radius):
     """Reference: the nearest ground truth found with one distance per (track, gt) pair."""
     terms = []
     for reported, gts in zip(reports_per_frame, gt_per_frame):
         for rt in reported:
             m = rt.mean
-            dists = [math.hypot(m[0] - b.x, m[1] - b.y) if center_mode == "2d"
-                     else math.sqrt((m[0] - b.x) ** 2 + (m[1] - b.y) ** 2 + (m[2] - b.z) ** 2)
+            dists = [math.sqrt((m[0] - b.x) ** 2 + (m[1] - b.y) ** 2 + (m[2] - b.z) ** 2)
                      for _gid, b in gts]
             if not dists or min(dists) > radius:
                 continue
@@ -185,20 +172,17 @@ def per_pair_window_loss(reports_per_frame, gt_per_frame, radius, center_mode):
     return (sum(terms) / len(terms) if terms else None), len(terms)
 
 
-def _clear_of_ties_and_radius(reports_per_frame, gt_per_frame, radius, center_mode,
-                              margin=1e-6):
+def _clear_of_ties_and_radius(reports_per_frame, gt_per_frame, radius, margin=1e-6):
     for reported, gts in zip(reports_per_frame, gt_per_frame):
         for rt in reported:
             m = rt.mean
-            d = sorted(math.hypot(m[0] - b.x, m[1] - b.y) if center_mode == "2d"
-                       else math.dist(m[:3], (b.x, b.y, b.z)) for _gid, b in gts)
+            d = sorted(math.dist(m[:3], (b.x, b.y, b.z)) for _gid, b in gts)
             if (d and abs(d[0] - radius) < margin) or (len(d) > 1 and d[1] - d[0] < margin):
                 return False
     return True
 
 
-@pytest.mark.parametrize("center_mode", ["3d", "2d"])
-def test_loss_equals_the_per_pair_reference_on_random_scenes(center_mode):
+def test_loss_equals_the_per_pair_reference_on_random_scenes():
     rng = np.random.default_rng(21)
     checked = supervised = 0
     while checked < 40:
@@ -212,11 +196,11 @@ def test_loss_equals_the_per_pair_reference_on_random_scenes(center_mode):
             means[:, 3] = rng.uniform(-math.pi, math.pi, len(means))
             frames.append(fake_frame(*means))
             truths.append(gts)
-        if not _clear_of_ties_and_radius(frames, truths, 2.0, center_mode):
+        if not _clear_of_ties_and_radius(frames, truths, 2.0):
             continue
         checked += 1
-        loss, n = training.window_loss(frames, truths, radius=2.0, center_mode=center_mode)
-        want, want_n = per_pair_window_loss(frames, truths, 2.0, center_mode)
+        loss, n = training.window_loss(frames, truths, radius=2.0)
+        want, want_n = per_pair_window_loss(frames, truths, 2.0)
         assert n == want_n
         if want is None:
             assert loss is None
@@ -486,6 +470,10 @@ def test_train_runs_the_network_once_per_vehicle_per_window(monkeypatch):
 def test_a_window_builds_each_packets_rows_once(monkeypatch):
     frames = silence(sim.generate(tiny_scenario()), 1, range(4, 8))
     cfg = small_run_config(train=TrainSettings(window_length=4, epochs=3))
+    # each packet builds its rows when it is made, so the rows are counted
+    # at construction: one build per packet of each window in the whole run,
+    # the empty ones included, since every epoch reads the same packets
+    want = [p.local_rows.tobytes() for f in frames for p in packets_from_sim_frame(f)]
     built, real_rows = [], pipeline.box_rows
 
     def counting(boxes):
@@ -496,10 +484,6 @@ def test_a_window_builds_each_packets_rows_once(monkeypatch):
     monkeypatch.setattr(pipeline, "box_rows", counting)
     result = training.train(frames, fresh_params(small_net(), 1), cfg.train, cfg.tracker)
     assert result.epochs_done == 3
-    # one build per packet of each window in the whole run, the empty ones
-    # included: every epoch's noise rows and steps read the same packets
-    want = [real_rows(d.box for d in p.detections).tobytes()
-            for f in frames for p in packets_from_sim_frame(f)]
     assert len(training.split_subsequences(frames, 4)) * 4 == len(frames)
     assert sorted(built) == sorted(want)
 
