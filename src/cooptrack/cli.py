@@ -13,7 +13,7 @@ import numpy as np
 from . import io as cio
 from . import metrics, sim, training
 from .pipeline import (ConstantCovariance, LearnedCovariance, frames_to_packets,
-                       packets_comm_cost, run_sequence, run_tracking, tracker_from_config)
+                       run_sequence, run_tracking, tracker_from_config)
 
 # kept importable as `cli.<name>`: tests/test_acceptance.py and perfbench/workloads.py
 # read them there
@@ -157,7 +157,8 @@ def cmd_eval(args) -> int:
 
 def cmd_comm_cost(args) -> int:
     frames, _ = cio.load_sim_frames(args.detections)
-    cost = packets_comm_cost(frames_to_packets(frames), metrics.SHARED_REALS)
+    cost = metrics.comm_cost([{cav: len(dets) for cav, dets in frame.detections.items()}
+                              for frame in frames], metrics.SHARED_REALS)
     print(f"shared detections: {cost.num_shared_detections}")
     print(f"bytes total: {cost.bytes_total}")
     print(f"MB total: {cost.mb_total:.6f}")

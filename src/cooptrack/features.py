@@ -94,10 +94,7 @@ def _bound_arrays(bounds):
 
 def normalize(values, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     """Map each column of (N, 18) values from its [min, max] onto [-pi, pi], clamping."""
-    try:
-        lo, span = _bound_arrays(bounds)
-    except TypeError:  # unhashable bounds, such as lists, are not cached
-        lo, span = _bound_arrays.__wrapped__(bounds)
+    lo, span = _bound_arrays(tuple(map(tuple, bounds)))
     u = np.clip((values - lo) / span, 0.0, 1.0)
     return -math.pi + 2.0 * math.pi * u
 

@@ -361,7 +361,12 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path: str) -> RunConfig:
-    return config_from_dict(_read_json(path, ConfigError))
+    """The config in the JSON file at `path`; a `ConfigError` names the file."""
+    data = _read_json(path, ConfigError)
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_config(path: str, cfg: RunConfig):

@@ -9,7 +9,8 @@ best-MOTA level of the sweep. All metric fields are percentages.
 An `evaluate` call sets its whole sequence up once, as arrays (`_Sequence`),
 in one pass over its frames: every gt and track item with its box row, id and
 score, and each track's average score, one `np.bincount` over its items in
-`track_frames` order. A non-finite box or score raises a `ValueError`. Then
+timestep order. A report depends on the frames' content, not on the insertion
+order of either dict. A non-finite box or score raises a `ValueError`. Then
 each frame's (gt, track) pairs in row-major order, frame after frame,
 prescreened by `association.prescreen_pairs`' test (`footprint_reach` and
 `extents_meet`: a pair is kept unless its footprints' x or y extents lie
@@ -108,9 +109,9 @@ class _Sequence:
 
     Gt rows and track rows run frame after frame, each frame's in list order,
     gathered in one pass over the frames. A track's average score adds its
-    scores in `track_frames` order (the order of the dict's frames, each
-    frame's items in list order), as a loop over the dict would, so its bits
-    do not depend on how the frames are sorted here. A non-finite gt box,
+    scores in that gathering order (timestep order, each frame's items in
+    list order), so its bits do not depend on the insertion order of
+    `track_frames` or `gt_frames`. A non-finite gt box,
     track box or track score raises a `ValueError` naming its timestep and
     id, before any trig runs on the boxes.
     A track's rank counts the tracks of its frame that score strictly above
@@ -165,15 +166,9 @@ class _Sequence:
             raise ValueError(f"track {track_ids[k]} at timestep {frames[self.track_frame[k]]}"
                              f" has a non-finite score {scores[k]}")
 
-        # a track's average score adds its scores in `track_frames` order, as a
-        # loop over the dict would: `np.bincount` adds its weights in order
         track_ids = np.array(track_ids)
         self.distinct_ids, code = np.unique(track_ids, return_inverse=True)
-        position = {t: k for k, t in enumerate(track_frames)}
-        in_order = np.argsort(np.array([position.get(t, 0) for t in frames],
-                                       dtype=int)[self.track_frame], kind="stable")
-        self.avg_score = np.bincount(code[in_order], weights=scores[in_order]) \
-            / np.bincount(code)
+        self.avg_score = np.bincount(code, weights=scores) / np.bincount(code)
         self.scores = self.avg_score[code]
 
         # every (gt, track) pair of each frame in row-major order, frame after

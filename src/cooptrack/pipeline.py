@@ -309,12 +309,6 @@ def frames_to_packets(frames, cav_filter=None):
     return [packets_from_sim_frame(frame, cav_filter) for frame in frames]
 
 
-def packets_comm_cost(frame_packets, reals_per_detection: int) -> metrics.CommCost:
-    """Cost of sending every packet's detections to the host; one frame per packet list."""
-    return metrics.comm_cost([{p.cav_id: len(p.detections) for p in packets}
-                              for packets in frame_packets], reals_per_detection)
-
-
 def tracker_from_settings(settings: cio.TrackerSettings, provider) -> CoopTracker:
     """The one place a tracker is built from configured settings."""
     return CoopTracker(cov_provider=provider,
@@ -340,7 +334,9 @@ def run_sequence(frame_packets, tracker: CoopTracker):
             reports.append(tracker.step(packets))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"frame {index}: {exc}") from exc
-    return reports, packets_comm_cost(frame_packets, tracker.cov.reals_per_detection)
+    return reports, metrics.comm_cost([{p.cav_id: len(p.detections) for p in packets}
+                                       for packets in frame_packets],
+                                      tracker.cov.reals_per_detection)
 
 
 def run_tracking(cfg: cio.RunConfig, frames, checkpoint_path=None, cav_filter=None):

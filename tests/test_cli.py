@@ -13,8 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cooptrack import cli, io, metrics, sim, training
+from cooptrack import cli, io, metrics, pipeline, sim, training
 from cooptrack.covnet import CovNetParams, layer_shapes
+from cooptrack.geometry import box_rows
 from cooptrack.io import Checkpoint, NetSettings, RunConfig, ScenarioConfig, TrainSettings
 
 
@@ -1015,6 +1016,19 @@ def test_comm_cost_reports_payload_ratio(sim_dir, capsys):
     assert f"bytes total: {non_ego * 17 * 4}" in out
 
 
+def test_comm_cost_converts_no_box(sim_dir, capsys, monkeypatch):
+    calls = []
+
+    def counted(boxes):
+        calls.append(1)
+        return box_rows(boxes)
+
+    monkeypatch.setattr(pipeline, "box_rows", counted)
+    assert cli.main(["comm-cost", "--detections", sim_dir]) == 0
+    assert "shared detections: " in capsys.readouterr().out
+    assert calls == []
+
+
 # --- ablate ----------------------------------------------------------------------
 
 
@@ -1078,7 +1092,7 @@ def test_bad_config_value_exits_2_naming_its_key(tmp_path, capsys, config, key):
     bad.write_text(json.dumps(config))
     out = tmp_path / "o"
     assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {key}: ")
     assert not out.exists()
 
 

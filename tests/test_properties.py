@@ -197,7 +197,7 @@ def _reference_sweep(frames, track_frames, gt_frames, avg_score, threshold):
 
 def _reference_average_scores(track_frames):
     totals, counts = {}, {}
-    for items in track_frames.values():
+    for _t, items in sorted(track_frames.items()):
         for tid, _box, score in items:
             totals[tid] = totals.get(tid, 0.0) + score
             counts[tid] = counts.get(tid, 0) + 1
@@ -345,6 +345,18 @@ def crowded_scenes(draw):
 def test_crowded_evaluate_equals_rebuilding_each_levels_matrices(scene):
     track_frames, gt_frames = scene
     assert repr(evaluate(track_frames, gt_frames)) == repr(_reference_evaluate(*scene))
+
+
+@PROPERTY
+@given(st.one_of(tied_scenes(), crowded_scenes()), st.data())
+def test_evaluate_ignores_the_insertion_order_of_both_dicts(scene, data):
+    track_frames, gt_frames = scene
+
+    def reordered(frames):
+        return {t: frames[t] for t in data.draw(st.permutations(list(frames)))}
+
+    assert repr(evaluate(reordered(track_frames), reordered(gt_frames))) \
+        == repr(evaluate(track_frames, gt_frames))
 
 
 @st.composite
